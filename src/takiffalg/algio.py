@@ -72,6 +72,8 @@ def algebra_from_dict(d: Mapping) -> tuple[LieAlgebra, InvariantSet, dict]:
     if not isinstance(label, str) or not basis or \
             not all(isinstance(b, str) for b in basis):
         raise AlgebraFormatError("'label' must be a string and 'basis' a list of names")
+    if not isinstance(raw_brackets, list):
+        raise AlgebraFormatError("'brackets' must be a list of bracket entries")
     name_idx = {b: i for i, b in enumerate(basis)}
     entries: dict[tuple[int, int], dict[int, Fraction]] = {}
     for entry in raw_brackets:
@@ -80,6 +82,8 @@ def algebra_from_dict(d: Mapping) -> tuple[LieAlgebra, InvariantSet, dict]:
             coeffs = entry["coeffs"]
         except (KeyError, TypeError, ValueError) as e:
             raise AlgebraFormatError(f"malformed bracket entry {entry!r}") from e
+        if not isinstance(coeffs, dict):
+            raise AlgebraFormatError(f"'coeffs' of bracket entry {entry!r} must be an object")
         vec: dict[int, Fraction] = {}
         for name, val in coeffs.items():
             if name not in name_idx:
@@ -97,11 +101,17 @@ def algebra_from_dict(d: Mapping) -> tuple[LieAlgebra, InvariantSet, dict]:
             grading = TakiffGrading.from_dict(d["grading"])
         except (KeyError, TypeError, ValueError) as e:
             raise AlgebraFormatError(f"malformed grading block: {e}") from e
+    invariants = d.get("invariants", [])
+    if not isinstance(invariants, list) or \
+            not all(isinstance(s, str) for s in invariants):
+        raise AlgebraFormatError("'invariants' must be a list of polynomial strings")
+    flags = d.get("flags", {})
+    if not isinstance(flags, dict):
+        raise AlgebraFormatError("'flags' must be an object")
     L = LieAlgebra.create(label, basis, entries, grading=grading)
-    polys = tuple(parse_poly(s, L.basis) for s in d.get("invariants", []))
+    polys = tuple(parse_poly(s, L.basis) for s in invariants)
     fs = InvariantSet(algebra=L, polys=polys)
-    flags = dict(d.get("flags", {}))
-    return L, fs, flags
+    return L, fs, dict(flags)
 
 
 def family_to_dict(fam: InvariantFamily) -> dict:

@@ -206,6 +206,9 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "m", None) is not None and args.m < 1:
         print("error: --m must be at least 1", file=sys.stderr)
         return 2
+    if getattr(args, "trials", 1) < 1:
+        print("error: --trials must be at least 1", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except KeyError as e:

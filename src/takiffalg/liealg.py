@@ -23,8 +23,10 @@ from typing import Mapping, Sequence
 from . import linalg, sampling
 from .polyring import (
     MissingAssignmentError,
+    Monomial,
     Polynomial,
     UnknownVariableError,
+    _mono_mul,
 )
 from .report import FAIL, PASS, Check, Report
 
@@ -246,6 +248,8 @@ def kirillov_rank_at(L: LieAlgebra, point: DualPoint) -> int:
 def generic_kirillov_rank(L: LieAlgebra, trials: int = 5, seed: int = 0,
                           bound: int = sampling.DEFAULT_BOUND) -> int:
     """Max Kirillov rank over seeded random integer points (monotone in trials)."""
+    if trials < 1:
+        raise ValueError(f"the rank estimate needs at least one trial, got {trials}")
     best = 0
     for t in range(trials):
         pt = sampling.random_coords(L.basis, sampling.rng(seed, sampling.TAG_INDEX, t), bound)
@@ -299,28 +303,35 @@ def poisson_bracket(L: LieAlgebra, f: Polynomial, g: Polynomial) -> Polynomial:
 
 
 def _poisson_with_basis_var(L: LieAlgebra, df: list[Polynomial], t: int) -> Polynomial:
-    # {f, b_t} with the partials of f precomputed.
-    out = Polynomial.zero(L.basis)
+    # {f, b_t} with the partials of f precomputed: every term d * c * b_k is
+    # accumulated into one term dict, and one Polynomial is built at the end.
+    acc: dict[Monomial, Fraction] = {}
     for (i, j), coeffs in L.brackets.items():
         if j == t:
-            d = df[i]
+            d, sign = df[i], 1
         elif i == t:
-            d = -df[j]
+            d, sign = df[j], -1
         else:
             continue
         if d.is_zero:
             continue
         for k, c in coeffs.items():
-            out = out + Polynomial.variable(L.basis, L.basis[k]) * (d * c)
-    return out
+            if sign < 0:
+                c = -c
+            xk = ((k, 1),)
+            for mono, v in d.terms.items():
+                key = _mono_mul(mono, xk)
+                prev = acc.get(key)
+                acc[key] = v * c if prev is None else prev + v * c
+    return Polynomial(L.basis, {m: v for m, v in acc.items() if v}, _canonical=True)
 
 
 def poisson_bracket_at(L: LieAlgebra, f: Polynomial, g: Polynomial,
                        point: DualPoint) -> Fraction:
     """Value of {f,g} at a point without forming the symbolic bracket.
 
-    Independent evaluation route used for sampled invariance checks; it only
-    needs the two gradients at the point.
+    An evaluation route independent of the symbolic bracket; it only needs
+    the two gradients at the point.
     """
     _check_over_basis(L, f)
     _check_over_basis(L, g)
@@ -341,12 +352,7 @@ def poisson_bracket_at(L: LieAlgebra, f: Polynomial, g: Polynomial,
 
 def is_symmetric_invariant(L: LieAlgebra, f: Polynomial) -> bool:
     """Exact symbolic test that {f, b} = 0 for every basis element b."""
-    _check_over_basis(L, f)
-    df = [f.partial(b) for b in L.basis]
-    for t in range(L.dim):
-        if not _poisson_with_basis_var(L, df, t).is_zero:
-            return False
-    return True
+    return invariance_defect(L, f) is None
 
 
 def bracket_defect_against(L: LieAlgebra, f: Polynomial,

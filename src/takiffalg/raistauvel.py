@@ -38,22 +38,7 @@ __all__ = [
     "lowest_component",
     "jacobian_profile",
     "family_rank_at",
-    "within_symbolic_budget",
-    "SYMBOLIC_DIM_BUDGET",
-    "SYMBOLIC_DEGREE_BUDGET",
 ]
-
-# Exact invariance checks stay symbolic while the graded algebra has at most
-# this many variables and the base invariants at most this degree; past the
-# budget the verify layer downgrades to seeded evaluation.
-SYMBOLIC_DIM_BUDGET = 36
-SYMBOLIC_DEGREE_BUDGET = 4
-
-
-def within_symbolic_budget(L: LieAlgebra, m: int, fs: InvariantSet) -> bool:
-    degs = fs.degrees()
-    return L.dim * (m + 1) <= SYMBOLIC_DIM_BUDGET and (
-        not degs or max(degs) <= SYMBOLIC_DEGREE_BUDGET)
 
 
 def graded_varset(L: LieAlgebra, m: int) -> tuple[str, ...]:

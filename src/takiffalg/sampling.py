@@ -21,8 +21,6 @@ TAG_INDEX = 1
 TAG_COADJOINT = 2
 TAG_OMEGA = 3
 TAG_REGULARITY = 4
-TAG_INVARIANCE = 5
-TAG_IDEAL = 6
 TAG_NULLFIBER = 7
 TAG_STRATA = 8
 TAG_HOMOGENEITY = 9

@@ -8,25 +8,22 @@ independence locus, and the two transfer equivalences between a graded point
 and its top component.
 
 Failures never raise; they become FAIL entries carrying a concrete witness
-(a basis triple, a point, or the offending bracket).  When the symbolic
-budget is exceeded, invariance checks downgrade to exact evaluation at seeded
-points and report SAMPLED-PASS, which the summary never upgrades to PASS.
+(a basis triple, a point, or the offending bracket).  The invariance and
+ideal checks are exact at every size: each generator's Poisson bracket with
+each target basis element is formed symbolically, so their PASS is a
+certificate, not evidence at sampled points.
 """
 
 from __future__ import annotations
 
 import time
 from fractions import Fraction
+from typing import Sequence
 
 from . import liealg, raistauvel, sampling
-from .liealg import (
-    InvariantSet,
-    IndexEstimateError,
-    LieAlgebra,
-    kirillov_matrix,
-)
+from .liealg import InvariantSet, IndexEstimateError, LieAlgebra
 from .polyring import Polynomial
-from .report import FAIL, PASS, SAMPLED_PASS, SKIPPED, Check, Report
+from .report import FAIL, PASS, SKIPPED, Check, Report
 from .takiff import flatten_point, nilpotent_ideal, takiff
 
 __all__ = [
@@ -36,12 +33,10 @@ __all__ = [
     "frobenius_check",
     "DEFAULT_TRIALS",
     "DEFAULT_TRANSFER_SAMPLES",
-    "DEFAULT_EVAL_SAMPLES",
 ]
 
 DEFAULT_TRIALS = 5
 DEFAULT_TRANSFER_SAMPLES = 100
-DEFAULT_EVAL_SAMPLES = 200
 
 _REF_JACOBI = "Jacobi identity for the truncated-current bracket"
 _REF_INVARIANCE = "every expansion coefficient is a symmetric invariant"
@@ -64,21 +59,6 @@ def _point_witness(point) -> dict:
     return {k: str(v) for k, v in point.items()}
 
 
-def _grad_times_kirillov(grad: list[Fraction], B: list[list[Fraction]]) -> list[Fraction]:
-    n = len(B)
-    out = []
-    for t in range(n):
-        s = Fraction(0)
-        for i in range(n):
-            gi = grad[i]
-            if gi:
-                b = B[i][t]
-                if b:
-                    s += gi * b
-        out.append(s)
-    return out
-
-
 def _jacobi_check(Lm: LieAlgebra) -> Check:
     t0 = time.perf_counter()
     sub = liealg.validate(Lm).checks[0]
@@ -86,86 +66,28 @@ def _jacobi_check(Lm: LieAlgebra) -> Check:
                  witness=sub.witness, elapsed=time.perf_counter() - t0)
 
 
-def _invariance_check(Lm: LieAlgebra, fam: raistauvel.InvariantFamily,
-                      symbolic: bool, samples: int, seed: int) -> Check:
-    t0 = time.perf_counter()
-    if symbolic:
-        for i, j, F in fam.members():
-            defect = liealg.invariance_defect(Lm, F)
-            if defect is not None:
-                name, bracket = defect
-                return Check(
-                    name="invariance", status=FAIL, paper_ref=_REF_INVARIANCE,
-                    witness={"member": [i, j], "basis_element": name,
-                             "poisson_bracket": _poly_str(bracket)},
-                    elapsed=time.perf_counter() - t0)
-        return Check(name="invariance", status=PASS, paper_ref=_REF_INVARIANCE,
-                     witness={"mode": "symbolic",
-                              "members": fam.l * (fam.depth + 1)},
-                     elapsed=time.perf_counter() - t0)
-    # Budget exceeded: exact evaluation at seeded points.  {F, b_t}(xi) over
-    # all t at once is grad(F)(xi) times the Kirillov matrix at xi.
-    for p in range(samples):
-        pt = sampling.random_coords(
-            Lm.basis, sampling.rng(seed, sampling.TAG_INVARIANCE, p))
-        B = kirillov_matrix(Lm, pt)
-        for i, j, F in fam.members():
-            vec = _grad_times_kirillov(F.gradient_at(pt), B)
-            bad = next((t for t, v in enumerate(vec) if v), None)
-            if bad is not None:
-                return Check(
-                    name="invariance", status=FAIL, paper_ref=_REF_INVARIANCE,
-                    witness={"member": [i, j], "basis_element": Lm.basis[bad],
-                             "point": _point_witness(pt),
-                             "value": str(vec[bad])},
-                    seed=seed, elapsed=time.perf_counter() - t0)
-    return Check(name="invariance", status=SAMPLED_PASS, paper_ref=_REF_INVARIANCE,
-                 witness={"mode": "sampled, not certified", "points": samples,
-                          "members": fam.l * (fam.depth + 1)},
-                 seed=seed, elapsed=time.perf_counter() - t0)
+def _bracket_check(Lm: LieAlgebra, name: str, paper_ref: str,
+                   generators: list[tuple[object, Polynomial]],
+                   targets: Sequence[int], keys: tuple[str, str],
+                   counts: dict) -> Check:
+    """Bracket every generator against every target basis element exactly.
 
-
-def _ideal_check(Lm: LieAlgebra, fam: raistauvel.InvariantFamily | None,
-                 symbolic: bool, samples: int, seed: int) -> Check:
+    The first nonzero Poisson bracket is the FAIL witness, under the keys
+    (generator key, target key); a PASS records ``counts``.
+    """
     t0 = time.perf_counter()
-    grading = Lm.grading
-    m = grading.depth
-    ideal = [Lm.index_of(b) for b in nilpotent_ideal(Lm)]
-    generators: list[tuple[str, Polynomial]] = [
-        (b, Lm.variable(b)) for b in Lm.basis if grading.grade_of[b] == m]
-    if fam is not None:
-        generators += [(f"F_{i}^{j}", F) for i, j, F in fam.members() if j >= 1]
-    if symbolic:
-        for name, g in generators:
-            defect = liealg.bracket_defect_against(Lm, g, ideal)
-            if defect is not None:
-                elt, br = defect
-                return Check(
-                    name="ideal-invariants", status=FAIL, paper_ref=_REF_IDEAL,
-                    witness={"generator": name, "ideal_element": elt,
-                             "poisson_bracket": _poly_str(br)},
-                    elapsed=time.perf_counter() - t0)
-        return Check(name="ideal-invariants", status=PASS, paper_ref=_REF_IDEAL,
-                     witness={"mode": "symbolic", "generators": len(generators),
-                              "ideal_size": len(ideal)},
-                     elapsed=time.perf_counter() - t0)
-    for p in range(samples):
-        pt = sampling.random_coords(
-            Lm.basis, sampling.rng(seed, sampling.TAG_IDEAL, p))
-        B = kirillov_matrix(Lm, pt)
-        for name, g in generators:
-            vec = _grad_times_kirillov(g.gradient_at(pt), B)
-            bad = next((t for t in ideal if vec[t]), None)
-            if bad is not None:
-                return Check(
-                    name="ideal-invariants", status=FAIL, paper_ref=_REF_IDEAL,
-                    witness={"generator": name, "ideal_element": Lm.basis[bad],
-                             "point": _point_witness(pt), "value": str(vec[bad])},
-                    seed=seed, elapsed=time.perf_counter() - t0)
-    return Check(name="ideal-invariants", status=SAMPLED_PASS, paper_ref=_REF_IDEAL,
-                 witness={"mode": "sampled, not certified", "points": samples,
-                          "generators": len(generators)},
-                 seed=seed, elapsed=time.perf_counter() - t0)
+    gen_key, target_key = keys
+    for label, g in generators:
+        defect = liealg.bracket_defect_against(Lm, g, targets)
+        if defect is not None:
+            elt, bracket = defect
+            return Check(name=name, status=FAIL, paper_ref=paper_ref,
+                         witness={gen_key: label, target_key: elt,
+                                  "poisson_bracket": _poly_str(bracket)},
+                         elapsed=time.perf_counter() - t0)
+    return Check(name=name, status=PASS, paper_ref=paper_ref,
+                 witness={"mode": "symbolic", **counts},
+                 elapsed=time.perf_counter() - t0)
 
 
 def _mixed_components(L: LieAlgebra, m: int, r, zero_top: bool):
@@ -178,8 +100,12 @@ def _mixed_components(L: LieAlgebra, m: int, r, zero_top: bool):
 def verify_main_theorem(L: LieAlgebra, fs: InvariantSet, m: int,
                         trials: int = DEFAULT_TRIALS, seed: int = 0,
                         transfer_samples: int = DEFAULT_TRANSFER_SAMPLES,
-                        eval_samples: int = DEFAULT_EVAL_SAMPLES) -> Report:
-    """Full structural verification of one truncation step L -> L<m>."""
+                        eval_samples: int | None = None) -> Report:
+    """Full structural verification of one truncation step L -> L<m>.
+
+    ``eval_samples`` is still accepted but no longer has any effect: the
+    invariance and ideal checks are symbolic at every size.
+    """
     if not fs.algebra.structure_equal(L):
         raise liealg.AlgebraError("invariant set belongs to a different algebra")
     Lm = takiff(L, m)
@@ -189,15 +115,24 @@ def verify_main_theorem(L: LieAlgebra, fs: InvariantSet, m: int,
     rep.add(_jacobi_check(Lm))
 
     fam = raistauvel.build_family(L, m, fs) if l else None
-    symbolic = raistauvel.within_symbolic_budget(L, m, fs)
 
     if fam is None:
         rep.add(Check(name="invariance", status=SKIPPED, paper_ref=_REF_INVARIANCE,
                       witness={"note": "no invariants supplied"}))
     else:
-        rep.add(_invariance_check(Lm, fam, symbolic, eval_samples, seed))
+        members = [([i, j], F) for i, j, F in fam.members()]
+        rep.add(_bracket_check(Lm, "invariance", _REF_INVARIANCE, members,
+                               range(Lm.dim), ("member", "basis_element"),
+                               {"members": len(members)}))
 
-    rep.add(_ideal_check(Lm, fam, symbolic, eval_samples, seed))
+    ideal = [Lm.index_of(b) for b in nilpotent_ideal(Lm)]
+    generators: list[tuple[object, Polynomial]] = [
+        (b, Lm.variable(b)) for b in Lm.basis if Lm.grading.grade_of[b] == m]
+    if fam is not None:
+        generators += [(f"F_{i}^{j}", F) for i, j, F in fam.members() if j >= 1]
+    rep.add(_bracket_check(Lm, "ideal-invariants", _REF_IDEAL, generators, ideal,
+                           ("generator", "ideal_element"),
+                           {"generators": len(generators), "ideal_size": len(ideal)}))
 
     t0 = time.perf_counter()
     idx_base = liealg.index(L, trials=trials, seed=seed)
@@ -358,12 +293,12 @@ def _regularity_transfer_check(L: LieAlgebra, Lm: LieAlgebra, idx_base: int,
 def verify_multi_current(L: LieAlgebra, fs: InvariantSet, degrees,
                          trials: int = DEFAULT_TRIALS, seed: int = 0,
                          transfer_samples: int = DEFAULT_TRANSFER_SAMPLES,
-                         eval_samples: int = DEFAULT_EVAL_SAMPLES) -> Report:
+                         eval_samples: int | None = None) -> Report:
     """Verify an iterated truncation one level at a time.
 
     Each level's expanded family becomes the next level's base invariant set;
     a single-entry degree list therefore reduces exactly to
-    verify_main_theorem.
+    verify_main_theorem.  ``eval_samples`` no longer has any effect.
     """
     degrees = list(degrees)
     if not degrees:
@@ -372,16 +307,14 @@ def verify_multi_current(L: LieAlgebra, fs: InvariantSet, degrees,
         raise ValueError("all truncation orders must be >= 1")
     if len(degrees) == 1:
         return verify_main_theorem(L, fs, degrees[0], trials=trials, seed=seed,
-                                   transfer_samples=transfer_samples,
-                                   eval_samples=eval_samples)
+                                   transfer_samples=transfer_samples)
     label = f"verify:{L.label}<{','.join(str(d) for d in degrees)}>"
     rep = Report(label=label)
     cur_L, cur_fs = L, fs
     expected = len(fs)
     for level, mdeg in enumerate(degrees, start=1):
         sub = verify_main_theorem(cur_L, cur_fs, mdeg, trials=trials, seed=seed,
-                                  transfer_samples=transfer_samples,
-                                  eval_samples=eval_samples)
+                                  transfer_samples=transfer_samples)
         rep.extend_prefixed(f"level{level}:", sub.checks)
         expected *= mdeg + 1
         if cur_fs.polys:

@@ -2,7 +2,8 @@
 
 Nothing here imports the modules under test beyond plain data types, and the
 algorithms are deliberately the naive ones: truncated dual-number arithmetic
-coefficient by coefficient, and rank by plain fraction Gaussian elimination.
+coefficient by coefficient, rank by plain fraction Gaussian elimination, and
+Poisson brackets with basis elements as a gradient times the Kirillov matrix.
 """
 
 from __future__ import annotations
@@ -96,3 +97,30 @@ def naive_rank(rows: Sequence[Sequence[Fraction]]) -> int:
         rank += 1
         col += 1
     return rank
+
+
+def bracket_values_at(algebra, poly, point: dict[str, Fraction]) -> list[Fraction]:
+    """{F, b_t}(xi) for every basis index t at once: grad F(xi) times B(xi).
+
+    B(xi)_{it} = <xi, [b_i, b_t]> is read off the raw bracket table, and the
+    gradient is taken term by term from the raw term dictionary, so neither
+    the package's symbolic bracket nor its evaluation code is exercised.
+    """
+    basis = algebra.basis
+    n = len(basis)
+    vals = [Fraction(point[b]) for b in basis]
+    grad = [Fraction(0)] * n
+    for mono, coeff in poly.terms.items():
+        for idx, exp in mono:
+            part = Fraction(coeff) * exp * vals[idx] ** (exp - 1)
+            for jdx, f in mono:
+                if jdx != idx:
+                    part *= vals[jdx] ** f
+            grad[idx] += part
+    kirillov = [[Fraction(0)] * n for _ in range(n)]
+    for (i, j), coeffs in algebra.brackets.items():
+        s = sum((c * vals[k] for k, c in coeffs.items()), Fraction(0))
+        kirillov[i][j] += s
+        kirillov[j][i] -= s
+    return [sum((grad[i] * kirillov[i][t] for i in range(n)), Fraction(0))
+            for t in range(n)]

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import takiffalg
 from takiffalg import algio, catalog
 from takiffalg.cli import main
 from takiffalg.liealg import AlgebraFormatError
@@ -103,6 +108,23 @@ class TestVerify:
         assert main(["catalog", "export", "sl3", "--out", str(exported)]) == 0
         assert main(["verify", "--m", "1", str(exported)]) == 0
 
+    def test_formerly_sampled_case_is_hash_seed_independent(self, tmp_path):
+        # heis2<7> (dim 40) is certified exactly; the report must not depend
+        # on the interpreter's hash seed.
+        src = str(Path(takiffalg.__file__).resolve().parents[1])
+        reports = []
+        for hash_seed in ("0", "1"):
+            path = tmp_path / f"r{hash_seed}.json"
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-m", "takiffalg.cli", "verify", "--m", "7",
+                 "heis2", "--report", str(path)],
+                env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            reports.append(path.read_bytes())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["summary"] == "PASS"
+
 
 class TestNilfiber:
     def test_chain_runs_for_sl2(self, tmp_path, capsys):
@@ -140,6 +162,32 @@ class TestInputErrors:
             src = tmp_path / "bad.json"
             src.write_text(json.dumps(doc))
             assert main(["verify", "--m", "1", str(src)]) == 2
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_trials_below_one_rejected(self, tmp_path, capsys, trials):
+        rep = tmp_path / "rep.json"
+        assert main(["verify", "--m", "1", "--trials", trials, "sl2",
+                     "--report", str(rep)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --trials must be at least 1\n"
+        assert captured.out == ""
+        assert not rep.exists()
+
+    @pytest.mark.parametrize("field,value", [
+        ("flags", [1, 2]),
+        ("brackets", [{"pair": [0, 1], "coeffs": [1]}]),
+        ("invariants", [3]),
+    ])
+    def test_malformed_fields_are_input_errors(self, tmp_path, capsys,
+                                               field, value):
+        src = tmp_path / "bad.json"
+        src.write_text(json.dumps(dict(BAD_JACOBI, **{field: value})))
+        with pytest.raises(AlgebraFormatError):
+            algio.load_algebra_file(src)
+        assert main(["verify", "--m", "1", str(src)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_mutually_exclusive_flags(self):
         with pytest.raises(SystemExit):

@@ -117,6 +117,13 @@ class TestKirillov:
         assert linalg.rank(kirillov_matrix(L, pt)) == naive_rank(kirillov_matrix(L, pt))
         assert generic_kirillov_rank(L, trials=5, seed=0) == 6
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_rank_estimate_needs_a_trial(self, sl2, trials):
+        with pytest.raises(ValueError):
+            generic_kirillov_rank(sl2.algebra, trials=trials)
+        with pytest.raises(ValueError):
+            index(sl2.algebra, trials=trials)
+
 
 class TestInvariance:
     def test_sl2_casimir_is_invariant(self, sl2):

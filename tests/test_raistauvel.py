@@ -15,7 +15,6 @@ from takiffalg.raistauvel import (
     graded_varset,
     jacobian_profile,
     lowest_component,
-    within_symbolic_budget,
 )
 from takiffalg.takiff import flatten_point, takiff
 
@@ -100,16 +99,6 @@ class TestFamilyValidation:
         fs = sl2_family_m1.invariant_set(claimed_index=2)
         assert len(fs.polys) == 2
         assert fs.claimed_index == 2
-
-
-class TestBudget:
-    def test_small_cases_are_symbolic(self, sl2, sl3):
-        assert within_symbolic_budget(sl2.algebra, 3, sl2.invariants)
-        assert within_symbolic_budget(sl3.algebra, 1, sl3.invariants)
-
-    def test_large_cases_are_sampled(self):
-        entry = catalog.load("slnV3")
-        assert not within_symbolic_budget(entry.algebra, 2, entry.invariants)
 
 
 class TestDifferentials:

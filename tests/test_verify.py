@@ -2,16 +2,19 @@ from __future__ import annotations
 
 import pytest
 
-from takiffalg import catalog
-from takiffalg.liealg import InvariantSet
+from takiffalg import catalog, sampling
+from takiffalg.liealg import InvariantSet, bracket_defect_against
 from takiffalg.polyring import parse_poly
-from takiffalg.report import FAIL, PASS, SAMPLED_PASS, SKIPPED
+from takiffalg.raistauvel import build_family
+from takiffalg.report import FAIL, PASS, SKIPPED
 from takiffalg.verify import (
     frobenius_check,
     verify_main_theorem,
     verify_multi_current,
     wonderful_diagnostic,
 )
+
+from oracles import bracket_values_at
 
 CHECK_ORDER = [
     "jacobi", "invariance", "ideal-invariants", "index-formula",
@@ -45,13 +48,20 @@ class TestMainTheorem:
         assert witness["family_degree_sum"] == 4
         assert "codim-2 diagnostic" in witness["note"]
 
-    def test_out_of_budget_falls_back_to_sampling(self, heis2):
-        # dim 5 with m = 7 exceeds the symbolic budget; linear members keep it fast
+    def test_heis2_depth7_certifies_without_sampling(self, heis2):
+        # dim 40: invariance and ideal checks are exact brackets at any size,
+        # and eval_samples is accepted but has no effect
         rep = verify_main_theorem(heis2.algebra, heis2.invariants, 7,
                                   transfer_samples=10, eval_samples=40)
-        assert _by_name(rep, "invariance").status == SAMPLED_PASS
-        assert _by_name(rep, "ideal-invariants").status == SAMPLED_PASS
-        assert rep.summary == SAMPLED_PASS
+        assert _by_name(rep, "invariance").status == PASS
+        assert _by_name(rep, "invariance").witness == {"mode": "symbolic",
+                                                       "members": 8}
+        assert _by_name(rep, "ideal-invariants").status == PASS
+        assert _by_name(rep, "ideal-invariants").witness["mode"] == "symbolic"
+        assert rep.summary == PASS
+        plain = verify_main_theorem(heis2.algebra, heis2.invariants, 7,
+                                    transfer_samples=10)
+        assert plain.to_json() == rep.to_json()
 
     def test_corrupted_invariant_fails_with_witness(self, sl2):
         bad = InvariantSet(algebra=sl2.algebra,
@@ -99,7 +109,7 @@ class TestMultiCurrent:
     def test_heis1_three_levels_all_linear(self, heis1):
         rep = verify_multi_current(heis1.algebra, heis1.invariants, [1, 1, 1],
                                    transfer_samples=10, eval_samples=30)
-        assert rep.summary in (PASS, SAMPLED_PASS)
+        assert rep.summary == PASS
         fc = _by_name(rep, "family-count")
         assert fc.witness == {"count": 8, "expected": 8, "algebra_dim": 24}
 
@@ -128,3 +138,39 @@ class TestDiagnostics:
         assert check.witness["codim2_refuted"] is True
         assert check.witness["note"] == f"codim-2 refuted: {sum_deg} < {magic}"
         assert not check.witness["criterion_iii_holds"]
+
+
+class TestBracketOracle:
+    """The symbolic bracket against grad F(xi) times the Kirillov matrix."""
+
+    @pytest.mark.parametrize("name,m", [("sl3", 4), ("slnV3", 2)])
+    def test_oracle_agrees_with_symbolic_pass(self, name, m):
+        entry = catalog.load(name)
+        fam = build_family(entry.algebra, m, entry.invariants)
+        Lm = fam.takiff_algebra
+        members = [F for _, _, F in fam.members()]
+        assert all(bracket_defect_against(Lm, F, range(Lm.dim)) is None
+                   for F in members)
+        for p in range(3):
+            pt = sampling.random_coords(Lm.basis, sampling.rng(5, 61, p))
+            for F in members:
+                assert not any(bracket_values_at(Lm, F, pt))
+
+    def test_corrupted_member_fails_and_oracle_sees_the_witness(self, sl2):
+        bad = InvariantSet(algebra=sl2.algebra,
+                           polys=(parse_poly("h^2 + 3*e*f", sl2.algebra.basis),))
+        rep = verify_main_theorem(sl2.algebra, bad, 5, transfer_samples=5)
+        check = _by_name(rep, "invariance")
+        assert check.status == FAIL
+        fam = build_family(sl2.algebra, 5, bad)
+        Lm = fam.takiff_algebra
+        F = fam.member(*check.witness["member"])
+        t = Lm.index_of(check.witness["basis_element"])
+        for p in range(3):
+            pt = sampling.random_coords(Lm.basis, sampling.rng(5, 62, p))
+            values = bracket_values_at(Lm, F, pt)
+            assert values[t] != 0
+            for s, value in enumerate(values):
+                defect = bracket_defect_against(Lm, F, [s])
+                symbolic = 0 if defect is None else defect[1].evaluate(pt)
+                assert value == symbolic
