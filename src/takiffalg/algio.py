@@ -38,15 +38,11 @@ __all__ = [
 ]
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(x)
-
-
 def algebra_to_dict(L: LieAlgebra, invariants: InvariantSet | None = None,
                     flags: Mapping[str, bool] | None = None) -> dict:
     brackets = []
     for (i, j) in sorted(L.brackets):
-        coeffs = {L.basis[k]: _frac_str(c)
+        coeffs = {L.basis[k]: str(c)
                   for k, c in sorted(L.brackets[(i, j)].items())}
         brackets.append({"pair": [i, j], "coeffs": coeffs})
     out = {
@@ -65,11 +61,11 @@ def algebra_from_dict(d: Mapping) -> tuple[LieAlgebra, InvariantSet, dict]:
     """Parse an algebra file; raises AlgebraFormatError on malformed data."""
     try:
         label = d["label"]
-        basis = list(d["basis"])
+        basis = d["basis"]
         raw_brackets = d["brackets"]
     except (KeyError, TypeError) as e:
         raise AlgebraFormatError(f"missing or malformed field: {e}") from e
-    if not isinstance(label, str) or not basis or \
+    if not isinstance(label, str) or not isinstance(basis, list) or not basis or \
             not all(isinstance(b, str) for b in basis):
         raise AlgebraFormatError("'label' must be a string and 'basis' a list of names")
     if not isinstance(raw_brackets, list):
@@ -78,10 +74,14 @@ def algebra_from_dict(d: Mapping) -> tuple[LieAlgebra, InvariantSet, dict]:
     entries: dict[tuple[int, int], dict[int, Fraction]] = {}
     for entry in raw_brackets:
         try:
-            i, j = (int(x) for x in entry["pair"])
+            pair = entry["pair"]
             coeffs = entry["coeffs"]
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError) as e:
             raise AlgebraFormatError(f"malformed bracket entry {entry!r}") from e
+        if not isinstance(pair, list) or len(pair) != 2 or \
+                not all(type(x) is int for x in pair):
+            raise AlgebraFormatError(f"'pair' of bracket entry {entry!r} must be two integers")
+        i, j = pair
         if not isinstance(coeffs, dict):
             raise AlgebraFormatError(f"'coeffs' of bracket entry {entry!r} must be an object")
         vec: dict[int, Fraction] = {}
@@ -99,7 +99,7 @@ def algebra_from_dict(d: Mapping) -> tuple[LieAlgebra, InvariantSet, dict]:
     if "grading" in d:
         try:
             grading = TakiffGrading.from_dict(d["grading"])
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as e:
             raise AlgebraFormatError(f"malformed grading block: {e}") from e
     invariants = d.get("invariants", [])
     if not isinstance(invariants, list) or \

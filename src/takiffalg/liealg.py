@@ -43,13 +43,12 @@ __all__ = [
     "kirillov_rank_at",
     "generic_kirillov_rank",
     "index",
+    "magic_from_index",
     "magic_number",
     "poisson_bracket",
-    "poisson_bracket_at",
     "is_symmetric_invariant",
     "invariance_defect",
     "bracket_defect_against",
-    "differential_at",
     "differential_matrix",
     "omega_test",
     "is_regular",
@@ -268,12 +267,21 @@ def index(L: LieAlgebra, trials: int = 5, seed: int = 0) -> int:
     return L.dim - generic_kirillov_rank(L, trials=trials, seed=seed)
 
 
-def magic_number(L: LieAlgebra, trials: int = 5, seed: int = 0) -> int:
-    """(dim + ind)/2; always an integer because the Kirillov form has even rank."""
-    s = L.dim + index(L, trials=trials, seed=seed)
+def magic_from_index(L: LieAlgebra, idx: int) -> int:
+    """(dim + ind)/2 for a known index estimate.
+
+    The Kirillov form has even rank, so an odd dim + ind exposes an unreliable
+    estimate and raises IndexEstimateError.
+    """
+    s = L.dim + idx
     if s % 2:
         raise IndexEstimateError("index estimate unreliable, increase trials")
     return s // 2
+
+
+def magic_number(L: LieAlgebra, trials: int = 5, seed: int = 0) -> int:
+    """(dim + ind)/2 with the index estimated at seeded random points."""
+    return magic_from_index(L, index(L, trials=trials, seed=seed))
 
 
 # ---------------------------------------------------------------------------
@@ -287,18 +295,15 @@ def _check_over_basis(L: LieAlgebra, f: Polynomial) -> None:
 
 
 def poisson_bracket(L: LieAlgebra, f: Polynomial, g: Polynomial) -> Polynomial:
-    """Linear Poisson bracket: {f,g} = sum c_ij^k b_k (df/db_i dg/db_j - df/db_j dg/db_i)."""
+    """Linear Poisson bracket {f, g} = sum_t {f, b_t} dg/db_t."""
     _check_over_basis(L, f)
     _check_over_basis(L, g)
     df = [f.partial(b) for b in L.basis]
-    dg = [g.partial(b) for b in L.basis]
     out = Polynomial.zero(L.basis)
-    for (i, j), coeffs in L.brackets.items():
-        cross = df[i] * dg[j] - df[j] * dg[i]
-        if cross.is_zero:
-            continue
-        for k, c in coeffs.items():
-            out = out + Polynomial.variable(L.basis, L.basis[k]) * (cross * c)
+    for t, b in enumerate(L.basis):
+        dg = g.partial(b)
+        if not dg.is_zero:
+            out = out + _poisson_with_basis_var(L, df, t) * dg
     return out
 
 
@@ -326,30 +331,6 @@ def _poisson_with_basis_var(L: LieAlgebra, df: list[Polynomial], t: int) -> Poly
     return Polynomial(L.basis, {m: v for m, v in acc.items() if v}, _canonical=True)
 
 
-def poisson_bracket_at(L: LieAlgebra, f: Polynomial, g: Polynomial,
-                       point: DualPoint) -> Fraction:
-    """Value of {f,g} at a point without forming the symbolic bracket.
-
-    An evaluation route independent of the symbolic bracket; it only needs
-    the two gradients at the point.
-    """
-    _check_over_basis(L, f)
-    _check_over_basis(L, g)
-    vals = check_point(L, point)
-    gf = f.gradient_at(point)
-    gg = g.gradient_at(point)
-    total = Fraction(0)
-    for (i, j), coeffs in L.brackets.items():
-        cross = gf[i] * gg[j] - gf[j] * gg[i]
-        if not cross:
-            continue
-        s = Fraction(0)
-        for k, c in coeffs.items():
-            s += c * vals[k]
-        total += cross * s
-    return total
-
-
 def is_symmetric_invariant(L: LieAlgebra, f: Polynomial) -> bool:
     """Exact symbolic test that {f, b} = 0 for every basis element b."""
     return invariance_defect(L, f) is None
@@ -375,11 +356,6 @@ def invariance_defect(L: LieAlgebra, f: Polynomial) -> tuple[str, Polynomial] | 
 # ---------------------------------------------------------------------------
 # differentials, regularity, the singular-set test
 # ---------------------------------------------------------------------------
-
-def differential_at(f: Polynomial, point: DualPoint) -> list[Fraction]:
-    """Gradient of f at a dual point, as an element of the algebra (varset order)."""
-    return f.gradient_at(point)
-
 
 def differential_matrix(polys: Sequence[Polynomial], point: DualPoint) -> list[list[Fraction]]:
     return [f.gradient_at(point) for f in polys]

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-__all__ = ["rank", "rref", "nullspace", "solve", "is_zero_matrix", "LinearAlgebraError"]
+__all__ = ["rank", "rref", "nullspace", "LinearAlgebraError"]
 
 Matrix = Sequence[Sequence[Fraction]]
 
@@ -123,24 +123,3 @@ def nullspace(rows: Matrix, ncols: int | None = None) -> list[list[Fraction]]:
             vec[pc] = -red[r][free]
         basis.append(vec)
     return basis
-
-
-def solve(a: Matrix, b: Sequence[Fraction]) -> list[Fraction]:
-    """Solve a x = b, requiring a unique solution."""
-    if not a:
-        raise LinearAlgebraError("cannot solve an empty system")
-    ncols = len(a[0])
-    aug = [list(row) + [Fraction(bi)] for row, bi in zip(a, b)]
-    red, pivots = rref(aug)
-    if ncols in pivots:
-        raise LinearAlgebraError("inconsistent linear system")
-    if len(pivots) != ncols:
-        raise LinearAlgebraError("underdetermined linear system")
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
-    return x
-
-
-def is_zero_matrix(rows: Matrix) -> bool:
-    return all(not x for row in rows for x in row)

@@ -112,7 +112,6 @@ class Polynomial:
 
     def __init__(self, varset: Sequence[str], terms: Mapping[Monomial, Fraction] | None = None,
                  *, _canonical: bool = False):
-        object.__setattr__  # noqa: B018  (plain class; slots keep it lean)
         self.varset: tuple[str, ...] = tuple(varset)
         self._vidx: dict[str, int] | None = None
         if terms is None:
@@ -432,6 +431,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+MAX_PARSE_DEGREE = 32
+
+
 class _Parser:
     """Recursive-descent parser for the grammar:
 
@@ -442,7 +444,9 @@ class _Parser:
         atom   := NUMBER | IDENT | "(" expr ")"
 
     ``^`` binds tightest, implicit multiplication is a syntax error, and
-    number literals may be fractions ``a/b``.
+    number literals may be fractions ``a/b``.  Exponents and the total degree
+    of every ``^`` and ``*`` are capped at MAX_PARSE_DEGREE (32): a larger one
+    raises ParseError before anything is multiplied out.
     """
 
     def __init__(self, text: str, varset: Sequence[str]):
@@ -485,8 +489,12 @@ class _Parser:
             tok = self._peek()
             if tok is None or tok[0] != "op" or tok[1] != "*":
                 return p
-            self._next()
-            p = p * self._factor()
+            op = self._next()
+            q = self._factor()
+            if p.degree() + q.degree() > MAX_PARSE_DEGREE:
+                raise ParseError(f"product exceeds the degree cap {MAX_PARSE_DEGREE}",
+                                 op[2])
+            p = p * q
 
     def _factor(self) -> Polynomial:
         tok = self._peek()
@@ -503,14 +511,21 @@ class _Parser:
             etok = self._next()
             if etok[0] != "num" or "/" in etok[1]:
                 raise ParseError("exponent must be a nonnegative integer", etok[2])
-            return base ** int(etok[1])
+            digits = etok[1].lstrip("0") or "0"
+            if len(digits) > 2 or int(digits) * max(base.degree(), 1) > MAX_PARSE_DEGREE:
+                raise ParseError(f"power exceeds the degree cap {MAX_PARSE_DEGREE}",
+                                 etok[2])
+            return base ** int(digits)
         return base
 
     def _atom(self) -> Polynomial:
         tok = self._next()
         kind, value, pos = tok
         if kind == "num":
-            return Polynomial.constant(self.varset, Fraction(value))
+            try:
+                return Polynomial.constant(self.varset, Fraction(value))
+            except (ValueError, ZeroDivisionError) as e:
+                raise ParseError(f"bad number literal {value[:20]!r}", pos) from e
         if kind == "ident":
             if value not in self.varset:
                 raise UnknownVariableError(value, pos)
@@ -525,8 +540,11 @@ class _Parser:
 
 
 def parse_poly(text: str, varset: Sequence[str]) -> Polynomial:
-    """Parse canonical polynomial syntax over an ordered variable set."""
-    return _Parser(text, varset).parse()
+    """Parse canonical polynomial syntax; degrees are capped as in _Parser."""
+    try:
+        return _Parser(text, varset).parse()
+    except RecursionError:
+        raise ParseError("expression is nested too deeply") from None
 
 
 # ---------------------------------------------------------------------------

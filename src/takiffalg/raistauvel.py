@@ -13,17 +13,15 @@ each of which is a symmetric invariant of L<m>.  The expansion is computed
 symbolically through jet arithmetic; numeric dual-number evaluation exists
 only in the test suite as an independent oracle.
 
-Structural facts exposed here: F^j depends only on the grades m-j..m
-(triangularity), deg F^j = deg f, the lowest nonzero graded component of
-(dF^j)_xi, and the grade-blocked Jacobian profile of a whole family at a
-point.
+Structural facts enforced here when a family is built: F^j depends only on
+the grades m-j..m (triangularity) and deg F^j = deg f.  `family_rank_at`
+gives the rank of a whole family's Jacobian at a point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from . import linalg
 from .liealg import AlgebraError, HomogeneityError, InvariantSet, LieAlgebra
@@ -32,11 +30,8 @@ from .takiff import TakiffDualPoint, flatten_point, graded_name, takiff
 
 __all__ = [
     "InvariantFamily",
-    "JacobianProfile",
     "expand_invariant",
     "build_family",
-    "lowest_component",
-    "jacobian_profile",
     "family_rank_at",
 ]
 
@@ -129,84 +124,7 @@ def build_family(L: LieAlgebra, m: int, fs: InvariantSet) -> InvariantFamily:
     return InvariantFamily(takiff_algebra=takiff(L, m), base=fs, table=table)
 
 
-def _grade_positions(Lm: LieAlgebra) -> tuple[list[list[int]], tuple[str, ...]]:
-    """Basis positions grouped by grade, each group in base-name order."""
-    grading = Lm.grading
-    base_names = tuple(grading.base_name_of[b] for b in Lm.basis
-                       if grading.grade_of[b] == 0)
-    pos = {b: i for i, b in enumerate(Lm.basis)}
-    groups = [[pos[graded_name(b, g)] for b in base_names]
-              for g in range(grading.depth + 1)]
-    return groups, base_names
-
-
-def lowest_component(Lm: LieAlgebra, F: Polynomial,
-                     components: TakiffDualPoint) -> tuple[int | None, list[Fraction] | None]:
-    """Lowest nonzero graded component of (dF)_xi, as (grade, base vector).
-
-    The differential lives in the algebra, so its grade-g part consists of the
-    partials with respect to the grade-g variables.  A vanishing differential
-    gives (None, None).
-    """
-    flat = flatten_point(Lm, components)
-    grad = F.gradient_at(flat)
-    groups, _ = _grade_positions(Lm)
-    for g, idxs in enumerate(groups):
-        vec = [grad[i] for i in idxs]
-        if any(vec):
-            return g, vec
-    return None, None
-
-
 def family_rank_at(fam: InvariantFamily, components: TakiffDualPoint) -> int:
     """Rank of the full (m+1)l x (m+1)n Jacobian of the family at a point."""
     flat = flatten_point(fam.takiff_algebra, components)
     return linalg.rank([F.gradient_at(flat) for _, _, F in fam.members()])
-
-
-@dataclass(frozen=True)
-class JacobianProfile:
-    """Grade-blocked rank data of a family's Jacobian at one point.
-
-    Row block j holds the differentials of the F_i^j; column block k holds the
-    grade-k partials.  Blocks with k < m-j are identically zero by the
-    dependence structure; any nonzero entry there is recorded as a violation.
-    """
-
-    total_rank: int
-    block_ranks: tuple[tuple[int, ...], ...]
-    band_violations: tuple[tuple[int, int], ...]
-    expected_full_rank: int
-
-    @property
-    def is_full_rank(self) -> bool:
-        return self.total_rank == self.expected_full_rank
-
-
-def jacobian_profile(fam: InvariantFamily, components: TakiffDualPoint) -> JacobianProfile:
-    Lm = fam.takiff_algebra
-    m = fam.depth
-    flat = flatten_point(Lm, components)
-    groups, _ = _grade_positions(Lm)
-    rows_by_level: list[list[list[Fraction]]] = []
-    for j in range(m + 1):
-        rows_by_level.append([fam.member(i, j).gradient_at(flat)
-                              for i in range(1, fam.l + 1)])
-    all_rows = [row for level in rows_by_level for row in level]
-    block_ranks = []
-    violations = []
-    for j in range(m + 1):
-        ranks = []
-        for k in range(m + 1):
-            block = [[row[c] for c in groups[k]] for row in rows_by_level[j]]
-            r = linalg.rank(block)
-            ranks.append(r)
-            if k < m - j and r:
-                violations.append((j, k))
-        block_ranks.append(tuple(ranks))
-    return JacobianProfile(
-        total_rank=linalg.rank(all_rows),
-        block_ranks=tuple(block_ranks),
-        band_violations=tuple(violations),
-        expected_full_rank=(m + 1) * fam.l,
-    )

@@ -80,9 +80,6 @@ class Report:
             worst = max(worst, _STATUS_ORDER.get(c.status, 2))
         return {2: FAIL, 1: SAMPLED_PASS, 0: PASS}[worst]
 
-    def failed_checks(self) -> list[Check]:
-        return [c for c in self.checks if c.status == FAIL]
-
     def to_dict(self) -> dict:
         return {
             "label": self.label,

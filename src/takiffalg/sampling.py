@@ -18,12 +18,10 @@ DEFAULT_BOUND = 1000
 
 # Domain tags keep the seeded streams of different subsystems disjoint.
 TAG_INDEX = 1
-TAG_COADJOINT = 2
 TAG_OMEGA = 3
 TAG_REGULARITY = 4
 TAG_NULLFIBER = 7
 TAG_STRATA = 8
-TAG_HOMOGENEITY = 9
 
 _MASK = (1 << 64) - 1
 

@@ -10,10 +10,9 @@ Multi-current algebras iterate the construction left to right; names nest as
 step relative to its immediate base; earlier levels are visible only through
 the nested names.
 
-A dual point on L<m> can be handled either flat (one coordinate per graded
-name) or as its component tuple (xi_0, ..., xi_m) of base dual points; xi_j
-reads the grade-j coordinates.  `flatten_point` and `split_point` convert
-between the two forms.
+A dual point on L<m> is given by its component tuple (xi_0, ..., xi_m) of
+base dual points, xi_j holding the grade-j coordinates; `flatten_point`
+assembles the flat point with one coordinate per graded name.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .liealg import AlgebraError, AlgebraFormatError, DualPoint, LieAlgebra, check_point
+from .liealg import AlgebraError, AlgebraFormatError, DualPoint, LieAlgebra
 
 __all__ = [
     "TakiffGrading",
@@ -31,14 +30,8 @@ __all__ = [
     "takiff",
     "multi_current",
     "graded_name",
-    "display_name",
     "nilpotent_ideal",
     "flatten_point",
-    "split_point",
-    "split_element",
-    "ad_star",
-    "coadjoint_apply",
-    "coadjoint_apply_generic",
 ]
 
 # components (xi_0, ..., xi_m), each a complete dual point on the base algebra
@@ -47,15 +40,6 @@ TakiffDualPoint = Sequence[DualPoint]
 
 def graded_name(base: str, j: int) -> str:
     return f"{base}@{j}"
-
-
-def display_name(name: str) -> str:
-    """Collapse nested grade suffixes for display: b@1@0 -> b@[1,0]."""
-    root, _, rest = name.partition("@")
-    suffixes = rest.split("@") if rest else []
-    if len(suffixes) < 2:
-        return name
-    return f"{root}@[{','.join(suffixes)}]"
 
 
 @dataclass(frozen=True)
@@ -72,16 +56,17 @@ class TakiffGrading:
     base_name_of: Mapping[str, str]
 
     def __post_init__(self):
-        counts = [0] * (self.depth + 1)
+        counts: dict[int, int] = {}  # per grade that occurs: a huge depth is free
         for name, j in self.grade_of.items():
             if not (0 <= j <= self.depth):
                 raise AlgebraFormatError(f"grade {j} of '{name}' out of range 0..{self.depth}")
             if name != graded_name(self.base_name_of[name], j):
                 raise AlgebraFormatError(f"graded name '{name}' does not match its base name and grade")
-            counts[j] += 1
+            counts[j] = counts.get(j, 0) + 1
         if set(self.grade_of) != set(self.base_name_of):
             raise AlgebraFormatError("grade_of and base_name_of must cover the same names")
-        if any(c != self.base_dim for c in counts):
+        if any(c != self.base_dim for c in counts.values()) or \
+                (self.base_dim and len(counts) != self.depth + 1):
             raise AlgebraFormatError("every grade must contain exactly base_dim names")
 
     def to_dict(self) -> dict:
@@ -151,21 +136,11 @@ def nilpotent_ideal(L: LieAlgebra) -> list[str]:
     return [b for b in L.basis if grading.grade_of[b] >= 1]
 
 
-# ---------------------------------------------------------------------------
-# dual points: flat form <-> component tuple
-# ---------------------------------------------------------------------------
-
-def _component_order(L: LieAlgebra) -> tuple[tuple[str, ...], int]:
-    """Base names in basis order plus the depth, read from the grading."""
-    grading = _require_grading(L)
-    base_names = tuple(grading.base_name_of[b] for b in L.basis
-                       if grading.grade_of[b] == 0)
-    return base_names, grading.depth
-
-
 def flatten_point(L: LieAlgebra, components: TakiffDualPoint) -> dict[str, Fraction]:
     """Assemble a dual point on L from its base components (xi_0..xi_m)."""
-    base_names, m = _component_order(L)
+    grading = _require_grading(L)
+    base_names = [grading.base_name_of[b] for b in L.basis if grading.grade_of[b] == 0]
+    m = grading.depth
     if len(components) != m + 1:
         raise AlgebraError(f"expected {m + 1} components, got {len(components)}")
     flat: dict[str, Fraction] = {}
@@ -175,97 +150,3 @@ def flatten_point(L: LieAlgebra, components: TakiffDualPoint) -> dict[str, Fract
         for b in base_names:
             flat[graded_name(b, j)] = Fraction(comp[b])
     return flat
-
-
-def split_point(L: LieAlgebra, point: DualPoint) -> list[dict[str, Fraction]]:
-    """Inverse of flatten_point."""
-    grading = _require_grading(L)
-    check_point(L, point)
-    comps: list[dict[str, Fraction]] = [{} for _ in range(grading.depth + 1)]
-    for name in L.basis:
-        comps[grading.grade_of[name]][grading.base_name_of[name]] = Fraction(point[name])
-    return comps
-
-
-def split_element(L: LieAlgebra, x: Mapping[str, Fraction]) -> list[dict[str, Fraction]]:
-    """Split a sparse algebra element over graded names into base components x_0..x_m."""
-    grading = _require_grading(L)
-    comps: list[dict[str, Fraction]] = [{} for _ in range(grading.depth + 1)]
-    for name, c in x.items():
-        if name not in grading.grade_of:
-            raise AlgebraError(f"'{name}' is not a graded basis name of {L.label}")
-        if c:
-            comps[grading.grade_of[name]][grading.base_name_of[name]] = Fraction(c)
-    return comps
-
-
-# ---------------------------------------------------------------------------
-# coadjoint action
-# ---------------------------------------------------------------------------
-
-def ad_star(L: LieAlgebra, x: Mapping[str, Fraction], xi: DualPoint) -> dict[str, Fraction]:
-    """Coadjoint action <ad*(x)xi, y> = -<xi, [x, y]> for sparse x, complete xi."""
-    vals = check_point(L, xi)
-    out = {b: Fraction(0) for b in L.basis}
-    for name, c in x.items():
-        i = L.index_of(name)
-        if not c:
-            continue
-        for y in range(L.dim):
-            if y == i:
-                continue
-            s = Fraction(0)
-            for k, ck in L.bracket(i, y).items():
-                s += ck * vals[k]
-            if s:
-                out[L.basis[y]] -= c * s
-    return out
-
-
-def coadjoint_apply(Lm: LieAlgebra, x: Mapping[str, Fraction],
-                    components: TakiffDualPoint) -> list[dict[str, Fraction]]:
-    """Componentwise coadjoint action on L<m>*: (ad*(x)xi)_t = sum_i ad*(x_i) xi_{t+i}.
-
-    Works on the base components directly; the base algebra's brackets are read
-    off the grade-0 block of Lm.  Must agree with coadjoint_apply_generic,
-    which uses Lm's own structure constants.
-    """
-    grading = _require_grading(Lm)
-    m = grading.depth
-    if len(components) != m + 1:
-        raise AlgebraError(f"expected {m + 1} components, got {len(components)}")
-    base = _base_block(Lm)
-    xs = split_element(Lm, x)
-    out: list[dict[str, Fraction]] = []
-    for t in range(m + 1):
-        acc = {b: Fraction(0) for b in base.basis}
-        for i in range(m + 1 - t):
-            if not xs[i]:
-                continue
-            moved = ad_star(base, xs[i], components[t + i])
-            for b, v in moved.items():
-                acc[b] += v
-        out.append(acc)
-    return out
-
-
-def coadjoint_apply_generic(Lm: LieAlgebra, x: Mapping[str, Fraction],
-                            components: TakiffDualPoint) -> list[dict[str, Fraction]]:
-    """Structure-constant route: flatten, act on Lm*, split back."""
-    flat = flatten_point(Lm, components)
-    return split_point(Lm, ad_star(Lm, x, flat))
-
-
-def _base_block(Lm: LieAlgebra) -> LieAlgebra:
-    """The grade-0 subalgebra of a graded algebra, as a plain LieAlgebra."""
-    grading = _require_grading(Lm)
-    base_names, _ = _component_order(Lm)
-    n = len(base_names)
-    pos = {graded_name(b, 0): i for i, b in enumerate(base_names)}
-    entries: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for (i, j), coeffs in Lm.brackets.items():
-        bi, bj = Lm.basis[i], Lm.basis[j]
-        if bi in pos and bj in pos:
-            entries[(pos[bi], pos[bj])] = {
-                pos[Lm.basis[k]]: c for k, c in coeffs.items()}
-    return LieAlgebra.create(f"{Lm.label}:base", base_names, entries)

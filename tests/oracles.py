@@ -2,8 +2,12 @@
 
 Nothing here imports the modules under test beyond plain data types, and the
 algorithms are deliberately the naive ones: truncated dual-number arithmetic
-coefficient by coefficient, rank by plain fraction Gaussian elimination, and
-Poisson brackets with basis elements as a gradient times the Kirillov matrix.
+coefficient by coefficient, rank by plain fraction Gaussian elimination,
+Poisson brackets with basis elements as a gradient times the Kirillov matrix,
+and the coadjoint action of a truncated current algebra by two routes, one
+through its own structure constants and one componentwise through the base
+algebra's.  Algebras, polynomials and gradings are read only through their
+raw data: basis names, bracket tables, term dictionaries and grade maps.
 """
 
 from __future__ import annotations
@@ -99,17 +103,10 @@ def naive_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return rank
 
 
-def bracket_values_at(algebra, poly, point: dict[str, Fraction]) -> list[Fraction]:
-    """{F, b_t}(xi) for every basis index t at once: grad F(xi) times B(xi).
-
-    B(xi)_{it} = <xi, [b_i, b_t]> is read off the raw bracket table, and the
-    gradient is taken term by term from the raw term dictionary, so neither
-    the package's symbolic bracket nor its evaluation code is exercised.
-    """
-    basis = algebra.basis
-    n = len(basis)
-    vals = [Fraction(point[b]) for b in basis]
-    grad = [Fraction(0)] * n
+def gradient_at(poly, point: dict[str, Fraction]) -> list[Fraction]:
+    """Gradient of a package Polynomial, term by term from its raw terms."""
+    vals = [Fraction(point[b]) for b in poly.varset]
+    grad = [Fraction(0)] * len(vals)
     for mono, coeff in poly.terms.items():
         for idx, exp in mono:
             part = Fraction(coeff) * exp * vals[idx] ** (exp - 1)
@@ -117,6 +114,19 @@ def bracket_values_at(algebra, poly, point: dict[str, Fraction]) -> list[Fractio
                 if jdx != idx:
                     part *= vals[jdx] ** f
             grad[idx] += part
+    return grad
+
+
+def bracket_values_at(algebra, poly, point: dict[str, Fraction]) -> list[Fraction]:
+    """{F, b_t}(xi) for every basis index t at once: grad F(xi) times B(xi).
+
+    B(xi)_{it} = <xi, [b_i, b_t]> is read off the raw bracket table, and the
+    gradient is taken term by term from the raw term dictionary, so neither
+    the package's symbolic bracket nor its evaluation code is exercised.
+    """
+    n = len(algebra.basis)
+    vals = [Fraction(point[b]) for b in algebra.basis]
+    grad = gradient_at(poly, point)
     kirillov = [[Fraction(0)] * n for _ in range(n)]
     for (i, j), coeffs in algebra.brackets.items():
         s = sum((c * vals[k] for k, c in coeffs.items()), Fraction(0))
@@ -124,3 +134,72 @@ def bracket_values_at(algebra, poly, point: dict[str, Fraction]) -> list[Fractio
         kirillov[j][i] -= s
     return [sum((grad[i] * kirillov[i][t] for i in range(n)), Fraction(0))
             for t in range(n)]
+
+
+def ad_star(algebra, x: dict[str, Fraction], xi: dict[str, Fraction]) -> dict[str, Fraction]:
+    """Coadjoint action <ad*(x)xi, y> = -<xi, [x, y]> for sparse x, complete xi."""
+    basis = algebra.basis
+    out = {b: Fraction(0) for b in basis}
+    for (i, j), coeffs in algebra.brackets.items():
+        s = sum((c * Fraction(xi[basis[k]]) for k, c in coeffs.items()), Fraction(0))
+        out[basis[j]] -= Fraction(x.get(basis[i], 0)) * s
+        out[basis[i]] += Fraction(x.get(basis[j], 0)) * s
+    return out
+
+
+def split_point(algebra, point: dict[str, Fraction]) -> list[dict[str, Fraction]]:
+    """A dual point on a truncation as its base components xi_0..xi_m."""
+    g = algebra.grading
+    comps: list[dict[str, Fraction]] = [{} for _ in range(g.depth + 1)]
+    for name in algebra.basis:
+        comps[g.grade_of[name]][g.base_name_of[name]] = Fraction(point[name])
+    return comps
+
+
+def split_element(algebra, x: dict[str, Fraction]) -> list[dict[str, Fraction]]:
+    """A sparse element of a truncation as its nonzero base parts x_0..x_m."""
+    g = algebra.grading
+    comps: list[dict[str, Fraction]] = [{} for _ in range(g.depth + 1)]
+    for name, c in x.items():
+        if c:
+            comps[g.grade_of[name]][g.base_name_of[name]] = Fraction(c)
+    return comps
+
+
+class _BaseBlock:
+    """The grade-0 subalgebra of a truncation: basis names and bracket table."""
+
+    def __init__(self, algebra):
+        g = algebra.grading
+        grade0 = [i for i, b in enumerate(algebra.basis) if g.grade_of[b] == 0]
+        pos = {i: p for p, i in enumerate(grade0)}
+        self.basis = tuple(g.base_name_of[algebra.basis[i]] for i in grade0)
+        self.brackets = {(pos[i], pos[j]): {pos[k]: c for k, c in coeffs.items()}
+                         for (i, j), coeffs in algebra.brackets.items()
+                         if i in pos and j in pos}
+
+
+def coadjoint_apply(algebra, x: dict[str, Fraction],
+                    components: list[dict[str, Fraction]]) -> list[dict[str, Fraction]]:
+    """Componentwise route: (ad*(x)xi)_t = sum_i ad*(x_i) xi_{t+i} on the base."""
+    base = _BaseBlock(algebra)
+    xs = split_element(algebra, x)
+    m = len(components) - 1
+    out = []
+    for t in range(m + 1):
+        acc = {b: Fraction(0) for b in base.basis}
+        for i in range(m + 1 - t):
+            if xs[i]:
+                for b, v in ad_star(base, xs[i], components[t + i]).items():
+                    acc[b] += v
+        out.append(acc)
+    return out
+
+
+def coadjoint_apply_generic(algebra, x: dict[str, Fraction],
+                            components: list[dict[str, Fraction]]) -> list[dict[str, Fraction]]:
+    """Structure-constant route: flatten, act on the truncation's dual, split back."""
+    g = algebra.grading
+    flat = {name: Fraction(components[g.grade_of[name]][g.base_name_of[name]])
+            for name in algebra.basis}
+    return split_point(algebra, ad_star(algebra, x, flat))

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -188,6 +189,40 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("field,value", [
+        ("pair", [0.5, 1]),
+        ("pair", [True, False]),
+        ("basis", "ehf"),
+    ])
+    def test_wrongly_typed_pair_or_basis_is_input_error(self, tmp_path, capsys,
+                                                        sl2, field, value):
+        # Each of these used to load as some other algebra and verify to exit 0.
+        doc = algio.algebra_to_dict(sl2.algebra, sl2.invariants)
+        if field == "pair":
+            doc["brackets"][0]["pair"] = value
+        else:
+            doc[field] = value
+        src = tmp_path / "bad.json"
+        src.write_text(json.dumps(doc))
+        with pytest.raises(AlgebraFormatError):
+            algio.load_algebra_file(src)
+        assert main(["verify", "--m", "1", str(src)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("invariant", ["e^99999999", "(e+h)^99999999"])
+    def test_huge_degree_is_rejected_at_parse_time(self, tmp_path, capsys,
+                                                   sl2, invariant):
+        doc = algio.algebra_to_dict(sl2.algebra)
+        doc["invariants"] = [invariant]
+        src = tmp_path / "huge.json"
+        src.write_text(json.dumps(doc))
+        t0 = time.perf_counter()
+        assert main(["verify", "--m", "1", str(src)]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert "degree cap" in err and err.count("\n") == 1
 
     def test_mutually_exclusive_flags(self):
         with pytest.raises(SystemExit):

@@ -21,12 +21,11 @@ from takiffalg.liealg import (
     magic_number,
     omega_test,
     poisson_bracket,
-    poisson_bracket_at,
     validate,
 )
 from takiffalg.polyring import parse_poly
 
-from oracles import naive_rank
+from oracles import bracket_values_at, gradient_at, naive_rank
 
 
 def _sl2_corrupted():
@@ -151,8 +150,10 @@ class TestInvariance:
         for trial in range(10):
             r = sampling.rng(3, 19, trial)
             pt = sampling.random_coords(L.basis, r)
-            assert poisson_bracket_at(L, f, g, pt) == \
-                poisson_bracket(L, f, g).evaluate(pt)
+            # {f, g}(xi) = sum_t {f, b_t}(xi) dg/db_t(xi), both factors by the oracle
+            want = sum(v * d for v, d in zip(bracket_values_at(L, f, pt),
+                                             gradient_at(g, pt)))
+            assert poisson_bracket(L, f, g).evaluate(pt) == want
 
 
 class TestInvariantSet:

@@ -87,25 +87,3 @@ class TestRrefSolve:
             for rr in range(len(red)):
                 if rr != r:
                     assert red[rr][pc] == 0
-
-    def test_solve_known_system(self):
-        a = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(-1)]]
-        assert linalg.solve(a, [Fraction(5), Fraction(1)]) == [Fraction(2), Fraction(1)]
-
-    def test_solve_rejects_inconsistent(self):
-        a = [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]]
-        with pytest.raises(linalg.LinearAlgebraError):
-            linalg.solve(a, [Fraction(1), Fraction(3)])
-
-    def test_solve_rejects_underdetermined(self):
-        a = [[Fraction(1), Fraction(1)]]
-        with pytest.raises(linalg.LinearAlgebraError):
-            linalg.solve(a, [Fraction(1)])
-
-    @given(matrix_st(4))
-    def test_solve_recovers_random_solution(self, a):
-        if linalg.rank(a) != len(a[0]):
-            return
-        x = [Fraction(k + 1, 3) for k in range(len(a[0]))]
-        b = [sum(r * v for r, v in zip(row, x)) for row in a]
-        assert linalg.solve(a, b) == x

@@ -38,7 +38,7 @@ class TestMembership:
         L = sl2.algebra
         fam = sl2_family_m1
         for trial in range(20):
-            r = sampling.rng(0, sampling.TAG_HOMOGENEITY, trial)
+            r = sampling.rng(0, 9, trial)
             comps = [sampling.random_coords(L.basis, r, bound=30),
                      _pt(L, e=r.randint(-9, 9))]
             t = Fraction(r.randint(1, 7), r.randint(1, 7))
