@@ -12,13 +12,17 @@ Algebra files:
     }
 
 Pairs are 0-based indices into the basis; coefficients are keyed by target
-basis name with rationals as "p/q" strings.  All emitted JSON is sorted and
-newline-terminated so identical inputs give byte-identical files.
+basis name.  A coefficient is a JSON integer or a string matching
+``-?[0-9]+(/[0-9]+)?`` ("p/q" with an optional sign on p); anything else (a
+float, a boolean, exponent notation such as "1e3") is rejected before any
+arithmetic.  All emitted JSON is sorted and newline-terminated so identical
+inputs give byte-identical files.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping
@@ -36,6 +40,22 @@ __all__ = [
     "load_algebra_file",
     "write_algebra_file",
 ]
+
+
+_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
+def _coefficient(val, name: str) -> Fraction:
+    """A bracket coefficient: a JSON integer or a "p/q" string, nothing else."""
+    if type(val) is int:
+        return Fraction(val)
+    if isinstance(val, str) and _RATIONAL_RE.fullmatch(val):
+        try:
+            return Fraction(val)
+        except (ValueError, ZeroDivisionError) as e:
+            raise AlgebraFormatError(f"bad rational {val[:20]!r} for '{name}'") from e
+    raise AlgebraFormatError(
+        f"bad rational {str(val)[:20]!r} for '{name}': expected an integer or a 'p/q' string")
 
 
 def algebra_to_dict(L: LieAlgebra, invariants: InvariantSet | None = None,
@@ -88,10 +108,7 @@ def algebra_from_dict(d: Mapping) -> tuple[LieAlgebra, InvariantSet, dict]:
         for name, val in coeffs.items():
             if name not in name_idx:
                 raise AlgebraFormatError(f"bracket coefficient targets unknown name '{name}'")
-            try:
-                vec[name_idx[name]] = Fraction(str(val))
-            except (ValueError, ZeroDivisionError) as e:
-                raise AlgebraFormatError(f"bad rational '{val}' for '{name}'") from e
+            vec[name_idx[name]] = _coefficient(val, name)
         if (i, j) in entries or (j, i) in entries:
             raise AlgebraFormatError(f"duplicate bracket entry for pair ({i}, {j})")
         entries[(i, j)] = vec
@@ -138,7 +155,7 @@ def dump_json(path: str | Path, payload: dict) -> None:
 def load_algebra_file(path: str | Path) -> tuple[LieAlgebra, InvariantSet, dict]:
     try:
         d = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # bad JSON, bad UTF-8, an integer past the digit limit
         raise AlgebraFormatError(f"{path} is not valid JSON: {e}") from e
     if not isinstance(d, dict):
         raise AlgebraFormatError(f"{path} must contain a JSON object")

@@ -20,7 +20,7 @@ from typing import Mapping
 
 from . import liealg, linalg, sampling
 from .liealg import InvariantSet, LieAlgebra
-from .polyring import Polynomial, parse_poly
+from .polyring import Polynomial, Scalar, parse_poly
 from .report import FAIL, PASS, Check, Report
 
 __all__ = ["CatalogEntry", "Parametrization", "NAMES", "load", "list_entries", "self_test"]
@@ -41,17 +41,17 @@ class Parametrization:
     coords: Mapping[str, Polynomial]
     declared_dim: int
 
-    def point_at(self, values: Mapping[str, Fraction]) -> dict[str, Fraction]:
+    def point_at(self, values: Mapping[str, Scalar]) -> dict[str, Scalar]:
         return {b: p.evaluate(values) for b, p in self.coords.items()}
 
-    def sample(self, r, bound: int = 50) -> tuple[dict[str, Fraction], dict[str, Fraction]]:
+    def sample(self, r, bound: int = 50) -> tuple[dict[str, int], dict[str, Scalar]]:
         """(parameter point, image point) with nonzero integer parameters."""
-        vals = {p: Fraction(0) for p in self.params}
+        vals = {p: 0 for p in self.params}
         while not any(vals.values()):
             vals = sampling.random_coords(self.params, r, bound)
         return vals, self.point_at(vals)
 
-    def jacobian_rank_at(self, values: Mapping[str, Fraction]) -> int:
+    def jacobian_rank_at(self, values: Mapping[str, Scalar]) -> int:
         return linalg.rank([p.gradient_at(values) for p in self.coords.values()])
 
 

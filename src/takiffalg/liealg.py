@@ -7,9 +7,11 @@ index estimate, the magic number (dim + ind)/2, the Poisson bracket on the
 symmetric algebra, invariance and regularity tests, and differentials of
 polynomial functions at points of the dual space.
 
-Points of the dual space are plain ``{basis_name: Fraction}`` mappings that
-assign every basis name exactly once.  All operations are pure functions on
-immutable data.
+Points of the dual space are plain ``{basis_name: int | Fraction}`` mappings
+that assign every basis name exactly once.  All operations are pure functions
+on immutable data.  Numeric work (Kirillov matrices, the Jacobi check) runs on
+an integer copy of the structure constants over one common denominator,
+built on first use and kept on the algebra.
 """
 
 from __future__ import annotations
@@ -25,8 +27,12 @@ from .polyring import (
     MissingAssignmentError,
     Monomial,
     Polynomial,
+    Scalar,
     UnknownVariableError,
+    _common_denominator,
     _mono_mul,
+    _over,
+    exact_scalars,
 )
 from .report import FAIL, PASS, Check, Report
 
@@ -56,7 +62,7 @@ __all__ = [
 ]
 
 BracketTable = dict[tuple[int, int], dict[int, Fraction]]
-DualPoint = Mapping[str, Fraction]
+DualPoint = Mapping[str, Scalar]
 
 class AlgebraError(Exception):
     """Base error for the Lie-algebra layer."""
@@ -89,6 +95,7 @@ class LieAlgebra:
     brackets: BracketTable
     grading: object | None = None
     _vidx: dict[str, int] = field(init=False, compare=False, repr=False, default=None)
+    _plan: tuple | None = field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "_vidx", {b: i for i, b in enumerate(self.basis)})
@@ -151,16 +158,29 @@ class LieAlgebra:
     def structure_equal(self, other: "LieAlgebra") -> bool:
         return self.basis == other.basis and self.brackets == other.brackets
 
+    def _int_plan(self) -> tuple[int, list[tuple[int, int, list[tuple[int, int]]]]]:
+        """(D, [(i, j, [(k, D * c_ij^k), ...]), ...]): the brackets as integers over D."""
+        if self._plan is None:
+            den = _common_denominator(c for v in self.brackets.values() for c in v.values())
+            rows = [(i, j, [(k, c.numerator * (den // c.denominator)) for k, c in v.items()])
+                    for (i, j), v in self.brackets.items()]
+            object.__setattr__(self, "_plan", (den, rows))
+        return self._plan
 
-def check_point(L: LieAlgebra, point: DualPoint) -> list[Fraction]:
-    """Validate a dual point (exactly the basis names) and return its coordinate vector."""
+
+def check_point(L: LieAlgebra, point: DualPoint) -> list[Scalar]:
+    """Validate a dual point (exactly the basis names) and return its coordinate vector.
+
+    Coordinates pass through `exact_scalars`: integral ones come back as `int`,
+    others as `Fraction`, and a float or any other type raises TypeError.
+    """
     if set(point.keys()) != set(L.basis):
         missing = set(L.basis) - set(point.keys())
         extra = set(point.keys()) - set(L.basis)
         raise MissingAssignmentError(
             f"dual point must assign every basis name exactly once "
             f"(missing {sorted(missing)}, unexpected {sorted(extra)})")
-    return [Fraction(point[b]) for b in L.basis]
+    return exact_scalars([point[b] for b in L.basis])
 
 
 def bracket_elements(L: LieAlgebra, x: Mapping[int, Fraction],
@@ -191,27 +211,34 @@ def bracket_elements(L: LieAlgebra, x: Mapping[int, Fraction],
 
 
 def validate(L: LieAlgebra) -> Report:
-    """Check the Jacobi identity on all basis triples (antisymmetry is structural)."""
+    """Check the Jacobi identity on all basis triples (antisymmetry is structural).
+
+    The cyclic sums are accumulated on the integer structure constants, which
+    scales every residual by D^2; a violation's residual is scaled back.
+    """
     rep = Report(label=f"validate:{L.label}")
     t0 = time.perf_counter()
+    den, rows = L._int_plan()
+    ad: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for i, j, vec in rows:
+        ad[(i, j)] = vec
+        ad[(j, i)] = [(k, -c) for k, c in vec]
     n = L.dim
     violations = []
     count = 0
     for i, j, k in itertools.combinations(range(n), 3):
         count += 1
-        res: dict[int, Fraction] = {}
+        res: dict[int, int] = {}
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            inner = L.bracket(b, c)
-            for t, v in bracket_elements(L, {a: Fraction(1)}, inner).items():
-                s = res.get(t, Fraction(0)) + v
-                if s:
-                    res[t] = s
-                elif t in res:
-                    del res[t]
+            for t, x in ad.get((b, c), ()):
+                for u, y in ad.get((a, t), ()):
+                    res[u] = res.get(u, 0) + x * y
+        res = {t: v for t, v in res.items() if v}
         if res:
             violations.append({
                 "triple": [L.basis[i], L.basis[j], L.basis[k]],
-                "residual": {L.basis[t]: v for t, v in sorted(res.items())},
+                "residual": {L.basis[t]: Fraction(v, den * den)
+                             for t, v in sorted(res.items())},
             })
     witness = {"triples_checked": count, "violation_count": len(violations),
                "violations": violations[:5]}
@@ -225,16 +252,22 @@ def validate(L: LieAlgebra) -> Report:
 # Kirillov form, index, magic number
 # ---------------------------------------------------------------------------
 
-def kirillov_matrix(L: LieAlgebra, point: DualPoint) -> list[list[Fraction]]:
-    """B(xi)_{ij} = <xi, [b_i, b_j]>, an antisymmetric dim x dim matrix."""
+def kirillov_matrix(L: LieAlgebra, point: DualPoint) -> list[list[Scalar]]:
+    """B(xi)_{ij} = <xi, [b_i, b_j]>, an antisymmetric dim x dim matrix.
+
+    Entries are `int` when integral and `Fraction` otherwise; at an integral
+    point of an algebra with integer structure constants all are `int`.
+    """
     vals = check_point(L, point)
+    den, rows = L._int_plan()
     n = L.dim
-    B = [[Fraction(0)] * n for _ in range(n)]
-    for (i, j), coeffs in L.brackets.items():
-        s = Fraction(0)
-        for k, c in coeffs.items():
+    B: list[list[Scalar]] = [[0] * n for _ in range(n)]
+    for i, j, coeffs in rows:
+        s = 0
+        for k, c in coeffs:
             s += c * vals[k]
         if s:
+            s = _over(s, den)
             B[i][j] = s
             B[j][i] = -s
     return B

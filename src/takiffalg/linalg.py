@@ -1,8 +1,10 @@
 """Exact rational linear algebra: rank, reduced row echelon form, null spaces.
 
-Rank goes through fraction-free (Bareiss) elimination on a denominator-cleared
-integer copy of the matrix, which is much faster than Fraction pivoting on the
-matrix sizes that show up here.  RREF and null spaces stay in Fractions and
+Matrix entries are exact rationals, `int` or `Fraction`, mixed freely.  Rank
+goes through fraction-free elimination on a denominator-cleared integer copy
+of the matrix, which is much faster than Fraction pivoting on the matrix
+sizes that show up here; integer rows go to it without conversion.
+`rank` returns an `int`; `rref` and `nullspace` return `Fraction` entries and
 use a fixed pivot order, so results are deterministic.
 """
 
@@ -14,7 +16,7 @@ from typing import Sequence
 
 __all__ = ["rank", "rref", "nullspace", "LinearAlgebraError"]
 
-Matrix = Sequence[Sequence[Fraction]]
+Matrix = Sequence[Sequence[int | Fraction]]
 
 
 class LinearAlgebraError(Exception):
@@ -22,54 +24,68 @@ class LinearAlgebraError(Exception):
 
 
 def _cleared_int_rows(rows: Matrix) -> list[list[int]]:
-    # Row scaling by a positive integer never changes the rank.
+    # Row scaling by a positive integer never changes the rank.  An all-int
+    # row is copied as it is; otherwise `int` and `Fraction` both carry
+    # numerator and denominator, so no Fraction is built.
     out: list[list[int]] = []
     for row in rows:
-        fr = [Fraction(x) for x in row]
+        if {*map(type, row)} <= {int}:
+            out.append(list(row))
+            continue
         lcm = 1
-        for x in fr:
+        for x in row:
             d = x.denominator
             lcm = lcm // gcd(lcm, d) * d
-        out.append([int(x * lcm) for x in fr])
+        out.append([x.numerator * (lcm // x.denominator) for x in row])
     return out
 
 
 def rank(rows: Matrix) -> int:
-    """Exact rank over Q via fraction-free Gaussian elimination."""
-    m = _cleared_int_rows(rows)
-    if not m:
-        return 0
-    nrows, ncols = len(m), len(m[0])
+    """Exact rank over Q via fraction-free Gaussian elimination.
+
+    Zero rows and columns are dropped and the other columns are taken
+    sparsest first; in each column the pivot is the sparsest row that meets
+    it.  Rows are kept primitive (entries divided by their gcd): a row with a
+    nonzero entry ``a`` in the pivot column becomes ``p * row - a * pivot_row``
+    (both factors divided by gcd(p, a)) over its content, and every other row
+    is left as it is.  Each kept row is proportional to the Bareiss row of
+    the same pivot order, so its entries never exceed those minors in size,
+    while rows that the pivot does not meet cost nothing.  After a pivot step
+    only the rows still without a pivot are kept, cut to the columns right of
+    it, and rows that become zero are dropped.
+    """
+    m = [row for row in _cleared_int_rows(rows) if any(row)]
+    if len(m) < 2:
+        return len(m)
+    counts = [len(col) - col.count(0) for col in zip(*m)]
+    order = sorted((j for j, c in enumerate(counts) if c), key=counts.__getitem__)
+    m = [[row[j] for j in order] for row in m]
     r = 0
-    prev = 1
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv = None
-        for i in range(r, nrows):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-        pivval = m[r][c]
-        for i in range(r + 1, nrows):
-            mic = m[i][c]
-            if mic:
-                rowi = m[i]
-                rowr = m[r]
-                for j in range(c + 1, ncols):
-                    rowi[j] = (pivval * rowi[j] - mic * rowr[j]) // prev
-                rowi[c] = 0
-            else:
-                rowi = m[i]
-                for j in range(c + 1, ncols):
-                    rowi[j] = (pivval * rowi[j]) // prev
-        prev = pivval
+    while len(m) > 1:
+        k = 0
+        while not any(row[k] for row in m):
+            k += 1
+        piv = min((len(row) - row.count(0), i) for i, row in enumerate(m) if row[k])[1]
+        pivrow = m.pop(piv)
+        p = pivrow[k]
+        tail = pivrow[k + 1:]
+        reduced = []
+        for row in m:
+            a = row[k]
+            if not a:
+                reduced.append(row[k + 1:])
+                continue
+            g = gcd(p, a)
+            pg, ag = p // g, a // g
+            new = [pg * x - ag * y for x, y in zip(row[k + 1:], tail)]
+            g = gcd(*new)
+            if g == 1:
+                reduced.append(new)
+            elif g:
+                reduced.append([x // g for x in new])
+        m = reduced
         r += 1
-    return r
+    return r + len(m)
 
 
 def rref(rows: Matrix) -> tuple[list[list[Fraction]], list[int]]:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import linalg, sampling
@@ -37,6 +36,7 @@ from .liealg import (
     differential_matrix,
     omega_test,
 )
+from .polyring import Scalar
 from .raistauvel import InvariantFamily, build_family, family_rank_at
 from .report import FAIL, PASS, Check, Report
 from .takiff import TakiffDualPoint, flatten_point
@@ -97,7 +97,7 @@ def lemma_containment_check(fam: InvariantFamily, components: TakiffDualPoint) -
 
 
 def _pairing_vanishes(fs: InvariantSet, xi1: DualPoint, xi0: DualPoint) -> bool:
-    vec0 = [Fraction(xi0[b]) for b in fs.algebra.basis]
+    vec0 = [xi0[b] for b in fs.algebra.basis]
     for f in fs.polys:
         grad = f.gradient_at(xi1)
         if sum(g * v for g, v in zip(grad, vec0)):
@@ -105,16 +105,16 @@ def _pairing_vanishes(fs: InvariantSet, xi1: DualPoint, xi0: DualPoint) -> bool:
     return True
 
 
-def _kernel_point(rows: list[list[Fraction]], names: Sequence[str], r,
+def _kernel_point(rows: list[list[Scalar]], names: Sequence[str], r,
                   bound: int = sampling.DEFAULT_BOUND,
-                  guard: Callable[[dict[str, Fraction]], bool] | None = None,
-                  ) -> dict[str, Fraction]:
+                  guard: Callable[[dict[str, Scalar]], bool] | None = None,
+                  ) -> dict[str, Scalar]:
     """Random integer combination of an exact kernel basis, optionally guarded."""
     basis = linalg.nullspace(rows, ncols=len(names))
     if not basis:
         raise NilfiberError("kernel is trivial; no point to sample")
     for _ in range(100):
-        coeffs = [Fraction(r.randint(-bound, bound)) for _ in basis]
+        coeffs = [r.randint(-bound, bound) for _ in basis]
         vec = [sum(c * v[k] for c, v in zip(coeffs, basis)) for k in range(len(names))]
         pt = dict(zip(names, vec))
         if any(vec) and (guard is None or guard(pt)):
@@ -147,7 +147,7 @@ def check_N1_characterization(L: LieAlgebra, fs: InvariantSet,
         if kind <= 2 and cone is not None:
             _, xi1 = cone(r)
         elif kind == 4:
-            xi1 = {b: Fraction(0) for b in L.basis}
+            xi1 = {b: 0 for b in L.basis}
         else:
             xi1 = sampling.random_coords(L.basis, r)
         if kind == 2:
@@ -268,8 +268,8 @@ def equidim_diagnostic(L: LieAlgebra, fs: InvariantSet,
 # the three-level sl2 chain
 # ---------------------------------------------------------------------------
 
-def _zero_point(L: LieAlgebra) -> dict[str, Fraction]:
-    return {b: Fraction(0) for b in L.basis}
+def _zero_point(L: LieAlgebra) -> dict[str, int]:
+    return {b: 0 for b in L.basis}
 
 
 def sl2_chain(levels: int = 3, seed: int = 0,

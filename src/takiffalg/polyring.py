@@ -6,18 +6,30 @@ monomials are sorted ``((variable_index, exponent), ...)`` tuples, and the
 canonical printed form uses graded reverse lexicographic order over the
 declared variable order, so ``parse_poly(str(p), p.varset) == p``.
 
+Evaluation runs on integers: on its first `evaluate` or `gradient_at` call a
+polynomial builds an integer plan (integer numerators over one common
+denominator D) and keeps it.  Point coordinates are exact rationals, `int`
+or `Fraction` (see `exact_scalar`); integral ones stay `int`, so at an
+integral point the whole loop is integer arithmetic, and the result is
+divided by D once at the end.  Values come back as `int` when integral and
+as `Fraction` otherwise.
+
 There is no floating point anywhere in this module.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Mapping, Sequence
 
 __all__ = [
     "Polynomial",
+    "exact_scalar",
+    "exact_scalars",
     "Jet",
     "parse_poly",
     "jet_substitute",
@@ -68,12 +80,50 @@ class JetOrderError(PolyringError):
     """Jet operands have incompatible truncation orders."""
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
+Scalar = int | Fraction
+
+
+def exact_scalar(x) -> Scalar:
+    """A point coordinate as an exact rational: `int` when integral, else `Fraction`.
+
+    Anything that is not an `int` or a `Fraction` (a float, a string) raises
+    TypeError, so inexact values never reach the integer evaluation loops.
+    """
+    if type(x) is int:
         return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     raise TypeError(f"expected an exact rational scalar, got {type(x).__name__}")
+
+
+def exact_scalars(values: list) -> list[Scalar]:
+    """`exact_scalar` on every entry; an all-`int` list comes back as it is."""
+    if {*map(type, values)} <= {int}:
+        return values
+    return [exact_scalar(x) for x in values]
+
+
+def _as_fraction(x) -> Fraction:
+    return x if isinstance(x, Fraction) else Fraction(exact_scalar(x))
+
+
+def _over(x: Scalar, den: int) -> Scalar:
+    # x / den exactly, as an int when the quotient is integral.
+    if type(x) is int and den == 1:
+        return x
+    q = Fraction(x, den)
+    return q.numerator if q.denominator == 1 else q
+
+
+def _common_denominator(coeffs) -> int:
+    den = 1
+    for c in coeffs:
+        d = c.denominator
+        if d != 1:
+            den = den // gcd(den, d) * d
+    return den
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -105,15 +155,55 @@ def _mono_degree(m: Monomial) -> int:
     return sum(e for _, e in m)
 
 
-class Polynomial:
-    """Sparse polynomial with Fraction coefficients over a fixed ordered varset."""
+def _power(one, base, exp: int, mul=operator.mul):
+    """base^exp by square-and-multiply starting from ``one``; every product goes through mul."""
+    result = one
+    while exp:
+        if exp & 1:
+            result = mul(result, base)
+        exp >>= 1
+        if exp:
+            base = mul(base, base)
+    return result
 
-    __slots__ = ("varset", "terms", "_vidx")
+
+# A polynomial's integer plan: (D, value terms, gradient terms).  The value
+# terms are (D * coefficient, factors) with each monomial spelled out as a
+# tuple of variable indices, x0^2*x3 as (0, 0, 3); the gradient terms are
+# (variable index, D * coefficient * exponent, the factors left after one
+# factor of that variable is taken away).
+_IntPlan = tuple[int, list[tuple[int, tuple[int, ...]]],
+                 list[tuple[int, int, tuple[int, ...]]]]
+
+
+def _build_int_plan(terms: Mapping[Monomial, Fraction]) -> _IntPlan:
+    den = _common_denominator(terms.values())
+    values = [(c.numerator * (den // c.denominator),
+               tuple(i for i, e in mono for _ in range(e)))
+              for mono, c in terms.items()]
+    grads = []
+    for c, factors in values:
+        for pos, idx in enumerate(factors):
+            if pos and factors[pos - 1] == idx:
+                continue
+            grads.append((idx, c * factors.count(idx), factors[:pos] + factors[pos + 1:]))
+    return den, values, grads
+
+
+class Polynomial:
+    """Sparse polynomial with Fraction coefficients over a fixed ordered varset.
+
+    ``terms`` must not change once the polynomial is constructed: the integer
+    evaluation plan is built from it on first use and kept.
+    """
+
+    __slots__ = ("varset", "terms", "_vidx", "_plan")
 
     def __init__(self, varset: Sequence[str], terms: Mapping[Monomial, Fraction] | None = None,
                  *, _canonical: bool = False):
         self.varset: tuple[str, ...] = tuple(varset)
         self._vidx: dict[str, int] | None = None
+        self._plan: _IntPlan | None = None
         if terms is None:
             self.terms: dict[Monomial, Fraction] = {}
             return
@@ -153,10 +243,10 @@ class Polynomial:
 
     @classmethod
     def variable(cls, varset: Sequence[str], name: str) -> "Polynomial":
-        p = cls(varset, {}, _canonical=True)
-        idx = p._index_of(name)
-        p.terms = {((idx, 1),): Fraction(1)}
-        return p
+        varset = tuple(varset)
+        if name not in varset:
+            raise UnknownVariableError(name)
+        return cls(varset, {((varset.index(name), 1),): Fraction(1)}, _canonical=True)
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -261,16 +351,9 @@ class Polynomial:
     def __pow__(self, exp: int) -> "Polynomial":
         if not isinstance(exp, int) or exp < 0:
             raise PolyringError("polynomial exponents must be nonnegative integers")
-        result = Polynomial.constant(self.varset, 1)
-        result._vidx = self._vidx
-        base = self
-        while exp:
-            if exp & 1:
-                result = result * base
-            exp >>= 1
-            if exp:
-                base = base * base
-        return result
+        one = Polynomial.constant(self.varset, 1)
+        one._vidx = self._vidx
+        return _power(one, self, exp)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
@@ -303,64 +386,48 @@ class Polynomial:
                 break
         return self._new(out)
 
-    def _values_vector(self, point: Mapping[str, Fraction]) -> list[Fraction]:
-        vals: list[Fraction] = []
-        for name in self.varset:
-            if name not in point:
-                raise MissingAssignmentError(f"no value assigned to variable '{name}'")
-            vals.append(_as_fraction(point[name]))
-        return vals
+    def _values_vector(self, point: Mapping[str, Scalar]) -> list[Scalar]:
+        try:
+            vals = [point[name] for name in self.varset]
+        except KeyError as e:
+            raise MissingAssignmentError(
+                f"no value assigned to variable '{e.args[0]}'") from None
+        return exact_scalars(vals)
 
-    def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
-        """Evaluate at a point given as name -> rational; every variable needs a value."""
-        vals = self._values_vector(point)
-        total = Fraction(0)
-        powcache: dict[tuple[int, int], Fraction] = {}
-        for mono, c in self.terms.items():
-            acc = c
-            for idx, e in mono:
-                p = powcache.get((idx, e))
-                if p is None:
-                    p = vals[idx] ** e
-                    powcache[(idx, e)] = p
-                acc *= p
-                if not acc:
-                    break
-            total += acc
-        return total
+    def _int_plan(self) -> _IntPlan:
+        if self._plan is None:
+            self._plan = _build_int_plan(self.terms)
+        return self._plan
 
-    def gradient_at(self, point: Mapping[str, Fraction]) -> list[Fraction]:
-        """All partial derivatives evaluated at a point, in varset order.
+    def evaluate(self, point: Mapping[str, Scalar]) -> Scalar:
+        """Value at a point given as name -> int or Fraction; every variable needs one.
 
-        One sweep over the terms; much cheaper than evaluating each symbolic
-        partial separately when the polynomial is large.
+        Returns an `int` when the value is integral and a `Fraction` otherwise.
         """
         vals = self._values_vector(point)
-        grad = [Fraction(0)] * len(self.varset)
-        powcache: dict[tuple[int, int], Fraction] = {}
+        den, values, _ = self._int_plan()
+        total = 0
+        for acc, factors in values:
+            for idx in factors:
+                acc *= vals[idx]
+            total += acc
+        return _over(total, den)
 
-        def pw(idx: int, e: int) -> Fraction:
-            if e == 0:
-                return Fraction(1)
-            p = powcache.get((idx, e))
-            if p is None:
-                p = vals[idx] ** e
-                powcache[(idx, e)] = p
-            return p
+    def gradient_at(self, point: Mapping[str, Scalar]) -> list[Scalar]:
+        """All partial derivatives evaluated at a point, in varset order.
 
-        for mono, c in self.terms.items():
-            for pos, (idx, e) in enumerate(mono):
-                part = c * e * pw(idx, e - 1)
-                if not part:
-                    continue
-                for qos, (jdx, f) in enumerate(mono):
-                    if qos == pos:
-                        continue
-                    part *= pw(jdx, f)
-                    if not part:
-                        break
-                grad[idx] += part
-        return grad
+        One sweep over the plan's gradient terms; much cheaper than evaluating
+        each symbolic partial separately when the polynomial is large.  Each
+        entry is an `int` when integral and a `Fraction` otherwise.
+        """
+        vals = self._values_vector(point)
+        den, _, grads = self._int_plan()
+        grad: list[Scalar] = [0] * len(vals)
+        for idx, acc, rest in grads:
+            for jdx in rest:
+                acc *= vals[jdx]
+            grad[idx] += acc
+        return [_over(g, den) for g in grad]
 
     # -- printing ------------------------------------------------------------
 
@@ -432,6 +499,13 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 MAX_PARSE_DEGREE = 32
+# The degree cap does not bound term counts: over sl3 an 8-term linear form
+# to the 8th power has 6435 terms and its last squaring multiplies 330 x 330
+# terms.  Every product the parser forms, each step of ``^`` included, is
+# therefore also capped at MAX_PARSE_WORK term pairs.  The largest product in
+# the catalog and the tests is 4 pairs; one product at the cap takes about
+# half a second on a 2-core x86 box with Python 3.11.
+MAX_PARSE_WORK = 100_000
 
 
 class _Parser:
@@ -446,7 +520,10 @@ class _Parser:
     ``^`` binds tightest, implicit multiplication is a syntax error, and
     number literals may be fractions ``a/b``.  Exponents and the total degree
     of every ``^`` and ``*`` are capped at MAX_PARSE_DEGREE (32): a larger one
-    raises ParseError before anything is multiplied out.
+    raises ParseError before anything is multiplied out.  Every product,
+    including each squaring or multiplication step of ``^``, is capped at
+    MAX_PARSE_WORK term pairs (len(p.terms) * len(q.terms)), checked before
+    it is formed.
     """
 
     def __init__(self, text: str, varset: Sequence[str]):
@@ -454,7 +531,6 @@ class _Parser:
         self.text = text
         self.i = 0
         self.varset = tuple(varset)
-        self._proto = Polynomial.zero(self.varset)
 
     def _peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -494,7 +570,14 @@ class _Parser:
             if p.degree() + q.degree() > MAX_PARSE_DEGREE:
                 raise ParseError(f"product exceeds the degree cap {MAX_PARSE_DEGREE}",
                                  op[2])
-            p = p * q
+            p = self._mul(p, q, op[2])
+
+    @staticmethod
+    def _mul(p: Polynomial, q: Polynomial, pos: int) -> Polynomial:
+        if len(p.terms) * len(q.terms) > MAX_PARSE_WORK:
+            raise ParseError(f"product exceeds the work cap of {MAX_PARSE_WORK} term pairs",
+                             pos)
+        return p * q
 
     def _factor(self) -> Polynomial:
         tok = self._peek()
@@ -515,7 +598,8 @@ class _Parser:
             if len(digits) > 2 or int(digits) * max(base.degree(), 1) > MAX_PARSE_DEGREE:
                 raise ParseError(f"power exceeds the degree cap {MAX_PARSE_DEGREE}",
                                  etok[2])
-            return base ** int(digits)
+            return _power(Polynomial.constant(self.varset, 1), base, int(digits),
+                          lambda p, q: self._mul(p, q, etok[2]))
         return base
 
     def _atom(self) -> Polynomial:
@@ -624,15 +708,8 @@ class Jet:
     def __pow__(self, exp: int) -> "Jet":
         if not isinstance(exp, int) or exp < 0:
             raise PolyringError("jet exponents must be nonnegative integers")
-        result = Jet.constant(self.order, Polynomial.constant(self.varset, 1))
-        base = self
-        while exp:
-            if exp & 1:
-                result = result * base
-            exp >>= 1
-            if exp:
-                base = base * base
-        return result
+        return _power(Jet.constant(self.order, Polynomial.constant(self.varset, 1)),
+                      self, exp)
 
 
 def jet_substitute(p: Polynomial, subst: Mapping[str, Jet], order: int) -> Jet:

@@ -1,4 +1,4 @@
-"""Deterministic seeded sampling of rational points and elements.
+"""Deterministic seeded sampling of integer points and elements.
 
 Every randomized routine in the package derives a private stream seed from
 (seed, domain tag, trial index) with a fixed 64-bit mixing function, so runs
@@ -9,7 +9,6 @@ trials run around it.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from typing import Sequence
 
 __all__ = ["derive_seed", "rng", "random_coords", "random_components", "DEFAULT_BOUND"]
@@ -48,12 +47,12 @@ def rng(seed: int, *parts: int) -> random.Random:
 
 
 def random_coords(names: Sequence[str], r: random.Random,
-                  bound: int = DEFAULT_BOUND) -> dict[str, Fraction]:
-    """Point with integer coordinates uniform in [-bound, bound]."""
-    return {name: Fraction(r.randint(-bound, bound)) for name in names}
+                  bound: int = DEFAULT_BOUND) -> dict[str, int]:
+    """Point with `int` coordinates uniform in [-bound, bound]."""
+    return {name: r.randint(-bound, bound) for name in names}
 
 
 def random_components(names: Sequence[str], depth: int, r: random.Random,
-                      bound: int = DEFAULT_BOUND) -> list[dict[str, Fraction]]:
+                      bound: int = DEFAULT_BOUND) -> list[dict[str, int]]:
     """A (depth+1)-component tuple of random points over the same basis."""
     return [random_coords(names, r, bound) for _ in range(depth + 1)]

@@ -23,6 +23,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .liealg import AlgebraError, AlgebraFormatError, DualPoint, LieAlgebra
+from .polyring import Scalar, exact_scalars
 
 __all__ = [
     "TakiffGrading",
@@ -136,17 +137,21 @@ def nilpotent_ideal(L: LieAlgebra) -> list[str]:
     return [b for b in L.basis if grading.grade_of[b] >= 1]
 
 
-def flatten_point(L: LieAlgebra, components: TakiffDualPoint) -> dict[str, Fraction]:
-    """Assemble a dual point on L from its base components (xi_0..xi_m)."""
+def flatten_point(L: LieAlgebra, components: TakiffDualPoint) -> dict[str, Scalar]:
+    """Assemble a dual point on L from its base components (xi_0..xi_m).
+
+    Coordinates pass through `exact_scalars`, so they stay `int` when integral
+    and a float raises TypeError.
+    """
     grading = _require_grading(L)
     base_names = [grading.base_name_of[b] for b in L.basis if grading.grade_of[b] == 0]
     m = grading.depth
     if len(components) != m + 1:
         raise AlgebraError(f"expected {m + 1} components, got {len(components)}")
-    flat: dict[str, Fraction] = {}
+    flat: dict[str, Scalar] = {}
     for j, comp in enumerate(components):
         if set(comp.keys()) != set(base_names):
             raise AlgebraError(f"component {j} must assign exactly the base names")
-        for b in base_names:
-            flat[graded_name(b, j)] = Fraction(comp[b])
+        for b, v in zip(base_names, exact_scalars([comp[b] for b in base_names])):
+            flat[graded_name(b, j)] = v
     return flat

@@ -17,7 +17,6 @@ certificate, not evidence at sampled points.
 from __future__ import annotations
 
 import time
-from fractions import Fraction
 from typing import Sequence
 
 from . import liealg, raistauvel, sampling
@@ -93,7 +92,7 @@ def _bracket_check(Lm: LieAlgebra, name: str, paper_ref: str,
 def _mixed_components(L: LieAlgebra, m: int, r, zero_top: bool):
     comps = sampling.random_components(L.basis, m, r)
     if zero_top:
-        comps[m] = {b: Fraction(0) for b in L.basis}
+        comps[m] = {b: 0 for b in L.basis}
     return comps
 
 

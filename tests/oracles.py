@@ -3,8 +3,9 @@
 Nothing here imports the modules under test beyond plain data types, and the
 algorithms are deliberately the naive ones: truncated dual-number arithmetic
 coefficient by coefficient, rank by plain fraction Gaussian elimination,
-Poisson brackets with basis elements as a gradient times the Kirillov matrix,
-and the coadjoint action of a truncated current algebra by two routes, one
+Kirillov matrices and Jacobi residuals in Fractions straight from the bracket
+table, Poisson brackets with basis elements as a gradient times the Kirillov
+matrix, and the coadjoint action of a truncated current algebra by two routes, one
 through its own structure constants and one componentwise through the base
 algebra's.  Algebras, polynomials and gradings are read only through their
 raw data: basis names, bracket tables, term dictionaries and grade maps.
@@ -117,21 +118,61 @@ def gradient_at(poly, point: dict[str, Fraction]) -> list[Fraction]:
     return grad
 
 
-def bracket_values_at(algebra, poly, point: dict[str, Fraction]) -> list[Fraction]:
-    """{F, b_t}(xi) for every basis index t at once: grad F(xi) times B(xi).
-
-    B(xi)_{it} = <xi, [b_i, b_t]> is read off the raw bracket table, and the
-    gradient is taken term by term from the raw term dictionary, so neither
-    the package's symbolic bracket nor its evaluation code is exercised.
-    """
+def kirillov_matrix(algebra, point: dict[str, Fraction]) -> list[list[Fraction]]:
+    """B(xi)_{ij} = <xi, [b_i, b_j]> in Fractions, read off the raw bracket table."""
     n = len(algebra.basis)
     vals = [Fraction(point[b]) for b in algebra.basis]
-    grad = gradient_at(poly, point)
     kirillov = [[Fraction(0)] * n for _ in range(n)]
     for (i, j), coeffs in algebra.brackets.items():
         s = sum((c * vals[k] for k, c in coeffs.items()), Fraction(0))
         kirillov[i][j] += s
         kirillov[j][i] -= s
+    return kirillov
+
+
+def jacobi_residuals(algebra) -> dict[tuple[int, int, int], dict[int, Fraction]]:
+    """Nonzero [a,[b,c]] + [b,[c,a]] + [c,[a,b]] over basis triples a < b < c."""
+    n = len(algebra.basis)
+
+    def br(x: dict[int, Fraction], y: dict[int, Fraction]) -> dict[int, Fraction]:
+        out: dict[int, Fraction] = {}
+        for i, xi in x.items():
+            for j, yj in y.items():
+                if i < j:
+                    coeffs, s = algebra.brackets.get((i, j), {}), xi * yj
+                elif i > j:
+                    coeffs, s = algebra.brackets.get((j, i), {}), -xi * yj
+                else:
+                    continue
+                for k, c in coeffs.items():
+                    out[k] = out.get(k, Fraction(0)) + s * c
+        return out
+
+    found = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            for c in range(b + 1, n):
+                total: dict[int, Fraction] = {}
+                for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                    inner = br({y: Fraction(1)}, {z: Fraction(1)})
+                    for t, v in br({x: Fraction(1)}, inner).items():
+                        total[t] = total.get(t, Fraction(0)) + v
+                total = {t: v for t, v in total.items() if v}
+                if total:
+                    found[(a, b, c)] = total
+    return found
+
+
+def bracket_values_at(algebra, poly, point: dict[str, Fraction]) -> list[Fraction]:
+    """{F, b_t}(xi) for every basis index t at once: grad F(xi) times B(xi).
+
+    B(xi) comes from `kirillov_matrix` above and the gradient is taken term
+    by term from the raw term dictionary, so neither the package's symbolic
+    bracket nor its evaluation code is exercised.
+    """
+    n = len(algebra.basis)
+    grad = gradient_at(poly, point)
+    kirillov = kirillov_matrix(algebra, point)
     return [sum((grad[i] * kirillov[i][t] for i in range(n)), Fraction(0))
             for t in range(n)]
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -157,6 +158,18 @@ class TestInputErrors:
         src.write_text("{not json")
         assert main(["verify", "--m", "1", str(src)]) == 2
 
+    @pytest.mark.parametrize("content", [
+        json.dumps(dict(BAD_JACOBI, brackets=[{"pair": [0, 1], "coeffs": {"e": 7}}]))
+        .replace('"e": 7', '"e": ' + "7" * 5000).encode(),
+        b"\xff\xfe{",
+    ], ids=["integer-past-digit-limit", "not-utf8"])
+    def test_unreadable_json_is_input_error(self, tmp_path, capsys, content):
+        src = tmp_path / "bad.json"
+        src.write_bytes(content)
+        assert main(["verify", "--m", "1", str(src)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_bad_rational_and_unknown_name(self, tmp_path):
         for coeffs in ({"e": "1/0"}, {"w": "1"}):
             doc = dict(BAD_JACOBI, brackets=[{"pair": [0, 1], "coeffs": coeffs}])
@@ -223,6 +236,42 @@ class TestInputErrors:
         assert time.perf_counter() - t0 < 1.0
         err = capsys.readouterr().err
         assert "degree cap" in err and err.count("\n") == 1
+
+    def test_term_count_is_capped_at_parse_time(self, tmp_path, capsys, sl3):
+        # Degree 32 passes the degree cap, but the expansion would have about
+        # 15 million terms; the work cap stops it at the first large squaring.
+        doc = algio.algebra_to_dict(sl3.algebra)
+        doc["invariants"] = ["(" + "+".join(sl3.algebra.basis) + ")^32"]
+        src = tmp_path / "wide.json"
+        src.write_text(json.dumps(doc))
+        t0 = time.perf_counter()
+        assert main(["verify", "--m", "1", str(src)]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert "work cap" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", ["1e9999999", "1.5", 0.5, True])
+    def test_coefficient_outside_the_grammar_is_input_error(self, tmp_path, capsys,
+                                                            value):
+        # Only JSON integers and "p/q" strings are coefficients; exponent
+        # notation used to reach Fraction() and could stall the loader.
+        doc = dict(BAD_JACOBI, brackets=[{"pair": [0, 1], "coeffs": {"e": value}}])
+        with pytest.raises(AlgebraFormatError):
+            algio.algebra_from_dict(doc)
+        src = tmp_path / "bad.json"
+        src.write_text(json.dumps(doc))
+        t0 = time.perf_counter()
+        assert main(["verify", "--m", "1", str(src)]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("value,want", [(3, Fraction(3)), ("-2", Fraction(-2)),
+                                            ("1/3", Fraction(1, 3)), ("-4/6", Fraction(-2, 3))])
+    def test_coefficient_grammar_accepts_integers_and_p_over_q(self, value, want):
+        doc = dict(BAD_JACOBI, brackets=[{"pair": [0, 1], "coeffs": {"e": value}}])
+        L, _, _ = algio.algebra_from_dict(doc)
+        assert L.brackets == {(0, 1): {0: want}}
 
     def test_mutually_exclusive_flags(self):
         with pytest.raises(SystemExit):

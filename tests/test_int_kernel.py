@@ -1,0 +1,194 @@
+"""The integer evaluation kernel against the Fraction oracles.
+
+`Polynomial.evaluate`/`gradient_at`, `kirillov_matrix`, `validate` and
+`linalg.rank` run on integers over a common denominator.  These tests compare
+them with the naive Fraction routes in `oracles.py` where that denominator is
+not 1 (rational coefficients and structure constants) and at integral and
+rational points, pin the result types, and check that floats are refused at
+every point boundary.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, strategies as st
+
+from takiffalg import catalog, linalg, sampling
+from takiffalg.liealg import LieAlgebra, check_point, kirillov_matrix, validate
+from takiffalg.polyring import Polynomial
+from takiffalg.raistauvel import build_family
+from takiffalg.takiff import flatten_point, takiff
+
+import oracles
+from oracles import EpsValue, eval_poly_eps, naive_rank
+
+VS = ("w", "x", "y", "z")
+
+frac_st = st.fractions(min_value=-6, max_value=6, max_denominator=9)
+mono_st = st.lists(st.tuples(st.integers(0, 3), st.integers(1, 3)), max_size=3).map(
+    lambda pairs: tuple(sorted(dict(pairs).items())))
+rational_poly_st = st.dictionaries(mono_st, frac_st, min_size=1, max_size=6).map(
+    lambda terms: Polynomial(VS, terms)).filter(
+    lambda p: any(c.denominator != 1 for c in p.terms.values()))
+int_point_st = st.fixed_dictionaries({v: st.integers(-30, 30) for v in VS})
+rational_point_st = st.fixed_dictionaries({v: frac_st for v in VS})
+
+
+def _exact_type(v) -> bool:
+    """int exactly when integral, Fraction otherwise."""
+    return type(v) is int if Fraction(v).denominator == 1 else type(v) is Fraction
+
+
+class TestPolynomialKernel:
+    @given(rational_poly_st, int_point_st | rational_point_st)
+    def test_evaluate_matches_dual_number_oracle(self, p, pt):
+        want = eval_poly_eps(p, {v: EpsValue.const(0, x) for v, x in pt.items()}).coeffs[0]
+        got = p.evaluate(pt)
+        assert got == want and _exact_type(got)
+
+    @given(rational_poly_st, int_point_st | rational_point_st)
+    def test_gradient_matches_oracle(self, p, pt):
+        got = p.gradient_at(pt)
+        assert got == oracles.gradient_at(p, pt)
+        assert all(_exact_type(g) for g in got)
+
+
+def _rescaled(entry_name: str, scales: list[Fraction],
+              corrupt: tuple[int, Fraction] | None) -> LieAlgebra:
+    """The catalog algebra in the basis b_i / s_i, optionally with one constant changed.
+
+    [b_i/s_i, b_j/s_j] = sum_k c_ij^k s_k/(s_i s_j) (b_k/s_k), so the rescaled
+    algebra satisfies Jacobi and has rational structure constants.
+    """
+    L = catalog.load(entry_name).algebra
+    n = L.dim
+    s = [scales[i % len(scales)] for i in range(n)]
+    entries = {(i, j): {k: c * s[k] / (s[i] * s[j]) for k, c in coeffs.items()}
+               for (i, j), coeffs in L.brackets.items()}
+    if corrupt is not None:
+        pos, delta = corrupt
+        pair = sorted(entries)[pos % len(entries)]
+        k = min(entries[pair])
+        entries[pair][k] += delta
+    return LieAlgebra.create(f"{entry_name}-rescaled", L.basis, entries)
+
+
+scales_st = st.lists(frac_st.filter(bool), min_size=1, max_size=4)
+corrupt_st = st.none() | st.tuples(st.integers(0, 50), frac_st.filter(bool))
+algebra_st = st.builds(_rescaled, st.sampled_from(["sl2", "heis1", "sl3", "slnV2"]),
+                       scales_st, corrupt_st)
+
+
+class TestLieKernel:
+    @given(algebra_st, st.data())
+    def test_kirillov_matrix_and_rank_match_oracle(self, L, data):
+        pt = data.draw(st.fixed_dictionaries(
+            {b: st.integers(-20, 20) | frac_st for b in L.basis}))
+        want = oracles.kirillov_matrix(L, pt)
+        got = kirillov_matrix(L, pt)
+        assert got == want
+        assert all(_exact_type(v) for row in got for v in row)
+        assert linalg.rank(got) == naive_rank(want)
+
+    @given(algebra_st)
+    def test_validate_matches_oracle_residuals(self, L):
+        want = oracles.jacobi_residuals(L)
+        (check,) = validate(L).checks
+        assert check.status == ("FAIL" if want else "PASS")
+        assert check.witness["violation_count"] == len(want)
+        expected = [{"triple": [L.basis[t] for t in triple],
+                     "residual": {L.basis[k]: v for k, v in sorted(res.items())}}
+                    for triple, res in sorted(want.items())][:5]
+        assert check.witness["violations"] == expected
+        for violation in check.witness["violations"]:
+            assert all(type(v) is Fraction for v in violation["residual"].values())
+
+    def test_validate_residual_with_a_third(self):
+        L = LieAlgebra.create("third", ("e", "h", "f"), {
+            (0, 1): {0: -2}, (0, 2): {0: Fraction(1, 3), 1: 1}, (1, 2): {2: -2}})
+        (check,) = validate(L).checks
+        assert check.status == "FAIL"
+        assert check.witness["violations"][0]["residual"] == {"e": Fraction(-2, 3)}
+
+
+mixed_st = st.integers(-8, 8) | frac_st | st.just(0)
+
+
+def mixed_matrix_st(max_n=7):
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.integers(1, max_n).flatmap(
+            lambda m: st.lists(st.lists(mixed_st, min_size=m, max_size=m),
+                               min_size=n, max_size=n)))
+
+
+class TestRankKernel:
+    @given(mixed_matrix_st())
+    def test_mixed_int_and_fraction_rows(self, mat):
+        assert linalg.rank(mat) == naive_rank(mat)
+
+    def test_dependent_rows_of_large_integers(self):
+        for trial in range(20):
+            r = sampling.rng(11, 5, trial)
+            base = [[r.randint(-10**12, 10**12) for _ in range(9)] for _ in range(4)]
+            combos = [[r.randint(-3, 3) for _ in base] for _ in range(4)]
+            rows = base + [[sum(c * row[j] for c, row in zip(cs, base)) for j in range(9)]
+                           for cs in combos]
+            rows = rows[::2] + rows[1::2]
+            assert linalg.rank(rows) == naive_rank(rows) == 4
+
+
+class TestIntegerResults:
+    """On catalog data at sampled points nothing falls back to Fraction."""
+
+    @pytest.mark.parametrize("name", ["sl2", "sl3", "heis2", "slnV2", "slnV3"])
+    def test_gradients_and_kirillov_matrices_are_int(self, name):
+        entry = catalog.load(name)
+        L, fs = entry.algebra, entry.invariants
+        fam = build_family(L, 2, fs)
+        for t in range(3):
+            r = sampling.rng(5, 99, t)
+            pt = sampling.random_coords(L.basis, r)
+            assert all(type(v) is int for v in pt.values())
+            for f in fs.polys:
+                assert all(type(g) is int for g in f.gradient_at(pt))
+                assert type(f.evaluate(pt)) is int
+            assert all(type(v) is int for row in kirillov_matrix(L, pt) for v in row)
+            flat = flatten_point(fam.takiff_algebra, sampling.random_components(L.basis, 2, r))
+            assert all(type(v) is int for v in flat.values())
+            for _, _, F in fam.members():
+                assert all(type(g) is int for g in F.gradient_at(flat))
+            assert all(type(v) is int
+                       for row in kirillov_matrix(fam.takiff_algebra, flat) for v in row)
+
+
+class TestExactPointBoundary:
+    @pytest.mark.parametrize("bad", [0.5, 2.0, "1", None])
+    def test_polynomial_evaluation_refuses(self, sl2, bad):
+        f = sl2.invariants.polys[0]
+        pt = {"e": 1, "h": bad, "f": 3}
+        with pytest.raises(TypeError):
+            f.evaluate(pt)
+        with pytest.raises(TypeError):
+            f.gradient_at(pt)
+
+    @pytest.mark.parametrize("bad", [0.5, 2.0, "1", None])
+    def test_check_point_refuses(self, sl2, bad):
+        pt = {"e": bad, "h": 1, "f": 2}
+        with pytest.raises(TypeError):
+            check_point(sl2.algebra, pt)
+        with pytest.raises(TypeError):
+            kirillov_matrix(sl2.algebra, pt)
+
+    @pytest.mark.parametrize("bad", [0.5, 2.0, "1", None])
+    def test_flatten_point_refuses(self, sl2, bad):
+        L1 = takiff(sl2.algebra, 1)
+        with pytest.raises(TypeError):
+            flatten_point(L1, [{"e": 1, "h": 2, "f": 3}, {"e": bad, "h": 0, "f": 0}])
+
+    def test_integral_fractions_and_bools_become_int(self, sl2):
+        assert check_point(sl2.algebra, {"e": Fraction(4, 2), "h": True, "f": Fraction(1, 2)}) \
+            == [2, 1, Fraction(1, 2)]
+        assert [type(v) for v in check_point(sl2.algebra, {"e": Fraction(4, 2), "h": True,
+                                                           "f": 0})] == [int, int, int]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from takiffalg.polyring import (
+    MAX_PARSE_WORK,
     Jet,
     JetOrderError,
     MissingAssignmentError,
@@ -96,6 +97,17 @@ class TestParsing:
         for bad in ("x +", "* y", "x^", "(x", "x^-2"):
             with pytest.raises(ParseError):
                 parse_poly(bad, VS)
+
+    def test_work_cap_checks_every_product(self):
+        vs = tuple("abcdefgh")
+        wide = "(" + "+".join(vs) + ")"
+        # ^7 multiplies at most 120 x 330 term pairs, under MAX_PARSE_WORK;
+        # ^8 squares a 330-term power, and so does the product of two ^4.
+        assert len(parse_poly(wide + "^7", vs).terms) == 3432
+        for text in (wide + "^8", wide + "^4*" + wide + "^4"):
+            with pytest.raises(ParseError, match="work cap"):
+                parse_poly(text, vs)
+        assert 330 * 330 > MAX_PARSE_WORK >= 120 * 330
 
     @given(poly_st)
     def test_roundtrip(self, p):

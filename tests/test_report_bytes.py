@@ -1,0 +1,58 @@
+"""Golden digests of report files: the byte-identity contract, pinned.
+
+Each case runs one CLI command with ``--report`` at a fixed seed and compares
+the sha256 of the written JSON with a digest recorded before the integer
+evaluation kernel replaced the Fraction loops in `gradient_at`, `evaluate`,
+`kirillov_matrix`, `validate` and `linalg.rank`.  A speed-up that changes a
+single byte of any of these reports fails here; a change that legitimately
+moves a status must update the digest and say why in CHANGES.md.
+
+The last case is a Jacobi FAIL on an sl2-like algebra with a 1/3 structure
+constant, so its witness carries rational residuals.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+
+from takiffalg.cli import main
+
+BAD_JACOBI_THIRD = {
+    "label": "badsl2third",
+    "basis": ["e", "h", "f"],
+    "brackets": [
+        {"pair": [0, 1], "coeffs": {"e": "-2"}},
+        {"pair": [0, 2], "coeffs": {"e": "1/3", "h": "1"}},
+        {"pair": [1, 2], "coeffs": {"f": "-2"}},
+    ],
+    "invariants": [],
+    "flags": {},
+}
+
+CASES = {
+    "verify-m1-sl2": (["verify", "--m", "1", "sl2"],
+                      "5c95110f6f9d54835f1252d9a4e563db93d9fd0640c1b15eb236f90061e8e7fe"),
+    "verify-m7-heis2": (["verify", "--m", "7", "heis2"],
+                        "5908bbca47c88042d80de12c3c138e6bd2024c164f2c0af5276107d8c57b020a"),
+    "verify-multi11-sl2": (["verify", "--multi", "1,1", "sl2"],
+                           "efc27c7b6e8154c84760f1ba81ae0e59976478601badca21d83590a48dcbbe85"),
+    "nilfiber-l3-sl2": (["nilfiber", "--levels", "3", "sl2"],
+                        "491cd1c895744f712212cf43d831e5692325189c3f1f36e64edbbf9b503114d5"),
+    "verify-m1-jacobi-fail-third": (["verify", "--m", "1", "{bad}", "--seed", "3"],
+                                    "12e53bee5a89f2d7e2bf69b8fade08adad914c82e6e0f62091d73a9f81488267"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_digest(tmp_path, capsys, case):
+    argv, want = CASES[case]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(BAD_JACOBI_THIRD))
+    path = tmp_path / "report.json"
+    code = main([a.format(bad=bad) for a in argv] + ["--report", str(path)])
+    capsys.readouterr()
+    assert code == (1 if "fail" in case else 0)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == want
