@@ -25,7 +25,6 @@ from .raistauvel import InvariantFamily, build_family, expand_invariant
 from .report import FAIL, PASS, SAMPLED_PASS, SKIPPED, Report
 from .takiff import TakiffGrading, multi_current, nilpotent_ideal, takiff
 from .verify import (
-    frobenius_check,
     verify_main_theorem,
     verify_multi_current,
     wonderful_diagnostic,
@@ -63,7 +62,6 @@ __all__ = [
     "multi_current",
     "nilpotent_ideal",
     "takiff",
-    "frobenius_check",
     "verify_main_theorem",
     "verify_multi_current",
     "wonderful_diagnostic",

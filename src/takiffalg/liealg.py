@@ -44,7 +44,6 @@ __all__ = [
     "HomogeneityError",
     "IndexEstimateError",
     "validate",
-    "bracket_elements",
     "kirillov_matrix",
     "kirillov_rank_at",
     "generic_kirillov_rank",
@@ -144,14 +143,6 @@ class LieAlgebra:
             raise UnknownVariableError(name)
         return idx
 
-    def bracket(self, i: int, j: int) -> dict[int, Fraction]:
-        """[basis[i], basis[j]] as a sparse coefficient vector, any orientation."""
-        if i == j:
-            return {}
-        if i < j:
-            return dict(self.brackets.get((i, j), {}))
-        return {k: -c for k, c in self.brackets.get((j, i), {}).items()}
-
     def variable(self, name: str) -> Polynomial:
         return Polynomial.variable(self.basis, name)
 
@@ -181,33 +172,6 @@ def check_point(L: LieAlgebra, point: DualPoint) -> list[Scalar]:
             f"dual point must assign every basis name exactly once "
             f"(missing {sorted(missing)}, unexpected {sorted(extra)})")
     return exact_scalars([point[b] for b in L.basis])
-
-
-def bracket_elements(L: LieAlgebra, x: Mapping[int, Fraction],
-                     y: Mapping[int, Fraction]) -> dict[int, Fraction]:
-    """Bracket of two elements given as sparse index -> coefficient vectors."""
-    out: dict[int, Fraction] = {}
-    for i, xi in x.items():
-        if not xi:
-            continue
-        for j, yj in y.items():
-            if not yj or i == j:
-                continue
-            if i < j:
-                coeffs = L.brackets.get((i, j))
-                s = xi * yj
-            else:
-                coeffs = L.brackets.get((j, i))
-                s = -xi * yj
-            if not coeffs:
-                continue
-            for k, c in coeffs.items():
-                v = out.get(k, Fraction(0)) + s * c
-                if v:
-                    out[k] = v
-                elif k in out:
-                    del out[k]
-    return out
 
 
 def validate(L: LieAlgebra) -> Report:

@@ -1,5 +1,4 @@
-"""Exact sparse multivariate polynomials over the rationals, plus truncated
-eps-jets on top of them.
+"""Exact sparse multivariate polynomials over the rationals.
 
 Everything is immutable and pure.  Coefficients are `fractions.Fraction`,
 monomials are sorted ``((variable_index, exponent), ...)`` tuples, and the
@@ -21,7 +20,6 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Mapping, Sequence
@@ -30,7 +28,6 @@ __all__ = [
     "Polynomial",
     "exact_scalar",
     "exact_scalars",
-    "Jet",
     "parse_poly",
     "jet_substitute",
     "PolyringError",
@@ -38,7 +35,6 @@ __all__ = [
     "UnknownVariableError",
     "VarsetMismatchError",
     "MissingAssignmentError",
-    "JetOrderError",
 ]
 
 # A monomial: ((var_index, exponent), ...) with indices strictly increasing
@@ -74,10 +70,6 @@ class VarsetMismatchError(PolyringError):
 
 class MissingAssignmentError(PolyringError):
     """A point or substitution does not cover every required variable."""
-
-
-class JetOrderError(PolyringError):
-    """Jet operands have incompatible truncation orders."""
 
 
 Scalar = int | Fraction
@@ -295,9 +287,6 @@ class Polynomial:
                 seen.add(self.varset[idx])
         return frozenset(seen)
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((), Fraction(0))
-
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
@@ -501,10 +490,11 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 MAX_PARSE_DEGREE = 32
 # The degree cap does not bound term counts: over sl3 an 8-term linear form
 # to the 8th power has 6435 terms and its last squaring multiplies 330 x 330
-# terms.  Every product the parser forms, each step of ``^`` included, is
-# therefore also capped at MAX_PARSE_WORK term pairs.  The largest product in
-# the catalog and the tests is 4 pairs; one product at the cap takes about
-# half a second on a 2-core x86 box with Python 3.11.
+# terms.  The products one parse forms, each step of ``^`` included, therefore
+# share one budget of MAX_PARSE_WORK term pairs, so parse time is bounded
+# whatever the length of the text.  The largest product in the catalog and
+# the tests is 4 pairs; a parse that spends the whole budget takes about half
+# a second on a 2-core x86 box with Python 3.11.
 MAX_PARSE_WORK = 100_000
 
 
@@ -520,10 +510,11 @@ class _Parser:
     ``^`` binds tightest, implicit multiplication is a syntax error, and
     number literals may be fractions ``a/b``.  Exponents and the total degree
     of every ``^`` and ``*`` are capped at MAX_PARSE_DEGREE (32): a larger one
-    raises ParseError before anything is multiplied out.  Every product,
-    including each squaring or multiplication step of ``^``, is capped at
-    MAX_PARSE_WORK term pairs (len(p.terms) * len(q.terms)), checked before
-    it is formed.
+    raises ParseError before anything is multiplied out.  The term pairs
+    len(p.terms) * len(q.terms) of all products of one parse, each squaring
+    or multiplication step of ``^`` included, add up to a running total that
+    may not exceed MAX_PARSE_WORK; it is checked before each product is
+    formed.
     """
 
     def __init__(self, text: str, varset: Sequence[str]):
@@ -531,6 +522,7 @@ class _Parser:
         self.text = text
         self.i = 0
         self.varset = tuple(varset)
+        self.work = 0
 
     def _peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -572,11 +564,11 @@ class _Parser:
                                  op[2])
             p = self._mul(p, q, op[2])
 
-    @staticmethod
-    def _mul(p: Polynomial, q: Polynomial, pos: int) -> Polynomial:
-        if len(p.terms) * len(q.terms) > MAX_PARSE_WORK:
-            raise ParseError(f"product exceeds the work cap of {MAX_PARSE_WORK} term pairs",
-                             pos)
+    def _mul(self, p: Polynomial, q: Polynomial, pos: int) -> Polynomial:
+        self.work += len(p.terms) * len(q.terms)
+        if self.work > MAX_PARSE_WORK:
+            raise ParseError(f"products exceed the work cap of {MAX_PARSE_WORK} term pairs "
+                             "for one parse", pos)
         return p * q
 
     def _factor(self) -> Polynomial:
@@ -632,119 +624,61 @@ def parse_poly(text: str, varset: Sequence[str]) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# truncated jets
+# substitution of truncated eps-expansions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Jet:
-    """Truncated polynomial in a nilpotent parameter eps: eps^(order+1) = 0.
+def jet_substitute(p: Polynomial, subst: Mapping[str, Sequence[Polynomial]],
+                   order: int) -> list[Polynomial]:
+    """Substitute c_0 + eps*c_1 + ... + eps^order*c_order for every variable of ``p``.
 
-    ``coeffs[j]`` is the polynomial coefficient of eps^j.  All coefficients
-    share one target variable set.
+    ``subst`` maps each variable of ``p.varset`` to its eps-coefficients
+    (c_0, ..., c_order).  Returns the eps-coefficients of the result,
+    truncated at eps^order.  The input is checked once, here: every variable
+    needs a sequence of order + 1 polynomials, all over one target varset.
     """
-
-    order: int
-    coeffs: tuple[Polynomial, ...]
-
-    def __post_init__(self):
-        if self.order < 0:
-            raise JetOrderError("jet order must be nonnegative")
-        if len(self.coeffs) != self.order + 1:
-            raise JetOrderError(
-                f"a jet of order {self.order} needs {self.order + 1} coefficients, "
-                f"got {len(self.coeffs)}")
-        vs = self.coeffs[0].varset
-        for c in self.coeffs[1:]:
-            if c.varset != vs:
-                raise VarsetMismatchError("jet coefficients must share one variable set")
-
-    @property
-    def varset(self) -> tuple[str, ...]:
-        return self.coeffs[0].varset
-
-    @classmethod
-    def zero(cls, order: int, varset: Sequence[str]) -> "Jet":
-        z = Polynomial.zero(varset)
-        return cls(order, tuple([z] * (order + 1)))
-
-    @classmethod
-    def constant(cls, order: int, poly: Polynomial) -> "Jet":
-        z = Polynomial.zero(poly.varset)
-        return cls(order, (poly,) + tuple([z] * order))
-
-    def _check(self, other: "Jet") -> None:
-        if self.order != other.order:
-            raise JetOrderError("jet orders differ")
-        if self.varset != other.varset:
-            raise VarsetMismatchError("jet variable sets differ")
-
-    def __add__(self, other: "Jet") -> "Jet":
-        self._check(other)
-        return Jet(self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Jet(self.order, tuple(c * other for c in self.coeffs))
-        if not isinstance(other, Jet):
-            return NotImplemented
-        self._check(other)
-        z = Polynomial.zero(self.varset)
-        out = [z] * (self.order + 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j in range(self.order + 1 - i):
-                b = other.coeffs[j]
-                if b.is_zero:
-                    continue
-                out[i + j] = out[i + j] + a * b
-        return Jet(self.order, tuple(out))
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.__mul__(other)
-        return NotImplemented
-
-    def __pow__(self, exp: int) -> "Jet":
-        if not isinstance(exp, int) or exp < 0:
-            raise PolyringError("jet exponents must be nonnegative integers")
-        return _power(Jet.constant(self.order, Polynomial.constant(self.varset, 1)),
-                      self, exp)
-
-
-def jet_substitute(p: Polynomial, subst: Mapping[str, Jet], order: int) -> Jet:
-    """Substitute a jet for every variable of ``p`` and truncate at eps^order.
-
-    All jets must share ``order`` and a common target variable set, and every
-    variable of ``p.varset`` must be assigned.
-    """
+    if order < 0:
+        raise PolyringError(f"truncation order must be nonnegative, got {order}")
+    jets: dict[str, tuple[Polynomial, ...]] = {}
     target: tuple[str, ...] | None = None
     for name in p.varset:
-        jet = subst.get(name)
-        if jet is None:
-            raise MissingAssignmentError(f"no jet assigned to variable '{name}'")
-        if jet.order != order:
-            raise JetOrderError(
-                f"jet for '{name}' has order {jet.order}, expected {order}")
-        if target is None:
-            target = jet.varset
-        elif jet.varset != target:
-            raise VarsetMismatchError("substitution jets must share one variable set")
+        coeffs = subst.get(name)
+        if coeffs is None:
+            raise MissingAssignmentError(f"no coefficients assigned to variable '{name}'")
+        coeffs = tuple(coeffs)
+        if len(coeffs) != order + 1:
+            raise PolyringError(f"variable '{name}' has {len(coeffs)} eps-coefficients, "
+                                f"expected {order + 1}")
+        for c in coeffs:
+            if target is None:
+                target = c.varset
+            elif c.varset != target:
+                raise VarsetMismatchError("substituted coefficients must share one variable set")
+        jets[name] = coeffs
     if target is None:
-        # p has no variables at all; fall back to a bare constant jet.
+        # p has no variables at all; the result is over no variables either.
         target = ()
-    result = Jet.zero(order, target)
-    one = Polynomial.constant(target, 1)
-    powcache: dict[tuple[str, int], Jet] = {}
+    zero = Polynomial.zero(target)
+
+    def mul(a: Sequence[Polynomial], b: Sequence[Polynomial]) -> list[Polynomial]:
+        # the product of two expansions, truncated at eps^order
+        out = [zero] * (order + 1)
+        for i, x in enumerate(a):
+            if x.is_zero:
+                continue
+            for j in range(order + 1 - i):
+                if not b[j].is_zero:
+                    out[i + j] = out[i + j] + x * b[j]
+        return out
+
+    one = [Polynomial.constant(target, 1)] + [zero] * order
+    result = [zero] * (order + 1)
+    powcache: dict[tuple[int, int], list[Polynomial]] = {}
     for mono, c in p.terms.items():
-        acc = Jet.constant(order, one * c)
+        acc = [one[0] * c] + [zero] * order
         for idx, e in mono:
-            name = p.varset[idx]
-            key = (name, e)
-            jp = powcache.get(key)
+            jp = powcache.get((idx, e))
             if jp is None:
-                jp = subst[name] ** e
-                powcache[key] = jp
-            acc = acc * jp
-        result = result + acc
+                jp = powcache[(idx, e)] = _power(one, jets[p.varset[idx]], e, mul)
+            acc = mul(acc, jp)
+        result = [r + a for r, a in zip(result, acc)]
     return result

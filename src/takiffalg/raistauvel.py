@@ -9,9 +9,11 @@ F^0..F^m over the graded variables,
 
     f(xi_m + eps xi_{m-1} + ... + eps^m xi_0) = sum_j F^j(xi) eps^j,
 
-each of which is a symmetric invariant of L<m>.  The expansion is computed
-symbolically through jet arithmetic; numeric dual-number evaluation exists
-only in the test suite as an independent oracle.
+each of which is a symmetric invariant of L<m>.  `expand_invariant` hands
+each base variable's coefficient list (b@m, b@(m-1), ..., b@0) to
+`polyring.jet_substitute`, which multiplies the lists out symbolically,
+truncated at eps^m; numeric dual-number evaluation exists only in the test
+suite as an independent oracle.
 
 Structural facts enforced here when a family is built: F^j depends only on
 the grades m-j..m (triangularity) and deg F^j = deg f.  `family_rank_at`
@@ -25,8 +27,8 @@ from typing import Iterator
 
 from . import linalg
 from .liealg import AlgebraError, HomogeneityError, InvariantSet, LieAlgebra
-from .polyring import Jet, Polynomial, jet_substitute
-from .takiff import TakiffDualPoint, flatten_point, graded_name, takiff
+from .polyring import Polynomial, jet_substitute
+from .takiff import TakiffDualPoint, flatten_point, graded_name, graded_varset, takiff
 
 __all__ = [
     "InvariantFamily",
@@ -34,11 +36,6 @@ __all__ = [
     "build_family",
     "family_rank_at",
 ]
-
-
-def graded_varset(L: LieAlgebra, m: int) -> tuple[str, ...]:
-    """Variable names of L<m> in basis order, without building the algebra."""
-    return tuple(graded_name(b, j) for j in range(m + 1) for b in L.basis)
 
 
 def expand_invariant(L: LieAlgebra, m: int, f: Polynomial) -> list[Polynomial]:
@@ -51,12 +48,9 @@ def expand_invariant(L: LieAlgebra, m: int, f: Polynomial) -> list[Polynomial]:
     if not f.is_homogeneous():
         raise HomogeneityError(f"cannot expand non-homogeneous polynomial '{f}'")
     names = graded_varset(L, m)
-    subst = {
-        b: Jet(order=m, coeffs=tuple(
-            Polynomial.variable(names, graded_name(b, m - s)) for s in range(m + 1)))
-        for b in L.basis
-    }
-    return list(jet_substitute(f, subst, m).coeffs)
+    subst = {b: [Polynomial.variable(names, graded_name(b, m - s)) for s in range(m + 1)]
+             for b in L.basis}
+    return jet_substitute(f, subst, m)
 
 
 @dataclass(frozen=True)

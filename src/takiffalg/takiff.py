@@ -31,6 +31,7 @@ __all__ = [
     "takiff",
     "multi_current",
     "graded_name",
+    "graded_varset",
     "nilpotent_ideal",
     "flatten_point",
 ]
@@ -41,6 +42,11 @@ TakiffDualPoint = Sequence[DualPoint]
 
 def graded_name(base: str, j: int) -> str:
     return f"{base}@{j}"
+
+
+def graded_varset(L: LieAlgebra, m: int) -> tuple[str, ...]:
+    """The basis names of L<m> in basis order: grade 0 first, base order within a grade."""
+    return tuple(graded_name(b, j) for j in range(m + 1) for b in L.basis)
 
 
 @dataclass(frozen=True)
@@ -96,7 +102,7 @@ def takiff(L: LieAlgebra, m: int) -> LieAlgebra:
     if m < 1:
         raise ValueError(f"truncation order must be >= 1, got {m}")
     n = L.dim
-    basis = tuple(graded_name(b, j) for j in range(m + 1) for b in L.basis)
+    basis = graded_varset(L, m)
     entries: dict[tuple[int, int], dict[int, Fraction]] = {}
     for (i, j), coeffs in L.brackets.items():
         for s in range(m + 1):
@@ -106,8 +112,8 @@ def takiff(L: LieAlgebra, m: int) -> LieAlgebra:
                 entries[(a_idx, b_idx)] = {(s + t) * n + k: c for k, c in coeffs.items()}
     grading = TakiffGrading(
         base_dim=n, depth=m,
-        grade_of={graded_name(b, j): j for j in range(m + 1) for b in L.basis},
-        base_name_of={graded_name(b, j): b for j in range(m + 1) for b in L.basis},
+        grade_of={name: k // n for k, name in enumerate(basis)},
+        base_name_of={name: L.basis[k % n] for k, name in enumerate(basis)},
     )
     return LieAlgebra.create(f"{L.label}<{m}>", basis, entries, grading=grading)
 

@@ -29,7 +29,6 @@ __all__ = [
     "verify_main_theorem",
     "verify_multi_current",
     "wonderful_diagnostic",
-    "frobenius_check",
     "DEFAULT_TRIALS",
     "DEFAULT_TRANSFER_SAMPLES",
 ]
@@ -87,13 +86,6 @@ def _bracket_check(Lm: LieAlgebra, name: str, paper_ref: str,
     return Check(name=name, status=PASS, paper_ref=paper_ref,
                  witness={"mode": "symbolic", **counts},
                  elapsed=time.perf_counter() - t0)
-
-
-def _mixed_components(L: LieAlgebra, m: int, r, zero_top: bool):
-    comps = sampling.random_components(L.basis, m, r)
-    if zero_top:
-        comps[m] = {b: 0 for b in L.basis}
-    return comps
 
 
 def verify_main_theorem(L: LieAlgebra, fs: InvariantSet, m: int,
@@ -231,59 +223,59 @@ def _jacobian_rank_check(L: LieAlgebra, fs: InvariantSet,
                  seed=seed, elapsed=time.perf_counter() - t0)
 
 
+def _transfer_check(name: str, paper_ref: str, L: LieAlgebra, m: int,
+                    samples: int, seed: int, stream: tuple[int, ...],
+                    sides, keys: tuple[str, str, str, str]) -> Check:
+    """Sampled agreement of two yes/no sides of a transfer equivalence.
+
+    Sample t mixes random components, with the top one zeroed for odd t, and
+    draws from ``sampling.rng(seed, *stream, t)``; ``sides(comps)`` returns
+    (lhs, rhs).  ``keys`` names the lhs and rhs in a FAIL witness, then the
+    PASS counts of samples where both sides hold and where neither does.  The
+    first disagreement is the FAIL witness.
+    """
+    t0 = time.perf_counter()
+    lhs_key, rhs_key, yes_key, no_key = keys
+    yes = 0
+    for t in range(samples):
+        comps = sampling.random_components(L.basis, m, sampling.rng(seed, *stream, t))
+        if t % 2:
+            comps[m] = {b: 0 for b in L.basis}
+        lhs, rhs = sides(comps)
+        if lhs != rhs:
+            return Check(name=name, status=FAIL, paper_ref=paper_ref,
+                         witness={"sample": t, lhs_key: lhs, rhs_key: rhs,
+                                  "point": [_point_witness(c) for c in comps]},
+                         seed=seed, elapsed=time.perf_counter() - t0)
+        yes += lhs
+    return Check(name=name, status=PASS, paper_ref=paper_ref,
+                 witness={"samples": samples, "agreements": samples,
+                          yes_key: yes, no_key: samples - yes},
+                 seed=seed, elapsed=time.perf_counter() - t0)
+
+
 def _omega_transfer_check(L: LieAlgebra, fs: InvariantSet,
                           fam: raistauvel.InvariantFamily,
                           samples: int, seed: int) -> Check:
-    t0 = time.perf_counter()
     m = fam.depth
     want = (m + 1) * fam.l
-    full, degenerate = 0, 0
-    for t in range(samples):
-        r = sampling.rng(seed, sampling.TAG_OMEGA, 1, t)
-        comps = _mixed_components(L, m, r, zero_top=t % 2 == 1)
-        lhs = raistauvel.family_rank_at(fam, comps) == want
-        rhs = liealg.omega_test(fs, comps[m])
-        if lhs != rhs:
-            return Check(name="omega-transfer", status=FAIL, paper_ref=_REF_OMEGA,
-                         witness={"sample": t, "family_rank_full": lhs,
-                                  "top_component_independent": rhs,
-                                  "point": [_point_witness(c) for c in comps]},
-                         seed=seed, elapsed=time.perf_counter() - t0)
-        if lhs:
-            full += 1
-        else:
-            degenerate += 1
-    return Check(name="omega-transfer", status=PASS, paper_ref=_REF_OMEGA,
-                 witness={"samples": samples, "agreements": samples,
-                          "full_rank_cases": full, "degenerate_cases": degenerate},
-                 seed=seed, elapsed=time.perf_counter() - t0)
+    return _transfer_check(
+        "omega-transfer", _REF_OMEGA, L, m, samples, seed, (sampling.TAG_OMEGA, 1),
+        lambda comps: (raistauvel.family_rank_at(fam, comps) == want,
+                       liealg.omega_test(fs, comps[m])),
+        ("family_rank_full", "top_component_independent",
+         "full_rank_cases", "degenerate_cases"))
 
 
 def _regularity_transfer_check(L: LieAlgebra, Lm: LieAlgebra, idx_base: int,
                                idx_tak: int, samples: int, seed: int) -> Check:
-    t0 = time.perf_counter()
     m = Lm.grading.depth
-    regular, singular = 0, 0
-    for t in range(samples):
-        r = sampling.rng(seed, sampling.TAG_REGULARITY, t)
-        comps = _mixed_components(L, m, r, zero_top=t % 2 == 1)
-        lhs = liealg.is_regular(Lm, flatten_point(Lm, comps), idx_tak)
-        rhs = liealg.is_regular(L, comps[m], idx_base)
-        if lhs != rhs:
-            return Check(name="regularity-transfer", status=FAIL,
-                         paper_ref=_REF_REGULAR,
-                         witness={"sample": t, "takiff_regular": lhs,
-                                  "top_component_regular": rhs,
-                                  "point": [_point_witness(c) for c in comps]},
-                         seed=seed, elapsed=time.perf_counter() - t0)
-        if lhs:
-            regular += 1
-        else:
-            singular += 1
-    return Check(name="regularity-transfer", status=PASS, paper_ref=_REF_REGULAR,
-                 witness={"samples": samples, "agreements": samples,
-                          "regular_cases": regular, "singular_cases": singular},
-                 seed=seed, elapsed=time.perf_counter() - t0)
+    return _transfer_check(
+        "regularity-transfer", _REF_REGULAR, L, m, samples, seed,
+        (sampling.TAG_REGULARITY,),
+        lambda comps: (liealg.is_regular(Lm, flatten_point(Lm, comps), idx_tak),
+                       liealg.is_regular(L, comps[m], idx_base)),
+        ("takiff_regular", "top_component_regular", "regular_cases", "singular_cases"))
 
 
 def verify_multi_current(L: LieAlgebra, fs: InvariantSet, degrees,
@@ -361,19 +353,3 @@ def wonderful_diagnostic(L: LieAlgebra, fs: InvariantSet,
                   elapsed=time.perf_counter() - t0))
     return rep
 
-
-def frobenius_check(L: LieAlgebra, trials: int = DEFAULT_TRIALS,
-                    seed: int = 0) -> tuple[bool, Report]:
-    """Index-zero test with an informational report."""
-    rep = Report(label=f"frobenius:{L.label}")
-    t0 = time.perf_counter()
-    idx = liealg.index(L, trials=trials, seed=seed)
-    frob = idx == 0
-    note = ("index 0: truncations inherit their invariant theory from the "
-            "canonical truncation construction" if frob
-            else "index is positive; not Frobenius")
-    rep.add(Check(name="frobenius-index", status=PASS,
-                  paper_ref="Frobenius means ind q = 0",
-                  witness={"index": idx, "frobenius": frob, "note": note},
-                  seed=seed, elapsed=time.perf_counter() - t0))
-    return frob, rep

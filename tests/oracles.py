@@ -3,11 +3,11 @@
 Nothing here imports the modules under test beyond plain data types, and the
 algorithms are deliberately the naive ones: truncated dual-number arithmetic
 coefficient by coefficient, rank by plain fraction Gaussian elimination,
-Kirillov matrices and Jacobi residuals in Fractions straight from the bracket
-table, Poisson brackets with basis elements as a gradient times the Kirillov
-matrix, and the coadjoint action of a truncated current algebra by two routes, one
-through its own structure constants and one componentwise through the base
-algebra's.  Algebras, polynomials and gradings are read only through their
+brackets of elements, Kirillov matrices and Jacobi residuals in Fractions
+straight from the bracket table, Poisson brackets with basis elements as a
+gradient times the Kirillov matrix, and the coadjoint action of a truncated
+current algebra by two routes, one through its own structure constants and
+one componentwise through the base algebra's.  Algebras, polynomials and gradings are read only through their
 raw data: basis names, bracket tables, term dictionaries and grade maps.
 """
 
@@ -130,32 +130,39 @@ def kirillov_matrix(algebra, point: dict[str, Fraction]) -> list[list[Fraction]]
     return kirillov
 
 
+def bracket_elements(algebra, x: dict[int, Fraction],
+                     y: dict[int, Fraction]) -> dict[int, Fraction]:
+    """[x, y] for sparse index -> coefficient vectors, read off the raw bracket table."""
+    out: dict[int, Fraction] = {}
+    for i, xi in x.items():
+        for j, yj in y.items():
+            if i < j:
+                coeffs, s = algebra.brackets.get((i, j), {}), xi * yj
+            elif i > j:
+                coeffs, s = algebra.brackets.get((j, i), {}), -xi * yj
+            else:
+                continue
+            for k, c in coeffs.items():
+                out[k] = out.get(k, Fraction(0)) + s * c
+    return {k: v for k, v in out.items() if v}
+
+
+def bracket(algebra, i: int, j: int) -> dict[int, Fraction]:
+    """[b_i, b_j] for basis indices in either orientation."""
+    return bracket_elements(algebra, {i: Fraction(1)}, {j: Fraction(1)})
+
+
 def jacobi_residuals(algebra) -> dict[tuple[int, int, int], dict[int, Fraction]]:
     """Nonzero [a,[b,c]] + [b,[c,a]] + [c,[a,b]] over basis triples a < b < c."""
     n = len(algebra.basis)
-
-    def br(x: dict[int, Fraction], y: dict[int, Fraction]) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
-        for i, xi in x.items():
-            for j, yj in y.items():
-                if i < j:
-                    coeffs, s = algebra.brackets.get((i, j), {}), xi * yj
-                elif i > j:
-                    coeffs, s = algebra.brackets.get((j, i), {}), -xi * yj
-                else:
-                    continue
-                for k, c in coeffs.items():
-                    out[k] = out.get(k, Fraction(0)) + s * c
-        return out
-
     found = {}
     for a in range(n):
         for b in range(a + 1, n):
             for c in range(b + 1, n):
                 total: dict[int, Fraction] = {}
                 for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-                    inner = br({y: Fraction(1)}, {z: Fraction(1)})
-                    for t, v in br({x: Fraction(1)}, inner).items():
+                    for t, v in bracket_elements(
+                            algebra, {x: Fraction(1)}, bracket(algebra, y, z)).items():
                         total[t] = total.get(t, Fraction(0)) + v
                 total = {t: v for t, v in total.items() if v}
                 if total:

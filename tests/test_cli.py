@@ -250,6 +250,16 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert "work cap" in err and err.count("\n") == 1
 
+    def test_parse_work_is_capped_over_the_whole_string(self, tmp_path, capsys, sl3):
+        # Each ^7 is under the cap on its own; ten of them summed are not.
+        doc = algio.algebra_to_dict(sl3.algebra)
+        doc["invariants"] = [" + ".join(["(" + "+".join(sl3.algebra.basis) + ")^7"] * 10)]
+        src = tmp_path / "long.json"
+        src.write_text(json.dumps(doc))
+        assert main(["verify", "--m", "1", str(src)]) == 2
+        err = capsys.readouterr().err
+        assert "work cap" in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("value", ["1e9999999", "1.5", 0.5, True])
     def test_coefficient_outside_the_grammar_is_input_error(self, tmp_path, capsys,
                                                             value):

@@ -1,4 +1,5 @@
-"""Package-level checks: every exported name resolves, and the script runs."""
+"""Package-level checks: every exported name resolves, every layer the
+benchmark traces still exists, and the script runs."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -27,6 +29,26 @@ def test_every_exported_name_resolves(name):
     exported = module.__all__
     assert len(set(exported)) == len(exported)
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def test_benchmark_traced_spans_resolve():
+    # perfbench/bench_trace.py (stdlib imports only) names every function the
+    # benchmark wraps; a deletion must not silently drop one of those layers.
+    # The file is only read: no bytecode is written next to it.
+    path = ROOT / "perfbench" / "bench_trace.py"
+    bench_trace = types.ModuleType("_bench_trace_spans")
+    sys.modules[bench_trace.__name__] = bench_trace   # dataclasses look it up here
+    try:
+        exec(compile(path.read_text(), str(path), "exec"), bench_trace.__dict__)
+    finally:
+        del sys.modules[bench_trace.__name__]
+    assert bench_trace.SPANS
+    for span in bench_trace.SPANS:
+        assert span.module.startswith("takiffalg."), span
+        owner = importlib.import_module(span.module)
+        for part in span.qualname.split("."):
+            owner = getattr(owner, part, None)
+        assert callable(owner), f"{span.module}.{span.qualname} is not a callable"
 
 
 def test_derive_sl3_casimirs_reproduces_the_catalog():

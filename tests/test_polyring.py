@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,10 +8,9 @@ from hypothesis import given, strategies as st
 
 from takiffalg.polyring import (
     MAX_PARSE_WORK,
-    Jet,
-    JetOrderError,
     MissingAssignmentError,
     ParseError,
+    PolyringError,
     Polynomial,
     UnknownVariableError,
     VarsetMismatchError,
@@ -48,7 +48,7 @@ class TestBasics:
     def test_zero_and_constant(self):
         assert Polynomial.zero(VS).is_zero
         c = Polynomial.constant(VS, Fraction(3, 2))
-        assert c.constant_term() == Fraction(3, 2)
+        assert c.evaluate({v: 0 for v in VS}) == Fraction(3, 2)
         assert c.degree() == 0
 
     def test_degree_support_homogeneity(self):
@@ -109,6 +109,19 @@ class TestParsing:
                 parse_poly(text, vs)
         assert 330 * 330 > MAX_PARSE_WORK >= 120 * 330
 
+    def test_work_cap_covers_the_whole_parse(self):
+        vs = ("h1", "h2", "e12", "e23", "e13", "e21", "e32", "e31")
+        copy = "(" + "+".join(vs) + ")^7"
+        # one ^7 spends 8 + 64 + 288 + 1296 + 120*330 = 41256 term pairs
+        for k in (1, 2):
+            assert len(parse_poly(" + ".join([copy] * k), vs).terms) == 3432
+        text = " + ".join([copy] * 10)
+        assert len(text) == 357
+        t0 = time.perf_counter()
+        with pytest.raises(ParseError, match="work cap"):
+            parse_poly(text, vs)
+        assert time.perf_counter() - t0 < 1.0
+
     @given(poly_st)
     def test_roundtrip(self, p):
         assert parse_poly(str(p), VS) == p
@@ -149,20 +162,31 @@ class TestErrors:
             X.evaluate({"x": Fraction(1)})
 
     def test_jet_order(self):
-        with pytest.raises(JetOrderError):
-            Jet(order=2, coeffs=(Polynomial.zero(VS),))
-        with pytest.raises(JetOrderError):
-            jet_substitute(X, {v: Jet.constant(1, Polynomial.zero(())) for v in VS},
-                           order=2)
+        zero = Polynomial.zero(())
+        with pytest.raises(PolyringError, match="expected 3"):
+            jet_substitute(X, {v: (zero, zero) for v in VS}, order=2)
+        with pytest.raises(PolyringError, match="expected 2"):
+            jet_substitute(X, {"x": (zero, zero), "y": (zero,), "z": (zero, zero)},
+                           order=1)
+        with pytest.raises(PolyringError, match="nonnegative"):
+            jet_substitute(X, {v: () for v in VS}, order=-1)
 
     def test_jet_missing_variable(self):
+        zero = Polynomial.zero(())
         with pytest.raises(MissingAssignmentError):
-            jet_substitute(X + Y, {"x": Jet.constant(1, Polynomial.zero(()))},
-                           order=1)
+            jet_substitute(X + Y, {"x": (zero, zero)}, order=1)
+
+    def test_jet_mixed_target_varsets(self):
+        u = Polynomial.variable(("u",), "u")
+        w = Polynomial.variable(("w",), "w")
+        with pytest.raises(VarsetMismatchError):
+            jet_substitute(X, {"x": (u, u), "y": (u, u), "z": (u, w)}, order=1)
+        with pytest.raises(VarsetMismatchError):
+            jet_substitute(X, {"x": (u, u), "y": (w, w), "z": (u, u)}, order=1)
 
 
-def _numeric_jet(order, values):
-    return Jet(order, tuple(Polynomial.constant((), v) for v in values))
+def _numeric_jet(values):
+    return tuple(Polynomial.constant((), v) for v in values)
 
 
 class TestJetsAgainstDualNumbers:
@@ -170,11 +194,11 @@ class TestJetsAgainstDualNumbers:
 
     def test_hand_example(self):
         # (x + eps)^2 at order 1 drops the eps^2 term.
-        jets = {"x": _numeric_jet(1, [Fraction(3), Fraction(1)]),
-                "y": _numeric_jet(1, [Fraction(0), Fraction(0)]),
-                "z": _numeric_jet(1, [Fraction(0), Fraction(0)])}
+        jets = {"x": _numeric_jet([Fraction(3), Fraction(1)]),
+                "y": _numeric_jet([Fraction(0), Fraction(0)]),
+                "z": _numeric_jet([Fraction(0), Fraction(0)])}
         out = jet_substitute(X**2, jets, order=1)
-        assert [c.constant_term() for c in out.coeffs] == [Fraction(9), Fraction(6)]
+        assert [c.evaluate({}) for c in out] == [Fraction(9), Fraction(6)]
 
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_seeded_sweep(self, order):
@@ -186,19 +210,20 @@ class TestJetsAgainstDualNumbers:
             p = _build(terms)
             values = {v: [Fraction(r.randint(-5, 5), r.randint(1, 4))
                           for _ in range(order + 1)] for v in VS}
-            jets = {v: _numeric_jet(order, values[v]) for v in VS}
+            jets = {v: _numeric_jet(values[v]) for v in VS}
             got = jet_substitute(p, jets, order)
             want = eval_poly_eps(p, {v: EpsValue(order, values[v]) for v in VS})
-            assert [c.constant_term() for c in got.coeffs] == want.coeffs
+            assert [c.evaluate({}) for c in got] == want.coeffs
             checked += 1
         assert checked == 70
 
     def test_symbolic_jets_match_numeric_specialization(self):
         # Substituting variable jets then evaluating equals evaluating first.
         target = ("u", "v")
-        jx = Jet(1, (Polynomial.variable(target, "u"), Polynomial.variable(target, "v")))
-        jy = Jet.constant(1, Polynomial.constant(target, 2))
-        jz = Jet.constant(1, Polynomial.zero(target))
+        zero = Polynomial.zero(target)
+        jx = (Polynomial.variable(target, "u"), Polynomial.variable(target, "v"))
+        jy = (Polynomial.constant(target, 2), zero)
+        jz = (zero, zero)
         out = jet_substitute(X**2 + Y * X, {"x": jx, "y": jy, "z": jz}, order=1)
         pt = {"u": Fraction(3), "v": Fraction(5)}
         oracle = eval_poly_eps(
@@ -206,4 +231,4 @@ class TestJetsAgainstDualNumbers:
             {"x": EpsValue(1, [Fraction(3), Fraction(5)]),
              "y": EpsValue.const(1, 2),
              "z": EpsValue.const(1, 0)})
-        assert [c.evaluate(pt) for c in out.coeffs] == oracle.coeffs
+        assert [c.evaluate(pt) for c in out] == oracle.coeffs

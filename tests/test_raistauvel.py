@@ -12,9 +12,8 @@ from takiffalg.raistauvel import (
     build_family,
     expand_invariant,
     family_rank_at,
-    graded_varset,
 )
-from takiffalg.takiff import flatten_point, graded_name
+from takiffalg.takiff import flatten_point, graded_name, graded_varset
 
 from oracles import EpsValue, eval_poly_eps
 

@@ -8,7 +8,6 @@ from takiffalg.polyring import parse_poly
 from takiffalg.raistauvel import build_family
 from takiffalg.report import FAIL, PASS, SKIPPED
 from takiffalg.verify import (
-    frobenius_check,
     verify_main_theorem,
     verify_multi_current,
     wonderful_diagnostic,
@@ -115,12 +114,6 @@ class TestMultiCurrent:
 
 
 class TestDiagnostics:
-    def test_frobenius(self, sl2, heis1):
-        frob, rep = frobenius_check(catalog.load("affine2").algebra)
-        assert frob and rep.summary == PASS
-        assert not frobenius_check(sl2.algebra)[0]
-        assert not frobenius_check(heis1.algebra)[0]
-
     def test_wonderful_sl2(self, sl2):
         rep = wonderful_diagnostic(sl2.algebra, sl2.invariants)
         assert _by_name(rep, "invariant-count-vs-index").status == PASS
