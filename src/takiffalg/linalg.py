@@ -3,9 +3,11 @@
 Matrix entries are exact rationals, `int` or `Fraction`, mixed freely.  Rank
 goes through fraction-free elimination on a denominator-cleared integer copy
 of the matrix, which is much faster than Fraction pivoting on the matrix
-sizes that show up here; integer rows go to it without conversion.
-`rank` returns an `int`; `rref` and `nullspace` return `Fraction` entries and
-use a fixed pivot order, so results are deterministic.
+sizes that show up here; integer rows go to it without conversion.  `rref`
+runs Gauss-Jordan the same way on the integer copy and divides each pivot
+row by its pivot only at the end.  `rank` returns an `int`; `rref` and
+`nullspace` return entries that are `int` when integral and `Fraction`
+otherwise, and use a fixed pivot order, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -88,9 +90,19 @@ def rank(rows: Matrix) -> int:
     return r + len(m)
 
 
-def rref(rows: Matrix) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form and pivot column indices (leftmost-pivot order)."""
-    m = [[Fraction(x) for x in row] for row in rows]
+def rref(rows: Matrix) -> tuple[list[list[int | Fraction]], list[int]]:
+    """Reduced row echelon form and pivot column indices (leftmost-pivot order).
+
+    Gauss-Jordan elimination runs fraction-free on the denominator-cleared
+    integer rows: in each column the pivot is the first row at or below the
+    current one that meets it (swapped into place), and every other row
+    ``row`` with entry ``a`` there becomes ``p * row - a * pivot_row`` (both
+    factors divided by gcd(p, a)) over its content.  Each pivot row is
+    divided by its pivot only at the end.  The form is unique, so the values
+    are those of Fraction Gauss-Jordan; entries are `int` when integral and
+    `Fraction` otherwise, and zero rows stay at the bottom.
+    """
+    m = _cleared_int_rows(rows)
     if not m:
         return [], []
     nrows, ncols = len(m), len(m[0])
@@ -99,42 +111,50 @@ def rref(rows: Matrix) -> tuple[list[list[Fraction]], list[int]]:
     for c in range(ncols):
         if r == nrows:
             break
-        piv = None
-        for i in range(r, nrows):
-            if m[i][c]:
-                piv = i
-                break
+        piv = next((i for i in range(r, nrows) if m[i][c]), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        pivrow = m[r]
+        p = pivrow[c]
         for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            a = m[i][c]
+            if i == r or not a:
+                continue
+            g = gcd(p, a)
+            pg, ag = p // g, a // g
+            new = [pg * x - ag * y for x, y in zip(m[i], pivrow)]
+            g = gcd(*new)
+            m[i] = new if g <= 1 else [x // g for x in new]   # g == 0: a zero row
         pivots.append(c)
         r += 1
+    for i, c in enumerate(pivots):
+        p = m[i][c]
+        m[i] = [x // p if x % p == 0 else Fraction(x, p) for x in m[i]]
     return m, pivots
 
 
-def nullspace(rows: Matrix, ncols: int | None = None) -> list[list[Fraction]]:
-    """Deterministic basis of the right kernel, one vector per free column."""
+def nullspace(rows: Matrix, ncols: int | None = None) -> list[list[int | Fraction]]:
+    """Deterministic basis of the right kernel, one vector per free column.
+
+    The free column's entry is 1, the other free columns' entries 0, and the
+    pivot columns' entries are read off `rref`: `int` when integral, else
+    `Fraction`.
+    """
     if rows:
         ncols = len(rows[0])
     elif ncols is None:
         raise LinearAlgebraError("empty matrix needs an explicit column count")
     else:
-        return [[Fraction(1) if i == j else Fraction(0) for i in range(ncols)]
-                for j in range(ncols)]
+        return [[int(i == j) for i in range(ncols)] for j in range(ncols)]
     red, pivots = rref(rows)
     pivot_set = set(pivots)
-    basis: list[list[Fraction]] = []
+    basis: list[list[int | Fraction]] = []
     for free in range(ncols):
         if free in pivot_set:
             continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
+        vec: list[int | Fraction] = [0] * ncols
+        vec[free] = 1
         for r, pc in enumerate(pivots):
             vec[pc] = -red[r][free]
         basis.append(vec)

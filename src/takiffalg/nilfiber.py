@@ -14,7 +14,15 @@ rational parametrizations (audited by Jacobian rank) plus exact kernel
 dimensions.  The findings are therefore sampled evidence with exact
 arithmetic, not proofs of component structure.
 
-`sl2_chain` packages the three-level run over sl2: level 1 attains the target
+Kernel points are sampled on integers: the exact kernel basis is cleared to
+integer vectors over one common denominator, combined with random integer
+coefficients, and each coordinate is divided by the denominator once.  The
+N<1> loop flattens each sample once and evaluates its membership once on
+that flat point; a member then gets the containment bounds without a second
+membership evaluation.
+
+`sl2_chain` packages the three-level run over sl2, with one level-1 family
+serving the N<1> characterization and level 2: level 1 attains the target
 with no excess, level 2 exhibits two target-dimensional strata one of which
 avoids the independence locus (reducibility evidence one level up), and
 level 3 exceeds the target over the bad component (non-equidimensionality
@@ -23,6 +31,7 @@ evidence).
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -36,7 +45,7 @@ from .liealg import (
     differential_matrix,
     omega_test,
 )
-from .polyring import Scalar
+from .polyring import Scalar, _common_denominator, _over
 from .raistauvel import InvariantFamily, build_family, family_rank_at
 from .report import FAIL, PASS, Check, Report
 from .takiff import TakiffDualPoint, flatten_point
@@ -65,7 +74,10 @@ class NilfiberError(AlgebraError):
 
 def null_fiber_member(fam: InvariantFamily, components: TakiffDualPoint) -> bool:
     """True iff every family member vanishes exactly at the point."""
-    flat = flatten_point(fam.takiff_algebra, components)
+    return _family_vanishes(fam, flatten_point(fam.takiff_algebra, components))
+
+
+def _family_vanishes(fam: InvariantFamily, flat: dict[str, Scalar]) -> bool:
     return all(F.evaluate(flat) == 0 for _, _, F in fam.members())
 
 
@@ -88,6 +100,11 @@ def lemma_containment_check(fam: InvariantFamily, components: TakiffDualPoint) -
         raise NilfiberError("containment bounds are stated for one truncation level")
     if not null_fiber_member(fam, components):
         raise NilfiberError("point is not on the null fiber")
+    return _lemma_bounds(fam, components)
+
+
+def _lemma_bounds(fam: InvariantFamily, components: TakiffDualPoint) -> Check:
+    # the bounds at a point of N<1>; the caller has established membership
     i = stratum_index(fam.base, components[1])
     J = family_rank_at(fam, components)
     ok = 2 * i <= J <= fam.l + i
@@ -109,16 +126,24 @@ def _kernel_point(rows: list[list[Scalar]], names: Sequence[str], r,
                   bound: int = sampling.DEFAULT_BOUND,
                   guard: Callable[[dict[str, Scalar]], bool] | None = None,
                   ) -> dict[str, Scalar]:
-    """Random integer combination of an exact kernel basis, optionally guarded."""
+    """Random integer combination of an exact kernel basis, optionally guarded.
+
+    The basis is cleared once to integer vectors over one common denominator
+    D; each draw combines those in `int` and divides every coordinate by D
+    once, so coordinates are `int` when integral and `Fraction` otherwise.
+    """
     basis = linalg.nullspace(rows, ncols=len(names))
     if not basis:
         raise NilfiberError("kernel is trivial; no point to sample")
+    den = _common_denominator(x for v in basis for x in v)
+    columns = list(zip(*([x.numerator * (den // x.denominator) for x in v] for v in basis)))
     for _ in range(100):
         coeffs = [r.randint(-bound, bound) for _ in basis]
-        vec = [sum(c * v[k] for c, v in zip(coeffs, basis)) for k in range(len(names))]
-        pt = dict(zip(names, vec))
-        if any(vec) and (guard is None or guard(pt)):
-            return pt
+        vec = [sum(map(operator.mul, coeffs, col)) for col in columns]
+        if any(vec):
+            pt = dict(zip(names, [_over(x, den) for x in vec]))
+            if guard is None or guard(pt):
+                return pt
     raise NilfiberError("could not sample a guarded kernel point in 100 draws")
 
 
@@ -134,12 +159,18 @@ def check_N1_characterization(L: LieAlgebra, fs: InvariantSet,
     xi_1 = 0, so both truth values occur.  Points found on the fiber also
     get the span-containment bounds checked.
     """
-    fam = build_family(L, 1, fs)
+    return _n1_characterization(L, build_family(L, 1, fs), samples, seed, cone)
+
+
+def _n1_characterization(L: LieAlgebra, fam: InvariantFamily, samples: int, seed: int,
+                         cone: Callable[..., tuple] | None) -> Report:
+    # one pass per sample: membership is evaluated once, on the point
+    # flattened once for it, and a member gets its bounds without a re-check
+    fs = fam.base
     rep = Report(label=f"nilfiber:{L.label}:N1")
     t0 = time.perf_counter()
     member_cases = 0
     mismatch = None
-    bound_checked = 0
     bound_violations = []
     for t in range(samples):
         r = sampling.rng(seed, sampling.TAG_NULLFIBER, t)
@@ -157,7 +188,7 @@ def check_N1_characterization(L: LieAlgebra, fs: InvariantSet,
                 xi0 = sampling.random_coords(L.basis, r)
         else:
             xi0 = sampling.random_coords(L.basis, r)
-        lhs = null_fiber_member(fam, [xi0, xi1])
+        lhs = _family_vanishes(fam, flatten_point(fam.takiff_algebra, [xi0, xi1]))
         rhs = all(f.evaluate(xi1) == 0 for f in fs.polys) and \
             _pairing_vanishes(fs, xi1, xi0)
         if lhs != rhs and mismatch is None:
@@ -167,8 +198,7 @@ def check_N1_characterization(L: LieAlgebra, fs: InvariantSet,
                         "xi1": {k: str(v) for k, v in xi1.items()}}
         if lhs:
             member_cases += 1
-            c = lemma_containment_check(fam, [xi0, xi1])
-            bound_checked += 1
+            c = _lemma_bounds(fam, [xi0, xi1])
             if c.status != PASS:
                 bound_violations.append(c.witness)
     rep.add(Check(name="null-fiber-characterization",
@@ -179,7 +209,7 @@ def check_N1_characterization(L: LieAlgebra, fs: InvariantSet,
                   seed=seed, elapsed=time.perf_counter() - t0))
     rep.add(Check(name="lemma-bounds",
                   status=FAIL if bound_violations else PASS, paper_ref=_REF_LEMMA,
-                  witness={"points_checked": bound_checked,
+                  witness={"points_checked": member_cases,
                            "violations": bound_violations},
                   seed=seed))
     return rep
@@ -289,8 +319,9 @@ def sl2_chain(levels: int = 3, seed: int = 0,
     cone = entry.parametrizations["nilcone"]
     rep = Report(label=f"nilfiber:sl2:chain:{levels}")
 
-    n1 = check_N1_characterization(L0, fs0, samples=50, seed=seed,
-                                   cone=cone.sample)
+    # one level-1 family serves the N<1> characterization and level 2
+    fam1 = build_family(L0, 1, fs0)
+    n1 = _n1_characterization(L0, fam1, samples=50, seed=seed, cone=cone.sample)
     rep.extend_prefixed("n1:", n1.checks)
 
     def cone_point(r):
@@ -317,7 +348,6 @@ def sl2_chain(levels: int = 3, seed: int = 0,
     if levels == 1:
         return rep
 
-    fam1 = build_family(L0, 1, fs0)
     L1, fs1 = fam1.takiff_algebra, fam1.invariant_set(claimed_index=2)
 
     # level 2: N<1> strata; the fiber over a cone point is an exact kernel

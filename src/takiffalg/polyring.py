@@ -118,6 +118,17 @@ def _common_denominator(coeffs) -> int:
     return den
 
 
+def _add_terms(out: dict[Monomial, Fraction], terms: Mapping[Monomial, Fraction]) -> None:
+    # out += terms in place, dropping the coefficients that cancel to zero
+    for m, c in terms.items():
+        s = out.get(m)
+        s = c if s is None else s + c
+        if s:
+            out[m] = s
+        elif m in out:
+            del out[m]
+
+
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     if not a:
         return b
@@ -294,13 +305,7 @@ class Polynomial:
             return NotImplemented
         self._check_varset(other)
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            s = c if s is None else s + c
-            if s:
-                out[m] = s
-            elif m in out:
-                del out[m]
+        _add_terms(out, other.terms)
         return self._new(out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
@@ -542,14 +547,18 @@ class _Parser:
         return p
 
     def _expr(self) -> Polynomial:
+        # the terms of a sum go into one dict, so a long sum costs linear time
         p = self._term()
+        out = None
         while True:
             tok = self._peek()
             if tok is None or tok[0] != "op" or tok[1] not in "+-":
-                return p
+                return p if out is None else Polynomial(self.varset, out, _canonical=True)
             self._next()
             q = self._term()
-            p = p + q if tok[1] == "+" else p - q
+            if out is None:
+                out = dict(p.terms)
+            _add_terms(out, q.terms if tok[1] == "+" else (-q).terms)
 
     def _term(self) -> Polynomial:
         p = self._factor()

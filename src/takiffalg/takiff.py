@@ -146,18 +146,27 @@ def nilpotent_ideal(L: LieAlgebra) -> list[str]:
 def flatten_point(L: LieAlgebra, components: TakiffDualPoint) -> dict[str, Scalar]:
     """Assemble a dual point on L from its base components (xi_0..xi_m).
 
-    Coordinates pass through `exact_scalars`, so they stay `int` when integral
-    and a float raises TypeError.
+    Each basis name is read through the grading's grade_of/base_name_of, so
+    no graded name is formatted.  Keys come grade by grade, within a grade in
+    the order the grade-0 names have in the basis (the order of
+    `graded_varset`).  Component j must assign exactly the base names of the
+    grade-j names.  Coordinates pass through `exact_scalars`, so they stay
+    `int` when integral and a float raises TypeError.
     """
     grading = _require_grading(L)
-    base_names = [grading.base_name_of[b] for b in L.basis if grading.grade_of[b] == 0]
     m = grading.depth
     if len(components) != m + 1:
         raise AlgebraError(f"expected {m + 1} components, got {len(components)}")
+    grade_of, base_name_of = grading.grade_of, grading.base_name_of
+    graded: list[dict[str, str]] = [{} for _ in components]   # per grade: base name -> name
+    for name in L.basis:
+        graded[grade_of[name]][base_name_of[name]] = name
+    base = graded[0]
     flat: dict[str, Scalar] = {}
     for j, comp in enumerate(components):
-        if set(comp.keys()) != set(base_names):
+        names = graded[j]
+        if comp.keys() != names.keys():
             raise AlgebraError(f"component {j} must assign exactly the base names")
-        for b, v in zip(base_names, exact_scalars([comp[b] for b in base_names])):
-            flat[graded_name(b, j)] = v
+        for b, v in zip(base, exact_scalars([comp[b] for b in base])):
+            flat[names[b]] = v
     return flat

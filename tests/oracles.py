@@ -2,12 +2,13 @@
 
 Nothing here imports the modules under test beyond plain data types, and the
 algorithms are deliberately the naive ones: truncated dual-number arithmetic
-coefficient by coefficient, rank by plain fraction Gaussian elimination,
-brackets of elements, Kirillov matrices and Jacobi residuals in Fractions
-straight from the bracket table, Poisson brackets with basis elements as a
-gradient times the Kirillov matrix, and the coadjoint action of a truncated
-current algebra by two routes, one through its own structure constants and
-one componentwise through the base algebra's.  Algebras, polynomials and gradings are read only through their
+coefficient by coefficient, rank, reduced row echelon form and kernels by
+plain fraction Gaussian elimination, brackets of elements, Kirillov matrices
+and Jacobi residuals in Fractions straight from the bracket table, Poisson
+brackets with basis elements as a gradient times the Kirillov matrix, and
+the coadjoint action of a truncated current algebra by two routes, one
+through its own structure constants and one componentwise through the base
+algebra's.  Algebras, polynomials and gradings are read only through their
 raw data: basis names, bracket tables, term dictionaries and grade maps.
 """
 
@@ -102,6 +103,46 @@ def naive_rank(rows: Sequence[Sequence[Fraction]]) -> int:
         rank += 1
         col += 1
     return rank
+
+
+def fraction_rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form by Fraction Gauss-Jordan, leftmost pivots first."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    if not m:
+        return [], []
+    nrows, ncols = len(m), len(m[0])
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def fraction_nullspace(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+    """Kernel basis read off `fraction_rref`, one vector per free column."""
+    ncols = len(rows[0])
+    red, pivots = fraction_rref(rows)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -red[r][free]
+        basis.append(vec)
+    return basis
 
 
 def gradient_at(poly, point: dict[str, Fraction]) -> list[Fraction]:

@@ -7,17 +7,24 @@ from hypothesis import given, strategies as st
 
 from takiffalg import linalg, sampling
 
-from oracles import naive_rank
+from oracles import fraction_nullspace, fraction_rref, naive_rank
 
 frac_st = st.fractions(min_value=-8, max_value=8, max_denominator=6)
+# ints and Fractions mixed, with zeros common enough for rank deficiency
+mixed_st = st.one_of(st.just(0), st.integers(-9, 9), frac_st)
 
 
-def matrix_st(max_n=5):
+def matrix_st(max_n=5, entries=frac_st):
     return st.integers(1, max_n).flatmap(
         lambda n: st.integers(1, max_n).flatmap(
             lambda m: st.lists(
-                st.lists(frac_st, min_size=m, max_size=m),
+                st.lists(entries, min_size=m, max_size=m),
                 min_size=n, max_size=n)))
+
+
+def _int_when_integral(rows):
+    return all(type(x) is int if x.denominator == 1 else type(x) is Fraction
+               for row in rows for x in row)
 
 
 class TestRank:
@@ -87,3 +94,26 @@ class TestRrefSolve:
             for rr in range(len(red)):
                 if rr != r:
                     assert red[rr][pc] == 0
+
+
+class TestAgainstFractionOracle:
+    """The fraction-free `rref` and `nullspace` against Fraction Gauss-Jordan."""
+
+    @given(matrix_st(6, mixed_st))
+    def test_rref_values_and_pivots(self, mat):
+        red, pivots = linalg.rref(mat)
+        want, want_pivots = fraction_rref(mat)
+        assert pivots == want_pivots
+        assert red == want
+        assert _int_when_integral(red)
+
+    @given(matrix_st(6, mixed_st))
+    def test_nullspace_vectors(self, mat):
+        basis = linalg.nullspace(mat)
+        assert basis == fraction_nullspace(mat)
+        assert _int_when_integral(basis)
+
+    def test_input_rows_are_not_changed(self):
+        mat = [[2, Fraction(1, 2), 0], [4, 1, 3]]
+        linalg.rref(mat)
+        assert mat == [[2, Fraction(1, 2), 0], [4, 1, 3]]

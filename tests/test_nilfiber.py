@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 
 from takiffalg import catalog, sampling
+from takiffalg.liealg import differential_matrix
 from takiffalg.nilfiber import (
     NilfiberError,
     StratumSample,
+    _kernel_point,
     check_N1_characterization,
     equidim_diagnostic,
     fiber_dim_over,
@@ -18,6 +20,9 @@ from takiffalg.nilfiber import (
 )
 from takiffalg.raistauvel import build_family
 from takiffalg.report import FAIL, PASS
+from takiffalg.takiff import flatten_point
+
+from oracles import fraction_nullspace
 
 
 def _pt(L, **coords):
@@ -107,6 +112,77 @@ class TestCharacterization:
         assert bounds.status == PASS
         assert bounds.witness["points_checked"] == char.witness["member_cases"]
         assert bounds.witness["violations"] == []
+
+    def test_chain_shares_the_family_and_matches_the_standalone_run(self, sl2, chain):
+        # sl2_chain hands its level-1 family to the same loop; the checks and
+        # the lemma-bounds count per fiber point are the standalone run's
+        cone = sl2.parametrizations["nilcone"]
+        rep = check_N1_characterization(sl2.algebra, sl2.invariants,
+                                        samples=50, seed=0, cone=cone.sample)
+        by_name = {c.name: c for c in chain.checks}
+        for c in rep.checks:
+            shared = by_name["n1:" + c.name]
+            assert (shared.status, shared.witness) == (c.status, c.witness)
+        bounds = by_name["n1:lemma-bounds"].witness
+        assert bounds["points_checked"] == \
+            by_name["n1:null-fiber-characterization"].witness["member_cases"] > 0
+
+
+def _oracle_kernel_point(rows, names, r, guard=None):
+    # the Fraction combination of the Fraction kernel basis, draw for draw
+    basis = fraction_nullspace(rows)
+    for _ in range(100):
+        coeffs = [r.randint(-sampling.DEFAULT_BOUND, sampling.DEFAULT_BOUND) for _ in basis]
+        vec = [sum(c * v[k] for c, v in zip(coeffs, basis)) for k in range(len(names))]
+        pt = dict(zip(names, vec))
+        if any(vec) and (guard is None or guard(pt)):
+            return pt
+    raise NilfiberError("no guarded point")
+
+
+class TestKernelPoints:
+    """Points from the integer kernel route equal the Fraction combination's,
+    and leave the random stream where it leaves it."""
+
+    def _agree(self, rows, names, seed, t, guard=None):
+        r, r_oracle = sampling.rng(seed, 77, t), sampling.rng(seed, 77, t)
+        pt = _kernel_point(rows, names, r, guard=guard)
+        assert pt == _oracle_kernel_point(rows, names, r_oracle, guard=guard)
+        assert list(pt) == list(names)
+        assert all(type(v) is int if v.denominator == 1 else type(v) is Fraction
+                   for v in pt.values())
+        assert r.random() == r_oracle.random()
+        return pt
+
+    def test_sl2_rows(self, sl2):
+        L, fs = sl2.algebra, sl2.invariants
+        cone = sl2.parametrizations["nilcone"]
+        fractional = 0
+        for t in range(50):
+            r = sampling.rng(3, 78, t)
+            xi1 = cone.sample(r)[1] if t % 2 else sampling.random_coords(L.basis, r)
+            pt = self._agree(differential_matrix(fs.polys, xi1), L.basis, 3, t)
+            fractional += any(type(v) is Fraction for v in pt.values())
+        assert fractional > 0
+
+    def test_sl2_level1_rows_guarded(self, sl2, sl2_family_m1):
+        L1, fs1 = sl2_family_m1.takiff_algebra, sl2_family_m1.invariant_set()
+        grade1 = [b for b in L1.basis if L1.grading.grade_of[b] == 1]
+        guards = (lambda p: any(p[b] for b in grade1),   # as in the level-3 strata
+                  lambda p: p[grade1[0]] > 0)             # rejects about half the draws
+        for t in range(50):
+            r = sampling.rng(4, 78, t)
+            xi0 = sampling.random_coords(sl2.algebra.basis, r)
+            xi1 = (sampling.random_coords(sl2.algebra.basis, r) if t % 2
+                   else {b: 0 for b in sl2.algebra.basis})
+            eta = flatten_point(L1, [xi0, xi1])
+            self._agree(differential_matrix(fs1.polys, eta), L1.basis, 4, t,
+                        guard=guards[t % 2])
+
+    def test_guard_that_never_passes(self, sl2):
+        rows = differential_matrix(sl2.invariants.polys, {"e": 1, "h": 2, "f": 3})
+        with pytest.raises(NilfiberError, match="100 draws"):
+            _kernel_point(rows, sl2.algebra.basis, sampling.rng(0, 1), guard=lambda p: False)
 
 
 class TestEquidim:

@@ -1,5 +1,6 @@
 """Package-level checks: every exported name resolves, every layer the
-benchmark traces still exists, and the script runs."""
+benchmark traces still exists and the null-fiber chain still enters the
+layers its workload needs, and the script runs."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import pytest
 
 import takiffalg
 from takiffalg import catalog
+from takiffalg.nilfiber import sl2_chain
 from takiffalg.polyring import parse_poly
 
 SRC = Path(takiffalg.__file__).resolve().parents[1]
@@ -49,6 +51,32 @@ def test_benchmark_traced_spans_resolve():
         for part in span.qualname.split("."):
             owner = getattr(owner, part, None)
         assert callable(owner), f"{span.module}.{span.qualname} is not a callable"
+
+
+def test_null_fiber_chain_runs_the_benchmarked_layers(monkeypatch):
+    # The nullfiber-seeds workload of perfbench/ requires these spans to be
+    # entered; a dedupe inside sl2_chain must not leave one of them silent.
+    # Each function is wrapped in every module namespace that bound it.
+    layers = [("takiffalg.linalg", "rref"), ("takiffalg.linalg", "nullspace"),
+              ("takiffalg.raistauvel", "build_family"),
+              ("takiffalg.raistauvel", "family_rank_at"),
+              ("takiffalg.liealg", "differential_matrix"),
+              ("takiffalg.liealg", "omega_test")]
+    calls = {}
+    for owner, name in layers:
+        original = getattr(importlib.import_module(owner), name)
+        key = f"{owner}.{name}"
+        calls[key] = 0
+
+        def counting(*args, _key=key, _original=original, **kwargs):
+            calls[_key] += 1
+            return _original(*args, **kwargs)
+
+        for module in map(importlib.import_module, MODULES):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    sl2_chain(levels=3, seed=0)
+    assert [key for key, n in calls.items() if not n] == []
 
 
 def test_derive_sl3_casimirs_reproduces_the_catalog():

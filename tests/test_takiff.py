@@ -4,12 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from takiffalg import catalog, sampling
+from takiffalg import algio, catalog, sampling
 from takiffalg.liealg import AlgebraError
 from takiffalg.takiff import (
     TakiffGrading,
     flatten_point,
     graded_name,
+    graded_varset,
     multi_current,
     nilpotent_ideal,
     takiff,
@@ -112,6 +113,43 @@ class TestPointSplitting:
         comps = sampling.random_components(sl3.algebra.basis, 2, r)
         flat = flatten_point(Lm, comps)
         assert split_point(Lm, flat) == list(comps)
+
+    @pytest.mark.parametrize("degrees", [(2,), (1, 2), (2, 1, 1)])
+    def test_flatten_keys_follow_graded_varset(self, sl2, degrees):
+        inner = multi_current(sl2.algebra, degrees[:-1]) if len(degrees) > 1 else sl2.algebra
+        m = degrees[-1]
+        Lm = multi_current(sl2.algebra, degrees)
+        comps = sampling.random_components(inner.basis, m, sampling.rng(5, 24))
+        flat = flatten_point(Lm, comps)
+        assert list(flat) == list(graded_varset(inner, m)) == list(Lm.basis)
+        assert flat == {graded_name(b, j): comps[j][b]
+                        for j in range(m + 1) for b in inner.basis}
+
+    def test_flatten_on_a_loaded_basis_out_of_grade_order(self, sl2, tmp_path):
+        Lm = takiff(sl2.algebra, 2)
+        order = [7, 2, 3, 0, 8, 5, 1, 6, 4]   # h@2 f@0 e@1 e@0 f@2 f@1 h@0 e@2 h@1
+        d = algio.algebra_to_dict(Lm)
+        d["basis"] = [Lm.basis[k] for k in order]
+        for entry in d["brackets"]:
+            entry["pair"] = [order.index(k) for k in entry["pair"]]
+        algio.dump_json(tmp_path / "shuffled.json", d)
+        loaded, _, _ = algio.load_algebra_file(tmp_path / "shuffled.json")
+        assert loaded.basis[:2] == ("h@2", "f@0")
+        comps = sampling.random_components(sl2.algebra.basis, 2, sampling.rng(5, 25))
+        flat = flatten_point(loaded, comps)
+        assert flat == flatten_point(Lm, comps)
+        # grade by grade, each grade in the order of the grade-0 names: f, e, h
+        assert list(flat) == [graded_name(b, j) for j in range(3) for b in "feh"]
+
+    def test_flatten_refuses_wrong_count_and_wrong_keys(self, sl2):
+        L1 = takiff(sl2.algebra, 1)
+        good = {"e": 1, "h": 2, "f": 3}
+        for comps in ([good], [good, good, good]):
+            with pytest.raises(AlgebraError, match="expected 2 components"):
+                flatten_point(L1, comps)
+        for bad in ({"e": 1, "h": 2}, {**good, "x": 0}, {"e": 1, "h": 2, "x": 3}):
+            with pytest.raises(AlgebraError, match="component 1 must assign exactly"):
+                flatten_point(L1, [good, bad])
 
     def test_split_element_matches_grades(self, sl2):
         Lm = takiff(sl2.algebra, 1)
