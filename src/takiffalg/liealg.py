@@ -11,16 +11,18 @@ Points of the dual space are plain ``{basis_name: int | Fraction}`` mappings
 that assign every basis name exactly once.  All operations are pure functions
 on immutable data.  Numeric work (Kirillov matrices, the Jacobi check) runs on
 an integer copy of the structure constants over one common denominator,
-built on first use and kept on the algebra.
+built on first use and kept on the algebra, and so does the symbolic Poisson
+bracket {f, b_t}: it walks f's terms, cleared to integers over one
+denominator, against a per-target adjacency of that integer table.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from math import comb
+from typing import Iterator, Mapping, Sequence
 
 from . import linalg, sampling
 from .polyring import (
@@ -30,7 +32,6 @@ from .polyring import (
     Scalar,
     UnknownVariableError,
     _common_denominator,
-    _mono_mul,
     _over,
     exact_scalars,
 )
@@ -61,6 +62,8 @@ __all__ = [
 ]
 
 BracketTable = dict[tuple[int, int], dict[int, Fraction]]
+# t -> {i: [(k, D * c), ...]} with [b_i, b_t] = sum_k c b_k, over the plan's D
+Adjacency = dict[int, dict[int, list[tuple[int, int]]]]
 DualPoint = Mapping[str, Scalar]
 
 class AlgebraError(Exception):
@@ -95,6 +98,7 @@ class LieAlgebra:
     grading: object | None = None
     _vidx: dict[str, int] = field(init=False, compare=False, repr=False, default=None)
     _plan: tuple | None = field(init=False, compare=False, repr=False, default=None)
+    _adj: Adjacency | None = field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "_vidx", {b: i for i, b in enumerate(self.basis)})
@@ -158,6 +162,16 @@ class LieAlgebra:
             object.__setattr__(self, "_plan", (den, rows))
         return self._plan
 
+    def _adjacency(self) -> Adjacency:
+        """The integer plan by second factor: t -> {i: [(k, D * c)]}, [b_i, b_t] = sum c b_k."""
+        if self._adj is None:
+            adj: Adjacency = {}
+            for i, j, vec in self._int_plan()[1]:
+                adj.setdefault(j, {})[i] = vec
+                adj.setdefault(i, {})[j] = [(k, -c) for k, c in vec]
+            object.__setattr__(self, "_adj", adj)
+        return self._adj
+
 
 def check_point(L: LieAlgebra, point: DualPoint) -> list[Scalar]:
     """Validate a dual point (exactly the basis names) and return its coordinate vector.
@@ -177,34 +191,41 @@ def check_point(L: LieAlgebra, point: DualPoint) -> list[Scalar]:
 def validate(L: LieAlgebra) -> Report:
     """Check the Jacobi identity on all basis triples (antisymmetry is structural).
 
-    The cyclic sums are accumulated on the integer structure constants, which
-    scales every residual by D^2; a violation's residual is scaled back.
+    Only the products that exist are summed: each stored [b_i, b_j] =
+    sum x_t b_t meets each b_a with [b_a, b_t] != 0, and x * [b_a, b_t] goes
+    into the sorted triple {a, i, j}, with a minus sign when a lies between
+    i and j (the cyclic term [b_a, [b_j, b_i]]).  The sums run on the integer
+    structure constants, which scales every residual by D^2; a violation's
+    residual is scaled back.  Violations come in triple order.
     """
     rep = Report(label=f"validate:{L.label}")
     t0 = time.perf_counter()
     den, rows = L._int_plan()
-    ad: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    adj = L._adjacency()
+    sums: dict[tuple[int, int, int], dict[int, int]] = {}
     for i, j, vec in rows:
-        ad[(i, j)] = vec
-        ad[(j, i)] = [(k, -c) for k, c in vec]
-    n = L.dim
+        for t, x in vec:
+            for a, bracket in adj.get(t, {}).items():
+                if a == i or a == j:
+                    continue
+                if a < i:
+                    key, s = (a, i, j), x
+                elif a < j:
+                    key, s = (i, a, j), -x
+                else:
+                    key, s = (i, j, a), x
+                res = sums.setdefault(key, {})
+                for u, y in bracket:
+                    res[u] = res.get(u, 0) + s * y
     violations = []
-    count = 0
-    for i, j, k in itertools.combinations(range(n), 3):
-        count += 1
-        res: dict[int, int] = {}
-        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            for t, x in ad.get((b, c), ()):
-                for u, y in ad.get((a, t), ()):
-                    res[u] = res.get(u, 0) + x * y
-        res = {t: v for t, v in res.items() if v}
+    for key in sorted(sums):
+        res = {t: v for t, v in sorted(sums[key].items()) if v}
         if res:
             violations.append({
-                "triple": [L.basis[i], L.basis[j], L.basis[k]],
-                "residual": {L.basis[t]: Fraction(v, den * den)
-                             for t, v in sorted(res.items())},
+                "triple": [L.basis[i] for i in key],
+                "residual": {L.basis[t]: Fraction(v, den * den) for t, v in res.items()},
             })
-    witness = {"triples_checked": count, "violation_count": len(violations),
+    witness = {"triples_checked": comb(L.dim, 3), "violation_count": len(violations),
                "violations": violations[:5]}
     rep.add(Check(name="jacobi", status=FAIL if violations else PASS,
                   paper_ref="plumbing", witness=witness,
@@ -295,37 +316,59 @@ def poisson_bracket(L: LieAlgebra, f: Polynomial, g: Polynomial) -> Polynomial:
     """Linear Poisson bracket {f, g} = sum_t {f, b_t} dg/db_t."""
     _check_over_basis(L, f)
     _check_over_basis(L, g)
-    df = [f.partial(b) for b in L.basis]
+    support = g.support()
     out = Polynomial.zero(L.basis)
-    for t, b in enumerate(L.basis):
-        dg = g.partial(b)
-        if not dg.is_zero:
-            out = out + _poisson_with_basis_var(L, df, t) * dg
+    for t, br in _brackets_with_basis(L, f, [t for t, b in enumerate(L.basis) if b in support]):
+        out = out + br * g.partial(L.basis[t])
     return out
 
 
-def _poisson_with_basis_var(L: LieAlgebra, df: list[Polynomial], t: int) -> Polynomial:
-    # {f, b_t} with the partials of f precomputed: every term d * c * b_k is
-    # accumulated into one term dict, and one Polynomial is built at the end.
-    acc: dict[Monomial, Fraction] = {}
-    for (i, j), coeffs in L.brackets.items():
-        if j == t:
-            d, sign = df[i], 1
-        elif i == t:
-            d, sign = df[j], -1
-        else:
-            continue
-        if d.is_zero:
-            continue
-        for k, c in coeffs.items():
-            if sign < 0:
-                c = -c
-            xk = ((k, 1),)
-            for mono, v in d.terms.items():
-                key = _mono_mul(mono, xk)
-                prev = acc.get(key)
-                acc[key] = v * c if prev is None else prev + v * c
-    return Polynomial(L.basis, {m: v for m, v in acc.items() if v}, _canonical=True)
+def _mono_times_var(mono: Monomial, k: int) -> Monomial:
+    # the monomial times x_k, indices kept increasing
+    for pos, (i, e) in enumerate(mono):
+        if i == k:
+            return mono[:pos] + ((k, e + 1),) + mono[pos + 1:]
+        if i > k:
+            return mono[:pos] + ((k, 1),) + mono[pos:]
+    return mono + ((k, 1),)
+
+
+def _brackets_with_basis(L: LieAlgebra, f: Polynomial,
+                         targets: Sequence[int]) -> Iterator[tuple[int, Polynomial]]:
+    """(t, {f, b_t}) for each target t, in order, whose bracket is nonzero.
+
+    {f, b_t} = sum_i df/db_i [b_i, b_t].  f's terms are cleared once to
+    integers over one denominator and split by variable into the terms of
+    each partial; a target then walks only the i with [b_i, b_t] != 0 in
+    the algebra's adjacency, in integers, and a Polynomial is built (over
+    the product of the two denominators) only when the sum is nonzero.
+    """
+    den = L._int_plan()[0]
+    adj = L._adjacency()
+    fden = _common_denominator(f.terms.values())
+    partials: dict[int, list[tuple[int, Monomial]]] = {}
+    for mono, c in f.terms.items():
+        a = c.numerator * (fden // c.denominator)
+        for pos, (i, e) in enumerate(mono):
+            if e > 1:
+                rest = mono[:pos] + ((i, e - 1),) + mono[pos + 1:]
+            else:
+                rest = mono[:pos] + mono[pos + 1:]
+            partials.setdefault(i, []).append((a * e, rest))
+    scale = fden * den
+    for t in targets:
+        acc: dict[Monomial, int] = {}
+        for i, bracket in adj.get(t, {}).items():
+            d = partials.get(i)
+            if d is None:
+                continue
+            for k, c in bracket:
+                for a, rest in d:
+                    key = _mono_times_var(rest, k)
+                    acc[key] = acc.get(key, 0) + a * c
+        if any(acc.values()):
+            yield t, Polynomial(L.basis, {m: Fraction(v, scale) for m, v in acc.items() if v},
+                                _canonical=True)
 
 
 def is_symmetric_invariant(L: LieAlgebra, f: Polynomial) -> bool:
@@ -337,11 +380,8 @@ def bracket_defect_against(L: LieAlgebra, f: Polynomial,
                            targets: Sequence[int]) -> tuple[str, Polynomial] | None:
     """First target basis element whose bracket with f is nonzero, with the bracket."""
     _check_over_basis(L, f)
-    df = [f.partial(b) for b in L.basis]
-    for t in targets:
-        br = _poisson_with_basis_var(L, df, t)
-        if not br.is_zero:
-            return L.basis[t], br
+    for t, br in _brackets_with_basis(L, f, targets):
+        return L.basis[t], br
     return None
 
 

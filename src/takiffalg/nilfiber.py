@@ -98,15 +98,17 @@ def lemma_containment_check(fam: InvariantFamily, components: TakiffDualPoint) -
     """Bounds 2i <= J <= l+i for one point of N<1>."""
     if fam.depth != 1:
         raise NilfiberError("containment bounds are stated for one truncation level")
-    if not null_fiber_member(fam, components):
+    flat = flatten_point(fam.takiff_algebra, components)
+    if not _family_vanishes(fam, flat):
         raise NilfiberError("point is not on the null fiber")
-    return _lemma_bounds(fam, components)
+    return _lemma_bounds(fam, components[1], flat)
 
 
-def _lemma_bounds(fam: InvariantFamily, components: TakiffDualPoint) -> Check:
-    # the bounds at a point of N<1>; the caller has established membership
-    i = stratum_index(fam.base, components[1])
-    J = family_rank_at(fam, components)
+def _lemma_bounds(fam: InvariantFamily, xi1: DualPoint, flat: dict[str, Scalar]) -> Check:
+    # the bounds at a point of N<1> with top component xi1, given flat; the
+    # caller has established membership
+    i = stratum_index(fam.base, xi1)
+    J = family_rank_at(fam, flat)
     ok = 2 * i <= J <= fam.l + i
     return Check(name="lemma-bounds", status=PASS if ok else FAIL,
                  paper_ref=_REF_LEMMA,
@@ -188,7 +190,8 @@ def _n1_characterization(L: LieAlgebra, fam: InvariantFamily, samples: int, seed
                 xi0 = sampling.random_coords(L.basis, r)
         else:
             xi0 = sampling.random_coords(L.basis, r)
-        lhs = _family_vanishes(fam, flatten_point(fam.takiff_algebra, [xi0, xi1]))
+        flat = flatten_point(fam.takiff_algebra, [xi0, xi1])
+        lhs = _family_vanishes(fam, flat)
         rhs = all(f.evaluate(xi1) == 0 for f in fs.polys) and \
             _pairing_vanishes(fs, xi1, xi0)
         if lhs != rhs and mismatch is None:
@@ -198,7 +201,7 @@ def _n1_characterization(L: LieAlgebra, fam: InvariantFamily, samples: int, seed
                         "xi1": {k: str(v) for k, v in xi1.items()}}
         if lhs:
             member_cases += 1
-            c = _lemma_bounds(fam, [xi0, xi1])
+            c = _lemma_bounds(fam, xi1, flat)
             if c.status != PASS:
                 bound_violations.append(c.witness)
     rep.add(Check(name="null-fiber-characterization",

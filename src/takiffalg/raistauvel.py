@@ -17,7 +17,7 @@ suite as an independent oracle.
 
 Structural facts enforced here when a family is built: F^j depends only on
 the grades m-j..m (triangularity) and deg F^j = deg f.  `family_rank_at`
-gives the rank of a whole family's Jacobian at a point.
+gives the rank of a whole family's Jacobian at a flat point.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from . import linalg
-from .liealg import AlgebraError, HomogeneityError, InvariantSet, LieAlgebra
+from .liealg import AlgebraError, DualPoint, HomogeneityError, InvariantSet, LieAlgebra
 from .polyring import Polynomial, jet_substitute
-from .takiff import TakiffDualPoint, flatten_point, graded_name, graded_varset, takiff
+from .takiff import graded_name, graded_varset, takiff
 
 __all__ = [
     "InvariantFamily",
@@ -118,7 +118,10 @@ def build_family(L: LieAlgebra, m: int, fs: InvariantSet) -> InvariantFamily:
     return InvariantFamily(takiff_algebra=takiff(L, m), base=fs, table=table)
 
 
-def family_rank_at(fam: InvariantFamily, components: TakiffDualPoint) -> int:
-    """Rank of the full (m+1)l x (m+1)n Jacobian of the family at a point."""
-    flat = flatten_point(fam.takiff_algebra, components)
+def family_rank_at(fam: InvariantFamily, flat: DualPoint) -> int:
+    """Rank of the full (m+1)l x (m+1)n Jacobian of the family at a flat point.
+
+    The point is one on L<m>, as `takiff.flatten_point` assembles it from
+    its components.
+    """
     return linalg.rank([F.gradient_at(flat) for _, _, F in fam.members()])

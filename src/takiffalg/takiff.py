@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from . import linalg
 from .liealg import AlgebraError, AlgebraFormatError, DualPoint, LieAlgebra
 from .polyring import Scalar, exact_scalars
 
@@ -33,6 +34,7 @@ __all__ = [
     "graded_name",
     "graded_varset",
     "nilpotent_ideal",
+    "generating_targets",
     "flatten_point",
 ]
 
@@ -98,24 +100,34 @@ def _require_grading(L: LieAlgebra) -> TakiffGrading:
 
 
 def takiff(L: LieAlgebra, m: int) -> LieAlgebra:
-    """The truncated current algebra L<m> with grading metadata attached."""
+    """The truncated current algebra L<m> with grading metadata attached.
+
+    Each base vector [b_i, b_j] (i < j, already normalized) is copied by
+    grade straight into the (min, max) orientation of the pair
+    (s*n + i, t*n + j), negated when s*n + i > t*n + j, so no coefficient is
+    re-normalized; the table is the one `LieAlgebra.create` would build from
+    the unoriented entries, in the same order.
+    """
     if m < 1:
         raise ValueError(f"truncation order must be >= 1, got {m}")
     n = L.dim
     basis = graded_varset(L, m)
-    entries: dict[tuple[int, int], dict[int, Fraction]] = {}
+    table: dict[tuple[int, int], dict[int, Fraction]] = {}
     for (i, j), coeffs in L.brackets.items():
+        neg = {k: -c for k, c in coeffs.items()}
         for s in range(m + 1):
             for t in range(m + 1 - s):
-                a_idx = s * n + i
-                b_idx = t * n + j
-                entries[(a_idx, b_idx)] = {(s + t) * n + k: c for k, c in coeffs.items()}
+                a, b, shift = s * n + i, t * n + j, (s + t) * n
+                if a < b:
+                    table[(a, b)] = {shift + k: c for k, c in coeffs.items()}
+                else:
+                    table[(b, a)] = {shift + k: c for k, c in neg.items()}
     grading = TakiffGrading(
         base_dim=n, depth=m,
         grade_of={name: k // n for k, name in enumerate(basis)},
         base_name_of={name: L.basis[k % n] for k, name in enumerate(basis)},
     )
-    return LieAlgebra.create(f"{L.label}<{m}>", basis, entries, grading=grading)
+    return LieAlgebra(label=f"{L.label}<{m}>", basis=basis, brackets=table, grading=grading)
 
 
 def multi_current(L: LieAlgebra, degrees: Sequence[int]) -> LieAlgebra:
@@ -141,6 +153,37 @@ def nilpotent_ideal(L: LieAlgebra) -> list[str]:
                     f"positive-grade span is not an ideal: [{L.basis[i]}, {L.basis[j]}] "
                     f"meets {outside}")
     return [b for b in L.basis if grading.grade_of[b] >= 1]
+
+
+def generating_targets(L: LieAlgebra) -> tuple[list[int], list[int]]:
+    """Basis indices that generate L = q<m> and its positive-grade ideal, in basis order.
+
+    C is the set of base names whose columns carry no pivot in one
+    `linalg.rref` of the grade-0 bracket vectors, so span(C) + [q, q] = q.
+    The first list is grades 0 and 1 plus C@j for 2 <= j <= m; the second is
+    grade 1 plus C@j for j >= 2.  Since [q@1, q@(j-1)] = [q, q]@j, induction
+    on j shows that the first list generates L<m> and the second the ideal.
+    Only the grading and the bracket table are read, and only the grade-0
+    brackets when m >= 2; L must be a truncation built by `takiff`.
+    """
+    grading = _require_grading(L)
+    grades = [grading.grade_of[b] for b in L.basis]
+    free: set[str] = set()
+    if grading.depth >= 2:
+        grade0 = [i for i, g in enumerate(grades) if g == 0]
+        col = {i: c for c, i in enumerate(grade0)}   # grade-0 index -> base column
+        rows = []
+        for (i, j), coeffs in L.brackets.items():
+            if i in col and j in col:
+                row = [0] * len(col)
+                for k, c in coeffs.items():
+                    row[col[k]] = c
+                rows.append(row)
+        pivots = set(linalg.rref(rows)[1])
+        free = {grading.base_name_of[L.basis[i]] for i, c in col.items() if c not in pivots}
+    invariance = [i for i, b in enumerate(L.basis)
+                  if grades[i] <= 1 or grading.base_name_of[b] in free]
+    return invariance, [i for i in invariance if grades[i] >= 1]
 
 
 def flatten_point(L: LieAlgebra, components: TakiffDualPoint) -> dict[str, Scalar]:

@@ -4,7 +4,8 @@ Nothing here imports the modules under test beyond plain data types, and the
 algorithms are deliberately the naive ones: truncated dual-number arithmetic
 coefficient by coefficient, rank, reduced row echelon form and kernels by
 plain fraction Gaussian elimination, brackets of elements, Kirillov matrices
-and Jacobi residuals in Fractions straight from the bracket table, Poisson
+and Jacobi residuals in Fractions straight from the bracket table, the Lie
+subalgebra generated by basis elements as a Fraction span closure, Poisson
 brackets with basis elements as a gradient times the Kirillov matrix, and
 the coadjoint action of a truncated current algebra by two routes, one
 through its own structure constants and one componentwise through the base
@@ -186,6 +187,42 @@ def bracket_elements(algebra, x: dict[int, Fraction],
             for k, c in coeffs.items():
                 out[k] = out.get(k, Fraction(0)) + s * c
     return {k: v for k, v in out.items() if v}
+
+
+def generated_subalgebra(algebra, gens: Sequence[int]) -> list[dict[int, Fraction]]:
+    """Echelon basis of the Lie subalgebra generated by the basis elements ``gens``.
+
+    That subalgebra is the smallest subspace that contains the generators and
+    is closed under ad(g) for every generator g (it is spanned by the nested
+    brackets [g_1, [g_2, ..., [g_k-1, g_k]]]), so every vector that enlarges
+    the span is bracketed with every generator until nothing new appears.
+    Rows are kept reduced against each other at their smallest index, in
+    Fractions, with the brackets read off the raw bracket table.
+    """
+    rows: dict[int, dict[int, Fraction]] = {}   # pivot -> row with 1 at its pivot
+
+    def enlarge(v: dict[int, Fraction]) -> dict[int, Fraction] | None:
+        v = {k: c for k, c in v.items() if c}
+        while v:
+            p = min(v)
+            if p not in rows:
+                v = {k: c / v[p] for k, c in v.items()}
+                rows[p] = v
+                return v
+            c = v[p]
+            for k, x in rows[p].items():
+                v[k] = v.get(k, Fraction(0)) - c * x
+            v = {k: x for k, x in v.items() if x}
+        return None
+
+    frontier = [v for v in (enlarge({g: Fraction(1)}) for g in gens) if v is not None]
+    while frontier:
+        v = frontier.pop()
+        for g in gens:
+            w = enlarge(bracket_elements(algebra, {g: Fraction(1)}, v))
+            if w is not None:
+                frontier.append(w)
+    return list(rows.values())
 
 
 def bracket(algebra, i: int, j: int) -> dict[int, Fraction]:

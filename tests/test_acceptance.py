@@ -131,7 +131,7 @@ def test_criterion_4_omega_transfer():
         want = (m + 1) * fam.l
         for comps in _transfer_points(entry.algebra, m, sampling.TAG_OMEGA, pair_id):
             total += 1
-            lhs = family_rank_at(fam, comps) == want
+            lhs = family_rank_at(fam, flatten_point(fam.takiff_algebra, comps)) == want
             rhs = omega_test(entry.invariants, comps[m])
             agree += lhs == rhs
     _emit(4, f"Omega transfer at {total} points", agree == total == 1500,

@@ -23,8 +23,16 @@ from takiffalg.liealg import (
     validate,
 )
 from takiffalg.polyring import parse_poly
+from takiffalg.takiff import takiff
 
-from oracles import bracket, bracket_elements, bracket_values_at, gradient_at, naive_rank
+from oracles import (
+    bracket,
+    bracket_elements,
+    bracket_values_at,
+    gradient_at,
+    jacobi_residuals,
+    naive_rank,
+)
 
 
 def _sl2_corrupted():
@@ -82,6 +90,20 @@ class TestValidate:
         (check,) = [c for c in rep.checks if c.name == "jacobi"]
         assert check.witness["violation_count"] == 1
         assert check.witness["violations"][0]["triple"] == ["e", "h", "f"]
+
+    def test_sparse_sums_keep_triple_order_and_the_first_five(self):
+        # the truncation spreads the one bad triple over ten triples
+        L = takiff(_sl2_corrupted(), 2)
+        want = jacobi_residuals(L)
+        assert len(want) > 5
+        (check,) = validate(L).checks
+        assert check.status == "FAIL"
+        assert check.witness["triples_checked"] == 9 * 8 * 7 // 6
+        assert check.witness["violation_count"] == len(want)
+        assert check.witness["violations"] == [
+            {"triple": [L.basis[t] for t in triple],
+             "residual": {L.basis[k]: v for k, v in sorted(res.items())}}
+            for triple, res in sorted(want.items())][:5]
 
 
 class TestKirillov:

@@ -8,7 +8,9 @@ single byte of any of these reports fails here; a change that legitimately
 moves a status must update the digest and say why in CHANGES.md.
 
 The last case is a Jacobi FAIL on an sl2-like algebra with a 1/3 structure
-constant, so its witness carries rational residuals.
+constant, so its witness carries rational residuals.  The `sl3<4>` and
+`slnV3<2>` digests were recorded while invariance and the ideal check still
+bracketed every basis element, before they bracketed a generating set.
 """
 
 from __future__ import annotations
@@ -39,6 +41,10 @@ CASES = {
                         "5908bbca47c88042d80de12c3c138e6bd2024c164f2c0af5276107d8c57b020a"),
     "verify-multi11-sl2": (["verify", "--multi", "1,1", "sl2"],
                            "efc27c7b6e8154c84760f1ba81ae0e59976478601badca21d83590a48dcbbe85"),
+    "verify-m4-sl3": (["verify", "--m", "4", "sl3"],
+                      "88add47eb1aec53b86905821d22bda4241ea691a451cacd21cdcffee46ac0bd9"),
+    "verify-m2-slnV3": (["verify", "--m", "2", "slnV3"],
+                        "9a9c02af1732234169d5974023bb451b562f2bb5786528235e3ed1dcfde72551"),
     "nilfiber-l3-sl2": (["nilfiber", "--levels", "3", "sl2"],
                         "491cd1c895744f712212cf43d831e5692325189c3f1f36e64edbbf9b503114d5"),
     "verify-m1-jacobi-fail-third": (["verify", "--m", "1", "{bad}", "--seed", "3"],

@@ -5,10 +5,11 @@ from fractions import Fraction
 import pytest
 
 from takiffalg import algio, catalog, sampling
-from takiffalg.liealg import AlgebraError
+from takiffalg.liealg import AlgebraError, LieAlgebra
 from takiffalg.takiff import (
     TakiffGrading,
     flatten_point,
+    generating_targets,
     graded_name,
     graded_varset,
     multi_current,
@@ -22,6 +23,7 @@ from oracles import (
     bracket_elements,
     coadjoint_apply,
     coadjoint_apply_generic,
+    generated_subalgebra,
     split_element,
     split_point,
 )
@@ -96,6 +98,23 @@ class TestConstruction:
         assert _bracket_named(L11, "x@1@0", "y@0@1") == {"z@1@1": Fraction(1)}
         assert _bracket_named(L11, "x@1@1", "y@0@1") == {}
 
+    @pytest.mark.parametrize("degrees", [(m,) for m in (1, 2, 3)] + [(1, 2)])
+    def test_table_equals_create_on_unoriented_entries(self, degrees):
+        # the entries as they were once handed to LieAlgebra.create: pair
+        # (s*n + i, t*n + j) in whatever orientation, re-normalized there
+        for name in catalog.NAMES:
+            L = catalog.load(name).algebra
+            for m in degrees:
+                n = L.dim
+                entries = {(s * n + i, t * n + j): {(s + t) * n + k: c for k, c in coeffs.items()}
+                           for (i, j), coeffs in L.brackets.items()
+                           for s in range(m + 1) for t in range(m + 1 - s)}
+                Lm = takiff(L, m)
+                want = LieAlgebra.create(Lm.label, Lm.basis, entries, grading=Lm.grading)
+                assert list(Lm.brackets.items()) == list(want.brackets.items()), (name, m)
+                L = Lm
+            assert L.structure_equal(multi_current(catalog.load(name).algebra, degrees))
+
     def test_nilpotent_ideal(self, sl2):
         Lm = takiff(sl2.algebra, 2)
         ideal = nilpotent_ideal(Lm)
@@ -104,6 +123,49 @@ class TestConstruction:
     def test_nilpotent_ideal_requires_grading(self, sl2):
         with pytest.raises(AlgebraError):
             nilpotent_ideal(sl2.algebra)
+
+
+def _truncations():
+    for name in catalog.NAMES:
+        for m in (1, 2, 3):
+            yield name, (m,)
+    for name in ("sl2", "heis1"):
+        for m in (1, 2, 3):
+            yield name, (1, m)
+
+
+class TestGeneratingTargets:
+    """The bracket targets generate L<m> and its ideal, by a Fraction span closure."""
+
+    @pytest.mark.parametrize("name,degrees", list(_truncations()))
+    def test_targets_generate_the_algebra_and_the_ideal(self, name, degrees):
+        Lm = multi_current(catalog.load(name).algebra, degrees)
+        invariance, ideal = generating_targets(Lm)
+        assert invariance == sorted(invariance) and ideal == sorted(ideal)
+        assert len(generated_subalgebra(Lm, invariance)) == Lm.dim
+        ideal_idx = {Lm.basis.index(b) for b in nilpotent_ideal(Lm)}
+        assert set(ideal) <= ideal_idx
+        span = generated_subalgebra(Lm, ideal)
+        assert len(span) == len(ideal_idx)
+        assert all(set(v) <= ideal_idx for v in span)
+
+    def test_perfect_base_needs_two_grades(self, sl3):
+        Lm = takiff(sl3.algebra, 4)
+        invariance, ideal = generating_targets(Lm)
+        assert (len(invariance), len(ideal)) == (16, 8)
+        assert [Lm.basis[i] for i in ideal] == [f"{b}@1" for b in sl3.algebra.basis]
+
+    def test_abelian_quotient_adds_its_columns_at_every_grade(self, heis1):
+        # [heis1, heis1] = span(z), so x and y are needed at every grade
+        Lm = takiff(heis1.algebra, 3)
+        invariance, ideal = generating_targets(Lm)
+        assert [Lm.basis[i] for i in invariance] == [
+            "x@0", "y@0", "z@0", "x@1", "y@1", "z@1", "x@2", "y@2", "x@3", "y@3"]
+        assert ideal == invariance[3:]
+
+    def test_requires_grading(self, sl2):
+        with pytest.raises(AlgebraError):
+            generating_targets(sl2.algebra)
 
 
 class TestPointSplitting:

@@ -1,12 +1,21 @@
 from __future__ import annotations
 
-import pytest
+from functools import lru_cache
 
-from takiffalg import catalog, sampling
-from takiffalg.liealg import InvariantSet, bracket_defect_against
-from takiffalg.polyring import parse_poly
+import pytest
+from hypothesis import assume, given, strategies as st
+
+from takiffalg import catalog, liealg, sampling
+from takiffalg.liealg import (
+    InvariantSet,
+    LieAlgebra,
+    bracket_defect_against,
+    invariance_defect,
+)
+from takiffalg.polyring import Polynomial, parse_poly
 from takiffalg.raistauvel import build_family
 from takiffalg.report import FAIL, PASS, SKIPPED
+from takiffalg.takiff import generating_targets, nilpotent_ideal, takiff
 from takiffalg.verify import (
     verify_main_theorem,
     verify_multi_current,
@@ -167,3 +176,99 @@ class TestBracketOracle:
                 defect = bracket_defect_against(Lm, F, [s])
                 symbolic = 0 if defect is None else defect[1].evaluate(pt)
                 assert value == symbolic
+
+
+CORRUPTIBLE = [("sl2", 1), ("sl2", 2), ("sl2", 3), ("sl3", 1),
+               ("heis1", 1), ("heis1", 2), ("heis1", 3), ("slnV2", 1)]
+
+
+@lru_cache(maxsize=None)
+def _family(name, m):
+    entry = catalog.load(name)
+    return build_family(entry.algebra, m, entry.invariants)
+
+
+def _plus_random_monomial(data, f: Polynomial) -> Polynomial:
+    # f plus c times a random monomial of the same degree, c in -3..3
+    n, d = len(f.varset), f.degree()
+    idx = sorted(data.draw(st.lists(st.integers(0, n - 1), min_size=d, max_size=d)))
+    mono = tuple((i, idx.count(i)) for i in sorted(set(idx)))
+    return f + Polynomial(f.varset, {mono: data.draw(st.integers(-3, 3))})
+
+
+def _nonzero_somewhere(Lm, F, t) -> bool:
+    return any(bracket_values_at(Lm, F, sampling.random_coords(
+        Lm.basis, sampling.rng(5, 63, p)))[t] for p in range(3))
+
+
+class TestGeneratingSet:
+    """Bracketing against a generating set decides exactly what all targets do."""
+
+    @given(st.sampled_from(CORRUPTIBLE), st.data())
+    def test_invariance_fails_exactly_when_some_target_does(self, case, data):
+        name, m = case
+        entry = catalog.load(name)
+        L, polys = entry.algebra, list(entry.invariants.polys)
+        i = data.draw(st.integers(0, len(polys) - 1))
+        polys[i] = _plus_random_monomial(data, polys[i])
+        assume(not polys[i].is_zero)
+        fs = InvariantSet(algebra=L, polys=tuple(polys))
+        rep = verify_main_theorem(L, fs, m, transfer_samples=1)
+        check = _by_name(rep, "invariance")
+        fam = build_family(L, m, fs)
+        Lm = fam.takiff_algebra
+        failing = [[i, j] for i, j, F in fam.members() if invariance_defect(Lm, F)]
+        assert check.status == (FAIL if failing else PASS)
+        if failing:
+            assert check.witness["member"] == failing[0]
+            F = fam.member(*check.witness["member"])
+            t = Lm.index_of(check.witness["basis_element"])
+            _, bracket = bracket_defect_against(Lm, F, [t])
+            assert check.witness["poisson_bracket"][:400] == str(bracket)[:400]
+            assert _nonzero_somewhere(Lm, F, t)
+
+    @given(st.sampled_from(CORRUPTIBLE), st.data())
+    def test_a_corrupted_member_is_caught_by_the_generators(self, case, data):
+        fam = _family(*case)
+        Lm = fam.takiff_algebra
+        members = [F for _, _, F in fam.members()]
+        G = _plus_random_monomial(data, members[data.draw(st.integers(0, len(members) - 1))])
+        targets, _ = generating_targets(Lm)
+        found = bracket_defect_against(Lm, G, targets)
+        assert (found is None) == (invariance_defect(Lm, G) is None)
+        if found is not None:
+            assert _nonzero_somewhere(Lm, G, Lm.index_of(found[0]))
+
+    def _spied_targets(self, monkeypatch, L, fs, m):
+        seen = []
+
+        def spy(Lm, f, targets):
+            seen.append(list(targets))
+            return bracket_defect_against(Lm, f, targets)
+
+        monkeypatch.setattr(liealg, "bracket_defect_against", spy)
+        rep = verify_main_theorem(L, fs, m, transfer_samples=1)
+        monkeypatch.undo()
+        return rep, seen
+
+    def test_jacobi_pass_brackets_the_generators(self, monkeypatch, sl2):
+        rep, seen = self._spied_targets(monkeypatch, sl2.algebra, sl2.invariants, 3)
+        assert _by_name(rep, "jacobi").status == PASS
+        invariance, ideal = generating_targets(takiff(sl2.algebra, 3))
+        assert len(invariance) < 12
+        # one call per member (4), then per ideal generator: 3 top coordinates, 3 members
+        assert seen == [invariance] * 4 + [ideal] * 6
+
+    def test_jacobi_fail_with_an_invariant_brackets_every_target(self, monkeypatch):
+        # [e, f] = e instead of h: Jacobi fails, and the sl2 Casimir is no invariant
+        bad = LieAlgebra.create("badsl2", ("e", "h", "f"), {
+            (0, 1): {0: -2}, (0, 2): {0: 1}, (1, 2): {2: -2}})
+        fs = InvariantSet(algebra=bad, polys=(parse_poly("h^2 + 4*e*f", bad.basis),))
+        rep, seen = self._spied_targets(monkeypatch, bad, fs, 2)
+        assert _by_name(rep, "jacobi").status == FAIL
+        L2 = takiff(bad, 2)
+        ideal = [L2.index_of(b) for b in nilpotent_ideal(L2)]
+        assert len(generating_targets(L2)[0]) < L2.dim
+        assert seen[0] == list(range(L2.dim))
+        assert seen[1:] and all(t == ideal for t in seen[1:])
+        assert _by_name(rep, "invariance").status == FAIL
