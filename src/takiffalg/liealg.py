@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from . import linalg, sampling
 from .polyring import (
@@ -262,27 +262,38 @@ def kirillov_rank_at(L: LieAlgebra, point: DualPoint) -> int:
     return linalg.rank(kirillov_matrix(L, point))
 
 
+RankFunction = Callable[[LieAlgebra, DualPoint], int]
+
+
 def generic_kirillov_rank(L: LieAlgebra, trials: int = 5, seed: int = 0,
-                          bound: int = sampling.DEFAULT_BOUND) -> int:
-    """Max Kirillov rank over seeded random integer points (monotone in trials)."""
+                          bound: int = sampling.DEFAULT_BOUND,
+                          rank: RankFunction = kirillov_rank_at) -> int:
+    """Max Kirillov rank over seeded random integer points (monotone in trials).
+
+    ``rank(L, point)`` gives the rank at one trial point; any exact rank
+    function, such as `raistauvel.takiff_kirillov_rank` for a certified
+    family, gives the same estimate as the default.
+    """
     if trials < 1:
         raise ValueError(f"the rank estimate needs at least one trial, got {trials}")
     best = 0
     for t in range(trials):
         pt = sampling.random_coords(L.basis, sampling.rng(seed, sampling.TAG_INDEX, t), bound)
-        best = max(best, kirillov_rank_at(L, pt))
+        best = max(best, rank(L, pt))
         if best == L.dim:
             break
     return best
 
 
-def index(L: LieAlgebra, trials: int = 5, seed: int = 0) -> int:
+def index(L: LieAlgebra, trials: int = 5, seed: int = 0,
+          rank: RankFunction = kirillov_rank_at) -> int:
     """ind L = dim L - max rank of the Kirillov form, estimated at random points.
 
     The estimate can only err upward (a random point may be non-generic), and
-    more trials never increase the result.
+    more trials never increase the result.  ``rank`` is passed on to
+    `generic_kirillov_rank`.
     """
-    return L.dim - generic_kirillov_rank(L, trials=trials, seed=seed)
+    return L.dim - generic_kirillov_rank(L, trials=trials, seed=seed, rank=rank)
 
 
 def magic_from_index(L: LieAlgebra, idx: int) -> int:

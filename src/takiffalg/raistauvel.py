@@ -18,6 +18,19 @@ suite as an independent oracle.
 Structural facts enforced here when a family is built: F^j depends only on
 the grades m-j..m (triangularity) and deg F^j = deg f.  `family_rank_at`
 gives the rank of a whole family's Jacobian at a flat point.
+
+Ordered by eps-power (rows) and by descending grade (columns), that
+Jacobian is block lower triangular.  `derivative_identity_defect` checks,
+once per family and as a polynomial identity, that every diagonal block is
+the base Jacobian at the top component,
+
+    dF_i^j / d(b@(m-j)) = (df_i / db)(xi_m),
+
+so the family has full rank (m+1)l at xi exactly when `omega_test` holds at
+xi_m.  Reversing the grade blocks makes the Kirillov matrix of L<m> block
+triangular too, with diagonal K(xi_m); `takiff_kirillov_rank` uses both
+triangles to give rank K(xi) = (m+1)(n-l) without building the matrix
+wherever the top component is regular and in Omega.
 """
 
 from __future__ import annotations
@@ -26,7 +39,15 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from . import linalg
-from .liealg import AlgebraError, DualPoint, HomogeneityError, InvariantSet, LieAlgebra
+from .liealg import (
+    AlgebraError,
+    DualPoint,
+    HomogeneityError,
+    InvariantSet,
+    LieAlgebra,
+    kirillov_rank_at,
+    omega_test,
+)
 from .polyring import Polynomial, jet_substitute
 from .takiff import graded_name, graded_varset, takiff
 
@@ -35,6 +56,8 @@ __all__ = [
     "expand_invariant",
     "build_family",
     "family_rank_at",
+    "derivative_identity_defect",
+    "takiff_kirillov_rank",
 ]
 
 
@@ -125,3 +148,49 @@ def family_rank_at(fam: InvariantFamily, flat: DualPoint) -> int:
     its components.
     """
     return linalg.rank([F.gradient_at(flat) for _, _, F in fam.members()])
+
+
+def derivative_identity_defect(fam: InvariantFamily) -> tuple[int, int, str] | None:
+    """First (i, j, b@(m-j)) where dF_i^j/d(b@(m-j)) is not df_i/db at grade m.
+
+    The right side is df_i/db with every base variable b' renamed to b'@m.
+    Members come in `members` order, variables in base order; None means
+    the identity holds for every i, j and b.  Together with the
+    triangularity the family enforces, the identity makes rank J_F(xi) =
+    (m+1)l equivalent to `omega_test(fam.base, xi_m)` at every point.
+    """
+    Lm = fam.takiff_algebra
+    m = fam.depth
+    base = fam.base.algebra.basis
+    top = [Lm.index_of(graded_name(b, m)) for b in base]
+    want = [[{tuple(sorted((top[k], e) for k, e in mono)): c
+              for mono, c in f.partial(b).terms.items()}
+             for b in base] for f in fam.base.polys]
+    for i, j, F in fam.members():
+        for k, b in enumerate(base):
+            name = graded_name(b, m - j)
+            if F.partial(name).terms != want[i - 1][k]:
+                return i, j, name
+    return None
+
+
+def takiff_kirillov_rank(fam: InvariantFamily, flat: DualPoint) -> int:
+    """rank K(xi) on fam.takiff_algebra, read off the grade blocks where possible.
+
+    Valid only when every member of the family is a symmetric invariant of
+    L<m> and `derivative_identity_defect(fam)` is None.  When the top
+    component xi_m has rank K(xi_m) = n - l and passes `omega_test`, the
+    rank is exactly (m+1)(n-l): the block triangle with diagonal K(xi_m)
+    bounds it below, and the (m+1)l gradients of the family, independent at
+    xi and in ker K(xi) because the members are invariants, bound it above.
+    Everywhere else the Kirillov matrix of L<m> is built and ranked.
+    """
+    Lm = fam.takiff_algebra
+    grading = Lm.grading
+    m, L, fs = fam.depth, fam.base.algebra, fam.base
+    top = {grading.base_name_of[name]: flat[name]
+           for name in Lm.basis if grading.grade_of[name] == m}
+    regular = L.dim - fam.l
+    if kirillov_rank_at(L, top) == regular and omega_test(fs, top):
+        return (m + 1) * regular
+    return kirillov_rank_at(Lm, flat)

@@ -17,6 +17,21 @@ passes, the targets are a generating set (`takiff.generating_targets`):
 or with all of the ideal, once it commutes with the generators.  When Jacobi
 fails, every basis (or ideal) element is a target.  A FAIL names the first
 target, in basis order, among those bracketed.
+
+The family side of the two omega checks comes from the base side.  Once
+`raistauvel.derivative_identity_defect` finds no defect, the family
+Jacobian is block triangular with diagonal J_f(xi_m), so its rank is full
+exactly where `omega_test` holds at xi_m: `jacobian-rank-on-omega` searches
+its 20 points on the base and ranks the family Jacobian only at the first,
+and `omega-transfer` evaluates `omega_test` once per sample.  A defect FAILs
+both checks and names the member and variable.  When invariance also
+passes, the L<m> index trials and the regularity samples whose top
+component is regular and in Omega take their rank from
+`raistauvel.takiff_kirillov_rank` without building the (m+1)n-wide
+Kirillov matrix; every other point is ranked from its matrix.  Both routes
+give the exact rank, so every status, index and witness is the same.
+Only the direction "xi_m regular => xi regular" follows from the block
+triangle; the converse is still sampled.
 """
 
 from __future__ import annotations
@@ -100,7 +115,8 @@ def verify_main_theorem(L: LieAlgebra, fs: InvariantSet, m: int,
     """Full structural verification of one truncation step L -> L<m>.
 
     ``eval_samples`` is still accepted but no longer has any effect: the
-    invariance and ideal checks are symbolic at every size.
+    invariance and ideal checks are symbolic at every size.  A
+    ``transfer_samples`` below 1 raises ValueError.
     """
     return _verify_step(L, fs, m, trials, seed, transfer_samples)[0]
 
@@ -109,6 +125,8 @@ def _verify_step(L: LieAlgebra, fs: InvariantSet, m: int, trials: int,
                  seed: int, transfer_samples: int,
                  ) -> tuple[Report, LieAlgebra, raistauvel.InvariantFamily | None]:
     """The report of one truncation step, with the algebra and family it built."""
+    if transfer_samples < 1:
+        raise ValueError(f"the transfer checks need at least one sample, got {transfer_samples}")
     if not fs.algebra.structure_equal(L):
         raise liealg.AlgebraError("invariant set belongs to a different algebra")
     fam = raistauvel.build_family(L, m, fs) if len(fs) else None
@@ -126,13 +144,14 @@ def _verify_step(L: LieAlgebra, fs: InvariantSet, m: int, trials: int,
         invariance_targets, ideal_targets = range(Lm.dim), ideal
 
     if fam is None:
-        rep.add(Check(name="invariance", status=SKIPPED, paper_ref=_REF_INVARIANCE,
-                      witness={"note": "no invariants supplied"}))
+        invariance = Check(name="invariance", status=SKIPPED, paper_ref=_REF_INVARIANCE,
+                           witness={"note": "no invariants supplied"})
     else:
         members = [([i, j], F) for i, j, F in fam.members()]
-        rep.add(_bracket_check(Lm, "invariance", _REF_INVARIANCE, members,
-                               invariance_targets, ("member", "basis_element"),
-                               {"members": len(members)}))
+        invariance = _bracket_check(Lm, "invariance", _REF_INVARIANCE, members,
+                                    invariance_targets, ("member", "basis_element"),
+                                    {"members": len(members)})
+    rep.add(invariance)
 
     generators: list[tuple[object, Polynomial]] = [
         (b, Lm.variable(b)) for b in Lm.basis if Lm.grading.grade_of[b] == m]
@@ -142,9 +161,16 @@ def _verify_step(L: LieAlgebra, fs: InvariantSet, m: int, trials: int,
                            ("generator", "ideal_element"),
                            {"generators": len(generators), "ideal_size": len(ideal)}))
 
+    identity = raistauvel.derivative_identity_defect(fam) if fam is not None else None
+    rank_at = liealg.kirillov_rank_at
+    if fam is not None and invariance.status == PASS and identity is None:
+        # the block triangles give the exact rank where the top is regular in Omega
+        def rank_at(_, flat):
+            return raistauvel.takiff_kirillov_rank(fam, flat)
+
     t0 = time.perf_counter()
     idx_base = liealg.index(L, trials=trials, seed=seed)
-    idx_tak = liealg.index(Lm, trials=trials, seed=seed)
+    idx_tak = liealg.index(Lm, trials=trials, seed=seed, rank=rank_at)
     rep.add(Check(name="index-formula",
                   status=PASS if idx_tak == (m + 1) * idx_base else FAIL,
                   paper_ref=_REF_INDEX,
@@ -193,18 +219,35 @@ def _verify_step(L: LieAlgebra, fs: InvariantSet, m: int, trials: int,
             rep.add(Check(name=name, status=SKIPPED, paper_ref=ref,
                           witness={"note": "no invariants supplied"}))
     else:
-        rep.add(_jacobian_rank_check(L, fs, fam, seed))
-        rep.add(_omega_transfer_check(L, fs, fam, transfer_samples, seed))
+        rep.add(_jacobian_rank_check(L, fs, fam, identity, seed))
+        rep.add(_omega_transfer_check(L, fs, fam, identity, transfer_samples, seed))
 
-    rep.add(_regularity_transfer_check(L, Lm, idx_base, idx_tak,
+    rep.add(_regularity_transfer_check(L, Lm, idx_base, idx_tak, rank_at,
                                        transfer_samples, seed))
     return rep, Lm, fam
 
 
+def _identity_failure(name: str, paper_ref: str, identity: tuple[int, int, str],
+                      seed: int, t0: float) -> Check:
+    i, j, variable = identity
+    return Check(name=name, status=FAIL, paper_ref=paper_ref,
+                 witness={"error": "dF_i^j/d(b@(m-j)) differs from df_i/db at grade m",
+                          "member": [i, j], "variable": variable},
+                 seed=seed, elapsed=time.perf_counter() - t0)
+
+
 def _jacobian_rank_check(L: LieAlgebra, fs: InvariantSet,
-                         fam: raistauvel.InvariantFamily, seed: int,
+                         fam: raistauvel.InvariantFamily,
+                         identity: tuple[int, int, str] | None, seed: int,
                          points: int = 20) -> Check:
+    """Full family rank wherever xi_m is in Omega, by the derivative identity.
+
+    Each of the points draws a top component in Omega; the family Jacobian
+    is ranked only at the first point, as a concrete witness.
+    """
     t0 = time.perf_counter()
+    if identity is not None:
+        return _identity_failure("jacobian-rank-on-omega", _REF_JACRANK, identity, seed, t0)
     m = fam.depth
     want = (m + 1) * fam.l
     for t in range(points):
@@ -221,6 +264,8 @@ def _jacobian_rank_check(L: LieAlgebra, fs: InvariantSet,
                          witness={"error": "no point with independent "
                                   "differentials found in 50 draws"},
                          seed=seed, elapsed=time.perf_counter() - t0)
+        if t:
+            continue
         comps = sampling.random_components(L.basis, m, r)
         comps[m] = top
         flat = flatten_point(fam.takiff_algebra, comps)
@@ -269,25 +314,32 @@ def _transfer_check(name: str, paper_ref: str, L: LieAlgebra, m: int,
 
 def _omega_transfer_check(L: LieAlgebra, fs: InvariantSet,
                           fam: raistauvel.InvariantFamily,
+                          identity: tuple[int, int, str] | None,
                           samples: int, seed: int) -> Check:
+    if identity is not None:
+        return _identity_failure("omega-transfer", _REF_OMEGA, identity, seed,
+                                 time.perf_counter())
     m = fam.depth
-    want = (m + 1) * fam.l
+
+    def sides(comps):
+        # full family rank at xi iff omega_test at xi_m, by the derivative identity
+        independent = liealg.omega_test(fs, comps[m])
+        return independent, independent
+
     return _transfer_check(
         "omega-transfer", _REF_OMEGA, L, m, samples, seed, (sampling.TAG_OMEGA, 1),
-        lambda comps: (raistauvel.family_rank_at(fam, flatten_point(fam.takiff_algebra, comps))
-                       == want,
-                       liealg.omega_test(fs, comps[m])),
-        ("family_rank_full", "top_component_independent",
-         "full_rank_cases", "degenerate_cases"))
+        sides, ("family_rank_full", "top_component_independent",
+                "full_rank_cases", "degenerate_cases"))
 
 
 def _regularity_transfer_check(L: LieAlgebra, Lm: LieAlgebra, idx_base: int,
-                               idx_tak: int, samples: int, seed: int) -> Check:
+                               idx_tak: int, rank_at: liealg.RankFunction,
+                               samples: int, seed: int) -> Check:
     m = Lm.grading.depth
     return _transfer_check(
         "regularity-transfer", _REF_REGULAR, L, m, samples, seed,
         (sampling.TAG_REGULARITY,),
-        lambda comps: (liealg.is_regular(Lm, flatten_point(Lm, comps), idx_tak),
+        lambda comps: (rank_at(Lm, flatten_point(Lm, comps)) == Lm.dim - idx_tak,
                        liealg.is_regular(L, comps[m], idx_base)),
         ("takiff_regular", "top_component_regular", "regular_cases", "singular_cases"))
 
@@ -300,7 +352,8 @@ def verify_multi_current(L: LieAlgebra, fs: InvariantSet, degrees,
 
     Each level's expanded family becomes the next level's base invariant set;
     a single-entry degree list therefore reduces exactly to
-    verify_main_theorem.  ``eval_samples`` no longer has any effect.
+    verify_main_theorem.  ``eval_samples`` no longer has any effect, and a
+    ``transfer_samples`` below 1 raises ValueError.
     """
     degrees = list(degrees)
     if not degrees:

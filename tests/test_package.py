@@ -1,9 +1,10 @@
 """Package-level checks: every exported name resolves, every layer the
-benchmark traces still exists and the null-fiber chain still enters the
-layers its workload needs, and the script runs."""
+benchmark traces still exists, the null-fiber chain and `verify` still enter
+the layers their workloads need, and the script runs."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import takiffalg
-from takiffalg import catalog
+from takiffalg import catalog, verify
 from takiffalg.nilfiber import sl2_chain
 from takiffalg.polyring import parse_poly
 
@@ -33,10 +34,9 @@ def test_every_exported_name_resolves(name):
     assert [n for n in exported if not hasattr(module, n)] == []
 
 
-def test_benchmark_traced_spans_resolve():
-    # perfbench/bench_trace.py (stdlib imports only) names every function the
-    # benchmark wraps; a deletion must not silently drop one of those layers.
-    # The file is only read: no bytecode is written next to it.
+def _bench_trace_spans():
+    """SPANS of perfbench/bench_trace.py (stdlib imports only), read without
+    writing bytecode next to it."""
     path = ROOT / "perfbench" / "bench_trace.py"
     bench_trace = types.ModuleType("_bench_trace_spans")
     sys.modules[bench_trace.__name__] = bench_trace   # dataclasses look it up here
@@ -44,8 +44,52 @@ def test_benchmark_traced_spans_resolve():
         exec(compile(path.read_text(), str(path), "exec"), bench_trace.__dict__)
     finally:
         del sys.modules[bench_trace.__name__]
-    assert bench_trace.SPANS
-    for span in bench_trace.SPANS:
+    return bench_trace.SPANS
+
+
+def _must_run(workload):
+    """The spans perfbench/test_perfbench.py requires `workload` to enter."""
+    path = ROOT / "perfbench" / "test_perfbench.py"
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "MUST_RUN" for t in node.targets):
+            return ast.literal_eval(node.value)[workload]
+    raise AssertionError("perfbench/test_perfbench.py defines no MUST_RUN")
+
+
+def _count_calls(monkeypatch, layers):
+    """Call counts of each (module, qualname), filled in as the layers run.
+
+    A function is wrapped in every module namespace that bound it, a method
+    on its class.
+    """
+    calls = {}
+    for owner_name, qualname in layers:
+        *path, name = qualname.split(".")
+        owner = importlib.import_module(owner_name)
+        for part in path:
+            owner = getattr(owner, part)
+        original = getattr(owner, name)
+        key = f"{owner_name}.{qualname}"
+        calls[key] = 0
+
+        def counting(*args, _key=key, _original=original, **kwargs):
+            calls[_key] += 1
+            return _original(*args, **kwargs)
+
+        owners = [owner] if path else [m for m in map(importlib.import_module, MODULES)
+                                       if getattr(m, name, None) is original]
+        for target in owners:
+            monkeypatch.setattr(target, name, counting)
+    return calls
+
+
+def test_benchmark_traced_spans_resolve():
+    # perfbench/bench_trace.py names every function the benchmark wraps; a
+    # deletion must not silently drop one of those layers.
+    spans = _bench_trace_spans()
+    assert spans
+    for span in spans:
         assert span.module.startswith("takiffalg."), span
         owner = importlib.import_module(span.module)
         for part in span.qualname.split("."):
@@ -56,26 +100,25 @@ def test_benchmark_traced_spans_resolve():
 def test_null_fiber_chain_runs_the_benchmarked_layers(monkeypatch):
     # The nullfiber-seeds workload of perfbench/ requires these spans to be
     # entered; a dedupe inside sl2_chain must not leave one of them silent.
-    # Each function is wrapped in every module namespace that bound it.
-    layers = [("takiffalg.linalg", "rref"), ("takiffalg.linalg", "nullspace"),
-              ("takiffalg.raistauvel", "build_family"),
-              ("takiffalg.raistauvel", "family_rank_at"),
-              ("takiffalg.liealg", "differential_matrix"),
-              ("takiffalg.liealg", "omega_test")]
-    calls = {}
-    for owner, name in layers:
-        original = getattr(importlib.import_module(owner), name)
-        key = f"{owner}.{name}"
-        calls[key] = 0
-
-        def counting(*args, _key=key, _original=original, **kwargs):
-            calls[_key] += 1
-            return _original(*args, **kwargs)
-
-        for module in map(importlib.import_module, MODULES):
-            if getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counting)
+    calls = _count_calls(monkeypatch, [
+        ("takiffalg.linalg", "rref"), ("takiffalg.linalg", "nullspace"),
+        ("takiffalg.raistauvel", "build_family"),
+        ("takiffalg.raistauvel", "family_rank_at"),
+        ("takiffalg.liealg", "differential_matrix"),
+        ("takiffalg.liealg", "omega_test")])
     sl2_chain(levels=3, seed=0)
+    assert [key for key, n in calls.items() if not n] == []
+
+
+def test_verify_runs_the_layers_sampled_large_requires(monkeypatch):
+    # perfbench/test_perfbench.py requires the sampled-large workload to enter
+    # every span of its MUST_RUN entry; a shortcut inside verify must not
+    # leave one of them silent.  The workload serializes each report.
+    spans = {span.metric: span for span in _bench_trace_spans()}
+    calls = _count_calls(monkeypatch, [(spans[metric].module, spans[metric].qualname)
+                                       for metric in _must_run("sampled-large")])
+    sl3 = catalog.load("sl3")
+    verify.verify_main_theorem(sl3.algebra, sl3.invariants, 2, transfer_samples=4).to_json()
     assert [key for key, n in calls.items() if not n] == []
 
 

@@ -1,17 +1,27 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from takiffalg import catalog, sampling
-from takiffalg.liealg import AlgebraError, HomogeneityError
+from takiffalg import catalog, linalg, raistauvel, sampling
+from takiffalg.liealg import (
+    AlgebraError,
+    HomogeneityError,
+    InvariantSet,
+    kirillov_matrix,
+    omega_test,
+)
 from takiffalg.polyring import parse_poly
 from takiffalg.raistauvel import (
     InvariantFamily,
     build_family,
+    derivative_identity_defect,
     expand_invariant,
     family_rank_at,
+    takiff_kirillov_rank,
 )
 from takiffalg.takiff import flatten_point, graded_name, graded_varset
 
@@ -159,3 +169,109 @@ class TestDifferentials:
             r = sampling.rng(13, 43, trial)
             comps = sampling.random_components(sl3.algebra.basis, 2, r, bound=20)
             assert family_rank_at(fam, flatten_point(fam.takiff_algebra, comps)) == 6
+
+
+# (catalog entry, truncation degrees): every entry with invariants at
+# m = 1..3, and the second level of sl2<1,1>
+BLOCK_CASES = [(name, (m,)) for name in catalog.NAMES if name != "affine2"
+               for m in (1, 2, 3)] + [("sl2", (1, 1))]
+
+# base names spanning a coordinate subspace on which every invariant vanishes
+NILCONE_SUPPORT = {
+    "sl2": ("e",),
+    "sl3": ("e12", "e23", "e13"),
+    "heis1": ("x", "y"),
+    "heis2": ("x1", "x2", "y1", "y2"),
+    "slnV2": ("e", "h", "f", "v11", "v12"),
+    "slnV3": ("h1", "h2", "e12", "e23", "e13", "e21", "e32", "e31",
+              "v11", "v12", "v13", "v21", "v22", "v23"),
+    "nilrad_sl3": ("e12", "e23"),
+    "sl2<1>": ("e@0", "h@0", "f@0"),
+}
+
+
+@lru_cache(maxsize=None)
+def block_family(name, degrees):
+    entry = catalog.load(name)
+    L, fs = entry.algebra, entry.invariants
+    for m in degrees[:-1]:
+        fs = build_family(L, m, fs).invariant_set()
+        L = fs.algebra
+    return build_family(L, degrees[-1], fs)
+
+
+def with_member(fam, i, j, F):
+    table = [list(row) for row in fam.table]
+    table[i - 1][j] = F
+    return InvariantFamily(takiff_algebra=fam.takiff_algebra, base=fam.base,
+                           table=tuple(map(tuple, table)))
+
+
+class TestBlockTriangularity:
+    @pytest.mark.parametrize("name,degrees", BLOCK_CASES)
+    def test_expanded_families_satisfy_the_derivative_identity(self, name, degrees):
+        assert derivative_identity_defect(block_family(name, degrees)) is None
+
+    @pytest.mark.parametrize("i,j,extra,factor,named", [
+        (1, 0, "0", 2, (1, 0, "e@2")),
+        (1, 1, "0", 2, (1, 1, "e@1")),
+        (1, 2, "e@0*e@2", 1, (1, 2, "e@0")),
+        (1, 2, "h@0^2", 1, (1, 2, "h@0")),
+    ])
+    def test_a_changed_diagonal_partial_is_named(self, i, j, extra, factor, named):
+        fam = block_family("sl2", (2,))
+        F = fam.member(i, j)
+        bad = with_member(fam, i, j, F * factor + parse_poly(extra, F.varset))
+        assert derivative_identity_defect(bad) == named
+
+    @pytest.mark.parametrize("kind", ["random", "zero", "nilcone"])
+    @pytest.mark.parametrize("name,degrees", BLOCK_CASES)
+    @settings(max_examples=5)
+    @given(data=st.data())
+    def test_family_rank_and_kirillov_rank_follow_the_top(self, name, degrees, kind, data):
+        # the two block triangles, cross-checked against full ranks: random,
+        # zero and null-cone tops, so the shortcut both fires and falls back
+        fam = block_family(name, degrees)
+        L, Lm, m = fam.base.algebra, fam.takiff_algebra, fam.depth
+        coords = st.lists(st.integers(-9, 9), min_size=L.dim, max_size=L.dim)
+        comps = [dict(zip(L.basis, data.draw(coords))) for _ in range(m)]
+        support = {"random": L.basis, "zero": (), "nilcone": NILCONE_SUPPORT[L.label]}[kind]
+        top = {b: v if b in support else 0 for b, v in zip(L.basis, data.draw(coords))}
+        if kind == "nilcone":
+            assert not any(f.evaluate(top) for f in fam.base.polys)
+        flat = flatten_point(Lm, comps + [top])
+        full = family_rank_at(fam, flat) == (m + 1) * fam.l
+        assert full == omega_test(fam.base, top)
+        assert takiff_kirillov_rank(fam, flat) == linalg.rank(kirillov_matrix(Lm, flat))
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_a_top_of_rank_n_minus_l_outside_omega_falls_back(self, sl3, m):
+        # four sl3 invariants, two of them products: rank K(e12*) = 8 - 4, but
+        # the differentials are dependent, so only the full matrix knows the rank
+        C2, C3 = sl3.invariants.polys
+        fs = InvariantSet(algebra=sl3.algebra, polys=(C2, C3, C2 * C2, C2 * C3))
+        fam = build_family(sl3.algebra, m, fs)
+        assert derivative_identity_defect(fam) is None
+        comps = sampling.random_components(sl3.algebra.basis, m, sampling.rng(13, 53))
+        comps[m] = {b: int(b == "e12") for b in sl3.algebra.basis}
+        assert not omega_test(fs, comps[m])
+        flat = flatten_point(fam.takiff_algebra, comps)
+        rank = takiff_kirillov_rank(fam, flat)
+        assert rank == linalg.rank(kirillov_matrix(fam.takiff_algebra, flat))
+        assert rank > (m + 1) * (sl3.algebra.dim - fam.l)
+
+    def test_a_regular_top_in_omega_builds_no_truncated_matrix(self, monkeypatch, sl3):
+        fam = block_family("sl3", (2,))
+        ranked = []
+
+        def spy(L, point):
+            ranked.append(L.label)
+            return linalg.rank(kirillov_matrix(L, point))
+
+        monkeypatch.setattr(raistauvel, "kirillov_rank_at", spy)
+        comps = sampling.random_components(sl3.algebra.basis, 2, sampling.rng(13, 47))
+        assert takiff_kirillov_rank(fam, flatten_point(fam.takiff_algebra, comps)) == 18
+        assert ranked == ["sl3"]
+        comps[2] = {b: 0 for b in sl3.algebra.basis}
+        takiff_kirillov_rank(fam, flatten_point(fam.takiff_algebra, comps))
+        assert ranked == ["sl3", "sl3", "sl3<2>"]

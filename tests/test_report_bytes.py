@@ -11,6 +11,9 @@ The last case is a Jacobi FAIL on an sl2-like algebra with a 1/3 structure
 constant, so its witness carries rational residuals.  The `sl3<4>` and
 `slnV3<2>` digests were recorded while invariance and the ideal check still
 bracketed every basis element, before they bracketed a generating set.
+The `sl3<8>` and `sl3<1,1,1>` digests were recorded while every transfer
+sample and index trial still ranked a full (m+1)n-wide matrix, before the
+grade-block triangularity decided those ranks.
 """
 
 from __future__ import annotations
@@ -45,6 +48,10 @@ CASES = {
                       "88add47eb1aec53b86905821d22bda4241ea691a451cacd21cdcffee46ac0bd9"),
     "verify-m2-slnV3": (["verify", "--m", "2", "slnV3"],
                         "9a9c02af1732234169d5974023bb451b562f2bb5786528235e3ed1dcfde72551"),
+    "verify-m8-sl3": (["verify", "--m", "8", "sl3"],
+                      "dd91bd221907f516eaa66a715906351aa0ecc0f20845c2e5b8d845977155108e"),
+    "verify-multi111-sl3": (["verify", "--multi", "1,1,1", "sl3"],
+                            "28754512f1f6a1bee92abc6f3aa71162ec5692a557dc4ae8d5cbc8092c232d90"),
     "nilfiber-l3-sl2": (["nilfiber", "--levels", "3", "sl2"],
                         "491cd1c895744f712212cf43d831e5692325189c3f1f36e64edbbf9b503114d5"),
     "verify-m1-jacobi-fail-third": (["verify", "--m", "1", "{bad}", "--seed", "3"],

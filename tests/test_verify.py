@@ -5,7 +5,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from takiffalg import catalog, liealg, sampling
+from takiffalg import catalog, liealg, raistauvel, sampling
 from takiffalg.liealg import (
     InvariantSet,
     LieAlgebra,
@@ -13,7 +13,7 @@ from takiffalg.liealg import (
     invariance_defect,
 )
 from takiffalg.polyring import Polynomial, parse_poly
-from takiffalg.raistauvel import build_family
+from takiffalg.raistauvel import InvariantFamily, build_family
 from takiffalg.report import FAIL, PASS, SKIPPED
 from takiffalg.takiff import generating_targets, nilpotent_ideal, takiff
 from takiffalg.verify import (
@@ -90,6 +90,15 @@ class TestMainTheorem:
             assert check.witness["note"] == "no invariants supplied"
         assert _by_name(rep, "index-formula").status == PASS
         assert rep.summary == PASS
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_fewer_than_one_transfer_sample_is_refused(self, sl2, samples):
+        L, fs = sl2.algebra, sl2.invariants
+        with pytest.raises(ValueError, match="at least one sample"):
+            verify_main_theorem(L, fs, 1, transfer_samples=samples)
+        for degrees in ([1], [1, 1]):
+            with pytest.raises(ValueError, match="at least one sample"):
+                verify_multi_current(L, fs, degrees, transfer_samples=samples)
 
     def test_report_is_deterministic(self, sl2):
         a = verify_main_theorem(sl2.algebra, sl2.invariants, 1, seed=3)
@@ -272,3 +281,65 @@ class TestGeneratingSet:
         assert seen[0] == list(range(L2.dim))
         assert seen[1:] and all(t == ideal for t in seen[1:])
         assert _by_name(rep, "invariance").status == FAIL
+
+
+def _structural_and_exact(monkeypatch, L, fs, m, **kwargs):
+    """(report, structural rank calls, report with every rank taken from its matrix)."""
+    structural = raistauvel.takiff_kirillov_rank
+    calls = []
+
+    def spy(fam, flat):
+        calls.append(flat)
+        return structural(fam, flat)
+
+    monkeypatch.setattr(raistauvel, "takiff_kirillov_rank", spy)
+    rep = verify_main_theorem(L, fs, m, **kwargs)
+    monkeypatch.setattr(raistauvel, "takiff_kirillov_rank",
+                        lambda fam, flat: liealg.kirillov_rank_at(fam.takiff_algebra, flat))
+    exact = verify_main_theorem(L, fs, m, **kwargs)
+    monkeypatch.undo()
+    return rep, len(calls), exact
+
+
+def _exact_route_witnesses_agree(rep, exact):
+    for name in ("index-formula", "magic-number", "regularity-transfer"):
+        assert _by_name(rep, name).status == _by_name(exact, name).status
+        assert _by_name(rep, name).witness == _by_name(exact, name).witness
+
+
+class TestStructuralRanks:
+    @pytest.mark.parametrize("name,m", [("sl2", 3), ("sl3", 2), ("heis1", 2),
+                                        ("slnV2", 2)])
+    def test_block_ranks_leave_every_byte_unchanged(self, monkeypatch, name, m):
+        entry = catalog.load(name)
+        rep, calls, exact = _structural_and_exact(
+            monkeypatch, entry.algebra, entry.invariants, m, transfer_samples=20)
+        assert calls > 0
+        assert rep.summary == PASS
+        assert rep.to_json() == exact.to_json()
+
+    def test_a_derivative_identity_defect_fails_both_omega_checks(self, monkeypatch, sl2):
+        # 2 * F_1^1 is still an invariant, with the right degree and support,
+        # but its grade-1 partials are twice df/db at grade 2
+        fam = build_family(sl2.algebra, 2, sl2.invariants)
+        table = ((fam.member(1, 0), fam.member(1, 1) * 2, fam.member(1, 2)),)
+        bad = InvariantFamily(takiff_algebra=fam.takiff_algebra, base=fam.base, table=table)
+        monkeypatch.setattr(raistauvel, "build_family", lambda L, m, fs: bad)
+        rep, calls, exact = _structural_and_exact(
+            monkeypatch, sl2.algebra, sl2.invariants, 2, transfer_samples=20)
+        assert _by_name(rep, "invariance").status == PASS
+        for name in ("jacobian-rank-on-omega", "omega-transfer"):
+            check = _by_name(rep, name)
+            assert check.status == FAIL
+            assert (check.witness["member"], check.witness["variable"]) == ([1, 1], "e@1")
+        assert calls == 0
+        _exact_route_witnesses_agree(rep, exact)
+
+    def test_a_failed_invariance_takes_the_exact_route(self, monkeypatch, sl2):
+        bad = InvariantSet(algebra=sl2.algebra,
+                           polys=(parse_poly("h^2 + 3*e*f", sl2.algebra.basis),))
+        rep, calls, exact = _structural_and_exact(
+            monkeypatch, sl2.algebra, bad, 2, transfer_samples=20)
+        assert _by_name(rep, "invariance").status == FAIL
+        assert calls == 0
+        _exact_route_witnesses_agree(rep, exact)
