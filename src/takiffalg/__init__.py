@@ -12,7 +12,6 @@ from .liealg import (
     InvariantSet,
     LieAlgebra,
     index,
-    is_regular,
     is_symmetric_invariant,
     kirillov_matrix,
     magic_number,
@@ -40,7 +39,6 @@ __all__ = [
     "InvariantSet",
     "LieAlgebra",
     "index",
-    "is_regular",
     "is_symmetric_invariant",
     "kirillov_matrix",
     "magic_number",

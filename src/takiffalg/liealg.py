@@ -4,8 +4,8 @@ A `LieAlgebra` stores the brackets sparsely: only pairs i < j with a nonzero
 bracket appear, each as a sparse coefficient vector over the basis.  On top of
 that this module provides the Kirillov form and its exact rank, the randomized
 index estimate, the magic number (dim + ind)/2, the Poisson bracket on the
-symmetric algebra, invariance and regularity tests, and differentials of
-polynomial functions at points of the dual space.
+symmetric algebra, the invariance test, and differentials of polynomial
+functions at points of the dual space.
 
 Points of the dual space are plain ``{basis_name: int | Fraction}`` mappings
 that assign every basis name exactly once.  All operations are pure functions
@@ -57,7 +57,6 @@ __all__ = [
     "bracket_defect_against",
     "differential_matrix",
     "omega_test",
-    "is_regular",
     "check_point",
 ]
 
@@ -402,7 +401,7 @@ def invariance_defect(L: LieAlgebra, f: Polynomial) -> tuple[str, Polynomial] | 
 
 
 # ---------------------------------------------------------------------------
-# differentials, regularity, the singular-set test
+# differentials and the singular-set test
 # ---------------------------------------------------------------------------
 
 def differential_matrix(polys: Sequence[Polynomial], point: DualPoint) -> list[list[Fraction]]:
@@ -441,8 +440,3 @@ def omega_test(fs: InvariantSet, point: DualPoint) -> bool:
     if not fs.polys:
         raise AlgebraError("the singular-set test needs at least one invariant")
     return linalg.rank(differential_matrix(fs.polys, point)) == len(fs.polys)
-
-
-def is_regular(L: LieAlgebra, point: DualPoint, known_index: int) -> bool:
-    """True iff the coadjoint stabilizer at the point has the minimal dimension."""
-    return kirillov_rank_at(L, point) == L.dim - known_index

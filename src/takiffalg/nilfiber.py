@@ -140,7 +140,7 @@ def _kernel_point(rows: list[list[Scalar]], names: Sequence[str], r,
     den = _common_denominator(x for v in basis for x in v)
     columns = list(zip(*([x.numerator * (den // x.denominator) for x in v] for v in basis)))
     for _ in range(100):
-        coeffs = [r.randint(-bound, bound) for _ in basis]
+        coeffs = sampling.uniform_ints(r, len(basis), bound)
         vec = [sum(map(operator.mul, coeffs, col)) for col in columns]
         if any(vec):
             pt = dict(zip(names, [_over(x, den) for x in vec]))
@@ -159,8 +159,11 @@ def check_N1_characterization(L: LieAlgebra, fs: InvariantSet,
     invariants and their differentials only.  The point schedule mixes cone
     points with compatible and incompatible xi_0, fully random points, and
     xi_1 = 0, so both truth values occur.  Points found on the fiber also
-    get the span-containment bounds checked.
+    get the span-containment bounds checked.  ``samples`` below 1 raises
+    ValueError.
     """
+    if samples < 1:
+        raise ValueError(f"the N<1> check needs at least one sample, got {samples}")
     return _n1_characterization(L, build_family(L, 1, fs), samples, seed, cone)
 
 
@@ -311,12 +314,15 @@ def sl2_chain(levels: int = 3, seed: int = 0,
 
     Level k analyzes the null fiber one step above the (k-1)-fold truncation;
     level 1 also carries the pointwise membership characterization and the
-    span-containment bounds.
+    span-containment bounds.  ``points_per_stratum`` below 1 raises
+    ValueError.
     """
     from . import catalog
 
     if not 1 <= levels <= 3:
         raise ValueError("the sl2 chain is built for levels 1..3")
+    if points_per_stratum < 1:
+        raise ValueError(f"each stratum needs at least one point, got {points_per_stratum}")
     entry = catalog.load("sl2")
     L0, fs0 = entry.algebra, entry.invariants
     cone = entry.parametrizations["nilcone"]

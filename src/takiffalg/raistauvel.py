@@ -174,7 +174,8 @@ def derivative_identity_defect(fam: InvariantFamily) -> tuple[int, int, str] | N
     return None
 
 
-def takiff_kirillov_rank(fam: InvariantFamily, flat: DualPoint) -> int:
+def takiff_kirillov_rank(fam: InvariantFamily, flat: DualPoint,
+                         top_rank: int | None = None) -> int:
     """rank K(xi) on fam.takiff_algebra, read off the grade blocks where possible.
 
     Valid only when every member of the family is a symmetric invariant of
@@ -184,13 +185,17 @@ def takiff_kirillov_rank(fam: InvariantFamily, flat: DualPoint) -> int:
     bounds it below, and the (m+1)l gradients of the family, independent at
     xi and in ker K(xi) because the members are invariants, bound it above.
     Everywhere else the Kirillov matrix of L<m> is built and ranked.
+    ``top_rank`` is rank K(xi_m) when the caller already has it; None ranks
+    the top here.
     """
     Lm = fam.takiff_algebra
     grading = Lm.grading
     m, L, fs = fam.depth, fam.base.algebra, fam.base
     top = {grading.base_name_of[name]: flat[name]
            for name in Lm.basis if grading.grade_of[name] == m}
+    if top_rank is None:
+        top_rank = kirillov_rank_at(L, top)
     regular = L.dim - fam.l
-    if kirillov_rank_at(L, top) == regular and omega_test(fs, top):
+    if top_rank == regular and omega_test(fs, top):
         return (m + 1) * regular
     return kirillov_rank_at(Lm, flat)

@@ -4,6 +4,13 @@ Every randomized routine in the package derives a private stream seed from
 (seed, domain tag, trial index) with a fixed 64-bit mixing function, so runs
 are reproducible bit-for-bit and trial t never depends on how many other
 trials run around it.
+
+Integers uniform in [-bound, bound] come from `uniform_ints`, which draws
+exactly as CPython's ``randint(-bound, bound)`` does: k = span.bit_length()
+random bits per try, with span = 2*bound + 1, until the value is below span.
+It calls ``getrandbits`` directly instead of going through ``randint``,
+``randrange`` and ``_randbelow``, so every stream, and every point drawn
+from it, is the one ``randint`` gave.
 """
 
 from __future__ import annotations
@@ -11,7 +18,8 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-__all__ = ["derive_seed", "rng", "random_coords", "random_components", "DEFAULT_BOUND"]
+__all__ = ["derive_seed", "rng", "uniform_ints", "random_coords", "random_components",
+           "DEFAULT_BOUND"]
 
 DEFAULT_BOUND = 1000
 
@@ -46,10 +54,29 @@ def rng(seed: int, *parts: int) -> random.Random:
     return random.Random(derive_seed(seed, *parts))
 
 
+def uniform_ints(r: random.Random, count: int, bound: int) -> list[int]:
+    """``count`` ints uniform in [-bound, bound], as ``r.randint(-bound, bound)`` draws them.
+
+    A negative bound raises ValueError, as ``randint`` does.
+    """
+    if bound < 0:
+        raise ValueError(f"the bound must be >= 0, got {bound}")
+    span = 2 * bound + 1
+    k = span.bit_length()
+    getrandbits = r.getrandbits
+    out = []
+    for _ in range(count):
+        x = getrandbits(k)
+        while x >= span:
+            x = getrandbits(k)
+        out.append(x - bound)
+    return out
+
+
 def random_coords(names: Sequence[str], r: random.Random,
                   bound: int = DEFAULT_BOUND) -> dict[str, int]:
     """Point with `int` coordinates uniform in [-bound, bound]."""
-    return {name: r.randint(-bound, bound) for name in names}
+    return dict(zip(names, uniform_ints(r, len(names), bound)))
 
 
 def random_components(names: Sequence[str], depth: int, r: random.Random,

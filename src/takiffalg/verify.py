@@ -28,10 +28,21 @@ both checks and names the member and variable.  When invariance also
 passes, the L<m> index trials and the regularity samples whose top
 component is regular and in Omega take their rank from
 `raistauvel.takiff_kirillov_rank` without building the (m+1)n-wide
-Kirillov matrix; every other point is ranked from its matrix.  Both routes
-give the exact rank, so every status, index and witness is the same.
-Only the direction "xi_m regular => xi regular" follows from the block
-triangle; the converse is still sampled.
+Kirillov matrix.  Only the direction "xi_m regular => xi regular" follows
+from the block triangle; the converse is still sampled.
+
+Each regularity sample ranks its top component once: rank K(xi_m) decides
+the right side and feeds the block-triangle shortcut.  A top with
+K(xi_m) = 0, the zero top of the odd samples above all, is decided by its
+zero rows.  The row of x@m in the Kirillov matrix of L<m> is
+<xi, [x@m, y@j]>, which vanishes for every y@j: the bracket is truncated
+for j >= 1, and for j = 0 the entry is K(xi_m)_{x,y} = 0.  So rank K(xi) <=
+mn, and when ind L<m> < n the left side is False with no matrix built; the
+right side is ind L = n.  A zero top is not ranked at all.  This is linear
+algebra on takiff(L, m) alone, so it needs no family and holds at every
+level of `verify_multi_current`.  Every other point is ranked from its
+matrix.  All routes give the exact rank, so every status, index and
+witness is the same.
 """
 
 from __future__ import annotations
@@ -162,11 +173,13 @@ def _verify_step(L: LieAlgebra, fs: InvariantSet, m: int, trials: int,
                            {"generators": len(generators), "ideal_size": len(ideal)}))
 
     identity = raistauvel.derivative_identity_defect(fam) if fam is not None else None
+    # the block triangles give the exact rank where the top is regular in Omega
+    certified = (fam if fam is not None and invariance.status == PASS and identity is None
+                 else None)
     rank_at = liealg.kirillov_rank_at
-    if fam is not None and invariance.status == PASS and identity is None:
-        # the block triangles give the exact rank where the top is regular in Omega
+    if certified is not None:
         def rank_at(_, flat):
-            return raistauvel.takiff_kirillov_rank(fam, flat)
+            return raistauvel.takiff_kirillov_rank(certified, flat)
 
     t0 = time.perf_counter()
     idx_base = liealg.index(L, trials=trials, seed=seed)
@@ -222,7 +235,7 @@ def _verify_step(L: LieAlgebra, fs: InvariantSet, m: int, trials: int,
         rep.add(_jacobian_rank_check(L, fs, fam, identity, seed))
         rep.add(_omega_transfer_check(L, fs, fam, identity, transfer_samples, seed))
 
-    rep.add(_regularity_transfer_check(L, Lm, idx_base, idx_tak, rank_at,
+    rep.add(_regularity_transfer_check(L, Lm, certified, idx_base, idx_tak,
                                        transfer_samples, seed))
     return rep, Lm, fam
 
@@ -286,19 +299,23 @@ def _transfer_check(name: str, paper_ref: str, L: LieAlgebra, m: int,
                     sides, keys: tuple[str, str, str, str]) -> Check:
     """Sampled agreement of two yes/no sides of a transfer equivalence.
 
-    Sample t mixes random components, with the top one zeroed for odd t, and
-    draws from ``sampling.rng(seed, *stream, t)``; ``sides(comps)`` returns
-    (lhs, rhs).  ``keys`` names the lhs and rhs in a FAIL witness, then the
-    PASS counts of samples where both sides hold and where neither does.  The
-    first disagreement is the FAIL witness.
+    Sample t mixes random components drawn from ``sampling.rng(seed,
+    *stream, t)``, with the top one zero for odd t.  The top is drawn last,
+    so an odd sample draws components 0..m-1 only, and they are the ones a
+    full draw gives.  ``sides(comps)`` returns (lhs, rhs).  ``keys`` names
+    the lhs and rhs in a FAIL witness, then the PASS counts of samples where
+    both sides hold and where neither does.  The first disagreement is the
+    FAIL witness.
     """
     t0 = time.perf_counter()
     lhs_key, rhs_key, yes_key, no_key = keys
     yes = 0
     for t in range(samples):
-        comps = sampling.random_components(L.basis, m, sampling.rng(seed, *stream, t))
+        r = sampling.rng(seed, *stream, t)
         if t % 2:
-            comps[m] = {b: 0 for b in L.basis}
+            comps = sampling.random_components(L.basis, m - 1, r) + [dict.fromkeys(L.basis, 0)]
+        else:
+            comps = sampling.random_components(L.basis, m, r)
         lhs, rhs = sides(comps)
         if lhs != rhs:
             return Check(name=name, status=FAIL, paper_ref=paper_ref,
@@ -332,15 +349,41 @@ def _omega_transfer_check(L: LieAlgebra, fs: InvariantSet,
                 "full_rank_cases", "degenerate_cases"))
 
 
-def _regularity_transfer_check(L: LieAlgebra, Lm: LieAlgebra, idx_base: int,
-                               idx_tak: int, rank_at: liealg.RankFunction,
+def _zero_top_rank_bound(Lm: LieAlgebra) -> int:
+    """rank K(xi) on L<m> = takiff(L, m) is at most mn wherever K(xi_m) = 0.
+
+    The n rows of the top grade vanish there (see the module docstring).
+    """
+    return Lm.dim - Lm.grading.base_dim
+
+
+def _regularity_transfer_check(L: LieAlgebra, Lm: LieAlgebra,
+                               fam: raistauvel.InvariantFamily | None,
+                               idx_base: int, idx_tak: int,
                                samples: int, seed: int) -> Check:
+    """``fam`` is the step's family when it is certified, else None.
+
+    rank K(xi_m) is taken once per sample, and a zero top has rank 0.  At
+    rank 0 the left side is False without a matrix when the zero rows bound
+    the rank below dim L<m> - ind L<m>.
+    """
     m = Lm.grading.depth
+    regular = Lm.dim - idx_tak
+
+    def sides(comps):
+        top = comps[m]
+        top_rank = liealg.kirillov_rank_at(L, top) if any(top.values()) else 0
+        top_regular = top_rank == L.dim - idx_base
+        if not top_rank and _zero_top_rank_bound(Lm) < regular:
+            return False, top_regular
+        flat = flatten_point(Lm, comps)
+        rank = (liealg.kirillov_rank_at(Lm, flat) if fam is None
+                else raistauvel.takiff_kirillov_rank(fam, flat, top_rank))
+        return rank == regular, top_regular
+
     return _transfer_check(
         "regularity-transfer", _REF_REGULAR, L, m, samples, seed,
-        (sampling.TAG_REGULARITY,),
-        lambda comps: (rank_at(Lm, flatten_point(Lm, comps)) == Lm.dim - idx_tak,
-                       liealg.is_regular(L, comps[m], idx_base)),
+        (sampling.TAG_REGULARITY,), sides,
         ("takiff_regular", "top_component_regular", "regular_cases", "singular_cases"))
 
 

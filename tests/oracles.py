@@ -3,7 +3,9 @@
 Nothing here imports the modules under test beyond plain data types, and the
 algorithms are deliberately the naive ones: truncated dual-number arithmetic
 coefficient by coefficient, rank, reduced row echelon form and kernels by
-plain fraction Gaussian elimination, brackets of elements, Kirillov matrices
+plain fraction Gaussian elimination, rank by textbook Bareiss elimination
+on integers, regularity of a dual point from that rank, brackets of
+elements, Kirillov matrices
 and Jacobi residuals in Fractions straight from the bracket table, the Lie
 subalgebra generated by basis elements as a Fraction span closure, Poisson
 brackets with basis elements as a gradient times the Kirillov matrix, and
@@ -16,6 +18,7 @@ raw data: basis names, bracket tables, term dictionaries and grade maps.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 
@@ -106,6 +109,33 @@ def naive_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return rank
 
 
+def bareiss_rank(rows: Sequence[Sequence[Fraction]]) -> int:
+    """Rank by Bareiss fraction-free elimination on a denominator-cleared copy.
+
+    Each row is scaled to integers; columns are taken left to right, the
+    pivot is the first row that meets the column, and every row below it
+    becomes (p * row - a * pivot_row) / previous pivot, an exact division.
+    """
+    mat = []
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        den = lcm(*(x.denominator for x in row))
+        mat.append([x.numerator * (den // x.denominator) for x in row])
+    rank, prev = 0, 1
+    while mat and mat[0]:
+        pivot = next((r for r, row in enumerate(mat) if row[0]), None)
+        if pivot is None:
+            mat = [row[1:] for row in mat]
+            continue
+        prow = mat.pop(pivot)
+        p = prow[0]
+        mat = [[(p * x - row[0] * y) // prev for x, y in zip(row[1:], prow[1:])]
+               for row in mat]
+        prev = p
+        rank += 1
+    return rank
+
+
 def fraction_rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form by Fraction Gauss-Jordan, leftmost pivots first."""
     m = [[Fraction(x) for x in row] for row in rows]
@@ -170,6 +200,11 @@ def kirillov_matrix(algebra, point: dict[str, Fraction]) -> list[list[Fraction]]
         kirillov[i][j] += s
         kirillov[j][i] -= s
     return kirillov
+
+
+def is_regular(algebra, point: dict[str, Fraction], known_index: int) -> bool:
+    """True iff rank K(xi) = dim - ind: the coadjoint stabilizer is minimal."""
+    return bareiss_rank(kirillov_matrix(algebra, point)) == len(algebra.basis) - known_index
 
 
 def bracket_elements(algebra, x: dict[int, Fraction],

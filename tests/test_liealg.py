@@ -14,7 +14,6 @@ from takiffalg.liealg import (
     generic_kirillov_rank,
     index,
     invariance_defect,
-    is_regular,
     is_symmetric_invariant,
     kirillov_matrix,
     magic_number,
@@ -30,6 +29,7 @@ from oracles import (
     bracket_elements,
     bracket_values_at,
     gradient_at,
+    is_regular,
     jacobi_residuals,
     naive_rank,
 )

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from takiffalg import linalg, sampling
 
-from oracles import fraction_nullspace, fraction_rref, naive_rank
+from oracles import bareiss_rank, fraction_nullspace, fraction_rref, naive_rank
 
 frac_st = st.fractions(min_value=-8, max_value=8, max_denominator=6)
 # ints and Fractions mixed, with zeros common enough for rank deficiency
@@ -39,7 +39,7 @@ class TestRank:
 
     @given(matrix_st())
     def test_against_gaussian_oracle(self, mat):
-        assert linalg.rank(mat) == naive_rank(mat)
+        assert linalg.rank(mat) == naive_rank(mat) == bareiss_rank(mat)
 
     def test_seeded_larger_integer_matrices(self):
         for trial in range(30):
@@ -47,7 +47,7 @@ class TestRank:
             n, m = r.randint(6, 12), r.randint(6, 12)
             mat = [[Fraction(r.randint(-4, 4)) if r.random() < 0.4 else Fraction(0)
                     for _ in range(m)] for _ in range(n)]
-            assert linalg.rank(mat) == naive_rank(mat)
+            assert linalg.rank(mat) == naive_rank(mat) == bareiss_rank(mat)
 
     def test_skew_symmetric_rank_is_even(self):
         for trial in range(20):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from takiffalg import catalog, sampling
+from takiffalg import catalog, nilfiber, sampling
 from takiffalg.liealg import differential_matrix
 from takiffalg.nilfiber import (
     NilfiberError,
@@ -112,6 +112,12 @@ class TestCharacterization:
         assert bounds.status == PASS
         assert bounds.witness["points_checked"] == char.witness["member_cases"]
         assert bounds.witness["violations"] == []
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_fewer_than_one_sample_is_refused(self, sl2, samples):
+        # a PASS over no samples, or with negative counts, would certify nothing
+        with pytest.raises(ValueError, match="at least one sample"):
+            check_N1_characterization(sl2.algebra, sl2.invariants, samples=samples)
 
     def test_chain_shares_the_family_and_matches_the_standalone_run(self, sl2, chain):
         # sl2_chain hands its level-1 family to the same loop; the checks and
@@ -251,6 +257,15 @@ class TestChain:
             sl2_chain(levels=0)
         with pytest.raises(ValueError):
             sl2_chain(levels=4)
+
+    @pytest.mark.parametrize("points", [0, -1])
+    def test_empty_strata_are_refused_before_any_work(self, monkeypatch, points):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the chain started before checking its arguments")
+
+        monkeypatch.setattr(nilfiber, "build_family", no_work)
+        with pytest.raises(ValueError, match="at least one point"):
+            sl2_chain(levels=3, points_per_stratum=points)
 
     def test_single_level_runs_standalone(self):
         rep = sl2_chain(levels=1, seed=0)

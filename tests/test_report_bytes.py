@@ -13,7 +13,9 @@ constant, so its witness carries rational residuals.  The `sl3<4>` and
 bracketed every basis element, before they bracketed a generating set.
 The `sl3<8>` and `sl3<1,1,1>` digests were recorded while every transfer
 sample and index trial still ranked a full (m+1)n-wide matrix, before the
-grade-block triangularity decided those ranks.
+grade-block triangularity decided those ranks.  The two-dimensional abelian
+case, where the zero top is regular and no zero-row bound decides a sample,
+was recorded while every zero-top sample was still drawn and ranked.
 """
 
 from __future__ import annotations
@@ -24,6 +26,14 @@ import json
 import pytest
 
 from takiffalg.cli import main
+
+ABELIAN_2 = {
+    "label": "ab2",
+    "basis": ["x", "y"],
+    "brackets": [],
+    "invariants": ["x", "y"],
+    "flags": {},
+}
 
 BAD_JACOBI_THIRD = {
     "label": "badsl2third",
@@ -56,6 +66,8 @@ CASES = {
                         "491cd1c895744f712212cf43d831e5692325189c3f1f36e64edbbf9b503114d5"),
     "verify-m1-jacobi-fail-third": (["verify", "--m", "1", "{bad}", "--seed", "3"],
                                     "12e53bee5a89f2d7e2bf69b8fade08adad914c82e6e0f62091d73a9f81488267"),
+    "verify-m2-abelian": (["verify", "--m", "2", "{abelian}"],
+                          "8e1c7ede4afe0c374d164840cb51ef7e63d21af639c2062e819cf187e4f0f240"),
 }
 
 
@@ -64,8 +76,11 @@ def test_report_digest(tmp_path, capsys, case):
     argv, want = CASES[case]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(BAD_JACOBI_THIRD))
+    abelian = tmp_path / "abelian.json"
+    abelian.write_text(json.dumps(ABELIAN_2))
     path = tmp_path / "report.json"
-    code = main([a.format(bad=bad) for a in argv] + ["--report", str(path)])
+    argv = [a.format(bad=bad, abelian=abelian) for a in argv]
+    code = main(argv + ["--report", str(path)])
     capsys.readouterr()
     assert code == (1 if "fail" in case else 0)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == want

@@ -3,9 +3,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from takiffalg import catalog, liealg, raistauvel, sampling
+from takiffalg import catalog, linalg, liealg, raistauvel, sampling, verify
 from takiffalg.liealg import (
     InvariantSet,
     LieAlgebra,
@@ -15,14 +15,14 @@ from takiffalg.liealg import (
 from takiffalg.polyring import Polynomial, parse_poly
 from takiffalg.raistauvel import InvariantFamily, build_family
 from takiffalg.report import FAIL, PASS, SKIPPED
-from takiffalg.takiff import generating_targets, nilpotent_ideal, takiff
+from takiffalg.takiff import flatten_point, generating_targets, nilpotent_ideal, takiff
 from takiffalg.verify import (
     verify_main_theorem,
     verify_multi_current,
     wonderful_diagnostic,
 )
 
-from oracles import bracket_values_at
+from oracles import bracket_values_at, kirillov_matrix as oracle_kirillov_matrix
 
 CHECK_ORDER = [
     "jacobi", "invariance", "ideal-invariants", "index-formula",
@@ -189,6 +189,11 @@ class TestBracketOracle:
 
 CORRUPTIBLE = [("sl2", 1), ("sl2", 2), ("sl2", 3), ("sl3", 1),
                ("heis1", 1), ("heis1", 2), ("heis1", 3), ("slnV2", 1)]
+EXAMPLES_PER_CASE = 6
+
+
+def _case_id(case) -> str:
+    return f"{case[0]}<{case[1]}>"
 
 
 @lru_cache(maxsize=None)
@@ -211,9 +216,14 @@ def _nonzero_somewhere(Lm, F, t) -> bool:
 
 
 class TestGeneratingSet:
-    """Bracketing against a generating set decides exactly what all targets do."""
+    """Bracketing against a generating set decides exactly what all targets do.
 
-    @given(st.sampled_from(CORRUPTIBLE), st.data())
+    Each case gets its own few examples, about the profile's 50 in all.
+    """
+
+    @pytest.mark.parametrize("case", CORRUPTIBLE, ids=_case_id)
+    @settings(max_examples=EXAMPLES_PER_CASE)
+    @given(data=st.data())
     def test_invariance_fails_exactly_when_some_target_does(self, case, data):
         name, m = case
         entry = catalog.load(name)
@@ -236,7 +246,9 @@ class TestGeneratingSet:
             assert check.witness["poisson_bracket"][:400] == str(bracket)[:400]
             assert _nonzero_somewhere(Lm, F, t)
 
-    @given(st.sampled_from(CORRUPTIBLE), st.data())
+    @pytest.mark.parametrize("case", CORRUPTIBLE, ids=_case_id)
+    @settings(max_examples=EXAMPLES_PER_CASE)
+    @given(data=st.data())
     def test_a_corrupted_member_is_caught_by_the_generators(self, case, data):
         fam = _family(*case)
         Lm = fam.takiff_algebra
@@ -284,18 +296,24 @@ class TestGeneratingSet:
 
 
 def _structural_and_exact(monkeypatch, L, fs, m, **kwargs):
-    """(report, structural rank calls, report with every rank taken from its matrix)."""
+    """(report, structural rank calls, report with every rank taken from its matrix).
+
+    The second run ranks every Kirillov matrix of L<m>: no block triangle,
+    and no zero-row bound at a top with K(xi_m) = 0.
+    """
     structural = raistauvel.takiff_kirillov_rank
     calls = []
 
-    def spy(fam, flat):
+    def spy(fam, flat, top_rank=None):
         calls.append(flat)
-        return structural(fam, flat)
+        return structural(fam, flat, top_rank)
 
     monkeypatch.setattr(raistauvel, "takiff_kirillov_rank", spy)
     rep = verify_main_theorem(L, fs, m, **kwargs)
     monkeypatch.setattr(raistauvel, "takiff_kirillov_rank",
-                        lambda fam, flat: liealg.kirillov_rank_at(fam.takiff_algebra, flat))
+                        lambda fam, flat, top_rank=None:
+                        liealg.kirillov_rank_at(fam.takiff_algebra, flat))
+    monkeypatch.setattr(verify, "_zero_top_rank_bound", lambda Lm: Lm.dim)
     exact = verify_main_theorem(L, fs, m, **kwargs)
     monkeypatch.undo()
     return rep, len(calls), exact
@@ -305,6 +323,33 @@ def _exact_route_witnesses_agree(rep, exact):
     for name in ("index-formula", "magic-number", "regularity-transfer"):
         assert _by_name(rep, name).status == _by_name(exact, name).status
         assert _by_name(rep, name).witness == _by_name(exact, name).witness
+
+
+ZERO_ROW_CASES = [(name, m) for name in catalog.NAMES for m in (1, 2, 3)] + [("sl2<1>", 1)]
+
+
+@lru_cache(maxsize=None)
+def _zero_row_case(name, m):
+    """(L, L<m>) for a catalog entry, or for the base sl2<1> of sl2<1,1>'s level 2."""
+    if name == "sl2<1>":
+        L = takiff(catalog.load("sl2").algebra, 1)
+    else:
+        L = catalog.load(name).algebra
+    return L, takiff(L, m)
+
+
+class TestZeroRows:
+    @pytest.mark.parametrize("case", ZERO_ROW_CASES, ids=_case_id)
+    @settings(max_examples=3)
+    @given(data=st.data())
+    def test_zero_top_rank_is_at_most_mn(self, case, data):
+        # the n rows of the top grade vanish wherever xi_m = 0
+        L, Lm = _zero_row_case(*case)
+        m, n = case[1], L.dim
+        lower = data.draw(st.lists(st.integers(-50, 50), min_size=m * n, max_size=m * n))
+        comps = [dict(zip(L.basis, lower[j * n:(j + 1) * n])) for j in range(m)]
+        flat = flatten_point(Lm, comps + [dict.fromkeys(L.basis, 0)])
+        assert linalg.rank(oracle_kirillov_matrix(Lm, flat)) <= m * n
 
 
 class TestStructuralRanks:
@@ -317,6 +362,46 @@ class TestStructuralRanks:
         assert calls > 0
         assert rep.summary == PASS
         assert rep.to_json() == exact.to_json()
+
+    def test_abelian_zero_top_is_regular_on_both_routes(self, monkeypatch):
+        # n = l: every point is regular, the zero top included, so the zero
+        # rows decide nothing and the zero tops take the block-triangle rank
+        ab = LieAlgebra.create("ab2", ("x", "y"), {})
+        fs = InvariantSet(algebra=ab, polys=(ab.variable("x"), ab.variable("y")))
+        rep, calls, exact = _structural_and_exact(monkeypatch, ab, fs, 2,
+                                                  transfer_samples=20)
+        assert calls > 0
+        assert rep.summary == PASS
+        assert _by_name(rep, "regularity-transfer").witness == {
+            "samples": 20, "agreements": 20, "regular_cases": 20, "singular_cases": 0}
+        assert rep.to_json() == exact.to_json()
+
+    @pytest.mark.parametrize("name,m,decided", [("sl3", 2, True), ("slnV2", 1, True),
+                                                ("sl2", 2, False), ("heis1", 2, False)])
+    def test_zero_tops_build_no_matrix_where_the_zero_rows_decide(
+            self, monkeypatch, name, m, decided):
+        # the zero rows decide exactly when ind L<m> = (m+1) ind L < n
+        entry = catalog.load(name)
+        L = entry.algebra
+        assert decided == ((m + 1) * liealg.index(L) < L.dim)
+        kirillov_matrix = liealg.kirillov_matrix
+        zero_tops = []
+
+        def spy(alg, point):
+            grading = alg.grading
+            top = [point[b] for b in alg.basis
+                   if grading is None or grading.grade_of[b] == grading.depth]
+            if not any(top):
+                zero_tops.append(alg.dim)
+            return kirillov_matrix(alg, point)
+
+        monkeypatch.setattr(liealg, "kirillov_matrix", spy)
+        rep = verify_main_theorem(L, entry.invariants, m, transfer_samples=20)
+        monkeypatch.undo()
+        assert rep.summary == PASS
+        # a zero top is never ranked on its own; L<m> is ranked there only
+        # when the zero rows leave the sample open
+        assert zero_tops == ([] if decided else [(m + 1) * L.dim] * 10)
 
     def test_a_derivative_identity_defect_fails_both_omega_checks(self, monkeypatch, sl2):
         # 2 * F_1^1 is still an invariant, with the right degree and support,
