@@ -286,12 +286,13 @@ def self_test(entry: CatalogEntry, trials: int = 5, seed: int = 0) -> Report:
         status, witness = FAIL, {"error": str(e)}
     rep.add(Check(name="expected-magic", status=status, witness=witness, seed=seed))
 
+    streams = sampling.streams(seed, sampling.TAG_STRATA)
     for pname, par in sorted(entry.parametrizations.items()):
         t0 = time.perf_counter()
         best_rank = 0
         off_cone = None
         for t in range(5):
-            r = sampling.rng(seed, sampling.TAG_STRATA, t)
+            r = streams(t)
             vals, pt = par.sample(r)
             best_rank = max(best_rank, par.jacobian_rank_at(vals))
             nonzero = [str(f) for f in entry.invariants.polys if f.evaluate(pt)]

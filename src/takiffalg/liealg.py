@@ -276,8 +276,9 @@ def generic_kirillov_rank(L: LieAlgebra, trials: int = 5, seed: int = 0,
     if trials < 1:
         raise ValueError(f"the rank estimate needs at least one trial, got {trials}")
     best = 0
+    streams = sampling.streams(seed, sampling.TAG_INDEX)
     for t in range(trials):
-        pt = sampling.random_coords(L.basis, sampling.rng(seed, sampling.TAG_INDEX, t), bound)
+        pt = sampling.random_coords(L.basis, streams(t), bound)
         best = max(best, rank(L, pt))
         if best == L.dim:
             break

@@ -177,8 +177,9 @@ def _n1_characterization(L: LieAlgebra, fam: InvariantFamily, samples: int, seed
     member_cases = 0
     mismatch = None
     bound_violations = []
+    streams = sampling.streams(seed, sampling.TAG_NULLFIBER)
     for t in range(samples):
-        r = sampling.rng(seed, sampling.TAG_NULLFIBER, t)
+        r = streams(t)
         kind = t % 5
         if kind <= 2 and cone is not None:
             _, xi1 = cone(r)
@@ -246,8 +247,14 @@ def equidim_diagnostic(L: LieAlgebra, fs: InvariantSet,
     estimate above the target is flagged as excess (the fiber map cannot be
     equidimensional over that stratum), and two target-dimensional strata of
     which one avoids the independence locus are flagged as reducibility
-    evidence for the fiber one level up.
+    evidence for the fiber one level up.  Stratum names must be distinct:
+    each names its check and its entry in the verdict's totals.
     """
+    seen: set[str] = set()
+    for s in strata_samples:
+        if s.name in seen:
+            raise NilfiberError(f"two strata are named '{s.name}'")
+        seen.add(s.name)
     rep = Report(label=f"equidim:{L.label}")
     target = 2 * (L.dim - len(fs))
     totals: dict[str, int] = {}
@@ -342,8 +349,9 @@ def sl2_chain(levels: int = 3, seed: int = 0,
                            dim_audit={"construction": "single point"})
     pts = []
     audit_rank = 0
+    streams = sampling.streams(seed, sampling.TAG_STRATA, 1)
     for t in range(points_per_stratum):
-        r = sampling.rng(seed, sampling.TAG_STRATA, 1, t)
+        r = streams(t)
         vals, pt = cone.sample(r)
         audit_rank = max(audit_rank, cone.jacobian_rank_at(vals))
         pts.append(pt)
@@ -361,8 +369,9 @@ def sl2_chain(levels: int = 3, seed: int = 0,
 
     # level 2: N<1> strata; the fiber over a cone point is an exact kernel
     reg_pts = []
+    streams = sampling.streams(seed, sampling.TAG_STRATA, 2)
     for t in range(points_per_stratum):
-        r = sampling.rng(seed, sampling.TAG_STRATA, 2, t)
+        r = streams(t)
         _, xi1 = cone.sample(r)
         xi0 = _kernel_point(differential_matrix(fs0.polys, xi1), L0.basis, r)
         reg_pts.append(flatten_point(L1, [xi0, xi1]))
@@ -371,8 +380,9 @@ def sl2_chain(levels: int = 3, seed: int = 0,
         dim_audit={"construction": "cone parametrization + exact kernel",
                    "parameter_dim": 2, "kernel_dim": 2})
     deg_pts = []
+    streams = sampling.streams(seed, sampling.TAG_STRATA, 3)
     for t in range(points_per_stratum):
-        r = sampling.rng(seed, sampling.TAG_STRATA, 3, t)
+        r = streams(t)
         xi0 = sampling.random_coords(L0.basis, r)
         while not any(xi0.values()):
             xi0 = sampling.random_coords(L0.basis, r)
@@ -396,8 +406,9 @@ def sl2_chain(levels: int = 3, seed: int = 0,
     # so its grade-1 block is nonzero (again the open part).
     bad_pts = []
     kernel_dim = None
+    streams = sampling.streams(seed, sampling.TAG_STRATA, 4)
     for t in range(points_per_stratum):
-        r = sampling.rng(seed, sampling.TAG_STRATA, 4, t)
+        r = streams(t)
         xi0 = sampling.random_coords(L0.basis, r)
         while casimir.evaluate(xi0) == 0:
             xi0 = sampling.random_coords(L0.basis, r)

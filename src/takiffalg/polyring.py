@@ -666,28 +666,56 @@ def jet_substitute(p: Polynomial, subst: Mapping[str, Sequence[Polynomial]],
     if target is None:
         # p has no variables at all; the result is over no variables either.
         target = ()
-    zero = Polynomial.zero(target)
 
-    def mul(a: Sequence[Polynomial], b: Sequence[Polynomial]) -> list[Polynomial]:
+    # Integer products: every substituted coefficient is cleared to integers
+    # over one denominator ds, and p's coefficients to numerators over dp.
+    # A term of degree d then collects ds^d times its value; it is scaled up
+    # to ds^dmax so that every term shares the denominator dp * ds^dmax, and
+    # each result monomial is divided once at the end.
+    ds = _common_denominator(c for coeffs in jets.values() for poly in coeffs
+                             for c in poly.terms.values())
+    int_jets = {name: [{m: c.numerator * (ds // c.denominator) for m, c in poly.terms.items()}
+                       for poly in coeffs]
+                for name, coeffs in jets.items()}
+    dp = _common_denominator(p.terms.values())
+    dmax = max(map(_mono_degree, p.terms), default=0)
+
+    def mul(a: Sequence[dict], b: Sequence[dict]) -> list[dict]:
         # the product of two expansions, truncated at eps^order
-        out = [zero] * (order + 1)
+        out: list[dict[Monomial, int]] = [{} for _ in range(order + 1)]
         for i, x in enumerate(a):
-            if x.is_zero:
+            if not x:
                 continue
             for j in range(order + 1 - i):
-                if not b[j].is_zero:
-                    out[i + j] = out[i + j] + x * b[j]
+                y = b[j]
+                if not y:
+                    continue
+                prod: dict[Monomial, int] = {}
+                for ma, ca in x.items():
+                    for mb, cb in y.items():
+                        m = _mono_mul(ma, mb)
+                        v = prod.get(m)
+                        v = ca * cb if v is None else v + ca * cb
+                        if v:
+                            prod[m] = v
+                        elif m in prod:
+                            del prod[m]
+                _add_terms(out[i + j], prod)
         return out
 
-    one = [Polynomial.constant(target, 1)] + [zero] * order
-    result = [zero] * (order + 1)
-    powcache: dict[tuple[int, int], list[Polynomial]] = {}
+    one: list[dict[Monomial, int]] = [{(): 1}] + [{} for _ in range(order)]
+    result: list[dict[Monomial, int]] = [{} for _ in range(order + 1)]
+    powcache: dict[tuple[int, int], list[dict[Monomial, int]]] = {}
     for mono, c in p.terms.items():
-        acc = [one[0] * c] + [zero] * order
+        scale = c.numerator * (dp // c.denominator) * ds ** (dmax - _mono_degree(mono))
+        acc = [{(): scale}] + [{} for _ in range(order)]
         for idx, e in mono:
             jp = powcache.get((idx, e))
             if jp is None:
-                jp = powcache[(idx, e)] = _power(one, jets[p.varset[idx]], e, mul)
+                jp = powcache[(idx, e)] = _power(one, int_jets[p.varset[idx]], e, mul)
             acc = mul(acc, jp)
-        result = [r + a for r, a in zip(result, acc)]
-    return result
+        for r, a in zip(result, acc):
+            _add_terms(r, a)
+    den = dp * ds ** dmax
+    return [Polynomial(target, {m: Fraction(v, den) for m, v in r.items()}, _canonical=True)
+            for r in result]

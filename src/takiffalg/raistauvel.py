@@ -28,9 +28,11 @@ the base Jacobian at the top component,
 
 so the family has full rank (m+1)l at xi exactly when `omega_test` holds at
 xi_m.  Reversing the grade blocks makes the Kirillov matrix of L<m> block
-triangular too, with diagonal K(xi_m); `takiff_kirillov_rank` uses both
-triangles to give rank K(xi) = (m+1)(n-l) without building the matrix
-wherever the top component is regular and in Omega.
+triangular too, with diagonal K(xi_m); `block_triangle_rank` uses both
+triangles to give rank K(xi) = (m+1)(n-l) from the top component alone
+wherever it is regular and in Omega.  It is the one route for that
+decision: `takiff_kirillov_rank` applies it at a flat point and ranks the
+full matrix where it gives None.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ __all__ = [
     "build_family",
     "family_rank_at",
     "derivative_identity_defect",
+    "block_triangle_rank",
     "takiff_kirillov_rank",
 ]
 
@@ -174,9 +177,9 @@ def derivative_identity_defect(fam: InvariantFamily) -> tuple[int, int, str] | N
     return None
 
 
-def takiff_kirillov_rank(fam: InvariantFamily, flat: DualPoint,
-                         top_rank: int | None = None) -> int:
-    """rank K(xi) on fam.takiff_algebra, read off the grade blocks where possible.
+def block_triangle_rank(fam: InvariantFamily, top: DualPoint,
+                        top_rank: int | None = None) -> int | None:
+    """rank K(xi) on fam.takiff_algebra from the top component alone, or None.
 
     Valid only when every member of the family is a symmetric invariant of
     L<m> and `derivative_identity_defect(fam)` is None.  When the top
@@ -184,18 +187,30 @@ def takiff_kirillov_rank(fam: InvariantFamily, flat: DualPoint,
     rank is exactly (m+1)(n-l): the block triangle with diagonal K(xi_m)
     bounds it below, and the (m+1)l gradients of the family, independent at
     xi and in ker K(xi) because the members are invariants, bound it above.
-    Everywhere else the Kirillov matrix of L<m> is built and ranked.
-    ``top_rank`` is rank K(xi_m) when the caller already has it; None ranks
-    the top here.
+    Everywhere else only the Kirillov matrix of L<m> knows the rank, and the
+    answer is None.  ``top_rank`` is rank K(xi_m) when the caller already
+    has it; None ranks the top here.
     """
-    Lm = fam.takiff_algebra
-    grading = Lm.grading
-    m, L, fs = fam.depth, fam.base.algebra, fam.base
-    top = {grading.base_name_of[name]: flat[name]
-           for name in Lm.basis if grading.grade_of[name] == m}
+    L, fs = fam.base.algebra, fam.base
     if top_rank is None:
         top_rank = kirillov_rank_at(L, top)
     regular = L.dim - fam.l
     if top_rank == regular and omega_test(fs, top):
-        return (m + 1) * regular
-    return kirillov_rank_at(Lm, flat)
+        return (fam.depth + 1) * regular
+    return None
+
+
+def takiff_kirillov_rank(fam: InvariantFamily, flat: DualPoint) -> int:
+    """rank K(xi) at a flat point of fam.takiff_algebra, by the grade blocks where possible.
+
+    The top component is read off the flat point for `block_triangle_rank`;
+    where that gives None, the Kirillov matrix of L<m> is built and ranked.
+    The same validity conditions apply.
+    """
+    Lm = fam.takiff_algebra
+    grading = Lm.grading
+    m = fam.depth
+    top = {grading.base_name_of[name]: flat[name]
+           for name in Lm.basis if grading.grade_of[name] == m}
+    rank = block_triangle_rank(fam, top)
+    return kirillov_rank_at(Lm, flat) if rank is None else rank

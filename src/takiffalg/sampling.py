@@ -3,7 +3,10 @@
 Every randomized routine in the package derives a private stream seed from
 (seed, domain tag, trial index) with a fixed 64-bit mixing function, so runs
 are reproducible bit-for-bit and trial t never depends on how many other
-trials run around it.
+trials run around it.  A sampled loop takes its streams from
+``streams(seed, *prefix)``, which mixes the fixed prefix once and gives, for
+each t, the stream ``rng(seed, *prefix, t)`` gives; ``rng`` serves one-off
+streams.
 
 Integers uniform in [-bound, bound] come from `uniform_ints`, which draws
 exactly as CPython's ``randint(-bound, bound)`` does: k = span.bit_length()
@@ -16,9 +19,9 @@ from it, is the one ``randint`` gave.
 from __future__ import annotations
 
 import random
-from typing import Sequence
+from typing import Callable, Sequence
 
-__all__ = ["derive_seed", "rng", "uniform_ints", "random_coords", "random_components",
+__all__ = ["derive_seed", "rng", "streams", "uniform_ints", "random_coords", "random_components",
            "DEFAULT_BOUND"]
 
 DEFAULT_BOUND = 1000
@@ -52,6 +55,19 @@ def derive_seed(seed: int, *parts: int) -> int:
 
 def rng(seed: int, *parts: int) -> random.Random:
     return random.Random(derive_seed(seed, *parts))
+
+
+def streams(seed: int, *prefix: int) -> Callable[[int], random.Random]:
+    """``t -> rng(seed, *prefix, t)``, with the prefix mixed once.
+
+    Each stream then costs two mixes, whatever the length of the prefix.
+    """
+    acc = derive_seed(seed, *prefix)
+
+    def stream(t: int) -> random.Random:
+        return random.Random(_mix(acc ^ _mix(t & _MASK)))
+
+    return stream
 
 
 def uniform_ints(r: random.Random, count: int, bound: int) -> list[int]:

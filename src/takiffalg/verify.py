@@ -23,13 +23,14 @@ The family side of the two omega checks comes from the base side.  Once
 Jacobian is block triangular with diagonal J_f(xi_m), so its rank is full
 exactly where `omega_test` holds at xi_m: `jacobian-rank-on-omega` searches
 its 20 points on the base and ranks the family Jacobian only at the first,
-and `omega-transfer` evaluates `omega_test` once per sample.  A defect FAILs
-both checks and names the member and variable.  When invariance also
+and `omega-transfer` evaluates `omega_test` once per drawn sample.  A
+defect FAILs both checks and names the member and variable.  When invariance also
 passes, the L<m> index trials and the regularity samples whose top
 component is regular and in Omega take their rank from
-`raistauvel.takiff_kirillov_rank` without building the (m+1)n-wide
-Kirillov matrix.  Only the direction "xi_m regular => xi regular" follows
-from the block triangle; the converse is still sampled.
+`raistauvel.block_triangle_rank` without building the (m+1)n-wide
+Kirillov matrix; a regularity sample reads only its top component until
+that matrix is needed.  Only the direction "xi_m regular => xi regular"
+follows from the block triangle; the converse is still sampled.
 
 Each regularity sample ranks its top component once: rank K(xi_m) decides
 the right side and feeds the block-triangle shortcut.  A top with
@@ -43,6 +44,14 @@ algebra on takiff(L, m) alone, so it needs no family and holds at every
 level of `verify_multi_current`.  Every other point is ranked from its
 matrix.  All routes give the exact rank, so every status, index and
 witness is the same.
+
+A zero top that decides both sides of a transfer is decided once per
+check: `omega-transfer` asks `omega_test` at the zero point once, and
+`regularity-transfer` reads (False, ind L = n) off the zero rows when they
+decide.  The odd samples then draw no stream at all; every sample's stream
+is private, so the even samples draw what they drew before.  Where the
+once-per-check sides disagree, the odd samples are drawn as usual, so a
+FAIL names the same sample and point.
 """
 
 from __future__ import annotations
@@ -263,8 +272,9 @@ def _jacobian_rank_check(L: LieAlgebra, fs: InvariantSet,
         return _identity_failure("jacobian-rank-on-omega", _REF_JACRANK, identity, seed, t0)
     m = fam.depth
     want = (m + 1) * fam.l
+    streams = sampling.streams(seed, sampling.TAG_OMEGA, 0)
     for t in range(points):
-        r = sampling.rng(seed, sampling.TAG_OMEGA, 0, t)
+        r = streams(t)
         top = None
         for _ in range(50):
             cand = sampling.random_coords(L.basis, r)
@@ -296,22 +306,33 @@ def _jacobian_rank_check(L: LieAlgebra, fs: InvariantSet,
 
 def _transfer_check(name: str, paper_ref: str, L: LieAlgebra, m: int,
                     samples: int, seed: int, stream: tuple[int, ...],
-                    sides, keys: tuple[str, str, str, str]) -> Check:
+                    sides, keys: tuple[str, str, str, str], *,
+                    zero_top: tuple[bool, bool] | None) -> Check:
     """Sampled agreement of two yes/no sides of a transfer equivalence.
 
-    Sample t mixes random components drawn from ``sampling.rng(seed,
-    *stream, t)``, with the top one zero for odd t.  The top is drawn last,
+    Sample t mixes random components drawn from the stream ``sampling.rng(seed,
+    *stream, t)``, with the top one zero for odd t; ``sampling.streams``
+    mixes the prefix once per check.  The top is drawn last,
     so an odd sample draws components 0..m-1 only, and they are the ones a
-    full draw gives.  ``sides(comps)`` returns (lhs, rhs).  ``keys`` names
-    the lhs and rhs in a FAIL witness, then the PASS counts of samples where
-    both sides hold and where neither does.  The first disagreement is the
-    FAIL witness.
+    full draw gives.  ``sides(comps)`` returns (lhs, rhs).  ``zero_top`` is
+    the (lhs, rhs) that a zero top decides whatever the lower components,
+    or None.  When its sides agree, every odd sample counts it and draws no
+    stream: each stream is private to its sample, so no other sample moves.
+    When they disagree, the odd samples are drawn, so the FAIL witness
+    carries the same point.  ``keys`` names the lhs and rhs in a FAIL
+    witness, then the PASS counts of samples where both sides hold and
+    where neither does.  The first disagreement is the FAIL witness.
     """
     t0 = time.perf_counter()
     lhs_key, rhs_key, yes_key, no_key = keys
+    decided = zero_top is not None and zero_top[0] == zero_top[1]
+    streams = sampling.streams(seed, *stream)
     yes = 0
     for t in range(samples):
-        r = sampling.rng(seed, *stream, t)
+        if t % 2 and decided:
+            yes += zero_top[0]
+            continue
+        r = streams(t)
         if t % 2:
             comps = sampling.random_components(L.basis, m - 1, r) + [dict.fromkeys(L.basis, 0)]
         else:
@@ -343,10 +364,12 @@ def _omega_transfer_check(L: LieAlgebra, fs: InvariantSet,
         independent = liealg.omega_test(fs, comps[m])
         return independent, independent
 
+    zero = liealg.omega_test(fs, dict.fromkeys(L.basis, 0))
     return _transfer_check(
         "omega-transfer", _REF_OMEGA, L, m, samples, seed, (sampling.TAG_OMEGA, 1),
         sides, ("family_rank_full", "top_component_independent",
-                "full_rank_cases", "degenerate_cases"))
+                "full_rank_cases", "degenerate_cases"),
+        zero_top=(zero, zero))
 
 
 def _zero_top_rank_bound(Lm: LieAlgebra) -> int:
@@ -365,26 +388,32 @@ def _regularity_transfer_check(L: LieAlgebra, Lm: LieAlgebra,
 
     rank K(xi_m) is taken once per sample, and a zero top has rank 0.  At
     rank 0 the left side is False without a matrix when the zero rows bound
-    the rank below dim L<m> - ind L<m>.
+    the rank below dim L<m> - ind L<m>; then the zero top is decided once
+    for the whole check.  A sample reads its top component first; the L<m>
+    point is flattened only when the Kirillov matrix of L<m> is ranked.
     """
     m = Lm.grading.depth
     regular = Lm.dim - idx_tak
+    regular_base = L.dim - idx_base
+    zero_rows_decide = _zero_top_rank_bound(Lm) < regular
 
     def sides(comps):
         top = comps[m]
         top_rank = liealg.kirillov_rank_at(L, top) if any(top.values()) else 0
-        top_regular = top_rank == L.dim - idx_base
-        if not top_rank and _zero_top_rank_bound(Lm) < regular:
+        top_regular = top_rank == regular_base
+        if not top_rank and zero_rows_decide:
             return False, top_regular
-        flat = flatten_point(Lm, comps)
-        rank = (liealg.kirillov_rank_at(Lm, flat) if fam is None
-                else raistauvel.takiff_kirillov_rank(fam, flat, top_rank))
+        rank = (raistauvel.block_triangle_rank(fam, top, top_rank) if fam is not None
+                else None)
+        if rank is None:
+            rank = liealg.kirillov_rank_at(Lm, flatten_point(Lm, comps))
         return rank == regular, top_regular
 
     return _transfer_check(
         "regularity-transfer", _REF_REGULAR, L, m, samples, seed,
         (sampling.TAG_REGULARITY,), sides,
-        ("takiff_regular", "top_component_regular", "regular_cases", "singular_cases"))
+        ("takiff_regular", "top_component_regular", "regular_cases", "singular_cases"),
+        zero_top=(False, regular_base == 0) if zero_rows_decide else None)
 
 
 def verify_multi_current(L: LieAlgebra, fs: InvariantSet, degrees,

@@ -218,6 +218,18 @@ class TestEquidim:
         assert w["reducibility_evidence"] is False
         assert w["equidimensional_over_samples"] is True
 
+    def test_duplicate_stratum_names_are_refused_before_any_work(self, monkeypatch, sl2):
+        # two strata named "s" would share one totals entry in the verdict
+        L, fs = sl2.algebra, sl2.invariants
+        origin = StratumSample(name="s", points=(_pt(L),), declared_dim=0, declared_index=0)
+        regular = StratumSample(name="s", points=(_pt(L, e=1),), declared_dim=2,
+                                declared_index=1)
+        ranked = []
+        monkeypatch.setattr(nilfiber, "stratum_index", lambda *a: ranked.append(a))
+        with pytest.raises(NilfiberError, match="'s'"):
+            equidim_diagnostic(L, fs, [origin, regular])
+        assert ranked == []
+
 
 @pytest.fixture(scope="module")
 def chain():

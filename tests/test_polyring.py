@@ -218,20 +218,23 @@ class TestJetsAgainstDualNumbers:
 
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_seeded_sweep(self, order):
+        # the second pass gives p's own coefficients mixed denominators too
         checked = 0
-        for trial in range(70):
-            r = sampling.rng(2024, 11, order, trial)
-            terms = [(r.randint(-6, 6), r.randint(0, 3), r.randint(0, 3),
-                      r.randint(0, 2)) for _ in range(r.randint(1, 5))]
-            p = _build(terms)
-            values = {v: [Fraction(r.randint(-5, 5), r.randint(1, 4))
-                          for _ in range(order + 1)] for v in VS}
-            jets = {v: _numeric_jet(values[v]) for v in VS}
-            got = jet_substitute(p, jets, order)
-            want = eval_poly_eps(p, {v: EpsValue(order, values[v]) for v in VS})
-            assert [c.evaluate({}) for c in got] == want.coeffs
-            checked += 1
-        assert checked == 70
+        for rational in (False, True):
+            for trial in range(70):
+                r = sampling.rng(2024, 11, order, trial)
+                terms = [(Fraction(r.randint(-6, 6), r.randint(1, 4) if rational else 1),
+                          r.randint(0, 3), r.randint(0, 3), r.randint(0, 2))
+                         for _ in range(r.randint(1, 5))]
+                p = _build(terms)
+                values = {v: [Fraction(r.randint(-5, 5), r.randint(1, 4))
+                              for _ in range(order + 1)] for v in VS}
+                jets = {v: _numeric_jet(values[v]) for v in VS}
+                got = jet_substitute(p, jets, order)
+                want = eval_poly_eps(p, {v: EpsValue(order, values[v]) for v in VS})
+                assert [c.evaluate({}) for c in got] == want.coeffs
+                checked += 1
+        assert checked == 140
 
     def test_symbolic_jets_match_numeric_specialization(self):
         # Substituting variable jets then evaluating equals evaluating first.

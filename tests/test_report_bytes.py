@@ -16,6 +16,10 @@ sample and index trial still ranked a full (m+1)n-wide matrix, before the
 grade-block triangularity decided those ranks.  The two-dimensional abelian
 case, where the zero top is regular and no zero-row bound decides a sample,
 was recorded while every zero-top sample was still drawn and ranked.
+`heis1<3>` was recorded while every zero-top transfer sample still drew its
+stream and asked `omega_test` at the zero point: its linear invariant z has
+an independent differential at 0, so the zero top is in Omega, and ind
+heis1<3> = 4 >= n = 3, so its zero tops still rank the full matrix.
 """
 
 from __future__ import annotations
@@ -68,6 +72,8 @@ CASES = {
                                     "12e53bee5a89f2d7e2bf69b8fade08adad914c82e6e0f62091d73a9f81488267"),
     "verify-m2-abelian": (["verify", "--m", "2", "{abelian}"],
                           "8e1c7ede4afe0c374d164840cb51ef7e63d21af639c2062e819cf187e4f0f240"),
+    "verify-m3-heis1": (["verify", "--m", "3", "heis1"],
+                        "f7d4707d6a975cd97e2a7c317c0cd55e6befbc1f3a967219ab39cbb7580d821a"),
 }
 
 

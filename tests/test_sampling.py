@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from takiffalg import sampling
 
@@ -40,3 +42,25 @@ class TestUniformInts:
             full = sampling.random_components(names, m, sampling.rng(0, 9, m))
             lower = sampling.random_components(names, m - 1, sampling.rng(0, 9, m))
             assert lower == full[:m]
+
+
+class TestStreams:
+    """`streams(seed, *prefix)(t)` is the stream `rng(seed, *prefix, t)`."""
+
+    @staticmethod
+    def _words(r):
+        return [r.getrandbits(32) for _ in range(64)]
+
+    @given(seed=st.integers(-2**70, 2**70),
+           prefix=st.lists(st.integers(-2**70, 2**70), max_size=4),
+           t=st.integers(-2**70, 2**70))
+    def test_same_words_as_rng(self, seed, prefix, t):
+        assert self._words(sampling.streams(seed, *prefix)(t)) == \
+            self._words(sampling.rng(seed, *prefix, t))
+
+    @pytest.mark.parametrize("seed", [0, 1, -1, -2**63, 2**64, 2**64 + 5, 3**50])
+    @pytest.mark.parametrize("prefix", [(), (sampling.TAG_OMEGA, 1), (-7,), (2**80, -2**80, 0)])
+    def test_edge_seeds_and_parts(self, seed, prefix):
+        stream = sampling.streams(seed, *prefix)
+        for t in (0, 1, 99, -1, 2**64 + 1):
+            assert self._words(stream(t)) == self._words(sampling.rng(seed, *prefix, t))

@@ -295,25 +295,33 @@ class TestGeneratingSet:
         assert _by_name(rep, "invariance").status == FAIL
 
 
+def _no_zero_top_decision(monkeypatch):
+    """Draw and rank every zero top: no zero-top pair, no zero-row bound."""
+    transfer = verify._transfer_check
+    monkeypatch.setattr(verify, "_transfer_check",
+                        lambda *args, zero_top: transfer(*args, zero_top=None))
+    monkeypatch.setattr(verify, "_zero_top_rank_bound", lambda Lm: Lm.dim)
+
+
 def _structural_and_exact(monkeypatch, L, fs, m, **kwargs):
-    """(report, structural rank calls, report with every rank taken from its matrix).
+    """(report, block-triangle decisions, report with every rank taken from its matrix).
 
     The second run ranks every Kirillov matrix of L<m>: no block triangle,
-    and no zero-row bound at a top with K(xi_m) = 0.
+    no zero-top decision once per check, and no zero-row bound at a top
+    with K(xi_m) = 0.
     """
-    structural = raistauvel.takiff_kirillov_rank
+    structural = raistauvel.block_triangle_rank
     calls = []
 
-    def spy(fam, flat, top_rank=None):
-        calls.append(flat)
-        return structural(fam, flat, top_rank)
+    def spy(fam, top, top_rank=None):
+        calls.append(top)
+        return structural(fam, top, top_rank)
 
-    monkeypatch.setattr(raistauvel, "takiff_kirillov_rank", spy)
+    monkeypatch.setattr(raistauvel, "block_triangle_rank", spy)
     rep = verify_main_theorem(L, fs, m, **kwargs)
-    monkeypatch.setattr(raistauvel, "takiff_kirillov_rank",
-                        lambda fam, flat, top_rank=None:
-                        liealg.kirillov_rank_at(fam.takiff_algebra, flat))
-    monkeypatch.setattr(verify, "_zero_top_rank_bound", lambda Lm: Lm.dim)
+    monkeypatch.setattr(raistauvel, "block_triangle_rank",
+                        lambda fam, top, top_rank=None: None)
+    _no_zero_top_decision(monkeypatch)
     exact = verify_main_theorem(L, fs, m, **kwargs)
     monkeypatch.undo()
     return rep, len(calls), exact
@@ -428,3 +436,79 @@ class TestStructuralRanks:
         assert _by_name(rep, "invariance").status == FAIL
         assert calls == 0
         _exact_route_witnesses_agree(rep, exact)
+
+
+def _stream_spy(monkeypatch) -> list:
+    """Record (prefix, t) for every stream a sampled loop creates."""
+    made = []
+    streams = sampling.streams
+
+    def spy(seed, *prefix):
+        stream = streams(seed, *prefix)
+
+        def counted(t):
+            made.append((prefix, t))
+            return stream(t)
+
+        return counted
+
+    monkeypatch.setattr(sampling, "streams", spy)
+    return made
+
+
+class TestZeroTopOnce:
+    """A zero top that decides both sides is settled once per check, with no stream."""
+
+    @pytest.mark.parametrize("samples", [1, 7, 20])
+    @pytest.mark.parametrize("name,m", [("sl2", 2), ("heis1", 3), ("slnV2", 1)])
+    def test_omega_transfer_draws_only_the_even_samples(self, monkeypatch, name, m, samples):
+        entry = catalog.load(name)
+        made = _stream_spy(monkeypatch)
+        omega_test = liealg.omega_test
+        at_zero = []
+
+        def spy(fs, point):
+            if not any(point.values()):
+                at_zero.append(fs)
+            return omega_test(fs, point)
+
+        monkeypatch.setattr(liealg, "omega_test", spy)
+        rep = verify_main_theorem(entry.algebra, entry.invariants, m, transfer_samples=samples)
+        monkeypatch.undo()
+        assert rep.summary == PASS
+        drawn = [t for prefix, t in made if prefix == (sampling.TAG_OMEGA, 1)]
+        assert drawn == list(range(0, samples, 2))
+        assert len(at_zero) == 1
+
+    @pytest.mark.parametrize("name,m,decided", [("sl3", 2, True), ("slnV2", 1, True),
+                                                ("sl2", 2, False), ("heis1", 2, False)])
+    def test_regularity_transfer_draws_the_zero_tops_only_when_open(
+            self, monkeypatch, name, m, decided):
+        entry = catalog.load(name)
+        made = _stream_spy(monkeypatch)
+        rep = verify_main_theorem(entry.algebra, entry.invariants, m, transfer_samples=20)
+        monkeypatch.undo()
+        assert rep.summary == PASS
+        drawn = [t for prefix, t in made if prefix == (sampling.TAG_REGULARITY,)]
+        assert drawn == list(range(0, 20, 2 if decided else 1))
+
+    @pytest.mark.parametrize("certified", [True, False])
+    def test_a_disagreeing_zero_top_fails_with_the_drawn_point(self, monkeypatch, sl3,
+                                                              certified):
+        # with ind L = n every top reads regular only at rank 0, and with one
+        # more than ind L<2> no L<2> point reads regular: sample 0 agrees, and
+        # the zero top of sample 1 is the first disagreement, (False, True)
+        L = sl3.algebra
+        fam = build_family(L, 2, sl3.invariants)
+        Lm = fam.takiff_algebra
+        args = (L, Lm, fam if certified else None, L.dim, liealg.index(Lm) + 1, 20, 0)
+        check = verify._regularity_transfer_check(*args)
+        _no_zero_top_decision(monkeypatch)
+        drawn = verify._regularity_transfer_check(*args)
+        monkeypatch.undo()
+        assert check.status == drawn.status == FAIL
+        assert check.witness["sample"] == 1
+        assert (check.witness["takiff_regular"], check.witness["top_component_regular"]) == \
+            (False, True)
+        assert not any(int(v) for v in check.witness["point"][2].values())
+        assert check.witness == drawn.witness
