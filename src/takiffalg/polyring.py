@@ -405,6 +405,8 @@ class Polynomial:
             for idx in factors:
                 acc *= vals[idx]
             total += acc
+        if den == 1 and type(total) is int:
+            return total
         return _over(total, den)
 
     def gradient_at(self, point: Mapping[str, Scalar]) -> list[Scalar]:
@@ -421,6 +423,8 @@ class Polynomial:
             for jdx in rest:
                 acc *= vals[jdx]
             grad[idx] += acc
+        if den == 1 and {*map(type, grad)} <= {int}:
+            return grad
         return [_over(g, den) for g in grad]
 
     # -- printing ------------------------------------------------------------

@@ -34,21 +34,29 @@ follows from the block triangle; the converse is still sampled.
 
 Each regularity sample ranks its top component once: rank K(xi_m) decides
 the right side and feeds the block-triangle shortcut.  A top with
-K(xi_m) = 0, the zero top of the odd samples above all, is decided by its
-zero rows.  The row of x@m in the Kirillov matrix of L<m> is
-<xi, [x@m, y@j]>, which vanishes for every y@j: the bracket is truncated
-for j >= 1, and for j = 0 the entry is K(xi_m)_{x,y} = 0.  So rank K(xi) <=
-mn, and when ind L<m> < n the left side is False with no matrix built; the
-right side is ind L = n.  A zero top is not ranked at all.  This is linear
-algebra on takiff(L, m) alone, so it needs no family and holds at every
-level of `verify_multi_current`.  Every other point is ranked from its
-matrix.  All routes give the exact rank, so every status, index and
-witness is the same.
+K(xi_m) = 0, the zero top of the odd samples above all, is decided by a
+bound on rank K(xi).  The entry of the Kirillov matrix of L<m> at
+(x@i, y@j) is <xi_{i+j}, [x, y]> for i + j <= m and 0 beyond, so where
+K(xi_m) = 0 the rows and columns of grade m vanish and the rest is the
+Kirillov matrix of L<m-1> at xi' = (xi_0, ..., xi_{m-1}).  So rank K(xi)
+<= mn: linear algebra on takiff(L, m) alone, which holds at every level of
+`verify_multi_current`.  The step's family sharpens it to m(n - l) with
+nothing built.  Renaming every b@g to b@(g-1) carries the members F_i^j
+with j <= m-1 onto the depth-(m-1) family, and, for k <= m-1, the bracket
+{F', x@k} in L<m-1> onto {F, x@k} in L<m>.  So when invariance passes and
+`derivative_identity_defect` finds no defect, the depth-(m-1) family is
+invariant and satisfies the identity too, and the Omega point that
+`jacobian-rank-on-omega` found gives it rank ml.  Then ind L<m-1> >= ml,
+and rank K(xi) <= m(n - l) wherever K(xi_m) = 0.  When the bound is below
+dim L<m> - ind L<m>, the left side is False with no matrix built; the
+right side is ind L = n.  A zero top is not ranked at all.  Every other
+point is ranked from its matrix.  All routes give the exact rank, so
+every status, index and witness is the same.
 
 A zero top that decides both sides of a transfer is decided once per
 check: `omega-transfer` asks `omega_test` at the zero point once, and
-`regularity-transfer` reads (False, ind L = n) off the zero rows when they
-decide.  The odd samples then draw no stream at all; every sample's stream
+`regularity-transfer` reads (False, ind L = n) off the rank bound when it
+decides.  The odd samples then draw no stream at all; every sample's stream
 is private, so the even samples draw what they drew before.  Where the
 once-per-check sides disagree, the odd samples are drawn as usual, so a
 FAIL names the same sample and point.
@@ -235,17 +243,21 @@ def _verify_step(L: LieAlgebra, fs: InvariantSet, m: int, trials: int,
         rep.add(Check(name="degree-sum", status=status, paper_ref=_REF_DEGREES,
                       witness=witness, elapsed=time.perf_counter() - t0))
 
+    shifted = None
     if fam is None:
         for name, ref in (("jacobian-rank-on-omega", _REF_JACRANK),
                           ("omega-transfer", _REF_OMEGA)):
             rep.add(Check(name=name, status=SKIPPED, paper_ref=ref,
                           witness={"note": "no invariants supplied"}))
     else:
-        rep.add(_jacobian_rank_check(L, fs, fam, identity, seed))
+        jacobian = _jacobian_rank_check(L, fs, fam, identity, seed)
+        rep.add(jacobian)
         rep.add(_omega_transfer_check(L, fs, fam, identity, transfer_samples, seed))
+        if jacobian.status == PASS:
+            shifted = certified
 
     rep.add(_regularity_transfer_check(L, Lm, certified, idx_base, idx_tak,
-                                       transfer_samples, seed))
+                                       transfer_samples, seed, shifted))
     return rep, Lm, fam
 
 
@@ -372,36 +384,48 @@ def _omega_transfer_check(L: LieAlgebra, fs: InvariantSet,
         zero_top=(zero, zero))
 
 
-def _zero_top_rank_bound(Lm: LieAlgebra) -> int:
-    """rank K(xi) on L<m> = takiff(L, m) is at most mn wherever K(xi_m) = 0.
+def _zero_top_rank_bound(Lm: LieAlgebra,
+                         shifted: raistauvel.InvariantFamily | None) -> int:
+    """A bound on rank K(xi) on L<m> = takiff(L, m) wherever K(xi_m) = 0.
 
-    The n rows of the top grade vanish there (see the module docstring).
+    There the grade-m rows and columns vanish and the rest is the Kirillov
+    matrix of L<m-1>, so the bound is mn, or m(n - l) when ``shifted`` is
+    the step's family with invariance and the derivative identity certified
+    and an Omega point found by `jacobian-rank-on-omega`: the grade shift
+    b@g -> b@(g-1) makes its members F_i^j with j <= m-1 the depth-(m-1)
+    family, invariant and of rank ml there, so ind L<m-1> >= ml (see the
+    module docstring).
     """
-    return Lm.dim - Lm.grading.base_dim
+    m = Lm.grading.depth
+    l = shifted.l if shifted is not None else 0
+    return Lm.dim - Lm.grading.base_dim - m * l
 
 
 def _regularity_transfer_check(L: LieAlgebra, Lm: LieAlgebra,
                                fam: raistauvel.InvariantFamily | None,
                                idx_base: int, idx_tak: int,
-                               samples: int, seed: int) -> Check:
+                               samples: int, seed: int,
+                               shifted: raistauvel.InvariantFamily | None = None) -> Check:
     """``fam`` is the step's family when it is certified, else None.
 
-    rank K(xi_m) is taken once per sample, and a zero top has rank 0.  At
-    rank 0 the left side is False without a matrix when the zero rows bound
-    the rank below dim L<m> - ind L<m>; then the zero top is decided once
-    for the whole check.  A sample reads its top component first; the L<m>
-    point is flattened only when the Kirillov matrix of L<m> is ranked.
+    ``shifted`` is that family when `jacobian-rank-on-omega` also passed,
+    else None; it feeds `_zero_top_rank_bound`.  rank K(xi_m) is taken once
+    per sample, and a zero top has rank 0.  At rank 0 the left side is
+    False without a matrix when the bound is below dim L<m> - ind L<m>;
+    then the zero top is decided once for the whole check.  A sample reads
+    its top component first; the L<m> point is flattened only when the
+    Kirillov matrix of L<m> is ranked.
     """
     m = Lm.grading.depth
     regular = Lm.dim - idx_tak
     regular_base = L.dim - idx_base
-    zero_rows_decide = _zero_top_rank_bound(Lm) < regular
+    bound_decides = _zero_top_rank_bound(Lm, shifted) < regular
 
     def sides(comps):
         top = comps[m]
         top_rank = liealg.kirillov_rank_at(L, top) if any(top.values()) else 0
         top_regular = top_rank == regular_base
-        if not top_rank and zero_rows_decide:
+        if not top_rank and bound_decides:
             return False, top_regular
         rank = (raistauvel.block_triangle_rank(fam, top, top_rank) if fam is not None
                 else None)
@@ -413,7 +437,7 @@ def _regularity_transfer_check(L: LieAlgebra, Lm: LieAlgebra,
         "regularity-transfer", _REF_REGULAR, L, m, samples, seed,
         (sampling.TAG_REGULARITY,), sides,
         ("takiff_regular", "top_component_regular", "regular_cases", "singular_cases"),
-        zero_top=(False, regular_base == 0) if zero_rows_decide else None)
+        zero_top=(False, regular_base == 0) if bound_decides else None)
 
 
 def verify_multi_current(L: LieAlgebra, fs: InvariantSet, degrees,

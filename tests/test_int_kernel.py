@@ -32,6 +32,8 @@ mono_st = st.lists(st.tuples(st.integers(0, 3), st.integers(1, 3)), max_size=3).
 rational_poly_st = st.dictionaries(mono_st, frac_st, min_size=1, max_size=6).map(
     lambda terms: Polynomial(VS, terms)).filter(
     lambda p: any(c.denominator != 1 for c in p.terms.values()))
+int_poly_st = st.dictionaries(mono_st, st.integers(-6, 6), min_size=1, max_size=6).map(
+    lambda terms: Polynomial(VS, terms))
 int_point_st = st.fixed_dictionaries({v: st.integers(-30, 30) for v in VS})
 rational_point_st = st.fixed_dictionaries({v: frac_st for v in VS})
 
@@ -53,6 +55,25 @@ class TestPolynomialKernel:
         got = p.gradient_at(pt)
         assert got == oracles.gradient_at(p, pt)
         assert all(_exact_type(g) for g in got)
+
+    @given(int_poly_st, int_point_st | rational_point_st)
+    def test_integer_coefficients_match_the_oracles(self, p, pt):
+        # denominator 1: the sums come back as they are when they are ints
+        value = p.evaluate(pt)
+        want = eval_poly_eps(p, {v: EpsValue.const(0, x) for v, x in pt.items()}).coeffs[0]
+        assert value == want
+        grad = p.gradient_at(pt)
+        assert grad == oracles.gradient_at(p, pt)
+        assert _exact_type(value) and all(_exact_type(g) for g in grad)
+
+    def test_integral_fraction_sums_become_int(self):
+        # x*y*z at (1/2, 2, 3): the value and d/dz sum to integral Fractions
+        p = Polynomial(VS, {((1, 1), (2, 1), (3, 1)): 1})
+        pt = {"w": 0, "x": Fraction(1, 2), "y": 2, "z": 3}
+        assert p.evaluate(pt) == 3 and type(p.evaluate(pt)) is int
+        grad = p.gradient_at(pt)
+        assert grad == [0, 6, Fraction(3, 2), 1]
+        assert [type(g) for g in grad] == [int, int, Fraction, int]
 
 
 def _rescaled(entry_name: str, scales: list[Fraction],

@@ -13,8 +13,9 @@ from takiffalg.liealg import (
     InvariantSet,
     kirillov_matrix,
     omega_test,
+    poisson_bracket,
 )
-from takiffalg.polyring import parse_poly
+from takiffalg.polyring import Polynomial, parse_poly
 from takiffalg.raistauvel import (
     InvariantFamily,
     build_family,
@@ -23,9 +24,10 @@ from takiffalg.raistauvel import (
     family_rank_at,
     takiff_kirillov_rank,
 )
-from takiffalg.takiff import flatten_point, graded_name, graded_varset
+from takiffalg.takiff import flatten_point, graded_name, graded_varset, takiff
 
-from oracles import EpsValue, eval_poly_eps
+from oracles import EpsValue, bareiss_rank, eval_poly_eps
+from oracles import kirillov_matrix as oracle_kirillov_matrix
 
 
 def lowest_component(Lm, F, components):
@@ -275,3 +277,79 @@ class TestBlockTriangularity:
         comps[2] = {b: 0 for b in sl3.algebra.basis}
         takiff_kirillov_rank(fam, flatten_point(fam.takiff_algebra, comps))
         assert ranked == ["sl3", "sl3", "sl3<2>"]
+
+
+def shift_down(F, L, m):
+    """F over L<m>, free of grade 0, with every b@g renamed to b@(g-1): over L<m-1>.
+
+    Both bases list grade 0 first and base order within a grade, so the
+    rename moves every variable index down by n = dim L.
+    """
+    n = L.dim
+    assert all(i >= n for mono in F.terms for i, _ in mono)
+    return Polynomial(graded_varset(L, m - 1),
+                      {tuple((i - n, e) for i, e in mono): c for mono, c in F.terms.items()})
+
+
+SHIFT_CASES = [(name, (m,)) for name in catalog.NAMES if name != "affine2"
+               for m in (2, 3, 4)] + [("sl2", (1, 2)), ("sl2", (1, 3))]
+
+
+def _random_upper_poly(L, m, r):
+    # a few monomials of degree 1..3 over the grades 1..m, coefficients in -3..3
+    names = graded_varset(L, m)[L.dim:]
+    text = " + ".join(f"{r.randint(-3, 3)}*" + "*".join(r.choice(names)
+                                                      for _ in range(r.randint(1, 3)))
+                      for _ in range(4))
+    return parse_poly(text, graded_varset(L, m))
+
+
+class TestGradeShift:
+    """b@g -> b@(g-1) carries depth-m facts to L<m-1>, for the zero-top rank bound."""
+
+    @pytest.mark.parametrize("name,degrees", SHIFT_CASES)
+    def test_the_shift_maps_the_family_one_level_down(self, name, degrees):
+        fam = block_family(name, degrees)
+        low = block_family(name, degrees[:-1] + (degrees[-1] - 1,))
+        L, m = fam.base.algebra, fam.depth
+        # F_i^j for j <= m-1 uses the grades m-j..m >= 1 only
+        assert [(i, j) for i, j, _ in low.members()] == \
+            [(i, j) for i, j, _ in fam.members() if j <= m - 1]
+        for i, j, F in low.members():
+            assert shift_down(fam.member(i, j), L, m) == F
+        assert derivative_identity_defect(low) is None
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("name", ["sl2", "sl3", "heis1", "slnV2"])
+    def test_the_shift_carries_brackets_with_the_lower_grades(self, name, m):
+        # {F', x@k} in L<m-1> is {F, x@k} in L<m> renamed, for k <= m-1 and
+        # any F free of grade 0, invariant or not
+        L = catalog.load(name).algebra
+        Lm, low = takiff(L, m), takiff(L, m - 1)
+        nonzero = 0
+        for s in range(4):
+            F = _random_upper_poly(L, m, sampling.rng(29, 5, s))
+            shifted = shift_down(F, L, m)
+            for k in range(m):
+                for b in L.basis:
+                    x = graded_name(b, k)
+                    br = poisson_bracket(Lm, F, Lm.variable(x))
+                    assert shift_down(br, L, m) == poisson_bracket(low, shifted, low.variable(x))
+                    nonzero += bool(br.terms)
+        assert nonzero > 0
+
+    @pytest.mark.parametrize("name,m", [("sl2", 2), ("sl2", 3), ("heis1", 2), ("heis1", 3),
+                                        ("nilrad_sl3", 2), ("sl3", 3), ("sl3", 4)])
+    def test_a_zero_top_ranks_as_the_truncation_one_level_down(self, name, m):
+        # oracle ranks: K of L<m> at (xi', 0) has the rank of K of L<m-1> at
+        # xi', and the certified family bounds it by m(n - l)
+        entry = catalog.load(name)
+        L = entry.algebra
+        Lm, low = takiff(L, m), takiff(L, m - 1)
+        bound = m * (L.dim - len(entry.invariants))
+        for s in range(3):
+            lower = sampling.random_components(L.basis, m - 1, sampling.rng(31, 7, s))
+            flat = flatten_point(Lm, lower + [dict.fromkeys(L.basis, 0)])
+            rank = bareiss_rank(oracle_kirillov_matrix(Lm, flat))
+            assert rank == bareiss_rank(oracle_kirillov_matrix(low, flatten_point(low, lower)))
+            assert rank <= bound

@@ -19,7 +19,10 @@ was recorded while every zero-top sample was still drawn and ranked.
 `heis1<3>` was recorded while every zero-top transfer sample still drew its
 stream and asked `omega_test` at the zero point: its linear invariant z has
 an independent differential at 0, so the zero top is in Omega, and ind
-heis1<3> = 4 >= n = 3, so its zero tops still rank the full matrix.
+heis1<3> = 4 >= n = 3, so its zero tops still rank the full matrix.  `heis1<2,3>` was recorded
+while the zero tops were bounded by the zero rows alone: at level 2, mn =
+27 is not below dim - ind = 24, so they ranked the full matrix, where the
+certified family's m(n - l) = 18 decides them.
 """
 
 from __future__ import annotations
@@ -74,6 +77,8 @@ CASES = {
                           "8e1c7ede4afe0c374d164840cb51ef7e63d21af639c2062e819cf187e4f0f240"),
     "verify-m3-heis1": (["verify", "--m", "3", "heis1"],
                         "f7d4707d6a975cd97e2a7c317c0cd55e6befbc1f3a967219ab39cbb7580d821a"),
+    "verify-multi23-heis1": (["verify", "--multi", "2,3", "heis1"],
+                             "910245f6835f881ad342fb1c60c7d0ce1eb20f347c5f962ea2323627229da323"),
 }
 
 

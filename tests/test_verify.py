@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 from functools import lru_cache
 
 import pytest
@@ -296,19 +297,19 @@ class TestGeneratingSet:
 
 
 def _no_zero_top_decision(monkeypatch):
-    """Draw and rank every zero top: no zero-top pair, no zero-row bound."""
+    """Draw and rank every zero top: no zero-top pair, no rank bound, no l-term."""
     transfer = verify._transfer_check
     monkeypatch.setattr(verify, "_transfer_check",
                         lambda *args, zero_top: transfer(*args, zero_top=None))
-    monkeypatch.setattr(verify, "_zero_top_rank_bound", lambda Lm: Lm.dim)
+    monkeypatch.setattr(verify, "_zero_top_rank_bound", lambda Lm, shifted: Lm.dim)
 
 
 def _structural_and_exact(monkeypatch, L, fs, m, **kwargs):
     """(report, block-triangle decisions, report with every rank taken from its matrix).
 
     The second run ranks every Kirillov matrix of L<m>: no block triangle,
-    no zero-top decision once per check, and no zero-row bound at a top
-    with K(xi_m) = 0.
+    no zero-top decision once per check, and no rank bound at a top with
+    K(xi_m) = 0, neither mn nor the family's m(n - l).
     """
     structural = raistauvel.block_triangle_rank
     calls = []
@@ -360,6 +361,60 @@ class TestZeroRows:
         assert linalg.rank(oracle_kirillov_matrix(Lm, flat)) <= m * n
 
 
+# (entry, m, whether the zero-top rank bound decides); ab2-squares is open
+ZERO_TOP_CASES = [("sl3", 2, True), ("slnV2", 1, True), ("sl2", 2, True),
+                  ("heis1", 2, True), ("heis1+w", 2, True), ("ab2-squares", 2, False)]
+
+
+def _zero_top_entry(name):
+    """(L, fs): a catalog entry, heis1 + a central w, or the abelian ab2 with x^2, y^2.
+
+    On heis1 + w, n = 4 and l = 2, so at m = 2 the zero tops are decided by
+    m(n - l) = 4 < 6 = dim L<2> - ind L<2> alone: neither mn nor anything
+    weaker than the whole l-term is below 6.  On ab2, n = l and every point
+    is regular, so neither mn nor m(n - l) is below dim L<m> - ind L<m>;
+    the squares vanish to second order at the zero top, so it fails
+    `omega_test` and the block triangle leaves it open too.
+    """
+    if name == "heis1+w":
+        L = LieAlgebra.create("heis1w", ("x", "y", "z", "w"), {(0, 1): {2: 1}})
+        return L, InvariantSet(algebra=L, polys=(L.variable("z"), L.variable("w")))
+    if name == "ab2-squares":
+        ab = LieAlgebra.create("ab2", ("x", "y"), {})
+        return ab, InvariantSet(algebra=ab, polys=tuple(parse_poly(f, ab.basis)
+                                                        for f in ("x^2", "y^2")))
+    entry = catalog.load(name)
+    return entry.algebra, entry.invariants
+
+
+def _kirillov_matrices(monkeypatch, L, fs, m):
+    """(report, (width, zero top?) of every Kirillov matrix built), 20 transfer samples."""
+    kirillov_matrix = liealg.kirillov_matrix
+    built = []
+
+    def spy(alg, point):
+        grading = alg.grading
+        top = [point[b] for b in alg.basis
+               if grading is None or grading.grade_of[b] == grading.depth]
+        built.append((alg.dim, not any(top)))
+        return kirillov_matrix(alg, point)
+
+    monkeypatch.setattr(liealg, "kirillov_matrix", spy)
+    rep = verify_main_theorem(L, fs, m, transfer_samples=20)
+    monkeypatch.setattr(liealg, "kirillov_matrix", kirillov_matrix)
+    return rep, built
+
+
+def _zero_tops(built) -> list:
+    return [width for width, zero in built if zero]
+
+
+def _zero_top_bound_decides(L, fs, m) -> bool:
+    # with a certified family the zero tops have rank <= m(n - l)
+    n = L.dim
+    return m * (n - len(fs)) < (m + 1) * (n - liealg.index(L))
+
+
 class TestStructuralRanks:
     @pytest.mark.parametrize("name,m", [("sl2", 3), ("sl3", 2), ("heis1", 2),
                                         ("slnV2", 2)])
@@ -384,32 +439,16 @@ class TestStructuralRanks:
             "samples": 20, "agreements": 20, "regular_cases": 20, "singular_cases": 0}
         assert rep.to_json() == exact.to_json()
 
-    @pytest.mark.parametrize("name,m,decided", [("sl3", 2, True), ("slnV2", 1, True),
-                                                ("sl2", 2, False), ("heis1", 2, False)])
+    @pytest.mark.parametrize("name,m,decided", ZERO_TOP_CASES)
     def test_zero_tops_build_no_matrix_where_the_zero_rows_decide(
             self, monkeypatch, name, m, decided):
-        # the zero rows decide exactly when ind L<m> = (m+1) ind L < n
-        entry = catalog.load(name)
-        L = entry.algebra
-        assert decided == ((m + 1) * liealg.index(L) < L.dim)
-        kirillov_matrix = liealg.kirillov_matrix
-        zero_tops = []
-
-        def spy(alg, point):
-            grading = alg.grading
-            top = [point[b] for b in alg.basis
-                   if grading is None or grading.grade_of[b] == grading.depth]
-            if not any(top):
-                zero_tops.append(alg.dim)
-            return kirillov_matrix(alg, point)
-
-        monkeypatch.setattr(liealg, "kirillov_matrix", spy)
-        rep = verify_main_theorem(L, entry.invariants, m, transfer_samples=20)
-        monkeypatch.undo()
+        L, fs = _zero_top_entry(name)
+        assert decided == _zero_top_bound_decides(L, fs, m)
+        rep, built = _kirillov_matrices(monkeypatch, L, fs, m)
         assert rep.summary == PASS
         # a zero top is never ranked on its own; L<m> is ranked there only
-        # when the zero rows leave the sample open
-        assert zero_tops == ([] if decided else [(m + 1) * L.dim] * 10)
+        # when the rank bound leaves the sample open
+        assert _zero_tops(built) == ([] if decided else [(m + 1) * L.dim] * 10)
 
     def test_a_derivative_identity_defect_fails_both_omega_checks(self, monkeypatch, sl2):
         # 2 * F_1^1 is still an invariant, with the right degree and support,
@@ -436,6 +475,60 @@ class TestStructuralRanks:
         assert _by_name(rep, "invariance").status == FAIL
         assert calls == 0
         _exact_route_witnesses_agree(rep, exact)
+
+
+class TestZeroTopBoundFallback:
+    """Without the certified family and its Omega point the zero tops fall back to mn.
+
+    On sl2<2>, mn = 6 = dim L<2> - ind L<2>, so the zero-row bound leaves
+    every zero top open, and each builds its 9-wide L<2> matrix.
+    """
+
+    @staticmethod
+    def _without_the_l_term(monkeypatch, L, fs, m):
+        bound = verify._zero_top_rank_bound
+        monkeypatch.setattr(verify, "_zero_top_rank_bound",
+                            lambda Lm, shifted: bound(Lm, None))
+        return verify_main_theorem(L, fs, m, transfer_samples=20)
+
+    @pytest.mark.parametrize("case,failed", [("none", "jacobian-rank-on-omega"),
+                                             ("dependent", "jacobian-rank-on-omega"),
+                                             ("non-invariant", "invariance")])
+    def test_an_uncertified_step_ranks_its_zero_tops(self, monkeypatch, sl2, case, failed):
+        L = sl2.algebra
+        (C,) = sl2.invariants.polys
+        fs = InvariantSet(algebra=L, polys={"none": (), "dependent": (C, C * C),
+                                            "non-invariant": (C,)}[case])
+        if case == "non-invariant":
+            # e@2^2 keeps the degree, the support and the derivative identity
+            fam = build_family(L, 2, fs)
+            F = fam.member(1, 1)
+            table = ((fam.member(1, 0), F + parse_poly("e@2^2", F.varset), fam.member(1, 2)),)
+            bad = InvariantFamily(takiff_algebra=fam.takiff_algebra, base=fs, table=table)
+            assert raistauvel.derivative_identity_defect(bad) is None
+            monkeypatch.setattr(raistauvel, "build_family", lambda L, m, fs: bad)
+        rep, built = _kirillov_matrices(monkeypatch, L, fs, 2)
+        assert _by_name(rep, failed).status == (SKIPPED if case == "none" else FAIL)
+        assert _zero_tops(built) == [9] * 10
+        assert rep.to_json() == self._without_the_l_term(monkeypatch, L, fs, 2).to_json()
+        monkeypatch.undo()
+
+    def test_a_failed_omega_search_keeps_the_block_triangle(self, monkeypatch, sl2):
+        # jacobian-rank-on-omega FAILs by fiat: the zero tops lose the l-term,
+        # but the even samples and the index trials still take their ranks
+        # from the block triangle, so every L<2> matrix is at a zero top
+        check = verify._jacobian_rank_check
+
+        def failed(*args):
+            return dataclasses.replace(check(*args), status=FAIL)
+
+        monkeypatch.setattr(verify, "_jacobian_rank_check", failed)
+        rep, built = _kirillov_matrices(monkeypatch, sl2.algebra, sl2.invariants, 2)
+        assert _by_name(rep, "jacobian-rank-on-omega").status == FAIL
+        assert [width for width, _ in built if width == 9] == _zero_tops(built) == [9] * 10
+        off = self._without_the_l_term(monkeypatch, sl2.algebra, sl2.invariants, 2)
+        monkeypatch.undo()
+        assert rep.to_json() == off.to_json()
 
 
 def _stream_spy(monkeypatch) -> list:
@@ -480,13 +573,13 @@ class TestZeroTopOnce:
         assert drawn == list(range(0, samples, 2))
         assert len(at_zero) == 1
 
-    @pytest.mark.parametrize("name,m,decided", [("sl3", 2, True), ("slnV2", 1, True),
-                                                ("sl2", 2, False), ("heis1", 2, False)])
+    @pytest.mark.parametrize("name,m,decided", ZERO_TOP_CASES)
     def test_regularity_transfer_draws_the_zero_tops_only_when_open(
             self, monkeypatch, name, m, decided):
-        entry = catalog.load(name)
+        L, fs = _zero_top_entry(name)
+        assert decided == _zero_top_bound_decides(L, fs, m)
         made = _stream_spy(monkeypatch)
-        rep = verify_main_theorem(entry.algebra, entry.invariants, m, transfer_samples=20)
+        rep = verify_main_theorem(L, fs, m, transfer_samples=20)
         monkeypatch.undo()
         assert rep.summary == PASS
         drawn = [t for prefix, t in made if prefix == (sampling.TAG_REGULARITY,)]
