@@ -16,17 +16,22 @@ passes, the targets are a generating set (`takiff.generating_targets`):
 {x : {f, x} = 0} is then a Lie subalgebra, so f commutes with all of L<m>,
 or with all of the ideal, once it commutes with the generators.  When Jacobi
 fails, every basis (or ideal) element is a target.  A FAIL names the first
-target, in basis order, among those bracketed.
+target, in basis order, among those bracketed.  The ideal targets are among
+the invariance targets in both cases, so once invariance passes the ideal
+check brackets only the grade-m coordinates b@m; the members it also counts
+are certified already.
 
-The family side of the two omega checks comes from the base side.  Once
+Both omega checks are certificates.  Once
 `raistauvel.derivative_identity_defect` finds no defect, the family
-Jacobian is block triangular with diagonal J_f(xi_m), so its rank is full
-exactly where `omega_test` holds at xi_m: `jacobian-rank-on-omega` searches
-its 20 points on the base and ranks the family Jacobian only at the first,
-and `omega-transfer` evaluates `omega_test` once per drawn sample.  A
-defect FAILs both checks and names the member and variable.  When invariance also
-passes, the L<m> index trials and the regularity samples whose top
-component is regular and in Omega take their rank from
+Jacobian is block triangular with diagonal J_f(xi_m), since construction
+already enforces the triangular supports, so its rank is full exactly where
+`omega_test` holds at xi_m.  That is the transfer "xi in Omega(L<m>*) iff
+xi_m in Omega(L*)" at every point: `omega-transfer` PASSes on the identity
+alone and draws nothing, and `jacobian-rank-on-omega` ranks the family
+Jacobian at one point whose top component is in Omega, as a concrete
+witness.  A defect FAILs both checks and names the member and variable.
+When invariance also passes, the L<m> index trials and the regularity
+samples whose top component is regular and in Omega take their rank from
 `raistauvel.block_triangle_rank` without building the (m+1)n-wide
 Kirillov matrix; a regularity sample reads only its top component until
 that matrix is needed.  Only the direction "xi_m regular => xi regular"
@@ -53,13 +58,12 @@ right side is ind L = n.  A zero top is not ranked at all.  Every other
 point is ranked from its matrix.  All routes give the exact rank, so
 every status, index and witness is the same.
 
-A zero top that decides both sides of a transfer is decided once per
-check: `omega-transfer` asks `omega_test` at the zero point once, and
-`regularity-transfer` reads (False, ind L = n) off the rank bound when it
-decides.  The odd samples then draw no stream at all; every sample's stream
-is private, so the even samples draw what they drew before.  Where the
-once-per-check sides disagree, the odd samples are drawn as usual, so a
-FAIL names the same sample and point.
+Where the bound decides a zero top and ind L < n, both sides of
+`regularity-transfer` are False there whatever the lower components, so
+the odd samples draw no stream at all; every sample's stream is private,
+so the even samples draw what they drew before.  Where ind L = n the zero
+top is regular in L but not in L<m>, and the odd samples are drawn as
+usual, so a FAIL names the same sample and point.
 """
 
 from __future__ import annotations
@@ -183,11 +187,14 @@ def _verify_step(L: LieAlgebra, fs: InvariantSet, m: int, trials: int,
 
     generators: list[tuple[object, Polynomial]] = [
         (b, Lm.variable(b)) for b in Lm.basis if Lm.grading.grade_of[b] == m]
-    if fam is not None:
-        generators += [(f"F_{i}^{j}", F) for i, j, F in fam.members() if j >= 1]
-    rep.add(_bracket_check(Lm, "ideal-invariants", _REF_IDEAL, generators, ideal_targets,
+    higher = ([(f"F_{i}^{j}", F) for i, j, F in fam.members() if j >= 1]
+              if fam is not None else [])
+    # ideal_targets lie in invariance_targets, so an invariance PASS covers the members
+    bracketed = generators if invariance.status == PASS else generators + higher
+    rep.add(_bracket_check(Lm, "ideal-invariants", _REF_IDEAL, bracketed, ideal_targets,
                            ("generator", "ideal_element"),
-                           {"generators": len(generators), "ideal_size": len(ideal)}))
+                           {"generators": len(generators) + len(higher),
+                            "ideal_size": len(ideal)}))
 
     identity = raistauvel.derivative_identity_defect(fam) if fam is not None else None
     # the block triangles give the exact rank where the top is regular in Omega
@@ -252,7 +259,7 @@ def _verify_step(L: LieAlgebra, fs: InvariantSet, m: int, trials: int,
     else:
         jacobian = _jacobian_rank_check(L, fs, fam, identity, seed)
         rep.add(jacobian)
-        rep.add(_omega_transfer_check(L, fs, fam, identity, transfer_samples, seed))
+        rep.add(_omega_transfer_check(identity, seed))
         if jacobian.status == PASS:
             shifted = certified
 
@@ -272,116 +279,54 @@ def _identity_failure(name: str, paper_ref: str, identity: tuple[int, int, str],
 
 def _jacobian_rank_check(L: LieAlgebra, fs: InvariantSet,
                          fam: raistauvel.InvariantFamily,
-                         identity: tuple[int, int, str] | None, seed: int,
-                         points: int = 20) -> Check:
-    """Full family rank wherever xi_m is in Omega, by the derivative identity.
+                         identity: tuple[int, int, str] | None, seed: int) -> Check:
+    """Full family rank wherever xi_m is in Omega: a certificate by the derivative identity.
 
-    Each of the points draws a top component in Omega; the family Jacobian
-    is ranked only at the first point, as a concrete witness.
+    With no identity defect the family Jacobian is block triangular with
+    diagonal J_f(xi_m), so its rank is (m+1)l exactly where xi_m is in
+    Omega.  One point is drawn from the stream ``sampling.rng(seed,
+    TAG_OMEGA, 0, 0)``: a top component in Omega within 50 draws, then the
+    lower components.  The family Jacobian is ranked there as a concrete
+    witness, and the point gives the depth-(m-1) family its rank ml for
+    `_zero_top_rank_bound`.
     """
     t0 = time.perf_counter()
     if identity is not None:
         return _identity_failure("jacobian-rank-on-omega", _REF_JACRANK, identity, seed, t0)
     m = fam.depth
     want = (m + 1) * fam.l
-    streams = sampling.streams(seed, sampling.TAG_OMEGA, 0)
-    for t in range(points):
-        r = streams(t)
-        top = None
-        for _ in range(50):
-            cand = sampling.random_coords(L.basis, r)
-            if liealg.omega_test(fs, cand):
-                top = cand
-                break
-        if top is None:
-            return Check(name="jacobian-rank-on-omega", status=FAIL,
-                         paper_ref=_REF_JACRANK,
-                         witness={"error": "no point with independent "
-                                  "differentials found in 50 draws"},
-                         seed=seed, elapsed=time.perf_counter() - t0)
-        if t:
-            continue
-        comps = sampling.random_components(L.basis, m, r)
-        comps[m] = top
-        flat = flatten_point(fam.takiff_algebra, comps)
-        rank = raistauvel.family_rank_at(fam, flat)
-        if rank != want:
-            return Check(name="jacobian-rank-on-omega", status=FAIL,
-                         paper_ref=_REF_JACRANK,
-                         witness={"total_rank": rank, "expected": want,
-                                  "point": _point_witness(flat)},
-                         seed=seed, elapsed=time.perf_counter() - t0)
+    r = sampling.rng(seed, sampling.TAG_OMEGA, 0, 0)
+    for _ in range(50):
+        top = sampling.random_coords(L.basis, r)
+        if liealg.omega_test(fs, top):
+            break
+    else:
+        return Check(name="jacobian-rank-on-omega", status=FAIL, paper_ref=_REF_JACRANK,
+                     witness={"error": "no point with independent "
+                              "differentials found in 50 draws"},
+                     seed=seed, elapsed=time.perf_counter() - t0)
+    comps = sampling.random_components(L.basis, m, r)
+    comps[m] = top
+    flat = flatten_point(fam.takiff_algebra, comps)
+    rank = raistauvel.family_rank_at(fam, flat)
+    if rank != want:
+        return Check(name="jacobian-rank-on-omega", status=FAIL, paper_ref=_REF_JACRANK,
+                     witness={"total_rank": rank, "expected": want,
+                              "point": _point_witness(flat)},
+                     seed=seed, elapsed=time.perf_counter() - t0)
     return Check(name="jacobian-rank-on-omega", status=PASS, paper_ref=_REF_JACRANK,
-                 witness={"points": points, "rank": want},
+                 witness={"mode": "derivative-identity", "rank": want},
                  seed=seed, elapsed=time.perf_counter() - t0)
 
 
-def _transfer_check(name: str, paper_ref: str, L: LieAlgebra, m: int,
-                    samples: int, seed: int, stream: tuple[int, ...],
-                    sides, keys: tuple[str, str, str, str], *,
-                    zero_top: tuple[bool, bool] | None) -> Check:
-    """Sampled agreement of two yes/no sides of a transfer equivalence.
-
-    Sample t mixes random components drawn from the stream ``sampling.rng(seed,
-    *stream, t)``, with the top one zero for odd t; ``sampling.streams``
-    mixes the prefix once per check.  The top is drawn last,
-    so an odd sample draws components 0..m-1 only, and they are the ones a
-    full draw gives.  ``sides(comps)`` returns (lhs, rhs).  ``zero_top`` is
-    the (lhs, rhs) that a zero top decides whatever the lower components,
-    or None.  When its sides agree, every odd sample counts it and draws no
-    stream: each stream is private to its sample, so no other sample moves.
-    When they disagree, the odd samples are drawn, so the FAIL witness
-    carries the same point.  ``keys`` names the lhs and rhs in a FAIL
-    witness, then the PASS counts of samples where both sides hold and
-    where neither does.  The first disagreement is the FAIL witness.
-    """
+def _omega_transfer_check(identity: tuple[int, int, str] | None, seed: int) -> Check:
+    """xi in Omega(L<m>*) iff xi_m in Omega(L*), wherever the derivative identity holds."""
     t0 = time.perf_counter()
-    lhs_key, rhs_key, yes_key, no_key = keys
-    decided = zero_top is not None and zero_top[0] == zero_top[1]
-    streams = sampling.streams(seed, *stream)
-    yes = 0
-    for t in range(samples):
-        if t % 2 and decided:
-            yes += zero_top[0]
-            continue
-        r = streams(t)
-        if t % 2:
-            comps = sampling.random_components(L.basis, m - 1, r) + [dict.fromkeys(L.basis, 0)]
-        else:
-            comps = sampling.random_components(L.basis, m, r)
-        lhs, rhs = sides(comps)
-        if lhs != rhs:
-            return Check(name=name, status=FAIL, paper_ref=paper_ref,
-                         witness={"sample": t, lhs_key: lhs, rhs_key: rhs,
-                                  "point": [_point_witness(c) for c in comps]},
-                         seed=seed, elapsed=time.perf_counter() - t0)
-        yes += lhs
-    return Check(name=name, status=PASS, paper_ref=paper_ref,
-                 witness={"samples": samples, "agreements": samples,
-                          yes_key: yes, no_key: samples - yes},
-                 seed=seed, elapsed=time.perf_counter() - t0)
-
-
-def _omega_transfer_check(L: LieAlgebra, fs: InvariantSet,
-                          fam: raistauvel.InvariantFamily,
-                          identity: tuple[int, int, str] | None,
-                          samples: int, seed: int) -> Check:
     if identity is not None:
-        return _identity_failure("omega-transfer", _REF_OMEGA, identity, seed,
-                                 time.perf_counter())
-    m = fam.depth
-
-    def sides(comps):
-        # full family rank at xi iff omega_test at xi_m, by the derivative identity
-        independent = liealg.omega_test(fs, comps[m])
-        return independent, independent
-
-    zero = liealg.omega_test(fs, dict.fromkeys(L.basis, 0))
-    return _transfer_check(
-        "omega-transfer", _REF_OMEGA, L, m, samples, seed, (sampling.TAG_OMEGA, 1),
-        sides, ("family_rank_full", "top_component_independent",
-                "full_rank_cases", "degenerate_cases"),
-        zero_top=(zero, zero))
+        return _identity_failure("omega-transfer", _REF_OMEGA, identity, seed, t0)
+    return Check(name="omega-transfer", status=PASS, paper_ref=_REF_OMEGA,
+                 witness={"mode": "derivative-identity"},
+                 elapsed=time.perf_counter() - t0)
 
 
 def _zero_top_rank_bound(Lm: LieAlgebra,
@@ -406,38 +351,60 @@ def _regularity_transfer_check(L: LieAlgebra, Lm: LieAlgebra,
                                idx_base: int, idx_tak: int,
                                samples: int, seed: int,
                                shifted: raistauvel.InvariantFamily | None = None) -> Check:
-    """``fam`` is the step's family when it is certified, else None.
+    """Sampled agreement of "xi regular in L<m>*" with "xi_m regular in L*".
 
-    ``shifted`` is that family when `jacobian-rank-on-omega` also passed,
-    else None; it feeds `_zero_top_rank_bound`.  rank K(xi_m) is taken once
-    per sample, and a zero top has rank 0.  At rank 0 the left side is
-    False without a matrix when the bound is below dim L<m> - ind L<m>;
-    then the zero top is decided once for the whole check.  A sample reads
+    Sample t mixes random components drawn from the stream ``sampling.rng(seed,
+    TAG_REGULARITY, t)``, with the top one zero for odd t.  The top is drawn
+    last, so an odd sample draws components 0..m-1 only, and they are the
+    ones a full draw gives.  ``fam`` is the step's family when it is
+    certified, else None.  ``shifted`` is that family when
+    `jacobian-rank-on-omega` also passed, else None; it feeds
+    `_zero_top_rank_bound`.  rank K(xi_m) is taken once per sample, and a
+    zero top has rank 0.  At rank 0 the left side is False without a matrix
+    when the bound is below dim L<m> - ind L<m>; when ind L < n the right
+    side is False too, and the odd samples draw no stream.  A sample reads
     its top component first; the L<m> point is flattened only when the
-    Kirillov matrix of L<m> is ranked.
+    Kirillov matrix of L<m> is ranked.  The first disagreement is the FAIL
+    witness.
     """
+    t0 = time.perf_counter()
     m = Lm.grading.depth
     regular = Lm.dim - idx_tak
     regular_base = L.dim - idx_base
     bound_decides = _zero_top_rank_bound(Lm, shifted) < regular
-
-    def sides(comps):
+    zero_tops_agree = bound_decides and regular_base != 0
+    streams = sampling.streams(seed, sampling.TAG_REGULARITY)
+    yes = 0
+    for t in range(samples):
+        if t % 2 and zero_tops_agree:
+            continue
+        r = streams(t)
+        if t % 2:
+            comps = sampling.random_components(L.basis, m - 1, r) + [dict.fromkeys(L.basis, 0)]
+        else:
+            comps = sampling.random_components(L.basis, m, r)
         top = comps[m]
         top_rank = liealg.kirillov_rank_at(L, top) if any(top.values()) else 0
         top_regular = top_rank == regular_base
         if not top_rank and bound_decides:
-            return False, top_regular
-        rank = (raistauvel.block_triangle_rank(fam, top, top_rank) if fam is not None
-                else None)
-        if rank is None:
-            rank = liealg.kirillov_rank_at(Lm, flatten_point(Lm, comps))
-        return rank == regular, top_regular
-
-    return _transfer_check(
-        "regularity-transfer", _REF_REGULAR, L, m, samples, seed,
-        (sampling.TAG_REGULARITY,), sides,
-        ("takiff_regular", "top_component_regular", "regular_cases", "singular_cases"),
-        zero_top=(False, regular_base == 0) if bound_decides else None)
+            takiff_regular = False
+        else:
+            rank = (raistauvel.block_triangle_rank(fam, top, top_rank) if fam is not None
+                    else None)
+            if rank is None:
+                rank = liealg.kirillov_rank_at(Lm, flatten_point(Lm, comps))
+            takiff_regular = rank == regular
+        if takiff_regular != top_regular:
+            return Check(name="regularity-transfer", status=FAIL, paper_ref=_REF_REGULAR,
+                         witness={"sample": t, "takiff_regular": takiff_regular,
+                                  "top_component_regular": top_regular,
+                                  "point": [_point_witness(c) for c in comps]},
+                         seed=seed, elapsed=time.perf_counter() - t0)
+        yes += top_regular
+    return Check(name="regularity-transfer", status=PASS, paper_ref=_REF_REGULAR,
+                 witness={"samples": samples, "agreements": samples,
+                          "regular_cases": yes, "singular_cases": samples - yes},
+                 seed=seed, elapsed=time.perf_counter() - t0)
 
 
 def verify_multi_current(L: LieAlgebra, fs: InvariantSet, degrees,

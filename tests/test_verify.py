@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -23,7 +24,8 @@ from takiffalg.verify import (
     wonderful_diagnostic,
 )
 
-from oracles import bracket_values_at, kirillov_matrix as oracle_kirillov_matrix
+from oracles import bracket_values_at, kirillov_matrix as oracle_kirillov_matrix, naive_rank
+from oracles import gradient_at as oracle_gradient_at
 
 CHECK_ORDER = [
     "jacobi", "invariance", "ideal-invariants", "index-formula",
@@ -278,8 +280,22 @@ class TestGeneratingSet:
         assert _by_name(rep, "jacobi").status == PASS
         invariance, ideal = generating_targets(takiff(sl2.algebra, 3))
         assert len(invariance) < 12
-        # one call per member (4), then per ideal generator: 3 top coordinates, 3 members
-        assert seen == [invariance] * 4 + [ideal] * 6
+        # one call per member (4), then per top coordinate (3): invariance
+        # PASSed on all of L<3>, so it certified the members on the ideal
+        assert seen == [invariance] * 4 + [ideal] * 3
+        assert _by_name(rep, "ideal-invariants").witness["generators"] == 6
+
+    def test_a_failed_invariance_brackets_the_members_on_the_ideal(self, monkeypatch, sl2):
+        # h^2 + 3ef is no invariant; the top coordinates commute with the
+        # ideal, so the members are what the ideal check finds
+        fs = InvariantSet(algebra=sl2.algebra,
+                          polys=(parse_poly("h^2 + 3*e*f", sl2.algebra.basis),))
+        rep, seen = self._spied_targets(monkeypatch, sl2.algebra, fs, 2)
+        ideal = generating_targets(takiff(sl2.algebra, 2))[1]
+        assert _by_name(rep, "invariance").status == FAIL
+        assert seen[1:] == [ideal] * 4
+        assert _by_name(rep, "ideal-invariants").witness == {
+            "generator": "F_1^1", "ideal_element": "e@1", "poisson_bracket": "e@2*h@2"}
 
     def test_jacobi_fail_with_an_invariant_brackets_every_target(self, monkeypatch):
         # [e, f] = e instead of h: Jacobi fails, and the sl2 Casimir is no invariant
@@ -297,10 +313,7 @@ class TestGeneratingSet:
 
 
 def _no_zero_top_decision(monkeypatch):
-    """Draw and rank every zero top: no zero-top pair, no rank bound, no l-term."""
-    transfer = verify._transfer_check
-    monkeypatch.setattr(verify, "_transfer_check",
-                        lambda *args, zero_top: transfer(*args, zero_top=None))
+    """Draw and rank every zero top: no rank bound, so no l-term and no skipped sample."""
     monkeypatch.setattr(verify, "_zero_top_rank_bound", lambda Lm, shifted: Lm.dim)
 
 
@@ -549,29 +562,56 @@ def _stream_spy(monkeypatch) -> list:
     return made
 
 
-class TestZeroTopOnce:
-    """A zero top that decides both sides is settled once per check, with no stream."""
+class TestOmegaCertificates:
+    """Both omega checks rest on the derivative identity, not on sampled points."""
 
-    @pytest.mark.parametrize("samples", [1, 7, 20])
     @pytest.mark.parametrize("name,m", [("sl2", 2), ("heis1", 3), ("slnV2", 1)])
-    def test_omega_transfer_draws_only_the_even_samples(self, monkeypatch, name, m, samples):
+    def test_omega_checks_draw_one_point(self, monkeypatch, name, m):
         entry = catalog.load(name)
         made = _stream_spy(monkeypatch)
-        omega_test = liealg.omega_test
-        at_zero = []
+        rng = sampling.rng
+        one_off = []
 
-        def spy(fs, point):
-            if not any(point.values()):
-                at_zero.append(fs)
-            return omega_test(fs, point)
+        def spy(seed, *parts):
+            one_off.append(parts)
+            return rng(seed, *parts)
 
-        monkeypatch.setattr(liealg, "omega_test", spy)
-        rep = verify_main_theorem(entry.algebra, entry.invariants, m, transfer_samples=samples)
+        monkeypatch.setattr(sampling, "rng", spy)
+        rep = verify_main_theorem(entry.algebra, entry.invariants, m, transfer_samples=7)
         monkeypatch.undo()
         assert rep.summary == PASS
-        drawn = [t for prefix, t in made if prefix == (sampling.TAG_OMEGA, 1)]
-        assert drawn == list(range(0, samples, 2))
-        assert len(at_zero) == 1
+        assert not [t for prefix, t in made if prefix == (sampling.TAG_OMEGA, 1)]
+        assert [p for p in one_off if p[0] == sampling.TAG_OMEGA] == [(sampling.TAG_OMEGA, 0, 0)]
+        assert _by_name(rep, "jacobian-rank-on-omega").witness == {
+            "mode": "derivative-identity", "rank": (m + 1) * len(entry.invariants)}
+        assert _by_name(rep, "omega-transfer").witness == {"mode": "derivative-identity"}
+
+    # tops with one root coordinate are nonzero and outside Omega; e12 + e23 is
+    # the regular nilpotent, in Omega
+    @pytest.mark.parametrize("top,in_omega", [({"e13": 1}, False), ({"e21": 1}, False),
+                                              ({"e12": 1, "e23": 1}, True)])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_full_family_rank_iff_the_top_is_in_omega(self, sl3, m, top, in_omega):
+        L, fs = sl3.algebra, sl3.invariants
+        fam = build_family(L, m, fs)
+        Lm = fam.takiff_algebra
+        comps = sampling.random_components(L.basis, m, sampling.rng(m, sampling.TAG_OMEGA),
+                                           bound=60)
+        comps[m] = {b: top.get(b, 0) for b in L.basis}
+        flat = flatten_point(Lm, comps)
+        point = {b: Fraction(v) for b, v in flat.items()}
+        rows = []
+        for _, _, F in fam.members():
+            grad = dict(zip(F.varset, oracle_gradient_at(F, point)))
+            rows.append([grad.get(b, Fraction(0)) for b in Lm.basis])
+        rank = naive_rank(rows)
+        assert liealg.omega_test(fs, comps[m]) is in_omega
+        assert (rank == (m + 1) * fam.l) is in_omega
+        assert rank == raistauvel.family_rank_at(fam, flat)
+
+
+class TestZeroTopOnce:
+    """A zero top that decides both sides is settled once per check, with no stream."""
 
     @pytest.mark.parametrize("name,m,decided", ZERO_TOP_CASES)
     def test_regularity_transfer_draws_the_zero_tops_only_when_open(
