@@ -195,7 +195,11 @@ def validate(L: LieAlgebra) -> Report:
     into the sorted triple {a, i, j}, with a minus sign when a lies between
     i and j (the cyclic term [b_a, [b_j, b_i]]).  The sums run on the integer
     structure constants, which scales every residual by D^2; a violation's
-    residual is scaled back.  Violations come in triple order.
+    residual is scaled back.  Violations come in triple order, and the
+    witness's ``triples_checked`` is comb(dim, 3), every triple of distinct
+    basis elements; those with no product sum to zero.  `verify` calls this
+    on the base of a truncation, since L<m> satisfies Jacobi exactly when L
+    does, and on L<m> itself only to name the triples of a FAIL.
     """
     rep = Report(label=f"validate:{L.label}")
     t0 = time.perf_counter()

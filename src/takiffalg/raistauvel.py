@@ -161,6 +161,8 @@ def derivative_identity_defect(fam: InvariantFamily) -> tuple[int, int, str] | N
     the identity holds for every i, j and b.  Together with the
     triangularity the family enforces, the identity makes rank J_F(xi) =
     (m+1)l equivalent to `omega_test(fam.base, xi_m)` at every point.
+    One sweep over each member's terms forms all of its partials in the
+    grade-(m-j) variables at once.
     """
     Lm = fam.takiff_algebra
     m = fam.depth
@@ -170,9 +172,26 @@ def derivative_identity_defect(fam: InvariantFamily) -> tuple[int, int, str] | N
               for mono, c in f.partial(b).terms.items()}
              for b in base] for f in fam.base.polys]
     for i, j, F in fam.members():
-        for k, b in enumerate(base):
-            name = graded_name(b, m - j)
-            if F.partial(name).terms != want[i - 1][k]:
+        names = [graded_name(b, m - j) for b in base]
+        column = {Lm.index_of(name): k for k, name in enumerate(names)}
+        partials: list[dict] = [{} for _ in base]
+        for mono, c in F.terms.items():
+            for pos, (v, e) in enumerate(mono):
+                k = column.get(v)
+                if k is None:
+                    continue
+                rest = mono[pos + 1:] if e == 1 else ((v, e - 1),) + mono[pos + 1:]
+                nm = mono[:pos] + rest
+                ce = c if e == 1 else c * e
+                out = partials[k]
+                s = out.get(nm)
+                s = ce if s is None else s + ce
+                if s:
+                    out[nm] = s
+                elif nm in out:
+                    del out[nm]
+        for k, name in enumerate(names):
+            if partials[k] != want[i - 1][k]:
                 return i, j, name
     return None
 

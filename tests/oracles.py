@@ -11,8 +11,11 @@ subalgebra generated by basis elements as a Fraction span closure, Poisson
 brackets with basis elements as a gradient times the Kirillov matrix, and
 the coadjoint action of a truncated current algebra by two routes, one
 through its own structure constants and one componentwise through the base
-algebra's.  Algebras, polynomials and gradings are read only through their
-raw data: basis names, bracket tables, term dictionaries and grade maps.
+algebra's; and the derivative identity of an expanded family one variable
+at a time.  Algebras, polynomials and gradings are read only through their
+raw data: basis names, bracket tables, term dictionaries and grade maps;
+the one package method called is `Polynomial.partial`, the derivative
+identity's per-variable route.
 """
 
 from __future__ import annotations
@@ -281,6 +284,31 @@ def jacobi_residuals(algebra) -> dict[tuple[int, int, int], dict[int, Fraction]]
                 if total:
                     found[(a, b, c)] = total
     return found
+
+
+def derivative_identity_defect(fam) -> tuple[int, int, str] | None:
+    """First (i, j, b@(m-j)) where dF_i^j/d(b@(m-j)) is not df_i/db at grade m.
+
+    One `Polynomial.partial` per member and base variable, members eps-power
+    major and variables in base order.  Graded names are looked up in the
+    grade maps, and the right side moves each index of a base monomial to
+    the grade-m name of its variable.  None when the identity holds.
+    """
+    Lm, base = fam.takiff_algebra, fam.base
+    grading = Lm.grading
+    m = grading.depth
+    name_at = {(grading.base_name_of[v], grading.grade_of[v]): v for v in Lm.basis}
+    top = [Lm.basis.index(name_at[(b, m)]) for b in base.algebra.basis]
+    for j in range(m + 1):
+        for i, f in enumerate(base.polys, start=1):
+            F = fam.table[i - 1][j]
+            for b in base.algebra.basis:
+                want = {tuple(sorted((top[k], e) for k, e in mono)): c
+                        for mono, c in f.partial(b).terms.items()}
+                name = name_at[(b, m - j)]
+                if F.partial(name).terms != want:
+                    return i, j, name
+    return None
 
 
 def bracket_values_at(algebra, poly, point: dict[str, Fraction]) -> list[Fraction]:

@@ -27,6 +27,7 @@ from takiffalg.raistauvel import (
 from takiffalg.takiff import flatten_point, graded_name, graded_varset, takiff
 
 from oracles import EpsValue, bareiss_rank, eval_poly_eps
+from oracles import derivative_identity_defect as oracle_identity_defect
 from oracles import kirillov_matrix as oracle_kirillov_matrix
 
 
@@ -225,6 +226,30 @@ class TestBlockTriangularity:
         F = fam.member(i, j)
         bad = with_member(fam, i, j, F * factor + parse_poly(extra, F.varset))
         assert derivative_identity_defect(bad) == named
+
+    @pytest.mark.parametrize("name,degrees", BLOCK_CASES)
+    @settings(max_examples=6)
+    @given(data=st.data())
+    def test_the_one_pass_identity_names_the_oracle_defect(self, name, degrees, data):
+        # each corruption adds c * v^d to F_i^j, v = b@(m-j) on the diagonal
+        # (the identity breaks at (i, j, b)) or b@m off it (for j >= 1 it holds)
+        fam = block_family(name, degrees)
+        m, base = fam.depth, fam.base.algebra.basis
+        assert derivative_identity_defect(fam) is None
+        assert oracle_identity_defect(fam) is None
+        corruptions = data.draw(st.lists(st.tuples(
+            st.integers(1, fam.l), st.integers(0, m), st.sampled_from(base),
+            st.sampled_from([1, -2, Fraction(1, 3)]), st.booleans()), min_size=1, max_size=2))
+        for i, j, b, c, diagonal in corruptions:
+            F = fam.member(i, j)
+            v = F.varset.index(graded_name(b, m - j if diagonal else m))
+            term = Polynomial(F.varset, {((v, fam.base.polys[i - 1].degree()),): c})
+            fam = with_member(fam, i, j, F + term)
+        want = oracle_identity_defect(fam)
+        assert derivative_identity_defect(fam) == want
+        if len(corruptions) == 1:
+            i, j, b, _, diagonal = corruptions[0]
+            assert want == ((i, j, graded_name(b, m - j)) if diagonal or j == 0 else None)
 
     @pytest.mark.parametrize("kind", ["random", "zero", "nilcone"])
     @pytest.mark.parametrize("name,degrees", BLOCK_CASES)

@@ -33,7 +33,10 @@ an independent differential at 0, so the zero top is in Omega, and ind
 heis1<3> = 4 >= n = 3, so its zero tops still rank the full matrix.  `heis1<2,3>` was recorded
 while the zero tops were bounded by the zero rows alone: at level 2, mn =
 27 is not below dim - ind = 24, so they ranked the full matrix, where the
-certified family's m(n - l) = 18 decides them.
+certified family's m(n - l) = 18 decides them.  `verify --multi 1,1` on the
+1/3 algebra was recorded while every level still validated its own
+truncation triple by triple: it pins the level-2 FAIL, whose base is
+already non-Jacobi, now that the Jacobi check is certified from the base.
 """
 
 from __future__ import annotations
@@ -94,6 +97,10 @@ CASES = {
     "verify-m1-jacobi-fail-third": (["verify", "--m", "1", "{bad}", "--seed", "3"],
                                     [FAIL, SKIPPED] + [PASS] * 3 + [SKIPPED] * 3 + [PASS],
                                     "12e53bee5a89f2d7e2bf69b8fade08adad914c82e6e0f62091d73a9f81488267"),
+    "verify-multi11-jacobi-fail-third": (["verify", "--multi", "1,1", "{bad}"],
+                                         ([FAIL, SKIPPED] + [PASS] * 3 + [SKIPPED] * 3 + [PASS]) * 2
+                                         + [PASS],
+                                         "88af340a1fef86780238ba26d7b71d2659ca29f8b4d34c2d3a9c5fe9e59907cb"),
     "verify-m2-abelian": (["verify", "--m", "2", "{abelian}"],
                           [PASS] * 9,
                           "41ed9031156c0498ea03fe0021dacca28a964d7a1375d438c2226f04fd451ce7"),

@@ -3,9 +3,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from takiffalg import algio, catalog, sampling
-from takiffalg.liealg import AlgebraError, LieAlgebra
+from takiffalg.liealg import AlgebraError, LieAlgebra, validate
 from takiffalg.takiff import (
     TakiffGrading,
     flatten_point,
@@ -123,6 +124,38 @@ class TestConstruction:
     def test_nilpotent_ideal_requires_grading(self, sl2):
         with pytest.raises(AlgebraError):
             nilpotent_ideal(sl2.algebra)
+
+
+# mostly zeros, so that some random tables satisfy Jacobi
+_CONSTANTS = st.sampled_from([0] * 6 + [1, -1, 2, Fraction(1, 2), Fraction(-1, 3)])
+
+
+@st.composite
+def _bracket_tables(draw):
+    """An antisymmetric bracket table on at most 4 basis elements, small rational constants."""
+    n = draw(st.integers(1, 4))
+    entries = {(i, j): {k: draw(_CONSTANTS) for k in range(n)}
+               for i in range(n) for j in range(i + 1, n)}
+    return LieAlgebra.create("random", tuple(f"b{k}" for k in range(n)), entries)
+
+
+_HEISENBERG = LieAlgebra.create("heis", ("x", "y", "z"), {(0, 1): {2: 1}})
+_BROKEN_SL2 = LieAlgebra.create("badsl2", ("e", "h", "f"), {
+    (0, 1): {0: -2}, (0, 2): {0: Fraction(1, 3), 1: 1}, (1, 2): {2: -2}})
+
+
+class TestJacobiTransfer:
+    """[x@a, [y@b, z@c]] = [x, [y, z]]@(a+b+c), or 0 past grade m, so L<m>
+    satisfies Jacobi exactly when L does; `verify` certifies its jacobi
+    check from the base by this lemma."""
+
+    @given(L=_bracket_tables(), m=st.sampled_from([1, 2]))
+    @example(L=_HEISENBERG, m=2)
+    @example(L=_BROKEN_SL2, m=1)
+    def test_the_truncation_satisfies_jacobi_iff_the_base_does(self, L, m):
+        (base,) = validate(L).checks
+        (truncated,) = validate(takiff(L, m)).checks
+        assert truncated.status == base.status
 
 
 def _truncations():

@@ -7,7 +7,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from takiffalg import catalog, linalg, liealg, raistauvel, sampling, verify
+from takiffalg import algio, catalog, linalg, liealg, raistauvel, sampling, verify
 from takiffalg.liealg import (
     InvariantSet,
     LieAlgebra,
@@ -26,6 +26,7 @@ from takiffalg.verify import (
 
 from oracles import bracket_values_at, kirillov_matrix as oracle_kirillov_matrix, naive_rank
 from oracles import gradient_at as oracle_gradient_at
+from test_report_bytes import BAD_JACOBI_THIRD
 
 CHECK_ORDER = [
     "jacobi", "invariance", "ideal-invariants", "index-formula",
@@ -190,7 +191,79 @@ class TestBracketOracle:
                 assert value == symbolic
 
 
-CORRUPTIBLE = [("sl2", 1), ("sl2", 2), ("sl2", 3), ("sl3", 1),
+def _bad_jacobi_third():
+    L, fs, _ = algio.algebra_from_dict(BAD_JACOBI_THIRD)
+    return L, fs
+
+
+def _jacobi_levels(rep, L, degrees):
+    """(jacobi check, validate(L<m>) check) per level of a verify report."""
+    prefix = "" if len(degrees) == 1 else "level{}:"
+    pairs = []
+    for level, m in enumerate(degrees, start=1):
+        L = takiff(L, m)
+        pairs.append((_by_name(rep, prefix.format(level) + "jacobi"),
+                      liealg.validate(L).checks[0]))
+    return pairs
+
+
+def _validate_spy(monkeypatch) -> list:
+    """The dimension of every algebra `liealg.validate` is called on, in order."""
+    seen = []
+    original = liealg.validate
+
+    def spy(L):
+        seen.append(L.dim)
+        return original(L)
+
+    monkeypatch.setattr(liealg, "validate", spy)
+    return seen
+
+
+class TestJacobiCertificate:
+    """L<m> satisfies Jacobi iff L does: the check against validate(L<m>) itself."""
+
+    @pytest.mark.parametrize("degrees", [(m,) for m in (1, 2, 3)] + [(1, 2), (2, 1)])
+    @pytest.mark.parametrize("name", catalog.NAMES)
+    def test_the_check_is_validate_on_the_truncation(self, name, degrees):
+        entry = catalog.load(name)
+        rep = verify_multi_current(entry.algebra, entry.invariants, degrees,
+                                   trials=1, transfer_samples=1)
+        for check, want in _jacobi_levels(rep, entry.algebra, degrees):
+            assert check.status == want.status == PASS
+            assert check.witness == want.witness
+
+    @pytest.mark.parametrize("degrees", [(1,), (2,), (1, 1)])
+    def test_a_broken_base_fails_with_the_truncation_triples(self, degrees):
+        L, fs = _bad_jacobi_third()
+        rep = verify_multi_current(L, fs, degrees, trials=1, transfer_samples=1)
+        for check, want in _jacobi_levels(rep, L, degrees):
+            assert check.status == want.status == FAIL
+            assert check.witness == want.witness
+
+    def test_one_validate_on_the_base(self, monkeypatch, sl3):
+        seen = _validate_spy(monkeypatch)
+        rep = verify_main_theorem(sl3.algebra, sl3.invariants, 4, transfer_samples=2)
+        assert seen == [8]
+        assert _by_name(rep, "jacobi").witness["triples_checked"] == 9880
+
+    def test_one_validate_across_the_levels(self, monkeypatch, sl3):
+        seen = _validate_spy(monkeypatch)
+        rep = verify_multi_current(sl3.algebra, sl3.invariants, [1, 1, 1],
+                                   transfer_samples=2)
+        assert seen == [8]
+        assert _by_name(rep, "level3:jacobi").status == PASS
+
+    def test_a_broken_base_validates_each_truncation(self, monkeypatch):
+        # the base fails, so every level validates its own L<m>, and no level
+        # re-validates a base whose verdict the level below already gave
+        seen = _validate_spy(monkeypatch)
+        L, fs = _bad_jacobi_third()
+        verify_multi_current(L, fs, [1, 1], trials=1, transfer_samples=1)
+        assert seen == [3, 6, 12]
+
+
+CORRUPTIBLE =[("sl2", 1), ("sl2", 2), ("sl2", 3), ("sl3", 1),
                ("heis1", 1), ("heis1", 2), ("heis1", 3), ("slnV2", 1)]
 EXAMPLES_PER_CASE = 6
 
