@@ -18,7 +18,6 @@ denominator, against a per-target adjacency of that integer table.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -202,7 +201,6 @@ def validate(L: LieAlgebra) -> Report:
     does, and on L<m> itself only to name the triples of a FAIL.
     """
     rep = Report(label=f"validate:{L.label}")
-    t0 = time.perf_counter()
     den, rows = L._int_plan()
     adj = L._adjacency()
     sums: dict[tuple[int, int, int], dict[int, int]] = {}
@@ -231,8 +229,7 @@ def validate(L: LieAlgebra) -> Report:
     witness = {"triples_checked": comb(L.dim, 3), "violation_count": len(violations),
                "violations": violations[:5]}
     rep.add(Check(name="jacobi", status=FAIL if violations else PASS,
-                  paper_ref="plumbing", witness=witness,
-                  elapsed=time.perf_counter() - t0))
+                  paper_ref="plumbing", witness=witness))
     return rep
 
 
@@ -269,7 +266,6 @@ RankFunction = Callable[[LieAlgebra, DualPoint], int]
 
 
 def generic_kirillov_rank(L: LieAlgebra, trials: int = 5, seed: int = 0,
-                          bound: int = sampling.DEFAULT_BOUND,
                           rank: RankFunction = kirillov_rank_at) -> int:
     """Max Kirillov rank over seeded random integer points (monotone in trials).
 
@@ -282,7 +278,7 @@ def generic_kirillov_rank(L: LieAlgebra, trials: int = 5, seed: int = 0,
     best = 0
     streams = sampling.streams(seed, sampling.TAG_INDEX)
     for t in range(trials):
-        pt = sampling.random_coords(L.basis, streams(t), bound)
+        pt = sampling.random_coords(L.basis, streams(t))
         best = max(best, rank(L, pt))
         if best == L.dim:
             break
@@ -303,8 +299,10 @@ def index(L: LieAlgebra, trials: int = 5, seed: int = 0,
 def magic_from_index(L: LieAlgebra, idx: int) -> int:
     """(dim + ind)/2 for a known index estimate.
 
-    The Kirillov form has even rank, so an odd dim + ind exposes an unreliable
-    estimate and raises IndexEstimateError.
+    An odd dim + ind raises IndexEstimateError.  An index from `index` never
+    trips this: it is dim minus an exact rank of the skew Kirillov form,
+    and that rank is even at every point, so only an index supplied from
+    elsewhere can be odd against dim.
     """
     s = L.dim + idx
     if s % 2:
@@ -419,7 +417,6 @@ class InvariantSet:
 
     algebra: LieAlgebra
     polys: tuple[Polynomial, ...]
-    claimed_index: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "polys", tuple(self.polys))

@@ -32,7 +32,6 @@ evidence).
 from __future__ import annotations
 
 import operator
-import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -125,7 +124,6 @@ def _pairing_vanishes(fs: InvariantSet, xi1: DualPoint, xi0: DualPoint) -> bool:
 
 
 def _kernel_point(rows: list[list[Scalar]], names: Sequence[str], r,
-                  bound: int = sampling.DEFAULT_BOUND,
                   guard: Callable[[dict[str, Scalar]], bool] | None = None,
                   ) -> dict[str, Scalar]:
     """Random integer combination of an exact kernel basis, optionally guarded.
@@ -140,7 +138,7 @@ def _kernel_point(rows: list[list[Scalar]], names: Sequence[str], r,
     den = _common_denominator(x for v in basis for x in v)
     columns = list(zip(*([x.numerator * (den // x.denominator) for x in v] for v in basis)))
     for _ in range(100):
-        coeffs = sampling.uniform_ints(r, len(basis), bound)
+        coeffs = sampling.uniform_ints(r, len(basis), sampling.DEFAULT_BOUND)
         vec = [sum(map(operator.mul, coeffs, col)) for col in columns]
         if any(vec):
             pt = dict(zip(names, [_over(x, den) for x in vec]))
@@ -173,7 +171,6 @@ def _n1_characterization(L: LieAlgebra, fam: InvariantFamily, samples: int, seed
     # flattened once for it, and a member gets its bounds without a re-check
     fs = fam.base
     rep = Report(label=f"nilfiber:{L.label}:N1")
-    t0 = time.perf_counter()
     member_cases = 0
     mismatch = None
     bound_violations = []
@@ -213,7 +210,7 @@ def _n1_characterization(L: LieAlgebra, fam: InvariantFamily, samples: int, seed
                   witness=mismatch or {"samples": samples, "agreements": samples,
                                        "member_cases": member_cases,
                                        "nonmember_cases": samples - member_cases},
-                  seed=seed, elapsed=time.perf_counter() - t0))
+                  seed=seed))
     rep.add(Check(name="lemma-bounds",
                   status=FAIL if bound_violations else PASS, paper_ref=_REF_LEMMA,
                   witness={"points_checked": member_cases,
@@ -260,7 +257,6 @@ def equidim_diagnostic(L: LieAlgebra, fs: InvariantSet,
     totals: dict[str, int] = {}
     meets: dict[str, bool] = {}
     for s in strata_samples:
-        t0 = time.perf_counter()
         if not s.points:
             raise NilfiberError(f"stratum '{s.name}' has no sample points")
         bad = None
@@ -272,8 +268,7 @@ def equidim_diagnostic(L: LieAlgebra, fs: InvariantSet,
                 break
         if bad is not None:
             rep.add(Check(name=f"stratum:{s.name}", status=FAIL,
-                          paper_ref=_REF_EQUIDIM, witness=bad,
-                          elapsed=time.perf_counter() - t0))
+                          paper_ref=_REF_EQUIDIM, witness=bad))
             continue
         # every point has the declared index, so one point decides this
         meets_omega = omega_test(fs, s.points[0])
@@ -291,8 +286,7 @@ def equidim_diagnostic(L: LieAlgebra, fs: InvariantSet,
             witness["flag"] = ("excess dimension: the fiber map is not "
                                "equidimensional over this stratum")
         rep.add(Check(name=f"stratum:{s.name}", status=PASS,
-                      paper_ref=_REF_EQUIDIM, witness=witness,
-                      elapsed=time.perf_counter() - t0))
+                      paper_ref=_REF_EQUIDIM, witness=witness))
     attaining = sorted(n for n, v in totals.items() if v == target)
     avoiding = sorted(n for n, v in meets.items() if not v)
     excess = sorted(n for n, v in totals.items() if v > target)
@@ -365,7 +359,7 @@ def sl2_chain(levels: int = 3, seed: int = 0,
     if levels == 1:
         return rep
 
-    L1, fs1 = fam1.takiff_algebra, fam1.invariant_set(claimed_index=2)
+    L1, fs1 = fam1.takiff_algebra, fam1.invariant_set()
 
     # level 2: N<1> strata; the fiber over a cone point is an exact kernel
     reg_pts = []
@@ -396,7 +390,7 @@ def sl2_chain(levels: int = 3, seed: int = 0,
         return rep
 
     fam2 = build_family(L1, 1, fs1)
-    L2, fs2 = fam2.takiff_algebra, fam2.invariant_set(claimed_index=4)
+    L2, fs2 = fam2.takiff_algebra, fam2.invariant_set()
     casimir = fs0.polys[0]
     grade1 = [b for b in L1.basis if L1.grading.grade_of[b] == 1]
 

@@ -371,12 +371,8 @@ class Polynomial:
                     nm = mono[:pos] + mono[pos + 1:]
                 else:
                     nm = mono[:pos] + ((i, e - 1),) + mono[pos + 1:]
-                s = out.get(nm)
-                s = c * e if s is None else s + c * e
-                if s:
-                    out[nm] = s
-                elif nm in out:
-                    del out[nm]
+                # nm determines mono, so no two terms meet: nothing cancels
+                out[nm] = c * e
                 break
         return self._new(out)
 

@@ -129,10 +129,9 @@ class InvariantFamily:
             for i in range(1, self.l + 1):
                 yield i, j, self.table[i - 1][j]
 
-    def invariant_set(self, claimed_index: int | None = None) -> InvariantSet:
+    def invariant_set(self) -> InvariantSet:
         return InvariantSet(algebra=self.takiff_algebra,
-                            polys=tuple(F for _, _, F in self.members()),
-                            claimed_index=claimed_index)
+                            polys=tuple(F for _, _, F in self.members()))
 
 
 def build_family(L: LieAlgebra, m: int, fs: InvariantSet) -> InvariantFamily:
@@ -181,15 +180,8 @@ def derivative_identity_defect(fam: InvariantFamily) -> tuple[int, int, str] | N
                 if k is None:
                     continue
                 rest = mono[pos + 1:] if e == 1 else ((v, e - 1),) + mono[pos + 1:]
-                nm = mono[:pos] + rest
-                ce = c if e == 1 else c * e
-                out = partials[k]
-                s = out.get(nm)
-                s = ce if s is None else s + ce
-                if s:
-                    out[nm] = s
-                elif nm in out:
-                    del out[nm]
+                # the partial's monomial determines mono: nothing cancels
+                partials[k][mono[:pos] + rest] = c if e == 1 else c * e
         for k, name in enumerate(names):
             if partials[k] != want[i - 1][k]:
                 return i, j, name

@@ -4,11 +4,19 @@ Serialized reports are byte-identical for identical inputs and seeds.  Wall
 clock timings are kept on the in-memory objects for the human summary but are
 normalized to 0 in the JSON form, since anything else would break run-to-run
 reproducibility of the report files.
+
+A report is the one place that times a check.  Its clock starts when the
+report is created, and `Report.add` sets a check's ``elapsed`` to the time
+since the previous `add` (or since the report was created), so every second
+of a report's life is charged to some check.  `Report.extend_prefixed`
+copies checks with their own timings and restarts the clock, so the next
+check is not charged for the copied ones.
 """
 
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
@@ -21,6 +29,8 @@ SAMPLED_PASS = "SAMPLED-PASS"
 SKIPPED = "SKIPPED"
 
 _STATUS_ORDER = {FAIL: 2, SAMPLED_PASS: 1, PASS: 0, SKIPPED: 0}
+
+_clock = time.perf_counter
 
 
 def jsonable(value: Any) -> Any:
@@ -61,16 +71,24 @@ class Check:
 class Report:
     label: str
     checks: list[Check] = field(default_factory=list)
+    # read through the module global at call time, so tests can patch _clock
+    _last: float = field(default_factory=lambda: _clock(), init=False,
+                         repr=False, compare=False)
 
     def add(self, check: Check) -> Check:
+        """Append ``check``, timed from the previous add or the report's creation."""
+        now = _clock()
+        check.elapsed, self._last = now - self._last, now
         self.checks.append(check)
         return check
 
     def extend_prefixed(self, prefix: str, checks: list[Check]) -> None:
+        """Append renamed copies that keep their own timings, then restart the clock."""
         for c in checks:
             self.checks.append(Check(name=prefix + c.name, status=c.status,
                                      paper_ref=c.paper_ref, witness=c.witness,
                                      seed=c.seed, elapsed=c.elapsed))
+        self._last = _clock()
 
     @property
     def summary(self) -> str:

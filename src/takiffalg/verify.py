@@ -39,41 +39,19 @@ follows from the block triangle; the converse is still sampled.
 
 Each regularity sample ranks its top component once: rank K(xi_m) decides
 the right side and feeds the block-triangle shortcut.  A top with
-K(xi_m) = 0, the zero top of the odd samples above all, is decided by a
-bound on rank K(xi).  The entry of the Kirillov matrix of L<m> at
-(x@i, y@j) is <xi_{i+j}, [x, y]> for i + j <= m and 0 beyond, so where
-K(xi_m) = 0 the rows and columns of grade m vanish and the rest is the
-Kirillov matrix of L<m-1> at xi' = (xi_0, ..., xi_{m-1}).  So rank K(xi)
-<= mn: linear algebra on takiff(L, m) alone, which holds at every level of
-`verify_multi_current`.  The step's family sharpens it to m(n - l) with
-nothing built.  Renaming every b@g to b@(g-1) carries the members F_i^j
-with j <= m-1 onto the depth-(m-1) family, and, for k <= m-1, the bracket
-{F', x@k} in L<m-1> onto {F, x@k} in L<m>.  So when invariance passes and
-`derivative_identity_defect` finds no defect, the depth-(m-1) family is
-invariant and satisfies the identity too, and the Omega point that
-`jacobian-rank-on-omega` found gives it rank ml.  Then ind L<m-1> >= ml,
-and rank K(xi) <= m(n - l) wherever K(xi_m) = 0.  When the bound is below
-dim L<m> - ind L<m>, the left side is False with no matrix built; the
-right side is ind L = n.  A zero top is not ranked at all.  Every other
-point is ranked from its matrix.  All routes give the exact rank, so
-every status, index and witness is the same.
-
-Where the bound decides a zero top and ind L < n, both sides of
-`regularity-transfer` are False there whatever the lower components, so
-the odd samples draw no stream at all; every sample's stream is private,
-so the even samples draw what they drew before.  Where ind L = n the zero
-top is regular in L but not in L<m>, and the odd samples are drawn as
-usual, so a FAIL names the same sample and point.
+K(xi_m) = 0, the zero top of the odd samples above all, is decided by
+`_zero_top_rank_bound` with no matrix built when that bound is below
+dim L<m> - ind L<m>; every other point is ranked from its matrix.  All
+routes give the exact rank, so every status, index and witness is the same.
 """
 
 from __future__ import annotations
 
-import time
 from math import comb
 from typing import Sequence
 
 from . import liealg, raistauvel, sampling
-from .liealg import InvariantSet, IndexEstimateError, LieAlgebra
+from .liealg import InvariantSet, LieAlgebra
 from .polyring import Polynomial
 from .report import FAIL, PASS, SKIPPED, Check, Report
 from .takiff import flatten_point, generating_targets, nilpotent_ideal, takiff
@@ -123,7 +101,6 @@ def _jacobi_check(L: LieAlgebra, Lm: LieAlgebra, base_holds: bool | None) -> Che
     When L fails, `liealg.validate(Lm)` runs, so the witness names the
     first violating triples of L<m>.
     """
-    t0 = time.perf_counter()
     if base_holds is None:
         base_holds = liealg.validate(L).checks[0].status == PASS
     if base_holds:
@@ -133,8 +110,7 @@ def _jacobi_check(L: LieAlgebra, Lm: LieAlgebra, base_holds: bool | None) -> Che
     else:
         sub = liealg.validate(Lm).checks[0]
         status, witness = sub.status, sub.witness
-    return Check(name="jacobi", status=status, paper_ref=_REF_JACOBI,
-                 witness=witness, elapsed=time.perf_counter() - t0)
+    return Check(name="jacobi", status=status, paper_ref=_REF_JACOBI, witness=witness)
 
 
 def _bracket_check(Lm: LieAlgebra, name: str, paper_ref: str,
@@ -146,7 +122,6 @@ def _bracket_check(Lm: LieAlgebra, name: str, paper_ref: str,
     The first nonzero Poisson bracket is the FAIL witness, under the keys
     (generator key, target key); a PASS records ``counts``.
     """
-    t0 = time.perf_counter()
     gen_key, target_key = keys
     for label, g in generators:
         defect = liealg.bracket_defect_against(Lm, g, targets)
@@ -154,11 +129,9 @@ def _bracket_check(Lm: LieAlgebra, name: str, paper_ref: str,
             elt, bracket = defect
             return Check(name=name, status=FAIL, paper_ref=paper_ref,
                          witness={gen_key: label, target_key: elt,
-                                  "poisson_bracket": _poly_str(bracket)},
-                         elapsed=time.perf_counter() - t0)
+                                  "poisson_bracket": _poly_str(bracket)})
     return Check(name=name, status=PASS, paper_ref=paper_ref,
-                 witness={"mode": "symbolic", **counts},
-                 elapsed=time.perf_counter() - t0)
+                 witness={"mode": "symbolic", **counts})
 
 
 def verify_main_theorem(L: LieAlgebra, fs: InvariantSet, m: int,
@@ -230,7 +203,6 @@ def _verify_step(L: LieAlgebra, fs: InvariantSet, m: int, trials: int,
         def rank_at(_, flat):
             return raistauvel.takiff_kirillov_rank(certified, flat)
 
-    t0 = time.perf_counter()
     idx_base = liealg.index(L, trials=trials, seed=seed)
     idx_tak = liealg.index(Lm, trials=trials, seed=seed, rank=rank_at)
     rep.add(Check(name="index-formula",
@@ -238,42 +210,33 @@ def _verify_step(L: LieAlgebra, fs: InvariantSet, m: int, trials: int,
                   paper_ref=_REF_INDEX,
                   witness={"base_index": idx_base, "takiff_index": idx_tak,
                            "factor": m + 1},
-                  seed=seed, elapsed=time.perf_counter() - t0))
+                  seed=seed))
 
-    t0 = time.perf_counter()
-    try:
-        b_base = liealg.magic_from_index(L, idx_base)
-        b_tak = liealg.magic_from_index(Lm, idx_tak)
-        rep.add(Check(name="magic-number",
-                      status=PASS if b_tak == (m + 1) * b_base else FAIL,
-                      paper_ref=_REF_MAGIC,
-                      witness={"base_magic": b_base, "takiff_magic": b_tak,
-                               "factor": m + 1},
-                      seed=seed, elapsed=time.perf_counter() - t0))
-    except IndexEstimateError as e:
-        b_base = None
-        rep.add(Check(name="magic-number", status=FAIL, paper_ref=_REF_MAGIC,
-                      witness={"error": str(e)}, seed=seed,
-                      elapsed=time.perf_counter() - t0))
+    b_base = liealg.magic_from_index(L, idx_base)
+    b_tak = liealg.magic_from_index(Lm, idx_tak)
+    rep.add(Check(name="magic-number",
+                  status=PASS if b_tak == (m + 1) * b_base else FAIL,
+                  paper_ref=_REF_MAGIC,
+                  witness={"base_magic": b_base, "takiff_magic": b_tak,
+                           "factor": m + 1},
+                  seed=seed))
 
     if fam is None:
         rep.add(Check(name="degree-sum", status=SKIPPED, paper_ref=_REF_DEGREES,
                       witness={"note": "no invariants supplied"}))
     else:
-        t0 = time.perf_counter()
         base_sum = sum(fs.degrees())
         fam_sum = sum(F.degree() for _, _, F in fam.members())
         witness = {"base_degree_sum": base_sum, "family_degree_sum": fam_sum,
                    "factor": m + 1, "base_magic": b_base}
         status = PASS if fam_sum == (m + 1) * base_sum else FAIL
-        if b_base is not None:
-            if base_sum == b_base:
-                witness["scales_to_takiff_magic"] = fam_sum == (m + 1) * b_base
-            elif base_sum < b_base:
-                witness["note"] = (f"codim-2 diagnostic: sum deg f_i = {base_sum}"
-                                   f" < b(q) = {b_base}")
+        if base_sum == b_base:
+            witness["scales_to_takiff_magic"] = fam_sum == (m + 1) * b_base
+        elif base_sum < b_base:
+            witness["note"] = (f"codim-2 diagnostic: sum deg f_i = {base_sum}"
+                               f" < b(q) = {b_base}")
         rep.add(Check(name="degree-sum", status=status, paper_ref=_REF_DEGREES,
-                      witness=witness, elapsed=time.perf_counter() - t0))
+                      witness=witness))
 
     shifted = None
     if fam is None:
@@ -294,12 +257,12 @@ def _verify_step(L: LieAlgebra, fs: InvariantSet, m: int, trials: int,
 
 
 def _identity_failure(name: str, paper_ref: str, identity: tuple[int, int, str],
-                      seed: int, t0: float) -> Check:
+                      seed: int) -> Check:
     i, j, variable = identity
     return Check(name=name, status=FAIL, paper_ref=paper_ref,
                  witness={"error": "dF_i^j/d(b@(m-j)) differs from df_i/db at grade m",
                           "member": [i, j], "variable": variable},
-                 seed=seed, elapsed=time.perf_counter() - t0)
+                 seed=seed)
 
 
 def _jacobian_rank_check(L: LieAlgebra, fs: InvariantSet,
@@ -315,9 +278,8 @@ def _jacobian_rank_check(L: LieAlgebra, fs: InvariantSet,
     witness, and the point gives the depth-(m-1) family its rank ml for
     `_zero_top_rank_bound`.
     """
-    t0 = time.perf_counter()
     if identity is not None:
-        return _identity_failure("jacobian-rank-on-omega", _REF_JACRANK, identity, seed, t0)
+        return _identity_failure("jacobian-rank-on-omega", _REF_JACRANK, identity, seed)
     m = fam.depth
     want = (m + 1) * fam.l
     r = sampling.rng(seed, sampling.TAG_OMEGA, 0, 0)
@@ -329,7 +291,7 @@ def _jacobian_rank_check(L: LieAlgebra, fs: InvariantSet,
         return Check(name="jacobian-rank-on-omega", status=FAIL, paper_ref=_REF_JACRANK,
                      witness={"error": "no point with independent "
                               "differentials found in 50 draws"},
-                     seed=seed, elapsed=time.perf_counter() - t0)
+                     seed=seed)
     comps = sampling.random_components(L.basis, m, r)
     comps[m] = top
     flat = flatten_point(fam.takiff_algebra, comps)
@@ -338,33 +300,40 @@ def _jacobian_rank_check(L: LieAlgebra, fs: InvariantSet,
         return Check(name="jacobian-rank-on-omega", status=FAIL, paper_ref=_REF_JACRANK,
                      witness={"total_rank": rank, "expected": want,
                               "point": _point_witness(flat)},
-                     seed=seed, elapsed=time.perf_counter() - t0)
+                     seed=seed)
     return Check(name="jacobian-rank-on-omega", status=PASS, paper_ref=_REF_JACRANK,
                  witness={"mode": "derivative-identity", "rank": want},
-                 seed=seed, elapsed=time.perf_counter() - t0)
+                 seed=seed)
 
 
 def _omega_transfer_check(identity: tuple[int, int, str] | None, seed: int) -> Check:
     """xi in Omega(L<m>*) iff xi_m in Omega(L*), wherever the derivative identity holds."""
-    t0 = time.perf_counter()
     if identity is not None:
-        return _identity_failure("omega-transfer", _REF_OMEGA, identity, seed, t0)
+        return _identity_failure("omega-transfer", _REF_OMEGA, identity, seed)
     return Check(name="omega-transfer", status=PASS, paper_ref=_REF_OMEGA,
-                 witness={"mode": "derivative-identity"},
-                 elapsed=time.perf_counter() - t0)
+                 witness={"mode": "derivative-identity"})
 
 
 def _zero_top_rank_bound(Lm: LieAlgebra,
                          shifted: raistauvel.InvariantFamily | None) -> int:
     """A bound on rank K(xi) on L<m> = takiff(L, m) wherever K(xi_m) = 0.
 
-    There the grade-m rows and columns vanish and the rest is the Kirillov
-    matrix of L<m-1>, so the bound is mn, or m(n - l) when ``shifted`` is
-    the step's family with invariance and the derivative identity certified
-    and an Omega point found by `jacobian-rank-on-omega`: the grade shift
-    b@g -> b@(g-1) makes its members F_i^j with j <= m-1 the depth-(m-1)
-    family, invariant and of rank ml there, so ind L<m-1> >= ml (see the
-    module docstring).
+    The entry of the Kirillov matrix of L<m> at (x@i, y@j) is
+    <xi_{i+j}, [x, y]> for i + j <= m and 0 beyond, so where K(xi_m) = 0 the
+    rows and columns of grade m vanish and the rest is the Kirillov matrix
+    of L<m-1> at xi' = (xi_0, ..., xi_{m-1}).  So rank K(xi) <= mn: linear
+    algebra on takiff(L, m) alone, which holds at every level of
+    `verify_multi_current`.
+
+    ``shifted`` sharpens the bound to m(n - l) with nothing built.  It is
+    the step's family when invariance passes, `derivative_identity_defect`
+    finds no defect and `jacobian-rank-on-omega` found an Omega point, else
+    None.  Renaming every b@g to b@(g-1) carries the members F_i^j with
+    j <= m-1 onto the depth-(m-1) family, and, for k <= m-1, the bracket
+    {F', x@k} in L<m-1> onto {F, x@k} in L<m>.  So the depth-(m-1) family
+    is invariant and satisfies the identity too, and the Omega point gives
+    it rank ml.  Then ind L<m-1> >= ml, and rank K(xi) <= m(n - l) wherever
+    K(xi_m) = 0.
     """
     m = Lm.grading.depth
     l = shifted.l if shifted is not None else 0
@@ -386,13 +355,15 @@ def _regularity_transfer_check(L: LieAlgebra, Lm: LieAlgebra,
     `jacobian-rank-on-omega` also passed, else None; it feeds
     `_zero_top_rank_bound`.  rank K(xi_m) is taken once per sample, and a
     zero top has rank 0.  At rank 0 the left side is False without a matrix
-    when the bound is below dim L<m> - ind L<m>; when ind L < n the right
-    side is False too, and the odd samples draw no stream.  A sample reads
-    its top component first; the L<m> point is flattened only when the
-    Kirillov matrix of L<m> is ranked.  The first disagreement is the FAIL
-    witness.
+    when the bound is below dim L<m> - ind L<m>.  When ind L < n the right
+    side is False too, whatever the lower components, so the odd samples
+    draw no stream; every sample's stream is private, so the even samples
+    draw what they drew before.  Where ind L = n the zero top is regular in
+    L but not in L<m>, and the odd samples are drawn as usual, so a FAIL
+    names the same sample and point.  A sample reads its top component
+    first; the L<m> point is flattened only when the Kirillov matrix of
+    L<m> is ranked.  The first disagreement is the FAIL witness.
     """
-    t0 = time.perf_counter()
     m = Lm.grading.depth
     regular = Lm.dim - idx_tak
     regular_base = L.dim - idx_base
@@ -424,24 +395,22 @@ def _regularity_transfer_check(L: LieAlgebra, Lm: LieAlgebra,
                          witness={"sample": t, "takiff_regular": takiff_regular,
                                   "top_component_regular": top_regular,
                                   "point": [_point_witness(c) for c in comps]},
-                         seed=seed, elapsed=time.perf_counter() - t0)
+                         seed=seed)
         yes += top_regular
     return Check(name="regularity-transfer", status=PASS, paper_ref=_REF_REGULAR,
                  witness={"samples": samples, "agreements": samples,
                           "regular_cases": yes, "singular_cases": samples - yes},
-                 seed=seed, elapsed=time.perf_counter() - t0)
+                 seed=seed)
 
 
 def verify_multi_current(L: LieAlgebra, fs: InvariantSet, degrees,
                          trials: int = DEFAULT_TRIALS, seed: int = 0,
-                         transfer_samples: int = DEFAULT_TRANSFER_SAMPLES,
-                         eval_samples: int | None = None) -> Report:
+                         transfer_samples: int = DEFAULT_TRANSFER_SAMPLES) -> Report:
     """Verify an iterated truncation one level at a time.
 
     Each level's expanded family becomes the next level's base invariant set;
     a single-entry degree list therefore reduces exactly to
-    verify_main_theorem.  ``eval_samples`` no longer has any effect, and a
-    ``transfer_samples`` below 1 raises ValueError.
+    verify_main_theorem.  A ``transfer_samples`` below 1 raises ValueError.
     """
     degrees = list(degrees)
     if not degrees:
@@ -462,7 +431,7 @@ def verify_multi_current(L: LieAlgebra, fs: InvariantSet, degrees,
         cur_jacobi = sub.checks[0].status == PASS
         rep.extend_prefixed(f"level{level}:", sub.checks)
         expected *= mdeg + 1
-        cur_fs = (fam.invariant_set(claimed_index=expected) if fam is not None
+        cur_fs = (fam.invariant_set() if fam is not None
                   else InvariantSet(algebra=cur_L, polys=()))
     rep.add(Check(name="family-count",
                   status=PASS if len(cur_fs) == expected else FAIL,
@@ -481,22 +450,13 @@ def wonderful_diagnostic(L: LieAlgebra, fs: InvariantSet,
     b(q)); the diagnostic never claims that any codimension property holds.
     """
     rep = Report(label=f"wonderful:{L.label}")
-    t0 = time.perf_counter()
     idx = liealg.index(L, trials=trials, seed=seed)
     rep.add(Check(name="invariant-count-vs-index",
                   status=PASS if len(fs) == idx else FAIL,
                   paper_ref="a full basic system has ind q members",
                   witness={"count": len(fs), "index": idx},
-                  seed=seed, elapsed=time.perf_counter() - t0))
-    t0 = time.perf_counter()
-    try:
-        magic = liealg.magic_from_index(L, idx)
-    except IndexEstimateError as e:
-        rep.add(Check(name="criterion-iii-degree-sum", status=FAIL,
-                      paper_ref="sum deg f_i = b(q)",
-                      witness={"error": str(e)},
-                      seed=seed, elapsed=time.perf_counter() - t0))
-        return rep
+                  seed=seed))
+    magic = liealg.magic_from_index(L, idx)
     total = sum(fs.degrees())
     witness = {"degree_sum": total, "magic": magic,
                "criterion_iii_holds": total == magic,
@@ -506,7 +466,6 @@ def wonderful_diagnostic(L: LieAlgebra, fs: InvariantSet,
     rep.add(Check(name="criterion-iii-degree-sum",
                   status=PASS if total == magic else FAIL,
                   paper_ref="sum deg f_i = b(q)",
-                  witness=witness, seed=seed,
-                  elapsed=time.perf_counter() - t0))
+                  witness=witness, seed=seed))
     return rep
 

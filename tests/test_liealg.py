@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, strategies as st
 
-from takiffalg import catalog, linalg, sampling
+from takiffalg import catalog, linalg, raistauvel, sampling
 from takiffalg.liealg import (
     AlgebraError,
     AlgebraFormatError,
@@ -16,6 +18,8 @@ from takiffalg.liealg import (
     invariance_defect,
     is_symmetric_invariant,
     kirillov_matrix,
+    kirillov_rank_at,
+    magic_from_index,
     magic_number,
     omega_test,
     poisson_bracket,
@@ -143,6 +147,49 @@ class TestKirillov:
             generic_kirillov_rank(sl2.algebra, trials=trials)
         with pytest.raises(ValueError):
             index(sl2.algebra, trials=trials)
+
+
+@st.composite
+def _bracket_tables(draw) -> LieAlgebra:
+    """Any antisymmetric bracket table on at most 5 basis elements, Jacobi or not."""
+    n = draw(st.integers(1, 5))
+    coeff = st.integers(-3, 3) | st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    entries = {(i, j): draw(st.dictionaries(st.integers(0, n - 1), coeff, max_size=n))
+               for i in range(n) for j in range(i + 1, n)}
+    return LieAlgebra.create("random", tuple(f"b{k}" for k in range(n)), entries)
+
+
+@lru_cache(maxsize=None)
+def _takiff_with_rank(name: str, m: int):
+    """(L<m>, rank function): the certified family's block ranks when L has invariants."""
+    entry = catalog.load(name)
+    if not len(entry.invariants):
+        return takiff(entry.algebra, m), kirillov_rank_at
+    fam = raistauvel.build_family(entry.algebra, m, entry.invariants)
+    assert raistauvel.derivative_identity_defect(fam) is None
+    return fam.takiff_algebra, lambda _, flat: raistauvel.takiff_kirillov_rank(fam, flat)
+
+
+class TestIndexParity:
+    """dim + ind is even: the Kirillov form is skew, so its exact rank is even.
+
+    This is why b = (dim + ind)/2 never trips `magic_from_index`'s parity
+    guard for an index that `index` returns, whatever the points drawn.
+    """
+
+    @given(_bracket_tables(), st.integers(1, 5), st.integers(0, 2**16))
+    def test_random_bracket_tables(self, L, trials, seed):
+        idx = index(L, trials=trials, seed=seed)
+        assert (L.dim + idx) % 2 == 0
+        assert 2 * magic_from_index(L, idx) == L.dim + idx
+
+    @given(st.sampled_from(catalog.NAMES), st.sampled_from([1, 2]),
+           st.integers(1, 5), st.integers(0, 2**16))
+    def test_catalog_truncations(self, name, m, trials, seed):
+        Lm, rank = _takiff_with_rank(name, m)
+        idx = index(Lm, trials=trials, seed=seed, rank=rank)
+        assert (Lm.dim + idx) % 2 == 0
+        assert 2 * magic_from_index(Lm, idx) == Lm.dim + idx
 
 
 class TestInvariance:

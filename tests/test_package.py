@@ -34,6 +34,13 @@ def test_every_exported_name_resolves(name):
     assert [n for n in exported if not hasattr(module, n)] == []
 
 
+def test_only_the_report_reads_the_clock():
+    # a report times its checks in `Report.add`; no other module keeps a timer
+    readers = sorted(p.name for p in (SRC / "takiffalg").glob("*.py")
+                     if "perf_counter" in p.read_text())
+    assert readers == ["report.py"]
+
+
 def _bench_trace_spans():
     """SPANS of perfbench/bench_trace.py (stdlib imports only), read without
     writing bytecode next to it."""

@@ -122,11 +122,6 @@ class TestFamilyValidation:
             InvariantFamily(takiff_algebra=fam.takiff_algebra, base=fam.base,
                             table=swapped)
 
-    def test_invariant_set_carries_claimed_index(self, sl2_family_m1):
-        fs = sl2_family_m1.invariant_set(claimed_index=2)
-        assert len(fs.polys) == 2
-        assert fs.claimed_index == 2
-
 
 class TestDifferentials:
     def test_lowest_component_of_first_order_member(self, sl2, sl2_family_m1):

@@ -129,7 +129,7 @@ class TestMultiCurrent:
 
     def test_heis1_three_levels_all_linear(self, heis1):
         rep = verify_multi_current(heis1.algebra, heis1.invariants, [1, 1, 1],
-                                   transfer_samples=10, eval_samples=30)
+                                   transfer_samples=10)
         assert rep.summary == PASS
         fc = _by_name(rep, "family-count")
         assert fc.witness == {"count": 8, "expected": 8, "algebra_dim": 24}
