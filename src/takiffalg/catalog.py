@@ -22,7 +22,11 @@ from .liealg import InvariantSet, LieAlgebra
 from .polyring import Polynomial, Scalar, parse_poly
 from .report import FAIL, PASS, Check, Report
 
-__all__ = ["CatalogEntry", "Parametrization", "NAMES", "load", "list_entries", "self_test"]
+__all__ = ["CatalogEntry", "Parametrization", "PARAMETER_BOUND", "NAMES", "load",
+           "list_entries", "self_test"]
+
+# `Parametrization.sample` draws integer parameters in [-PARAMETER_BOUND, PARAMETER_BOUND].
+PARAMETER_BOUND = 50
 
 NAMES = ("sl2", "sl3", "heis1", "heis2", "affine2", "slnV2", "slnV3", "nilrad_sl3")
 
@@ -43,11 +47,11 @@ class Parametrization:
     def point_at(self, values: Mapping[str, Scalar]) -> dict[str, Scalar]:
         return {b: p.evaluate(values) for b, p in self.coords.items()}
 
-    def sample(self, r, bound: int = 50) -> tuple[dict[str, int], dict[str, Scalar]]:
+    def sample(self, r) -> tuple[dict[str, int], dict[str, Scalar]]:
         """(parameter point, image point) with nonzero integer parameters."""
         vals = {p: 0 for p in self.params}
         while not any(vals.values()):
-            vals = sampling.random_coords(self.params, r, bound)
+            vals = sampling.random_coords(self.params, r, PARAMETER_BOUND)
         return vals, self.point_at(vals)
 
     def jacobian_rank_at(self, values: Mapping[str, Scalar]) -> int:

@@ -3,27 +3,30 @@
 The null fiber N of an invariant set is the common zero locus of its members.
 One truncation level up, membership of (xi_0, xi_1) in N<1> is equivalent to
 xi_1 lying on N with xi_0 annihilated by every invariant differential at
-xi_1; the machinery here checks that characterization at seeded points,
-classifies points by the rank of the invariant differentials (the stratum
-index), computes fiber dimensions of the projection to the base exactly, and
-aggregates per-stratum dimension estimates against the equidimensionality
-target 2(dim q - l).
+xi_1.  That characterization is certified once per family, with no point
+sampled: the derivative identity of `raistauvel.derivative_identity_defect`,
+the triangularity the family enforces, and a grade-0 factor in every term of
+each F_i^1 make F_i^0 = f_i(xi_1) and F_i^1 = <(df_i)_{xi_1}, xi_0> as
+polynomials.  The same identity makes the family Jacobian [[0, A], [A, B]]
+with A = J_f(xi_1), which bounds its rank by the span-containment bounds at
+every point; one drawn point of N<1> keeps a concrete rank as witness.
 
-Stratum dimensions are never computed by elimination: they come from supplied
+The machinery here also classifies points by the rank of the invariant
+differentials (the stratum index), computes fiber dimensions of the
+projection to the base exactly, and aggregates per-stratum dimension
+estimates against the equidimensionality target 2(dim q - l).  Stratum
+dimensions are never computed by elimination: they come from supplied
 rational parametrizations (audited by Jacobian rank) plus exact kernel
-dimensions.  The findings are therefore sampled evidence with exact
+dimensions.  Those findings are therefore sampled evidence with exact
 arithmetic, not proofs of component structure.
 
 Kernel points are sampled on integers: the exact kernel basis is cleared to
 integer vectors over one common denominator, combined with random integer
-coefficients, and each coordinate is divided by the denominator once.  The
-N<1> loop flattens each sample once and evaluates its membership once on
-that flat point; a member then gets the containment bounds without a second
-membership evaluation.
+coefficients, and each coordinate is divided by the denominator once.
 
 `sl2_chain` packages the three-level run over sl2, with one level-1 family
-serving the N<1> characterization and level 2: level 1 attains the target
-with no excess, level 2 exhibits two target-dimensional strata one of which
+serving the N<1> certificate and level 2: level 1 attains the target with
+no excess, level 2 exhibits two target-dimensional strata one of which
 avoids the independence locus (reducibility evidence one level up), and
 level 3 exceeds the target over the bad component (non-equidimensionality
 evidence).
@@ -44,19 +47,23 @@ from .liealg import (
     differential_matrix,
     omega_test,
 )
-from .polyring import Scalar, _common_denominator, _over
-from .raistauvel import InvariantFamily, build_family, family_rank_at
+from .polyring import Polynomial, Scalar, _common_denominator, _over
+from .raistauvel import (
+    InvariantFamily,
+    build_family,
+    derivative_identity_defect,
+    family_rank_at,
+)
 from .report import FAIL, PASS, Check, Report
-from .takiff import TakiffDualPoint, flatten_point
+from .takiff import flatten_point
+from .verify import identity_failure
 
 __all__ = [
     "NilfiberError",
     "StratumSample",
-    "null_fiber_member",
     "check_N1_characterization",
     "stratum_index",
     "fiber_dim_over",
-    "lemma_containment_check",
     "equidim_diagnostic",
     "sl2_chain",
 ]
@@ -71,15 +78,6 @@ class NilfiberError(AlgebraError):
     """Precondition violation in the null-fiber layer."""
 
 
-def null_fiber_member(fam: InvariantFamily, components: TakiffDualPoint) -> bool:
-    """True iff every family member vanishes exactly at the point."""
-    return _family_vanishes(fam, flatten_point(fam.takiff_algebra, components))
-
-
-def _family_vanishes(fam: InvariantFamily, flat: dict[str, Scalar]) -> bool:
-    return all(F.evaluate(flat) == 0 for _, _, F in fam.members())
-
-
 def stratum_index(fs: InvariantSet, point: DualPoint) -> int:
     """Rank of the invariant differentials at the point (0..l)."""
     return linalg.rank(differential_matrix(fs.polys, point))
@@ -91,36 +89,6 @@ def fiber_dim_over(fs: InvariantSet, point: DualPoint) -> int:
     if off:
         raise NilfiberError(f"point is not on the null fiber; nonzero: {off}")
     return fs.algebra.dim - stratum_index(fs, point)
-
-
-def lemma_containment_check(fam: InvariantFamily, components: TakiffDualPoint) -> Check:
-    """Bounds 2i <= J <= l+i for one point of N<1>."""
-    if fam.depth != 1:
-        raise NilfiberError("containment bounds are stated for one truncation level")
-    flat = flatten_point(fam.takiff_algebra, components)
-    if not _family_vanishes(fam, flat):
-        raise NilfiberError("point is not on the null fiber")
-    return _lemma_bounds(fam, components[1], flat)
-
-
-def _lemma_bounds(fam: InvariantFamily, xi1: DualPoint, flat: dict[str, Scalar]) -> Check:
-    # the bounds at a point of N<1> with top component xi1, given flat; the
-    # caller has established membership
-    i = stratum_index(fam.base, xi1)
-    J = family_rank_at(fam, flat)
-    ok = 2 * i <= J <= fam.l + i
-    return Check(name="lemma-bounds", status=PASS if ok else FAIL,
-                 paper_ref=_REF_LEMMA,
-                 witness={"i": i, "J": J, "lower": 2 * i, "upper": fam.l + i})
-
-
-def _pairing_vanishes(fs: InvariantSet, xi1: DualPoint, xi0: DualPoint) -> bool:
-    vec0 = [xi0[b] for b in fs.algebra.basis]
-    for f in fs.polys:
-        grad = f.gradient_at(xi1)
-        if sum(g * v for g, v in zip(grad, vec0)):
-            return False
-    return True
 
 
 def _kernel_point(rows: list[list[Scalar]], names: Sequence[str], r,
@@ -147,76 +115,80 @@ def _kernel_point(rows: list[list[Scalar]], names: Sequence[str], r,
     raise NilfiberError("could not sample a guarded kernel point in 100 draws")
 
 
-def check_N1_characterization(L: LieAlgebra, fs: InvariantSet,
-                              samples: int = 50, seed: int = 0,
+def check_N1_characterization(L: LieAlgebra, fs: InvariantSet, seed: int = 0,
                               cone: Callable[..., tuple] | None = None) -> Report:
-    """Membership in N<1> versus the base-level characterization, pointwise.
+    """The depth-one null fiber against its base-level characterization.
 
-    The two sides are computed by independent routes: the left evaluates the
-    expanded family on the graded algebra, the right evaluates the base
-    invariants and their differentials only.  The point schedule mixes cone
-    points with compatible and incompatible xi_0, fully random points, and
-    xi_1 = 0, so both truth values occur.  Points found on the fiber also
-    get the span-containment bounds checked.  ``samples`` below 1 raises
-    ValueError.
+    Two checks on the level-1 family, both certificates of the derivative
+    identity.  `null-fiber-characterization` PASSes when membership in
+    N<1> equals the characterization at every point; it draws nothing and
+    carries no seed.  `lemma-bounds` PASSes when 2i <= J <= l+i holds at
+    every point of q<1>*, and ranks one point of N<1> as witness, drawn
+    from ``sampling.rng(seed, TAG_NULLFIBER, 2)``: xi_1 from ``cone(r)``
+    (a callable returning (parameters, point), as
+    `catalog.Parametrization.sample` does), or 0 without a cone, and xi_0
+    in the kernel of the differentials at xi_1.
     """
-    if samples < 1:
-        raise ValueError(f"the N<1> check needs at least one sample, got {samples}")
-    return _n1_characterization(L, build_family(L, 1, fs), samples, seed, cone)
+    return _n1_certificate(L, build_family(L, 1, fs), seed, cone)
 
 
-def _n1_characterization(L: LieAlgebra, fam: InvariantFamily, samples: int, seed: int,
-                         cone: Callable[..., tuple] | None) -> Report:
-    # one pass per sample: membership is evaluated once, on the point
-    # flattened once for it, and a member gets its bounds without a re-check
-    fs = fam.base
+def _term_free_of_grade0(fam: InvariantFamily) -> tuple[int, str] | None:
+    # the first (i, term) of some F_i^1 with no grade-0 factor
+    Lm = fam.takiff_algebra
+    low = {Lm.index_of(b) for b in Lm.basis if Lm.grading.grade_of[b] == 0}
+    for i in range(1, fam.l + 1):
+        F = fam.member(i, 1)
+        for mono, c in F.terms.items():
+            if not any(v in low for v, _ in mono):
+                return i, str(Polynomial(F.varset, {mono: c}))
+    return None
+
+
+def _n1_certificate(L: LieAlgebra, fam: InvariantFamily, seed: int,
+                    cone: Callable[..., tuple] | None) -> Report:
+    # Triangularity puts F_i^0 on grade 1 and the identity gives it the
+    # gradient of f_i(xi_1); both are homogeneous of degree >= 1, so Euler's
+    # relation makes them equal.  The identity also gives dF_i^1/d(b@0) =
+    # (df_i/db)(xi_1), free of grade 0, so F_i^1 is <(df_i)_{xi_1}, xi_0>
+    # plus its terms free of grade 0, of which there must be none.
     rep = Report(label=f"nilfiber:{L.label}:N1")
-    member_cases = 0
-    mismatch = None
-    bound_violations = []
-    streams = sampling.streams(seed, sampling.TAG_NULLFIBER)
-    for t in range(samples):
-        r = streams(t)
-        kind = t % 5
-        if kind <= 2 and cone is not None:
-            _, xi1 = cone(r)
-        elif kind == 4:
-            xi1 = {b: 0 for b in L.basis}
-        else:
-            xi1 = sampling.random_coords(L.basis, r)
-        if kind == 2:
-            try:
-                xi0 = _kernel_point(differential_matrix(fs.polys, xi1), L.basis, r)
-            except NilfiberError:
-                xi0 = sampling.random_coords(L.basis, r)
-        else:
-            xi0 = sampling.random_coords(L.basis, r)
-        flat = flatten_point(fam.takiff_algebra, [xi0, xi1])
-        lhs = _family_vanishes(fam, flat)
-        rhs = all(f.evaluate(xi1) == 0 for f in fs.polys) and \
-            _pairing_vanishes(fs, xi1, xi0)
-        if lhs != rhs and mismatch is None:
-            mismatch = {"sample": t, "family_vanishes": lhs,
-                        "characterization_holds": rhs,
-                        "xi0": {k: str(v) for k, v in xi0.items()},
-                        "xi1": {k: str(v) for k, v in xi1.items()}}
-        if lhs:
-            member_cases += 1
-            c = _lemma_bounds(fam, xi1, flat)
-            if c.status != PASS:
-                bound_violations.append(c.witness)
-    rep.add(Check(name="null-fiber-characterization",
-                  status=FAIL if mismatch else PASS, paper_ref=_REF_N1,
-                  witness=mismatch or {"samples": samples, "agreements": samples,
-                                       "member_cases": member_cases,
-                                       "nonmember_cases": samples - member_cases},
-                  seed=seed))
-    rep.add(Check(name="lemma-bounds",
-                  status=FAIL if bound_violations else PASS, paper_ref=_REF_LEMMA,
-                  witness={"points_checked": member_cases,
-                           "violations": bound_violations},
-                  seed=seed))
+    identity = derivative_identity_defect(fam)
+    if identity is not None:
+        rep.add(identity_failure("null-fiber-characterization", _REF_N1, identity, None))
+        rep.add(identity_failure("lemma-bounds", _REF_LEMMA, identity, seed))
+        return rep
+    stray = _term_free_of_grade0(fam)
+    if stray is None:
+        rep.add(Check(name="null-fiber-characterization", status=PASS, paper_ref=_REF_N1,
+                      witness={"mode": "derivative-identity"}))
+    else:
+        rep.add(Check(name="null-fiber-characterization", status=FAIL, paper_ref=_REF_N1,
+                      witness={"error": "F_i^1 has a term with no grade-0 factor",
+                               "member": [stray[0], 1], "term": stray[1]}))
+    rep.add(_lemma_bounds(L, fam, seed, cone))
     return rep
+
+
+def _lemma_bounds(L: LieAlgebra, fam: InvariantFamily, seed: int,
+                  cone: Callable[..., tuple] | None) -> Check:
+    # With the identity the family Jacobian is [[0, A], [A, B]], A = J_f(xi_1)
+    # of rank i, so 2i <= J <= l+i everywhere; one point of N<1> is ranked.
+    fs = fam.base
+    r = sampling.rng(seed, sampling.TAG_NULLFIBER, 2)
+    xi1 = cone(r)[1] if cone is not None else _zero_point(L)
+    try:
+        xi0 = _kernel_point(differential_matrix(fs.polys, xi1), L.basis, r)
+    except NilfiberError:
+        xi0 = _zero_point(L)    # trivial kernel: the fiber over xi_1 is the origin
+    flat = flatten_point(fam.takiff_algebra, [xi0, xi1])
+    i = stratum_index(fs, xi1)
+    J = family_rank_at(fam, flat)
+    bounds = {"i": i, "J": J, "lower": 2 * i, "upper": fam.l + i}
+    ok = 2 * i <= J <= fam.l + i
+    violations = [] if ok else [dict(bounds, point={k: str(v) for k, v in flat.items()})]
+    return Check(name="lemma-bounds", status=PASS if ok else FAIL, paper_ref=_REF_LEMMA,
+                 witness={"mode": "derivative-identity", **bounds, "violations": violations},
+                 seed=seed)
 
 
 @dataclass(frozen=True)
@@ -314,9 +286,9 @@ def sl2_chain(levels: int = 3, seed: int = 0,
     """Null-fiber runs over sl2, one truncation level at a time.
 
     Level k analyzes the null fiber one step above the (k-1)-fold truncation;
-    level 1 also carries the pointwise membership characterization and the
-    span-containment bounds.  ``points_per_stratum`` below 1 raises
-    ValueError.
+    level 1 also carries the certified membership characterization and the
+    span-containment bounds of `check_N1_characterization`.
+    ``points_per_stratum`` below 1 raises ValueError.
     """
     from . import catalog
 
@@ -329,13 +301,9 @@ def sl2_chain(levels: int = 3, seed: int = 0,
     cone = entry.parametrizations["nilcone"]
     rep = Report(label=f"nilfiber:sl2:chain:{levels}")
 
-    # one level-1 family serves the N<1> characterization and level 2
+    # one level-1 family serves the N<1> certificate and level 2
     fam1 = build_family(L0, 1, fs0)
-    n1 = _n1_characterization(L0, fam1, samples=50, seed=seed, cone=cone.sample)
-    rep.extend_prefixed("n1:", n1.checks)
-
-    def cone_point(r):
-        return cone.sample(r)[1]
+    rep.extend_prefixed("n1:", _n1_certificate(L0, fam1, seed, cone.sample).checks)
 
     # level 1: strata of the sl2 null cone itself
     origin = StratumSample(name="origin", points=(_zero_point(L0),),

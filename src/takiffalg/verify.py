@@ -60,6 +60,7 @@ __all__ = [
     "verify_main_theorem",
     "verify_multi_current",
     "wonderful_diagnostic",
+    "identity_failure",
     "DEFAULT_TRIALS",
     "DEFAULT_TRANSFER_SAMPLES",
 ]
@@ -256,8 +257,9 @@ def _verify_step(L: LieAlgebra, fs: InvariantSet, m: int, trials: int,
     return rep, Lm, fam
 
 
-def _identity_failure(name: str, paper_ref: str, identity: tuple[int, int, str],
-                      seed: int) -> Check:
+def identity_failure(name: str, paper_ref: str, identity: tuple[int, int, str],
+                     seed: int | None) -> Check:
+    """The FAIL of a check certified by the derivative identity, naming its first defect."""
     i, j, variable = identity
     return Check(name=name, status=FAIL, paper_ref=paper_ref,
                  witness={"error": "dF_i^j/d(b@(m-j)) differs from df_i/db at grade m",
@@ -279,7 +281,7 @@ def _jacobian_rank_check(L: LieAlgebra, fs: InvariantSet,
     `_zero_top_rank_bound`.
     """
     if identity is not None:
-        return _identity_failure("jacobian-rank-on-omega", _REF_JACRANK, identity, seed)
+        return identity_failure("jacobian-rank-on-omega", _REF_JACRANK, identity, seed)
     m = fam.depth
     want = (m + 1) * fam.l
     r = sampling.rng(seed, sampling.TAG_OMEGA, 0, 0)
@@ -309,7 +311,7 @@ def _jacobian_rank_check(L: LieAlgebra, fs: InvariantSet,
 def _omega_transfer_check(identity: tuple[int, int, str] | None, seed: int) -> Check:
     """xi in Omega(L<m>*) iff xi_m in Omega(L*), wherever the derivative identity holds."""
     if identity is not None:
-        return _identity_failure("omega-transfer", _REF_OMEGA, identity, seed)
+        return identity_failure("omega-transfer", _REF_OMEGA, identity, seed)
     return Check(name="omega-transfer", status=PASS, paper_ref=_REF_OMEGA,
                  witness={"mode": "derivative-identity"})
 

@@ -11,11 +11,13 @@ subalgebra generated by basis elements as a Fraction span closure, Poisson
 brackets with basis elements as a gradient times the Kirillov matrix, and
 the coadjoint action of a truncated current algebra by two routes, one
 through its own structure constants and one componentwise through the base
-algebra's; and the derivative identity of an expanded family one variable
-at a time.  Algebras, polynomials and gradings are read only through their
-raw data: basis names, bracket tables, term dictionaries and grade maps;
-the one package method called is `Polynomial.partial`, the derivative
-identity's per-variable route.
+algebra's; the derivative identity of an expanded family one variable
+at a time; and membership in the depth-one null fiber N<1>, every family
+member evaluated term by term, beside the base-level characterization it
+is certified to equal.  Algebras, polynomials and gradings are read only
+through their raw data: basis names, bracket tables, term dictionaries and
+grade maps; the one package method called is `Polynomial.partial`, the
+derivative identity's per-variable route.
 """
 
 from __future__ import annotations
@@ -177,6 +179,37 @@ def fraction_nullspace(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction
             vec[pc] = -red[r][free]
         basis.append(vec)
     return basis
+
+
+def evaluate(poly, point: dict[str, Fraction]) -> Fraction:
+    """Value of a package Polynomial, term by term from its raw terms."""
+    vals = [Fraction(point[b]) for b in poly.varset]
+    total = Fraction(0)
+    for mono, coeff in poly.terms.items():
+        term = Fraction(coeff)
+        for idx, exp in mono:
+            term *= vals[idx] ** exp
+        total += term
+    return total
+
+
+def null_fiber_member(fam, components: Sequence[dict[str, Fraction]]) -> bool:
+    """True iff every member of an expanded family vanishes at the point.
+
+    ``components[g]`` is the grade-g component over the base basis; the
+    flat point is assembled from the grade maps, not by the package.
+    """
+    grading = fam.takiff_algebra.grading
+    flat = {name: components[grading.grade_of[name]][grading.base_name_of[name]]
+            for name in fam.takiff_algebra.basis}
+    return all(evaluate(F, flat) == 0 for row in fam.table for F in row)
+
+
+def n1_characterization(polys, xi0: dict[str, Fraction], xi1: dict[str, Fraction]) -> bool:
+    """Every f vanishes at xi1 and annihilates xi0 with its differential there."""
+    return all(evaluate(f, xi1) == 0 and
+               sum(g * Fraction(xi0[b]) for g, b in zip(gradient_at(f, xi1), f.varset)) == 0
+               for f in polys)
 
 
 def gradient_at(poly, point: dict[str, Fraction]) -> list[Fraction]:

@@ -14,13 +14,13 @@ import pytest
 
 from takiffalg import catalog, sampling
 from takiffalg.liealg import index, invariance_defect, omega_test
-from takiffalg.nilfiber import check_N1_characterization, sl2_chain
+from takiffalg.nilfiber import check_N1_characterization, sl2_chain, stratum_index
 from takiffalg.raistauvel import build_family, family_rank_at
 from takiffalg.report import PASS
 from takiffalg.takiff import flatten_point, takiff
 from takiffalg.verify import verify_main_theorem, wonderful_diagnostic
 
-from oracles import is_regular
+from oracles import is_regular, n1_characterization, null_fiber_member
 
 INDEX_PAIRS = [(name, m) for name in ("sl2", "sl3", "heis1", "heis2", "slnV2")
                for m in (1, 2, 3)]
@@ -54,7 +54,7 @@ def base_indices():
 def n1_report(sl2):
     cone = sl2.parametrizations["nilcone"]
     return check_N1_characterization(sl2.algebra, sl2.invariants,
-                                     samples=50, seed=0, cone=cone.sample)
+                                     seed=0, cone=cone.sample)
 
 
 @pytest.fixture(scope="module")
@@ -171,12 +171,20 @@ def test_criterion_6_codim2_refutation():
     _emit(6, "codim-2 refutations report the paper's exact integers", ok)
 
 
-def test_criterion_7_n1_characterization(n1_report):
+def test_criterion_7_n1_characterization(sl2, sl2_family_m1, n1_report, n1_points):
+    # the certificate, and its claim cross-checked by the oracle at 50 points
     (check,) = [c for c in n1_report.checks
                 if c.name == "null-fiber-characterization"]
-    ok = check.status == PASS and check.witness.get("agreements") == 50
+    certified = (check.status == PASS and check.seed is None
+                 and check.witness == {"mode": "derivative-identity"})
+    pairs = [(null_fiber_member(sl2_family_m1, [xi0, xi1]),
+              n1_characterization(sl2.invariants.polys, xi0, xi1))
+             for xi0, xi1 in n1_points(sl2)]
+    agree = sum(lhs == rhs for lhs, rhs in pairs)
+    members = sum(lhs for lhs, _ in pairs)
+    ok = certified and agree == 50 and 0 < members < 50
     _emit(7, "depth-one null fiber membership equivalence on sl2", ok,
-          " (50/50)" if ok else "")
+          f" (certified; {agree}/50 sampled)")
 
 
 def test_criterion_8_equidimensionality_chain(chain_report):
@@ -198,18 +206,27 @@ def test_criterion_8_equidimensionality_chain(chain_report):
           ok and elapsed < 120.0, f" ({elapsed:.2f} s)")
 
 
-def test_criterion_9_lemma_bounds(n1_report):
+def test_criterion_9_lemma_bounds(sl2_family_m1, n1_report, n1_points, sl2):
+    # the certificate's witness rank, and the bounds at 50 points of q<1>*
     (check,) = [c for c in n1_report.checks if c.name == "lemma-bounds"]
-    ok = (check.status == PASS and check.witness["violations"] == []
-          and check.witness["points_checked"] > 0)
-    _emit(9, "span-containment bounds 2i <= J <= l+i with zero violations", ok,
-          f" ({check.witness['points_checked']} fiber points)")
+    w = check.witness
+    certified = (check.status == PASS and w["mode"] == "derivative-identity"
+                 and w["violations"] == [] and w["i"] == 1
+                 and w["lower"] == 2 * w["i"] <= w["J"] <= w["upper"] == 1 + w["i"])
+    fam = sl2_family_m1
+    violations = 0
+    for xi0, xi1 in n1_points(sl2):
+        i = stratum_index(sl2.invariants, xi1)
+        J = family_rank_at(fam, flatten_point(fam.takiff_algebra, [xi0, xi1]))
+        violations += not 2 * i <= J <= fam.l + i
+    _emit(9, "span-containment bounds 2i <= J <= l+i with zero violations",
+          certified and violations == 0, " (certified; 50 sampled points)")
 
 
 def test_criterion_10_determinism(sl2, n1_report, chain_report):
     cone = sl2.parametrizations["nilcone"]
     rerun_n1 = check_N1_characterization(sl2.algebra, sl2.invariants,
-                                         samples=50, seed=0, cone=cone.sample)
+                                         seed=0, cone=cone.sample)
     rerun_chain = sl2_chain(levels=3, seed=0, points_per_stratum=5)
     verify_a = verify_main_theorem(sl2.algebra, sl2.invariants, 2, seed=0)
     verify_b = verify_main_theorem(sl2.algebra, sl2.invariants, 2, seed=0)

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from takiffalg import catalog, nilfiber, sampling
-from takiffalg.liealg import differential_matrix
+from takiffalg.liealg import InvariantSet, LieAlgebra, differential_matrix
 from takiffalg.nilfiber import (
     NilfiberError,
     StratumSample,
@@ -13,16 +15,20 @@ from takiffalg.nilfiber import (
     check_N1_characterization,
     equidim_diagnostic,
     fiber_dim_over,
-    lemma_containment_check,
-    null_fiber_member,
     sl2_chain,
     stratum_index,
 )
-from takiffalg.raistauvel import build_family
+from takiffalg.polyring import parse_poly
+from takiffalg.raistauvel import (
+    InvariantFamily,
+    build_family,
+    derivative_identity_defect,
+    family_rank_at,
+)
 from takiffalg.report import FAIL, PASS
 from takiffalg.takiff import flatten_point
 
-from oracles import fraction_nullspace
+from oracles import fraction_nullspace, n1_characterization, null_fiber_member
 
 
 def _pt(L, **coords):
@@ -30,6 +36,8 @@ def _pt(L, **coords):
 
 
 class TestMembership:
+    """The oracle membership that the N<1> cross-checks compare against."""
+
     def test_sl2_examples(self, sl2, sl2_family_m1):
         L = sl2.algebra
         fam = sl2_family_m1
@@ -73,65 +81,149 @@ class TestStrata:
             fiber_dim_over(sl2.invariants, _pt(sl2.algebra, h=1))
 
 
+WITH_INVARIANTS = [name for name in catalog.NAMES if catalog.load(name).invariants.polys]
+
+
+@lru_cache(maxsize=None)
+def _family(name):
+    entry = catalog.load(name)
+    return build_family(entry.algebra, 1, entry.invariants)
+
+
+def _bounds_at(fam, xi0, xi1):
+    i = stratum_index(fam.base, xi1)
+    J = family_rank_at(fam, flatten_point(fam.takiff_algebra, [xi0, xi1]))
+    return i, J
+
+
 class TestLemmaBounds:
+    """2i <= J <= l+i, which the certificate claims on all of q<1>*."""
+
     def test_regular_cone_point(self, sl2, sl2_family_m1):
         L = sl2.algebra
-        check = lemma_containment_check(sl2_family_m1, [_pt(L, e=5, h=7), _pt(L, e=1)])
-        assert check.status == PASS
-        assert check.witness == {"i": 1, "J": 2, "lower": 2, "upper": 2}
+        assert _bounds_at(sl2_family_m1, _pt(L, e=5, h=7), _pt(L, e=1)) == (1, 2)
 
     def test_zero_top_block(self, sl2, sl2_family_m1):
         L = sl2.algebra
-        check = lemma_containment_check(sl2_family_m1, [_pt(L, e=2, h=3, f=-1), _pt(L)])
-        assert check.status == PASS
-        w = check.witness
-        assert w["i"] == 0 and w["lower"] == 0 and w["upper"] == 1
-        assert 0 <= w["J"] <= 1
+        i, J = _bounds_at(sl2_family_m1, _pt(L, e=2, h=3, f=-1), _pt(L))
+        assert i == 0 and 0 <= J <= 1
 
-    def test_requires_depth_one_membership(self, sl2, sl2_family_m1):
-        L = sl2.algebra
-        with pytest.raises(NilfiberError):
-            lemma_containment_check(sl2_family_m1, [_pt(L), _pt(L, h=1)])
-        deep = build_family(L, 2, sl2.invariants)
-        with pytest.raises(NilfiberError):
-            lemma_containment_check(deep, [_pt(L), _pt(L), _pt(L, e=1)])
+    @pytest.mark.parametrize("name", WITH_INVARIANTS)
+    @given(data=st.data())
+    @example(data=None)
+    def test_bounds_hold_at_random_points(self, name, data):
+        # xi_1 lives on a random coordinate subspace with small entries, so
+        # degenerate stratum indices occur; data=None is the zero top
+        fam = _family(name)
+        basis = fam.base.algebra.basis
+        if data is None:
+            xi0 = xi1 = {b: 0 for b in basis}
+        else:
+            small = st.lists(st.integers(-2, 2), min_size=len(basis), max_size=len(basis))
+            support = data.draw(st.sets(st.sampled_from(basis)))
+            xi0 = dict(zip(basis, data.draw(small)))
+            xi1 = {b: v if b in support else 0 for b, v in zip(basis, data.draw(small))}
+        i, J = _bounds_at(fam, xi0, xi1)
+        assert 2 * i <= J <= fam.l + i
+
+
+def _perturbed(fam, i, j, extra):
+    # fam with extra added to F_i^j; the family re-checks triangularity and degrees
+    table = [list(row) for row in fam.table]
+    table[i - 1][j] = table[i - 1][j] + parse_poly(extra, fam.takiff_algebra.basis)
+    return InvariantFamily(takiff_algebra=fam.takiff_algebra, base=fam.base,
+                           table=tuple(map(tuple, table)))
 
 
 class TestCharacterization:
-    def test_sl2_fifty_points_agree(self, sl2):
-        cone = sl2.parametrizations["nilcone"]
-        rep = check_N1_characterization(sl2.algebra, sl2.invariants,
-                                        samples=50, seed=0, cone=cone.sample)
-        char = [c for c in rep.checks if c.name == "null-fiber-characterization"][0]
-        assert char.status == PASS
-        assert char.witness["samples"] == 50
-        assert char.witness["agreements"] == 50
-        assert char.witness["member_cases"] > 0
-        assert char.witness["nonmember_cases"] > 0
-        bounds = [c for c in rep.checks if c.name == "lemma-bounds"][0]
-        assert bounds.status == PASS
-        assert bounds.witness["points_checked"] == char.witness["member_cases"]
-        assert bounds.witness["violations"] == []
+    @pytest.mark.parametrize("name", ["sl2", "sl3", "heis1"])
+    def test_oracle_membership_matches_the_base_characterization(self, name, n1_points):
+        # the certificate's claim, sampled: 50 points of q<1>*, on N<1> and off it
+        entry = catalog.load(name)
+        fam = _family(name)
+        pairs = [(null_fiber_member(fam, [xi0, xi1]),
+                  n1_characterization(entry.invariants.polys, xi0, xi1))
+                 for xi0, xi1 in n1_points(entry)]
+        assert all(lhs == rhs for lhs, rhs in pairs)
+        assert {lhs for lhs, _ in pairs} == {True, False}
 
-    @pytest.mark.parametrize("samples", [0, -3])
-    def test_fewer_than_one_sample_is_refused(self, sl2, samples):
-        # a PASS over no samples, or with negative counts, would certify nothing
-        with pytest.raises(ValueError, match="at least one sample"):
-            check_N1_characterization(sl2.algebra, sl2.invariants, samples=samples)
+    @pytest.mark.parametrize("name", WITH_INVARIANTS)
+    def test_every_catalog_family_is_certified(self, name):
+        entry = catalog.load(name)
+        rep = check_N1_characterization(entry.algebra, entry.invariants, seed=5)
+        char, bounds = rep.checks
+        assert (char.name, char.status, char.witness, char.seed) == \
+            ("null-fiber-characterization", PASS, {"mode": "derivative-identity"}, None)
+        assert bounds.name == "lemma-bounds" and bounds.status == PASS and bounds.seed == 5
+        w = bounds.witness
+        assert w["mode"] == "derivative-identity" and w["violations"] == []
+        assert w["lower"] == 2 * w["i"] <= w["J"] <= w["upper"] == len(entry.invariants) + w["i"]
+
+    def test_witness_point_is_a_regular_point_of_the_fiber(self, sl2):
+        cone = sl2.parametrizations["nilcone"]
+        rep = check_N1_characterization(sl2.algebra, sl2.invariants, seed=0, cone=cone.sample)
+        (bounds,) = [c for c in rep.checks if c.name == "lemma-bounds"]
+        assert bounds.witness == {"mode": "derivative-identity", "i": 1, "J": 2,
+                                  "lower": 2, "upper": 2, "violations": []}
+
+    def test_trivial_kernel_puts_the_witness_at_the_origin(self):
+        # the abelian plane with invariants x and y: the differentials span
+        # the dual everywhere, so the fiber over xi_1 = 0 is the origin alone
+        L = LieAlgebra.create("ab2", ("x", "y"), {})
+        fs = InvariantSet(algebra=L, polys=(L.variable("x"), L.variable("y")))
+        rep = check_N1_characterization(L, fs)
+        assert rep.summary == PASS
+        (bounds,) = [c for c in rep.checks if c.name == "lemma-bounds"]
+        assert (bounds.witness["i"], bounds.witness["J"]) == (2, 4)
 
     def test_chain_shares_the_family_and_matches_the_standalone_run(self, sl2, chain):
-        # sl2_chain hands its level-1 family to the same loop; the checks and
-        # the lemma-bounds count per fiber point are the standalone run's
         cone = sl2.parametrizations["nilcone"]
         rep = check_N1_characterization(sl2.algebra, sl2.invariants,
-                                        samples=50, seed=0, cone=cone.sample)
+                                        seed=0, cone=cone.sample)
         by_name = {c.name: c for c in chain.checks}
         for c in rep.checks:
             shared = by_name["n1:" + c.name]
-            assert (shared.status, shared.witness) == (c.status, c.witness)
-        bounds = by_name["n1:lemma-bounds"].witness
-        assert bounds["points_checked"] == \
-            by_name["n1:null-fiber-characterization"].witness["member_cases"] > 0
+            assert (shared.status, shared.witness, shared.seed) == (c.status, c.witness, c.seed)
+
+    def test_term_free_of_grade0_fails_the_characterization(self, monkeypatch, sl2,
+                                                            sl2_family_m1):
+        # (e@1)^2 in F^1 keeps triangularity, homogeneity and the derivative
+        # identity, but F^1 is no longer <(df)_{xi_1}, xi_0>
+        bad = _perturbed(sl2_family_m1, 1, 1, "e@1^2")
+        assert derivative_identity_defect(bad) is None
+        L = sl2.algebra
+        xi0, xi1 = _pt(L, e=5, h=7), _pt(L, e=1)
+        assert n1_characterization(sl2.invariants.polys, xi0, xi1)
+        assert not null_fiber_member(bad, [xi0, xi1])
+        monkeypatch.setattr(nilfiber, "build_family", lambda *a: bad)
+        char, bounds = check_N1_characterization(L, sl2.invariants).checks
+        assert char.status == FAIL
+        assert char.witness == {"error": "F_i^1 has a term with no grade-0 factor",
+                                "member": [1, 1], "term": "e@1^2"}
+        assert bounds.status == PASS
+
+    def test_broken_derivative_identity_fails_both_n1_checks(self, monkeypatch,
+                                                             sl2_family_m1):
+        bad = _perturbed(sl2_family_m1, 1, 1, "e@0*h@1")
+        assert derivative_identity_defect(bad) == (1, 1, "e@0")
+        monkeypatch.setattr(nilfiber, "build_family", lambda *a: bad)
+        rep = sl2_chain(levels=1, seed=0)
+        n1 = [c for c in rep.checks if c.name.startswith("n1:")]
+        assert [c.name for c in n1] == ["n1:null-fiber-characterization", "n1:lemma-bounds"]
+        for c in n1:
+            assert c.status == FAIL
+            assert (c.witness["member"], c.witness["variable"]) == ([1, 1], "e@0")
+        assert [c.seed for c in n1] == [None, 0]
+
+    def test_a_rank_outside_the_bounds_fails(self, monkeypatch, sl2):
+        monkeypatch.setattr(nilfiber, "family_rank_at", lambda fam, flat: 0)
+        cone = sl2.parametrizations["nilcone"]
+        rep = check_N1_characterization(sl2.algebra, sl2.invariants, cone=cone.sample)
+        (bounds,) = [c for c in rep.checks if c.name == "lemma-bounds"]
+        assert bounds.status == FAIL
+        (violation,) = bounds.witness["violations"]
+        assert (violation["i"], violation["J"], violation["lower"]) == (1, 0, 2)
+        assert len(violation["point"]) == 6
 
 
 def _oracle_kernel_point(rows, names, r, guard=None):

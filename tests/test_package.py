@@ -16,8 +16,7 @@ from pathlib import Path
 import pytest
 
 import takiffalg
-from takiffalg import catalog, verify
-from takiffalg.nilfiber import sl2_chain
+from takiffalg import catalog, nilfiber, verify
 from takiffalg.polyring import parse_poly
 
 SRC = Path(takiffalg.__file__).resolve().parents[1]
@@ -105,15 +104,14 @@ def test_benchmark_traced_spans_resolve():
 
 
 def test_null_fiber_chain_runs_the_benchmarked_layers(monkeypatch):
-    # The nullfiber-seeds workload of perfbench/ requires these spans to be
-    # entered; a dedupe inside sl2_chain must not leave one of them silent.
-    calls = _count_calls(monkeypatch, [
-        ("takiffalg.linalg", "rref"), ("takiffalg.linalg", "nullspace"),
-        ("takiffalg.raistauvel", "build_family"),
-        ("takiffalg.raistauvel", "family_rank_at"),
-        ("takiffalg.liealg", "differential_matrix"),
-        ("takiffalg.liealg", "omega_test")])
-    sl2_chain(levels=3, seed=0)
+    # perfbench/test_perfbench.py requires the nullfiber-seeds workload to
+    # enter every span of its MUST_RUN entry; a certificate or dedupe inside
+    # sl2_chain must not leave one of them silent.  The workload serializes
+    # each report.
+    spans = {span.metric: span for span in _bench_trace_spans()}
+    calls = _count_calls(monkeypatch, [(spans[metric].module, spans[metric].qualname)
+                                       for metric in _must_run("nullfiber-seeds")])
+    nilfiber.sl2_chain(levels=3, seed=0).to_json()
     assert [key for key, n in calls.items() if not n] == []
 
 

@@ -15,7 +15,12 @@ Every verify digest but the Jacobi-fail case's was re-pinned when
 derivative identity: the first's PASS witness went from the number of
 searched points to ``{"mode": "derivative-identity", "rank": (m+1)l}``, and
 the second's from its sample counts to ``{"mode": "derivative-identity"}``
-with a null seed.  Every status stayed as it was.  The notes below say what
+with a null seed.  Every status stayed as it was.  The `nilfiber` digest
+was re-pinned when the chain's two `n1:` checks became certificates of the
+same identity: `null-fiber-characterization` went from its 50-sample
+counts to ``{"mode": "derivative-identity"}`` with a null seed, and
+`lemma-bounds` from its count of fiber points to the bounds at one drawn
+point of N<1>; every status stayed as it was.  The notes below say what
 each case was recorded to exercise.
 
 The last case is a Jacobi FAIL on an sl2-like algebra with a 1/3 structure
@@ -93,7 +98,7 @@ CASES = {
                             "d4ef135639661df46c3a3359613b6052dfba5231ca7176d575dd5025f0a54b39"),
     "nilfiber-l3-sl2": (["nilfiber", "--levels", "3", "sl2"],
                         [PASS] * 10,
-                        "491cd1c895744f712212cf43d831e5692325189c3f1f36e64edbbf9b503114d5"),
+                        "ab3a0b67f4d6dccbb45f30c0cce0807613df2f68692075fdc353dbe5434433e4"),
     "verify-m1-jacobi-fail-third": (["verify", "--m", "1", "{bad}", "--seed", "3"],
                                     [FAIL, SKIPPED] + [PASS] * 3 + [SKIPPED] * 3 + [PASS],
                                     "12e53bee5a89f2d7e2bf69b8fade08adad914c82e6e0f62091d73a9f81488267"),
