@@ -21,7 +21,8 @@ coordinates with denominator 3.
 
 from fractions import Fraction
 
-from takiffalg.liealg import InvariantSet, LieAlgebra, index, is_symmetric_invariant, magic_number, validate
+from takiffalg.liealg import (InvariantSet, LieAlgebra, index, is_symmetric_invariant,
+                              magic_from_index, validate)
 from takiffalg.polyring import Polynomial
 
 BASIS = ("h1", "h2", "e12", "e23", "e13", "e21", "e32", "e31")
@@ -126,7 +127,8 @@ def main() -> None:
         assert is_symmetric_invariant(L, f), f"not invariant: {f}"
     InvariantSet(L, (f2, f3))
     assert (f2.degree(), f3.degree()) == (2, 3)
-    assert index(L) == 2 and magic_number(L) == 5
+    ind = index(L)
+    assert ind == 2 and magic_from_index(L, ind) == 5
     print("\nall checks passed: Jacobi, invariance, degrees (2, 3), index 2, magic 5")
 
 

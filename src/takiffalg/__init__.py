@@ -14,9 +14,7 @@ from .liealg import (
     index,
     is_symmetric_invariant,
     kirillov_matrix,
-    magic_number,
     omega_test,
-    poisson_bracket,
     validate,
 )
 from .polyring import ParseError, Polynomial, parse_poly
@@ -41,9 +39,7 @@ __all__ = [
     "index",
     "is_symmetric_invariant",
     "kirillov_matrix",
-    "magic_number",
     "omega_test",
-    "poisson_bracket",
     "validate",
     "ParseError",
     "Polynomial",

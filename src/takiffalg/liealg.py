@@ -3,9 +3,9 @@
 A `LieAlgebra` stores the brackets sparsely: only pairs i < j with a nonzero
 bracket appear, each as a sparse coefficient vector over the basis.  On top of
 that this module provides the Kirillov form and its exact rank, the randomized
-index estimate, the magic number (dim + ind)/2, the Poisson bracket on the
-symmetric algebra, the invariance test, and differentials of polynomial
-functions at points of the dual space.
+index estimate, the magic number (dim + ind)/2 of a known index, the Poisson
+bracket of a polynomial with basis elements, the invariance test, and
+differentials of polynomial functions at points of the dual space.
 
 Points of the dual space are plain ``{basis_name: int | Fraction}`` mappings
 that assign every basis name exactly once.  All operations are pure functions
@@ -49,8 +49,6 @@ __all__ = [
     "generic_kirillov_rank",
     "index",
     "magic_from_index",
-    "magic_number",
-    "poisson_bracket",
     "is_symmetric_invariant",
     "invariance_defect",
     "bracket_defect_against",
@@ -310,11 +308,6 @@ def magic_from_index(L: LieAlgebra, idx: int) -> int:
     return s // 2
 
 
-def magic_number(L: LieAlgebra, trials: int = 5, seed: int = 0) -> int:
-    """(dim + ind)/2 with the index estimated at seeded random points."""
-    return magic_from_index(L, index(L, trials=trials, seed=seed))
-
-
 # ---------------------------------------------------------------------------
 # Poisson structure on the symmetric algebra
 # ---------------------------------------------------------------------------
@@ -323,17 +316,6 @@ def _check_over_basis(L: LieAlgebra, f: Polynomial) -> None:
     if f.varset != L.basis:
         raise AlgebraError(
             f"polynomial variables {f.varset} do not match the basis of {L.label}")
-
-
-def poisson_bracket(L: LieAlgebra, f: Polynomial, g: Polynomial) -> Polynomial:
-    """Linear Poisson bracket {f, g} = sum_t {f, b_t} dg/db_t."""
-    _check_over_basis(L, f)
-    _check_over_basis(L, g)
-    support = g.support()
-    out = Polynomial.zero(L.basis)
-    for t, br in _brackets_with_basis(L, f, [t for t, b in enumerate(L.basis) if b in support]):
-        out = out + br * g.partial(L.basis[t])
-    return out
 
 
 def _mono_times_var(mono: Monomial, k: int) -> Monomial:

@@ -63,7 +63,6 @@ __all__ = [
     "StratumSample",
     "check_N1_characterization",
     "stratum_index",
-    "fiber_dim_over",
     "equidim_diagnostic",
     "sl2_chain",
 ]
@@ -83,15 +82,12 @@ def stratum_index(fs: InvariantSet, point: DualPoint) -> int:
     return linalg.rank(differential_matrix(fs.polys, point))
 
 
-def fiber_dim_over(fs: InvariantSet, point: DualPoint) -> int:
-    """Exact dimension of {xi_0 : <(df_i)_point, xi_0> = 0}; point must lie on N."""
-    off = [str(f) for f in fs.polys if f.evaluate(point)]
-    if off:
-        raise NilfiberError(f"point is not on the null fiber; nonzero: {off}")
-    return fs.algebra.dim - stratum_index(fs, point)
+def _fiber_kernel(fs: InvariantSet, point: DualPoint) -> list[list[Scalar]]:
+    """Exact basis of {xi_0 : <(df_i)_point, xi_0> = 0}, the fiber over a point of N."""
+    return linalg.nullspace(differential_matrix(fs.polys, point), ncols=fs.algebra.dim)
 
 
-def _kernel_point(rows: list[list[Scalar]], names: Sequence[str], r,
+def _kernel_point(basis: list[list[Scalar]], names: Sequence[str], r,
                   guard: Callable[[dict[str, Scalar]], bool] | None = None,
                   ) -> dict[str, Scalar]:
     """Random integer combination of an exact kernel basis, optionally guarded.
@@ -100,7 +96,6 @@ def _kernel_point(rows: list[list[Scalar]], names: Sequence[str], r,
     D; each draw combines those in `int` and divides every coordinate by D
     once, so coordinates are `int` when integral and `Fraction` otherwise.
     """
-    basis = linalg.nullspace(rows, ncols=len(names))
     if not basis:
         raise NilfiberError("kernel is trivial; no point to sample")
     den = _common_denominator(x for v in basis for x in v)
@@ -177,7 +172,7 @@ def _lemma_bounds(L: LieAlgebra, fam: InvariantFamily, seed: int,
     r = sampling.rng(seed, sampling.TAG_NULLFIBER, 2)
     xi1 = cone(r)[1] if cone is not None else _zero_point(L)
     try:
-        xi0 = _kernel_point(differential_matrix(fs.polys, xi1), L.basis, r)
+        xi0 = _kernel_point(_fiber_kernel(fs, xi1), L.basis, r)
     except NilfiberError:
         xi0 = _zero_point(L)    # trivial kernel: the fiber over xi_1 is the origin
     flat = flatten_point(fam.takiff_algebra, [xi0, xi1])
@@ -335,7 +330,7 @@ def sl2_chain(levels: int = 3, seed: int = 0,
     for t in range(points_per_stratum):
         r = streams(t)
         _, xi1 = cone.sample(r)
-        xi0 = _kernel_point(differential_matrix(fs0.polys, xi1), L0.basis, r)
+        xi0 = _kernel_point(_fiber_kernel(fs0, xi1), L0.basis, r)
         reg_pts.append(flatten_point(L1, [xi0, xi1]))
     regular = StratumSample(
         name="regular", points=tuple(reg_pts), declared_dim=4, declared_index=2,
@@ -375,9 +370,9 @@ def sl2_chain(levels: int = 3, seed: int = 0,
         while casimir.evaluate(xi0) == 0:
             xi0 = sampling.random_coords(L0.basis, r)
         eta1 = flatten_point(L1, [xi0, _zero_point(L0)])
-        kernel_dim = fiber_dim_over(fs1, eta1)
-        eta0 = _kernel_point(differential_matrix(fs1.polys, eta1), L1.basis, r,
-                             guard=lambda p: any(p[b] for b in grade1))
+        kernel = _fiber_kernel(fs1, eta1)
+        kernel_dim = len(kernel)
+        eta0 = _kernel_point(kernel, L1.basis, r, guard=lambda p: any(p[b] for b in grade1))
         bad_pts.append(flatten_point(L2, [eta0, eta1]))
     bad = StratumSample(
         name="bad-component", points=tuple(bad_pts),

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from . import linalg
 from .liealg import AlgebraError, AlgebraFormatError, DualPoint, LieAlgebra
 from .polyring import Scalar, exact_scalars
 
@@ -34,7 +33,6 @@ __all__ = [
     "graded_name",
     "graded_varset",
     "nilpotent_ideal",
-    "generating_targets",
     "flatten_point",
 ]
 
@@ -153,37 +151,6 @@ def nilpotent_ideal(L: LieAlgebra) -> list[str]:
                     f"positive-grade span is not an ideal: [{L.basis[i]}, {L.basis[j]}] "
                     f"meets {outside}")
     return [b for b in L.basis if grading.grade_of[b] >= 1]
-
-
-def generating_targets(L: LieAlgebra) -> tuple[list[int], list[int]]:
-    """Basis indices that generate L = q<m> and its positive-grade ideal, in basis order.
-
-    C is the set of base names whose columns carry no pivot in one
-    `linalg.rref` of the grade-0 bracket vectors, so span(C) + [q, q] = q.
-    The first list is grades 0 and 1 plus C@j for 2 <= j <= m; the second is
-    grade 1 plus C@j for j >= 2.  Since [q@1, q@(j-1)] = [q, q]@j, induction
-    on j shows that the first list generates L<m> and the second the ideal.
-    Only the grading and the bracket table are read, and only the grade-0
-    brackets when m >= 2; L must be a truncation built by `takiff`.
-    """
-    grading = _require_grading(L)
-    grades = [grading.grade_of[b] for b in L.basis]
-    free: set[str] = set()
-    if grading.depth >= 2:
-        grade0 = [i for i, g in enumerate(grades) if g == 0]
-        col = {i: c for c, i in enumerate(grade0)}   # grade-0 index -> base column
-        rows = []
-        for (i, j), coeffs in L.brackets.items():
-            if i in col and j in col:
-                row = [0] * len(col)
-                for k, c in coeffs.items():
-                    row[col[k]] = c
-                rows.append(row)
-        pivots = set(linalg.rref(rows)[1])
-        free = {grading.base_name_of[L.basis[i]] for i, c in col.items() if c not in pivots}
-    invariance = [i for i, b in enumerate(L.basis)
-                  if grades[i] <= 1 or grading.base_name_of[b] in free]
-    return invariance, [i for i in invariance if grades[i] >= 1]
 
 
 def flatten_point(L: LieAlgebra, components: TakiffDualPoint) -> dict[str, Scalar]:

@@ -9,17 +9,20 @@ two transfer equivalences between a graded point and its top component.
 
 Failures never raise; they become FAIL entries carrying a concrete witness
 (a basis triple, a point, or the offending bracket).  The invariance and
-ideal checks are exact at every size: each generator's Poisson bracket with
-each target basis element is formed symbolically, so their PASS is a
-certificate, not evidence at sampled points.  When the step's Jacobi check
-passes, the targets are a generating set (`takiff.generating_targets`):
-{x : {f, x} = 0} is then a Lie subalgebra, so f commutes with all of L<m>,
-or with all of the ideal, once it commutes with the generators.  When Jacobi
-fails, every basis (or ideal) element is a target.  A FAIL names the first
-target, in basis order, among those bracketed.  The ideal targets are among
-the invariance targets in both cases, so once invariance passes the ideal
-check brackets only the grade-m coordinates b@m; the members it also counts
-are certified already.
+ideal checks are certificates from the base, as Jacobi is (see
+`_invariance_checks`).  Since {b@g, x@k} = [b, x]@(g+k), or 0 past grade
+m, the expansion Phi(b) = sum_s eps^s b@(m-s) satisfies
+
+    {Phi(f), x@k} = eps^k Phi({f, x})   mod eps^(m+1)
+
+for every f and x, with no Jacobi hypothesis, so every member F_i^j is an
+invariant of L<m> exactly when f_i is an invariant of L.  Only the base
+invariants are bracketed, symbolically, against the basis of L; a base
+defect forms the one bracket on L<m> that each FAIL names.  The
+certificate rests on `raistauvel.build_family` computing the jet
+expansion, as the Jacobi certificate rests on `takiff` computing the
+truncated bracket; `raistauvel.derivative_identity_defect` checks part of
+that once per family.
 
 Both omega checks are certificates.  Once
 `raistauvel.derivative_identity_defect` finds no defect, the family
@@ -48,13 +51,12 @@ routes give the exact rank, so every status, index and witness is the same.
 from __future__ import annotations
 
 from math import comb
-from typing import Sequence
 
 from . import liealg, raistauvel, sampling
 from .liealg import InvariantSet, LieAlgebra
 from .polyring import Polynomial
 from .report import FAIL, PASS, SKIPPED, Check, Report
-from .takiff import flatten_point, generating_targets, nilpotent_ideal, takiff
+from .takiff import flatten_point, graded_name, takiff
 
 __all__ = [
     "verify_main_theorem",
@@ -114,25 +116,60 @@ def _jacobi_check(L: LieAlgebra, Lm: LieAlgebra, base_holds: bool | None) -> Che
     return Check(name="jacobi", status=status, paper_ref=_REF_JACOBI, witness=witness)
 
 
-def _bracket_check(Lm: LieAlgebra, name: str, paper_ref: str,
-                   generators: list[tuple[object, Polynomial]],
-                   targets: Sequence[int], keys: tuple[str, str],
-                   counts: dict) -> Check:
-    """Bracket every generator against every target basis element exactly.
+def _invariance_checks(L: LieAlgebra, fs: InvariantSet,
+                       fam: raistauvel.InvariantFamily | None,
+                       Lm: LieAlgebra) -> tuple[Check, Check]:
+    """`invariance` and `ideal-invariants` on Lm = takiff(L, m), certified from the base.
 
-    The first nonzero Poisson bracket is the FAIL witness, under the keys
-    (generator key, target key); a PASS records ``counts``.
+    {F_i^j, x@k} = [eps^(j-k)] Phi({f_i, x}) for j >= k, and 0 for j < k,
+    so one base defect (i, x), the first over the invariants and then the
+    basis of L, decides both checks.  Without one, each PASS is the one
+    bracketing every member on L<m> would give: its witness counts the
+    (m+1)l members, or the n top coordinates b@m (which commute with the
+    ideal by construction) and the ml members F_i^j, j >= 1, with the mn
+    elements of the ideal.  With one, F_i^0 with x@0 is the first nonzero
+    bracket of the members, eps-power first, against the basis of L<m>,
+    grade 0 first: F_i'^0 is an invariant exactly when f_i' is.  F_i^1
+    with x@1 is the first against the ideal, which starts at grade 1, after
+    the top coordinates.  Only those two brackets are formed on L<m>.
     """
-    gen_key, target_key = keys
-    for label, g in generators:
-        defect = liealg.bracket_defect_against(Lm, g, targets)
-        if defect is not None:
-            elt, bracket = defect
-            return Check(name=name, status=FAIL, paper_ref=paper_ref,
-                         witness={gen_key: label, target_key: elt,
-                                  "poisson_bracket": _poly_str(bracket)})
-    return Check(name=name, status=PASS, paper_ref=paper_ref,
-                 witness={"mode": "symbolic", **counts})
+    m, n = Lm.grading.depth, L.dim
+    defect = None
+    for i, f in enumerate(fs.polys, start=1):
+        found = liealg.invariance_defect(L, f)
+        if found is not None:
+            defect = i, found[0]
+            break
+    if fam is None:
+        invariance = Check(name="invariance", status=SKIPPED, paper_ref=_REF_INVARIANCE,
+                           witness={"note": "no invariants supplied"})
+    elif defect is None:
+        invariance = Check(name="invariance", status=PASS, paper_ref=_REF_INVARIANCE,
+                           witness={"mode": "symbolic", "members": (m + 1) * fam.l})
+    else:
+        i, x = defect
+        x0 = graded_name(x, 0)
+        invariance = _bracket_failure(Lm, "invariance", _REF_INVARIANCE, fam.member(i, 0),
+                                      x0, {"member": [i, 0], "basis_element": x0})
+    if defect is None:
+        l = fam.l if fam is not None else 0
+        ideal = Check(name="ideal-invariants", status=PASS, paper_ref=_REF_IDEAL,
+                      witness={"mode": "symbolic", "generators": n + m * l,
+                               "ideal_size": m * n})
+    else:
+        i, x = defect
+        x1 = graded_name(x, 1)
+        ideal = _bracket_failure(Lm, "ideal-invariants", _REF_IDEAL, fam.member(i, 1),
+                                 x1, {"generator": f"F_{i}^1", "ideal_element": x1})
+    return invariance, ideal
+
+
+def _bracket_failure(Lm: LieAlgebra, name: str, paper_ref: str, F: Polynomial,
+                     element: str, witness: dict) -> Check:
+    """A FAIL whose witness gains the nonzero Poisson bracket of F with ``element``."""
+    _, bracket = liealg.bracket_defect_against(Lm, F, [Lm.index_of(element)])
+    return Check(name=name, status=FAIL, paper_ref=paper_ref,
+                 witness={**witness, "poisson_bracket": _poly_str(bracket)})
 
 
 def verify_main_theorem(L: LieAlgebra, fs: InvariantSet, m: int,
@@ -166,34 +203,9 @@ def _verify_step(L: LieAlgebra, fs: InvariantSet, m: int, trials: int,
 
     jacobi = _jacobi_check(L, Lm, base_jacobi)
     rep.add(jacobi)
-    ideal = [Lm.index_of(b) for b in nilpotent_ideal(Lm)]
-    # {x : {f, x} = 0} is a subalgebra when Jacobi holds, so a generating set
-    # of L<m> (of the ideal) certifies what every basis element would
-    if jacobi.status == PASS:
-        invariance_targets, ideal_targets = generating_targets(Lm)
-    else:
-        invariance_targets, ideal_targets = range(Lm.dim), ideal
-
-    if fam is None:
-        invariance = Check(name="invariance", status=SKIPPED, paper_ref=_REF_INVARIANCE,
-                           witness={"note": "no invariants supplied"})
-    else:
-        members = [([i, j], F) for i, j, F in fam.members()]
-        invariance = _bracket_check(Lm, "invariance", _REF_INVARIANCE, members,
-                                    invariance_targets, ("member", "basis_element"),
-                                    {"members": len(members)})
+    invariance, ideal = _invariance_checks(L, fs, fam, Lm)
     rep.add(invariance)
-
-    generators: list[tuple[object, Polynomial]] = [
-        (b, Lm.variable(b)) for b in Lm.basis if Lm.grading.grade_of[b] == m]
-    higher = ([(f"F_{i}^{j}", F) for i, j, F in fam.members() if j >= 1]
-              if fam is not None else [])
-    # ideal_targets lie in invariance_targets, so an invariance PASS covers the members
-    bracketed = generators if invariance.status == PASS else generators + higher
-    rep.add(_bracket_check(Lm, "ideal-invariants", _REF_IDEAL, bracketed, ideal_targets,
-                           ("generator", "ideal_element"),
-                           {"generators": len(generators) + len(higher),
-                            "ideal_size": len(ideal)}))
+    rep.add(ideal)
 
     identity = raistauvel.derivative_identity_defect(fam) if fam is not None else None
     # the block triangles give the exact rank where the top is regular in Omega

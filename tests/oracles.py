@@ -5,11 +5,10 @@ algorithms are deliberately the naive ones: truncated dual-number arithmetic
 coefficient by coefficient, rank, reduced row echelon form and kernels by
 plain fraction Gaussian elimination, rank by textbook Bareiss elimination
 on integers, regularity of a dual point from that rank, brackets of
-elements, Kirillov matrices
-and Jacobi residuals in Fractions straight from the bracket table, the Lie
-subalgebra generated by basis elements as a Fraction span closure, Poisson
-brackets with basis elements as a gradient times the Kirillov matrix, and
-the coadjoint action of a truncated current algebra by two routes, one
+elements, Kirillov matrices and Jacobi residuals in Fractions straight from
+the bracket table, the Poisson bracket of two polynomials term by term from
+their partials and the bracket table, Poisson brackets with basis elements
+as a gradient times the Kirillov matrix, and the coadjoint action of a truncated current algebra by two routes, one
 through its own structure constants and one componentwise through the base
 algebra's; the derivative identity of an expanded family one variable
 at a time; and membership in the depth-one null fiber N<1>, every family
@@ -17,7 +16,7 @@ member evaluated term by term, beside the base-level characterization it
 is certified to equal.  Algebras, polynomials and gradings are read only
 through their raw data: basis names, bracket tables, term dictionaries and
 grade maps; the one package method called is `Polynomial.partial`, the
-derivative identity's per-variable route.
+derivative identity's and the Poisson bracket's per-variable route.
 """
 
 from __future__ import annotations
@@ -260,40 +259,36 @@ def bracket_elements(algebra, x: dict[int, Fraction],
     return {k: v for k, v in out.items() if v}
 
 
-def generated_subalgebra(algebra, gens: Sequence[int]) -> list[dict[int, Fraction]]:
-    """Echelon basis of the Lie subalgebra generated by the basis elements ``gens``.
+def _mono_product(*monos) -> tuple:
+    """The product of raw monomials ((index, exponent), ...), indices increasing."""
+    exps: dict[int, int] = {}
+    for mono in monos:
+        for i, e in mono:
+            exps[i] = exps.get(i, 0) + e
+    return tuple(sorted(exps.items()))
 
-    That subalgebra is the smallest subspace that contains the generators and
-    is closed under ad(g) for every generator g (it is spanned by the nested
-    brackets [g_1, [g_2, ..., [g_k-1, g_k]]]), so every vector that enlarges
-    the span is bracketed with every generator until nothing new appears.
-    Rows are kept reduced against each other at their smallest index, in
-    Fractions, with the brackets read off the raw bracket table.
+
+def poisson_bracket(algebra, f, g) -> dict[tuple, Fraction]:
+    """{f, g} = sum over i < j of [b_i, b_j] (df/db_i dg/db_j - df/db_j dg/db_i).
+
+    The raw term dictionary of the bracket: monomials ((index, exponent),
+    ...) over the algebra's basis with increasing indices, the layout of
+    `Polynomial.terms`, and no zero coefficient.  [b_i, b_j] is read off
+    the raw bracket table as a linear form, the partials come from
+    `Polynomial.partial`, and the products are multiplied out term by term,
+    so none of the package's bracket or arithmetic code is exercised.
     """
-    rows: dict[int, dict[int, Fraction]] = {}   # pivot -> row with 1 at its pivot
-
-    def enlarge(v: dict[int, Fraction]) -> dict[int, Fraction] | None:
-        v = {k: c for k, c in v.items() if c}
-        while v:
-            p = min(v)
-            if p not in rows:
-                v = {k: c / v[p] for k, c in v.items()}
-                rows[p] = v
-                return v
-            c = v[p]
-            for k, x in rows[p].items():
-                v[k] = v.get(k, Fraction(0)) - c * x
-            v = {k: x for k, x in v.items() if x}
-        return None
-
-    frontier = [v for v in (enlarge({g: Fraction(1)}) for g in gens) if v is not None]
-    while frontier:
-        v = frontier.pop()
-        for g in gens:
-            w = enlarge(bracket_elements(algebra, {g: Fraction(1)}, v))
-            if w is not None:
-                frontier.append(w)
-    return list(rows.values())
+    out: dict[tuple, Fraction] = {}
+    for (i, j), coeffs in algebra.brackets.items():
+        for a, b, sign in ((i, j, 1), (j, i, -1)):
+            df = f.partial(algebra.basis[a]).terms
+            dg = g.partial(algebra.basis[b]).terms
+            for k, c in coeffs.items():
+                for m1, c1 in df.items():
+                    for m2, c2 in dg.items():
+                        mono = _mono_product(m1, m2, ((k, 1),))
+                        out[mono] = out.get(mono, Fraction(0)) + sign * c * c1 * c2
+    return {mono: c for mono, c in out.items() if c}
 
 
 def bracket(algebra, i: int, j: int) -> dict[int, Fraction]:

@@ -1,6 +1,7 @@
 """Package-level checks: every exported name resolves, every layer the
-benchmark traces still exists, the null-fiber chain and `verify` still enter
-the layers their workloads need, and the script runs."""
+benchmark traces still exists, the null-fiber chain, `verify` and the
+symbolic sweep still enter the layers their workloads need, and the script
+runs."""
 
 from __future__ import annotations
 
@@ -124,6 +125,22 @@ def test_verify_runs_the_layers_sampled_large_requires(monkeypatch):
                                        for metric in _must_run("sampled-large")])
     sl3 = catalog.load("sl3")
     verify.verify_main_theorem(sl3.algebra, sl3.invariants, 2, transfer_samples=4).to_json()
+    assert [key for key, n in calls.items() if not n] == []
+
+
+def test_symbolic_sweep_runs_the_layers_it_requires(monkeypatch):
+    # perfbench/test_perfbench.py requires the symbolic-sweep workload to
+    # enter every span of its MUST_RUN entry; its jobs are catalog self-tests,
+    # verify runs and wonderful diagnostics.  `verify` brackets only the base
+    # invariants, so a certificate there must not leave the symbolic bracket
+    # or another layer silent.  The workload serializes each report.
+    spans = {span.metric: span for span in _bench_trace_spans()}
+    calls = _count_calls(monkeypatch, [(spans[metric].module, spans[metric].qualname)
+                                       for metric in _must_run("symbolic-sweep")])
+    sl2 = catalog.load("sl2")
+    catalog.self_test(sl2).to_json()
+    verify.verify_main_theorem(sl2.algebra, sl2.invariants, 2, transfer_samples=4).to_json()
+    verify.wonderful_diagnostic(sl2.algebra, sl2.invariants).to_json()
     assert [key for key, n in calls.items() if not n] == []
 
 

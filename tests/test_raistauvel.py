@@ -13,9 +13,8 @@ from takiffalg.liealg import (
     InvariantSet,
     kirillov_matrix,
     omega_test,
-    poisson_bracket,
 )
-from takiffalg.polyring import Polynomial, parse_poly
+from takiffalg.polyring import Polynomial, jet_substitute, parse_poly
 from takiffalg.raistauvel import (
     InvariantFamily,
     build_family,
@@ -26,9 +25,35 @@ from takiffalg.raistauvel import (
 )
 from takiffalg.takiff import flatten_point, graded_name, graded_varset, takiff
 
-from oracles import EpsValue, bareiss_rank, eval_poly_eps
+from oracles import EpsValue, bareiss_rank, eval_poly_eps, poisson_bracket
 from oracles import derivative_identity_defect as oracle_identity_defect
 from oracles import kirillov_matrix as oracle_kirillov_matrix
+
+
+def _dual_number_mismatches(name, m) -> list:
+    """(trial, i, j) wherever F_i^j of the built family disagrees with the oracle.
+
+    The oracle evaluates f_i at the dual-number point sum_j eps^j xi_{m-j}
+    and reads off the eps^j coefficient; 8 seeded integer points per case.
+    """
+    entry = catalog.load(name)
+    L = entry.algebra
+    fam = build_family(L, m, entry.invariants)
+    Lm = fam.takiff_algebra
+    mismatches = []
+    for trial in range(8):
+        r = sampling.rng(13, 41, catalog.NAMES.index(name), m, trial)
+        comps = sampling.random_components(L.basis, m, r, bound=9)
+        flat = flatten_point(Lm, comps)
+        eps_point = {
+            b: EpsValue(m, [flat[f"{b}@{m - j}"] for j in range(m + 1)])
+            for b in L.basis
+        }
+        for i, j, F in fam.members():
+            want = eval_poly_eps(entry.invariants.polys[i - 1], eps_point)
+            if F.evaluate(flat) != want.coeffs[j]:
+                mismatches.append((trial, i, j))
+    return mismatches
 
 
 def lowest_component(Lm, F, components):
@@ -91,21 +116,23 @@ class TestExpansion:
         ("heis1", 3), ("heis2", 2), ("slnV2", 2),
     ])
     def test_against_dual_number_oracle(self, name, m):
-        entry = catalog.load(name)
-        L = entry.algebra
-        fam = build_family(L, m, entry.invariants)
-        Lm = fam.takiff_algebra
-        for trial in range(8):
-            r = sampling.rng(13, 41, catalog.NAMES.index(name), m, trial)
-            comps = sampling.random_components(L.basis, m, r, bound=9)
-            flat = flatten_point(Lm, comps)
-            eps_point = {
-                b: EpsValue(m, [flat[f"{b}@{m - j}"] for j in range(m + 1)])
-                for b in L.basis
-            }
-            for i, j, F in fam.members():
-                want = eval_poly_eps(entry.invariants.polys[i - 1], eps_point)
-                assert F.evaluate(flat) == want.coeffs[j], (name, m, i, j)
+        assert _dual_number_mismatches(name, m) == []
+
+    @pytest.mark.parametrize("name,m", [("sl2", 1), ("sl2", 3), ("sl3", 1), ("slnV2", 2)])
+    def test_a_dropped_jet_term_fails_the_oracle(self, monkeypatch, name, m):
+        # `verify` certifies invariance from the base on the trust that
+        # build_family is the jet expansion; this comparison is what holds
+        # that trust, so a jet_substitute that loses one term must fail it
+        def dropping(p, subst, order):
+            out = jet_substitute(p, subst, order)
+            top = out[-1]
+            lost = next(iter(top.terms))
+            out[-1] = Polynomial(top.varset, {mono: c for mono, c in top.terms.items()
+                                              if mono != lost})
+            return out
+
+        monkeypatch.setattr(raistauvel, "jet_substitute", dropping)
+        assert _dual_number_mismatches(name, m) != []
 
 
 class TestFamilyValidation:
@@ -353,8 +380,9 @@ class TestGradeShift:
             for k in range(m):
                 for b in L.basis:
                     x = graded_name(b, k)
-                    br = poisson_bracket(Lm, F, Lm.variable(x))
-                    assert shift_down(br, L, m) == poisson_bracket(low, shifted, low.variable(x))
+                    br = Polynomial(Lm.basis, poisson_bracket(Lm, F, Lm.variable(x)))
+                    assert shift_down(br, L, m) == Polynomial(
+                        low.basis, poisson_bracket(low, shifted, low.variable(x)))
                     nonzero += bool(br.terms)
         assert nonzero > 0
 

@@ -42,6 +42,10 @@ certified family's m(n - l) = 18 decides them.  `verify --multi 1,1` on the
 1/3 algebra was recorded while every level still validated its own
 truncation triple by triple: it pins the level-2 FAIL, whose base is
 already non-Jacobi, now that the Jacobi check is certified from the base.
+The four invariance FAILs, on sl2 with h^2 + 3ef and on the [e, f] = e
+algebra with the sl2 Casimir, at one level and at two, were recorded while
+`invariance` and `ideal-invariants` still bracketed every family member on
+L<m>, before both were certified from the base invariants.
 """
 
 from __future__ import annotations
@@ -73,6 +77,35 @@ BAD_JACOBI_THIRD = {
     "invariants": [],
     "flags": {},
 }
+
+# sl2 with h^2 + 3ef, which is no invariant: invariance and the ideal check FAIL
+SL2_NOT_INVARIANT = {
+    "label": "sl2h3ef",
+    "basis": ["e", "h", "f"],
+    "brackets": [
+        {"pair": [0, 1], "coeffs": {"e": "-2"}},
+        {"pair": [0, 2], "coeffs": {"h": "1"}},
+        {"pair": [1, 2], "coeffs": {"f": "-2"}},
+    ],
+    "invariants": ["h^2 + 3*e*f"],
+    "flags": {},
+}
+
+# [e, f] = e instead of h: Jacobi fails, and the sl2 Casimir is no invariant
+BAD_JACOBI_CASIMIR = {
+    "label": "badsl2",
+    "basis": ["e", "h", "f"],
+    "brackets": [
+        {"pair": [0, 1], "coeffs": {"e": "-2"}},
+        {"pair": [0, 2], "coeffs": {"e": "1"}},
+        {"pair": [1, 2], "coeffs": {"f": "-2"}},
+    ],
+    "invariants": ["h^2 + 4*e*f"],
+    "flags": {},
+}
+
+_INVARIANCE_FAIL = [PASS, FAIL, FAIL] + [PASS] * 6
+_JACOBI_INVARIANCE_FAIL = [FAIL, FAIL, FAIL] + [PASS] * 6
 
 CASES = {
     "verify-m1-sl2": (["verify", "--m", "1", "sl2"],
@@ -115,6 +148,18 @@ CASES = {
     "verify-multi23-heis1": (["verify", "--multi", "2,3", "heis1"],
                              [PASS] * 19,
                              "593ef4959dc297ddd8e97075bf3033bd9bf8534433f4ca375429095b0c69f813"),
+    "verify-m2-invariance-fail-sl2": (["verify", "--m", "2", "{notinv}"],
+                                      _INVARIANCE_FAIL,
+                                      "267dfe9e50ea036094a3900513e9ac188ae2edd64ab2d5b4e3dc38df428103a7"),
+    "verify-multi12-invariance-fail-sl2": (["verify", "--multi", "1,2", "{notinv}"],
+                                           _INVARIANCE_FAIL * 2 + [PASS],
+                                           "bc5945575fbefcb420631db143007cd2d708ac136310470588844f535ae2c601"),
+    "verify-m2-jacobi-fail-casimir": (["verify", "--m", "2", "{casimir}"],
+                                      _JACOBI_INVARIANCE_FAIL,
+                                      "79d9554d02bc6bc632b188fd9c71b0e455475022663375168f6160a9a77e4af8"),
+    "verify-multi11-jacobi-fail-casimir": (["verify", "--multi", "1,1", "{casimir}"],
+                                           _JACOBI_INVARIANCE_FAIL * 2 + [PASS],
+                                           "4887a05ae40a8636abc484b8b65bd8197a3599b94df3bbccf159368ef5cd7a53"),
 }
 
 
@@ -125,8 +170,13 @@ def test_report_digest(tmp_path, capsys, case):
     bad.write_text(json.dumps(BAD_JACOBI_THIRD))
     abelian = tmp_path / "abelian.json"
     abelian.write_text(json.dumps(ABELIAN_2))
+    notinv = tmp_path / "notinv.json"
+    notinv.write_text(json.dumps(SL2_NOT_INVARIANT))
+    casimir = tmp_path / "casimir.json"
+    casimir.write_text(json.dumps(BAD_JACOBI_CASIMIR))
     path = tmp_path / "report.json"
-    argv = [a.format(bad=bad, abelian=abelian) for a in argv]
+    argv = [a.format(bad=bad, abelian=abelian, notinv=notinv, casimir=casimir)
+            for a in argv]
     code = main(argv + ["--report", str(path)])
     capsys.readouterr()
     assert code == (1 if "fail" in case else 0)

@@ -17,7 +17,7 @@ from takiffalg.liealg import (
 from takiffalg.polyring import Polynomial, parse_poly
 from takiffalg.raistauvel import InvariantFamily, build_family
 from takiffalg.report import FAIL, PASS, SKIPPED
-from takiffalg.takiff import flatten_point, generating_targets, nilpotent_ideal, takiff
+from takiffalg.takiff import flatten_point, takiff
 from takiffalg.verify import (
     verify_main_theorem,
     verify_multi_current,
@@ -272,12 +272,6 @@ def _case_id(case) -> str:
     return f"{case[0]}<{case[1]}>"
 
 
-@lru_cache(maxsize=None)
-def _family(name, m):
-    entry = catalog.load(name)
-    return build_family(entry.algebra, m, entry.invariants)
-
-
 def _plus_random_monomial(data, f: Polynomial) -> Polynomial:
     # f plus c times a random monomial of the same degree, c in -3..3
     n, d = len(f.varset), f.degree()
@@ -291,10 +285,11 @@ def _nonzero_somewhere(Lm, F, t) -> bool:
         Lm.basis, sampling.rng(5, 63, p)))[t] for p in range(3))
 
 
-class TestGeneratingSet:
-    """Bracketing against a generating set decides exactly what all targets do.
+class TestInvarianceCertificate:
+    """The checks certified from the base decide what bracketing every member on L<m> does.
 
-    Each case gets its own few examples, about the profile's 50 in all.
+    Each case of the oracle test gets its own few examples, about the
+    profile's 50 in all.
     """
 
     @pytest.mark.parametrize("case", CORRUPTIBLE, ids=_case_id)
@@ -322,67 +317,54 @@ class TestGeneratingSet:
             assert check.witness["poisson_bracket"][:400] == str(bracket)[:400]
             assert _nonzero_somewhere(Lm, F, t)
 
-    @pytest.mark.parametrize("case", CORRUPTIBLE, ids=_case_id)
-    @settings(max_examples=EXAMPLES_PER_CASE)
-    @given(data=st.data())
-    def test_a_corrupted_member_is_caught_by_the_generators(self, case, data):
-        fam = _family(*case)
-        Lm = fam.takiff_algebra
-        members = [F for _, _, F in fam.members()]
-        G = _plus_random_monomial(data, members[data.draw(st.integers(0, len(members) - 1))])
-        targets, _ = generating_targets(Lm)
-        found = bracket_defect_against(Lm, G, targets)
-        assert (found is None) == (invariance_defect(Lm, G) is None)
-        if found is not None:
-            assert _nonzero_somewhere(Lm, G, Lm.index_of(found[0]))
-
-    def _spied_targets(self, monkeypatch, L, fs, m):
+    def _spied_brackets(self, monkeypatch, L, fs, m):
+        """(report, (algebra dim, targets) of every `bracket_defect_against` call)."""
         seen = []
 
-        def spy(Lm, f, targets):
-            seen.append(list(targets))
-            return bracket_defect_against(Lm, f, targets)
+        def spy(alg, f, targets):
+            seen.append((alg.dim, list(targets)))
+            return bracket_defect_against(alg, f, targets)
 
         monkeypatch.setattr(liealg, "bracket_defect_against", spy)
         rep = verify_main_theorem(L, fs, m, transfer_samples=1)
         monkeypatch.undo()
         return rep, seen
 
-    def test_jacobi_pass_brackets_the_generators(self, monkeypatch, sl2):
-        rep, seen = self._spied_targets(monkeypatch, sl2.algebra, sl2.invariants, 3)
-        assert _by_name(rep, "jacobi").status == PASS
-        invariance, ideal = generating_targets(takiff(sl2.algebra, 3))
-        assert len(invariance) < 12
-        # one call per member (4), then per top coordinate (3): invariance
-        # PASSed on all of L<3>, so it certified the members on the ideal
-        assert seen == [invariance] * 4 + [ideal] * 3
-        assert _by_name(rep, "ideal-invariants").witness["generators"] == 6
+    @pytest.mark.parametrize("name,m", [("sl2", 3), ("sl3", 4)])
+    def test_an_invariant_base_brackets_nothing_on_the_truncation(self, monkeypatch, name, m):
+        entry = catalog.load(name)
+        L, l, n = entry.algebra, len(entry.invariants), entry.algebra.dim
+        rep, seen = self._spied_brackets(monkeypatch, L, entry.invariants, m)
+        # each base invariant against the basis of L, and nothing on L<m>
+        assert seen == [(n, list(range(n)))] * l
+        assert _by_name(rep, "invariance").witness == {"mode": "symbolic",
+                                                       "members": (m + 1) * l}
+        assert _by_name(rep, "ideal-invariants").witness == {
+            "mode": "symbolic", "generators": n + m * l, "ideal_size": m * n}
 
-    def test_a_failed_invariance_brackets_the_members_on_the_ideal(self, monkeypatch, sl2):
-        # h^2 + 3ef is no invariant; the top coordinates commute with the
-        # ideal, so the members are what the ideal check finds
+    def test_a_failed_invariance_brackets_one_target_per_check(self, monkeypatch, sl2):
+        # h^2 + 3ef is no invariant: {f, e} != 0 names F_1^0 with e@0 and
+        # F_1^1 with e@1, one bracket each on L<2>
         fs = InvariantSet(algebra=sl2.algebra,
                           polys=(parse_poly("h^2 + 3*e*f", sl2.algebra.basis),))
-        rep, seen = self._spied_targets(monkeypatch, sl2.algebra, fs, 2)
-        ideal = generating_targets(takiff(sl2.algebra, 2))[1]
-        assert _by_name(rep, "invariance").status == FAIL
-        assert seen[1:] == [ideal] * 4
+        rep, seen = self._spied_brackets(monkeypatch, sl2.algebra, fs, 2)
+        assert seen == [(3, [0, 1, 2]), (9, [0]), (9, [3])]
+        assert _by_name(rep, "invariance").witness == {
+            "member": [1, 0], "basis_element": "e@0", "poisson_bracket": "e@2*h@2"}
         assert _by_name(rep, "ideal-invariants").witness == {
             "generator": "F_1^1", "ideal_element": "e@1", "poisson_bracket": "e@2*h@2"}
 
-    def test_jacobi_fail_with_an_invariant_brackets_every_target(self, monkeypatch):
-        # [e, f] = e instead of h: Jacobi fails, and the sl2 Casimir is no invariant
+    def test_jacobi_fail_with_an_invariant_brackets_the_base(self, monkeypatch):
+        # [e, f] = e instead of h: Jacobi fails, and the sl2 Casimir is no
+        # invariant; the lemma needs no Jacobi, so the base decides again
         bad = LieAlgebra.create("badsl2", ("e", "h", "f"), {
             (0, 1): {0: -2}, (0, 2): {0: 1}, (1, 2): {2: -2}})
         fs = InvariantSet(algebra=bad, polys=(parse_poly("h^2 + 4*e*f", bad.basis),))
-        rep, seen = self._spied_targets(monkeypatch, bad, fs, 2)
+        rep, seen = self._spied_brackets(monkeypatch, bad, fs, 2)
         assert _by_name(rep, "jacobi").status == FAIL
-        L2 = takiff(bad, 2)
-        ideal = [L2.index_of(b) for b in nilpotent_ideal(L2)]
-        assert len(generating_targets(L2)[0]) < L2.dim
-        assert seen[0] == list(range(L2.dim))
-        assert seen[1:] and all(t == ideal for t in seen[1:])
+        assert seen == [(3, [0, 1, 2]), (9, [0]), (9, [3])]
         assert _by_name(rep, "invariance").status == FAIL
+        assert _by_name(rep, "ideal-invariants").status == FAIL
 
 
 def _no_zero_top_decision(monkeypatch):
@@ -583,16 +565,12 @@ class TestZeroTopBoundFallback:
     def test_an_uncertified_step_ranks_its_zero_tops(self, monkeypatch, sl2, case, failed):
         L = sl2.algebra
         (C,) = sl2.invariants.polys
+        # h^2 + 3ef is no invariant, but its expansion keeps the derivative identity
+        D = parse_poly("h^2 + 3*e*f", L.basis)
         fs = InvariantSet(algebra=L, polys={"none": (), "dependent": (C, C * C),
-                                            "non-invariant": (C,)}[case])
+                                            "non-invariant": (D,)}[case])
         if case == "non-invariant":
-            # e@2^2 keeps the degree, the support and the derivative identity
-            fam = build_family(L, 2, fs)
-            F = fam.member(1, 1)
-            table = ((fam.member(1, 0), F + parse_poly("e@2^2", F.varset), fam.member(1, 2)),)
-            bad = InvariantFamily(takiff_algebra=fam.takiff_algebra, base=fs, table=table)
-            assert raistauvel.derivative_identity_defect(bad) is None
-            monkeypatch.setattr(raistauvel, "build_family", lambda L, m, fs: bad)
+            assert raistauvel.derivative_identity_defect(build_family(L, 2, fs)) is None
         rep, built = _kirillov_matrices(monkeypatch, L, fs, 2)
         assert _by_name(rep, failed).status == (SKIPPED if case == "none" else FAIL)
         assert _zero_tops(built) == [9] * 10
