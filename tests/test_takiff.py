@@ -159,6 +159,15 @@ class TestJacobiTransfer:
         assert truncated.status == base.status
 
 
+def _truncations():
+    for name in catalog.NAMES:
+        for m in (1, 2, 3):
+            yield name, (m,)
+    for name in ("sl2", "heis1"):
+        for m in (1, 2, 3):
+            yield name, (1, m)
+
+
 @st.composite
 def _tables_with_polys(draw):
     """A random bracket table and a homogeneous polynomial of degree 1..3 over its basis.
@@ -187,17 +196,34 @@ class TestInvarianceTransfer:
     @example(case=(_BROKEN_SL2, parse_poly("h^2 + 3*e*f", _BROKEN_SL2.basis)), m=2)
     @example(case=(_HEISENBERG, parse_poly("x*z - y^2", _HEISENBERG.basis)), m=3)
     def test_brackets_of_the_expansion_are_the_expanded_bracket(self, case, m):
-        L, f = case
-        Lm = takiff(L, m)
-        family = expand_invariant(L, m, f)
-        for b in L.basis:
-            fx = poisson_bracket(L, f, L.variable(b))
-            want = expand_invariant(L, m, Polynomial(L.basis, fx)) if fx else []
-            for k in range(m + 1):
-                x = Lm.variable(graded_name(b, k))
-                for j, F in enumerate(family):
-                    expected = want[j - k].terms if want and j >= k else {}
-                    assert poisson_bracket(Lm, F, x) == expected, (b, k, j)
+        _assert_expansion_brackets(*case, m)
+
+    @pytest.mark.parametrize("name,degrees", list(_truncations()))
+    def test_the_catalog_expansions_obey_the_lemma(self, name, degrees):
+        # the invariants, and x0*x1 for a polynomial that need not be one;
+        # below the last degree each expansion is the next level's base
+        entry = catalog.load(name)
+        L = entry.algebra
+        polys = [*entry.invariants.polys, L.variable(L.basis[0]) * L.variable(L.basis[1])]
+        for m in degrees[:-1]:
+            polys = [F for f in polys for F in expand_invariant(L, m, f)]
+            L = takiff(L, m)
+        for f in polys:
+            _assert_expansion_brackets(L, f, degrees[-1])
+
+
+def _assert_expansion_brackets(L, f, m):
+    """{F^j, x@k} is [eps^(j-k)] of the expansion of {f, x} for j >= k, else 0."""
+    Lm = takiff(L, m)
+    family = expand_invariant(L, m, f)
+    for b in L.basis:
+        fx = poisson_bracket(L, f, L.variable(b))
+        want = expand_invariant(L, m, Polynomial(L.basis, fx)) if fx else []
+        for k in range(m + 1):
+            x = Lm.variable(graded_name(b, k))
+            for j, F in enumerate(family):
+                expected = want[j - k].terms if want and j >= k else {}
+                assert poisson_bracket(Lm, F, x) == expected, (b, k, j)
 
 
 class TestPointSplitting:

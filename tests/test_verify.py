@@ -17,7 +17,7 @@ from takiffalg.liealg import (
 from takiffalg.polyring import Polynomial, parse_poly
 from takiffalg.raistauvel import InvariantFamily, build_family
 from takiffalg.report import FAIL, PASS, SKIPPED
-from takiffalg.takiff import flatten_point, takiff
+from takiffalg.takiff import flatten_point, nilpotent_ideal, takiff
 from takiffalg.verify import (
     verify_main_theorem,
     verify_multi_current,
@@ -316,6 +316,39 @@ class TestInvarianceCertificate:
             _, bracket = bracket_defect_against(Lm, F, [t])
             assert check.witness["poisson_bracket"][:400] == str(bracket)[:400]
             assert _nonzero_somewhere(Lm, F, t)
+
+    @pytest.mark.parametrize("case", CORRUPTIBLE, ids=_case_id)
+    @settings(max_examples=EXAMPLES_PER_CASE)
+    @given(data=st.data())
+    def test_the_ideal_check_fails_exactly_when_some_ideal_target_does(self, case, data):
+        # the oracle brackets every generator, the top coordinates b@m and
+        # then the members F_i^j with j >= 1, against the whole ideal
+        name, m = case
+        entry = catalog.load(name)
+        L, polys = entry.algebra, list(entry.invariants.polys)
+        i = data.draw(st.integers(0, len(polys) - 1))
+        polys[i] = _plus_random_monomial(data, polys[i])
+        assume(not polys[i].is_zero)
+        fs = InvariantSet(algebra=L, polys=tuple(polys))
+        check = _by_name(verify_main_theorem(L, fs, m, transfer_samples=1), "ideal-invariants")
+        fam = build_family(L, m, fs)
+        Lm = fam.takiff_algebra
+        ideal = [Lm.index_of(b) for b in nilpotent_ideal(Lm)]
+        generators = [(b, Lm.variable(b)) for b in Lm.basis if Lm.grading.grade_of[b] == m]
+        generators += [(f"F_{i}^{j}", F) for i, j, F in fam.members() if j >= 1]
+        failing = [(label, F) for label, F in generators
+                   if bracket_defect_against(Lm, F, ideal) is not None]
+        assert check.status == (FAIL if failing else PASS)
+        if failing:
+            label, F = failing[0]
+            element, bracket = bracket_defect_against(Lm, F, ideal)
+            assert check.witness == {"generator": label, "ideal_element": element,
+                                     "poisson_bracket": check.witness["poisson_bracket"]}
+            assert check.witness["poisson_bracket"][:400] == str(bracket)[:400]
+            assert _nonzero_somewhere(Lm, F, Lm.index_of(element))
+        else:
+            assert check.witness == {"mode": "symbolic", "generators": len(generators),
+                                     "ideal_size": len(ideal)}
 
     def _spied_brackets(self, monkeypatch, L, fs, m):
         """(report, (algebra dim, targets) of every `bracket_defect_against` call)."""
