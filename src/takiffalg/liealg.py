@@ -257,7 +257,7 @@ def kirillov_matrix(L: LieAlgebra, point: DualPoint) -> list[list[Scalar]]:
 
 
 def kirillov_rank_at(L: LieAlgebra, point: DualPoint) -> int:
-    return linalg.rank(kirillov_matrix(L, point))
+    return linalg.skew_rank(kirillov_matrix(L, point))
 
 
 RankFunction = Callable[[LieAlgebra, DualPoint], int]
@@ -269,16 +269,21 @@ def generic_kirillov_rank(L: LieAlgebra, trials: int = 5, seed: int = 0,
 
     ``rank(L, point)`` gives the rank at one trial point; any exact rank
     function, such as `raistauvel.takiff_kirillov_rank` for a certified
-    family, gives the same estimate as the default.
+    family, gives the same estimate as the default.  The Kirillov form is
+    skew, so its exact rank is even and at most 2*floor(dim/2): the trials
+    stop once that ceiling is reached, since no later trial can exceed it.
+    Every trial draws its own stream, so the estimate is the one all
+    ``trials`` would give.
     """
     if trials < 1:
         raise ValueError(f"the rank estimate needs at least one trial, got {trials}")
+    ceiling = L.dim - L.dim % 2
     best = 0
     streams = sampling.streams(seed, sampling.TAG_INDEX)
     for t in range(trials):
         pt = sampling.random_coords(L.basis, streams(t))
         best = max(best, rank(L, pt))
-        if best == L.dim:
+        if best >= ceiling:
             break
     return best
 

@@ -168,15 +168,16 @@ def _lemma_bounds(L: LieAlgebra, fam: InvariantFamily, seed: int,
                   cone: Callable[..., tuple] | None) -> Check:
     # With the identity the family Jacobian is [[0, A], [A, B]], A = J_f(xi_1)
     # of rank i, so 2i <= J <= l+i everywhere; one point of N<1> is ranked.
-    fs = fam.base
+    # The kernel of A gives both xi_0 and, by rank-nullity, i.
     r = sampling.rng(seed, sampling.TAG_NULLFIBER, 2)
     xi1 = cone(r)[1] if cone is not None else _zero_point(L)
+    kernel = _fiber_kernel(fam.base, xi1)
     try:
-        xi0 = _kernel_point(_fiber_kernel(fs, xi1), L.basis, r)
+        xi0 = _kernel_point(kernel, L.basis, r)
     except NilfiberError:
         xi0 = _zero_point(L)    # trivial kernel: the fiber over xi_1 is the origin
     flat = flatten_point(fam.takiff_algebra, [xi0, xi1])
-    i = stratum_index(fs, xi1)
+    i = L.dim - len(kernel)
     J = family_rank_at(fam, flat)
     bounds = {"i": i, "J": J, "lower": 2 * i, "upper": fam.l + i}
     ok = 2 * i <= J <= fam.l + i

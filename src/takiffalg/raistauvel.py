@@ -47,6 +47,7 @@ from .liealg import (
     HomogeneityError,
     InvariantSet,
     LieAlgebra,
+    RankFunction,
     kirillov_rank_at,
     omega_test,
 )
@@ -211,17 +212,21 @@ def block_triangle_rank(fam: InvariantFamily, top: DualPoint,
     return None
 
 
-def takiff_kirillov_rank(fam: InvariantFamily, flat: DualPoint) -> int:
+def takiff_kirillov_rank(fam: InvariantFamily, flat: DualPoint,
+                         base_rank: RankFunction | None = None) -> int:
     """rank K(xi) at a flat point of fam.takiff_algebra, by the grade blocks where possible.
 
     The top component is read off the flat point for `block_triangle_rank`;
     where that gives None, the Kirillov matrix of L<m> is built and ranked.
-    The same validity conditions apply.
+    ``base_rank``, any exact rank function on the base, ranks the top
+    component when given; None leaves that to `block_triangle_rank`.  The
+    same validity conditions apply.
     """
     Lm = fam.takiff_algebra
     grading = Lm.grading
     m = fam.depth
     top = {grading.base_name_of[name]: flat[name]
            for name in Lm.basis if grading.grade_of[name] == m}
-    rank = block_triangle_rank(fam, top)
+    top_rank = base_rank(fam.base.algebra, top) if base_rank is not None else None
+    rank = block_triangle_rank(fam, top, top_rank)
     return kirillov_rank_at(Lm, flat) if rank is None else rank

@@ -18,11 +18,14 @@ m, the expansion Phi(b) = sum_s eps^s b@(m-s) satisfies
 for every f and x, with no Jacobi hypothesis, so every member F_i^j is an
 invariant of L<m> exactly when f_i is an invariant of L.  Only the base
 invariants are bracketed, symbolically, against the basis of L; a base
-defect forms the one bracket on L<m> that each FAIL names.  The
-certificate rests on `raistauvel.build_family` computing the jet
-expansion, as the Jacobi certificate rests on `takiff` computing the
-truncated bracket; `raistauvel.derivative_identity_defect` checks part of
-that once per family.
+defect forms the one bracket on L<m> that each FAIL names.  In
+`verify_multi_current` a level whose invariance PASSed hands its family to
+the next level as base invariants already certified, so only the first
+level, and a level after a FAIL, brackets.  The certificate rests on
+`raistauvel.build_family` computing the jet expansion, as the Jacobi
+certificate rests on `takiff` computing the truncated bracket;
+`raistauvel.derivative_identity_defect` checks part of that once per
+family.
 
 Both omega checks are certificates.  Once
 `raistauvel.derivative_identity_defect` finds no defect, the family
@@ -40,8 +43,14 @@ Kirillov matrix; a regularity sample reads only its top component until
 that matrix is needed.  Only the direction "xi_m regular => xi regular"
 follows from the block triangle; the converse is still sampled.
 
-Each regularity sample ranks its top component once: rank K(xi_m) decides
-the right side and feeds the block-triangle shortcut.  A top with
+Each regularity sample ranks its top component once, by
+`liealg.kirillov_rank_at`, which is `linalg.skew_rank` of the skew Kirillov
+matrix: rank K(xi_m) decides the right side and feeds the block-triangle
+shortcut.  In `verify_multi_current` the base of a level is the previous
+level's L<m>, so its Kirillov ranks, for the regularity tops and for the
+index and block-triangle trials alike, come from that level's rank
+function: through its block triangles when its family is certified, so a
+matrix as wide as L is built only where they do not decide.  A top with
 K(xi_m) = 0, the zero top of the odd samples above all, is decided by
 `_zero_top_rank_bound` with no matrix built when that bound is below
 dim L<m> - ind L<m>; every other point is ranked from its matrix.  All
@@ -118,7 +127,7 @@ def _jacobi_check(L: LieAlgebra, Lm: LieAlgebra, base_holds: bool | None) -> Che
 
 def _invariance_checks(L: LieAlgebra, fs: InvariantSet,
                        fam: raistauvel.InvariantFamily | None,
-                       Lm: LieAlgebra) -> tuple[Check, Check]:
+                       Lm: LieAlgebra, base_holds: bool = False) -> tuple[Check, Check]:
     """`invariance` and `ideal-invariants` on Lm = takiff(L, m), certified from the base.
 
     {F_i^j, x@k} = [eps^(j-k)] Phi({f_i, x}) for j >= k, and 0 for j < k,
@@ -132,14 +141,21 @@ def _invariance_checks(L: LieAlgebra, fs: InvariantSet,
     grade 0 first: F_i'^0 is an invariant exactly when f_i' is.  F_i^1
     with x@1 is the first against the ideal, which starts at grade 1, after
     the top coordinates.  Only those two brackets are formed on L<m>.
+
+    ``base_holds`` is True when every invariant in ``fs`` is already known
+    to be an invariant of L: at a level of `verify_multi_current` after
+    one whose `invariance` PASSed, ``fs`` is that level's family on L.
+    Then nothing is bracketed; otherwise the base is bracketed, so a FAIL
+    names the same first defect.
     """
     m, n = Lm.grading.depth, L.dim
     defect = None
-    for i, f in enumerate(fs.polys, start=1):
-        found = liealg.invariance_defect(L, f)
-        if found is not None:
-            defect = i, found[0]
-            break
+    if not base_holds:
+        for i, f in enumerate(fs.polys, start=1):
+            found = liealg.invariance_defect(L, f)
+            if found is not None:
+                defect = i, found[0]
+                break
     if fam is None:
         invariance = Check(name="invariance", status=SKIPPED, paper_ref=_REF_INVARIANCE,
                            witness={"note": "no invariants supplied"})
@@ -187,11 +203,17 @@ def verify_main_theorem(L: LieAlgebra, fs: InvariantSet, m: int,
 
 def _verify_step(L: LieAlgebra, fs: InvariantSet, m: int, trials: int,
                  seed: int, transfer_samples: int, base_jacobi: bool | None = None,
-                 ) -> tuple[Report, LieAlgebra, raistauvel.InvariantFamily | None]:
-    """The report of one truncation step, with the algebra and family it built.
+                 base_invariant: bool = False,
+                 base_rank: liealg.RankFunction = liealg.kirillov_rank_at,
+                 ) -> tuple[Report, LieAlgebra, raistauvel.InvariantFamily | None,
+                            liealg.RankFunction]:
+    """The report of one truncation step, with the algebra, family and rank function.
 
     ``base_jacobi`` is the Jacobi verdict on L when it is known, else None
-    (see `_jacobi_check`).
+    (see `_jacobi_check`).  ``base_invariant`` is True when ``fs`` is known
+    to be invariant on L (see `_invariance_checks`).  ``base_rank`` ranks
+    the Kirillov form of L, exactly; the rank function returned does so on
+    L<m>, through the block triangles when the family is certified.
     """
     if transfer_samples < 1:
         raise ValueError(f"the transfer checks need at least one sample, got {transfer_samples}")
@@ -203,7 +225,7 @@ def _verify_step(L: LieAlgebra, fs: InvariantSet, m: int, trials: int,
 
     jacobi = _jacobi_check(L, Lm, base_jacobi)
     rep.add(jacobi)
-    invariance, ideal = _invariance_checks(L, fs, fam, Lm)
+    invariance, ideal = _invariance_checks(L, fs, fam, Lm, base_invariant)
     rep.add(invariance)
     rep.add(ideal)
 
@@ -214,9 +236,9 @@ def _verify_step(L: LieAlgebra, fs: InvariantSet, m: int, trials: int,
     rank_at = liealg.kirillov_rank_at
     if certified is not None:
         def rank_at(_, flat):
-            return raistauvel.takiff_kirillov_rank(certified, flat)
+            return raistauvel.takiff_kirillov_rank(certified, flat, base_rank)
 
-    idx_base = liealg.index(L, trials=trials, seed=seed)
+    idx_base = liealg.index(L, trials=trials, seed=seed, rank=base_rank)
     idx_tak = liealg.index(Lm, trials=trials, seed=seed, rank=rank_at)
     rep.add(Check(name="index-formula",
                   status=PASS if idx_tak == (m + 1) * idx_base else FAIL,
@@ -265,8 +287,8 @@ def _verify_step(L: LieAlgebra, fs: InvariantSet, m: int, trials: int,
             shifted = certified
 
     rep.add(_regularity_transfer_check(L, Lm, certified, idx_base, idx_tak,
-                                       transfer_samples, seed, shifted))
-    return rep, Lm, fam
+                                       transfer_samples, seed, shifted, base_rank))
+    return rep, Lm, fam, rank_at
 
 
 def identity_failure(name: str, paper_ref: str, identity: tuple[int, int, str],
@@ -358,7 +380,9 @@ def _regularity_transfer_check(L: LieAlgebra, Lm: LieAlgebra,
                                fam: raistauvel.InvariantFamily | None,
                                idx_base: int, idx_tak: int,
                                samples: int, seed: int,
-                               shifted: raistauvel.InvariantFamily | None = None) -> Check:
+                               shifted: raistauvel.InvariantFamily | None = None,
+                               base_rank: liealg.RankFunction = liealg.kirillov_rank_at,
+                               ) -> Check:
     """Sampled agreement of "xi regular in L<m>*" with "xi_m regular in L*".
 
     Sample t mixes random components drawn from the stream ``sampling.rng(seed,
@@ -367,8 +391,8 @@ def _regularity_transfer_check(L: LieAlgebra, Lm: LieAlgebra,
     ones a full draw gives.  ``fam`` is the step's family when it is
     certified, else None.  ``shifted`` is that family when
     `jacobian-rank-on-omega` also passed, else None; it feeds
-    `_zero_top_rank_bound`.  rank K(xi_m) is taken once per sample, and a
-    zero top has rank 0.  At rank 0 the left side is False without a matrix
+    `_zero_top_rank_bound`.  rank K(xi_m) is taken once per sample, by
+    ``base_rank``, and a zero top has rank 0.  At rank 0 the left side is False without a matrix
     when the bound is below dim L<m> - ind L<m>.  When ind L < n the right
     side is False too, whatever the lower components, so the odd samples
     draw no stream; every sample's stream is private, so the even samples
@@ -394,7 +418,7 @@ def _regularity_transfer_check(L: LieAlgebra, Lm: LieAlgebra,
         else:
             comps = sampling.random_components(L.basis, m, r)
         top = comps[m]
-        top_rank = liealg.kirillov_rank_at(L, top) if any(top.values()) else 0
+        top_rank = base_rank(L, top) if any(top.values()) else 0
         top_regular = top_rank == regular_base
         if not top_rank and bound_decides:
             takiff_regular = False
@@ -424,7 +448,11 @@ def verify_multi_current(L: LieAlgebra, fs: InvariantSet, degrees,
 
     Each level's expanded family becomes the next level's base invariant set;
     a single-entry degree list therefore reduces exactly to
-    verify_main_theorem.  A ``transfer_samples`` below 1 raises ValueError.
+    verify_main_theorem.  The next level's base is this level's L<m>, so it
+    takes this level's Jacobi and invariance verdicts and its Kirillov rank
+    function; all three are exact, so the report is the one each level
+    would write deciding them afresh.  A ``transfer_samples`` below 1
+    raises ValueError.
     """
     degrees = list(degrees)
     if not degrees:
@@ -437,12 +465,16 @@ def verify_multi_current(L: LieAlgebra, fs: InvariantSet, degrees,
     label = f"verify:{L.label}<{','.join(str(d) for d in degrees)}>"
     rep = Report(label=label)
     cur_L, cur_fs = L, fs
-    cur_jacobi = None   # the next base is this level's L<m>: its verdict carries over
+    # the next base is this level's L<m> with its family: the verdicts and
+    # the rank function carry over
+    cur_jacobi, cur_invariant, cur_rank = None, False, liealg.kirillov_rank_at
     expected = len(fs)
     for level, mdeg in enumerate(degrees, start=1):
-        sub, cur_L, fam = _verify_step(cur_L, cur_fs, mdeg, trials, seed,
-                                       transfer_samples, cur_jacobi)
+        sub, cur_L, fam, cur_rank = _verify_step(cur_L, cur_fs, mdeg, trials, seed,
+                                                 transfer_samples, cur_jacobi,
+                                                 cur_invariant, cur_rank)
         cur_jacobi = sub.checks[0].status == PASS
+        cur_invariant = sub.checks[1].status == PASS
         rep.extend_prefixed(f"level{level}:", sub.checks)
         expected *= mdeg + 1
         cur_fs = (fam.invariant_set() if fam is not None

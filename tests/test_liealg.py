@@ -170,6 +170,42 @@ def _takiff_with_rank(name: str, m: int):
     return fam.takiff_algebra, lambda _, flat: raistauvel.takiff_kirillov_rank(fam, flat)
 
 
+class TestParityStop:
+    """The trials stop at 2*floor(dim/2), which no skew form's rank exceeds."""
+
+    @staticmethod
+    def _spy(calls):
+        def rank(L, point):
+            calls.append(point)
+            return kirillov_rank_at(L, point)
+        return rank
+
+    def test_sl2_stops_after_its_first_generic_trial(self, sl2):
+        calls = []
+        assert generic_kirillov_rank(sl2.algebra, trials=5, seed=0,
+                                     rank=self._spy(calls)) == 2
+        assert len(calls) == 1
+
+    def test_sl3_runs_every_trial(self, sl3):
+        calls = []
+        assert generic_kirillov_rank(sl3.algebra, trials=5, seed=0,
+                                     rank=self._spy(calls)) == 6
+        assert len(calls) == 5
+
+    @pytest.mark.parametrize("name", catalog.NAMES)
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_index_is_the_maximum_over_every_trial(self, name, m):
+        # the ranks of all 5 trials, by the general `linalg.rank`, with no stop
+        L = catalog.load(name).algebra
+        Lm = takiff(L, m) if m else L
+        for seed in (0, 1, 7):
+            streams = sampling.streams(seed, sampling.TAG_INDEX)
+            ranks = [linalg.rank(kirillov_matrix(Lm, sampling.random_coords(Lm.basis,
+                                                                             streams(t))))
+                     for t in range(5)]
+            assert index(Lm, trials=5, seed=seed) == Lm.dim - max(ranks)
+
+
 class TestIndexParity:
     """dim + ind is even: the Kirillov form is skew, so its exact rank is even.
 

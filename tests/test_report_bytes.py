@@ -46,6 +46,11 @@ The four invariance FAILs, on sl2 with h^2 + 3ef and on the [e, f] = e
 algebra with the sl2 Casimir, at one level and at two, were recorded while
 `invariance` and `ideal-invariants` still bracketed every family member on
 L<m>, before both were certified from the base invariants.
+`slnV2<2>` at seed 5 was recorded while Kirillov ranks still went through
+the general `linalg.rank` and every index estimate ran all its trials.  The
+base, of dimension 7 and index 1, meets the rank ceiling 6 on its first
+trial, where the trials now stop; on slnV2<2>, of dimension 21 and index
+3, the Kirillov ranks stay below the ceiling 20, so every trial runs.
 """
 
 from __future__ import annotations
@@ -117,6 +122,9 @@ CASES = {
     "verify-multi11-sl2": (["verify", "--multi", "1,1", "sl2"],
                            [PASS] * 19,
                            "45987ee8403c266f584e9014364f4ae71b51c4580c9a0b7e530eb84f9eb884ad"),
+    "verify-m2-seed5-slnV2": (["verify", "--m", "2", "--seed", "5", "slnV2"],
+                              [PASS] * 9,
+                              "b83e0b6030d15475cd6b19a5b96c58a7980b087785c61e718dd5623bf79e1a7c"),
     "verify-m4-sl3": (["verify", "--m", "4", "sl3"],
                       [PASS] * 9,
                       "c8cf3aa3961b2f256d26e4e11b74b2ac32d30881230265d0c44351fca8c65a38"),

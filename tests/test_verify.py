@@ -134,6 +134,31 @@ class TestMultiCurrent:
         fc = _by_name(rep, "family-count")
         assert fc.witness == {"count": 8, "expected": 8, "algebra_dim": 24}
 
+    @pytest.mark.parametrize("name,degrees", [("sl3", [1, 1, 1]), ("heis1", [2, 3]),
+                                              ("slnV3", [3, 3])])
+    def test_every_level_ranks_on_the_first_base(self, monkeypatch, name, degrees):
+        # a level's base is the previous level's L<m>, ranked through that
+        # level's block triangles, down to Kirillov matrices of the first base
+        entry = catalog.load(name)
+        widths = set()
+        kirillov_matrix = liealg.kirillov_matrix
+
+        def spy(L, point):
+            widths.add(L.dim)
+            return kirillov_matrix(L, point)
+
+        monkeypatch.setattr(liealg, "kirillov_matrix", spy)
+        rep = verify_multi_current(entry.algebra, entry.invariants, degrees,
+                                   transfer_samples=20)
+        assert widths == {entry.algebra.dim}
+        # every byte is what ranking each base from its own matrix gives
+        step = verify._verify_step
+        monkeypatch.setattr(verify, "_verify_step", lambda *args: step(*args[:-1]))
+        full = verify_multi_current(entry.algebra, entry.invariants, degrees,
+                                    transfer_samples=20)
+        assert widths > {entry.algebra.dim}
+        assert full.to_json() == rep.to_json()
+
 
 class TestDiagnostics:
     def test_wonderful_sl2(self, sl2):
@@ -386,6 +411,44 @@ class TestInvarianceCertificate:
             "member": [1, 0], "basis_element": "e@0", "poisson_bracket": "e@2*h@2"}
         assert _by_name(rep, "ideal-invariants").witness == {
             "generator": "F_1^1", "ideal_element": "e@1", "poisson_bracket": "e@2*h@2"}
+
+    @staticmethod
+    def _multi_brackets(monkeypatch, L, fs, degrees):
+        """(report, bracket calls as in `_spied_brackets`, report with no verdict carried)."""
+        seen = []
+
+        def spy(alg, f, targets):
+            seen.append((alg.dim, list(targets)))
+            return bracket_defect_against(alg, f, targets)
+
+        monkeypatch.setattr(liealg, "bracket_defect_against", spy)
+        rep = verify_multi_current(L, fs, degrees, transfer_samples=2)
+        monkeypatch.undo()
+        original = verify._invariance_checks
+        monkeypatch.setattr(verify, "_invariance_checks",
+                            lambda L, fs, fam, Lm, base_holds=False:
+                            original(L, fs, fam, Lm))
+        uncarried = verify_multi_current(L, fs, degrees, transfer_samples=2)
+        monkeypatch.undo()
+        return rep, seen, uncarried
+
+    def test_a_passed_level_carries_its_verdict(self, monkeypatch, sl3):
+        # level 2's base invariants are level 1's certified family: only the
+        # base of level 1 is bracketed, and every byte is what bracketing gives
+        rep, seen, uncarried = self._multi_brackets(monkeypatch, sl3.algebra,
+                                                    sl3.invariants, [1, 1, 1])
+        assert seen == [(8, list(range(8)))] * 2
+        assert [c.status for c in rep.checks if c.name.endswith("invariance")] == [PASS] * 3
+        assert rep.to_json() == uncarried.to_json()
+
+    def test_a_failed_level_brackets_the_next_base(self, monkeypatch, sl2):
+        fs = InvariantSet(algebra=sl2.algebra,
+                          polys=(parse_poly("h^2 + 3*e*f", sl2.algebra.basis),))
+        rep, seen, uncarried = self._multi_brackets(monkeypatch, sl2.algebra, fs, [1, 2])
+        assert seen[:3] == [(3, [0, 1, 2]), (6, [0]), (6, [3])]
+        assert seen[3] == (6, list(range(6)))
+        assert _by_name(rep, "level2:invariance").status == FAIL
+        assert rep.to_json() == uncarried.to_json()
 
     def test_jacobi_fail_with_an_invariant_brackets_the_base(self, monkeypatch):
         # [e, f] = e instead of h: Jacobi fails, and the sl2 Casimir is no
