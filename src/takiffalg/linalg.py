@@ -123,9 +123,11 @@ def skew_rank(rows: Matrix) -> int:
     with prev the previous pivot (1 at the start), an exact division (see
     the module docstring).  Elimination stops when the live block is zero;
     a block of size 1 is zero, so a pivot that leaves at most 1 live index
-    ends it.
+    ends it, and a nonzero matrix of size at most 3 has rank 2.
     """
     n = len(rows)
+    if n <= 3:      # the bases sl2, heis1 and nilrad_sl3 are 3-dimensional
+        return 2 if any(map(any, rows)) else 0
     degree = [len(row) - row.count(0) for row in rows]
     r = 0
     if 1 in degree:
