@@ -186,9 +186,7 @@ def skew_rank(rows: Matrix) -> int:
                        for x, y, z in zip(row, full_i[k + 1:], full_j[k + 1:])]
             elif p != prev:
                 row = [p * x // prev for x in row]
-            else:
-                row = row[:]
-            if k < j:
+            if k < j:                   # up is built afresh, never the input
                 del row[j - k - 1]
             live.append(row)
         up = live
