@@ -11,6 +11,9 @@ Algebra files:
       "grading": {...}            # only on constructed truncations
     }
 
+A grading block must be the one `TakiffGrading.to_dict` writes for the
+file's basis, which must be grade-major; it is checked when the file is read.
+
 Pairs are 0-based indices into the basis; coefficients are keyed by target
 basis name.  A coefficient is a JSON integer or a string matching
 ``-?[0-9]+(/[0-9]+)?`` ("p/q" with an optional sign on p); anything else (a
@@ -115,7 +118,7 @@ def algebra_from_dict(d: Mapping) -> tuple[LieAlgebra, InvariantSet, dict]:
     grading = None
     if "grading" in d:
         try:
-            grading = TakiffGrading.from_dict(d["grading"])
+            grading = TakiffGrading.from_dict(d["grading"], basis)
         except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as e:
             raise AlgebraFormatError(f"malformed grading block: {e}") from e
     invariants = d.get("invariants", [])

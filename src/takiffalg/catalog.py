@@ -23,7 +23,7 @@ from .polyring import Polynomial, Scalar, parse_poly
 from .report import FAIL, PASS, Check, Report
 
 __all__ = ["CatalogEntry", "Parametrization", "PARAMETER_BOUND", "NAMES", "load",
-           "list_entries", "self_test"]
+           "self_test"]
 
 # `Parametrization.sample` draws integer parameters in [-PARAMETER_BOUND, PARAMETER_BOUND].
 PARAMETER_BOUND = 50
@@ -249,11 +249,8 @@ def load(name: str) -> CatalogEntry:
     return builder()
 
 
-def list_entries() -> list[tuple[str, str]]:
-    return [(name, load(name).summary) for name in NAMES]
-
-
-def self_test(entry: CatalogEntry, trials: int = 5, seed: int = 0) -> Report:
+def self_test(entry: CatalogEntry, trials: int = liealg.DEFAULT_TRIALS,
+              seed: int = 0) -> Report:
     """Re-certify an entry: Jacobi, invariance, expected values, parametrizations."""
     rep = Report(label=f"catalog:{entry.name}")
     L = entry.algebra

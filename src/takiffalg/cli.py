@@ -21,8 +21,8 @@ import sys
 from pathlib import Path
 
 from . import algio, catalog, nilfiber, verify
-from .liealg import (AlgebraError, AlgebraFormatError, InvariantSet,
-                     LieAlgebra, validate)
+from .liealg import (DEFAULT_TRIALS, AlgebraError, AlgebraFormatError,
+                     InvariantSet, LieAlgebra, validate)
 from .polyring import ParseError
 from .raistauvel import build_family
 from .report import FAIL, Report
@@ -133,10 +133,10 @@ def _cmd_nilfiber(args: argparse.Namespace) -> int:
 
 def _cmd_catalog(args: argparse.Namespace) -> int:
     if args.action == "list":
-        for name, summary in catalog.list_entries():
+        for name in catalog.NAMES:
             entry = catalog.load(name)
             print(f"{name:12s} dim {entry.algebra.dim:2d}  "
-                  f"ind {entry.expected['index']}  {summary}")
+                  f"ind {entry.expected['index']}  {entry.summary}")
         return 0
     entry = catalog.load(args.name)
     algio.write_algebra_file(args.out, entry.algebra,
@@ -174,8 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the structural checks")
     _add_depth_group(p)
-    p.add_argument("--trials", type=int, default=5,
-                   help="samples for rank estimates (default 5)")
+    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
+                   help=f"samples for rank estimates (default {DEFAULT_TRIALS})")
     p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     p.add_argument("input", help="catalog name or algebra JSON file")
     p.add_argument("--report", help="write the report JSON here")

@@ -47,6 +47,7 @@ __all__ = [
     "kirillov_matrix",
     "kirillov_rank_at",
     "generic_kirillov_rank",
+    "DEFAULT_TRIALS",
     "index",
     "magic_from_index",
     "is_symmetric_invariant",
@@ -262,8 +263,11 @@ def kirillov_rank_at(L: LieAlgebra, point: DualPoint) -> int:
 
 RankFunction = Callable[[LieAlgebra, DualPoint], int]
 
+# random points an index estimate ranks unless told otherwise
+DEFAULT_TRIALS = 5
 
-def generic_kirillov_rank(L: LieAlgebra, trials: int = 5, seed: int = 0,
+
+def generic_kirillov_rank(L: LieAlgebra, trials: int = DEFAULT_TRIALS, seed: int = 0,
                           rank: RankFunction = kirillov_rank_at) -> int:
     """Max Kirillov rank over seeded random integer points (monotone in trials).
 
@@ -288,7 +292,7 @@ def generic_kirillov_rank(L: LieAlgebra, trials: int = 5, seed: int = 0,
     return best
 
 
-def index(L: LieAlgebra, trials: int = 5, seed: int = 0,
+def index(L: LieAlgebra, trials: int = DEFAULT_TRIALS, seed: int = 0,
           rank: RankFunction = kirillov_rank_at) -> int:
     """ind L = dim L - max rank of the Kirillov form, estimated at random points.
 

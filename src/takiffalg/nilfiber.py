@@ -38,7 +38,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from . import linalg, sampling
+from . import catalog, linalg, sampling
 from .liealg import (
     AlgebraError,
     DualPoint,
@@ -53,10 +53,10 @@ from .raistauvel import (
     build_family,
     derivative_identity_defect,
     family_rank_at,
+    identity_failure,
 )
 from .report import FAIL, PASS, Check, Report
 from .takiff import flatten_point
-from .verify import identity_failure
 
 __all__ = [
     "NilfiberError",
@@ -128,13 +128,13 @@ def check_N1_characterization(L: LieAlgebra, fs: InvariantSet, seed: int = 0,
 
 
 def _term_free_of_grade0(fam: InvariantFamily) -> tuple[int, str] | None:
-    # the first (i, term) of some F_i^1 with no grade-0 factor
-    Lm = fam.takiff_algebra
-    low = {Lm.index_of(b) for b in Lm.basis if Lm.grading.grade_of[b] == 0}
+    # the first (i, term) of some F_i^1 with no grade-0 factor: the grade-0
+    # variables come first in the basis and in every sorted monomial
+    n = fam.base.algebra.dim
     for i in range(1, fam.l + 1):
         F = fam.member(i, 1)
         for mono, c in F.terms.items():
-            if not any(v in low for v, _ in mono):
+            if mono[0][0] >= n:
                 return i, str(Polynomial(F.varset, {mono: c}))
     return None
 
@@ -286,8 +286,6 @@ def sl2_chain(levels: int = 3, seed: int = 0,
     span-containment bounds of `check_N1_characterization`.
     ``points_per_stratum`` below 1 raises ValueError.
     """
-    from . import catalog
-
     if not 1 <= levels <= 3:
         raise ValueError("the sl2 chain is built for levels 1..3")
     if points_per_stratum < 1:
@@ -356,7 +354,7 @@ def sl2_chain(levels: int = 3, seed: int = 0,
     fam2 = build_family(L1, 1, fs1)
     L2, fs2 = fam2.takiff_algebra, fam2.invariant_set()
     casimir = fs0.polys[0]
-    grade1 = [b for b in L1.basis if L1.grading.grade_of[b] == 1]
+    grade1 = L1.basis[L0.dim:]
 
     # level 3: the component of the level-2 fiber sitting over the degenerate
     # stratum.  eta_1 = (xi_0, 0) with xi_0 off the cone keeps the sample on

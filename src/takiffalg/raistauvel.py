@@ -52,6 +52,7 @@ from .liealg import (
     omega_test,
 )
 from .polyring import Polynomial, jet_substitute
+from .report import FAIL, Check
 from .takiff import graded_name, graded_varset, takiff
 
 __all__ = [
@@ -60,6 +61,7 @@ __all__ = [
     "build_family",
     "family_rank_at",
     "derivative_identity_defect",
+    "identity_failure",
     "block_triangle_rank",
     "takiff_kirillov_rank",
 ]
@@ -96,7 +98,7 @@ class InvariantFamily:
 
     def __post_init__(self):
         m = self.depth
-        grading = self.takiff_algebra.grading
+        n = self.takiff_algebra.grading.base_dim
         for i, row in enumerate(self.table):
             if len(row) != m + 1:
                 raise AlgebraError(f"family row {i + 1} must have {m + 1} entries")
@@ -107,7 +109,8 @@ class InvariantFamily:
                 if not F.is_homogeneous() or F.degree() != want:
                     raise AlgebraError(
                         f"family entry ({i + 1},{j}) has degree {F.degree()}, expected {want}")
-                low = min(grading.grade_of[v] for v in F.support())
+                # monomials are sorted by variable index; the basis is grade-major
+                low = min(mono[0][0] for mono in F.terms) // n
                 if low < m - j:
                     raise AlgebraError(
                         f"family entry ({i + 1},{j}) reaches below grade {m - j}")
@@ -166,27 +169,35 @@ def derivative_identity_defect(fam: InvariantFamily) -> tuple[int, int, str] | N
     """
     Lm = fam.takiff_algebra
     m = fam.depth
-    base = fam.base.algebra.basis
-    top = [Lm.index_of(graded_name(b, m)) for b in base]
-    want = [[{tuple(sorted((top[k], e) for k, e in mono)): c
+    n = fam.base.algebra.dim
+    want = [[{tuple(sorted((m * n + k, e) for k, e in mono)): c
               for mono, c in f.partial(b).terms.items()}
-             for b in base] for f in fam.base.polys]
+             for b in fam.base.algebra.basis] for f in fam.base.polys]
     for i, j, F in fam.members():
-        names = [graded_name(b, m - j) for b in base]
-        column = {Lm.index_of(name): k for k, name in enumerate(names)}
-        partials: list[dict] = [{} for _ in base]
+        low = (m - j) * n    # the grade-(m-j) variables are low..low+n-1
+        partials: list[dict] = [{} for _ in range(n)]
         for mono, c in F.terms.items():
             for pos, (v, e) in enumerate(mono):
-                k = column.get(v)
-                if k is None:
+                k = v - low
+                if not 0 <= k < n:
                     continue
                 rest = mono[pos + 1:] if e == 1 else ((v, e - 1),) + mono[pos + 1:]
                 # the partial's monomial determines mono: nothing cancels
                 partials[k][mono[:pos] + rest] = c if e == 1 else c * e
-        for k, name in enumerate(names):
+        for k in range(n):
             if partials[k] != want[i - 1][k]:
-                return i, j, name
+                return i, j, Lm.basis[low + k]
     return None
+
+
+def identity_failure(name: str, paper_ref: str, identity: tuple[int, int, str],
+                     seed: int | None) -> Check:
+    """The FAIL of a check certified by the derivative identity, naming its first defect."""
+    i, j, variable = identity
+    return Check(name=name, status=FAIL, paper_ref=paper_ref,
+                 witness={"error": "dF_i^j/d(b@(m-j)) differs from df_i/db at grade m",
+                          "member": [i, j], "variable": variable},
+                 seed=seed)
 
 
 def block_triangle_rank(fam: InvariantFamily, top: DualPoint,
@@ -223,10 +234,8 @@ def takiff_kirillov_rank(fam: InvariantFamily, flat: DualPoint,
     same validity conditions apply.
     """
     Lm = fam.takiff_algebra
-    grading = Lm.grading
-    m = fam.depth
-    top = {grading.base_name_of[name]: flat[name]
-           for name in Lm.basis if grading.grade_of[name] == m}
+    base = fam.base.algebra.basis
+    top = {b: flat[name] for b, name in zip(base, Lm.basis[fam.depth * len(base):])}
     top_rank = base_rank(fam.base.algebra, top) if base_rank is not None else None
     rank = block_triangle_rank(fam, top, top_rank)
     return kirillov_rank_at(Lm, flat) if rank is None else rank

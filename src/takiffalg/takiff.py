@@ -5,14 +5,19 @@ j the grade, 0 <= j <= m) with bracket
 
     [a@i, b@j] = ([a, b]_base)@(i+j)   if i+j <= m, else 0.
 
+The basis is grade-major: with n = dim L, index k holds the k % n-th base
+name in grade k // n, so grade j is the slice [j*n, (j+1)*n) in base order.
+`TakiffGrading` records that layout and nothing else; every other module
+reads grades by this index arithmetic.
+
 Multi-current algebras iterate the construction left to right; names nest as
-`b@j1@j2`.  The grading metadata always describes the outermost construction
-step relative to its immediate base; earlier levels are visible only through
-the nested names.
+`b@j1@j2`.  The grading describes the outermost construction step relative
+to its immediate base; earlier levels are visible only through the nested
+names.
 
 A dual point on L<m> is given by its component tuple (xi_0, ..., xi_m) of
 base dual points, xi_j holding the grade-j coordinates; `flatten_point`
-assembles the flat point with one coordinate per graded name.
+concatenates them into the flat point with one coordinate per graded name.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ __all__ = [
     "multi_current",
     "graded_name",
     "graded_varset",
-    "nilpotent_ideal",
     "flatten_point",
 ]
 
@@ -46,49 +50,56 @@ def graded_name(base: str, j: int) -> str:
 
 def graded_varset(L: LieAlgebra, m: int) -> tuple[str, ...]:
     """The basis names of L<m> in basis order: grade 0 first, base order within a grade."""
-    return tuple(graded_name(b, j) for j in range(m + 1) for b in L.basis)
+    return _grade_major(L.basis, m)
+
+
+def _grade_major(base_basis: Sequence[str], m: int) -> tuple[str, ...]:
+    return tuple(graded_name(b, j) for j in range(m + 1) for b in base_basis)
 
 
 @dataclass(frozen=True)
 class TakiffGrading:
-    """Grading metadata for one truncation step.
+    """The grade-major layout of one truncation step over its immediate base.
 
-    grade_of and base_name_of are keyed by the graded basis names; base_name_of
-    points back at the immediate base algebra's names.
+    With n = base_dim, basis index k of the truncation is the name
+    `graded_name(base_basis[k % n], k // n)`, in grade k // n.
     """
 
-    base_dim: int
+    base_basis: tuple[str, ...]
     depth: int
-    grade_of: Mapping[str, int]
-    base_name_of: Mapping[str, str]
 
-    def __post_init__(self):
-        counts: dict[int, int] = {}  # per grade that occurs: a huge depth is free
-        for name, j in self.grade_of.items():
-            if not (0 <= j <= self.depth):
-                raise AlgebraFormatError(f"grade {j} of '{name}' out of range 0..{self.depth}")
-            if name != graded_name(self.base_name_of[name], j):
-                raise AlgebraFormatError(f"graded name '{name}' does not match its base name and grade")
-            counts[j] = counts.get(j, 0) + 1
-        if set(self.grade_of) != set(self.base_name_of):
-            raise AlgebraFormatError("grade_of and base_name_of must cover the same names")
-        if any(c != self.base_dim for c in counts.values()) or \
-                (self.base_dim and len(counts) != self.depth + 1):
-            raise AlgebraFormatError("every grade must contain exactly base_dim names")
+    @property
+    def base_dim(self) -> int:
+        return len(self.base_basis)
 
     def to_dict(self) -> dict:
+        n = self.base_dim
+        names = _grade_major(self.base_basis, self.depth)
         return {
-            "base_dim": self.base_dim,
+            "base_dim": n,
             "depth": self.depth,
-            "grade_of": dict(self.grade_of),
-            "base_name_of": dict(self.base_name_of),
+            "grade_of": {name: k // n for k, name in enumerate(names)},
+            "base_name_of": {name: self.base_basis[k % n] for k, name in enumerate(names)},
         }
 
     @classmethod
-    def from_dict(cls, d: Mapping) -> "TakiffGrading":
-        return cls(base_dim=int(d["base_dim"]), depth=int(d["depth"]),
-                   grade_of={k: int(v) for k, v in d["grade_of"].items()},
-                   base_name_of=dict(d["base_name_of"]))
+    def from_dict(cls, d: Mapping, basis: Sequence[str]) -> "TakiffGrading":
+        """The grading of a loaded truncation, rebuilt from its basis.
+
+        The block must be the one `to_dict` writes for that basis, and the
+        basis must be grade-major; anything else raises AlgebraFormatError.
+        """
+        n, m = d["base_dim"], d["depth"]
+        if type(n) is not int or type(m) is not int or n < 1 or m < 1 or \
+                len(basis) != n * (m + 1):
+            raise AlgebraFormatError(
+                f"grading block with base_dim {n!r} and depth {m!r} "
+                f"does not fit a basis of {len(basis)} names")
+        grading = cls(base_basis=tuple(b.rsplit("@", 1)[0] for b in basis[:n]), depth=m)
+        if _grade_major(grading.base_basis, m) != tuple(basis) or grading.to_dict() != d:
+            raise AlgebraFormatError(
+                "grading block does not describe the grade-major basis b@j of the file")
+        return grading
 
 
 def _require_grading(L: LieAlgebra) -> TakiffGrading:
@@ -120,12 +131,8 @@ def takiff(L: LieAlgebra, m: int) -> LieAlgebra:
                     table[(a, b)] = {shift + k: c for k, c in coeffs.items()}
                 else:
                     table[(b, a)] = {shift + k: c for k, c in neg.items()}
-    grading = TakiffGrading(
-        base_dim=n, depth=m,
-        grade_of={name: k // n for k, name in enumerate(basis)},
-        base_name_of={name: L.basis[k % n] for k, name in enumerate(basis)},
-    )
-    return LieAlgebra(label=f"{L.label}<{m}>", basis=basis, brackets=table, grading=grading)
+    return LieAlgebra(label=f"{L.label}<{m}>", basis=basis, brackets=table,
+                      grading=TakiffGrading(base_basis=L.basis, depth=m))
 
 
 def multi_current(L: LieAlgebra, degrees: Sequence[int]) -> LieAlgebra:
@@ -139,44 +146,23 @@ def multi_current(L: LieAlgebra, degrees: Sequence[int]) -> LieAlgebra:
     return dataclasses.replace(cur, label=label)
 
 
-def nilpotent_ideal(L: LieAlgebra) -> list[str]:
-    """Basis names of positive grade; verified to span an ideal."""
-    grading = _require_grading(L)
-    ideal_idx = {i for i, b in enumerate(L.basis) if grading.grade_of[b] >= 1}
-    for (i, j), coeffs in L.brackets.items():
-        if i in ideal_idx or j in ideal_idx:
-            outside = [L.basis[k] for k in coeffs if k not in ideal_idx]
-            if outside:
-                raise AlgebraError(
-                    f"positive-grade span is not an ideal: [{L.basis[i]}, {L.basis[j]}] "
-                    f"meets {outside}")
-    return [b for b in L.basis if grading.grade_of[b] >= 1]
-
-
 def flatten_point(L: LieAlgebra, components: TakiffDualPoint) -> dict[str, Scalar]:
     """Assemble a dual point on L from its base components (xi_0..xi_m).
 
-    Each basis name is read through the grading's grade_of/base_name_of, so
-    no graded name is formatted.  Keys come grade by grade, within a grade in
-    the order the grade-0 names have in the basis (the order of
-    `graded_varset`).  Component j must assign exactly the base names of the
-    grade-j names.  Coordinates pass through `exact_scalars`, so they stay
-    `int` when integral and a float raises TypeError.
+    The basis is grade-major, so the flat point is the components
+    concatenated, each in base order, keyed by the basis names (the order of
+    `graded_varset`).  Every component must assign exactly the base names.
+    Coordinates pass through `exact_scalars`, so they stay `int` when
+    integral and a float raises TypeError.
     """
     grading = _require_grading(L)
-    m = grading.depth
+    m, base = grading.depth, grading.base_basis
     if len(components) != m + 1:
         raise AlgebraError(f"expected {m + 1} components, got {len(components)}")
-    grade_of, base_name_of = grading.grade_of, grading.base_name_of
-    graded: list[dict[str, str]] = [{} for _ in components]   # per grade: base name -> name
-    for name in L.basis:
-        graded[grade_of[name]][base_name_of[name]] = name
-    base = graded[0]
-    flat: dict[str, Scalar] = {}
+    names = set(base)
+    values: list = []
     for j, comp in enumerate(components):
-        names = graded[j]
-        if comp.keys() != names.keys():
+        if comp.keys() != names:
             raise AlgebraError(f"component {j} must assign exactly the base names")
-        for b, v in zip(base, exact_scalars([comp[b] for b in base])):
-            flat[names[b]] = v
-    return flat
+        values.extend(comp[b] for b in base)
+    return dict(zip(L.basis, exact_scalars(values)))

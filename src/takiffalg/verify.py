@@ -71,12 +71,9 @@ __all__ = [
     "verify_main_theorem",
     "verify_multi_current",
     "wonderful_diagnostic",
-    "identity_failure",
-    "DEFAULT_TRIALS",
     "DEFAULT_TRANSFER_SAMPLES",
 ]
 
-DEFAULT_TRIALS = 5
 DEFAULT_TRANSFER_SAMPLES = 100
 
 _REF_JACOBI = "Jacobi identity for the truncated-current bracket"
@@ -189,7 +186,7 @@ def _bracket_failure(Lm: LieAlgebra, name: str, paper_ref: str, F: Polynomial,
 
 
 def verify_main_theorem(L: LieAlgebra, fs: InvariantSet, m: int,
-                        trials: int = DEFAULT_TRIALS, seed: int = 0,
+                        trials: int = liealg.DEFAULT_TRIALS, seed: int = 0,
                         transfer_samples: int = DEFAULT_TRANSFER_SAMPLES,
                         eval_samples: int | None = None) -> Report:
     """Full structural verification of one truncation step L -> L<m>.
@@ -291,16 +288,6 @@ def _verify_step(L: LieAlgebra, fs: InvariantSet, m: int, trials: int,
     return rep, Lm, fam, rank_at
 
 
-def identity_failure(name: str, paper_ref: str, identity: tuple[int, int, str],
-                     seed: int | None) -> Check:
-    """The FAIL of a check certified by the derivative identity, naming its first defect."""
-    i, j, variable = identity
-    return Check(name=name, status=FAIL, paper_ref=paper_ref,
-                 witness={"error": "dF_i^j/d(b@(m-j)) differs from df_i/db at grade m",
-                          "member": [i, j], "variable": variable},
-                 seed=seed)
-
-
 def _jacobian_rank_check(L: LieAlgebra, fs: InvariantSet,
                          fam: raistauvel.InvariantFamily,
                          identity: tuple[int, int, str] | None, seed: int) -> Check:
@@ -315,7 +302,8 @@ def _jacobian_rank_check(L: LieAlgebra, fs: InvariantSet,
     `_zero_top_rank_bound`.
     """
     if identity is not None:
-        return identity_failure("jacobian-rank-on-omega", _REF_JACRANK, identity, seed)
+        return raistauvel.identity_failure("jacobian-rank-on-omega", _REF_JACRANK,
+                                           identity, seed)
     m = fam.depth
     want = (m + 1) * fam.l
     r = sampling.rng(seed, sampling.TAG_OMEGA, 0, 0)
@@ -345,7 +333,7 @@ def _jacobian_rank_check(L: LieAlgebra, fs: InvariantSet,
 def _omega_transfer_check(identity: tuple[int, int, str] | None, seed: int) -> Check:
     """xi in Omega(L<m>*) iff xi_m in Omega(L*), wherever the derivative identity holds."""
     if identity is not None:
-        return identity_failure("omega-transfer", _REF_OMEGA, identity, seed)
+        return raistauvel.identity_failure("omega-transfer", _REF_OMEGA, identity, seed)
     return Check(name="omega-transfer", status=PASS, paper_ref=_REF_OMEGA,
                  witness={"mode": "derivative-identity"})
 
@@ -442,7 +430,7 @@ def _regularity_transfer_check(L: LieAlgebra, Lm: LieAlgebra,
 
 
 def verify_multi_current(L: LieAlgebra, fs: InvariantSet, degrees,
-                         trials: int = DEFAULT_TRIALS, seed: int = 0,
+                         trials: int = liealg.DEFAULT_TRIALS, seed: int = 0,
                          transfer_samples: int = DEFAULT_TRANSFER_SAMPLES) -> Report:
     """Verify an iterated truncation one level at a time.
 
@@ -488,7 +476,7 @@ def verify_multi_current(L: LieAlgebra, fs: InvariantSet, degrees,
 
 
 def wonderful_diagnostic(L: LieAlgebra, fs: InvariantSet,
-                         trials: int = DEFAULT_TRIALS, seed: int = 0) -> Report:
+                         trials: int = liealg.DEFAULT_TRIALS, seed: int = 0) -> Report:
     """Count and degree-sum criteria for a wonderful algebra; diagnostic only.
 
     A failed degree-sum criterion with sum < b(q) refutes the codimension-2

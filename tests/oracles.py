@@ -13,10 +13,12 @@ through its own structure constants and one componentwise through the base
 algebra's; the derivative identity of an expanded family one variable
 at a time; and membership in the depth-one null fiber N<1>, every family
 member evaluated term by term, beside the base-level characterization it
-is certified to equal.  Algebras, polynomials and gradings are read only
-through their raw data: basis names, bracket tables, term dictionaries and
-grade maps; the one package method called is `Polynomial.partial`, the
-derivative identity's and the Poisson bracket's per-variable route.
+is certified to equal.  Algebras and polynomials are read only through
+their raw data: basis names, bracket tables and term dictionaries.  The
+grade and base name of a truncation's basis element are parsed from its
+name `b@j`, never taken from the package's grading or basis order; the one
+package method called is `Polynomial.partial`, the derivative identity's
+and the Poisson bracket's per-variable route.
 """
 
 from __future__ import annotations
@@ -24,6 +26,16 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
+
+
+def graded_parts(name: str) -> tuple[str, int]:
+    """(b, j) of the graded name `b@j`; b may itself be graded."""
+    base, grade = name.rsplit("@", 1)
+    return base, int(grade)
+
+
+def _depth(algebra) -> int:
+    return max(graded_parts(name)[1] for name in algebra.basis)
 
 
 class EpsValue:
@@ -196,11 +208,12 @@ def null_fiber_member(fam, components: Sequence[dict[str, Fraction]]) -> bool:
     """True iff every member of an expanded family vanishes at the point.
 
     ``components[g]`` is the grade-g component over the base basis; the
-    flat point is assembled from the grade maps, not by the package.
+    flat point is assembled from the parsed names, not by the package.
     """
-    grading = fam.takiff_algebra.grading
-    flat = {name: components[grading.grade_of[name]][grading.base_name_of[name]]
-            for name in fam.takiff_algebra.basis}
+    flat = {}
+    for name in fam.takiff_algebra.basis:
+        b, g = graded_parts(name)
+        flat[name] = components[g][b]
     return all(evaluate(F, flat) == 0 for row in fam.table for F in row)
 
 
@@ -318,14 +331,13 @@ def derivative_identity_defect(fam) -> tuple[int, int, str] | None:
     """First (i, j, b@(m-j)) where dF_i^j/d(b@(m-j)) is not df_i/db at grade m.
 
     One `Polynomial.partial` per member and base variable, members eps-power
-    major and variables in base order.  Graded names are looked up in the
-    grade maps, and the right side moves each index of a base monomial to
-    the grade-m name of its variable.  None when the identity holds.
+    major and variables in base order.  Graded names are found by parsing
+    the basis names, and the right side moves each index of a base monomial
+    to the grade-m name of its variable.  None when the identity holds.
     """
     Lm, base = fam.takiff_algebra, fam.base
-    grading = Lm.grading
-    m = grading.depth
-    name_at = {(grading.base_name_of[v], grading.grade_of[v]): v for v in Lm.basis}
+    m = _depth(Lm)
+    name_at = {graded_parts(v): v for v in Lm.basis}
     top = [Lm.basis.index(name_at[(b, m)]) for b in base.algebra.basis]
     for j in range(m + 1):
         for i, f in enumerate(base.polys, start=1):
@@ -366,20 +378,20 @@ def ad_star(algebra, x: dict[str, Fraction], xi: dict[str, Fraction]) -> dict[st
 
 def split_point(algebra, point: dict[str, Fraction]) -> list[dict[str, Fraction]]:
     """A dual point on a truncation as its base components xi_0..xi_m."""
-    g = algebra.grading
-    comps: list[dict[str, Fraction]] = [{} for _ in range(g.depth + 1)]
+    comps: list[dict[str, Fraction]] = [{} for _ in range(_depth(algebra) + 1)]
     for name in algebra.basis:
-        comps[g.grade_of[name]][g.base_name_of[name]] = Fraction(point[name])
+        b, g = graded_parts(name)
+        comps[g][b] = Fraction(point[name])
     return comps
 
 
 def split_element(algebra, x: dict[str, Fraction]) -> list[dict[str, Fraction]]:
     """A sparse element of a truncation as its nonzero base parts x_0..x_m."""
-    g = algebra.grading
-    comps: list[dict[str, Fraction]] = [{} for _ in range(g.depth + 1)]
+    comps: list[dict[str, Fraction]] = [{} for _ in range(_depth(algebra) + 1)]
     for name, c in x.items():
         if c:
-            comps[g.grade_of[name]][g.base_name_of[name]] = Fraction(c)
+            b, g = graded_parts(name)
+            comps[g][b] = Fraction(c)
     return comps
 
 
@@ -387,10 +399,10 @@ class _BaseBlock:
     """The grade-0 subalgebra of a truncation: basis names and bracket table."""
 
     def __init__(self, algebra):
-        g = algebra.grading
-        grade0 = [i for i, b in enumerate(algebra.basis) if g.grade_of[b] == 0]
+        parts = [graded_parts(name) for name in algebra.basis]
+        grade0 = [i for i, (_, g) in enumerate(parts) if g == 0]
         pos = {i: p for p, i in enumerate(grade0)}
-        self.basis = tuple(g.base_name_of[algebra.basis[i]] for i in grade0)
+        self.basis = tuple(parts[i][0] for i in grade0)
         self.brackets = {(pos[i], pos[j]): {pos[k]: c for k, c in coeffs.items()}
                          for (i, j), coeffs in algebra.brackets.items()
                          if i in pos and j in pos}
@@ -416,7 +428,8 @@ def coadjoint_apply(algebra, x: dict[str, Fraction],
 def coadjoint_apply_generic(algebra, x: dict[str, Fraction],
                             components: list[dict[str, Fraction]]) -> list[dict[str, Fraction]]:
     """Structure-constant route: flatten, act on the truncation's dual, split back."""
-    g = algebra.grading
-    flat = {name: Fraction(components[g.grade_of[name]][g.base_name_of[name]])
-            for name in algebra.basis}
+    flat = {}
+    for name in algebra.basis:
+        b, g = graded_parts(name)
+        flat[name] = Fraction(components[g][b])
     return split_point(algebra, ad_star(algebra, x, flat))

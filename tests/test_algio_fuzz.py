@@ -74,6 +74,12 @@ documents = st.fixed_dictionaries(
                       "base_name_of": {}}})
 @example({"label": "x", "basis": list(NAMES), "brackets": [],
           "invariants": ["(" * 2000 + "e" + ")" * 2000]})
+@example({"label": "sl2", "basis": list(NAMES),
+          "brackets": [{"pair": [0, 1], "coeffs": {"e": "-2"}},
+                       {"pair": [0, 2], "coeffs": {"h": "1"}},
+                       {"pair": [1, 2], "coeffs": {"f": "-2"}}],
+          "grading": {"base_dim": 1, "depth": 0, "grade_of": {"x@0": 0},
+                      "base_name_of": {"x@0": "x"}}})
 def test_loader_raises_only_input_errors(doc):
     try:
         algio.algebra_from_dict(doc)

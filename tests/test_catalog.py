@@ -22,11 +22,9 @@ EXPECTED = {
 }
 
 
-def test_names_and_listing():
+def test_names():
     assert catalog.NAMES == tuple(EXPECTED)
-    listed = catalog.list_entries()
-    assert [name for name, _ in listed] == list(catalog.NAMES)
-    assert all(summary for _, summary in listed)
+    assert all(catalog.load(name).summary for name in catalog.NAMES)
 
 
 def test_unknown_name_reports_choices():

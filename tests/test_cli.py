@@ -14,7 +14,7 @@ import takiffalg
 from takiffalg import algio, catalog
 from takiffalg.cli import main
 from takiffalg.liealg import AlgebraFormatError
-from takiffalg.takiff import multi_current
+from takiffalg.takiff import multi_current, takiff
 
 BAD_JACOBI = {
     "label": "badsl2",
@@ -283,6 +283,30 @@ class TestInputErrors:
         L, _, _ = algio.algebra_from_dict(doc)
         assert L.brackets == {(0, 1): {0: want}}
 
+    @pytest.mark.parametrize("case", ["grading-of-another-basis", "basis-out-of-grade-order"])
+    def test_grading_block_off_the_basis_is_input_error(self, tmp_path, capsys, sl2, case):
+        # The first file once loaded and verified to PASS, its grading never
+        # checked against the basis.
+        if case == "grading-of-another-basis":
+            doc = algio.algebra_to_dict(sl2.algebra)
+            doc["grading"] = {"base_dim": 1, "depth": 0, "grade_of": {"x@0": 0},
+                              "base_name_of": {"x@0": "x"}}
+        else:
+            Lm = takiff(sl2.algebra, 1)
+            order = [4, 1, 5, 0, 3, 2]
+            doc = algio.algebra_to_dict(Lm)
+            doc["basis"] = [Lm.basis[k] for k in order]
+            for entry in doc["brackets"]:
+                entry["pair"] = [order.index(k) for k in entry["pair"]]
+        src = tmp_path / "graded.json"
+        src.write_text(json.dumps(doc))
+        with pytest.raises(AlgebraFormatError, match="grading block"):
+            algio.load_algebra_file(src)
+        assert main(["verify", "--m", "1", str(src)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err and captured.out == ""
+
     def test_mutually_exclusive_flags(self):
         with pytest.raises(SystemExit):
             main(["verify", "--m", "1", "--multi", "1,1", "sl2"])
@@ -294,8 +318,9 @@ class TestCatalogCommand:
     def test_list(self, capsys):
         assert main(["catalog", "list"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
-        assert len(lines) == len(catalog.NAMES)
-        assert lines[0].startswith("sl2")
+        assert [line.split()[0] for line in lines] == list(catalog.NAMES)
+        for name, line in zip(catalog.NAMES, lines):
+            assert line.endswith(catalog.load(name).summary)
 
     def test_export_schema(self, tmp_path):
         out = tmp_path / "heis2.json"

@@ -27,7 +27,7 @@ from takiffalg.raistauvel import (
 from takiffalg.report import FAIL, PASS
 from takiffalg.takiff import flatten_point
 
-from oracles import fraction_nullspace, n1_characterization, null_fiber_member
+from oracles import fraction_nullspace, graded_parts, n1_characterization, null_fiber_member
 
 
 def _pt(L, **coords):
@@ -256,7 +256,7 @@ class TestKernelPoints:
 
     def test_sl2_level1_rows_guarded(self, sl2, sl2_family_m1):
         L1, fs1 = sl2_family_m1.takiff_algebra, sl2_family_m1.invariant_set()
-        grade1 = [b for b in L1.basis if L1.grading.grade_of[b] == 1]
+        grade1 = [name for name in L1.basis if graded_parts(name)[1] == 1]
         guards = (lambda p: any(p[b] for b in grade1),   # as in the level-3 strata
                   lambda p: p[grade1[0]] > 0)             # rejects about half the draws
         for t in range(50):

@@ -41,6 +41,14 @@ def test_only_the_report_reads_the_clock():
     assert readers == ["report.py"]
 
 
+def test_only_takiff_names_the_grade_maps():
+    # the grade-major layout is stated once, in `takiff`; the file format's
+    # name-keyed maps are written and checked there, and nowhere else read
+    readers = sorted(p.name for p in (SRC / "takiffalg").glob("*.py")
+                     if "grade_of" in p.read_text() or "base_name_of" in p.read_text())
+    assert readers == ["takiff.py"]
+
+
 def _bench_trace_spans():
     """SPANS of perfbench/bench_trace.py (stdlib imports only), read without
     writing bytecode next to it."""

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from takiffalg import algio, catalog, sampling
-from takiffalg.liealg import AlgebraError, LieAlgebra, validate
+from takiffalg.liealg import AlgebraError, AlgebraFormatError, LieAlgebra, validate
 from takiffalg.polyring import Polynomial, parse_poly
 from takiffalg.raistauvel import expand_invariant
 from takiffalg.takiff import (
@@ -15,7 +15,6 @@ from takiffalg.takiff import (
     graded_name,
     graded_varset,
     multi_current,
-    nilpotent_ideal,
     takiff,
 )
 
@@ -25,6 +24,7 @@ from oracles import (
     bracket_elements,
     coadjoint_apply,
     coadjoint_apply_generic,
+    graded_parts,
     poisson_bracket,
     split_element,
     split_point,
@@ -67,14 +67,13 @@ class TestConstruction:
         L = sl2.algebra
         m = 2
         Lm = takiff(L, m)
-        g = Lm.grading
         n = L.dim
         for i in range(Lm.dim):
             for j in range(Lm.dim):
                 if i == j:
                     continue
                 got = bracket(Lm, i, j)
-                gi, gj = g.grade_of[Lm.basis[i]], g.grade_of[Lm.basis[j]]
+                gi, gj = graded_parts(Lm.basis[i])[1], graded_parts(Lm.basis[j])[1]
                 base = bracket(L, i % n, j % n)
                 if gi + gj > m:
                     assert got == {}, (i, j)
@@ -86,10 +85,25 @@ class TestConstruction:
         Lm = takiff(heis1.algebra, 3)
         g = Lm.grading
         assert isinstance(g, TakiffGrading)
-        assert g.base_dim == 3 and g.depth == 3
-        assert g.grade_of["z@2"] == 2
-        assert g.base_name_of["z@2"] == "z"
-        assert TakiffGrading.from_dict(g.to_dict()) == g
+        assert g == TakiffGrading(base_basis=("x", "y", "z"), depth=3)
+        assert g.base_dim == 3
+        d = g.to_dict()
+        assert d["grade_of"]["z@2"] == 2
+        assert d["base_name_of"]["z@2"] == "z"
+        assert TakiffGrading.from_dict(d, Lm.basis) == g
+
+    @pytest.mark.parametrize("name", catalog.NAMES)
+    def test_grading_round_trips_and_flattens_grade_major(self, name):
+        L = catalog.load(name).algebra
+        cases = [(L, m, takiff(L, m)) for m in (1, 2, 3)]
+        cases.append((takiff(L, 1), 2, multi_current(L, [1, 2])))
+        for t, (base, m, Lm) in enumerate(cases):
+            g = Lm.grading
+            assert TakiffGrading.from_dict(g.to_dict(), Lm.basis) == g
+            comps = sampling.random_components(base.basis, m, sampling.rng(5, 26, t))
+            want = dict(zip(graded_varset(base, m), (c[b] for c in comps for b in base.basis)))
+            flat = flatten_point(Lm, comps)
+            assert flat == want and list(flat) == list(want), (name, Lm.label)
 
     def test_multi_current_labels_and_names(self, heis1):
         L11 = multi_current(heis1.algebra, [1, 1])
@@ -116,15 +130,6 @@ class TestConstruction:
                 assert list(Lm.brackets.items()) == list(want.brackets.items()), (name, m)
                 L = Lm
             assert L.structure_equal(multi_current(catalog.load(name).algebra, degrees))
-
-    def test_nilpotent_ideal(self, sl2):
-        Lm = takiff(sl2.algebra, 2)
-        ideal = nilpotent_ideal(Lm)
-        assert ideal == ["e@1", "h@1", "f@1", "e@2", "h@2", "f@2"]
-
-    def test_nilpotent_ideal_requires_grading(self, sl2):
-        with pytest.raises(AlgebraError):
-            nilpotent_ideal(sl2.algebra)
 
 
 # mostly zeros, so that some random tables satisfy Jacobi
@@ -245,7 +250,9 @@ class TestPointSplitting:
         assert flat == {graded_name(b, j): comps[j][b]
                         for j in range(m + 1) for b in inner.basis}
 
-    def test_flatten_on_a_loaded_basis_out_of_grade_order(self, sl2, tmp_path):
+    def test_a_loaded_basis_out_of_grade_order_is_refused(self, sl2, tmp_path):
+        # the same algebra with its basis permuted and its pairs renumbered;
+        # a grading holds only for the grade-major basis b@j at j*n + k
         Lm = takiff(sl2.algebra, 2)
         order = [7, 2, 3, 0, 8, 5, 1, 6, 4]   # h@2 f@0 e@1 e@0 f@2 f@1 h@0 e@2 h@1
         d = algio.algebra_to_dict(Lm)
@@ -253,13 +260,30 @@ class TestPointSplitting:
         for entry in d["brackets"]:
             entry["pair"] = [order.index(k) for k in entry["pair"]]
         algio.dump_json(tmp_path / "shuffled.json", d)
-        loaded, _, _ = algio.load_algebra_file(tmp_path / "shuffled.json")
-        assert loaded.basis[:2] == ("h@2", "f@0")
-        comps = sampling.random_components(sl2.algebra.basis, 2, sampling.rng(5, 25))
-        flat = flatten_point(loaded, comps)
-        assert flat == flatten_point(Lm, comps)
-        # grade by grade, each grade in the order of the grade-0 names: f, e, h
-        assert list(flat) == [graded_name(b, j) for j in range(3) for b in "feh"]
+        with pytest.raises(AlgebraFormatError, match="grade-major"):
+            algio.load_algebra_file(tmp_path / "shuffled.json")
+        del d["grading"]
+        loaded, _, _ = algio.algebra_from_dict(d)
+        assert loaded.grading is None
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.update(depth=3),
+        lambda d: d.update(base_dim=True),
+        lambda d: d["grade_of"].update({"e@1": 0}),
+        lambda d: d["base_name_of"].update({"e@1": "h"}),
+        lambda d: d["grade_of"].pop("f@2"),
+        lambda d: d.update(extra=1),
+    ], ids=["depth", "bool-base-dim", "grade", "base-name", "missing-name", "extra-key"])
+    def test_a_grading_block_that_differs_from_the_layout_is_refused(self, sl2, edit):
+        Lm = takiff(sl2.algebra, 2)
+        d = Lm.grading.to_dict()
+        edit(d)
+        with pytest.raises(AlgebraFormatError):
+            TakiffGrading.from_dict(d, Lm.basis)
+
+    def test_flatten_point_requires_grading(self, sl2):
+        with pytest.raises(AlgebraError, match="no truncation grading"):
+            flatten_point(sl2.algebra, [{"e": 1, "h": 2, "f": 3}])
 
     def test_flatten_refuses_wrong_count_and_wrong_keys(self, sl2):
         L1 = takiff(sl2.algebra, 1)
