@@ -61,7 +61,7 @@ def _emit_report(rep: Report, path: str | None) -> int:
     for line in rep.human_lines():
         print(line)
     if path:
-        algio.dump_json(path, rep.to_dict())
+        Path(path).write_text(rep.to_json(), encoding="utf-8")
         print(f"wrote {path}")
     return 0 if rep.summary != FAIL else 1
 

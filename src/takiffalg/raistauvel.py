@@ -15,24 +15,25 @@ each base variable's coefficient list (b@m, b@(m-1), ..., b@0) to
 truncated at eps^m; numeric dual-number evaluation exists only in the test
 suite as an independent oracle.
 
-Structural facts enforced here when a family is built: F^j depends only on
-the grades m-j..m (triangularity) and deg F^j = deg f.  `family_rank_at`
-gives the rank of a whole family's Jacobian at a flat point.
+The chain rule gives every such expansion, whatever f, the structure that
+`InvariantFamily` enforces when a family is built, in one sweep over each
+member's terms: every term of F^j has degree deg f and Takiff weight j,
+where b@g weighs m-g (so F^j depends only on the grades m-j..m), and
 
-Ordered by eps-power (rows) and by descending grade (columns), that
-Jacobian is block lower triangular.  `derivative_identity_defect` checks,
-once per family and as a polynomial identity, that every diagonal block is
-the base Jacobian at the top component,
+    dF_i^j / d(b@(m-j)) = (df_i / db)(xi_m).
 
-    dF_i^j / d(b@(m-j)) = (df_i / db)(xi_m),
-
-so the family has full rank (m+1)l at xi exactly when `omega_test` holds at
-xi_m.  Reversing the grade blocks makes the Kirillov matrix of L<m> block
-triangular too, with diagonal K(xi_m); `block_triangle_rank` uses both
-triangles to give rank K(xi) = (m+1)(n-l) from the top component alone
-wherever it is regular and in Omega.  It is the one route for that
-decision: `takiff_kirillov_rank` applies it at a flat point and ranks the
-full matrix where it gives None.
+A table that breaks any of the three is refused, naming the member and the
+term or variable; only a broken expansion can build one.  `family_rank_at`
+gives the rank of a whole family's Jacobian at a flat point.  Ordered by
+eps-power (rows) and by descending grade (columns), that Jacobian is block
+lower triangular with the base Jacobian at the top component on the
+diagonal, so the family has full rank (m+1)l at xi exactly when
+`omega_test` holds at xi_m.  Reversing the grade blocks makes the Kirillov
+matrix of L<m> block triangular too, with diagonal K(xi_m);
+`block_triangle_rank` uses both triangles to give rank K(xi) = (m+1)(n-l)
+from the top component alone wherever it is regular and in Omega.  It is
+the one route for that decision: `takiff_kirillov_rank` applies it at a
+flat point and ranks the full matrix where it gives None.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from .liealg import (
     omega_test,
 )
 from .polyring import Polynomial, jet_substitute
-from .report import FAIL, Check
 from .takiff import graded_name, graded_varset, takiff
 
 __all__ = [
@@ -60,8 +60,6 @@ __all__ = [
     "expand_invariant",
     "build_family",
     "family_rank_at",
-    "derivative_identity_defect",
-    "identity_failure",
     "block_triangle_rank",
     "takiff_kirillov_rank",
 ]
@@ -87,9 +85,11 @@ class InvariantFamily:
     """The l x (m+1) grid of expanded invariants attached to L<m>.
 
     table[i][j] is F_{i+1}^j; rows follow the base invariants, columns the
-    eps-power.  Construction enforces the two structural facts that later
-    checks rely on: every entry is homogeneous of its row's base degree, and
-    row entry j uses only variables of grade m-j and above.
+    eps-power.  Construction enforces the structure of the expansion that
+    later checks rely on, member by member in `members` order: every term
+    of F_i^j has degree deg f_i and weight j, and dF_i^j/d(b@(m-j)) is
+    df_i/db at grade m for every base variable b.  The first defect raises
+    AlgebraError naming (i, j) and the term or the variable.
     """
 
     takiff_algebra: LieAlgebra
@@ -97,23 +97,40 @@ class InvariantFamily:
     table: tuple[tuple[Polynomial, ...], ...]
 
     def __post_init__(self):
-        m = self.depth
-        n = self.takiff_algebra.grading.base_dim
-        for i, row in enumerate(self.table):
+        Lm, m = self.takiff_algebra, self.depth
+        n = Lm.grading.base_dim
+        if len(self.table) != len(self.base.polys):
+            raise AlgebraError(f"family has {len(self.table)} rows for "
+                               f"{len(self.base.polys)} base invariants")
+        for i, row in enumerate(self.table, start=1):
             if len(row) != m + 1:
-                raise AlgebraError(f"family row {i + 1} must have {m + 1} entries")
-            want = self.base.polys[i].degree()
-            for j, F in enumerate(row):
-                if F.varset != self.takiff_algebra.basis:
-                    raise AlgebraError(f"family entry ({i + 1},{j}) is over the wrong variables")
-                if not F.is_homogeneous() or F.degree() != want:
+                raise AlgebraError(f"family row {i} must have {m + 1} entries")
+        want = [(f.degree(), _partials_at_grade(f, m * n)) for f in self.base.polys]
+        for i, j, F in self.members():
+            if F.varset != Lm.basis:
+                raise AlgebraError(f"family entry ({i},{j}) is over the wrong variables")
+            deg, want_partials = want[i - 1]
+            low = (m - j) * n    # the grade-(m-j) variables are low..low+n-1
+            partials: list[dict] = [{} for _ in range(n)]
+            for mono, c in F.terms.items():
+                degree = weight = 0
+                for pos, (v, e) in enumerate(mono):
+                    degree += e
+                    weight += (m - v // n) * e
+                    if low <= v < low + n:
+                        rest = mono[pos + 1:] if e == 1 else ((v, e - 1),) + mono[pos + 1:]
+                        # the partial's monomial determines mono: nothing cancels
+                        partials[v - low][mono[:pos] + rest] = c if e == 1 else c * e
+                if degree != deg or weight != j:
                     raise AlgebraError(
-                        f"family entry ({i + 1},{j}) has degree {F.degree()}, expected {want}")
-                # monomials are sorted by variable index; the basis is grade-major
-                low = min(mono[0][0] for mono in F.terms) // n
-                if low < m - j:
+                        f"family entry ({i},{j}) has the term "
+                        f"'{Polynomial(F.varset, {mono: c})}' of degree {degree} and "
+                        f"weight {weight}, expected degree {deg} and weight {j}")
+            for k in range(n):
+                if partials[k] != want_partials[k]:
                     raise AlgebraError(
-                        f"family entry ({i + 1},{j}) reaches below grade {m - j}")
+                        f"family entry ({i},{j}): the partial in '{Lm.basis[low + k]}' "
+                        f"is not df_{i}/d{self.base.algebra.basis[k]} at grade {m}")
 
     @property
     def l(self) -> int:
@@ -138,6 +155,20 @@ class InvariantFamily:
                             polys=tuple(F for _, _, F in self.members()))
 
 
+def _partials_at_grade(f: Polynomial, shift: int) -> list[dict]:
+    """[df/db for b in the base] as term dicts, every variable index moved up by shift.
+
+    One sweep over the terms of f; shift m*n puts the partials at grade m.
+    """
+    out: list[dict] = [{} for _ in f.varset]
+    for mono, c in f.terms.items():
+        moved = tuple((k + shift, e) for k, e in mono)
+        for pos, (k, e) in enumerate(mono):
+            rest = moved[pos + 1:] if e == 1 else ((k + shift, e - 1),) + moved[pos + 1:]
+            out[k][moved[:pos] + rest] = c if e == 1 else c * e
+    return out
+
+
 def build_family(L: LieAlgebra, m: int, fs: InvariantSet) -> InvariantFamily:
     if not fs.algebra.structure_equal(L):
         raise AlgebraError("invariant set belongs to a different algebra")
@@ -156,86 +187,34 @@ def family_rank_at(fam: InvariantFamily, flat: DualPoint) -> int:
     return linalg.rank([F.gradient_at(flat) for _, _, F in fam.members()])
 
 
-def derivative_identity_defect(fam: InvariantFamily) -> tuple[int, int, str] | None:
-    """First (i, j, b@(m-j)) where dF_i^j/d(b@(m-j)) is not df_i/db at grade m.
-
-    The right side is df_i/db with every base variable b' renamed to b'@m.
-    Members come in `members` order, variables in base order; None means
-    the identity holds for every i, j and b.  Together with the
-    triangularity the family enforces, the identity makes rank J_F(xi) =
-    (m+1)l equivalent to `omega_test(fam.base, xi_m)` at every point.
-    One sweep over each member's terms forms all of its partials in the
-    grade-(m-j) variables at once.
-    """
-    Lm = fam.takiff_algebra
-    m = fam.depth
-    n = fam.base.algebra.dim
-    want = [[{tuple(sorted((m * n + k, e) for k, e in mono)): c
-              for mono, c in f.partial(b).terms.items()}
-             for b in fam.base.algebra.basis] for f in fam.base.polys]
-    for i, j, F in fam.members():
-        low = (m - j) * n    # the grade-(m-j) variables are low..low+n-1
-        partials: list[dict] = [{} for _ in range(n)]
-        for mono, c in F.terms.items():
-            for pos, (v, e) in enumerate(mono):
-                k = v - low
-                if not 0 <= k < n:
-                    continue
-                rest = mono[pos + 1:] if e == 1 else ((v, e - 1),) + mono[pos + 1:]
-                # the partial's monomial determines mono: nothing cancels
-                partials[k][mono[:pos] + rest] = c if e == 1 else c * e
-        for k in range(n):
-            if partials[k] != want[i - 1][k]:
-                return i, j, Lm.basis[low + k]
-    return None
-
-
-def identity_failure(name: str, paper_ref: str, identity: tuple[int, int, str],
-                     seed: int | None) -> Check:
-    """The FAIL of a check certified by the derivative identity, naming its first defect."""
-    i, j, variable = identity
-    return Check(name=name, status=FAIL, paper_ref=paper_ref,
-                 witness={"error": "dF_i^j/d(b@(m-j)) differs from df_i/db at grade m",
-                          "member": [i, j], "variable": variable},
-                 seed=seed)
-
-
-def block_triangle_rank(fam: InvariantFamily, top: DualPoint,
-                        top_rank: int | None = None) -> int | None:
+def block_triangle_rank(fam: InvariantFamily, top: DualPoint, top_rank: int) -> int | None:
     """rank K(xi) on fam.takiff_algebra from the top component alone, or None.
 
     Valid only when every member of the family is a symmetric invariant of
-    L<m> and `derivative_identity_defect(fam)` is None.  When the top
-    component xi_m has rank K(xi_m) = n - l and passes `omega_test`, the
-    rank is exactly (m+1)(n-l): the block triangle with diagonal K(xi_m)
-    bounds it below, and the (m+1)l gradients of the family, independent at
-    xi and in ker K(xi) because the members are invariants, bound it above.
-    Everywhere else only the Kirillov matrix of L<m> knows the rank, and the
-    answer is None.  ``top_rank`` is rank K(xi_m) when the caller already
-    has it; None ranks the top here.
+    L<m>.  ``top_rank`` is rank K(xi_m).  When it is n - l and the top
+    component xi_m passes `omega_test`, the rank is exactly (m+1)(n-l): the
+    block triangle with diagonal K(xi_m) bounds it below, and the (m+1)l
+    gradients of the family, independent at xi and in ker K(xi) because
+    the members are invariants, bound it above.  Everywhere else only the
+    Kirillov matrix of L<m> knows the rank, and the answer is None.
     """
-    L, fs = fam.base.algebra, fam.base
-    if top_rank is None:
-        top_rank = kirillov_rank_at(L, top)
-    regular = L.dim - fam.l
-    if top_rank == regular and omega_test(fs, top):
+    regular = fam.base.algebra.dim - fam.l
+    if top_rank == regular and omega_test(fam.base, top):
         return (fam.depth + 1) * regular
     return None
 
 
 def takiff_kirillov_rank(fam: InvariantFamily, flat: DualPoint,
-                         base_rank: RankFunction | None = None) -> int:
+                         base_rank: RankFunction) -> int:
     """rank K(xi) at a flat point of fam.takiff_algebra, by the grade blocks where possible.
 
-    The top component is read off the flat point for `block_triangle_rank`;
-    where that gives None, the Kirillov matrix of L<m> is built and ranked.
-    ``base_rank``, any exact rank function on the base, ranks the top
-    component when given; None leaves that to `block_triangle_rank`.  The
-    same validity conditions apply.
+    The top component is read off the flat point and ranked by
+    ``base_rank``, any exact rank function on the base, for
+    `block_triangle_rank`; where that gives None, the Kirillov matrix of
+    L<m> is built and ranked.  The same validity condition applies.
     """
     Lm = fam.takiff_algebra
     base = fam.base.algebra.basis
     top = {b: flat[name] for b, name in zip(base, Lm.basis[fam.depth * len(base):])}
-    top_rank = base_rank(fam.base.algebra, top) if base_rank is not None else None
-    rank = block_triangle_rank(fam, top, top_rank)
+    rank = block_triangle_rank(fam, top, base_rank(fam.base.algebra, top))
     return kirillov_rank_at(Lm, flat) if rank is None else rank

@@ -24,18 +24,18 @@ the next level as base invariants already certified, so only the first
 level, and a level after a FAIL, brackets.  The certificate rests on
 `raistauvel.build_family` computing the jet expansion, as the Jacobi
 certificate rests on `takiff` computing the truncated bracket;
-`raistauvel.derivative_identity_defect` checks part of that once per
-family.
+`raistauvel.InvariantFamily` refuses a table that breaks the expansion's
+degrees, weights or derivative identity, so a broken expansion raises
+AlgebraError instead of writing a report.
 
-Both omega checks are certificates.  Once
-`raistauvel.derivative_identity_defect` finds no defect, the family
-Jacobian is block triangular with diagonal J_f(xi_m), since construction
-already enforces the triangular supports, so its rank is full exactly where
-`omega_test` holds at xi_m.  That is the transfer "xi in Omega(L<m>*) iff
-xi_m in Omega(L*)" at every point: `omega-transfer` PASSes on the identity
-alone and draws nothing, and `jacobian-rank-on-omega` ranks the family
-Jacobian at one point whose top component is in Omega, as a concrete
-witness.  A defect FAILs both checks and names the member and variable.
+Both omega checks are certificates.  Every family satisfies the derivative
+identity dF_i^j/d(b@(m-j)) = (df_i/db)(xi_m) and the triangular supports,
+so the family Jacobian is block triangular with diagonal J_f(xi_m), and its
+rank is full exactly where `omega_test` holds at xi_m.  That is the
+transfer "xi in Omega(L<m>*) iff xi_m in Omega(L*)" at every point:
+`omega-transfer` PASSes whenever there is a family and draws nothing, and
+`jacobian-rank-on-omega` ranks the family Jacobian at one point whose top
+component is in Omega, as a concrete witness.
 When invariance also passes, the L<m> index trials and the regularity
 samples whose top component is regular and in Omega take their rank from
 `raistauvel.block_triangle_rank` without building the (m+1)n-wide
@@ -226,10 +226,8 @@ def _verify_step(L: LieAlgebra, fs: InvariantSet, m: int, trials: int,
     rep.add(invariance)
     rep.add(ideal)
 
-    identity = raistauvel.derivative_identity_defect(fam) if fam is not None else None
     # the block triangles give the exact rank where the top is regular in Omega
-    certified = (fam if fam is not None and invariance.status == PASS and identity is None
-                 else None)
+    certified = fam if invariance.status == PASS else None
     rank_at = liealg.kirillov_rank_at
     if certified is not None:
         def rank_at(_, flat):
@@ -277,9 +275,10 @@ def _verify_step(L: LieAlgebra, fs: InvariantSet, m: int, trials: int,
             rep.add(Check(name=name, status=SKIPPED, paper_ref=ref,
                           witness={"note": "no invariants supplied"}))
     else:
-        jacobian = _jacobian_rank_check(L, fs, fam, identity, seed)
+        jacobian = _jacobian_rank_check(L, fs, fam, seed)
         rep.add(jacobian)
-        rep.add(_omega_transfer_check(identity, seed))
+        rep.add(Check(name="omega-transfer", status=PASS, paper_ref=_REF_OMEGA,
+                      witness={"mode": "derivative-identity"}))
         if jacobian.status == PASS:
             shifted = certified
 
@@ -289,21 +288,16 @@ def _verify_step(L: LieAlgebra, fs: InvariantSet, m: int, trials: int,
 
 
 def _jacobian_rank_check(L: LieAlgebra, fs: InvariantSet,
-                         fam: raistauvel.InvariantFamily,
-                         identity: tuple[int, int, str] | None, seed: int) -> Check:
+                         fam: raistauvel.InvariantFamily, seed: int) -> Check:
     """Full family rank wherever xi_m is in Omega: a certificate by the derivative identity.
 
-    With no identity defect the family Jacobian is block triangular with
-    diagonal J_f(xi_m), so its rank is (m+1)l exactly where xi_m is in
-    Omega.  One point is drawn from the stream ``sampling.rng(seed,
-    TAG_OMEGA, 0, 0)``: a top component in Omega within 50 draws, then the
-    lower components.  The family Jacobian is ranked there as a concrete
+    The family Jacobian is block triangular with diagonal J_f(xi_m), so its
+    rank is (m+1)l exactly where xi_m is in Omega.  One point is drawn from
+    the stream ``sampling.rng(seed, TAG_OMEGA, 0, 0)``: a top component in
+    Omega within 50 draws, then the lower components.  The family Jacobian is ranked there as a concrete
     witness, and the point gives the depth-(m-1) family its rank ml for
     `_zero_top_rank_bound`.
     """
-    if identity is not None:
-        return raistauvel.identity_failure("jacobian-rank-on-omega", _REF_JACRANK,
-                                           identity, seed)
     m = fam.depth
     want = (m + 1) * fam.l
     r = sampling.rng(seed, sampling.TAG_OMEGA, 0, 0)
@@ -330,14 +324,6 @@ def _jacobian_rank_check(L: LieAlgebra, fs: InvariantSet,
                  seed=seed)
 
 
-def _omega_transfer_check(identity: tuple[int, int, str] | None, seed: int) -> Check:
-    """xi in Omega(L<m>*) iff xi_m in Omega(L*), wherever the derivative identity holds."""
-    if identity is not None:
-        return raistauvel.identity_failure("omega-transfer", _REF_OMEGA, identity, seed)
-    return Check(name="omega-transfer", status=PASS, paper_ref=_REF_OMEGA,
-                 witness={"mode": "derivative-identity"})
-
-
 def _zero_top_rank_bound(Lm: LieAlgebra,
                          shifted: raistauvel.InvariantFamily | None) -> int:
     """A bound on rank K(xi) on L<m> = takiff(L, m) wherever K(xi_m) = 0.
@@ -350,11 +336,10 @@ def _zero_top_rank_bound(Lm: LieAlgebra,
     `verify_multi_current`.
 
     ``shifted`` sharpens the bound to m(n - l) with nothing built.  It is
-    the step's family when invariance passes, `derivative_identity_defect`
-    finds no defect and `jacobian-rank-on-omega` found an Omega point, else
-    None.  Renaming every b@g to b@(g-1) carries the members F_i^j with
-    j <= m-1 onto the depth-(m-1) family, and, for k <= m-1, the bracket
-    {F', x@k} in L<m-1> onto {F, x@k} in L<m>.  So the depth-(m-1) family
+    the step's family when invariance passes and `jacobian-rank-on-omega`
+    found an Omega point, else None.  Renaming every b@g to b@(g-1) carries
+    the members F_i^j with j <= m-1 onto the depth-(m-1) family, and, for
+    k <= m-1, the bracket {F', x@k} in L<m-1> onto {F, x@k} in L<m>.  So the depth-(m-1) family
     is invariant and satisfies the identity too, and the Omega point gives
     it rank ml.  Then ind L<m-1> >= ml, and rank K(xi) <= m(n - l) wherever
     K(xi_m) = 0.

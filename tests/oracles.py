@@ -10,10 +10,10 @@ the bracket table, the Poisson bracket of two polynomials term by term from
 their partials and the bracket table, Poisson brackets with basis elements
 as a gradient times the Kirillov matrix, and the coadjoint action of a truncated current algebra by two routes, one
 through its own structure constants and one componentwise through the base
-algebra's; the derivative identity of an expanded family one variable
-at a time; and membership in the depth-one null fiber N<1>, every family
-member evaluated term by term, beside the base-level characterization it
-is certified to equal.  Algebras and polynomials are read only through
+algebra's; the Takiff weight of every term of an expanded family, and its
+derivative identity one variable at a time; and membership in the
+depth-one null fiber N<1>, every family member evaluated term by term,
+beside the base-level characterization it is certified to equal.  Algebras and polynomials are read only through
 their raw data: basis names, bracket tables and term dictionaries.  The
 grade and base name of a truncation's basis element are parsed from its
 name `b@j`, never taken from the package's grading or basis order; the one
@@ -327,13 +327,36 @@ def jacobi_residuals(algebra) -> dict[tuple[int, int, int], dict[int, Fraction]]
     return found
 
 
+def weight_defect(fam) -> tuple[int, int, str] | None:
+    """First (i, j, monomial) where a term of F_i^j has Takiff weight other than j.
+
+    b@g weighs m - g, with g parsed from the name; members eps-power major,
+    terms in the order of their term dictionary.  The monomial is written
+    as its factors `name` or `name^e` joined by `*`, in variable order.
+    ``fam`` is anything with the fields `takiff_algebra`, `base` and
+    `table` of an expanded family, such as a table the package refuses.
+    None when every term has the weight of its eps-power.
+    """
+    Lm = fam.takiff_algebra
+    m = _depth(Lm)
+    for j in range(m + 1):
+        for i, row in enumerate(fam.table, start=1):
+            for mono in row[j].terms:
+                names = [(Lm.basis[v], e) for v, e in mono]
+                if sum((m - graded_parts(name)[1]) * e for name, e in names) != j:
+                    return i, j, "*".join(name if e == 1 else f"{name}^{e}"
+                                          for name, e in names)
+    return None
+
+
 def derivative_identity_defect(fam) -> tuple[int, int, str] | None:
     """First (i, j, b@(m-j)) where dF_i^j/d(b@(m-j)) is not df_i/db at grade m.
 
     One `Polynomial.partial` per member and base variable, members eps-power
     major and variables in base order.  Graded names are found by parsing
     the basis names, and the right side moves each index of a base monomial
-    to the grade-m name of its variable.  None when the identity holds.
+    to the grade-m name of its variable.  ``fam`` is as for
+    `weight_defect`.  None when the identity holds.
     """
     Lm, base = fam.takiff_algebra, fam.base
     m = _depth(Lm)

@@ -59,7 +59,7 @@ def n1_report(sl2):
 
 @pytest.fixture(scope="module")
 def chain_report():
-    return sl2_chain(levels=3, seed=0, points_per_stratum=5)
+    return sl2_chain(levels=3, seed=0)
 
 
 def test_criterion_1_index_formula(base_indices):
@@ -188,7 +188,7 @@ def test_criterion_7_n1_characterization(sl2, sl2_family_m1, n1_report, n1_point
 
 def test_criterion_8_equidimensionality_chain(chain_report):
     t0 = time.monotonic()
-    rep = sl2_chain(levels=3, seed=0, points_per_stratum=5)
+    rep = sl2_chain(levels=3, seed=0)
     elapsed = time.monotonic() - t0
     by_name = {c.name: c for c in rep.checks}
     lvl1 = by_name["level1:stratum:principal-nilpotent"].witness
@@ -226,7 +226,7 @@ def test_criterion_10_determinism(sl2, n1_report, chain_report):
     cone = sl2.parametrizations["nilcone"]
     rerun_n1 = check_N1_characterization(sl2.algebra, sl2.invariants,
                                          seed=0, cone=cone.sample)
-    rerun_chain = sl2_chain(levels=3, seed=0, points_per_stratum=5)
+    rerun_chain = sl2_chain(levels=3, seed=0)
     verify_a = verify_main_theorem(sl2.algebra, sl2.invariants, 2, seed=0)
     verify_b = verify_main_theorem(sl2.algebra, sl2.invariants, 2, seed=0)
     ok = (rerun_n1.to_json() == n1_report.to_json()

@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 
 import takiffalg
-from takiffalg import algio, catalog
+from takiffalg import algio, catalog, raistauvel
 from takiffalg.cli import main
 from takiffalg.liealg import AlgebraFormatError
+from takiffalg.polyring import jet_substitute
 from takiffalg.takiff import multi_current, takiff
 
 BAD_JACOBI = {
@@ -306,6 +307,20 @@ class TestInputErrors:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_a_broken_expansion_is_one_line_exit_two(self, monkeypatch, capsys):
+        # an expansion that repeats F^0 as F^1 is refused when the family is
+        # built, naming a term of the wrong weight; no report is written
+        def broken(p, subst, order):
+            out = jet_substitute(p, subst, order)
+            out[1] = out[0]
+            return out
+
+        monkeypatch.setattr(raistauvel, "jet_substitute", broken)
+        assert main(["verify", "--m", "1", "sl2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: family entry (1,1) has the term")
+        assert captured.err.count("\n") == 1 and captured.out == ""
 
     def test_mutually_exclusive_flags(self):
         with pytest.raises(SystemExit):

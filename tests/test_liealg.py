@@ -37,6 +37,7 @@ from oracles import (
     naive_rank,
     poisson_bracket,
 )
+from oracles import derivative_identity_defect as oracle_identity_defect
 
 
 def _sl2_corrupted():
@@ -166,8 +167,9 @@ def _takiff_with_rank(name: str, m: int):
     if not len(entry.invariants):
         return takiff(entry.algebra, m), kirillov_rank_at
     fam = raistauvel.build_family(entry.algebra, m, entry.invariants)
-    assert raistauvel.derivative_identity_defect(fam) is None
-    return fam.takiff_algebra, lambda _, flat: raistauvel.takiff_kirillov_rank(fam, flat)
+    assert oracle_identity_defect(fam) is None
+    return fam.takiff_algebra, lambda _, flat: raistauvel.takiff_kirillov_rank(
+        fam, flat, kirillov_rank_at)
 
 
 class TestParityStop:

@@ -2,12 +2,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from takiffalg import catalog, linalg, nilfiber, sampling
-from takiffalg.liealg import InvariantSet, LieAlgebra, differential_matrix
+from takiffalg import catalog, linalg, nilfiber, raistauvel, sampling
+from takiffalg.liealg import AlgebraError, InvariantSet, LieAlgebra, differential_matrix
 from takiffalg.nilfiber import (
     NilfiberError,
     StratumSample,
@@ -17,17 +18,14 @@ from takiffalg.nilfiber import (
     sl2_chain,
     stratum_index,
 )
-from takiffalg.polyring import parse_poly
-from takiffalg.raistauvel import (
-    InvariantFamily,
-    build_family,
-    derivative_identity_defect,
-    family_rank_at,
-)
+from takiffalg.polyring import jet_substitute, parse_poly
+from takiffalg.raistauvel import InvariantFamily, build_family, family_rank_at
 from takiffalg.report import FAIL, PASS
 from takiffalg.takiff import flatten_point
 
+from oracles import derivative_identity_defect as oracle_identity_defect
 from oracles import fraction_nullspace, graded_parts, n1_characterization, null_fiber_member
+from oracles import weight_defect
 
 
 def _pt(L, **coords):
@@ -119,10 +117,10 @@ class TestLemmaBounds:
 
 
 def _perturbed(fam, i, j, extra):
-    # fam with extra added to F_i^j; the family re-checks triangularity and degrees
+    # the fields of fam with extra added to F_i^j: a draft the family refuses
     table = [list(row) for row in fam.table]
     table[i - 1][j] = table[i - 1][j] + parse_poly(extra, fam.takiff_algebra.basis)
-    return InvariantFamily(takiff_algebra=fam.takiff_algebra, base=fam.base,
+    return SimpleNamespace(takiff_algebra=fam.takiff_algebra, base=fam.base,
                            table=tuple(map(tuple, table)))
 
 
@@ -176,35 +174,35 @@ class TestCharacterization:
             shared = by_name["n1:" + c.name]
             assert (shared.status, shared.witness, shared.seed) == (c.status, c.witness, c.seed)
 
-    def test_term_free_of_grade0_fails_the_characterization(self, monkeypatch, sl2,
-                                                            sl2_family_m1):
-        # (e@1)^2 in F^1 keeps triangularity, homogeneity and the derivative
-        # identity, but F^1 is no longer <(df)_{xi_1}, xi_0>
+    def test_a_term_free_of_grade0_is_refused(self, sl2, sl2_family_m1):
+        # (e@1)^2 in F^1 keeps the degree and the derivative identity, but
+        # F^1 is no longer <(df)_{xi_1}, xi_0>: its weight 0 is refused
         bad = _perturbed(sl2_family_m1, 1, 1, "e@1^2")
-        assert derivative_identity_defect(bad) is None
+        assert oracle_identity_defect(bad) is None
+        assert weight_defect(bad) == (1, 1, "e@1^2")
         L = sl2.algebra
         xi0, xi1 = _pt(L, e=5, h=7), _pt(L, e=1)
         assert n1_characterization(sl2.invariants.polys, xi0, xi1)
         assert not null_fiber_member(bad, [xi0, xi1])
-        monkeypatch.setattr(nilfiber, "build_family", lambda *a: bad)
-        char, bounds = check_N1_characterization(L, sl2.invariants).checks
-        assert char.status == FAIL
-        assert char.witness == {"error": "F_i^1 has a term with no grade-0 factor",
-                                "member": [1, 1], "term": "e@1^2"}
-        assert bounds.status == PASS
+        with pytest.raises(AlgebraError, match=r"\(1,1\) has the term 'e@1\^2' of degree 2 "
+                                               r"and weight 0"):
+            InvariantFamily(takiff_algebra=bad.takiff_algebra, base=bad.base, table=bad.table)
 
-    def test_broken_derivative_identity_fails_both_n1_checks(self, monkeypatch,
-                                                             sl2_family_m1):
+    def test_a_broken_derivative_identity_stops_the_chain(self, monkeypatch, sl2_family_m1):
+        # e@0*h@1 in F^1 has weight 1, but dF^1/d(e@0) gains h@1: the chain
+        # refuses its level-1 family instead of certifying N<1>
         bad = _perturbed(sl2_family_m1, 1, 1, "e@0*h@1")
-        assert derivative_identity_defect(bad) == (1, 1, "e@0")
-        monkeypatch.setattr(nilfiber, "build_family", lambda *a: bad)
-        rep = sl2_chain(levels=1, seed=0)
-        n1 = [c for c in rep.checks if c.name.startswith("n1:")]
-        assert [c.name for c in n1] == ["n1:null-fiber-characterization", "n1:lemma-bounds"]
-        for c in n1:
-            assert c.status == FAIL
-            assert (c.witness["member"], c.witness["variable"]) == ([1, 1], "e@0")
-        assert [c.seed for c in n1] == [None, 0]
+        assert weight_defect(bad) is None
+        assert oracle_identity_defect(bad) == (1, 1, "e@0")
+
+        def broken(p, subst, order):
+            out = jet_substitute(p, subst, order)
+            out[1] = out[1] + parse_poly("e@0*h@1", out[1].varset)
+            return out
+
+        monkeypatch.setattr(raistauvel, "jet_substitute", broken)
+        with pytest.raises(AlgebraError, match=r"\(1,1\): the partial in 'e@0'"):
+            sl2_chain(levels=1, seed=0)
 
     def test_a_rank_outside_the_bounds_fails(self, monkeypatch, sl2):
         monkeypatch.setattr(nilfiber, "family_rank_at", lambda fam, flat: 0)
@@ -317,7 +315,7 @@ class TestEquidim:
 
 @pytest.fixture(scope="module")
 def chain():
-    return sl2_chain(levels=3, seed=0, points_per_stratum=5)
+    return sl2_chain(levels=3, seed=0)
 
 
 class TestChain:
@@ -353,15 +351,6 @@ class TestChain:
             sl2_chain(levels=0)
         with pytest.raises(ValueError):
             sl2_chain(levels=4)
-
-    @pytest.mark.parametrize("points", [0, -1])
-    def test_empty_strata_are_refused_before_any_work(self, monkeypatch, points):
-        def no_work(*args, **kwargs):
-            raise AssertionError("the chain started before checking its arguments")
-
-        monkeypatch.setattr(nilfiber, "build_family", no_work)
-        with pytest.raises(ValueError, match="at least one point"):
-            sl2_chain(levels=3, points_per_stratum=points)
 
     def test_single_level_runs_standalone(self):
         rep = sl2_chain(levels=1, seed=0)

@@ -49,6 +49,19 @@ def test_only_takiff_names_the_grade_maps():
     assert readers == ["takiff.py"]
 
 
+def test_the_expansion_structure_is_stated_once():
+    # the family enforces its degrees, weights and derivative identity when
+    # built; no module reports a defect of them, and the math layer writes
+    # no report
+    tree = ast.parse((SRC / "takiffalg" / "raistauvel.py").read_text())
+    imported = {node.module or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "report" not in imported
+    gone = ("identity_failure", "derivative_identity_defect", "_term_free_of_grade0")
+    assert [p.name for p in (SRC / "takiffalg").glob("*.py")
+            if any(name in p.read_text() for name in gone)] == []
+
+
 def _bench_trace_spans():
     """SPANS of perfbench/bench_trace.py (stdlib imports only), read without
     writing bytecode next to it."""

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,13 +14,13 @@ from takiffalg.liealg import (
     HomogeneityError,
     InvariantSet,
     kirillov_matrix,
+    kirillov_rank_at,
     omega_test,
 )
 from takiffalg.polyring import Polynomial, jet_substitute, parse_poly
 from takiffalg.raistauvel import (
     InvariantFamily,
     build_family,
-    derivative_identity_defect,
     expand_invariant,
     family_rank_at,
     takiff_kirillov_rank,
@@ -27,6 +29,7 @@ from takiffalg.takiff import flatten_point, graded_name, graded_varset, takiff
 
 from oracles import EpsValue, bareiss_rank, eval_poly_eps, graded_parts, poisson_bracket
 from oracles import derivative_identity_defect as oracle_identity_defect
+from oracles import weight_defect
 from oracles import kirillov_matrix as oracle_kirillov_matrix
 
 
@@ -117,36 +120,116 @@ class TestExpansion:
     def test_against_dual_number_oracle(self, name, m):
         assert _dual_number_mismatches(name, m) == []
 
-    @pytest.mark.parametrize("name,m", [("sl2", 1), ("sl2", 3), ("sl3", 1), ("slnV2", 2)])
-    def test_a_dropped_jet_term_fails_the_oracle(self, monkeypatch, name, m):
+    @pytest.mark.parametrize("name,m,grade0", [
+        ("sl2", 1, True), ("sl2", 3, True), ("sl2", 3, False), ("sl3", 1, True),
+        ("sl3", 2, False), ("slnV2", 2, True), ("slnV2", 2, False)])
+    def test_a_dropped_jet_term_is_refused_or_fails_the_oracle(self, monkeypatch, name, m,
+                                                               grade0):
         # `verify` certifies invariance from the base on the trust that
-        # build_family is the jet expansion; this comparison is what holds
-        # that trust, so a jet_substitute that loses one term must fail it
+        # build_family is the jet expansion; the family's refusal and this
+        # comparison hold that trust, so a jet_substitute that loses one term
+        # of F^m must meet one of them.  A lost term with a grade-0 factor
+        # changes a diagonal partial and is refused; one free of grade 0
+        # keeps every degree, weight and diagonal partial, and only the
+        # oracle sees it
+        n = catalog.load(name).algebra.dim
+
         def dropping(p, subst, order):
             out = jet_substitute(p, subst, order)
             top = out[-1]
-            lost = next(iter(top.terms))
+            lost = next(mono for mono in top.terms if (mono[0][0] < n) == grade0)
             out[-1] = Polynomial(top.varset, {mono: c for mono, c in top.terms.items()
                                               if mono != lost})
             return out
 
         monkeypatch.setattr(raistauvel, "jet_substitute", dropping)
-        assert _dual_number_mismatches(name, m) != []
+        if grade0:
+            with pytest.raises(AlgebraError, match=rf"family entry \(1,{m}\): the partial"):
+                _dual_number_mismatches(name, m)
+        else:
+            assert _dual_number_mismatches(name, m) != []
+
+
+def with_member(fam, i, j, F):
+    """The fields of fam with F in place of F_i^j: a draft the family may refuse."""
+    table = [list(row) for row in fam.table]
+    table[i - 1][j] = F
+    return SimpleNamespace(takiff_algebra=fam.takiff_algebra, base=fam.base,
+                           table=tuple(map(tuple, table)))
+
+
+def refusal_pattern(draft) -> str | None:
+    """The refusal the oracles expect for a draft family, as a regex; None for none.
+
+    Every term of the draft must have its row's degree.  The family sweeps
+    its members in `members` order, each member's terms before its
+    partials, so a weight defect is named first unless the identity breaks
+    in an earlier member.
+    """
+    weight, identity = weight_defect(draft), oracle_identity_defect(draft)
+    if weight is not None and (identity is None or weight[1::-1] <= identity[1::-1]):
+        i, j, mono = weight
+        return rf"family entry \({i},{j}\) has the term '-?([0-9/]+\*)?{re.escape(mono)}'"
+    if identity is not None:
+        i, j, variable = identity
+        return rf"family entry \({i},{j}\): the partial in '{re.escape(variable)}'"
+    return None
+
+
+def refusal(draft) -> str:
+    """The message InvariantFamily refuses a draft with; it names the oracles' defect."""
+    pattern = refusal_pattern(draft)
+    assert pattern is not None
+    with pytest.raises(AlgebraError, match=pattern) as info:
+        InvariantFamily(takiff_algebra=draft.takiff_algebra, base=draft.base,
+                        table=draft.table)
+    return str(info.value)
 
 
 class TestFamilyValidation:
     def test_table_shape_is_enforced(self, sl2, sl2_family_m1):
         fam = sl2_family_m1
-        with pytest.raises(AlgebraError):
+        with pytest.raises(AlgebraError, match="2 entries"):
             InvariantFamily(takiff_algebra=fam.takiff_algebra, base=fam.base,
                             table=((fam.member(1, 0),),))
+        with pytest.raises(AlgebraError, match="2 rows for 1 base invariants"):
+            InvariantFamily(takiff_algebra=fam.takiff_algebra, base=fam.base,
+                            table=fam.table * 2)
 
     def test_triangularity_is_enforced(self, sl2, sl2_family_m1):
         fam = sl2_family_m1
         swapped = ((fam.member(1, 1), fam.member(1, 0)),)
-        with pytest.raises(AlgebraError):
+        with pytest.raises(AlgebraError, match="weight 1, expected degree 2 and weight 0"):
             InvariantFamily(takiff_algebra=fam.takiff_algebra, base=fam.base,
                             table=swapped)
+
+    def test_a_member_of_the_wrong_degree_is_refused_by_name(self, sl2_family_m1):
+        fam = sl2_family_m1
+        F = fam.member(1, 0) + parse_poly("e@1", fam.takiff_algebra.basis)
+        with pytest.raises(AlgebraError) as info:
+            InvariantFamily(takiff_algebra=fam.takiff_algebra, base=fam.base,
+                            table=((F, fam.member(1, 1)),))
+        assert str(info.value) == ("family entry (1,0) has the term 'e@1' of degree 1 "
+                                   "and weight 0, expected degree 2 and weight 0")
+
+    @pytest.mark.parametrize("m,j,factor,extra,message", [
+        # wrong weights: no grade-0 factor in F^1, a grade-0 square in F^2
+        (1, 1, 1, "e@1^2", "(1,1) has the term 'e@1^2' of degree 2 and weight 0, "
+                           "expected degree 2 and weight 1"),
+        (2, 2, 1, "h@0^2", "(1,2) has the term 'h@0^2' of degree 2 and weight 4, "
+                           "expected degree 2 and weight 2"),
+        # wrong diagonal partials, every degree and weight right
+        (2, 0, 2, "0", "(1,0): the partial in 'e@2' is not df_1/de at grade 2"),
+        (2, 1, 2, "0", "(1,1): the partial in 'e@1' is not df_1/de at grade 2"),
+        (2, 2, 1, "e@0*e@2", "(1,2): the partial in 'e@0' is not df_1/de at grade 2"),
+        (1, 1, 1, "e@0*h@1", "(1,1): the partial in 'e@0' is not df_1/de at grade 1"),
+    ])
+    def test_a_member_off_the_expansion_is_refused_by_name(self, m, j, factor, extra,
+                                                           message):
+        fam = block_family("sl2", (m,))
+        F = fam.member(1, j)
+        assert refusal(with_member(fam, 1, j, F * factor + parse_poly(extra, F.varset))) \
+            == "family entry " + message
 
 
 class TestDifferentials:
@@ -224,53 +307,41 @@ def block_family(name, degrees):
     return build_family(L, degrees[-1], fs)
 
 
-def with_member(fam, i, j, F):
-    table = [list(row) for row in fam.table]
-    table[i - 1][j] = F
-    return InvariantFamily(takiff_algebra=fam.takiff_algebra, base=fam.base,
-                           table=tuple(map(tuple, table)))
-
-
 class TestBlockTriangularity:
     @pytest.mark.parametrize("name,degrees", BLOCK_CASES)
-    def test_expanded_families_satisfy_the_derivative_identity(self, name, degrees):
-        assert derivative_identity_defect(block_family(name, degrees)) is None
-
-    @pytest.mark.parametrize("i,j,extra,factor,named", [
-        (1, 0, "0", 2, (1, 0, "e@2")),
-        (1, 1, "0", 2, (1, 1, "e@1")),
-        (1, 2, "e@0*e@2", 1, (1, 2, "e@0")),
-        (1, 2, "h@0^2", 1, (1, 2, "h@0")),
-    ])
-    def test_a_changed_diagonal_partial_is_named(self, i, j, extra, factor, named):
-        fam = block_family("sl2", (2,))
-        F = fam.member(i, j)
-        bad = with_member(fam, i, j, F * factor + parse_poly(extra, F.varset))
-        assert derivative_identity_defect(bad) == named
+    def test_expanded_families_satisfy_the_oracles(self, name, degrees):
+        fam = block_family(name, degrees)
+        assert weight_defect(fam) is None
+        assert oracle_identity_defect(fam) is None
 
     @pytest.mark.parametrize("name,degrees", BLOCK_CASES)
     @settings(max_examples=6)
     @given(data=st.data())
-    def test_the_one_pass_identity_names_the_oracle_defect(self, name, degrees, data):
-        # each corruption adds c * v^d to F_i^j, v = b@(m-j) on the diagonal
-        # (the identity breaks at (i, j, b)) or b@m off it (for j >= 1 it holds)
+    def test_the_refusal_names_the_oracle_defect(self, name, degrees, data):
+        # each corruption adds c * v^d to F_i^j, d = deg f_i: v = b@(m-j) on
+        # the diagonal weighs jd, b@m off it weighs 0, and either changes the
+        # partial in v
         fam = block_family(name, degrees)
         m, base = fam.depth, fam.base.algebra.basis
-        assert derivative_identity_defect(fam) is None
-        assert oracle_identity_defect(fam) is None
         corruptions = data.draw(st.lists(st.tuples(
             st.integers(1, fam.l), st.integers(0, m), st.sampled_from(base),
             st.sampled_from([1, -2, Fraction(1, 3)]), st.booleans()), min_size=1, max_size=2))
+        draft = fam
         for i, j, b, c, diagonal in corruptions:
-            F = fam.member(i, j)
+            F = draft.table[i - 1][j]
             v = F.varset.index(graded_name(b, m - j if diagonal else m))
             term = Polynomial(F.varset, {((v, fam.base.polys[i - 1].degree()),): c})
-            fam = with_member(fam, i, j, F + term)
-        want = oracle_identity_defect(fam)
-        assert derivative_identity_defect(fam) == want
+            draft = with_member(draft, i, j, F + term)
+        message = refusal(draft)
         if len(corruptions) == 1:
             i, j, b, _, diagonal = corruptions[0]
-            assert want == ((i, j, graded_name(b, m - j)) if diagonal or j == 0 else None)
+            d = fam.base.polys[i - 1].degree()
+            v = graded_name(b, m - j if diagonal else m)
+            if j == 0 or diagonal and d == 1:
+                assert f"({i},{j}): the partial in '{v}'" in message
+            else:
+                assert f"({i},{j}) has the term" in message
+                assert f"{v}^{d}' of" in message if d > 1 else f"{v}' of" in message
 
     @pytest.mark.parametrize("kind", ["random", "zero", "nilcone"])
     @pytest.mark.parametrize("name,degrees", BLOCK_CASES)
@@ -290,7 +361,8 @@ class TestBlockTriangularity:
         flat = flatten_point(Lm, comps + [top])
         full = family_rank_at(fam, flat) == (m + 1) * fam.l
         assert full == omega_test(fam.base, top)
-        assert takiff_kirillov_rank(fam, flat) == linalg.rank(kirillov_matrix(Lm, flat))
+        assert takiff_kirillov_rank(fam, flat, kirillov_rank_at) == \
+            linalg.rank(kirillov_matrix(Lm, flat))
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_a_top_of_rank_n_minus_l_outside_omega_falls_back(self, sl3, m):
@@ -299,12 +371,11 @@ class TestBlockTriangularity:
         C2, C3 = sl3.invariants.polys
         fs = InvariantSet(algebra=sl3.algebra, polys=(C2, C3, C2 * C2, C2 * C3))
         fam = build_family(sl3.algebra, m, fs)
-        assert derivative_identity_defect(fam) is None
         comps = sampling.random_components(sl3.algebra.basis, m, sampling.rng(13, 53))
         comps[m] = {b: int(b == "e12") for b in sl3.algebra.basis}
         assert not omega_test(fs, comps[m])
         flat = flatten_point(fam.takiff_algebra, comps)
-        rank = takiff_kirillov_rank(fam, flat)
+        rank = takiff_kirillov_rank(fam, flat, kirillov_rank_at)
         assert rank == linalg.rank(kirillov_matrix(fam.takiff_algebra, flat))
         assert rank > (m + 1) * (sl3.algebra.dim - fam.l)
 
@@ -318,10 +389,10 @@ class TestBlockTriangularity:
 
         monkeypatch.setattr(raistauvel, "kirillov_rank_at", spy)
         comps = sampling.random_components(sl3.algebra.basis, 2, sampling.rng(13, 47))
-        assert takiff_kirillov_rank(fam, flatten_point(fam.takiff_algebra, comps)) == 18
+        assert takiff_kirillov_rank(fam, flatten_point(fam.takiff_algebra, comps), spy) == 18
         assert ranked == ["sl3"]
         comps[2] = {b: 0 for b in sl3.algebra.basis}
-        takiff_kirillov_rank(fam, flatten_point(fam.takiff_algebra, comps))
+        takiff_kirillov_rank(fam, flatten_point(fam.takiff_algebra, comps), spy)
         assert ranked == ["sl3", "sl3", "sl3<2>"]
 
 
@@ -363,7 +434,7 @@ class TestGradeShift:
             [(i, j) for i, j, _ in fam.members() if j <= m - 1]
         for i, j, F in low.members():
             assert shift_down(fam.member(i, j), L, m) == F
-        assert derivative_identity_defect(low) is None
+        assert oracle_identity_defect(low) is None
 
     @pytest.mark.parametrize("m", [2, 3])
     @pytest.mark.parametrize("name", ["sl2", "sl3", "heis1", "slnV2"])

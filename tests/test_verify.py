@@ -14,8 +14,8 @@ from takiffalg.liealg import (
     bracket_defect_against,
     invariance_defect,
 )
-from takiffalg.polyring import Polynomial, parse_poly
-from takiffalg.raistauvel import InvariantFamily, build_family
+from takiffalg.polyring import Polynomial, jet_substitute, parse_poly
+from takiffalg.raistauvel import build_family
 from takiffalg.report import FAIL, PASS, SKIPPED
 from takiffalg.takiff import flatten_point, takiff
 from takiffalg.verify import (
@@ -25,6 +25,7 @@ from takiffalg.verify import (
 )
 
 from oracles import bracket_values_at, kirillov_matrix as oracle_kirillov_matrix, naive_rank
+from oracles import derivative_identity_defect as oracle_identity_defect
 from oracles import gradient_at as oracle_gradient_at
 from test_report_bytes import BAD_JACOBI_THIRD
 
@@ -478,14 +479,13 @@ def _structural_and_exact(monkeypatch, L, fs, m, **kwargs):
     structural = raistauvel.block_triangle_rank
     calls = []
 
-    def spy(fam, top, top_rank=None):
+    def spy(fam, top, top_rank):
         calls.append(top)
         return structural(fam, top, top_rank)
 
     monkeypatch.setattr(raistauvel, "block_triangle_rank", spy)
     rep = verify_main_theorem(L, fs, m, **kwargs)
-    monkeypatch.setattr(raistauvel, "block_triangle_rank",
-                        lambda fam, top, top_rank=None: None)
+    monkeypatch.setattr(raistauvel, "block_triangle_rank", lambda fam, top, top_rank: None)
     _no_zero_top_decision(monkeypatch)
     exact = verify_main_theorem(L, fs, m, **kwargs)
     monkeypatch.undo()
@@ -614,22 +614,19 @@ class TestStructuralRanks:
         # when the rank bound leaves the sample open
         assert _zero_tops(built) == ([] if decided else [(m + 1) * L.dim] * 10)
 
-    def test_a_derivative_identity_defect_fails_both_omega_checks(self, monkeypatch, sl2):
-        # 2 * F_1^1 is still an invariant, with the right degree and support,
-        # but its grade-1 partials are twice df/db at grade 2
-        fam = build_family(sl2.algebra, 2, sl2.invariants)
-        table = ((fam.member(1, 0), fam.member(1, 1) * 2, fam.member(1, 2)),)
-        bad = InvariantFamily(takiff_algebra=fam.takiff_algebra, base=fam.base, table=table)
-        monkeypatch.setattr(raistauvel, "build_family", lambda L, m, fs: bad)
-        rep, calls, exact = _structural_and_exact(
-            monkeypatch, sl2.algebra, sl2.invariants, 2, transfer_samples=20)
-        assert _by_name(rep, "invariance").status == PASS
-        for name in ("jacobian-rank-on-omega", "omega-transfer"):
-            check = _by_name(rep, name)
-            assert check.status == FAIL
-            assert (check.witness["member"], check.witness["variable"]) == ([1, 1], "e@1")
-        assert calls == 0
-        _exact_route_witnesses_agree(rep, exact)
+    def test_a_derivative_identity_defect_is_refused_before_any_check(self, monkeypatch,
+                                                                       sl2):
+        # 2 * F_1^1 is still an invariant, with the right degree and weight,
+        # but its grade-1 partials are twice df/db at grade 2: the omega
+        # certificates would not hold, and the family is never built
+        def doubled(p, subst, order):
+            out = jet_substitute(p, subst, order)
+            out[1] = out[1] * 2
+            return out
+
+        monkeypatch.setattr(raistauvel, "jet_substitute", doubled)
+        with pytest.raises(liealg.AlgebraError, match=r"\(1,1\): the partial in 'e@1'"):
+            verify_main_theorem(sl2.algebra, sl2.invariants, 2, transfer_samples=20)
 
     def test_a_failed_invariance_takes_the_exact_route(self, monkeypatch, sl2):
         bad = InvariantSet(algebra=sl2.algebra,
@@ -666,7 +663,7 @@ class TestZeroTopBoundFallback:
         fs = InvariantSet(algebra=L, polys={"none": (), "dependent": (C, C * C),
                                             "non-invariant": (D,)}[case])
         if case == "non-invariant":
-            assert raistauvel.derivative_identity_defect(build_family(L, 2, fs)) is None
+            assert oracle_identity_defect(build_family(L, 2, fs)) is None
         rep, built = _kirillov_matrices(monkeypatch, L, fs, 2)
         assert _by_name(rep, failed).status == (SKIPPED if case == "none" else FAIL)
         assert _zero_tops(built) == [9] * 10
