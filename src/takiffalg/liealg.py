@@ -31,6 +31,7 @@ from .polyring import (
     Scalar,
     UnknownVariableError,
     _common_denominator,
+    _int_gradient_rows,
     _over,
     exact_scalars,
 )
@@ -398,8 +399,16 @@ def invariance_defect(L: LieAlgebra, f: Polynomial) -> tuple[str, Polynomial] | 
 # differentials and the singular-set test
 # ---------------------------------------------------------------------------
 
-def differential_matrix(polys: Sequence[Polynomial], point: DualPoint) -> list[list[Fraction]]:
-    return [f.gradient_at(point) for f in polys]
+def differential_matrix(polys: Sequence[Polynomial], point: DualPoint) -> list[list[int]]:
+    """The differentials of polys at a point, as integer rows, for ranks and kernels only.
+
+    Row i is a positive rational multiple of the gradient of polys[i] at the
+    point (see `polyring._int_gradient_rows`), so the matrix has the rank,
+    row space and null space of the exact differentials, not their values;
+    `Polynomial.gradient_at` gives those.  A missing coordinate raises
+    MissingAssignmentError and an inexact one TypeError.
+    """
+    return _int_gradient_rows(polys, point)
 
 
 @dataclass(frozen=True)

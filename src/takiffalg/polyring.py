@@ -13,6 +13,13 @@ integral point the whole loop is integer arithmetic, and the result is
 divided by D once at the end.  Values come back as `int` when integral and
 as `Fraction` otherwise.
 
+Differential matrices, which are only ranked and reduced, skip both
+divisions: `_int_gradient_rows` (behind `liealg.differential_matrix`)
+clears the point to integers over its common denominator once and sweeps
+each plan with the plan's denominator dropped, so every row is an integer
+row and a positive rational multiple of the exact gradient.  Such rows give
+ranks and kernels, never gradient values.
+
 There is no floating point anywhere in this module.
 """
 
@@ -158,25 +165,31 @@ def _mono_degree(m: Monomial) -> int:
     return sum(e for _, e in m)
 
 
-def _power(one, base, exp: int, mul=operator.mul):
-    """base^exp by square-and-multiply starting from ``one``; every product goes through mul."""
-    result = one
+def _power(base, exp: int, mul=operator.mul):
+    """base^exp for exp >= 1 by square-and-multiply; every product goes through mul.
+
+    The result starts as the first factor of base that the binary expansion
+    of exp takes, so no product by one is formed.
+    """
+    result = None
     while exp:
         if exp & 1:
-            result = mul(result, base)
+            result = base if result is None else mul(result, base)
         exp >>= 1
         if exp:
             base = mul(base, base)
     return result
 
 
-# A polynomial's integer plan: (D, value terms, gradient terms).  The value
-# terms are (D * coefficient, factors) with each monomial spelled out as a
-# tuple of variable indices, x0^2*x3 as (0, 0, 3); the gradient terms are
+# A polynomial's integer plan: (D, value terms, gradient terms, pad).  The
+# value terms are (D * coefficient, factors) with each monomial spelled out as
+# a tuple of variable indices, x0^2*x3 as (0, 0, 3); the gradient terms are
 # (variable index, D * coefficient * exponent, the factors left after one
-# factor of that variable is taken away).
+# factor of that variable is taken away).  pad is the factor count of the
+# longest gradient term when the gradient terms' factor counts differ (the
+# polynomial is not homogeneous), and 0 when they agree.
 _IntPlan = tuple[int, list[tuple[int, tuple[int, ...]]],
-                 list[tuple[int, int, tuple[int, ...]]]]
+                 list[tuple[int, int, tuple[int, ...]]], int]
 
 
 def _build_int_plan(terms: Mapping[Monomial, Fraction]) -> _IntPlan:
@@ -190,7 +203,47 @@ def _build_int_plan(terms: Mapping[Monomial, Fraction]) -> _IntPlan:
             if pos and factors[pos - 1] == idx:
                 continue
             grads.append((idx, c * factors.count(idx), factors[:pos] + factors[pos + 1:]))
-    return den, values, grads
+    counts = {len(rest) for _, _, rest in grads}
+    return den, values, grads, max(counts) if len(counts) > 1 else 0
+
+
+def _int_gradient_rows(polys: Sequence["Polynomial"],
+                       point: Mapping[str, Scalar]) -> list[list[int]]:
+    """Integer rows, each a positive rational multiple of one gradient at the point.
+
+    The point is read once per variable set and cleared to integers over
+    the common denominator D of its coordinates; each member's plan sweeps
+    those integers with the plan's denominator dropped.  For a homogeneous
+    f of degree d, grad f(D x) = D^(d-1) grad f(x); a gradient term with k
+    factors of a non-homogeneous f is padded by D^(pad-k), so every row is
+    D^pad times the plan's denominator times the exact gradient.  The rows
+    have the rank, row space and kernel of the exact gradients, not their
+    values.  A missing coordinate raises MissingAssignmentError, an inexact
+    one TypeError, as in `Polynomial.gradient_at`.
+    """
+    rows: list[list[int]] = []
+    varset: tuple[str, ...] | None = None
+    for f in polys:
+        if f.varset is not varset and f.varset != varset:
+            varset = f.varset
+            vals = f._values_vector(point)
+            D = _common_denominator(vals)
+            if D != 1:
+                vals = [x.numerator * (D // x.denominator) for x in vals]
+        _, _, grads, pad = f._int_plan()
+        row = [0] * len(vals)
+        if D == 1 or not pad:
+            for idx, acc, rest in grads:
+                for jdx in rest:
+                    acc *= vals[jdx]
+                row[idx] += acc
+        else:
+            for idx, acc, rest in grads:
+                for jdx in rest:
+                    acc *= vals[jdx]
+                row[idx] += acc * D ** (pad - len(rest))
+        rows.append(row)
+    return rows
 
 
 class Polynomial:
@@ -345,9 +398,11 @@ class Polynomial:
     def __pow__(self, exp: int) -> "Polynomial":
         if not isinstance(exp, int) or exp < 0:
             raise PolyringError("polynomial exponents must be nonnegative integers")
-        one = Polynomial.constant(self.varset, 1)
-        one._vidx = self._vidx
-        return _power(one, self, exp)
+        if exp == 0:
+            one = Polynomial.constant(self.varset, 1)
+            one._vidx = self._vidx
+            return one
+        return _power(self, exp)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
@@ -395,7 +450,7 @@ class Polynomial:
         Returns an `int` when the value is integral and a `Fraction` otherwise.
         """
         vals = self._values_vector(point)
-        den, values, _ = self._int_plan()
+        den, values, _, _ = self._int_plan()
         total = 0
         for acc, factors in values:
             for idx in factors:
@@ -413,7 +468,7 @@ class Polynomial:
         entry is an `int` when integral and a `Fraction` otherwise.
         """
         vals = self._values_vector(point)
-        den, _, grads = self._int_plan()
+        den, _, grads, _ = self._int_plan()
         grad: list[Scalar] = [0] * len(vals)
         for idx, acc, rest in grads:
             for jdx in rest:
@@ -599,8 +654,9 @@ class _Parser:
             if len(digits) > 2 or int(digits) * max(base.degree(), 1) > MAX_PARSE_DEGREE:
                 raise ParseError(f"power exceeds the degree cap {MAX_PARSE_DEGREE}",
                                  etok[2])
-            return _power(Polynomial.constant(self.varset, 1), base, int(digits),
-                          lambda p, q: self._mul(p, q, etok[2]))
+            if digits == "0":
+                return Polynomial.constant(self.varset, 1)
+            return _power(base, int(digits), lambda p, q: self._mul(p, q, etok[2]))
         return base
 
     def _atom(self) -> Polynomial:
@@ -703,7 +759,6 @@ def jet_substitute(p: Polynomial, subst: Mapping[str, Sequence[Polynomial]],
                 _add_terms(out[i + j], prod)
         return out
 
-    one: list[dict[Monomial, int]] = [{(): 1}] + [{} for _ in range(order)]
     result: list[dict[Monomial, int]] = [{} for _ in range(order + 1)]
     powcache: dict[tuple[int, int], list[dict[Monomial, int]]] = {}
     for mono, c in p.terms.items():
@@ -712,7 +767,7 @@ def jet_substitute(p: Polynomial, subst: Mapping[str, Sequence[Polynomial]],
         for idx, e in mono:
             jp = powcache.get((idx, e))
             if jp is None:
-                jp = powcache[(idx, e)] = _power(one, int_jets[p.varset[idx]], e, mul)
+                jp = powcache[(idx, e)] = _power(int_jets[p.varset[idx]], e, mul)
             acc = mul(acc, jp)
         for r, a in zip(result, acc):
             _add_terms(r, a)

@@ -39,6 +39,7 @@ flat point and ranks the full matrix where it gives None.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator
 
 from . import linalg
@@ -53,7 +54,7 @@ from .liealg import (
     omega_test,
 )
 from .polyring import Polynomial, jet_substitute
-from .takiff import graded_name, graded_varset, takiff
+from .takiff import graded_varset, takiff
 
 __all__ = [
     "InvariantFamily",
@@ -74,9 +75,11 @@ def expand_invariant(L: LieAlgebra, m: int, f: Polynomial) -> list[Polynomial]:
             f"invariant variables {f.varset} do not match the basis of {L.label}")
     if not f.is_homogeneous():
         raise HomogeneityError(f"cannot expand non-homogeneous polynomial '{f}'")
-    names = graded_varset(L, m)
-    subst = {b: [Polynomial.variable(names, graded_name(b, m - s)) for s in range(m + 1)]
-             for b in L.basis}
+    names, n, one = graded_varset(L, m), L.dim, Fraction(1)
+    # b@(m-s) for the i-th base variable b is basis index (m-s)*n + i of L<m>
+    subst = {b: [Polynomial(names, {(((m - s) * n + i, 1),): one}, _canonical=True)
+                 for s in range(m + 1)]
+             for i, b in enumerate(L.basis)}
     return jet_substitute(f, subst, m)
 
 

@@ -5,6 +5,15 @@ clock timings are kept on the in-memory objects for the human summary but are
 normalized to 0 in the JSON form, since anything else would break run-to-run
 reproducibility of the report files.
 
+`Report.to_json` writes the bytes of ``json.dumps(doc, indent=2,
+sort_keys=True)`` for the report's document (label, summary, and each
+check's fields with its witness made JSON-safe by `jsonable`), but directly:
+one recursive writer walks the values, quoting strings with
+`json.encoder.encode_basestring_ascii`, and hands any type it does not know
+to ``json.dumps(jsonable(v))``.  The indented `json.dumps` cannot use the C
+encoder, and the writer takes less than half its time.  `tests/oracles.py`
+keeps the `json.dumps` route as the byte oracle.
+
 A report is the one place that times a check.  Its clock starts when the
 report is created, and `Report.add` sets a check's ``elapsed`` to the time
 since the previous `add` (or since the report was created), so every second
@@ -19,6 +28,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
 __all__ = ["Check", "Report", "PASS", "FAIL", "SAMPLED_PASS", "SKIPPED", "jsonable"]
@@ -46,6 +56,53 @@ def jsonable(value: Any) -> Any:
     return str(value)
 
 
+def _write(value: Any, pad: str, out: list[str]) -> None:
+    """Append the JSON of ``value`` as ``json.dumps(jsonable(value), indent=2, sort_keys=True)``.
+
+    ``pad`` is a newline followed by the indentation of the line that holds
+    ``value``.  Keys are ``str()``-ed into one dict first, as `jsonable`
+    does, so colliding keys keep the last value.
+    """
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif type(value) is int:
+        out.append(repr(value))
+    elif isinstance(value, Fraction):
+        out.append(_quote(str(value)))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{" + inner
+        for k, v in sorted({str(k): v for k, v in value.items()}.items()):
+            out.append(sep)
+            out.append(_quote(k))
+            out.append(": ")
+            _write(v, inner, out)
+            sep = "," + inner
+        out.append(pad + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = "[" + inner
+        for v in value:
+            out.append(sep)
+            _write(v, inner, out)
+            sep = "," + inner
+        out.append(pad + "]")
+    else:
+        out.append(json.dumps(jsonable(value)))
+
+
 @dataclass
 class Check:
     name: str
@@ -54,17 +111,6 @@ class Check:
     witness: Any = None
     seed: int | None = None
     elapsed: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "paper_ref": self.paper_ref,
-            "status": self.status,
-            "witness": jsonable(self.witness),
-            "seed": self.seed,
-            # Normalized so that reports are byte-identical across runs.
-            "ms": 0,
-        }
 
 
 @dataclass
@@ -98,15 +144,14 @@ class Report:
             worst = max(worst, _STATUS_ORDER.get(c.status, 2))
         return {2: FAIL, 1: SAMPLED_PASS, 0: PASS}[worst]
 
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "checks": [c.to_dict() for c in self.checks],
-            "summary": self.summary,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        """The report as indented JSON with sorted keys; each check's ``ms`` is 0."""
+        checks = [{"ms": 0, "name": c.name, "paper_ref": c.paper_ref, "seed": c.seed,
+                   "status": c.status, "witness": c.witness} for c in self.checks]
+        out: list[str] = []
+        _write({"checks": checks, "label": self.label, "summary": self.summary}, "\n", out)
+        out.append("\n")
+        return "".join(out)
 
     def human_lines(self) -> list[str]:
         lines = [f"report: {self.label}"]

@@ -18,14 +18,19 @@ their raw data: basis names, bracket tables and term dictionaries.  The
 grade and base name of a truncation's basis element are parsed from its
 name `b@j`, never taken from the package's grading or basis order; the one
 package method called is `Polynomial.partial`, the derivative identity's
-and the Poisson bracket's per-variable route.
+and the Poisson bracket's per-variable route.  The byte oracle of a report
+writes its document with `json.dumps`, witnesses made JSON-safe by the
+package's `report.jsonable`, which defines what a witness serializes to.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
+
+from takiffalg.report import jsonable
 
 
 def graded_parts(name: str) -> tuple[str, int]:
@@ -456,3 +461,20 @@ def coadjoint_apply_generic(algebra, x: dict[str, Fraction],
         b, g = graded_parts(name)
         flat[name] = Fraction(components[g][b])
     return split_point(algebra, ad_star(algebra, x, flat))
+
+
+def report_json(rep) -> str:
+    """A report's bytes by the plain route: its document through `json.dumps`.
+
+    The witnesses go through `report.jsonable`, the data model the report
+    bytes are defined by, and the document through the standard library's
+    indented encoder with sorted keys.
+    """
+    doc = {
+        "label": rep.label,
+        "checks": [{"name": c.name, "paper_ref": c.paper_ref, "status": c.status,
+                    "witness": jsonable(c.witness), "seed": c.seed, "ms": 0}
+                   for c in rep.checks],
+        "summary": rep.summary,
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -5,19 +5,29 @@
 them with the naive Fraction routes in `oracles.py` where that denominator is
 not 1 (rational coefficients and structure constants) and at integral and
 rational points, pin the result types, and check that floats are refused at
-every point boundary.
+every point boundary.  `differential_matrix` returns integer rows that are
+positive multiples of the exact gradients; they are compared with the
+oracle's gradients up to that scaling, and by the ranks and kernels they
+give.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, strategies as st
 
-from takiffalg import catalog, linalg, sampling
-from takiffalg.liealg import LieAlgebra, check_point, kirillov_matrix, validate
-from takiffalg.polyring import Polynomial
+from takiffalg import catalog, liealg, linalg, nilfiber, sampling
+from takiffalg.liealg import (
+    LieAlgebra,
+    check_point,
+    differential_matrix,
+    kirillov_matrix,
+    validate,
+)
+from takiffalg.polyring import MissingAssignmentError, Polynomial, parse_poly
 from takiffalg.raistauvel import build_family
 from takiffalg.takiff import flatten_point, takiff
 
@@ -184,6 +194,88 @@ class TestIntegerResults:
                        for row in kirillov_matrix(fam.takiff_algebra, flat) for v in row)
 
 
+@cache
+def _invariant_polys(name: str, m: int) -> tuple[Polynomial, ...]:
+    """The catalog invariants of `name` (m = 0) or its depth-m family members."""
+    entry = catalog.load(name)
+    if m == 0:
+        return entry.invariants.polys
+    return build_family(entry.algebra, m, entry.invariants).invariant_set().polys
+
+
+_DIFFERENTIAL_CASES = [(name, m) for name in ("sl2", "heis1", "sl3", "slnV2")
+                       for m in (0, 1, 2)]
+# a non-homogeneous member: its gradient terms have 0, 1 and 2 factors
+_UNEVEN = parse_poly("x^3 + 1/2*x*y - 3*z + 1/3 + 1/5*w*z", VS)
+
+
+def _is_positive_multiple(row, exact) -> bool:
+    k = next((k for k, g in enumerate(exact) if g), None)
+    if k is None:
+        return not any(row)
+    scale = Fraction(row[k], exact[k])
+    return scale > 0 and all(r == scale * g for r, g in zip(row, exact))
+
+
+def _assert_rows_scale_the_gradients(polys, pt) -> None:
+    rows = differential_matrix(polys, pt)
+    exact = [oracles.gradient_at(f, pt) for f in polys]
+    assert all(type(x) is int for row in rows for x in row)
+    assert all(_is_positive_multiple(row, g) for row, g in zip(rows, exact))
+    assert linalg.rank(rows) == linalg.rank(exact)
+    assert linalg.nullspace(rows) == linalg.nullspace(exact)
+
+
+class TestDifferentialRows:
+    """Integer differential rows: positive multiples of the exact gradients."""
+
+    @given(st.sampled_from(_DIFFERENTIAL_CASES), st.booleans(), st.data())
+    def test_catalog_rows_scale_the_oracle_gradients(self, case, rational, data):
+        polys = _invariant_polys(*case)
+        coord = frac_st if rational else st.integers(-30, 30)
+        pt = data.draw(st.fixed_dictionaries({v: coord for v in polys[0].varset}))
+        _assert_rows_scale_the_gradients(polys, pt)
+
+    @given(int_point_st | rational_point_st)
+    def test_a_non_homogeneous_member_is_padded(self, pt):
+        _assert_rows_scale_the_gradients([_UNEVEN, _UNEVEN * 2, _UNEVEN.partial("x")], pt)
+
+    def test_rational_point_rows_pin_the_scale(self):
+        # at (w, x, y, z) = (1/2, 1/3, 0, 1): D = 6, plan denominator 30,
+        # every gradient term padded to 2 factors: row = 30 * 6^2 * grad
+        pt = {"w": Fraction(1, 2), "x": Fraction(1, 3), "y": 0, "z": 1}
+        (row,) = differential_matrix([_UNEVEN], pt)
+        assert row == [1080 * g for g in oracles.gradient_at(_UNEVEN, pt)]
+
+    def test_chain_matrices_reach_rank_and_nullspace_as_int(self, monkeypatch):
+        # every matrix sl2_chain builds by differential_matrix (in nilfiber
+        # and behind omega_test) and hands to rank or nullspace is all-int,
+        # at rational kernel points too
+        made, checked, rational = [], [], []
+        for module, name in ((nilfiber, "differential_matrix"),
+                             (liealg, "differential_matrix")):
+            original = getattr(module, name)
+
+            def spy(polys, point, _original=original):
+                rational.append(any(type(v) is Fraction for v in point.values()))
+                rows = _original(polys, point)
+                made.append(rows)
+                return rows
+            monkeypatch.setattr(module, name, spy)
+        for name in ("rank", "nullspace"):
+            original = getattr(linalg, name)
+
+            def checking(rows, *args, _original=original, **kwargs):
+                if any(rows is m for m in made):
+                    checked.append(all(type(x) is int for row in rows for x in row))
+                return _original(rows, *args, **kwargs)
+            monkeypatch.setattr(linalg, name, checking)
+        for seed in range(3):
+            nilfiber.sl2_chain(levels=3, seed=seed)
+        assert len(checked) == len(made) > 0 and all(checked)
+        assert any(rational)
+
+
 class TestExactPointBoundary:
     @pytest.mark.parametrize("bad", [0.5, 2.0, "1", None])
     def test_polynomial_evaluation_refuses(self, sl2, bad):
@@ -193,6 +285,12 @@ class TestExactPointBoundary:
             f.evaluate(pt)
         with pytest.raises(TypeError):
             f.gradient_at(pt)
+        with pytest.raises(TypeError):
+            differential_matrix([f], pt)
+
+    def test_differential_matrix_needs_every_coordinate(self, sl2):
+        with pytest.raises(MissingAssignmentError, match="'f'"):
+            differential_matrix(sl2.invariants.polys, {"e": 1, "h": Fraction(1, 2)})
 
     @pytest.mark.parametrize("bad", [0.5, 2.0, "1", None])
     def test_check_point_refuses(self, sl2, bad):

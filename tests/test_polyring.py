@@ -15,6 +15,7 @@ from takiffalg.polyring import (
     Polynomial,
     UnknownVariableError,
     VarsetMismatchError,
+    _power,
     jet_substitute,
     parse_poly,
 )
@@ -74,6 +75,26 @@ class TestBasics:
     def test_pow(self):
         assert (X + Y) ** 2 == parse_poly("x^2 + 2*x*y + y^2", VS)
         assert (X**0) == Polynomial.constant(VS, 1)
+        assert (X + Y) ** 1 == X + Y
+
+    def test_powers_form_no_product_by_one(self):
+        # square-and-multiply starts from the first factor it takes: ^7 forms
+        # the squares ^2, ^4 and the products ^3, ^7, and ^1 forms nothing
+        p = X + 2 * Y - Z
+        sizes = []
+
+        def mul(a, b):
+            sizes.append((len(a.terms), len(b.terms)))
+            return a * b
+        for exp, products in ((1, 0), (2, 1), (7, 4), (8, 3)):
+            sizes.clear()
+            want = p
+            for _ in range(exp - 1):
+                want = want * p
+            assert _power(p, exp, mul) == want
+            assert len(sizes) == products and all(1 not in pair for pair in sizes)
+        assert parse_poly("(x+2*y-z)^7", VS) == p ** 7
+        assert parse_poly("(x+2*y-z)^0", VS) == Polynomial.constant(VS, 1)
 
 
 class TestParsing:
@@ -113,7 +134,7 @@ class TestParsing:
     def test_work_cap_covers_the_whole_parse(self):
         vs = ("h1", "h2", "e12", "e23", "e13", "e21", "e32", "e31")
         copy = "(" + "+".join(vs) + ")^7"
-        # one ^7 spends 8 + 64 + 288 + 1296 + 120*330 = 41256 term pairs
+        # one ^7 spends 64 + 288 + 1296 + 120*330 = 41248 term pairs
         for k in (1, 2):
             assert len(parse_poly(" + ".join([copy] * k), vs).terms) == 3432
         text = " + ".join([copy] * 10)
