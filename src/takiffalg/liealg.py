@@ -269,20 +269,29 @@ DEFAULT_TRIALS = 5
 
 
 def generic_kirillov_rank(L: LieAlgebra, trials: int = DEFAULT_TRIALS, seed: int = 0,
-                          rank: RankFunction = kirillov_rank_at) -> int:
+                          rank: RankFunction = kirillov_rank_at,
+                          bound: int | None = None) -> int:
     """Max Kirillov rank over seeded random integer points (monotone in trials).
 
     ``rank(L, point)`` gives the rank at one trial point; any exact rank
     function, such as `raistauvel.takiff_kirillov_rank` for a certified
-    family, gives the same estimate as the default.  The Kirillov form is
-    skew, so its exact rank is even and at most 2*floor(dim/2): the trials
-    stop once that ceiling is reached, since no later trial can exceed it.
-    Every trial draws its own stream, so the estimate is the one all
-    ``trials`` would give.
+    family, gives the same estimate as the default.  ``bound`` is a proven
+    upper bound on the generic rank, or None.  The trials stop once the
+    best rank reaches the ceiling min(dim, bound), rounded down to even,
+    since the Kirillov form is skew and its exact rank is even: no later
+    trial can exceed the ceiling.  Every trial draws its own stream, so the
+    estimate is the one all ``trials`` would give.  A bound is valid only
+    when a certificate proves it, as `verify` does from certified
+    invariants that are independent at some point: a bound below the true
+    generic rank would stop the trials at a wrong estimate.  A ``trials``
+    below 1 or a negative ``bound`` raises ValueError.
     """
     if trials < 1:
         raise ValueError(f"the rank estimate needs at least one trial, got {trials}")
-    ceiling = L.dim - L.dim % 2
+    if bound is not None and bound < 0:
+        raise ValueError(f"a rank bound cannot be negative, got {bound}")
+    ceiling = L.dim if bound is None else min(L.dim, bound)
+    ceiling -= ceiling % 2
     best = 0
     streams = sampling.streams(seed, sampling.TAG_INDEX)
     for t in range(trials):
@@ -294,14 +303,19 @@ def generic_kirillov_rank(L: LieAlgebra, trials: int = DEFAULT_TRIALS, seed: int
 
 
 def index(L: LieAlgebra, trials: int = DEFAULT_TRIALS, seed: int = 0,
-          rank: RankFunction = kirillov_rank_at) -> int:
+          rank: RankFunction = kirillov_rank_at, bound: int | None = None) -> int:
     """ind L = dim L - max rank of the Kirillov form, estimated at random points.
 
     The estimate can only err upward (a random point may be non-generic), and
-    more trials never increase the result.  ``rank`` is passed on to
-    `generic_kirillov_rank`.
+    more trials never increase the result.  ``rank`` and ``bound`` are
+    passed on to `generic_kirillov_rank`.  Invariants f_1..f_l give the
+    bound dim L - l once their differentials are independent at one point:
+    df_i(xi) lies in the stabilizer of xi for an invariant, so the
+    stabilizer has dimension at least l on the open set Omega where they
+    are independent, hence at a generic point, and ind L >= l.
     """
-    return L.dim - generic_kirillov_rank(L, trials=trials, seed=seed, rank=rank)
+    return L.dim - generic_kirillov_rank(L, trials=trials, seed=seed, rank=rank,
+                                         bound=bound)
 
 
 def magic_from_index(L: LieAlgebra, idx: int) -> int:

@@ -11,7 +11,8 @@ their partials and the bracket table, Poisson brackets with basis elements
 as a gradient times the Kirillov matrix, and the coadjoint action of a truncated current algebra by two routes, one
 through its own structure constants and one componentwise through the base
 algebra's; the Takiff weight of every term of an expanded family, and its
-derivative identity one variable at a time; and membership in the
+derivative identity one variable at a time, and its degree sum, every
+member's degree read off its terms; and membership in the
 depth-one null fiber N<1>, every family member evaluated term by term,
 beside the base-level characterization it is certified to equal.  Algebras and polynomials are read only through
 their raw data: basis names, bracket tables and term dictionaries.  The
@@ -377,6 +378,17 @@ def derivative_identity_defect(fam) -> tuple[int, int, str] | None:
                 if F.partial(name).terms != want:
                     return i, j, name
     return None
+
+
+def family_degree_sum(fam) -> int:
+    """Sum of the degrees of the members of an expanded family, term by term.
+
+    A member's degree is the largest exponent sum over the monomials of its
+    term dictionary; a zero member has none and raises ValueError.  ``fam``
+    is as for `weight_defect`.
+    """
+    return sum(max(sum(e for _, e in mono) for mono in F.terms)
+               for row in fam.table for F in row)
 
 
 def bracket_values_at(algebra, poly, point: dict[str, Fraction]) -> list[Fraction]:

@@ -173,7 +173,7 @@ def _takiff_with_rank(name: str, m: int):
 
 
 class TestParityStop:
-    """The trials stop at 2*floor(dim/2), which no skew form's rank exceeds."""
+    """The trials stop at min(dim, bound) rounded down to even, which no rank exceeds."""
 
     @staticmethod
     def _spy(calls):
@@ -193,6 +193,21 @@ class TestParityStop:
         assert generic_kirillov_rank(sl3.algebra, trials=5, seed=0,
                                      rank=self._spy(calls)) == 6
         assert len(calls) == 5
+
+    @pytest.mark.parametrize("bound,ranked", [(6, 1), (7, 1), (8, 5), (None, 5)])
+    def test_a_bound_lowers_the_ceiling(self, sl3, bound, ranked):
+        # ind sl3 = 2 caps the rank at 6; an odd bound rounds down to even
+        calls = []
+        assert generic_kirillov_rank(sl3.algebra, trials=5, seed=0, bound=bound,
+                                     rank=self._spy(calls)) == 6
+        assert len(calls) == ranked
+        assert index(sl3.algebra, trials=5, seed=0, bound=bound) == 2
+
+    @pytest.mark.parametrize("bound", [-1, -6])
+    def test_a_negative_bound_is_refused(self, sl3, bound):
+        for estimate in (generic_kirillov_rank, index):
+            with pytest.raises(ValueError, match="cannot be negative"):
+                estimate(sl3.algebra, bound=bound)
 
     @pytest.mark.parametrize("name", catalog.NAMES)
     @pytest.mark.parametrize("m", [0, 1, 2])

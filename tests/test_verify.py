@@ -25,6 +25,7 @@ from takiffalg.verify import (
 )
 
 from oracles import bracket_values_at, kirillov_matrix as oracle_kirillov_matrix, naive_rank
+from oracles import bareiss_rank, family_degree_sum
 from oracles import derivative_identity_defect as oracle_identity_defect
 from oracles import gradient_at as oracle_gradient_at
 from test_report_bytes import BAD_JACOBI_THIRD
@@ -105,6 +106,34 @@ class TestMainTheorem:
             with pytest.raises(ValueError, match="at least one sample"):
                 verify_multi_current(L, fs, degrees, transfer_samples=samples)
 
+    @pytest.mark.parametrize("trials", [0, -2])
+    def test_fewer_than_one_trial_is_refused_before_any_work(self, monkeypatch, sl3,
+                                                              trials):
+        L, fs = sl3.algebra, sl3.invariants
+        with pytest.raises(ValueError) as caught:
+            liealg.index(L, trials=trials)
+        built = []
+        monkeypatch.setattr(raistauvel, "build_family", lambda *args: built.append(args))
+        with pytest.raises(ValueError) as refused:
+            verify_main_theorem(L, fs, 12, trials=trials)
+        assert str(refused.value) == str(caught.value)
+        for degrees in ([12], [1, 1]):
+            with pytest.raises(ValueError) as refused:
+                verify_multi_current(L, fs, degrees, trials=trials)
+            assert str(refused.value) == str(caught.value)
+        assert built == []
+
+    @pytest.mark.parametrize("name", [n for n in catalog.NAMES
+                                      if len(catalog.load(n).invariants)])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_degree_sum_is_the_oracle_sum_over_the_members(self, name, m):
+        entry = catalog.load(name)
+        rep = verify_main_theorem(entry.algebra, entry.invariants, m, transfer_samples=1)
+        fam = build_family(entry.algebra, m, entry.invariants)
+        witness = _by_name(rep, "degree-sum").witness
+        assert witness["family_degree_sum"] == family_degree_sum(fam)
+        assert witness["base_degree_sum"] == sum(entry.invariants.degrees())
+
     def test_report_is_deterministic(self, sl2):
         a = verify_main_theorem(sl2.algebra, sl2.invariants, 1, seed=3)
         b = verify_main_theorem(sl2.algebra, sl2.invariants, 1, seed=3)
@@ -159,6 +188,114 @@ class TestMultiCurrent:
                                     transfer_samples=20)
         assert widths > {entry.algebra.dim}
         assert full.to_json() == rep.to_json()
+
+
+def _index_trials(monkeypatch) -> list:
+    """[dim, bound, points ranked] of every `liealg.index` call, in call order."""
+    index = liealg.index
+    seen = []
+
+    def spy(L, *, rank=liealg.kirillov_rank_at, bound=None, **kwargs):
+        call = [L.dim, bound, 0]
+        seen.append(call)
+
+        def counted(alg, point):
+            call[2] += 1
+            return rank(alg, point)
+
+        return index(L, rank=counted, bound=bound, **kwargs)
+
+    monkeypatch.setattr(liealg, "index", spy)
+    return seen
+
+
+def _oracle_index(L, seed: int, trials: int = 5) -> int:
+    # dim minus the largest rank over every trial point, with no stop
+    streams = sampling.streams(seed, sampling.TAG_INDEX)
+    return L.dim - max(bareiss_rank(oracle_kirillov_matrix(
+        L, sampling.random_coords(L.basis, streams(t)))) for t in range(trials))
+
+
+def _unbounded(monkeypatch, run):
+    """The report ``run()`` writes when every index search runs without a bound."""
+    index = liealg.index
+    monkeypatch.setattr(liealg, "index", lambda L, bound=None, **kwargs: index(L, **kwargs))
+    try:
+        return run()
+    finally:
+        monkeypatch.setattr(liealg, "index", index)
+
+
+class TestIndexCeiling:
+    """A certified family caps both Kirillov ranks, so the index trials stop there.
+
+    Invariants independent at a point give ind >= l: their differentials
+    lie in the stabilizer on the open set Omega.  With invariance PASSed
+    and an Omega point drawn, the bound is n - l on the base and
+    (m+1)(n - l) on L<m>; the estimate is the maximum over every trial.
+    """
+
+    @pytest.mark.parametrize("name", catalog.NAMES)
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_the_bounded_index_is_the_maximum_over_every_trial(self, name, m):
+        entry = catalog.load(name)
+        L, Lm = entry.algebra, takiff(entry.algebra, m)
+        for seed in (0, 1, 7):
+            rep = verify_main_theorem(L, entry.invariants, m, seed=seed,
+                                      transfer_samples=1)
+            witness = _by_name(rep, "index-formula").witness
+            assert witness["base_index"] == _oracle_index(L, seed)
+            assert witness["takiff_index"] == _oracle_index(Lm, seed)
+
+    @pytest.mark.parametrize("name,degrees", [("sl2", [1, 1]), ("heis1", [2, 3])])
+    def test_every_level_of_a_multi_current(self, monkeypatch, name, degrees):
+        entry = catalog.load(name)
+        seen = _index_trials(monkeypatch)
+        rep = verify_multi_current(entry.algebra, entry.invariants, degrees,
+                                   transfer_samples=5)
+        base = entry.algebra
+        for level, m in enumerate(degrees, start=1):
+            Lm = takiff(base, m)
+            witness = _by_name(rep, f"level{level}:index-formula").witness
+            assert witness["base_index"] == _oracle_index(base, 0)
+            assert witness["takiff_index"] == _oracle_index(Lm, 0)
+            base = Lm
+        # every level is certified, so every search is bounded
+        assert all(bound is not None for _, bound, _ in seen)
+        monkeypatch.undo()
+        assert rep.to_json() == _unbounded(
+            monkeypatch, lambda: verify_multi_current(entry.algebra, entry.invariants,
+                                                      degrees, transfer_samples=5)).to_json()
+
+    @pytest.mark.parametrize("name,m", [("sl3", 4), ("slnV3", 2)])
+    def test_one_trial_on_each_side(self, monkeypatch, name, m):
+        entry = catalog.load(name)
+        n, l = entry.algebra.dim, len(entry.invariants)
+        seen = _index_trials(monkeypatch)
+        verify_main_theorem(entry.algebra, entry.invariants, m, seed=0)
+        assert seen == [[n, n - l, 1], [(m + 1) * n, (m + 1) * (n - l), 1]]
+
+    def test_a_non_invariant_base_runs_every_trial(self, monkeypatch, sl3):
+        L = sl3.algebra
+        f, g = sl3.invariants.polys
+        fs = InvariantSet(algebra=L, polys=(f + L.variable(L.basis[0]) ** 2, g))
+        seen = _index_trials(monkeypatch)
+        rep = verify_main_theorem(L, fs, 2, transfer_samples=10)
+        assert _by_name(rep, "invariance").status == FAIL
+        assert seen == [[8, None, 5], [24, None, 5]]
+        assert rep.to_json() == _unbounded(
+            monkeypatch, lambda: verify_main_theorem(L, fs, 2, transfer_samples=10)).to_json()
+
+    def test_a_failed_omega_search_runs_every_trial(self, monkeypatch, sl3):
+        L, fs = sl3.algebra, sl3.invariants
+        monkeypatch.setattr(liealg, "omega_test", lambda fs, point: False)
+        seen = _index_trials(monkeypatch)
+        rep = verify_main_theorem(L, fs, 2, transfer_samples=10)
+        assert _by_name(rep, "invariance").status == PASS
+        assert _by_name(rep, "jacobian-rank-on-omega").status == FAIL
+        assert seen == [[8, None, 5], [24, None, 5]]
+        assert rep.to_json() == _unbounded(
+            monkeypatch, lambda: verify_main_theorem(L, fs, 2, transfer_samples=10)).to_json()
 
 
 class TestDiagnostics:
