@@ -136,7 +136,7 @@ def algebra_from_dict(d: Mapping) -> tuple[LieAlgebra, InvariantSet, dict]:
 
 def family_to_dict(fam: InvariantFamily) -> dict:
     return {
-        "label": fam.takiff_algebra.label,
+        "label": fam.algebra.label,
         "m": fam.depth,
         "base": {
             "label": fam.base.algebra.label,
@@ -144,8 +144,8 @@ def family_to_dict(fam: InvariantFamily) -> dict:
             "degrees": list(fam.base.degrees()),
         },
         "family": [
-            {"i": i, "j": j, "degree": F.degree(), "poly": str(F)}
-            for i, j, F in fam.members()
+            {"i": i, "j": j, "degree": d, "poly": str(F)}
+            for (i, j, F), d in zip(fam.members(), fam.degrees())
         ],
     }
 

@@ -103,7 +103,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
     payload = algio.family_to_dict(fam)
     if args.out:
         algio.dump_json(args.out, payload)
-        print(f"wrote {args.out} ({fam.l * (fam.depth + 1)} polynomials)")
+        print(f"wrote {args.out} ({len(fam)} polynomials)")
     else:
         import json
         print(json.dumps(payload, indent=2, sort_keys=True))

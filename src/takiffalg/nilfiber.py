@@ -149,7 +149,7 @@ def _lemma_bounds(L: LieAlgebra, fam: InvariantFamily, seed: int,
         xi0 = _kernel_point(kernel, L.basis, r)
     except NilfiberError:
         xi0 = _zero_point(L)    # trivial kernel: the fiber over xi_1 is the origin
-    flat = flatten_point(fam.takiff_algebra, [xi0, xi1])
+    flat = flatten_point(fam.algebra, [xi0, xi1])
     i = L.dim - len(kernel)
     J = family_rank_at(fam, flat)
     bounds = {"i": i, "J": J, "lower": 2 * i, "upper": fam.l + i}
@@ -259,8 +259,8 @@ def sl2_chain(levels: int = 3, seed: int = 0) -> Report:
 
     Level k analyzes the null fiber one step above the (k-1)-fold truncation;
     level 1 also carries the certified membership characterization and the
-    span-containment bounds of `check_N1_characterization`.  Each sampled
-    stratum gets `_POINTS_PER_STRATUM` points.
+    span-containment bounds of `check_N1_characterization`.  Each family is
+    the next level's invariant set; strata get `_POINTS_PER_STRATUM` points.
     """
     if not 1 <= levels <= 3:
         raise ValueError("the sl2 chain is built for levels 1..3")
@@ -295,7 +295,7 @@ def sl2_chain(levels: int = 3, seed: int = 0) -> Report:
     if levels == 1:
         return rep
 
-    L1, fs1 = fam1.takiff_algebra, fam1.invariant_set()
+    L1 = fam1.algebra
 
     # level 2: N<1> strata; the fiber over a cone point is an exact kernel
     reg_pts = []
@@ -321,12 +321,12 @@ def sl2_chain(levels: int = 3, seed: int = 0) -> Report:
         name="degenerate", points=tuple(deg_pts), declared_dim=3, declared_index=1,
         dim_audit={"construction": "linear slice xi_1 = 0",
                    "parameter_dim": 3, "kernel_dim": 0})
-    rep.extend_prefixed("level2:", equidim_diagnostic(L1, fs1, [regular, degenerate]).checks)
+    rep.extend_prefixed("level2:", equidim_diagnostic(L1, fam1, [regular, degenerate]).checks)
     if levels == 2:
         return rep
 
-    fam2 = build_family(L1, 1, fs1)
-    L2, fs2 = fam2.takiff_algebra, fam2.invariant_set()
+    fam2 = build_family(L1, 1, fam1)
+    L2 = fam2.algebra
     casimir = fs0.polys[0]
     grade1 = L1.basis[L0.dim:]
 
@@ -343,7 +343,7 @@ def sl2_chain(levels: int = 3, seed: int = 0) -> Report:
         while casimir.evaluate(xi0) == 0:
             xi0 = sampling.random_coords(L0.basis, r)
         eta1 = flatten_point(L1, [xi0, _zero_point(L0)])
-        kernel = _fiber_kernel(fs1, eta1)
+        kernel = _fiber_kernel(fam1, eta1)
         kernel_dim = len(kernel)
         eta0 = _kernel_point(kernel, L1.basis, r, guard=lambda p: any(p[b] for b in grade1))
         bad_pts.append(flatten_point(L2, [eta0, eta1]))
@@ -352,5 +352,5 @@ def sl2_chain(levels: int = 3, seed: int = 0) -> Report:
         declared_dim=3 + kernel_dim, declared_index=3,
         dim_audit={"construction": "linear slice + exact kernel",
                    "parameter_dim": 3, "kernel_dim": kernel_dim})
-    rep.extend_prefixed("level3:", equidim_diagnostic(L2, fs2, [bad]).checks)
+    rep.extend_prefixed("level3:", equidim_diagnostic(L2, fam2, [bad]).checks)
     return rep

@@ -9,9 +9,10 @@ F^0..F^m over the graded variables,
 
     f(xi_m + eps xi_{m-1} + ... + eps^m xi_0) = sum_j F^j(xi) eps^j,
 
-each of which is a symmetric invariant of L<m>.  `expand_invariant` hands
-each base variable's coefficient list (b@m, b@(m-1), ..., b@0) to
-`polyring.jet_substitute`, which multiplies the lists out symbolically,
+each of which is a symmetric invariant of L<m> (by Rais-Tauvel, basic ones
+when f is), so an `InvariantFamily` is the `InvariantSet` of the next
+level as it stands.  Each base variable's coefficients (b@m, ..., b@0) go
+to `polyring.jet_substitute`, which multiplies them out symbolically,
 truncated at eps^m; numeric dual-number evaluation exists only in the test
 suite as an independent oracle.
 
@@ -22,8 +23,8 @@ where b@g weighs m-g (so F^j depends only on the grades m-j..m), and
 
     dF_i^j / d(b@(m-j)) = (df_i / db)(xi_m).
 
-A table that breaks any of the three is refused, naming the member and the
-term or variable; only a broken expansion can build one.  `family_rank_at`
+A member that breaks any of the three is refused, naming it and the term
+or variable; only a broken expansion can build one.  `family_rank_at`
 gives the rank of a whole family's Jacobian at a flat point.  Ordered by
 eps-power (rows) and by descending grade (columns), that Jacobian is block
 lower triangular with the base Jacobian at the top component on the
@@ -54,7 +55,7 @@ from .liealg import (
     omega_test,
 )
 from .polyring import Polynomial, jet_substitute
-from .takiff import graded_varset, takiff
+from .takiff import _require_grading, graded_varset, takiff
 
 __all__ = [
     "InvariantFamily",
@@ -75,40 +76,45 @@ def expand_invariant(L: LieAlgebra, m: int, f: Polynomial) -> list[Polynomial]:
             f"invariant variables {f.varset} do not match the basis of {L.label}")
     if not f.is_homogeneous():
         raise HomogeneityError(f"cannot expand non-homogeneous polynomial '{f}'")
-    names, n, one = graded_varset(L, m), L.dim, Fraction(1)
+    return _expand(f, m, graded_varset(L, m))
+
+
+def _expand(f: Polynomial, m: int, names: tuple[str, ...]) -> list[Polynomial]:
     # b@(m-s) for the i-th base variable b is basis index (m-s)*n + i of L<m>
+    n, one = len(f.varset), Fraction(1)
     subst = {b: [Polynomial(names, {(((m - s) * n + i, 1),): one}, _canonical=True)
                  for s in range(m + 1)]
-             for i, b in enumerate(L.basis)}
+             for i, b in enumerate(f.varset)}
     return jet_substitute(f, subst, m)
 
 
 @dataclass(frozen=True)
-class InvariantFamily:
-    """The l x (m+1) grid of expanded invariants attached to L<m>.
+class InvariantFamily(InvariantSet):
+    """The expansion of ``base`` as an invariant set of ``algebra`` = L<m>.
 
-    table[i][j] is F_{i+1}^j; rows follow the base invariants, columns the
-    eps-power.  Construction enforces the structure of the expansion that
-    later checks rely on, member by member in `members` order: every term
-    of F_i^j has degree deg f_i and weight j, and dF_i^j/d(b@(m-j)) is
-    df_i/db at grade m for every base variable b.  The first defect raises
-    AlgebraError naming (i, j) and the term or the variable.
+    ``polys`` is eps-power major, F_i^j = ``polys[j*l + i - 1]``.
+    Construction enforces, member by member, that every term of F_i^j has
+    degree deg f_i and weight j and that dF_i^j/d(b@(m-j)) is df_i/db at
+    grade m; the first defect raises AlgebraError naming (i, j) and the term
+    or variable.  That implies the `InvariantSet` check, which is not run:
+    right variables, homogeneous of degree deg f_i >= 1, and nonzero, since
+    some partial df_i/db is.
     """
 
-    takiff_algebra: LieAlgebra
     base: InvariantSet
-    table: tuple[tuple[Polynomial, ...], ...]
 
     def __post_init__(self):
-        Lm, m = self.takiff_algebra, self.depth
-        n = Lm.grading.base_dim
-        if len(self.table) != len(self.base.polys):
-            raise AlgebraError(f"family has {len(self.table)} rows for "
-                               f"{len(self.base.polys)} base invariants")
-        for i, row in enumerate(self.table, start=1):
-            if len(row) != m + 1:
-                raise AlgebraError(f"family row {i} must have {m + 1} entries")
-        want = [(f.degree(), _partials_at_grade(f, m * n)) for f in self.base.polys]
+        object.__setattr__(self, "polys", tuple(self.polys))
+        Lm, base = self.algebra, self.base
+        grading = _require_grading(Lm)
+        if grading.base_basis != base.algebra.basis:
+            raise AlgebraError(f"algebra {Lm.label} is not a truncation of "
+                               f"{base.algebra.label}")
+        m, n, l = grading.depth, grading.base_dim, len(base)
+        if len(self.polys) != (m + 1) * l:
+            raise AlgebraError(f"family has {len(self.polys)} members, expected "
+                               f"{(m + 1) * l} for {l} base invariants at depth {m}")
+        want = list(zip(base.degrees(), (_partials_at_grade(f, m * n) for f in base.polys)))
         for i, j, F in self.members():
             if F.varset != Lm.basis:
                 raise AlgebraError(f"family entry ({i},{j}) is over the wrong variables")
@@ -133,36 +139,32 @@ class InvariantFamily:
                 if partials[k] != want_partials[k]:
                     raise AlgebraError(
                         f"family entry ({i},{j}): the partial in '{Lm.basis[low + k]}' "
-                        f"is not df_{i}/d{self.base.algebra.basis[k]} at grade {m}")
+                        f"is not df_{i}/d{base.algebra.basis[k]} at grade {m}")
 
     @property
     def l(self) -> int:
-        return len(self.table)
+        return len(self.base)
 
     @property
     def depth(self) -> int:
-        return self.takiff_algebra.grading.depth
+        return self.algebra.grading.depth
+
+    def degrees(self) -> tuple[int, ...]:
+        """deg F_i^j = deg f_i, enforced at construction: the base's, m+1 times."""
+        return self.base.degrees() * (self.depth + 1)
 
     def member(self, i: int, j: int) -> Polynomial:
         """F_i^j with i 1-based (matching the usual subscript), j the eps-power."""
-        return self.table[i - 1][j]
+        return self.polys[j * self.l + i - 1]
 
     def members(self) -> Iterator[tuple[int, int, Polynomial]]:
-        """All (i, j, F_i^j), eps-power major: F_1^0..F_l^0, F_1^1, ..."""
-        for j in range(self.depth + 1):
-            for i in range(1, self.l + 1):
-                yield i, j, self.table[i - 1][j]
-
-    def invariant_set(self) -> InvariantSet:
-        return InvariantSet(algebra=self.takiff_algebra,
-                            polys=tuple(F for _, _, F in self.members()))
+        """All (i, j, F_i^j) in ``polys`` order: F_1^0..F_l^0, F_1^1, ..."""
+        l = self.l
+        return ((k % l + 1, k // l, F) for k, F in enumerate(self.polys))
 
 
 def _partials_at_grade(f: Polynomial, shift: int) -> list[dict]:
-    """[df/db for b in the base] as term dicts, every variable index moved up by shift.
-
-    One sweep over the terms of f; shift m*n puts the partials at grade m.
-    """
+    """[df/db for b in the base] as term dicts in one sweep, indices moved up by shift."""
     out: list[dict] = [{} for _ in f.varset]
     for mono, c in f.terms.items():
         moved = tuple((k + shift, e) for k, e in mono)
@@ -173,25 +175,24 @@ def _partials_at_grade(f: Polynomial, shift: int) -> list[dict]:
 
 
 def build_family(L: LieAlgebra, m: int, fs: InvariantSet) -> InvariantFamily:
+    """The expansion of ``fs`` on L<m>; a family as ``fs`` is not checked again."""
     if not fs.algebra.structure_equal(L):
         raise AlgebraError("invariant set belongs to a different algebra")
     if not fs.polys:
         raise AlgebraError("cannot expand an empty invariant set")
-    table = tuple(tuple(expand_invariant(L, m, f)) for f in fs.polys)
-    return InvariantFamily(takiff_algebra=takiff(L, m), base=fs, table=table)
+    Lm = takiff(L, m)
+    jets = [_expand(f, m, Lm.basis) for f in fs.polys]
+    return InvariantFamily(algebra=Lm, base=fs,
+                           polys=tuple(F[j] for j in range(m + 1) for F in jets))
 
 
 def family_rank_at(fam: InvariantFamily, flat: DualPoint) -> int:
-    """Rank of the full (m+1)l x (m+1)n Jacobian of the family at a flat point.
-
-    The point is one on L<m>, as `takiff.flatten_point` assembles it from
-    its components.
-    """
-    return linalg.rank([F.gradient_at(flat) for _, _, F in fam.members()])
+    """Rank of the (m+1)l x (m+1)n family Jacobian at a `takiff.flatten_point` of L<m>."""
+    return linalg.rank([F.gradient_at(flat) for F in fam.polys])
 
 
 def block_triangle_rank(fam: InvariantFamily, top: DualPoint, top_rank: int) -> int | None:
-    """rank K(xi) on fam.takiff_algebra from the top component alone, or None.
+    """rank K(xi) on fam.algebra from the top component alone, or None.
 
     Valid only when every member of the family is a symmetric invariant of
     L<m>.  ``top_rank`` is rank K(xi_m).  When it is n - l and the top
@@ -209,14 +210,14 @@ def block_triangle_rank(fam: InvariantFamily, top: DualPoint, top_rank: int) -> 
 
 def takiff_kirillov_rank(fam: InvariantFamily, flat: DualPoint,
                          base_rank: RankFunction) -> int:
-    """rank K(xi) at a flat point of fam.takiff_algebra, by the grade blocks where possible.
+    """rank K(xi) at a flat point of fam.algebra, by the grade blocks where possible.
 
     The top component is read off the flat point and ranked by
     ``base_rank``, any exact rank function on the base, for
     `block_triangle_rank`; where that gives None, the Kirillov matrix of
     L<m> is built and ranked.  The same validity condition applies.
     """
-    Lm = fam.takiff_algebra
+    Lm = fam.algebra
     base = fam.base.algebra.basis
     top = {b: flat[name] for b, name in zip(base, Lm.basis[fam.depth * len(base):])}
     rank = block_triangle_rank(fam, top, base_rank(fam.base.algebra, top))

@@ -19,12 +19,12 @@ for every f and x, with no Jacobi hypothesis, so every member F_i^j is an
 invariant of L<m> exactly when f_i is an invariant of L.  Only the base
 invariants are bracketed, symbolically, against the basis of L; a base
 defect forms the one bracket on L<m> that each FAIL names.  In
-`verify_multi_current` a level whose invariance PASSed hands its family to
-the next level as base invariants already certified, so only the first
-level, and a level after a FAIL, brackets.  The certificate rests on
+`verify_multi_current` each level's family is the next level's invariant
+set as it stands, and after an invariance PASS certified, so only the
+first level, and a level after a FAIL, brackets.  The certificate rests on
 `raistauvel.build_family` computing the jet expansion, as the Jacobi
 certificate rests on `takiff` computing the truncated bracket;
-`raistauvel.InvariantFamily` refuses a table that breaks the expansion's
+`raistauvel.InvariantFamily` refuses members that break the expansion's
 degrees, weights or derivative identity, so a broken expansion raises
 AlgebraError instead of writing a report.
 
@@ -235,7 +235,7 @@ def _verify_step(L: LieAlgebra, fs: InvariantSet, m: int, trials: int,
     if not fs.algebra.structure_equal(L):
         raise liealg.AlgebraError("invariant set belongs to a different algebra")
     fam = raistauvel.build_family(L, m, fs) if len(fs) else None
-    Lm = fam.takiff_algebra if fam is not None else takiff(L, m)
+    Lm = fam.algebra if fam is not None else takiff(L, m)
     rep = Report(label=f"verify:{L.label}<{m}>")
 
     jacobi = _jacobi_check(L, Lm, base_jacobi)
@@ -278,10 +278,9 @@ def _verify_step(L: LieAlgebra, fs: InvariantSet, m: int, trials: int,
         rep.add(Check(name="degree-sum", status=SKIPPED, paper_ref=_REF_DEGREES,
                       witness={"note": "no invariants supplied"}))
     else:
-        # InvariantFamily enforces deg F_i^j = deg f_i on every term, and no
-        # member is zero: its partial in some b@(m-j) is df_i/db != 0 at grade m
+        # deg F_i^j = deg f_i, enforced when the family is built
         base_sum = sum(fs.degrees())
-        witness = {"base_degree_sum": base_sum, "family_degree_sum": (m + 1) * base_sum,
+        witness = {"base_degree_sum": base_sum, "family_degree_sum": sum(fam.degrees()),
                    "factor": m + 1, "base_magic": b_base}
         if base_sum == b_base:
             witness["scales_to_takiff_magic"] = True
@@ -344,7 +343,7 @@ def _jacobian_rank_check(fam: raistauvel.InvariantFamily, comps: list[dict] | No
                               "differentials found in 50 draws"},
                      seed=seed)
     want = (fam.depth + 1) * fam.l
-    flat = flatten_point(fam.takiff_algebra, comps)
+    flat = flatten_point(fam.algebra, comps)
     rank = raistauvel.family_rank_at(fam, flat)
     if rank != want:
         return Check(name="jacobian-rank-on-omega", status=FAIL, paper_ref=_REF_JACRANK,
@@ -451,8 +450,8 @@ def verify_multi_current(L: LieAlgebra, fs: InvariantSet, degrees,
                          transfer_samples: int = DEFAULT_TRANSFER_SAMPLES) -> Report:
     """Verify an iterated truncation one level at a time.
 
-    Each level's expanded family becomes the next level's base invariant set;
-    a single-entry degree list therefore reduces exactly to
+    Each level's expanded family is the next level's base invariant set,
+    unconverted; a single-entry degree list therefore reduces exactly to
     verify_main_theorem.  The next level's base is this level's L<m>, so it
     takes this level's Jacobi and invariance verdicts and its Kirillov rank
     function; all three are exact, so the report is the one each level
@@ -482,8 +481,7 @@ def verify_multi_current(L: LieAlgebra, fs: InvariantSet, degrees,
         cur_invariant = sub.checks[1].status == PASS
         rep.extend_prefixed(f"level{level}:", sub.checks)
         expected *= mdeg + 1
-        cur_fs = (fam.invariant_set() if fam is not None
-                  else InvariantSet(algebra=cur_L, polys=()))
+        cur_fs = fam if fam is not None else InvariantSet(algebra=cur_L, polys=())
     rep.add(Check(name="family-count",
                   status=PASS if len(cur_fs) == expected else FAIL,
                   paper_ref="the iterated family has prod (m_i + 1) * l members",

@@ -217,10 +217,10 @@ def null_fiber_member(fam, components: Sequence[dict[str, Fraction]]) -> bool:
     flat point is assembled from the parsed names, not by the package.
     """
     flat = {}
-    for name in fam.takiff_algebra.basis:
+    for name in fam.algebra.basis:
         b, g = graded_parts(name)
         flat[name] = components[g][b]
-    return all(evaluate(F, flat) == 0 for row in fam.table for F in row)
+    return all(evaluate(F, flat) == 0 for F in fam.polys)
 
 
 def n1_characterization(polys, xi0: dict[str, Fraction], xi1: dict[str, Fraction]) -> bool:
@@ -333,21 +333,27 @@ def jacobi_residuals(algebra) -> dict[tuple[int, int, int], dict[int, Fraction]]
     return found
 
 
+def _member(fam, i: int, j: int):
+    """F_i^j of a family's flat, eps-power major member tuple."""
+    return fam.polys[j * len(fam.base.polys) + i - 1]
+
+
 def weight_defect(fam) -> tuple[int, int, str] | None:
     """First (i, j, monomial) where a term of F_i^j has Takiff weight other than j.
 
     b@g weighs m - g, with g parsed from the name; members eps-power major,
     terms in the order of their term dictionary.  The monomial is written
     as its factors `name` or `name^e` joined by `*`, in variable order.
-    ``fam`` is anything with the fields `takiff_algebra`, `base` and
-    `table` of an expanded family, such as a table the package refuses.
-    None when every term has the weight of its eps-power.
+    ``fam`` is anything with the fields `algebra`, `base` and `polys` of
+    an expanded family, such as members the package refuses; F_i^j is
+    ``polys[j*l + i - 1]``.  None when every term has the weight of its
+    eps-power.
     """
-    Lm = fam.takiff_algebra
+    Lm = fam.algebra
     m = _depth(Lm)
     for j in range(m + 1):
-        for i, row in enumerate(fam.table, start=1):
-            for mono in row[j].terms:
+        for i in range(1, len(fam.base.polys) + 1):
+            for mono in _member(fam, i, j).terms:
                 names = [(Lm.basis[v], e) for v, e in mono]
                 if sum((m - graded_parts(name)[1]) * e for name, e in names) != j:
                     return i, j, "*".join(name if e == 1 else f"{name}^{e}"
@@ -364,13 +370,13 @@ def derivative_identity_defect(fam) -> tuple[int, int, str] | None:
     to the grade-m name of its variable.  ``fam`` is as for
     `weight_defect`.  None when the identity holds.
     """
-    Lm, base = fam.takiff_algebra, fam.base
+    Lm, base = fam.algebra, fam.base
     m = _depth(Lm)
     name_at = {graded_parts(v): v for v in Lm.basis}
     top = [Lm.basis.index(name_at[(b, m)]) for b in base.algebra.basis]
     for j in range(m + 1):
         for i, f in enumerate(base.polys, start=1):
-            F = fam.table[i - 1][j]
+            F = _member(fam, i, j)
             for b in base.algebra.basis:
                 want = {tuple(sorted((top[k], e) for k, e in mono)): c
                         for mono, c in f.partial(b).terms.items()}
@@ -388,7 +394,7 @@ def family_degree_sum(fam) -> int:
     is as for `weight_defect`.
     """
     return sum(max(sum(e for _, e in mono) for mono in F.terms)
-               for row in fam.table for F in row)
+               for F in fam.polys)
 
 
 def bracket_values_at(algebra, poly, point: dict[str, Fraction]) -> list[Fraction]:

@@ -82,7 +82,7 @@ def test_criterion_2_symbolic_invariance():
     for name, m in SYMBOLIC_FAMILIES:
         entry = catalog.load(name)
         fam = build_family(entry.algebra, m, entry.invariants)
-        Lm = fam.takiff_algebra
+        Lm = fam.algebra
         for _, _, F in fam.members():
             if invariance_defect(Lm, F) is not None:
                 ok = False
@@ -132,7 +132,7 @@ def test_criterion_4_omega_transfer():
         want = (m + 1) * fam.l
         for comps in _transfer_points(entry.algebra, m, sampling.TAG_OMEGA, pair_id):
             total += 1
-            lhs = family_rank_at(fam, flatten_point(fam.takiff_algebra, comps)) == want
+            lhs = family_rank_at(fam, flatten_point(fam.algebra, comps)) == want
             rhs = omega_test(entry.invariants, comps[m])
             agree += lhs == rhs
     _emit(4, f"Omega transfer at {total} points", agree == total == 1500,
@@ -216,7 +216,7 @@ def test_criterion_9_lemma_bounds(sl2_family_m1, n1_report, n1_points, sl2):
     violations = 0
     for xi0, xi1 in n1_points(sl2):
         i = stratum_index(sl2.invariants, xi1)
-        J = family_rank_at(fam, flatten_point(fam.takiff_algebra, [xi0, xi1]))
+        J = family_rank_at(fam, flatten_point(fam.algebra, [xi0, xi1]))
         violations += not 2 * i <= J <= fam.l + i
     _emit(9, "span-containment bounds 2i <= J <= l+i with zero violations",
           certified and violations == 0, " (certified; 50 sampled points)")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -67,6 +68,14 @@ class TestInvariants:
         ]
         assert [(e["i"], e["j"], e["degree"]) for e in payload["family"]] == \
             [(1, 0, 2), (1, 1, 2)]
+
+    def test_family_file_bytes_with_two_invariants(self, tmp_path):
+        # sl3 (l = 2) at depth 2: the member order F_1^0, F_2^0, F_1^1, ... and
+        # every printed polynomial, pinned by digest
+        out = tmp_path / "fam.json"
+        assert main(["invariants", "--m", "2", "sl3", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            "0f558123183266a20836970fe4c4ca53870ed6b04dd2d569827b676ea9d13d26"
 
     def test_stdout_mode(self, capsys):
         assert main(["invariants", "--m", "1", "heis1"]) == 0

@@ -186,12 +186,12 @@ class TestIntegerResults:
                 assert all(type(g) is int for g in f.gradient_at(pt))
                 assert type(f.evaluate(pt)) is int
             assert all(type(v) is int for row in kirillov_matrix(L, pt) for v in row)
-            flat = flatten_point(fam.takiff_algebra, sampling.random_components(L.basis, 2, r))
+            flat = flatten_point(fam.algebra, sampling.random_components(L.basis, 2, r))
             assert all(type(v) is int for v in flat.values())
             for _, _, F in fam.members():
                 assert all(type(g) is int for g in F.gradient_at(flat))
             assert all(type(v) is int
-                       for row in kirillov_matrix(fam.takiff_algebra, flat) for v in row)
+                       for row in kirillov_matrix(fam.algebra, flat) for v in row)
 
 
 @cache
@@ -200,7 +200,7 @@ def _invariant_polys(name: str, m: int) -> tuple[Polynomial, ...]:
     entry = catalog.load(name)
     if m == 0:
         return entry.invariants.polys
-    return build_family(entry.algebra, m, entry.invariants).invariant_set().polys
+    return build_family(entry.algebra, m, entry.invariants).polys
 
 
 _DIFFERENTIAL_CASES = [(name, m) for name in ("sl2", "heis1", "sl3", "slnV2")

@@ -168,7 +168,7 @@ def _takiff_with_rank(name: str, m: int):
         return takiff(entry.algebra, m), kirillov_rank_at
     fam = raistauvel.build_family(entry.algebra, m, entry.invariants)
     assert oracle_identity_defect(fam) is None
-    return fam.takiff_algebra, lambda _, flat: raistauvel.takiff_kirillov_rank(
+    return fam.algebra, lambda _, flat: raistauvel.takiff_kirillov_rank(
         fam, flat, kirillov_rank_at)
 
 

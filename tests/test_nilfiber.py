@@ -81,7 +81,7 @@ def _family(name):
 
 def _bounds_at(fam, xi0, xi1):
     i = stratum_index(fam.base, xi1)
-    J = family_rank_at(fam, flatten_point(fam.takiff_algebra, [xi0, xi1]))
+    J = family_rank_at(fam, flatten_point(fam.algebra, [xi0, xi1]))
     return i, J
 
 
@@ -118,10 +118,9 @@ class TestLemmaBounds:
 
 def _perturbed(fam, i, j, extra):
     # the fields of fam with extra added to F_i^j: a draft the family refuses
-    table = [list(row) for row in fam.table]
-    table[i - 1][j] = table[i - 1][j] + parse_poly(extra, fam.takiff_algebra.basis)
-    return SimpleNamespace(takiff_algebra=fam.takiff_algebra, base=fam.base,
-                           table=tuple(map(tuple, table)))
+    polys = list(fam.polys)
+    polys[j * fam.l + i - 1] += parse_poly(extra, fam.algebra.basis)
+    return SimpleNamespace(algebra=fam.algebra, base=fam.base, polys=tuple(polys))
 
 
 class TestCharacterization:
@@ -186,7 +185,7 @@ class TestCharacterization:
         assert not null_fiber_member(bad, [xi0, xi1])
         with pytest.raises(AlgebraError, match=r"\(1,1\) has the term 'e@1\^2' of degree 2 "
                                                r"and weight 0"):
-            InvariantFamily(takiff_algebra=bad.takiff_algebra, base=bad.base, table=bad.table)
+            InvariantFamily(algebra=bad.algebra, polys=bad.polys, base=bad.base)
 
     def test_a_broken_derivative_identity_stops_the_chain(self, monkeypatch, sl2_family_m1):
         # e@0*h@1 in F^1 has weight 1, but dF^1/d(e@0) gains h@1: the chain
@@ -253,7 +252,7 @@ class TestKernelPoints:
         assert fractional > 0
 
     def test_sl2_level1_rows_guarded(self, sl2, sl2_family_m1):
-        L1, fs1 = sl2_family_m1.takiff_algebra, sl2_family_m1.invariant_set()
+        L1, fs1 = sl2_family_m1.algebra, sl2_family_m1
         grade1 = [name for name in L1.basis if graded_parts(name)[1] == 1]
         guards = (lambda p: any(p[b] for b in grade1),   # as in the level-3 strata
                   lambda p: p[grade1[0]] > 0)             # rejects about half the draws

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from takiffalg import catalog, linalg, raistauvel, sampling
+from takiffalg import catalog, linalg, nilfiber, raistauvel, sampling, verify
 from takiffalg.liealg import (
     AlgebraError,
     HomogeneityError,
@@ -29,7 +29,7 @@ from takiffalg.takiff import flatten_point, graded_name, graded_varset, takiff
 
 from oracles import EpsValue, bareiss_rank, eval_poly_eps, graded_parts, poisson_bracket
 from oracles import derivative_identity_defect as oracle_identity_defect
-from oracles import weight_defect
+from oracles import family_degree_sum, weight_defect
 from oracles import kirillov_matrix as oracle_kirillov_matrix
 
 
@@ -42,7 +42,7 @@ def _dual_number_mismatches(name, m) -> list:
     entry = catalog.load(name)
     L = entry.algebra
     fam = build_family(L, m, entry.invariants)
-    Lm = fam.takiff_algebra
+    Lm = fam.algebra
     mismatches = []
     for trial in range(8):
         r = sampling.rng(13, 41, catalog.NAMES.index(name), m, trial)
@@ -152,10 +152,9 @@ class TestExpansion:
 
 def with_member(fam, i, j, F):
     """The fields of fam with F in place of F_i^j: a draft the family may refuse."""
-    table = [list(row) for row in fam.table]
-    table[i - 1][j] = F
-    return SimpleNamespace(takiff_algebra=fam.takiff_algebra, base=fam.base,
-                           table=tuple(map(tuple, table)))
+    polys = list(fam.polys)
+    polys[j * len(fam.base) + i - 1] = F
+    return SimpleNamespace(algebra=fam.algebra, base=fam.base, polys=tuple(polys))
 
 
 def refusal_pattern(draft) -> str | None:
@@ -181,34 +180,47 @@ def refusal(draft) -> str:
     pattern = refusal_pattern(draft)
     assert pattern is not None
     with pytest.raises(AlgebraError, match=pattern) as info:
-        InvariantFamily(takiff_algebra=draft.takiff_algebra, base=draft.base,
-                        table=draft.table)
+        InvariantFamily(algebra=draft.algebra, polys=draft.polys, base=draft.base)
     return str(info.value)
 
 
 class TestFamilyValidation:
-    def test_table_shape_is_enforced(self, sl2, sl2_family_m1):
+    def test_member_count_is_enforced(self, sl2, sl2_family_m1):
         fam = sl2_family_m1
-        with pytest.raises(AlgebraError, match="2 entries"):
-            InvariantFamily(takiff_algebra=fam.takiff_algebra, base=fam.base,
-                            table=((fam.member(1, 0),),))
-        with pytest.raises(AlgebraError, match="2 rows for 1 base invariants"):
-            InvariantFamily(takiff_algebra=fam.takiff_algebra, base=fam.base,
-                            table=fam.table * 2)
+        with pytest.raises(AlgebraError, match="1 members, expected 2 for 1 base "
+                                               "invariants at depth 1"):
+            InvariantFamily(algebra=fam.algebra, polys=(fam.member(1, 0),), base=fam.base)
+        with pytest.raises(AlgebraError, match="4 members, expected 2"):
+            InvariantFamily(algebra=fam.algebra, polys=fam.polys * 2, base=fam.base)
+
+    def test_an_algebra_that_is_no_truncation_of_the_base_is_refused(self, sl2, sl3,
+                                                                    sl2_family_m1):
+        fam = sl2_family_m1
+        with pytest.raises(AlgebraError, match="algebra sl2 carries no truncation grading"):
+            InvariantFamily(algebra=sl2.algebra, polys=fam.polys, base=fam.base)
+        with pytest.raises(AlgebraError, match=r"algebra sl3<1> is not a truncation of sl2"):
+            InvariantFamily(algebra=takiff(sl3.algebra, 1), polys=fam.polys, base=fam.base)
+
+    def test_a_family_is_the_invariant_set_of_its_truncation(self, sl3):
+        fam = build_family(sl3.algebra, 2, sl3.invariants)
+        assert isinstance(fam, InvariantSet)
+        assert len(fam) == 6 and fam.algebra.label == "sl3<2>"
+        assert fam.polys == tuple(F for _, _, F in fam.members())
+        assert [fam.member(i, j) for i, j, _ in fam.members()] == list(fam.polys)
+        assert fam.polys[:2] == tuple(expand_invariant(sl3.algebra, 2, f)[0]
+                                      for f in sl3.invariants.polys)
 
     def test_triangularity_is_enforced(self, sl2, sl2_family_m1):
         fam = sl2_family_m1
-        swapped = ((fam.member(1, 1), fam.member(1, 0)),)
+        swapped = (fam.member(1, 1), fam.member(1, 0))
         with pytest.raises(AlgebraError, match="weight 1, expected degree 2 and weight 0"):
-            InvariantFamily(takiff_algebra=fam.takiff_algebra, base=fam.base,
-                            table=swapped)
+            InvariantFamily(algebra=fam.algebra, polys=swapped, base=fam.base)
 
     def test_a_member_of_the_wrong_degree_is_refused_by_name(self, sl2_family_m1):
         fam = sl2_family_m1
-        F = fam.member(1, 0) + parse_poly("e@1", fam.takiff_algebra.basis)
+        F = fam.member(1, 0) + parse_poly("e@1", fam.algebra.basis)
         with pytest.raises(AlgebraError) as info:
-            InvariantFamily(takiff_algebra=fam.takiff_algebra, base=fam.base,
-                            table=((F, fam.member(1, 1)),))
+            InvariantFamily(algebra=fam.algebra, polys=(F, fam.member(1, 1)), base=fam.base)
         assert str(info.value) == ("family entry (1,0) has the term 'e@1' of degree 1 "
                                    "and weight 0, expected degree 2 and weight 0")
 
@@ -235,7 +247,7 @@ class TestFamilyValidation:
 class TestDifferentials:
     def test_lowest_component_of_first_order_member(self, sl2, sl2_family_m1):
         fam = sl2_family_m1
-        Lm = fam.takiff_algebra
+        Lm = fam.algebra
         xi0 = {"e": Fraction(2), "h": Fraction(-1), "f": Fraction(3)}
         xi1 = {"e": Fraction(1), "h": Fraction(0), "f": Fraction(0)}
         dC_at_xi1 = sl2.invariants.polys[0].gradient_at(xi1)
@@ -247,7 +259,7 @@ class TestDifferentials:
 
     def test_lowest_component_vanishes_with_top_block(self, sl2, sl2_family_m1):
         fam = sl2_family_m1
-        Lm = fam.takiff_algebra
+        Lm = fam.algebra
         xi0 = {"e": Fraction(2), "h": Fraction(-1), "f": Fraction(3)}
         zero = {b: Fraction(0) for b in sl2.algebra.basis}
         assert lowest_component(Lm, fam.member(1, 0), [xi0, zero]) == (None, None)
@@ -259,23 +271,23 @@ class TestDifferentials:
         fam = sl2_family_m1
         xi0 = {"e": Fraction(1), "h": Fraction(2), "f": Fraction(-1)}
         xi1 = {"e": Fraction(0), "h": Fraction(1), "f": Fraction(0)}
-        assert family_rank_at(fam, flatten_point(fam.takiff_algebra, [xi0, xi1])) == 2
+        assert family_rank_at(fam, flatten_point(fam.algebra, [xi0, xi1])) == 2
         # F^0 has no grade-0 partials: its differential sits in the top block
-        assert lowest_component(fam.takiff_algebra, fam.member(1, 0),
+        assert lowest_component(fam.algebra, fam.member(1, 0),
                                 [xi0, xi1])[0] == 1
 
     def test_jacobian_drops_rank_off_omega(self, sl2_family_m1):
         fam = sl2_family_m1
         xi0 = {"e": Fraction(1), "h": Fraction(2), "f": Fraction(-1)}
         zero = {b: Fraction(0) for b in fam.base.algebra.basis}
-        assert family_rank_at(fam, flatten_point(fam.takiff_algebra, [xi0, zero])) < 2
+        assert family_rank_at(fam, flatten_point(fam.algebra, [xi0, zero])) < 2
 
     def test_sl3_depth2_full_rank_at_seeded_points(self, sl3):
         fam = build_family(sl3.algebra, 2, sl3.invariants)
         for trial in range(5):
             r = sampling.rng(13, 43, trial)
             comps = sampling.random_components(sl3.algebra.basis, 2, r, bound=20)
-            assert family_rank_at(fam, flatten_point(fam.takiff_algebra, comps)) == 6
+            assert family_rank_at(fam, flatten_point(fam.algebra, comps)) == 6
 
 
 # (catalog entry, truncation degrees): every entry with invariants at
@@ -302,7 +314,7 @@ def block_family(name, degrees):
     entry = catalog.load(name)
     L, fs = entry.algebra, entry.invariants
     for m in degrees[:-1]:
-        fs = build_family(L, m, fs).invariant_set()
+        fs = build_family(L, m, fs)
         L = fs.algebra
     return build_family(L, degrees[-1], fs)
 
@@ -328,7 +340,7 @@ class TestBlockTriangularity:
             st.sampled_from([1, -2, Fraction(1, 3)]), st.booleans()), min_size=1, max_size=2))
         draft = fam
         for i, j, b, c, diagonal in corruptions:
-            F = draft.table[i - 1][j]
+            F = draft.polys[j * fam.l + i - 1]
             v = F.varset.index(graded_name(b, m - j if diagonal else m))
             term = Polynomial(F.varset, {((v, fam.base.polys[i - 1].degree()),): c})
             draft = with_member(draft, i, j, F + term)
@@ -351,7 +363,7 @@ class TestBlockTriangularity:
         # the two block triangles, cross-checked against full ranks: random,
         # zero and null-cone tops, so the shortcut both fires and falls back
         fam = block_family(name, degrees)
-        L, Lm, m = fam.base.algebra, fam.takiff_algebra, fam.depth
+        L, Lm, m = fam.base.algebra, fam.algebra, fam.depth
         coords = st.lists(st.integers(-9, 9), min_size=L.dim, max_size=L.dim)
         comps = [dict(zip(L.basis, data.draw(coords))) for _ in range(m)]
         support = {"random": L.basis, "zero": (), "nilcone": NILCONE_SUPPORT[L.label]}[kind]
@@ -374,9 +386,9 @@ class TestBlockTriangularity:
         comps = sampling.random_components(sl3.algebra.basis, m, sampling.rng(13, 53))
         comps[m] = {b: int(b == "e12") for b in sl3.algebra.basis}
         assert not omega_test(fs, comps[m])
-        flat = flatten_point(fam.takiff_algebra, comps)
+        flat = flatten_point(fam.algebra, comps)
         rank = takiff_kirillov_rank(fam, flat, kirillov_rank_at)
-        assert rank == linalg.rank(kirillov_matrix(fam.takiff_algebra, flat))
+        assert rank == linalg.rank(kirillov_matrix(fam.algebra, flat))
         assert rank > (m + 1) * (sl3.algebra.dim - fam.l)
 
     def test_a_regular_top_in_omega_builds_no_truncated_matrix(self, monkeypatch, sl3):
@@ -389,11 +401,48 @@ class TestBlockTriangularity:
 
         monkeypatch.setattr(raistauvel, "kirillov_rank_at", spy)
         comps = sampling.random_components(sl3.algebra.basis, 2, sampling.rng(13, 47))
-        assert takiff_kirillov_rank(fam, flatten_point(fam.takiff_algebra, comps), spy) == 18
+        assert takiff_kirillov_rank(fam, flatten_point(fam.algebra, comps), spy) == 18
         assert ranked == ["sl3"]
         comps[2] = {b: 0 for b in sl3.algebra.basis}
-        takiff_kirillov_rank(fam, flatten_point(fam.takiff_algebra, comps), spy)
+        takiff_kirillov_rank(fam, flatten_point(fam.algebra, comps), spy)
         assert ranked == ["sl3", "sl3", "sl3<2>"]
+
+
+class TestFamilyIsTheNextInvariantSet:
+    """A family enters the next level as it stands: checked once, degrees by arithmetic."""
+
+    @pytest.mark.parametrize("run", ["multi-sl3-1,1,1", "sl2-chain-3"])
+    def test_no_member_is_checked_for_homogeneity(self, monkeypatch, sl3, run):
+        families, checked = [], []
+        real_build, real_check = raistauvel.build_family, Polynomial.is_homogeneous
+
+        def build(*args):
+            fam = real_build(*args)
+            families.append(fam)
+            return fam
+
+        def spy(self):
+            checked.append(self)
+            return real_check(self)
+
+        monkeypatch.setattr(raistauvel, "build_family", build)
+        monkeypatch.setattr(nilfiber, "build_family", build)
+        monkeypatch.setattr(Polynomial, "is_homogeneous", spy)
+        if run == "sl2-chain-3":
+            nilfiber.sl2_chain(levels=3)
+        else:
+            verify.verify_multi_current(sl3.algebra, sl3.invariants, [1, 1, 1])
+        assert len(families) == (3 if run.startswith("multi") else 2)
+        members = {id(F) for fam in families for _, _, F in fam.members()}
+        assert not [F for F in checked if id(F) in members]
+
+    @pytest.mark.parametrize("name,degrees", [(name, (m,)) for name in catalog.NAMES
+                                              if name != "affine2" for m in (1, 2, 3)]
+                             + [("heis1", (2,)), ("heis1", (2, 3))])
+    def test_degrees_match_the_member_sweep(self, name, degrees):
+        fam = block_family(name, degrees)
+        assert fam.degrees() == tuple(F.degree() for F in fam.polys)
+        assert sum(fam.degrees()) == family_degree_sum(fam)
 
 
 def shift_down(F, L, m):

@@ -325,7 +325,7 @@ class TestBracketOracle:
     def test_oracle_agrees_with_symbolic_pass(self, name, m):
         entry = catalog.load(name)
         fam = build_family(entry.algebra, m, entry.invariants)
-        Lm = fam.takiff_algebra
+        Lm = fam.algebra
         members = [F for _, _, F in fam.members()]
         assert all(bracket_defect_against(Lm, F, range(Lm.dim)) is None
                    for F in members)
@@ -341,7 +341,7 @@ class TestBracketOracle:
         check = _by_name(rep, "invariance")
         assert check.status == FAIL
         fam = build_family(sl2.algebra, 5, bad)
-        Lm = fam.takiff_algebra
+        Lm = fam.algebra
         F = fam.member(*check.witness["member"])
         t = Lm.index_of(check.witness["basis_element"])
         for p in range(3):
@@ -469,7 +469,7 @@ class TestInvarianceCertificate:
         rep = verify_main_theorem(L, fs, m, transfer_samples=1)
         check = _by_name(rep, "invariance")
         fam = build_family(L, m, fs)
-        Lm = fam.takiff_algebra
+        Lm = fam.algebra
         failing = [[i, j] for i, j, F in fam.members() if invariance_defect(Lm, F)]
         assert check.status == (FAIL if failing else PASS)
         if failing:
@@ -495,7 +495,7 @@ class TestInvarianceCertificate:
         fs = InvariantSet(algebra=L, polys=tuple(polys))
         check = _by_name(verify_main_theorem(L, fs, m, transfer_samples=1), "ideal-invariants")
         fam = build_family(L, m, fs)
-        Lm = fam.takiff_algebra
+        Lm = fam.algebra
         ideal = [Lm.index_of(b) for b in Lm.basis[L.dim:]]
         generators = [(b, Lm.variable(b)) for b in Lm.basis[m * L.dim:]]
         generators += [(f"F_{i}^{j}", F) for i, j, F in fam.members() if j >= 1]
@@ -875,7 +875,7 @@ class TestOmegaCertificates:
     def test_full_family_rank_iff_the_top_is_in_omega(self, sl3, m, top, in_omega):
         L, fs = sl3.algebra, sl3.invariants
         fam = build_family(L, m, fs)
-        Lm = fam.takiff_algebra
+        Lm = fam.algebra
         comps = sampling.random_components(L.basis, m, sampling.rng(m, sampling.TAG_OMEGA),
                                            bound=60)
         comps[m] = {b: top.get(b, 0) for b in L.basis}
@@ -914,7 +914,7 @@ class TestZeroTopOnce:
         # the zero top of sample 1 is the first disagreement, (False, True)
         L = sl3.algebra
         fam = build_family(L, 2, sl3.invariants)
-        Lm = fam.takiff_algebra
+        Lm = fam.algebra
         args = (L, Lm, fam if certified else None, L.dim, liealg.index(Lm) + 1, 20, 0)
         check = verify._regularity_transfer_check(*args)
         _no_zero_top_decision(monkeypatch)
