@@ -18,7 +18,7 @@ from .liealg import (
     validate,
 )
 from .polyring import ParseError, Polynomial, parse_poly
-from .raistauvel import InvariantFamily, build_family, expand_invariant
+from .raistauvel import InvariantFamily, build_family
 from .report import FAIL, PASS, SAMPLED_PASS, SKIPPED, Report
 from .takiff import TakiffGrading, multi_current, takiff
 from .verify import (
@@ -46,7 +46,6 @@ __all__ = [
     "parse_poly",
     "InvariantFamily",
     "build_family",
-    "expand_invariant",
     "FAIL",
     "PASS",
     "SAMPLED_PASS",

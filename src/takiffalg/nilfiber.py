@@ -106,30 +106,28 @@ def _kernel_point(basis: list[list[Scalar]], names: Sequence[str], r,
     raise NilfiberError("could not sample a guarded kernel point in 100 draws")
 
 
-def check_N1_characterization(L: LieAlgebra, fs: InvariantSet, seed: int = 0,
+def check_N1_characterization(fam: InvariantFamily, seed: int = 0,
                               cone: Callable[..., tuple] | None = None) -> Report:
-    """The depth-one null fiber against its base-level characterization.
+    """The depth-one null fiber of the level-1 ``fam`` against its base characterization.
 
-    Two checks on the level-1 family, both certificates of the structure
-    every family has (see the module docstring).
-    `null-fiber-characterization` PASSes when membership in N<1> equals the
-    characterization at every point; it draws nothing and carries no seed.  `lemma-bounds` PASSes when 2i <= J <= l+i holds at
-    every point of q<1>*, and ranks one point of N<1> as witness, drawn
-    from ``sampling.rng(seed, TAG_NULLFIBER, 2)``: xi_1 from ``cone(r)``
-    (a callable returning (parameters, point), as
-    `catalog.Parametrization.sample` does), or 0 without a cone, and xi_0
-    in the kernel of the differentials at xi_1.
+    Two checks on the family, both certificates of the structure every
+    family has (see the module docstring).  `null-fiber-characterization`
+    PASSes when membership in N<1> equals the characterization at every
+    point; it draws nothing and carries no seed.  `lemma-bounds` PASSes
+    when 2i <= J <= l+i holds at every point of q<1>*, and ranks one point
+    of N<1> as witness, drawn from ``sampling.rng(seed, TAG_NULLFIBER, 2)``:
+    xi_1 from ``cone(r)`` (a callable returning (parameters, point), as
+    `catalog.Parametrization.sample` does), or 0 without a cone, and xi_0 in
+    the kernel of the differentials at xi_1.
     """
-    return _n1_certificate(L, build_family(L, 1, fs), seed, cone)
-
-
-def _n1_certificate(L: LieAlgebra, fam: InvariantFamily, seed: int,
-                    cone: Callable[..., tuple] | None) -> Report:
     # Weight 0 puts F_i^0 on grade 1 and the identity gives it the gradient
     # of f_i(xi_1); both are homogeneous of degree >= 1, so Euler's relation
     # makes them equal.  Weight 1 gives every term of F_i^1 one grade-0
     # factor, and the identity its partials (df_i/db)(xi_1), so Euler's
     # relation in the grade-0 variables makes F_i^1 = <(df_i)_{xi_1}, xi_0>.
+    if fam.depth != 1:
+        raise NilfiberError(f"N<1> needs a level-1 family, got depth {fam.depth}")
+    L = fam.base.algebra
     rep = Report(label=f"nilfiber:{L.label}:N1")
     rep.add(Check(name="null-fiber-characterization", status=PASS, paper_ref=_REF_N1,
                   witness={"mode": "derivative-identity"}))
@@ -271,7 +269,7 @@ def sl2_chain(levels: int = 3, seed: int = 0) -> Report:
 
     # one level-1 family serves the N<1> certificate and level 2
     fam1 = build_family(L0, 1, fs0)
-    rep.extend_prefixed("n1:", _n1_certificate(L0, fam1, seed, cone.sample).checks)
+    rep.extend_prefixed("n1:", check_N1_characterization(fam1, seed, cone.sample).checks)
 
     # level 1: strata of the sl2 null cone itself
     origin = StratumSample(name="origin", points=(_zero_point(L0),),

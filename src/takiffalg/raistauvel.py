@@ -30,11 +30,13 @@ eps-power (rows) and by descending grade (columns), that Jacobian is block
 lower triangular with the base Jacobian at the top component on the
 diagonal, so the family has full rank (m+1)l at xi exactly when
 `omega_test` holds at xi_m.  Reversing the grade blocks makes the Kirillov
-matrix of L<m> block triangular too, with diagonal K(xi_m);
-`block_triangle_rank` uses both triangles to give rank K(xi) = (m+1)(n-l)
-from the top component alone wherever it is regular and in Omega.  It is
-the one route for that decision: `takiff_kirillov_rank` applies it at a
-flat point and ranks the full matrix where it gives None.
+matrix of L<m> block triangular too, with diagonal K(xi_m), so
+rank K(xi) >= (m+1) rank K(xi_m).  For a family that is invariant and
+independent at one point, which `verify` certifies once per step, no
+Kirillov rank on L<m> exceeds (m+1)(n-l); `block_triangle_rank` then gives
+rank K(xi) = (m+1)(n-l) wherever rank K(xi_m) = n-l, from that rank alone.
+It is the one route for that decision: `takiff_kirillov_rank` applies it
+at a flat point and ranks the full matrix where it gives None.
 """
 
 from __future__ import annotations
@@ -47,36 +49,21 @@ from . import linalg
 from .liealg import (
     AlgebraError,
     DualPoint,
-    HomogeneityError,
     InvariantSet,
     LieAlgebra,
     RankFunction,
     kirillov_rank_at,
-    omega_test,
 )
 from .polyring import Polynomial, jet_substitute
-from .takiff import _require_grading, graded_varset, takiff
+from .takiff import _require_grading, takiff
 
 __all__ = [
     "InvariantFamily",
-    "expand_invariant",
     "build_family",
     "family_rank_at",
     "block_triangle_rank",
     "takiff_kirillov_rank",
 ]
-
-
-def expand_invariant(L: LieAlgebra, m: int, f: Polynomial) -> list[Polynomial]:
-    """[F^0, ..., F^m] over the graded variables; F^0 is f with b -> b@m."""
-    if m < 1:
-        raise ValueError(f"truncation order must be >= 1, got {m}")
-    if f.varset != L.basis:
-        raise AlgebraError(
-            f"invariant variables {f.varset} do not match the basis of {L.label}")
-    if not f.is_homogeneous():
-        raise HomogeneityError(f"cannot expand non-homogeneous polynomial '{f}'")
-    return _expand(f, m, graded_varset(L, m))
 
 
 def _expand(f: Polynomial, m: int, names: tuple[str, ...]) -> list[Polynomial]:
@@ -191,21 +178,19 @@ def family_rank_at(fam: InvariantFamily, flat: DualPoint) -> int:
     return linalg.rank([F.gradient_at(flat) for F in fam.polys])
 
 
-def block_triangle_rank(fam: InvariantFamily, top: DualPoint, top_rank: int) -> int | None:
-    """rank K(xi) on fam.algebra from the top component alone, or None.
+def block_triangle_rank(fam: InvariantFamily, top_rank: int) -> int | None:
+    """rank K(xi) on fam.algebra from rank K(xi_m) = ``top_rank`` alone, or None.
 
-    Valid only when every member of the family is a symmetric invariant of
-    L<m>.  ``top_rank`` is rank K(xi_m).  When it is n - l and the top
-    component xi_m passes `omega_test`, the rank is exactly (m+1)(n-l): the
-    block triangle with diagonal K(xi_m) bounds it below, and the (m+1)l
-    gradients of the family, independent at xi and in ker K(xi) because
-    the members are invariants, bound it above.  Everywhere else only the
-    Kirillov matrix of L<m> knows the rank, and the answer is None.
+    Precondition: the family is invariant on L<m> and independent at one
+    point of L<m>, which `verify` certifies once per step.  The (m+1)l
+    gradients at that point lie in ker K there, so ind L<m> >= (m+1)l and
+    no rank on L<m> exceeds (m+1)(n-l); the block triangle with diagonal
+    K(xi_m) bounds rank K(xi) below by (m+1) top_rank.  So the rank is
+    exactly (m+1)(n-l) where top_rank is n-l; elsewhere only the Kirillov
+    matrix of L<m> knows it, and the answer is None.
     """
     regular = fam.base.algebra.dim - fam.l
-    if top_rank == regular and omega_test(fam.base, top):
-        return (fam.depth + 1) * regular
-    return None
+    return (fam.depth + 1) * regular if top_rank == regular else None
 
 
 def takiff_kirillov_rank(fam: InvariantFamily, flat: DualPoint,
@@ -215,10 +200,10 @@ def takiff_kirillov_rank(fam: InvariantFamily, flat: DualPoint,
     The top component is read off the flat point and ranked by
     ``base_rank``, any exact rank function on the base, for
     `block_triangle_rank`; where that gives None, the Kirillov matrix of
-    L<m> is built and ranked.  The same validity condition applies.
+    L<m> is built and ranked.  The same precondition applies.
     """
     Lm = fam.algebra
     base = fam.base.algebra.basis
     top = {b: flat[name] for b, name in zip(base, Lm.basis[fam.depth * len(base):])}
-    rank = block_triangle_rank(fam, top, base_rank(fam.base.algebra, top))
+    rank = block_triangle_rank(fam, base_rank(fam.base.algebra, top))
     return kirillov_rank_at(Lm, flat) if rank is None else rank

@@ -28,49 +28,37 @@ certificate rests on `takiff` computing the truncated bracket;
 degrees, weights or derivative identity, so a broken expansion raises
 AlgebraError instead of writing a report.
 
-Both omega checks are certificates.  Every family satisfies the derivative
-identity dF_i^j/d(b@(m-j)) = (df_i/db)(xi_m) and the triangular supports,
-so the family Jacobian is block triangular with diagonal J_f(xi_m), and its
-rank is full exactly where `omega_test` holds at xi_m.  That is the
-transfer "xi in Omega(L<m>*) iff xi_m in Omega(L*)" at every point:
-`omega-transfer` PASSes whenever there is a family and draws nothing, and
-`jacobian-rank-on-omega` ranks the family Jacobian at one point whose top
-component is in Omega, as a concrete witness.
+One step certificate gates every shortcut.  Every family satisfies the
+derivative identity dF_i^j/d(b@(m-j)) = (df_i/db)(xi_m) and the triangular
+supports, so its Jacobian is block triangular with diagonal J_f(xi_m):
+"xi in Omega(L<m>*) iff xi_m in Omega(L*)" at every point.  So
+`omega-transfer` PASSes whenever there is a family, and
+`jacobian-rank-on-omega` ranks the family Jacobian at the one point that
+`_omega_point` draws with its top in Omega, the step's only `omega_test`.
+When `invariance` passes and that search finds a point, the step is
+certified: the (m+1)l members are invariants independent at one point,
+and the differential of an invariant at xi lies in the stabilizer of xi,
+so ind L >= l, ind L<m> >= (m+1)l, and no Kirillov rank exceeds n - l on L
+or (m+1)(n - l) on L<m>.  With its grade blocks reversed the Kirillov
+matrix of L<m> is block triangular with diagonal K(xi_m), so
+rank K(xi) >= (m+1) rank K(xi_m).  The certificate gates four things: the
+two ceilings, which `liealg.index` takes as its ``bound``;
+`raistauvel.block_triangle_rank`, which gives rank K(xi) = (m+1)(n - l)
+wherever rank K(xi_m) = n - l, for the L<m> index trials and for the
+regularity samples; and `_zero_top_rank_bound`'s m(n - l) at a top with
+K(xi_m) = 0.  An uncertified step keeps only the family-free zero-top
+bound mn and ranks every other point of L<m> from its matrix.  Every route
+gives the exact rank, so every status, index and witness is the same.  The
+Omega search runs before the index trials, so its time is charged to
+`index-formula` in the human output.
 
-Both index searches stop at a proven ceiling.  When invariance passes and
-the Omega search finds a top component in Omega, the l base invariants are
-independent at that top and, by the block triangle, the (m+1)l members are
-independent at the drawn point of L<m>.  The differential of an invariant
-at xi lies in the stabilizer of xi, so the stabilizer has dimension at
-least l on the open set Omega, hence at a generic point: ind L >= l, and
-ind L<m> >= (m+1)l the same way.  No Kirillov rank exceeds n - l on L, or
-(m+1)(n - l) on L<m>, and `liealg.index` takes these as its ``bound``: the
-trials stop once one reaches it, and the maximum is the one all trials
-give, so every index, magic number and witness is unchanged.  Without a
-family, after an invariance FAIL or a failed Omega search, no bound is
-passed.  The Omega search runs before the index trials, so its time is
-charged to `index-formula` in the human output; the family rank at its
-point stays with `jacobian-rank-on-omega`.
-
-When invariance also passes, the L<m> index trials and the regularity
-samples whose top component is regular and in Omega take their rank from
-`raistauvel.block_triangle_rank` without building the (m+1)n-wide
-Kirillov matrix; a regularity sample reads only its top component until
-that matrix is needed.  Only the direction "xi_m regular => xi regular"
-follows from the block triangle; the converse is still sampled.
-
-Each regularity sample ranks its top component once, by
-`liealg.kirillov_rank_at`, which is `linalg.skew_rank` of the skew Kirillov
-matrix: rank K(xi_m) decides the right side and feeds the block-triangle
-shortcut.  In `verify_multi_current` the base of a level is the previous
-level's L<m>, so its Kirillov ranks, for the regularity tops and for the
-index and block-triangle trials alike, come from that level's rank
-function: through its block triangles when its family is certified, so a
-matrix as wide as L is built only where they do not decide.  A top with
-K(xi_m) = 0, the zero top of the odd samples above all, is decided by
-`_zero_top_rank_bound` with no matrix built when that bound is below
-dim L<m> - ind L<m>; every other point is ranked from its matrix.  All
-routes give the exact rank, so every status, index and witness is the same.
+Each regularity sample ranks its top component once: rank K(xi_m) decides
+the right side and feeds the block triangle, which proves only "xi_m
+regular => xi regular"; the converse is still sampled.  In
+`verify_multi_current` the base of a level is the previous level's L<m>,
+so its Kirillov ranks come from that level's rank function, through its
+block triangles when it is certified, and a matrix as wide as L is built
+only where they do not decide.
 """
 
 from __future__ import annotations
@@ -226,7 +214,7 @@ def _verify_step(L: LieAlgebra, fs: InvariantSet, m: int, trials: int,
     (see `_jacobi_check`).  ``base_invariant`` is True when ``fs`` is known
     to be invariant on L (see `_invariance_checks`).  ``base_rank`` ranks
     the Kirillov form of L, exactly; the rank function returned does so on
-    L<m>, through the block triangles when the family is certified.
+    L<m>, through the block triangles when the step is certified.
     """
     if trials < 1:
         raise ValueError(f"the rank estimate needs at least one trial, got {trials}")
@@ -244,17 +232,14 @@ def _verify_step(L: LieAlgebra, fs: InvariantSet, m: int, trials: int,
     rep.add(invariance)
     rep.add(ideal)
 
-    # the block triangles give the exact rank where the top is regular in Omega
-    certified = fam if invariance.status == PASS else None
+    # invariants independent at one point: the step certificate
+    omega = _omega_point(L, fs, m, seed) if fam is not None else None
+    certified = fam if invariance.status == PASS and omega is not None else None
     rank_at = liealg.kirillov_rank_at
+    base_bound = tak_bound = None
     if certified is not None:
         def rank_at(_, flat):
             return raistauvel.takiff_kirillov_rank(certified, flat, base_rank)
-
-    # certified invariants independent at one point cap both Kirillov ranks
-    omega = _omega_point(L, fs, m, seed) if fam is not None else None
-    base_bound = tak_bound = None
-    if certified is not None and omega is not None:
         base_bound, tak_bound = L.dim - fam.l, Lm.dim - (m + 1) * fam.l
     idx_base = liealg.index(L, trials=trials, seed=seed, rank=base_rank, bound=base_bound)
     idx_tak = liealg.index(Lm, trials=trials, seed=seed, rank=rank_at, bound=tak_bound)
@@ -290,22 +275,18 @@ def _verify_step(L: LieAlgebra, fs: InvariantSet, m: int, trials: int,
         rep.add(Check(name="degree-sum", status=PASS, paper_ref=_REF_DEGREES,
                       witness=witness))
 
-    shifted = None
     if fam is None:
         for name, ref in (("jacobian-rank-on-omega", _REF_JACRANK),
                           ("omega-transfer", _REF_OMEGA)):
             rep.add(Check(name=name, status=SKIPPED, paper_ref=ref,
                           witness={"note": "no invariants supplied"}))
     else:
-        jacobian = _jacobian_rank_check(fam, omega, seed)
-        rep.add(jacobian)
+        rep.add(_jacobian_rank_check(fam, omega, seed))
         rep.add(Check(name="omega-transfer", status=PASS, paper_ref=_REF_OMEGA,
                       witness={"mode": "derivative-identity"}))
-        if jacobian.status == PASS:
-            shifted = certified
 
     rep.add(_regularity_transfer_check(L, Lm, certified, idx_base, idx_tak,
-                                       transfer_samples, seed, shifted, base_rank))
+                                       transfer_samples, seed, base_rank))
     return rep, Lm, fam, rank_at
 
 
@@ -356,7 +337,7 @@ def _jacobian_rank_check(fam: raistauvel.InvariantFamily, comps: list[dict] | No
 
 
 def _zero_top_rank_bound(Lm: LieAlgebra,
-                         shifted: raistauvel.InvariantFamily | None) -> int:
+                         certified: raistauvel.InvariantFamily | None) -> int:
     """A bound on rank K(xi) on L<m> = takiff(L, m) wherever K(xi_m) = 0.
 
     The entry of the Kirillov matrix of L<m> at (x@i, y@j) is
@@ -366,17 +347,16 @@ def _zero_top_rank_bound(Lm: LieAlgebra,
     algebra on takiff(L, m) alone, which holds at every level of
     `verify_multi_current`.
 
-    ``shifted`` sharpens the bound to m(n - l) with nothing built.  It is
-    the step's family when invariance passes and `jacobian-rank-on-omega`
-    found an Omega point, else None.  Renaming every b@g to b@(g-1) carries
-    the members F_i^j with j <= m-1 onto the depth-(m-1) family, and, for
-    k <= m-1, the bracket {F', x@k} in L<m-1> onto {F, x@k} in L<m>.  So the depth-(m-1) family
-    is invariant and satisfies the identity too, and the Omega point gives
-    it rank ml.  Then ind L<m-1> >= ml, and rank K(xi) <= m(n - l) wherever
-    K(xi_m) = 0.
+    ``certified`` (the step's family when it holds the step certificate,
+    else None) sharpens the bound to m(n - l) with nothing built.  Renaming
+    every b@g to b@(g-1) carries the members F_i^j with j <= m-1 onto the
+    depth-(m-1) family, and, for k <= m-1, the bracket {F', x@k} in L<m-1>
+    onto {F, x@k} in L<m>.  So the depth-(m-1) family is invariant and
+    satisfies the identity too, and the Omega point gives it rank ml.  Then
+    ind L<m-1> >= ml, and rank K(xi) <= m(n - l) wherever K(xi_m) = 0.
     """
     m = Lm.grading.depth
-    l = shifted.l if shifted is not None else 0
+    l = certified.l if certified is not None else 0
     return Lm.dim - Lm.grading.base_dim - m * l
 
 
@@ -384,7 +364,6 @@ def _regularity_transfer_check(L: LieAlgebra, Lm: LieAlgebra,
                                fam: raistauvel.InvariantFamily | None,
                                idx_base: int, idx_tak: int,
                                samples: int, seed: int,
-                               shifted: raistauvel.InvariantFamily | None = None,
                                base_rank: liealg.RankFunction = liealg.kirillov_rank_at,
                                ) -> Check:
     """Sampled agreement of "xi regular in L<m>*" with "xi_m regular in L*".
@@ -392,10 +371,9 @@ def _regularity_transfer_check(L: LieAlgebra, Lm: LieAlgebra,
     Sample t mixes random components drawn from the stream ``sampling.rng(seed,
     TAG_REGULARITY, t)``, with the top one zero for odd t.  The top is drawn
     last, so an odd sample draws components 0..m-1 only, and they are the
-    ones a full draw gives.  ``fam`` is the step's family when it is
-    certified, else None.  ``shifted`` is that family when
-    `jacobian-rank-on-omega` also passed, else None; it feeds
-    `_zero_top_rank_bound`.  rank K(xi_m) is taken once per sample, by
+    ones a full draw gives.  ``fam`` is the step's family when it holds the
+    step certificate, else None; it feeds `raistauvel.block_triangle_rank`
+    and `_zero_top_rank_bound`.  rank K(xi_m) is taken once per sample, by
     ``base_rank``, and a zero top has rank 0.  At rank 0 the left side is False without a matrix
     when the bound is below dim L<m> - ind L<m>.  When ind L < n the right
     side is False too, whatever the lower components, so the odd samples
@@ -409,7 +387,7 @@ def _regularity_transfer_check(L: LieAlgebra, Lm: LieAlgebra,
     m = Lm.grading.depth
     regular = Lm.dim - idx_tak
     regular_base = L.dim - idx_base
-    bound_decides = _zero_top_rank_bound(Lm, shifted) < regular
+    bound_decides = _zero_top_rank_bound(Lm, fam) < regular
     zero_tops_agree = bound_decides and regular_base != 0
     streams = sampling.streams(seed, sampling.TAG_REGULARITY)
     yes = 0
@@ -427,7 +405,7 @@ def _regularity_transfer_check(L: LieAlgebra, Lm: LieAlgebra,
         if not top_rank and bound_decides:
             takiff_regular = False
         else:
-            rank = (raistauvel.block_triangle_rank(fam, top, top_rank) if fam is not None
+            rank = (raistauvel.block_triangle_rank(fam, top_rank) if fam is not None
                     else None)
             if rank is None:
                 rank = liealg.kirillov_rank_at(Lm, flatten_point(Lm, comps))

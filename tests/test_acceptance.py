@@ -53,7 +53,7 @@ def base_indices():
 @pytest.fixture(scope="module")
 def n1_report(sl2):
     cone = sl2.parametrizations["nilcone"]
-    return check_N1_characterization(sl2.algebra, sl2.invariants,
+    return check_N1_characterization(build_family(sl2.algebra, 1, sl2.invariants),
                                      seed=0, cone=cone.sample)
 
 
@@ -224,7 +224,7 @@ def test_criterion_9_lemma_bounds(sl2_family_m1, n1_report, n1_points, sl2):
 
 def test_criterion_10_determinism(sl2, n1_report, chain_report):
     cone = sl2.parametrizations["nilcone"]
-    rerun_n1 = check_N1_characterization(sl2.algebra, sl2.invariants,
+    rerun_n1 = check_N1_characterization(build_family(sl2.algebra, 1, sl2.invariants),
                                          seed=0, cone=cone.sample)
     rerun_chain = sl2_chain(levels=3, seed=0)
     verify_a = verify_main_theorem(sl2.algebra, sl2.invariants, 2, seed=0)

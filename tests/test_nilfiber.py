@@ -138,7 +138,7 @@ class TestCharacterization:
     @pytest.mark.parametrize("name", WITH_INVARIANTS)
     def test_every_catalog_family_is_certified(self, name):
         entry = catalog.load(name)
-        rep = check_N1_characterization(entry.algebra, entry.invariants, seed=5)
+        rep = check_N1_characterization(_family(name), seed=5)
         char, bounds = rep.checks
         assert (char.name, char.status, char.witness, char.seed) == \
             ("null-fiber-characterization", PASS, {"mode": "derivative-identity"}, None)
@@ -147,9 +147,9 @@ class TestCharacterization:
         assert w["mode"] == "derivative-identity" and w["violations"] == []
         assert w["lower"] == 2 * w["i"] <= w["J"] <= w["upper"] == len(entry.invariants) + w["i"]
 
-    def test_witness_point_is_a_regular_point_of_the_fiber(self, sl2):
+    def test_witness_point_is_a_regular_point_of_the_fiber(self, sl2, sl2_family_m1):
         cone = sl2.parametrizations["nilcone"]
-        rep = check_N1_characterization(sl2.algebra, sl2.invariants, seed=0, cone=cone.sample)
+        rep = check_N1_characterization(sl2_family_m1, seed=0, cone=cone.sample)
         (bounds,) = [c for c in rep.checks if c.name == "lemma-bounds"]
         assert bounds.witness == {"mode": "derivative-identity", "i": 1, "J": 2,
                                   "lower": 2, "upper": 2, "violations": []}
@@ -159,15 +159,20 @@ class TestCharacterization:
         # the dual everywhere, so the fiber over xi_1 = 0 is the origin alone
         L = LieAlgebra.create("ab2", ("x", "y"), {})
         fs = InvariantSet(algebra=L, polys=(L.variable("x"), L.variable("y")))
-        rep = check_N1_characterization(L, fs)
+        rep = check_N1_characterization(build_family(L, 1, fs))
         assert rep.summary == PASS
         (bounds,) = [c for c in rep.checks if c.name == "lemma-bounds"]
         assert (bounds.witness["i"], bounds.witness["J"]) == (2, 4)
 
-    def test_chain_shares_the_family_and_matches_the_standalone_run(self, sl2, chain):
+    def test_a_deeper_family_is_refused(self, sl2):
+        fam = build_family(sl2.algebra, 2, sl2.invariants)
+        with pytest.raises(NilfiberError, match="N<1> needs a level-1 family, got depth 2"):
+            check_N1_characterization(fam)
+
+    def test_chain_shares_the_family_and_matches_the_standalone_run(self, sl2, chain,
+                                                                    sl2_family_m1):
         cone = sl2.parametrizations["nilcone"]
-        rep = check_N1_characterization(sl2.algebra, sl2.invariants,
-                                        seed=0, cone=cone.sample)
+        rep = check_N1_characterization(sl2_family_m1, seed=0, cone=cone.sample)
         by_name = {c.name: c for c in chain.checks}
         for c in rep.checks:
             shared = by_name["n1:" + c.name]
@@ -203,10 +208,10 @@ class TestCharacterization:
         with pytest.raises(AlgebraError, match=r"\(1,1\): the partial in 'e@0'"):
             sl2_chain(levels=1, seed=0)
 
-    def test_a_rank_outside_the_bounds_fails(self, monkeypatch, sl2):
+    def test_a_rank_outside_the_bounds_fails(self, monkeypatch, sl2, sl2_family_m1):
         monkeypatch.setattr(nilfiber, "family_rank_at", lambda fam, flat: 0)
         cone = sl2.parametrizations["nilcone"]
-        rep = check_N1_characterization(sl2.algebra, sl2.invariants, cone=cone.sample)
+        rep = check_N1_characterization(sl2_family_m1, cone=cone.sample)
         (bounds,) = [c for c in rep.checks if c.name == "lemma-bounds"]
         assert bounds.status == FAIL
         (violation,) = bounds.witness["violations"]

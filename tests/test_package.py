@@ -62,6 +62,16 @@ def test_the_expansion_structure_is_stated_once():
             if any(name in p.read_text() for name in gone)] == []
 
 
+def test_the_block_triangle_asks_no_omega_test():
+    # `verify` certifies each step by one Omega point; the block triangle
+    # then reads only rank K(xi_m), so raistauvel imports no omega_test
+    tree = ast.parse((SRC / "takiffalg" / "raistauvel.py").read_text())
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "omega_test" not in imported | attributes
+
+
 def _bench_trace_spans():
     """SPANS of perfbench/bench_trace.py (stdlib imports only), read without
     writing bytecode next to it."""

@@ -18,10 +18,10 @@ from takiffalg.liealg import (
     omega_test,
 )
 from takiffalg.polyring import Polynomial, jet_substitute, parse_poly
+from takiffalg.report import FAIL
 from takiffalg.raistauvel import (
     InvariantFamily,
     build_family,
-    expand_invariant,
     family_rank_at,
     takiff_kirillov_rank,
 )
@@ -31,6 +31,7 @@ from oracles import EpsValue, bareiss_rank, eval_poly_eps, graded_parts, poisson
 from oracles import derivative_identity_defect as oracle_identity_defect
 from oracles import family_degree_sum, weight_defect
 from oracles import kirillov_matrix as oracle_kirillov_matrix
+from test_verify import _structural_and_exact
 
 
 def _dual_number_mismatches(name, m) -> list:
@@ -87,15 +88,17 @@ class TestExpansion:
         assert str(fam.member(1, 1)) == "4*f@0*e@1 + 2*h@0*h@1 + 4*e@0*f@1"
 
     def test_heisenberg_centre_expands_to_coordinates(self, heis1):
-        comps = expand_invariant(heis1.algebra, 2, heis1.invariants.polys[0])
+        comps = build_family(heis1.algebra, 2, heis1.invariants).polys
         vs = graded_varset(heis1.algebra, 2)
-        assert comps == [parse_poly("z@2", vs), parse_poly("z@1", vs),
-                         parse_poly("z@0", vs)]
+        assert comps == (parse_poly("z@2", vs), parse_poly("z@1", vs),
+                         parse_poly("z@0", vs))
 
     def test_rejects_inhomogeneous_and_foreign(self, sl2, heis1):
+        # an inhomogeneous polynomial never reaches the expansion: the
+        # invariant set refuses it
         with pytest.raises(HomogeneityError):
-            expand_invariant(sl2.algebra, 1,
-                             parse_poly("h^2 + e", sl2.algebra.basis))
+            InvariantSet(algebra=sl2.algebra,
+                         polys=(parse_poly("h^2 + e", sl2.algebra.basis),))
         with pytest.raises(AlgebraError):
             build_family(sl2.algebra, 1, heis1.invariants)
 
@@ -207,8 +210,9 @@ class TestFamilyValidation:
         assert len(fam) == 6 and fam.algebra.label == "sl3<2>"
         assert fam.polys == tuple(F for _, _, F in fam.members())
         assert [fam.member(i, j) for i, j, _ in fam.members()] == list(fam.polys)
-        assert fam.polys[:2] == tuple(expand_invariant(sl3.algebra, 2, f)[0]
-                                      for f in sl3.invariants.polys)
+        assert fam.polys[:2] == tuple(
+            build_family(sl3.algebra, 2, InvariantSet(algebra=sl3.algebra, polys=(f,))).polys[0]
+            for f in sl3.invariants.polys)
 
     def test_triangularity_is_enforced(self, sl2, sl2_family_m1):
         fam = sl2_family_m1
@@ -377,19 +381,26 @@ class TestBlockTriangularity:
             linalg.rank(kirillov_matrix(Lm, flat))
 
     @pytest.mark.parametrize("m", [1, 2])
-    def test_a_top_of_rank_n_minus_l_outside_omega_falls_back(self, sl3, m):
+    def test_a_top_of_rank_n_minus_l_outside_omega_falls_back(self, monkeypatch, sl3, m):
         # four sl3 invariants, two of them products: rank K(e12*) = 8 - 4, but
-        # the differentials are dependent, so only the full matrix knows the rank
+        # the differentials are dependent everywhere, so the full rank exceeds
+        # (m+1)(n-l) and the block triangle's precondition fails; verify finds
+        # no Omega point, certifies nothing and ranks every matrix
         C2, C3 = sl3.invariants.polys
         fs = InvariantSet(algebra=sl3.algebra, polys=(C2, C3, C2 * C2, C2 * C3))
         fam = build_family(sl3.algebra, m, fs)
         comps = sampling.random_components(sl3.algebra.basis, m, sampling.rng(13, 53))
         comps[m] = {b: int(b == "e12") for b in sl3.algebra.basis}
-        assert not omega_test(fs, comps[m])
+        assert kirillov_rank_at(sl3.algebra, comps[m]) == sl3.algebra.dim - fam.l
         flat = flatten_point(fam.algebra, comps)
-        rank = takiff_kirillov_rank(fam, flat, kirillov_rank_at)
-        assert rank == linalg.rank(kirillov_matrix(fam.algebra, flat))
-        assert rank > (m + 1) * (sl3.algebra.dim - fam.l)
+        assert linalg.rank(kirillov_matrix(fam.algebra, flat)) > \
+            (m + 1) * (sl3.algebra.dim - fam.l)
+        rep, calls, exact = _structural_and_exact(monkeypatch, sl3.algebra, fs, m,
+                                                  transfer_samples=20)
+        (jacobian,) = [c for c in rep.checks if c.name == "jacobian-rank-on-omega"]
+        assert jacobian.status == FAIL
+        assert calls == 0
+        assert rep.to_json() == exact.to_json()
 
     def test_a_regular_top_in_omega_builds_no_truncated_matrix(self, monkeypatch, sl3):
         fam = block_family("sl3", (2,))

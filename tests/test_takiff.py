@@ -6,9 +6,9 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from takiffalg import algio, catalog, sampling
-from takiffalg.liealg import AlgebraError, AlgebraFormatError, LieAlgebra, validate
+from takiffalg.liealg import AlgebraError, AlgebraFormatError, InvariantSet, LieAlgebra, validate
 from takiffalg.polyring import Polynomial, parse_poly
-from takiffalg.raistauvel import expand_invariant
+from takiffalg.raistauvel import build_family
 from takiffalg.takiff import (
     TakiffGrading,
     flatten_point,
@@ -211,19 +211,24 @@ class TestInvarianceTransfer:
         L = entry.algebra
         polys = [*entry.invariants.polys, L.variable(L.basis[0]) * L.variable(L.basis[1])]
         for m in degrees[:-1]:
-            polys = [F for f in polys for F in expand_invariant(L, m, f)]
+            polys = [F for f in polys for F in _expansion(L, m, f)]
             L = takiff(L, m)
         for f in polys:
             _assert_expansion_brackets(L, f, degrees[-1])
 
 
+def _expansion(L, m, f):
+    """[F^0, ..., F^m]: the family of the one polynomial f, invariant or not."""
+    return build_family(L, m, InvariantSet(algebra=L, polys=(f,))).polys
+
+
 def _assert_expansion_brackets(L, f, m):
     """{F^j, x@k} is [eps^(j-k)] of the expansion of {f, x} for j >= k, else 0."""
     Lm = takiff(L, m)
-    family = expand_invariant(L, m, f)
+    family = _expansion(L, m, f)
     for b in L.basis:
         fx = poisson_bracket(L, f, L.variable(b))
-        want = expand_invariant(L, m, Polynomial(L.basis, fx)) if fx else []
+        want = _expansion(L, m, Polynomial(L.basis, fx)) if fx else []
         for k in range(m + 1):
             x = Lm.variable(graded_name(b, k))
             for j, F in enumerate(family):

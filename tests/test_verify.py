@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-import dataclasses
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -603,7 +603,7 @@ class TestInvarianceCertificate:
 
 def _no_zero_top_decision(monkeypatch):
     """Draw and rank every zero top: no rank bound, so no l-term and no skipped sample."""
-    monkeypatch.setattr(verify, "_zero_top_rank_bound", lambda Lm, shifted: Lm.dim)
+    monkeypatch.setattr(verify, "_zero_top_rank_bound", lambda Lm, certified: Lm.dim)
 
 
 def _structural_and_exact(monkeypatch, L, fs, m, **kwargs):
@@ -616,13 +616,13 @@ def _structural_and_exact(monkeypatch, L, fs, m, **kwargs):
     structural = raistauvel.block_triangle_rank
     calls = []
 
-    def spy(fam, top, top_rank):
-        calls.append(top)
-        return structural(fam, top, top_rank)
+    def spy(fam, top_rank):
+        calls.append(top_rank)
+        return structural(fam, top_rank)
 
     monkeypatch.setattr(raistauvel, "block_triangle_rank", spy)
     rep = verify_main_theorem(L, fs, m, **kwargs)
-    monkeypatch.setattr(raistauvel, "block_triangle_rank", lambda fam, top, top_rank: None)
+    monkeypatch.setattr(raistauvel, "block_triangle_rank", lambda fam, top_rank: None)
     _no_zero_top_decision(monkeypatch)
     exact = verify_main_theorem(L, fs, m, **kwargs)
     monkeypatch.undo()
@@ -673,9 +673,10 @@ def _zero_top_entry(name):
     On heis1 + w, n = 4 and l = 2, so at m = 2 the zero tops are decided by
     m(n - l) = 4 < 6 = dim L<2> - ind L<2> alone: neither mn nor anything
     weaker than the whole l-term is below 6.  On ab2, n = l and every point
-    is regular, so neither mn nor m(n - l) is below dim L<m> - ind L<m>;
-    the squares vanish to second order at the zero top, so it fails
-    `omega_test` and the block triangle leaves it open too.
+    is regular, so neither mn nor m(n - l) is below dim L<m> - ind L<m>.
+    The squares vanish to second order at the zero top, so it fails
+    `omega_test`, but the step is certified at another point, and there
+    rank K(xi_m) = 0 = n - l lets the block triangle decide it.
     """
     if name == "heis1+w":
         L = LieAlgebra.create("heis1w", ("x", "y", "z", "w"), {(0, 1): {2: 1}})
@@ -747,9 +748,9 @@ class TestStructuralRanks:
         assert decided == _zero_top_bound_decides(L, fs, m)
         rep, built = _kirillov_matrices(monkeypatch, L, fs, m)
         assert rep.summary == PASS
-        # a zero top is never ranked on its own; L<m> is ranked there only
-        # when the rank bound leaves the sample open
-        assert _zero_tops(built) == ([] if decided else [(m + 1) * L.dim] * 10)
+        # a zero top is never ranked on its own, and where the rank bound
+        # leaves a sample open (n = l) the certified block triangle decides it
+        assert _zero_tops(built) == []
 
     def test_a_derivative_identity_defect_is_refused_before_any_check(self, monkeypatch,
                                                                        sl2):
@@ -776,7 +777,7 @@ class TestStructuralRanks:
 
 
 class TestZeroTopBoundFallback:
-    """Without the certified family and its Omega point the zero tops fall back to mn.
+    """Without the step certificate the zero tops fall back to mn.
 
     On sl2<2>, mn = 6 = dim L<2> - ind L<2>, so the zero-row bound leaves
     every zero top open, and each builds its 9-wide L<2> matrix.
@@ -786,7 +787,7 @@ class TestZeroTopBoundFallback:
     def _without_the_l_term(monkeypatch, L, fs, m):
         bound = verify._zero_top_rank_bound
         monkeypatch.setattr(verify, "_zero_top_rank_bound",
-                            lambda Lm, shifted: bound(Lm, None))
+                            lambda Lm, certified: bound(Lm, None))
         return verify_main_theorem(L, fs, m, transfer_samples=20)
 
     @pytest.mark.parametrize("case,failed", [("none", "jacobian-rank-on-omega"),
@@ -807,22 +808,21 @@ class TestZeroTopBoundFallback:
         assert rep.to_json() == self._without_the_l_term(monkeypatch, L, fs, 2).to_json()
         monkeypatch.undo()
 
-    def test_a_failed_omega_search_keeps_the_block_triangle(self, monkeypatch, sl2):
-        # jacobian-rank-on-omega FAILs by fiat: the zero tops lose the l-term,
-        # but the even samples and the index trials still take their ranks
-        # from the block triangle, so every L<2> matrix is at a zero top
-        check = verify._jacobian_rank_check
-
-        def failed(*args):
-            return dataclasses.replace(check(*args), status=FAIL)
-
-        monkeypatch.setattr(verify, "_jacobian_rank_check", failed)
+    def test_a_failed_omega_search_takes_the_exact_route(self, monkeypatch, sl2):
+        # invariance PASSes, but with no Omega point the step holds no
+        # certificate: no index bound, no block triangle and no l-term, so
+        # every L<2> rank comes from its matrix, zero tops included
+        monkeypatch.setattr(verify, "_omega_point", lambda *args: None)
+        seen = _index_trials(monkeypatch)
         rep, built = _kirillov_matrices(monkeypatch, sl2.algebra, sl2.invariants, 2)
+        assert _by_name(rep, "invariance").status == PASS
         assert _by_name(rep, "jacobian-rank-on-omega").status == FAIL
-        assert [width for width, _ in built if width == 9] == _zero_tops(built) == [9] * 10
-        off = self._without_the_l_term(monkeypatch, sl2.algebra, sl2.invariants, 2)
-        monkeypatch.undo()
-        assert rep.to_json() == off.to_json()
+        assert [bound for _, bound, _ in seen] == [None, None]
+        assert _zero_tops(built) == [9] * 10
+        rep, calls, exact = _structural_and_exact(monkeypatch, sl2.algebra, sl2.invariants,
+                                                  2, transfer_samples=20)
+        assert calls == 0
+        assert rep.to_json() == exact.to_json()
 
 
 def _stream_spy(monkeypatch) -> list:
@@ -866,6 +866,38 @@ class TestOmegaCertificates:
         assert _by_name(rep, "jacobian-rank-on-omega").witness == {
             "mode": "derivative-identity", "rank": (m + 1) * len(entry.invariants)}
         assert _by_name(rep, "omega-transfer").witness == {"mode": "derivative-identity"}
+
+    @pytest.mark.parametrize("degrees", [[4], [2, 2]])
+    def test_omega_test_runs_only_in_each_step_omega_search(self, monkeypatch, sl3, degrees):
+        # the step certificate needs one Omega point; the block triangles at
+        # the regularity tops and the index trials ask no omega_test
+        real, real_build = liealg.omega_test, raistauvel.build_family
+        calls, families = [], []
+
+        def spy(fs, point):
+            calls.append((sys._getframe(1).f_code.co_name, fs, set(point)))
+            return real(fs, point)
+
+        def build(*args):
+            families.append(real_build(*args))
+            return families[-1]
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("takiffalg") and getattr(module, "omega_test", None) is real:
+                monkeypatch.setattr(module, "omega_test", spy)
+        monkeypatch.setattr(raistauvel, "build_family", build)
+        if len(degrees) == 1:
+            rep = verify_main_theorem(sl3.algebra, sl3.invariants, degrees[0],
+                                      transfer_samples=20)
+        else:
+            rep = verify_multi_current(sl3.algebra, sl3.invariants, degrees,
+                                       transfer_samples=20)
+        monkeypatch.undo()
+        assert rep.summary == PASS
+        bases = [sl3.invariants, *families[:-1]]
+        assert all(caller == "_omega_point" and names == set(fs.algebra.basis)
+                   for caller, fs, names in calls)
+        assert {id(fs) for _, fs, _ in calls} == {id(base) for base in bases}
 
     # tops with one root coordinate are nonzero and outside Omega; e12 + e23 is
     # the regular nilpotent, in Omega
