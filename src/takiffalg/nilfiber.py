@@ -139,7 +139,9 @@ def _lemma_bounds(L: LieAlgebra, fam: InvariantFamily, seed: int,
                   cone: Callable[..., tuple] | None) -> Check:
     # With the identity the family Jacobian is [[0, A], [A, B]], A = J_f(xi_1)
     # of rank i, so 2i <= J <= l+i everywhere; one point of N<1> is ranked.
-    # The kernel of A gives both xi_0 and, by rank-nullity, i.
+    # The kernel of A gives both xi_0 and, by rank-nullity, i.  family_rank_at
+    # ranks A first: at i = l it returns J = 2l with no member gradient, and
+    # below l it ranks the members.
     r = sampling.rng(seed, sampling.TAG_NULLFIBER, 2)
     xi1 = cone(r)[1] if cone is not None else _zero_point(L)
     kernel = _fiber_kernel(fam.base, xi1)

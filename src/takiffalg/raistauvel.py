@@ -24,19 +24,20 @@ where b@g weighs m-g (so F^j depends only on the grades m-j..m), and
     dF_i^j / d(b@(m-j)) = (df_i / db)(xi_m).
 
 A member that breaks any of the three is refused, naming it and the term
-or variable; only a broken expansion can build one.  `family_rank_at`
-gives the rank of a whole family's Jacobian at a flat point.  Ordered by
-eps-power (rows) and by descending grade (columns), that Jacobian is block
+or variable; only a broken expansion can build one.  Ordered by eps-power
+(rows) and by descending grade (columns), a family's Jacobian is block
 lower triangular with the base Jacobian at the top component on the
-diagonal, so the family has full rank (m+1)l at xi exactly when
-`omega_test` holds at xi_m.  Reversing the grade blocks makes the Kirillov
-matrix of L<m> block triangular too, with diagonal K(xi_m), so
-rank K(xi) >= (m+1) rank K(xi_m).  For a family that is invariant and
-independent at one point, which `verify` certifies once per step, no
-Kirillov rank on L<m> exceeds (m+1)(n-l); `block_triangle_rank` then gives
-rank K(xi) = (m+1)(n-l) wherever rank K(xi_m) = n-l, from that rank alone.
-It is the one route for that decision: `takiff_kirillov_rank` applies it
-at a flat point and ranks the full matrix where it gives None.
+diagonal, so the family has full rank (m+1)l at xi exactly when the base
+differentials are independent at xi_m.  `family_rank_at` ranks that base
+block first, down to the first base of an iterated family, and ranks the
+member gradients only where it is short.  Reversing the grade blocks
+makes the Kirillov matrix of L<m> block triangular too, with diagonal
+K(xi_m), so rank K(xi) >= (m+1) rank K(xi_m).  For a family that is
+invariant and independent at one point, which `verify` certifies once per
+step, no Kirillov rank on L<m> exceeds (m+1)(n-l); `block_triangle_rank`
+then gives rank K(xi) = (m+1)(n-l) wherever rank K(xi_m) = n-l, from that
+rank alone.  It is the one route for that decision: `takiff_kirillov_rank`
+applies it at a flat point and ranks the full matrix where it gives None.
 """
 
 from __future__ import annotations
@@ -173,8 +174,28 @@ def build_family(L: LieAlgebra, m: int, fs: InvariantSet) -> InvariantFamily:
                            polys=tuple(F[j] for j in range(m + 1) for F in jets))
 
 
+def _top(fam: InvariantFamily, flat: DualPoint) -> DualPoint:
+    """The top component xi_m of a flat point of fam.algebra, over the base basis."""
+    base = fam.base.algebra.basis
+    return dict(zip(base, (flat[name] for name in fam.algebra.basis[fam.depth * len(base):])))
+
+
 def family_rank_at(fam: InvariantFamily, flat: DualPoint) -> int:
-    """Rank of the (m+1)l x (m+1)n family Jacobian at a `takiff.flatten_point` of L<m>."""
+    """Rank of the (m+1)l x (m+1)n family Jacobian at a `takiff.flatten_point` of L<m>.
+
+    The Jacobian is block triangular with diagonal J_f(xi_m), so the base
+    block at the top component is ranked first: the l base gradients there,
+    or, when the base is itself a family, its own rank at xi_m, so an
+    iterated family reaches its first base at the deepest top.  Rank l
+    gives (m+1)l with no member gradient; below it every member is ranked.
+    """
+    base, top = fam.base, _top(fam, flat)
+    if isinstance(base, InvariantFamily):
+        top_rank = family_rank_at(base, top)
+    else:
+        top_rank = linalg.rank([f.gradient_at(top) for f in base.polys])
+    if top_rank == fam.l:
+        return (fam.depth + 1) * fam.l
     return linalg.rank([F.gradient_at(flat) for F in fam.polys])
 
 
@@ -202,8 +223,5 @@ def takiff_kirillov_rank(fam: InvariantFamily, flat: DualPoint,
     `block_triangle_rank`; where that gives None, the Kirillov matrix of
     L<m> is built and ranked.  The same precondition applies.
     """
-    Lm = fam.algebra
-    base = fam.base.algebra.basis
-    top = {b: flat[name] for b, name in zip(base, Lm.basis[fam.depth * len(base):])}
-    rank = block_triangle_rank(fam, base_rank(fam.base.algebra, top))
-    return kirillov_rank_at(Lm, flat) if rank is None else rank
+    rank = block_triangle_rank(fam, base_rank(fam.base.algebra, _top(fam, flat)))
+    return kirillov_rank_at(fam.algebra, flat) if rank is None else rank

@@ -27,7 +27,8 @@ from takiffalg.raistauvel import (
 )
 from takiffalg.takiff import flatten_point, graded_name, graded_varset, takiff
 
-from oracles import EpsValue, bareiss_rank, eval_poly_eps, graded_parts, poisson_bracket
+from oracles import EpsValue, bareiss_rank, eval_poly_eps, graded_parts, naive_rank, poisson_bracket
+from oracles import gradient_at as oracle_gradient_at
 from oracles import derivative_identity_defect as oracle_identity_defect
 from oracles import family_degree_sum, weight_defect
 from oracles import kirillov_matrix as oracle_kirillov_matrix
@@ -417,6 +418,77 @@ class TestBlockTriangularity:
         comps[2] = {b: 0 for b in sl3.algebra.basis}
         takiff_kirillov_rank(fam, flatten_point(fam.algebra, comps), spy)
         assert ranked == ["sl3", "sl3", "sl3<2>"]
+
+
+# iterated families whose family_rank_at recurses down to the first base
+ITERATED_CASES = [("sl2", (1, 1, 1)), ("heis1", (2, 3)), ("slnV2", (1, 2))]
+
+
+def deepest_top_names(name, degrees):
+    """{b: the name of b's coordinate at the top grade of every level}."""
+    base = catalog.load(name).algebra.basis
+    names = base
+    for m in degrees:
+        names = [graded_name(v, m) for v in names]
+    return dict(zip(base, names))
+
+
+def fresh_chain(name, degrees):
+    """The families of every level, built anew, so no member has a gradient plan."""
+    fs, chain = catalog.load(name).invariants, []
+    for m in degrees:
+        fs = build_family(fs.algebra, m, fs)
+        chain.append(fs)
+    return chain
+
+
+class TestFamilyRankFromTheBase:
+    """family_rank_at ranks the first base at the deepest top, members only below full rank."""
+
+    @pytest.mark.parametrize("kind", ["random", "zero", "nilcone"])
+    @pytest.mark.parametrize("name,degrees", ITERATED_CASES)
+    @settings(max_examples=5)
+    @given(data=st.data())
+    def test_the_rank_equals_the_member_jacobian(self, name, degrees, kind, data):
+        # the oracle ranks every member gradient; a zero or null-cone deepest
+        # top is singular for sl2 and slnV2, so every level falls back
+        fam = block_family(name, degrees)
+        entry = catalog.load(name)
+        Lm, deepest = fam.algebra, deepest_top_names(name, degrees)
+        flat = dict(zip(Lm.basis, data.draw(st.lists(
+            st.integers(-9, 9), min_size=Lm.dim, max_size=Lm.dim))))
+        support = {"random": deepest, "zero": (), "nilcone": NILCONE_SUPPORT[name]}[kind]
+        for b, v in deepest.items():
+            if b not in support:
+                flat[v] = 0
+        top = {b: flat[v] for b, v in deepest.items()}
+        rank = naive_rank([oracle_gradient_at(F, flat) for F in fam.polys])
+        assert family_rank_at(fam, flat) == rank
+        assert (rank == len(fam)) == omega_test(entry.invariants, top)
+
+    @pytest.mark.parametrize("name,degrees", [("sl2", (2,))] + ITERATED_CASES)
+    def test_an_omega_top_builds_no_member_plan(self, monkeypatch, name, degrees):
+        chain = fresh_chain(name, degrees)
+        fam, base = chain[-1], chain[0].base
+        Lm, deepest = fam.algebra, deepest_top_names(name, degrees)
+        flat = sampling.random_coords(Lm.basis, sampling.rng(13, 59))
+        assert omega_test(base, {b: flat[v] for b, v in deepest.items()})
+        real, graded = Polynomial.gradient_at, []
+
+        def spy(self, point):
+            graded.append(self)
+            return real(self, point)
+
+        monkeypatch.setattr(Polynomial, "gradient_at", spy)
+        assert family_rank_at(fam, flat) == len(fam)
+        assert graded and all(any(F is f for f in base.polys) for F in graded)
+        assert all(F._plan is None for level in chain for F in level.polys)
+        if name != "heis1":    # z has a nonzero differential everywhere
+            graded.clear()
+            for v in deepest.values():
+                flat[v] = 0
+            assert family_rank_at(fam, flat) < len(fam)
+            assert any(F is G for F in graded for G in fam.polys)
 
 
 class TestFamilyIsTheNextInvariantSet:

@@ -868,36 +868,55 @@ class TestOmegaCertificates:
         assert _by_name(rep, "omega-transfer").witness == {"mode": "derivative-identity"}
 
     @pytest.mark.parametrize("degrees", [[4], [2, 2]])
-    def test_omega_test_runs_only_in_each_step_omega_search(self, monkeypatch, sl3, degrees):
+    def test_omega_test_runs_only_in_the_first_omega_search(self, monkeypatch, sl3, degrees):
         # the step certificate needs one Omega point; the block triangles at
-        # the regularity tops and the index trials ask no omega_test
-        real, real_build = liealg.omega_test, raistauvel.build_family
-        calls, families = [], []
+        # the regularity tops and the index trials ask no omega_test.  Only
+        # the first level's search asks it, on the base invariants; a later
+        # level's search asks family_rank_at of the previous family, which
+        # decides at the first base
+        real, real_rank, real_build = (liealg.omega_test, raistauvel.family_rank_at,
+                                       raistauvel.build_family)
+        calls, ranked, families = [], [], []
 
         def spy(fs, point):
             calls.append((sys._getframe(1).f_code.co_name, fs, set(point)))
             return real(fs, point)
 
+        def rank_spy(fam, flat):
+            ranked.append((sys._getframe(1).f_code.co_name, fam))
+            return real_rank(fam, flat)
+
         def build(*args):
             families.append(real_build(*args))
             return families[-1]
 
+        def run():
+            if len(degrees) == 1:
+                return verify_main_theorem(sl3.algebra, sl3.invariants, degrees[0],
+                                           transfer_samples=20)
+            return verify_multi_current(sl3.algebra, sl3.invariants, degrees,
+                                        transfer_samples=20)
+
         for name, module in list(sys.modules.items()):
             if name.startswith("takiffalg") and getattr(module, "omega_test", None) is real:
                 monkeypatch.setattr(module, "omega_test", spy)
+        monkeypatch.setattr(raistauvel, "family_rank_at", rank_spy)
         monkeypatch.setattr(raistauvel, "build_family", build)
-        if len(degrees) == 1:
-            rep = verify_main_theorem(sl3.algebra, sl3.invariants, degrees[0],
-                                      transfer_samples=20)
-        else:
-            rep = verify_multi_current(sl3.algebra, sl3.invariants, degrees,
-                                       transfer_samples=20)
+        rep = run()
         monkeypatch.undo()
         assert rep.summary == PASS
-        bases = [sl3.invariants, *families[:-1]]
-        assert all(caller == "_omega_point" and names == set(fs.algebra.basis)
-                   for caller, fs, names in calls)
-        assert {id(fs) for _, fs, _ in calls} == {id(base) for base in bases}
+        assert [(caller, id(fs), names) for caller, fs, names in calls] == \
+            [("_omega_point", id(sl3.invariants), set(sl3.algebra.basis))]
+        searched = {id(fam) for caller, fam in ranked if caller == "_omega_point"}
+        assert searched == {id(fam) for fam in families[:-1]}
+        assert {caller for caller, _ in ranked} <= {
+            "_omega_point", "_jacobian_rank_check", "family_rank_at"}
+        # the same report when every family rank is the full member Jacobian
+        monkeypatch.setattr(raistauvel, "family_rank_at", lambda fam, flat: linalg.rank(
+            [F.gradient_at(flat) for F in fam.polys]))
+        members = run()
+        monkeypatch.undo()
+        assert members.to_json() == rep.to_json()
 
     # tops with one root coordinate are nonzero and outside Omega; e12 + e23 is
     # the regular nilpotent, in Omega
