@@ -145,9 +145,6 @@ class LieAlgebra:
             raise UnknownVariableError(name)
         return idx
 
-    def variable(self, name: str) -> Polynomial:
-        return Polynomial.variable(self.basis, name)
-
     def structure_equal(self, other: "LieAlgebra") -> bool:
         return self.basis == other.basis and self.brackets == other.brackets
 
@@ -274,8 +271,8 @@ def generic_kirillov_rank(L: LieAlgebra, trials: int = DEFAULT_TRIALS, seed: int
     """Max Kirillov rank over seeded random integer points (monotone in trials).
 
     ``rank(L, point)`` gives the rank at one trial point; any exact rank
-    function, such as `raistauvel.takiff_kirillov_rank` for a certified
-    family, gives the same estimate as the default.  ``bound`` is a proven
+    function, such as `raistauvel.takiff_kirillov_rank` on a certified
+    family of L, gives the same estimate as the default.  ``bound`` is a proven
     upper bound on the generic rank, or None.  The trials stop once the
     best rank reaches the ceiling min(dim, bound), rounded down to even,
     since the Kirillov form is skew and its exact rank is even: no later

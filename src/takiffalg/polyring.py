@@ -253,12 +253,11 @@ class Polynomial:
     evaluation plan is built from it on first use and kept.
     """
 
-    __slots__ = ("varset", "terms", "_vidx", "_plan")
+    __slots__ = ("varset", "terms", "_plan")
 
     def __init__(self, varset: Sequence[str], terms: Mapping[Monomial, Fraction] | None = None,
                  *, _canonical: bool = False):
         self.varset: tuple[str, ...] = tuple(varset)
-        self._vidx: dict[str, int] | None = None
         self._plan: _IntPlan | None = None
         if terms is None:
             self.terms: dict[Monomial, Fraction] = {}
@@ -306,32 +305,15 @@ class Polynomial:
 
     # -- bookkeeping ---------------------------------------------------------
 
-    def _index_map(self) -> dict[str, int]:
-        if self._vidx is None:
-            self._vidx = {name: i for i, name in enumerate(self.varset)}
-        return self._vidx
-
-    def _index_of(self, name: str) -> int:
-        idx = self._index_map().get(name)
-        if idx is None:
-            raise UnknownVariableError(name)
-        return idx
-
     def _check_varset(self, other: "Polynomial") -> None:
         if self.varset != other.varset:
             raise VarsetMismatchError(
                 f"operands live over different variable sets: {self.varset} vs {other.varset}")
 
     def _new(self, terms: dict[Monomial, Fraction]) -> "Polynomial":
-        p = Polynomial(self.varset, terms, _canonical=True)
-        p._vidx = self._vidx
-        return p
+        return Polynomial(self.varset, terms, _canonical=True)
 
     # -- structure -----------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def degree(self) -> int:
         """Total degree; the zero polynomial reports -1."""
@@ -342,14 +324,6 @@ class Polynomial:
     def is_homogeneous(self) -> bool:
         degs = {_mono_degree(m) for m in self.terms}
         return len(degs) <= 1
-
-    def support(self) -> frozenset[str]:
-        """Names of the variables that actually occur."""
-        seen: set[str] = set()
-        for mono in self.terms:
-            for idx, _ in mono:
-                seen.add(self.varset[idx])
-        return frozenset(seen)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -399,9 +373,7 @@ class Polynomial:
         if not isinstance(exp, int) or exp < 0:
             raise PolyringError("polynomial exponents must be nonnegative integers")
         if exp == 0:
-            one = Polynomial.constant(self.varset, 1)
-            one._vidx = self._vidx
-            return one
+            return Polynomial.constant(self.varset, 1)
         return _power(self, exp)
 
     def __eq__(self, other) -> bool:
@@ -413,23 +385,6 @@ class Polynomial:
         return hash((self.varset, frozenset(self.terms.items())))
 
     # -- calculus ------------------------------------------------------------
-
-    def partial(self, name: str) -> "Polynomial":
-        """Exact partial derivative with respect to a named variable."""
-        idx = self._index_of(name)
-        out: dict[Monomial, Fraction] = {}
-        for mono, c in self.terms.items():
-            for pos, (i, e) in enumerate(mono):
-                if i != idx:
-                    continue
-                if e == 1:
-                    nm = mono[:pos] + mono[pos + 1:]
-                else:
-                    nm = mono[:pos] + ((i, e - 1),) + mono[pos + 1:]
-                # nm determines mono, so no two terms meet: nothing cancels
-                out[nm] = c * e
-                break
-        return self._new(out)
 
     def _values_vector(self, point: Mapping[str, Scalar]) -> list[Scalar]:
         try:

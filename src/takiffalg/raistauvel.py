@@ -37,7 +37,9 @@ invariant and independent at one point, which `verify` certifies once per
 step, no Kirillov rank on L<m> exceeds (m+1)(n-l); `block_triangle_rank`
 then gives rank K(xi) = (m+1)(n-l) wherever rank K(xi_m) = n-l, from that
 rank alone.  It is the one route for that decision: `takiff_kirillov_rank`
-applies it at a flat point and ranks the full matrix where it gives None.
+applies it at a flat point, ranking the top through the base's own family
+chain down to a Kirillov matrix of the first base, and ranks the full
+matrix of L<m> where it gives None.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ from .liealg import (
     DualPoint,
     InvariantSet,
     LieAlgebra,
-    RankFunction,
     kirillov_rank_at,
 )
 from .polyring import Polynomial, jet_substitute
@@ -214,14 +215,19 @@ def block_triangle_rank(fam: InvariantFamily, top_rank: int) -> int | None:
     return (fam.depth + 1) * regular if top_rank == regular else None
 
 
-def takiff_kirillov_rank(fam: InvariantFamily, flat: DualPoint,
-                         base_rank: RankFunction) -> int:
-    """rank K(xi) at a flat point of fam.algebra, by the grade blocks where possible.
+def takiff_kirillov_rank(fs: InvariantSet, point: DualPoint) -> int:
+    """rank K at a point of fs.algebra, read down the family chain to the first base.
 
-    The top component is read off the flat point and ranked by
-    ``base_rank``, any exact rank function on the base, for
+    A plain invariant set ranks the Kirillov matrix of its algebra.  A
+    family ranks its top component through its base, by this function, for
     `block_triangle_rank`; where that gives None, the Kirillov matrix of
-    L<m> is built and ranked.  The same precondition applies.
+    L<m> is built and ranked.  Precondition: ``fs`` is invariant and
+    independent at one point, as `verify` certifies once per step.  Then
+    so is every family below it: F_i^j is an invariant exactly when f_i
+    is, and that point's deepest top is in Omega of the first base, so
+    every family of the chain is independent where that top is deepest.
     """
-    rank = block_triangle_rank(fam, base_rank(fam.base.algebra, _top(fam, flat)))
-    return kirillov_rank_at(fam.algebra, flat) if rank is None else rank
+    if not isinstance(fs, InvariantFamily):
+        return kirillov_rank_at(fs.algebra, point)
+    rank = block_triangle_rank(fs, takiff_kirillov_rank(fs.base, _top(fs, point)))
+    return kirillov_rank_at(fs.algebra, point) if rank is None else rank

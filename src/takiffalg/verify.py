@@ -20,8 +20,8 @@ invariant of L<m> exactly when f_i is an invariant of L.  Only the base
 invariants are bracketed, symbolically, against the basis of L; a base
 defect forms the one bracket on L<m> that each FAIL names.  In
 `verify_multi_current` each level's family is the next level's invariant
-set as it stands, and after an invariance PASS certified, so only the
-first level, and a level after a FAIL, brackets.  The certificate rests on
+set as it stands, and `_first_defect` reads its defect off the first base,
+so every level brackets only the first base.  The certificate rests on
 `raistauvel.build_family` computing the jet expansion, as the Jacobi
 certificate rests on `takiff` computing the truncated bracket;
 `raistauvel.InvariantFamily` refuses members that break the expansion's
@@ -57,10 +57,10 @@ Omega search runs before the index trials, so its time is charged to
 
 Each regularity sample ranks its top component once: rank K(xi_m) decides
 the right side and feeds the block triangle, which proves only "xi_m
-regular => xi regular"; the converse is still sampled.  In
-`verify_multi_current` the base of a level is the previous level's L<m>,
-so its Kirillov ranks come from that level's rank function, through its
-block triangles when it is certified, and a matrix as wide as L is built
+regular => xi regular"; the converse is still sampled.  A certified step
+ranks L through ``fs`` and L<m> through the family by
+`raistauvel.takiff_kirillov_rank`, down the family chain through every
+level's block triangle, so a matrix wider than the first base is built
 only where they do not decide.
 """
 
@@ -129,9 +129,28 @@ def _jacobi_check(L: LieAlgebra, Lm: LieAlgebra, base_holds: bool | None) -> Che
     return Check(name="jacobi", status=status, paper_ref=_REF_JACOBI, witness=witness)
 
 
-def _invariance_checks(L: LieAlgebra, fs: InvariantSet,
-                       fam: raistauvel.InvariantFamily | None,
-                       Lm: LieAlgebra, base_holds: bool = False) -> tuple[Check, Check]:
+def _first_defect(fs: InvariantSet) -> tuple[int, str] | None:
+    """The first (i, x) with {f_i, x} != 0, over the members of ``fs`` and then its basis.
+
+    A plain set brackets each member against the basis of its algebra.  A
+    family returns its base's first defect (i, x) as (i, x@0), down the
+    chain to the first base, which is what bracketing every member finds:
+    {F_i'^j, y@k} vanishes for every member of an invariant f_i', the
+    members F^0 come first in ``polys``, {F_i^0, x@0} is {f_i, x} at grade
+    m, and every x@0 comes before every x@k in the basis.
+    """
+    if isinstance(fs, raistauvel.InvariantFamily):
+        found = _first_defect(fs.base)
+        return None if found is None else (found[0], graded_name(found[1], 0))
+    for i, f in enumerate(fs.polys, start=1):
+        found = liealg.invariance_defect(fs.algebra, f)
+        if found is not None:
+            return i, found[0]
+    return None
+
+
+def _invariance_checks(fs: InvariantSet, fam: raistauvel.InvariantFamily | None,
+                       Lm: LieAlgebra) -> tuple[Check, Check]:
     """`invariance` and `ideal-invariants` on Lm = takiff(L, m), certified from the base.
 
     {F_i^j, x@k} = [eps^(j-k)] Phi({f_i, x}) for j >= k, and 0 for j < k,
@@ -144,22 +163,11 @@ def _invariance_checks(L: LieAlgebra, fs: InvariantSet,
     bracket of the members, eps-power first, against the basis of L<m>,
     grade 0 first: F_i'^0 is an invariant exactly when f_i' is.  F_i^1
     with x@1 is the first against the ideal, which starts at grade 1, after
-    the top coordinates.  Only those two brackets are formed on L<m>.
-
-    ``base_holds`` is True when every invariant in ``fs`` is already known
-    to be an invariant of L: at a level of `verify_multi_current` after
-    one whose `invariance` PASSed, ``fs`` is that level's family on L.
-    Then nothing is bracketed; otherwise the base is bracketed, so a FAIL
-    names the same first defect.
+    the top coordinates.  Only those two brackets are formed on L<m>, and
+    the base defect is `_first_defect`'s, from the first base of a chain.
     """
-    m, n = Lm.grading.depth, L.dim
-    defect = None
-    if not base_holds:
-        for i, f in enumerate(fs.polys, start=1):
-            found = liealg.invariance_defect(L, f)
-            if found is not None:
-                defect = i, found[0]
-                break
+    m, n = Lm.grading.depth, Lm.grading.base_dim
+    defect = _first_defect(fs)
     if fam is None:
         invariance = Check(name="invariance", status=SKIPPED, paper_ref=_REF_INVARIANCE,
                            witness={"note": "no invariants supplied"})
@@ -207,17 +215,14 @@ def verify_main_theorem(L: LieAlgebra, fs: InvariantSet, m: int,
 
 def _verify_step(L: LieAlgebra, fs: InvariantSet, m: int, trials: int,
                  seed: int, transfer_samples: int, base_jacobi: bool | None = None,
-                 base_invariant: bool = False,
-                 base_rank: liealg.RankFunction = liealg.kirillov_rank_at,
-                 ) -> tuple[Report, LieAlgebra, raistauvel.InvariantFamily | None,
-                            liealg.RankFunction]:
-    """The report of one truncation step, with the algebra, family and rank function.
+                 ) -> tuple[Report, LieAlgebra, raistauvel.InvariantFamily | None]:
+    """The report of one truncation step, with the algebra and the family.
 
     ``base_jacobi`` is the Jacobi verdict on L when it is known, else None
-    (see `_jacobi_check`).  ``base_invariant`` is True when ``fs`` is known
-    to be invariant on L (see `_invariance_checks`).  ``base_rank`` ranks
-    the Kirillov form of L, exactly; the rank function returned does so on
-    L<m>, through the block triangles when the step is certified.
+    (see `_jacobi_check`).  It is the only fact a level takes from the one
+    before: invariance and the Kirillov ranks are read off the family chain
+    of ``fs``, but a tower with no invariants has no chain, and validating
+    L afresh would sum every Jacobi triple of each level's base again.
     """
     if trials < 1:
         raise ValueError(f"the rank estimate needs at least one trial, got {trials}")
@@ -231,18 +236,21 @@ def _verify_step(L: LieAlgebra, fs: InvariantSet, m: int, trials: int,
 
     jacobi = _jacobi_check(L, Lm, base_jacobi)
     rep.add(jacobi)
-    invariance, ideal = _invariance_checks(L, fs, fam, Lm, base_invariant)
+    invariance, ideal = _invariance_checks(fs, fam, Lm)
     rep.add(invariance)
     rep.add(ideal)
 
     # invariants independent at one point: the step certificate
     omega = _omega_point(L, fs, m, seed) if fam is not None else None
     certified = fam if invariance.status == PASS and omega is not None else None
-    rank_at = liealg.kirillov_rank_at
+    base_rank = rank_at = liealg.kirillov_rank_at
     base_bound = tak_bound = None
     if certified is not None:
+        def base_rank(_, point):
+            return raistauvel.takiff_kirillov_rank(fs, point)
+
         def rank_at(_, flat):
-            return raistauvel.takiff_kirillov_rank(certified, flat, base_rank)
+            return raistauvel.takiff_kirillov_rank(certified, flat)
         base_bound, tak_bound = L.dim - fam.l, Lm.dim - (m + 1) * fam.l
     idx_base = liealg.index(L, trials=trials, seed=seed, rank=base_rank, bound=base_bound)
     idx_tak = liealg.index(Lm, trials=trials, seed=seed, rank=rank_at, bound=tak_bound)
@@ -290,7 +298,7 @@ def _verify_step(L: LieAlgebra, fs: InvariantSet, m: int, trials: int,
 
     rep.add(_regularity_transfer_check(L, Lm, certified, idx_base, idx_tak,
                                        transfer_samples, seed, base_rank))
-    return rep, Lm, fam, rank_at
+    return rep, Lm, fam
 
 
 def _omega_point(L: LieAlgebra, fs: InvariantSet, m: int,
@@ -435,10 +443,11 @@ def verify_multi_current(L: LieAlgebra, fs: InvariantSet, degrees,
     Each level's expanded family is the next level's base invariant set,
     unconverted; a single-entry degree list therefore reduces exactly to
     verify_main_theorem.  The next level's base is this level's L<m>, so it
-    takes this level's Jacobi and invariance verdicts and its Kirillov rank
-    function; all three are exact, so the report is the one each level
-    would write deciding them afresh.  A ``trials`` or ``transfer_samples``
-    below 1 raises ValueError before any work.
+    takes this level's Jacobi verdict; invariance and the Kirillov ranks
+    are read off the family chain at each level.  Every fact is exact, so
+    the report is the one each level would write deciding it afresh.  A
+    ``trials`` or ``transfer_samples`` below 1 raises ValueError before any
+    work.
     """
     degrees = list(degrees)
     if not degrees:
@@ -450,17 +459,14 @@ def verify_multi_current(L: LieAlgebra, fs: InvariantSet, degrees,
                                    transfer_samples=transfer_samples)
     label = f"verify:{L.label}<{','.join(str(d) for d in degrees)}>"
     rep = Report(label=label)
-    cur_L, cur_fs = L, fs
-    # the next base is this level's L<m> with its family: the verdicts and
-    # the rank function carry over
-    cur_jacobi, cur_invariant, cur_rank = None, False, liealg.kirillov_rank_at
+    # the next base is this level's L<m> with its family: the Jacobi
+    # verdict carries over
+    cur_L, cur_fs, cur_jacobi = L, fs, None
     expected = len(fs)
     for level, mdeg in enumerate(degrees, start=1):
-        sub, cur_L, fam, cur_rank = _verify_step(cur_L, cur_fs, mdeg, trials, seed,
-                                                 transfer_samples, cur_jacobi,
-                                                 cur_invariant, cur_rank)
+        sub, cur_L, fam = _verify_step(cur_L, cur_fs, mdeg, trials, seed,
+                                       transfer_samples, cur_jacobi)
         cur_jacobi = sub.checks[0].status == PASS
-        cur_invariant = sub.checks[1].status == PASS
         rep.extend_prefixed(f"level{level}:", sub.checks)
         expected *= mdeg + 1
         cur_fs = fam if fam is not None else InvariantSet(algebra=cur_L, polys=())

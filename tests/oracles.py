@@ -17,10 +17,11 @@ depth-one null fiber N<1>, every family member evaluated term by term,
 beside the base-level characterization it is certified to equal.  Algebras and polynomials are read only through
 their raw data: basis names, bracket tables and term dictionaries.  The
 grade and base name of a truncation's basis element are parsed from its
-name `b@j`, never taken from the package's grading or basis order; the one
-package method called is `Polynomial.partial`, the derivative identity's
-and the Poisson bracket's per-variable route.  The byte oracle of a report
-writes its document with `json.dumps`, witnesses made JSON-safe by the
+name `b@j`, never taken from the package's grading or basis order.  A
+partial derivative (`partial`, the derivative identity's and the Poisson
+bracket's per-variable route) is read off the term dictionary exponent by
+exponent; only its result is built as a polynomial.  The byte oracle of a
+report writes its document with `json.dumps`, witnesses made JSON-safe by the
 package's `report.jsonable`, which defines what a witness serializes to.
 """
 
@@ -278,6 +279,25 @@ def bracket_elements(algebra, x: dict[int, Fraction],
     return {k: v for k, v in out.items() if v}
 
 
+def partial(poly, name: str):
+    """d poly / d name, term by term, as a polynomial over the same variables.
+
+    Each monomial's exponents are read into a dict, the one of ``name``
+    lowered, and equal monomials summed; a name outside the variables
+    raises ValueError.
+    """
+    k = poly.varset.index(name)
+    out: dict[tuple, Fraction] = {}
+    for mono, c in poly.terms.items():
+        exps = dict(mono)
+        e = exps.get(k, 0)
+        if e:
+            exps[k] = e - 1
+            key = tuple(sorted((i, x) for i, x in exps.items() if x))
+            out[key] = out.get(key, Fraction(0)) + c * e
+    return type(poly)(poly.varset, out)
+
+
 def _mono_product(*monos) -> tuple:
     """The product of raw monomials ((index, exponent), ...), indices increasing."""
     exps: dict[int, int] = {}
@@ -294,14 +314,14 @@ def poisson_bracket(algebra, f, g) -> dict[tuple, Fraction]:
     ...) over the algebra's basis with increasing indices, the layout of
     `Polynomial.terms`, and no zero coefficient.  [b_i, b_j] is read off
     the raw bracket table as a linear form, the partials come from
-    `Polynomial.partial`, and the products are multiplied out term by term,
+    `partial`, and the products are multiplied out term by term,
     so none of the package's bracket or arithmetic code is exercised.
     """
     out: dict[tuple, Fraction] = {}
     for (i, j), coeffs in algebra.brackets.items():
         for a, b, sign in ((i, j, 1), (j, i, -1)):
-            df = f.partial(algebra.basis[a]).terms
-            dg = g.partial(algebra.basis[b]).terms
+            df = partial(f, algebra.basis[a]).terms
+            dg = partial(g, algebra.basis[b]).terms
             for k, c in coeffs.items():
                 for m1, c1 in df.items():
                     for m2, c2 in dg.items():
@@ -364,7 +384,7 @@ def weight_defect(fam) -> tuple[int, int, str] | None:
 def derivative_identity_defect(fam) -> tuple[int, int, str] | None:
     """First (i, j, b@(m-j)) where dF_i^j/d(b@(m-j)) is not df_i/db at grade m.
 
-    One `Polynomial.partial` per member and base variable, members eps-power
+    One `partial` per member and base variable, members eps-power
     major and variables in base order.  Graded names are found by parsing
     the basis names, and the right side moves each index of a base monomial
     to the grade-m name of its variable.  ``fam`` is as for
@@ -379,9 +399,9 @@ def derivative_identity_defect(fam) -> tuple[int, int, str] | None:
             F = _member(fam, i, j)
             for b in base.algebra.basis:
                 want = {tuple(sorted((top[k], e) for k, e in mono)): c
-                        for mono, c in f.partial(b).terms.items()}
+                        for mono, c in partial(f, b).terms.items()}
                 name = name_at[(b, m - j)]
-                if F.partial(name).terms != want:
+                if partial(F, name).terms != want:
                     return i, j, name
     return None
 

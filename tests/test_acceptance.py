@@ -103,7 +103,7 @@ def test_criterion_3_triangularity_and_degrees(families):
             fam_sum += F.degree()
             if F.degree() != fam.base.polys[i - 1].degree():
                 ok = False
-            if min(graded_parts(v)[1] for v in F.support()) < m - j:
+            if min(graded_parts(F.varset[k])[1] for mono in F.terms for k, _ in mono) < m - j:
                 ok = False
         if fam_sum != (m + 1) * base_sum:
             ok = False

@@ -238,7 +238,8 @@ class TestDifferentialRows:
 
     @given(int_point_st | rational_point_st)
     def test_a_non_homogeneous_member_is_padded(self, pt):
-        _assert_rows_scale_the_gradients([_UNEVEN, _UNEVEN * 2, _UNEVEN.partial("x")], pt)
+        polys = [_UNEVEN, _UNEVEN * 2, oracles.partial(_UNEVEN, "x")]
+        _assert_rows_scale_the_gradients(polys, pt)
 
     def test_rational_point_rows_pin_the_scale(self):
         # at (w, x, y, z) = (1/2, 1/3, 0, 1): D = 6, plan denominator 30,

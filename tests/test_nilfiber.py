@@ -158,7 +158,7 @@ class TestCharacterization:
         # the abelian plane with invariants x and y: the differentials span
         # the dual everywhere, so the fiber over xi_1 = 0 is the origin alone
         L = LieAlgebra.create("ab2", ("x", "y"), {})
-        fs = InvariantSet(algebra=L, polys=(L.variable("x"), L.variable("y")))
+        fs = InvariantSet(algebra=L, polys=(parse_poly("x", L.basis), parse_poly("y", L.basis)))
         rep = check_N1_characterization(build_family(L, 1, fs))
         assert rep.summary == PASS
         (bounds,) = [c for c in rep.checks if c.name == "lemma-bounds"]

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -70,6 +71,20 @@ def test_the_block_triangle_asks_no_omega_test():
                 if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
     attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert "omega_test" not in imported | attributes
+
+
+def test_a_level_carries_only_its_jacobi_verdict():
+    # invariance and the Kirillov ranks are read off the family chain at
+    # each level, so a step takes no verdict or rank function from the one
+    # before, and the rank of a family takes no rank function either
+    params = list(inspect.signature(verify._verify_step).parameters)
+    assert params == ["L", "fs", "m", "trials", "seed", "transfer_samples", "base_jacobi"]
+    tree = ast.parse((SRC / "takiffalg" / "raistauvel.py").read_text())
+    names = {alias.name for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert "RankFunction" not in names
 
 
 def _bench_trace_spans():

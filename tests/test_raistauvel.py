@@ -115,7 +115,7 @@ class TestExpansion:
         for i, j, F in fam.members():
             assert F.degree() == fam.base.polys[i - 1].degree()
             assert F.is_homogeneous()
-            assert min(graded_parts(v)[1] for v in F.support()) >= m - j
+            assert min(graded_parts(F.varset[k])[1] for mono in F.terms for k, _ in mono) >= m - j
 
     @pytest.mark.parametrize("name,m", [
         ("sl2", 1), ("sl2", 2), ("sl2", 3), ("sl3", 1),
@@ -378,8 +378,7 @@ class TestBlockTriangularity:
         flat = flatten_point(Lm, comps + [top])
         full = family_rank_at(fam, flat) == (m + 1) * fam.l
         assert full == omega_test(fam.base, top)
-        assert takiff_kirillov_rank(fam, flat, kirillov_rank_at) == \
-            linalg.rank(kirillov_matrix(Lm, flat))
+        assert takiff_kirillov_rank(fam, flat) == linalg.rank(kirillov_matrix(Lm, flat))
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_a_top_of_rank_n_minus_l_outside_omega_falls_back(self, monkeypatch, sl3, m):
@@ -413,10 +412,10 @@ class TestBlockTriangularity:
 
         monkeypatch.setattr(raistauvel, "kirillov_rank_at", spy)
         comps = sampling.random_components(sl3.algebra.basis, 2, sampling.rng(13, 47))
-        assert takiff_kirillov_rank(fam, flatten_point(fam.algebra, comps), spy) == 18
+        assert takiff_kirillov_rank(fam, flatten_point(fam.algebra, comps)) == 18
         assert ranked == ["sl3"]
         comps[2] = {b: 0 for b in sl3.algebra.basis}
-        takiff_kirillov_rank(fam, flatten_point(fam.algebra, comps), spy)
+        takiff_kirillov_rank(fam, flatten_point(fam.algebra, comps))
         assert ranked == ["sl3", "sl3", "sl3<2>"]
 
 
@@ -465,6 +464,37 @@ class TestFamilyRankFromTheBase:
         rank = naive_rank([oracle_gradient_at(F, flat) for F in fam.polys])
         assert family_rank_at(fam, flat) == rank
         assert (rank == len(fam)) == omega_test(entry.invariants, top)
+
+    @pytest.mark.parametrize("kind", ["random", "zero", "nilcone"])
+    @pytest.mark.parametrize("name,degrees", ITERATED_CASES)
+    @settings(max_examples=5)
+    @given(data=st.data())
+    def test_the_kirillov_rank_equals_the_full_matrix(self, name, degrees, kind, data):
+        # takiff_kirillov_rank recurses to the first base at the deepest top;
+        # a zero deepest top is singular, so the first family ranks its own
+        # matrix and every level above decides from that rank or falls back
+        fam = block_family(name, degrees)
+        Lm, deepest = fam.algebra, deepest_top_names(name, degrees)
+        flat = dict(zip(Lm.basis, data.draw(st.lists(
+            st.integers(-9, 9), min_size=Lm.dim, max_size=Lm.dim))))
+        support = {"random": deepest, "zero": (), "nilcone": NILCONE_SUPPORT[name]}[kind]
+        for b, v in deepest.items():
+            if b not in support:
+                flat[v] = 0
+        ranked, real = [], raistauvel.kirillov_rank_at
+
+        def spy(L, point):
+            ranked.append(L.dim)
+            return real(L, point)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(raistauvel, "kirillov_rank_at", spy)
+            rank = takiff_kirillov_rank(fam, flat)
+        assert rank == linalg.rank(kirillov_matrix(Lm, flat))
+        first = catalog.load(name).algebra.dim
+        assert ranked[0] == first
+        if kind == "zero":
+            assert ranked[1] == first * (degrees[0] + 1)
 
     @pytest.mark.parametrize("name,degrees", [("sl2", (2,))] + ITERATED_CASES)
     def test_an_omega_top_builds_no_member_plan(self, monkeypatch, name, degrees):
@@ -582,9 +612,10 @@ class TestGradeShift:
             for k in range(m):
                 for b in L.basis:
                     x = graded_name(b, k)
-                    br = Polynomial(Lm.basis, poisson_bracket(Lm, F, Lm.variable(x)))
+                    xm, xlow = Polynomial.variable(Lm.basis, x), Polynomial.variable(low.basis, x)
+                    br = Polynomial(Lm.basis, poisson_bracket(Lm, F, xm))
                     assert shift_down(br, L, m) == Polynomial(
-                        low.basis, poisson_bracket(low, shifted, low.variable(x)))
+                        low.basis, poisson_bracket(low, shifted, xlow))
                     nonzero += bool(br.terms)
         assert nonzero > 0
 

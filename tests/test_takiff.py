@@ -209,7 +209,8 @@ class TestInvarianceTransfer:
         # below the last degree each expansion is the next level's base
         entry = catalog.load(name)
         L = entry.algebra
-        polys = [*entry.invariants.polys, L.variable(L.basis[0]) * L.variable(L.basis[1])]
+        x0, x1 = (Polynomial.variable(L.basis, b) for b in L.basis[:2])
+        polys = [*entry.invariants.polys, x0 * x1]
         for m in degrees[:-1]:
             polys = [F for f in polys for F in _expansion(L, m, f)]
             L = takiff(L, m)
@@ -227,10 +228,10 @@ def _assert_expansion_brackets(L, f, m):
     Lm = takiff(L, m)
     family = _expansion(L, m, f)
     for b in L.basis:
-        fx = poisson_bracket(L, f, L.variable(b))
+        fx = poisson_bracket(L, f, Polynomial.variable(L.basis, b))
         want = _expansion(L, m, Polynomial(L.basis, fx)) if fx else []
         for k in range(m + 1):
-            x = Lm.variable(graded_name(b, k))
+            x = Polynomial.variable(Lm.basis, graded_name(b, k))
             for j, F in enumerate(family):
                 expected = want[j - k].terms if want and j >= k else {}
                 assert poisson_bracket(Lm, F, x) == expected, (b, k, j)

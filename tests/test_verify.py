@@ -167,8 +167,8 @@ class TestMultiCurrent:
     @pytest.mark.parametrize("name,degrees", [("sl3", [1, 1, 1]), ("heis1", [2, 3]),
                                               ("slnV3", [3, 3])])
     def test_every_level_ranks_on_the_first_base(self, monkeypatch, name, degrees):
-        # a level's base is the previous level's L<m>, ranked through that
-        # level's block triangles, down to Kirillov matrices of the first base
+        # a level's base is the previous level's L<m>, ranked down the family
+        # chain through every block triangle to Kirillov matrices of the first base
         entry = catalog.load(name)
         widths = set()
         kirillov_matrix = liealg.kirillov_matrix
@@ -181,9 +181,8 @@ class TestMultiCurrent:
         rep = verify_multi_current(entry.algebra, entry.invariants, degrees,
                                    transfer_samples=20)
         assert widths == {entry.algebra.dim}
-        # every byte is what ranking each base from its own matrix gives
-        step = verify._verify_step
-        monkeypatch.setattr(verify, "_verify_step", lambda *args: step(*args[:-1]))
+        # every byte is what ranking each algebra from its own matrix gives
+        monkeypatch.setattr(raistauvel, "block_triangle_rank", lambda fam, top_rank: None)
         full = verify_multi_current(entry.algebra, entry.invariants, degrees,
                                     transfer_samples=20)
         assert widths > {entry.algebra.dim}
@@ -278,7 +277,7 @@ class TestIndexCeiling:
     def test_a_non_invariant_base_runs_every_trial(self, monkeypatch, sl3):
         L = sl3.algebra
         f, g = sl3.invariants.polys
-        fs = InvariantSet(algebra=L, polys=(f + L.variable(L.basis[0]) ** 2, g))
+        fs = InvariantSet(algebra=L, polys=(f + Polynomial.variable(L.basis, L.basis[0]) ** 2, g))
         seen = _index_trials(monkeypatch)
         rep = verify_main_theorem(L, fs, 2, transfer_samples=10)
         assert _by_name(rep, "invariance").status == FAIL
@@ -464,7 +463,7 @@ class TestInvarianceCertificate:
         L, polys = entry.algebra, list(entry.invariants.polys)
         i = data.draw(st.integers(0, len(polys) - 1))
         polys[i] = _plus_random_monomial(data, polys[i])
-        assume(not polys[i].is_zero)
+        assume(polys[i].terms)
         fs = InvariantSet(algebra=L, polys=tuple(polys))
         rep = verify_main_theorem(L, fs, m, transfer_samples=1)
         check = _by_name(rep, "invariance")
@@ -491,13 +490,13 @@ class TestInvarianceCertificate:
         L, polys = entry.algebra, list(entry.invariants.polys)
         i = data.draw(st.integers(0, len(polys) - 1))
         polys[i] = _plus_random_monomial(data, polys[i])
-        assume(not polys[i].is_zero)
+        assume(polys[i].terms)
         fs = InvariantSet(algebra=L, polys=tuple(polys))
         check = _by_name(verify_main_theorem(L, fs, m, transfer_samples=1), "ideal-invariants")
         fam = build_family(L, m, fs)
         Lm = fam.algebra
         ideal = [Lm.index_of(b) for b in Lm.basis[L.dim:]]
-        generators = [(b, Lm.variable(b)) for b in Lm.basis[m * L.dim:]]
+        generators = [(b, Polynomial.variable(Lm.basis, b)) for b in Lm.basis[m * L.dim:]]
         generators += [(f"F_{i}^{j}", F) for i, j, F in fam.members() if j >= 1]
         failing = [(label, F) for label, F in generators
                    if bracket_defect_against(Lm, F, ideal) is not None]
@@ -552,7 +551,7 @@ class TestInvarianceCertificate:
 
     @staticmethod
     def _multi_brackets(monkeypatch, L, fs, degrees):
-        """(report, bracket calls as in `_spied_brackets`, report with no verdict carried)."""
+        """(report, bracket calls as in `_spied_brackets`, report bracketing every member)."""
         seen = []
 
         def spy(alg, f, targets):
@@ -562,31 +561,48 @@ class TestInvarianceCertificate:
         monkeypatch.setattr(liealg, "bracket_defect_against", spy)
         rep = verify_multi_current(L, fs, degrees, transfer_samples=2)
         monkeypatch.undo()
-        original = verify._invariance_checks
-        monkeypatch.setattr(verify, "_invariance_checks",
-                            lambda L, fs, fam, Lm, base_holds=False:
-                            original(L, fs, fam, Lm))
-        uncarried = verify_multi_current(L, fs, degrees, transfer_samples=2)
+        monkeypatch.setattr(verify, "_first_defect", _bracket_every_member)
+        bracketed = verify_multi_current(L, fs, degrees, transfer_samples=2)
         monkeypatch.undo()
-        return rep, seen, uncarried
+        return rep, seen, bracketed
 
-    def test_a_passed_level_carries_its_verdict(self, monkeypatch, sl3):
-        # level 2's base invariants are level 1's certified family: only the
-        # base of level 1 is bracketed, and every byte is what bracketing gives
-        rep, seen, uncarried = self._multi_brackets(monkeypatch, sl3.algebra,
+    def test_a_passed_level_brackets_only_the_first_base(self, monkeypatch, sl3):
+        # each level's base invariants are the previous level's family: its
+        # first defect is read off the first base, and every byte is what
+        # bracketing every member gives
+        rep, seen, bracketed = self._multi_brackets(monkeypatch, sl3.algebra,
                                                     sl3.invariants, [1, 1, 1])
-        assert seen == [(8, list(range(8)))] * 2
+        assert seen == [(8, list(range(8)))] * 6
         assert [c.status for c in rep.checks if c.name.endswith("invariance")] == [PASS] * 3
-        assert rep.to_json() == uncarried.to_json()
+        assert rep.to_json() == bracketed.to_json()
 
-    def test_a_failed_level_brackets_the_next_base(self, monkeypatch, sl2):
+    def test_a_failed_level_brackets_only_the_first_base(self, monkeypatch, sl2):
         fs = InvariantSet(algebra=sl2.algebra,
                           polys=(parse_poly("h^2 + 3*e*f", sl2.algebra.basis),))
-        rep, seen, uncarried = self._multi_brackets(monkeypatch, sl2.algebra, fs, [1, 2])
-        assert seen[:3] == [(3, [0, 1, 2]), (6, [0]), (6, [3])]
-        assert seen[3] == (6, list(range(6)))
+        rep, seen, bracketed = self._multi_brackets(monkeypatch, sl2.algebra, fs, [1, 2])
+        # level 2 brackets the first base, then one target per check on L<1><2>
+        assert seen == [(3, [0, 1, 2]), (6, [0]), (6, [3]),
+                        (3, [0, 1, 2]), (18, [0]), (18, [6])]
         assert _by_name(rep, "level2:invariance").status == FAIL
-        assert rep.to_json() == uncarried.to_json()
+        assert rep.to_json() == bracketed.to_json()
+
+    @pytest.mark.parametrize("degrees", [[1, 1, 1], [2, 1, 1]])
+    def test_the_first_defect_is_what_bracketing_every_member_finds(self, monkeypatch,
+                                                                    sl3, degrees):
+        # C2 and a non-invariant cubic: the defect sits at i = 2 on every level
+        # of a depth-3 tower, and the FAIL witnesses are byte for byte the same
+        C2, C3 = sl3.invariants.polys
+        bad = C3 + parse_poly("h1^3", sl3.algebra.basis)
+        fs = InvariantSet(algebra=sl3.algebra, polys=(C2, bad))
+        chain = [fs]
+        for m in degrees:
+            chain.append(build_family(chain[-1].algebra, m, chain[-1]))
+        found = [verify._first_defect(level) for level in chain]
+        assert found == [_bracket_every_member(level) for level in chain]
+        assert [i for i, _ in found] == [2] * len(chain)
+        rep, _, bracketed = self._multi_brackets(monkeypatch, sl3.algebra, fs, degrees)
+        assert [c.status for c in rep.checks if c.name.endswith("invariance")] == [FAIL] * 3
+        assert rep.to_json() == bracketed.to_json()
 
     def test_jacobi_fail_with_an_invariant_brackets_the_base(self, monkeypatch):
         # [e, f] = e instead of h: Jacobi fails, and the sl2 Casimir is no
@@ -599,6 +615,15 @@ class TestInvarianceCertificate:
         assert seen == [(3, [0, 1, 2]), (9, [0]), (9, [3])]
         assert _by_name(rep, "invariance").status == FAIL
         assert _by_name(rep, "ideal-invariants").status == FAIL
+
+
+def _bracket_every_member(fs):
+    """The first (i, x) with {f_i, x} != 0, every member of fs bracketed on its algebra."""
+    for i, f in enumerate(fs.polys, start=1):
+        found = invariance_defect(fs.algebra, f)
+        if found is not None:
+            return i, found[0]
+    return None
 
 
 def _no_zero_top_decision(monkeypatch):
@@ -680,7 +705,8 @@ def _zero_top_entry(name):
     """
     if name == "heis1+w":
         L = LieAlgebra.create("heis1w", ("x", "y", "z", "w"), {(0, 1): {2: 1}})
-        return L, InvariantSet(algebra=L, polys=(L.variable("z"), L.variable("w")))
+        return L, InvariantSet(algebra=L, polys=(parse_poly("z", L.basis),
+                                                  parse_poly("w", L.basis)))
     if name == "ab2-squares":
         ab = LieAlgebra.create("ab2", ("x", "y"), {})
         return ab, InvariantSet(algebra=ab, polys=tuple(parse_poly(f, ab.basis)
@@ -732,7 +758,7 @@ class TestStructuralRanks:
         # n = l: every point is regular, the zero top included, so the zero
         # rows decide nothing and the zero tops take the block-triangle rank
         ab = LieAlgebra.create("ab2", ("x", "y"), {})
-        fs = InvariantSet(algebra=ab, polys=(ab.variable("x"), ab.variable("y")))
+        fs = InvariantSet(algebra=ab, polys=(parse_poly("x", ab.basis), parse_poly("y", ab.basis)))
         rep, calls, exact = _structural_and_exact(monkeypatch, ab, fs, 2,
                                                   transfer_samples=20)
         assert calls > 0
