@@ -13,9 +13,8 @@ mechanically, so the literal data cannot drift silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from . import liealg, linalg, sampling
 from .liealg import InvariantSet, LieAlgebra
@@ -31,8 +30,7 @@ PARAMETER_BOUND = 50
 NAMES = ("sl2", "sl3", "heis1", "heis2", "affine2", "slnV2", "slnV3", "nilrad_sl3")
 
 
-@dataclass(frozen=True)
-class Parametrization:
+class Parametrization(NamedTuple):
     """Polynomial map from a parameter space onto a stratum of the null cone.
 
     The declared dimension is audited by the Jacobian rank of the map at
@@ -58,15 +56,14 @@ class Parametrization:
         return linalg.rank([p.gradient_at(values) for p in self.coords.values()])
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     summary: str
     algebra: LieAlgebra
     invariants: InvariantSet
     flags: dict[str, bool]
     expected: dict
-    parametrizations: dict[str, Parametrization] = field(default_factory=dict)
+    parametrizations: dict[str, Parametrization]
 
 
 def _entry(name, summary, basis, brackets, invariant_strs, flags, expected,

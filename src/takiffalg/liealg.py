@@ -18,7 +18,6 @@ denominator, against a per-target adjacency of that integer table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 from typing import Callable, Iterator, Mapping, Sequence
@@ -80,28 +79,46 @@ class IndexEstimateError(AlgebraError):
     """The randomized rank estimate is inconsistent (parity failure)."""
 
 
-@dataclass(frozen=True)
 class LieAlgebra:
     """Immutable structure-constant presentation of a Lie algebra.
 
     ``brackets[(i, j)][k]`` with i < j is the coefficient of basis[k] in
     [basis[i], basis[j]]; antisymmetry is implicit in the storage.  ``grading``
     is attached by the truncated-current constructor and is None for plain
-    algebras.
+    algebras.  Equal algebras have equal fields; the caches ``_vidx``,
+    ``_plan`` and ``_adj`` are not compared.
     """
 
-    label: str
-    basis: tuple[str, ...]
-    brackets: BracketTable
-    grading: object | None = None
-    _vidx: dict[str, int] = field(init=False, compare=False, repr=False, default=None)
-    _plan: tuple | None = field(init=False, compare=False, repr=False, default=None)
-    _adj: Adjacency | None = field(init=False, compare=False, repr=False, default=None)
+    # The package's records are slot classes and NamedTuples because the
+    # standard library's record decorator, with the inspect module it loads,
+    # costs about 60 % of `import takiffalg` (README, "Start-up").
+    __slots__ = ("label", "basis", "brackets", "grading", "_vidx", "_plan", "_adj")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_vidx", {b: i for i, b in enumerate(self.basis)})
-        if len(self._vidx) != len(self.basis):
+    def __init__(self, label: str, basis: tuple[str, ...], brackets: BracketTable,
+                 grading: object | None = None):
+        vidx = {b: i for i, b in enumerate(basis)}
+        if len(vidx) != len(basis):
             raise AlgebraFormatError("basis names must be distinct")
+        init = object.__setattr__
+        init(self, "label", label)
+        init(self, "basis", basis)
+        init(self, "brackets", brackets)
+        init(self, "grading", grading)
+        init(self, "_vidx", vidx)
+        init(self, "_plan", None)
+        init(self, "_adj", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field '{name}'")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field '{name}'")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.label, self.basis, self.brackets, self.grading) == \
+            (other.label, other.basis, other.brackets, other.grading)
 
     @classmethod
     def create(cls, label: str, basis: Sequence[str],
@@ -422,15 +439,14 @@ def differential_matrix(polys: Sequence[Polynomial], point: DualPoint) -> list[l
     return _int_gradient_rows(polys, point)
 
 
-@dataclass(frozen=True)
 class InvariantSet:
     """A tuple of homogeneous polynomial invariants attached to an algebra."""
 
-    algebra: LieAlgebra
-    polys: tuple[Polynomial, ...]
+    __slots__ = ("algebra", "polys")
 
-    def __post_init__(self):
-        object.__setattr__(self, "polys", tuple(self.polys))
+    def __init__(self, algebra: LieAlgebra, polys: Sequence[Polynomial]):
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "polys", tuple(polys))
         for f in self.polys:
             if f.varset != self.algebra.basis:
                 raise AlgebraError(
@@ -440,6 +456,20 @@ class InvariantSet:
                 raise HomogeneityError(f"invariant '{f}' is not homogeneous")
             if f.degree() < 1:
                 raise AlgebraError("basic invariants must be non-constant")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field '{name}'")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field '{name}'")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def _fields(self) -> tuple:
+        return self.algebra, self.polys
 
     def __len__(self) -> int:
         return len(self.polys)

@@ -37,8 +37,7 @@ evidence).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import catalog, linalg, sampling
 from .liealg import (
@@ -160,8 +159,7 @@ def _lemma_bounds(L: LieAlgebra, fam: InvariantFamily, seed: int,
                  seed=seed)
 
 
-@dataclass(frozen=True)
-class StratumSample:
+class StratumSample(NamedTuple):
     """Sampled points of one stratum with its externally supplied dimension.
 
     declared_dim comes from a parametrization (parameter count, audited by

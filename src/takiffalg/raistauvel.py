@@ -44,9 +44,8 @@ matrix of L<m> where it gives None.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from . import linalg
 from .liealg import (
@@ -77,7 +76,6 @@ def _expand(f: Polynomial, m: int, names: tuple[str, ...]) -> list[Polynomial]:
     return jet_substitute(f, subst, m)
 
 
-@dataclass(frozen=True)
 class InvariantFamily(InvariantSet):
     """The expansion of ``base`` as an invariant set of ``algebra`` = L<m>.
 
@@ -90,14 +88,15 @@ class InvariantFamily(InvariantSet):
     some partial df_i/db is.
     """
 
-    base: InvariantSet
+    __slots__ = ("base",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "polys", tuple(self.polys))
-        Lm, base = self.algebra, self.base
-        grading = _require_grading(Lm)
+    def __init__(self, algebra: LieAlgebra, polys: Sequence[Polynomial], base: InvariantSet):
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "polys", tuple(polys))
+        object.__setattr__(self, "base", base)
+        grading = _require_grading(algebra)
         if grading.base_basis != base.algebra.basis:
-            raise AlgebraError(f"algebra {Lm.label} is not a truncation of "
+            raise AlgebraError(f"algebra {algebra.label} is not a truncation of "
                                f"{base.algebra.label}")
         m, n, l = grading.depth, grading.base_dim, len(base)
         if len(self.polys) != (m + 1) * l:
@@ -105,7 +104,7 @@ class InvariantFamily(InvariantSet):
                                f"{(m + 1) * l} for {l} base invariants at depth {m}")
         want = list(zip(base.degrees(), (_partials_at_grade(f, m * n) for f in base.polys)))
         for i, j, F in self.members():
-            if F.varset != Lm.basis:
+            if F.varset != algebra.basis:
                 raise AlgebraError(f"family entry ({i},{j}) is over the wrong variables")
             deg, want_partials = want[i - 1]
             low = (m - j) * n    # the grade-(m-j) variables are low..low+n-1
@@ -127,8 +126,11 @@ class InvariantFamily(InvariantSet):
             for k in range(n):
                 if partials[k] != want_partials[k]:
                     raise AlgebraError(
-                        f"family entry ({i},{j}): the partial in '{Lm.basis[low + k]}' "
+                        f"family entry ({i},{j}): the partial in '{algebra.basis[low + k]}' "
                         f"is not df_{i}/d{base.algebra.basis[k]} at grade {m}")
+
+    def _fields(self) -> tuple:
+        return self.algebra, self.polys, self.base
 
     @property
     def l(self) -> int:

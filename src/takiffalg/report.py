@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
@@ -103,23 +102,41 @@ def _write(value: Any, pad: str, out: list[str]) -> None:
         out.append(json.dumps(jsonable(value)))
 
 
-@dataclass
 class Check:
-    name: str
-    status: str
-    paper_ref: str = "plumbing"
-    witness: Any = None
-    seed: int | None = None
-    elapsed: float = 0.0
+    __slots__ = ("name", "status", "paper_ref", "witness", "seed", "elapsed")
+
+    def __init__(self, name: str, status: str, paper_ref: str = "plumbing",
+                 witness: Any = None, seed: int | None = None, elapsed: float = 0.0):
+        self.name = name
+        self.status = status
+        self.paper_ref = paper_ref
+        self.witness = witness
+        self.seed = seed
+        self.elapsed = elapsed
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.status, self.paper_ref, self.witness, self.seed,
+                self.elapsed) == (other.name, other.status, other.paper_ref,
+                                  other.witness, other.seed, other.elapsed)
 
 
-@dataclass
 class Report:
-    label: str
-    checks: list[Check] = field(default_factory=list)
-    # read through the module global at call time, so tests can patch _clock
-    _last: float = field(default_factory=lambda: _clock(), init=False,
-                         repr=False, compare=False)
+    """Checks under a label; ``_last`` is the clock's last read and is not compared."""
+
+    __slots__ = ("label", "checks", "_last")
+
+    def __init__(self, label: str, checks: list[Check] | None = None):
+        self.label = label
+        self.checks = [] if checks is None else checks
+        # read through the module global at call time, so tests can patch _clock
+        self._last = _clock()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.label, self.checks) == (other.label, other.checks)
 
     def add(self, check: Check) -> Check:
         """Append ``check``, timed from the previous add or the report's creation."""

@@ -22,10 +22,8 @@ concatenates them into the flat point with one coordinate per graded name.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .liealg import AlgebraError, AlgebraFormatError, DualPoint, LieAlgebra
 from .polyring import Scalar, exact_scalars
@@ -57,8 +55,7 @@ def _grade_major(base_basis: Sequence[str], m: int) -> tuple[str, ...]:
     return tuple(graded_name(b, j) for j in range(m + 1) for b in base_basis)
 
 
-@dataclass(frozen=True)
-class TakiffGrading:
+class TakiffGrading(NamedTuple):
     """The grade-major layout of one truncation step over its immediate base.
 
     With n = base_dim, basis index k of the truncation is the name
@@ -143,7 +140,7 @@ def multi_current(L: LieAlgebra, degrees: Sequence[int]) -> LieAlgebra:
     for d in degrees:
         cur = takiff(cur, d)
     label = f"{L.label}<{','.join(str(d) for d in degrees)}>"
-    return dataclasses.replace(cur, label=label)
+    return LieAlgebra(label=label, basis=cur.basis, brackets=cur.brackets, grading=cur.grading)
 
 
 def flatten_point(L: LieAlgebra, components: TakiffDualPoint) -> dict[str, Scalar]:

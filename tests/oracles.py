@@ -316,12 +316,14 @@ def poisson_bracket(algebra, f, g) -> dict[tuple, Fraction]:
     the raw bracket table as a linear form, the partials come from
     `partial`, and the products are multiplied out term by term,
     so none of the package's bracket or arithmetic code is exercised.
+    Each partial is taken once per basis element, before the table loop.
     """
+    dfs = [partial(f, b).terms for b in algebra.basis]
+    dgs = [partial(g, b).terms for b in algebra.basis]
     out: dict[tuple, Fraction] = {}
     for (i, j), coeffs in algebra.brackets.items():
         for a, b, sign in ((i, j, 1), (j, i, -1)):
-            df = partial(f, algebra.basis[a]).terms
-            dg = partial(g, algebra.basis[b]).terms
+            df, dg = dfs[a], dgs[b]
             for k, c in coeffs.items():
                 for m1, c1 in df.items():
                     for m2, c2 in dg.items():

@@ -93,6 +93,28 @@ class TestParametrizations:
         assert pt == {"e": Fraction(4), "h": Fraction(12), "f": Fraction(-9)}
         assert sl2.invariants.polys[0].evaluate(pt) == 0
 
+    def test_fields_are_read_only(self, sl2):
+        cone = sl2.parametrizations["nilcone"]
+        for name in ("name", "params", "coords", "declared_dim"):
+            with pytest.raises(AttributeError):
+                setattr(cone, name, getattr(cone, name))
+        for name in ("name", "summary", "algebra", "invariants", "flags", "expected",
+                     "parametrizations"):
+            with pytest.raises(AttributeError):
+                setattr(sl2, name, getattr(sl2, name))
+
+    def test_construction_by_keyword(self, sl2):
+        cone = sl2.parametrizations["nilcone"]
+        copy = catalog.Parametrization(name=cone.name, params=cone.params,
+                                       coords=cone.coords, declared_dim=cone.declared_dim)
+        assert copy == cone
+        entry = catalog.CatalogEntry(
+            name=sl2.name, summary=sl2.summary, algebra=sl2.algebra,
+            invariants=sl2.invariants, flags=sl2.flags, expected=sl2.expected,
+            parametrizations={"nilcone": copy})
+        assert entry == sl2
+        assert entry.parametrizations["nilcone"].declared_dim == 2
+
     def test_only_sl2_ships_one(self):
         for name in catalog.NAMES:
             entry = catalog.load(name)

@@ -74,6 +74,37 @@ class TestConstruction:
         assert nil.dim == heis1.algebra.dim
         assert nil.brackets == heis1.algebra.brackets
 
+    def test_fields_are_read_only(self, sl2):
+        L = takiff(sl2.algebra, 1)
+        for name in ("label", "basis", "brackets", "grading"):
+            with pytest.raises(AttributeError):
+                setattr(L, name, getattr(L, name))
+            with pytest.raises(AttributeError):
+                delattr(L, name)
+        assert L.label == "sl2<1>" and L.grading is not None
+
+    def test_construction_by_position_and_keyword(self, sl2):
+        L = sl2.algebra
+        by_position = LieAlgebra(L.label, L.basis, L.brackets)
+        by_keyword = LieAlgebra(label=L.label, basis=L.basis, brackets=L.brackets,
+                                grading=None)
+        assert by_position.grading is None
+        assert (by_position.label, by_position.basis, by_position.brackets) == \
+            (L.label, L.basis, L.brackets)
+        assert by_position == by_keyword == L
+        with pytest.raises(AlgebraFormatError):
+            LieAlgebra(label="x", basis=("a", "a"), brackets={})
+
+    def test_equality_is_by_value(self, sl2):
+        L = sl2.algebra
+        kirillov_matrix(L, {b: 1 for b in L.basis})     # fills the cached plan
+        fresh = LieAlgebra.create("sl2", L.basis, L.brackets)
+        assert fresh is not L and fresh == L
+        assert fresh != LieAlgebra.create("other", L.basis, L.brackets)
+        assert fresh != _sl2_corrupted()
+        assert takiff(fresh, 2) == takiff(L, 2)
+        assert takiff(L, 2) != takiff(L, 1)
+
     def test_bracket_elements_bilinearity(self, sl2):
         L = sl2.algebra
         x = {0: Fraction(1), 1: Fraction(2)}
@@ -300,6 +331,21 @@ class TestInvariantSet:
 
     def test_degrees(self, sl3):
         assert sl3.invariants.degrees() == (2, 3)
+
+    def test_fields_are_read_only(self, sl3):
+        fs = sl3.invariants
+        for name in ("algebra", "polys"):
+            with pytest.raises(AttributeError):
+                setattr(fs, name, getattr(fs, name))
+            with pytest.raises(AttributeError):
+                delattr(fs, name)
+
+    def test_construction_by_position_and_keyword(self, sl3):
+        fs = sl3.invariants
+        by_position = InvariantSet(fs.algebra, list(fs.polys))
+        assert by_position.polys == fs.polys and type(by_position.polys) is tuple
+        assert by_position == InvariantSet(algebra=fs.algebra, polys=fs.polys) == fs
+        assert InvariantSet(fs.algebra, fs.polys[:1]) != fs
 
 
 class TestRegularityAndOmega:

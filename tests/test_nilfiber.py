@@ -304,6 +304,15 @@ class TestEquidim:
         assert w["reducibility_evidence"] is False
         assert w["equidimensional_over_samples"] is True
 
+    def test_a_stratum_sample_is_read_only(self, sl2):
+        s = StratumSample(name="origin", points=(_pt(sl2.algebra),), declared_dim=0,
+                          declared_index=0)
+        assert s.dim_audit is None
+        assert s == StratumSample("origin", (_pt(sl2.algebra),), 0, 0, None)
+        for name in ("name", "points", "declared_dim", "declared_index", "dim_audit"):
+            with pytest.raises(AttributeError):
+                setattr(s, name, getattr(s, name))
+
     def test_duplicate_stratum_names_are_refused_before_any_work(self, monkeypatch, sl2):
         # two strata named "s" would share one totals entry in the verdict
         L, fs = sl2.algebra, sl2.invariants

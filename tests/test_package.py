@@ -42,6 +42,32 @@ def test_only_the_report_reads_the_clock():
     assert readers == ["report.py"]
 
 
+def test_importing_the_package_loads_no_dataclasses():
+    # `import takiffalg` is paid by every run; `dataclasses` with `inspect`
+    # was about 60 % of it.  Only what the import adds counts, so a module a
+    # site hook loads first cannot fail the test.
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            f"sys.path.insert(0, {str(SRC)!r})\n"
+            "import takiffalg, takiffalg.cli\n"
+            "print(*sorted(set(sys.modules) - before))\n")
+    proc = subprocess.run([sys.executable, "-I", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert {"takiffalg", "takiffalg.cli"} <= added
+    assert added & {"dataclasses", "inspect"} == set()
+
+
+def test_no_module_imports_dataclasses():
+    importers = sorted(
+        p.name for p in (SRC / "takiffalg").glob("*.py")
+        for node in ast.walk(ast.parse(p.read_text()))
+        if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
+    assert importers == []
+
+
 def test_only_takiff_names_the_grade_maps():
     # the grade-major layout is stated once, in `takiff`; the file format's
     # name-keyed maps are written and checked there, and nowhere else read

@@ -549,6 +549,16 @@ class TestFamilyIsTheNextInvariantSet:
         members = {id(F) for fam in families for _, _, F in fam.members()}
         assert not [F for F in checked if id(F) in members]
 
+    def test_a_family_is_a_read_only_value(self, sl2_family_m1):
+        fam = sl2_family_m1
+        for name in ("algebra", "polys", "base"):
+            with pytest.raises(AttributeError):
+                setattr(fam, name, getattr(fam, name))
+        copy = InvariantFamily(algebra=fam.algebra, polys=list(fam.polys), base=fam.base)
+        assert copy == InvariantFamily(fam.algebra, fam.polys, fam.base) == fam
+        assert type(copy.polys) is tuple
+        assert copy != InvariantSet(fam.algebra, fam.polys)
+
     @pytest.mark.parametrize("name,degrees", [(name, (m,)) for name in catalog.NAMES
                                               if name != "affine2" for m in (1, 2, 3)]
                              + [("heis1", (2,)), ("heis1", (2, 3))])

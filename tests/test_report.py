@@ -46,6 +46,29 @@ def test_add_charges_since_the_previous_add_and_copies_keep_theirs(ticking):
     assert _elapsed(rep) == {"a": 1.0, "b": 1.0, "p:c": 7.5, "d": 1.0}
 
 
+def test_a_report_starts_its_clock_when_created(monkeypatch):
+    monkeypatch.setattr(report, "_clock", lambda: 5.0)
+    rep = Report("clock")
+    monkeypatch.setattr(report, "_clock", lambda: 7.5)
+    assert rep.add(Check("a", PASS)).elapsed == 2.5
+
+
+def test_records_are_built_by_position_or_keyword_and_compare_by_value(ticking):
+    check = Check("a", PASS, "Thm 1", {"x": 1}, 3, 0.5)
+    assert check == Check(name="a", status=PASS, paper_ref="Thm 1", witness={"x": 1},
+                          seed=3, elapsed=0.5)
+    assert Check("a", PASS) == Check(name="a", status=PASS, paper_ref="plumbing",
+                                     witness=None, seed=None, elapsed=0.0)
+    assert check != Check("a", PASS, "Thm 1", {"x": 1}, 3, 0.25)
+    check.status = "FAIL"                   # a check stays mutable
+    assert check.status == "FAIL"
+    first, second = Report("r"), Report(label="r", checks=[])    # read 1 and 2
+    assert first == second and first.checks is not second.checks
+    first.add(Check("a", PASS))
+    assert first != second and first != Report("r", [Check("a", PASS, elapsed=1.0)])
+    assert first == Report("r", [Check("a", PASS, elapsed=2.0)])
+
+
 def test_timings_stay_out_of_the_json(ticking):
     rep = Report(label="clock")
     rep.add(Check(name="a", status=PASS))

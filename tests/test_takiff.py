@@ -55,6 +55,25 @@ class TestConstruction:
         with pytest.raises(ValueError):
             multi_current(sl2.algebra, [])
 
+    def test_grading_is_a_read_only_value(self, sl2):
+        g = takiff(sl2.algebra, 2).grading
+        assert g == TakiffGrading(sl2.algebra.basis, 2)
+        assert g == TakiffGrading(base_basis=("e", "h", "f"), depth=2)
+        assert g != TakiffGrading(base_basis=("e", "h", "f"), depth=1)
+        assert g != TakiffGrading(base_basis=("e", "f", "h"), depth=2)
+        for name in ("base_basis", "depth"):
+            with pytest.raises(AttributeError):
+                setattr(g, name, getattr(g, name))
+
+    def test_multi_current_relabels_the_last_step(self, sl2):
+        L = multi_current(sl2.algebra, [1, 2])
+        last = takiff(takiff(sl2.algebra, 1), 2)
+        assert L.label == "sl2<1,2>" and last.label == "sl2<1><2>"
+        assert L.basis == last.basis
+        assert L.brackets == last.brackets
+        assert L.grading == last.grading == TakiffGrading(
+            base_basis=takiff(sl2.algebra, 1).basis, depth=2)
+
     def test_bracket_examples(self, sl2, heis1):
         L1 = takiff(sl2.algebra, 1)
         assert _bracket_named(L1, "h@0", "e@1") == {"e@1": Fraction(2)}
