@@ -28,7 +28,7 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 from typing import Mapping, Sequence
 
 __all__ = [
@@ -76,7 +76,7 @@ class VarsetMismatchError(PolyringError):
 
 
 class MissingAssignmentError(PolyringError):
-    """A point or substitution does not cover every required variable."""
+    """A point does not cover every required variable."""
 
 
 Scalar = int | Fraction
@@ -647,85 +647,74 @@ def parse_poly(text: str, varset: Sequence[str]) -> Polynomial:
 # substitution of truncated eps-expansions
 # ---------------------------------------------------------------------------
 
-def jet_substitute(p: Polynomial, subst: Mapping[str, Sequence[Polynomial]],
-                   order: int) -> list[Polynomial]:
-    """Substitute c_0 + eps*c_1 + ... + eps^order*c_order for every variable of ``p``.
+def _splits(e: int, order: int) -> list[tuple[int, int, tuple[tuple[int, int], ...]]]:
+    """Every e = k_0 + ... + k_order of weight sum s*k_s <= order, lightest first.
 
-    ``subst`` maps each variable of ``p.varset`` to its eps-coefficients
-    (c_0, ..., c_order).  Returns the eps-coefficients of the result,
-    truncated at eps^order.  The input is checked once, here: every variable
-    needs a sequence of order + 1 polynomials, all over one target varset.
+    Each split is (weight, e!/prod k_s!, ((s, k_s) for k_s >= 1)).
     """
-    if order < 0:
-        raise PolyringError(f"truncation order must be nonnegative, got {order}")
-    jets: dict[str, tuple[Polynomial, ...]] = {}
-    target: tuple[str, ...] | None = None
-    for name in p.varset:
-        coeffs = subst.get(name)
-        if coeffs is None:
-            raise MissingAssignmentError(f"no coefficients assigned to variable '{name}'")
-        coeffs = tuple(coeffs)
-        if len(coeffs) != order + 1:
-            raise PolyringError(f"variable '{name}' has {len(coeffs)} eps-coefficients, "
-                                f"expected {order + 1}")
-        for c in coeffs:
-            if target is None:
-                target = c.varset
-            elif c.varset != target:
-                raise VarsetMismatchError("substituted coefficients must share one variable set")
-        jets[name] = coeffs
-    if target is None:
-        # p has no variables at all; the result is over no variables either.
-        target = ()
+    out = []
 
-    # Integer products: every substituted coefficient is cleared to integers
-    # over one denominator ds, and p's coefficients to numerators over dp.
-    # A term of degree d then collects ds^d times its value; it is scaled up
-    # to ds^dmax so that every term shares the denominator dp * ds^dmax, and
-    # each result monomial is divided once at the end.
-    ds = _common_denominator(c for coeffs in jets.values() for poly in coeffs
-                             for c in poly.terms.values())
-    int_jets = {name: [{m: c.numerator * (ds // c.denominator) for m, c in poly.terms.items()}
-                       for poly in coeffs]
-                for name, coeffs in jets.items()}
-    dp = _common_denominator(p.terms.values())
-    dmax = max(map(_mono_degree, p.terms), default=0)
+    def walk(first: int, left: int, weight: int, mult: int, parts: tuple) -> None:
+        if not left:
+            out.append((weight, mult, parts))
+            return
+        for s in range(first, order + 1):
+            if weight + s > order:
+                return
+            for k in range(1, left + 1):
+                if weight + s * k > order:
+                    break
+                walk(s + 1, left - k, weight + s * k, mult * comb(left, k), parts + ((s, k),))
 
-    def mul(a: Sequence[dict], b: Sequence[dict]) -> list[dict]:
-        # the product of two expansions, truncated at eps^order
-        out: list[dict[Monomial, int]] = [{} for _ in range(order + 1)]
-        for i, x in enumerate(a):
-            if not x:
-                continue
-            for j in range(order + 1 - i):
-                y = b[j]
-                if not y:
-                    continue
-                prod: dict[Monomial, int] = {}
-                for ma, ca in x.items():
-                    for mb, cb in y.items():
-                        m = _mono_mul(ma, mb)
-                        v = prod.get(m)
-                        v = ca * cb if v is None else v + ca * cb
-                        if v:
-                            prod[m] = v
-                        elif m in prod:
-                            del prod[m]
-                _add_terms(out[i + j], prod)
-        return out
+    walk(0, e, 0, 1, ())
+    out.sort(key=operator.itemgetter(0))
+    return out
 
-    result: list[dict[Monomial, int]] = [{} for _ in range(order + 1)]
-    powcache: dict[tuple[int, int], list[dict[Monomial, int]]] = {}
+
+def jet_substitute(p: Polynomial, index: Sequence[Sequence[int]],
+                   target: Sequence[str]) -> list[Polynomial]:
+    """Substitute sum_s eps^s * target[index[i][s]] for variable i of ``p``.
+
+    Every row of ``index`` has order + 1 entries; the result is the
+    eps-coefficients over ``target``, truncated at eps^order.  No target
+    index may appear twice, so every output monomial comes from one term of
+    ``p`` and one split of each exponent e_i into grade-shift parts k_s:
+    nothing merges or cancels, and each output coefficient is the term's
+    coefficient times the multinomials e_i!/prod k_s!.
+    """
+    if len(index) != len(p.varset):
+        raise PolyringError(f"index has {len(index)} rows for {len(p.varset)} variables")
+    lengths = {len(row) for row in index}
+    if len(lengths) != 1 or 0 in lengths:
+        raise PolyringError("index rows must be nonempty and all of one length")
+    used = [k for row in index for k in row]
+    if len(set(used)) != len(used):
+        raise PolyringError("a target index appears twice in index")
+    if not all(0 <= k < len(target) for k in used):
+        raise PolyringError(f"a target index is outside the {len(target)} target variables")
+    order = len(index[0]) - 1
+    splits: dict[tuple[int, int], list] = {}
+    result: list[dict[Monomial, Fraction]] = [{} for _ in range(order + 1)]
     for mono, c in p.terms.items():
-        scale = c.numerator * (dp // c.denominator) * ds ** (dmax - _mono_degree(mono))
-        acc = [{(): scale}] + [{} for _ in range(order)]
-        for idx, e in mono:
-            jp = powcache.get((idx, e))
-            if jp is None:
-                jp = powcache[(idx, e)] = _power(int_jets[p.varset[idx]], e, mul)
-            acc = mul(acc, jp)
-        for r, a in zip(result, acc):
-            _add_terms(r, a)
-    den = dp * ds ** dmax
-    return [Polynomial(target, {m: Fraction(v, den) for m, v in r.items()}, _canonical=True)
-            for r in result]
+        acc = [(0, c.numerator, ())]
+        for i, e in mono:
+            parts = splits.get((i, e))
+            if parts is None:
+                row = index[i]
+                parts = splits[(i, e)] = [(w, mult, tuple((row[s], k) for s, k in split))
+                                          for w, mult, split in _splits(e, order)]
+            longer = []
+            for w, num, grown in acc:
+                for v, mult, more in parts:
+                    if w + v > order:
+                        break
+                    longer.append((w + v, num * mult, grown + more))
+            acc = longer
+        # a term's outputs share a few coefficients: one Fraction for each
+        coeffs: dict[int, Fraction] = {}
+        for w, num, grown in acc:
+            q = coeffs.get(num)
+            if q is None:
+                q = coeffs[num] = Fraction(num, c.denominator)
+            result[w][tuple(sorted(grown))] = q
+    return [Polynomial(target, r, _canonical=True) for r in result]

@@ -11,10 +11,12 @@ F^0..F^m over the graded variables,
 
 each of which is a symmetric invariant of L<m> (by Rais-Tauvel, basic ones
 when f is), so an `InvariantFamily` is the `InvariantSet` of the next
-level as it stands.  Each base variable's coefficients (b@m, ..., b@0) go
-to `polyring.jet_substitute`, which multiplies them out symbolically,
-truncated at eps^m; numeric dual-number evaluation exists only in the test
-suite as an independent oracle.
+level as it stands.  Each base variable's coefficients (b@m, ..., b@0) are
+distinct variables of L<m>, so `polyring.jet_substitute` writes F^j
+directly: each term of f splits its exponents over the grade shifts in
+every way of total weight j, with multinomial coefficients, and no two
+splits meet in one monomial.  Numeric dual-number evaluation exists only
+in the test suite as an independent oracle.
 
 The chain rule gives every such expansion, whatever f, the structure that
 `InvariantFamily` enforces when a family is built, in one sweep over each
@@ -44,7 +46,6 @@ matrix of L<m> where it gives None.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 from . import linalg
@@ -69,11 +70,9 @@ __all__ = [
 
 def _expand(f: Polynomial, m: int, names: tuple[str, ...]) -> list[Polynomial]:
     # b@(m-s) for the i-th base variable b is basis index (m-s)*n + i of L<m>
-    n, one = len(f.varset), Fraction(1)
-    subst = {b: [Polynomial(names, {(((m - s) * n + i, 1),): one}, _canonical=True)
-                 for s in range(m + 1)]
-             for i, b in enumerate(f.varset)}
-    return jet_substitute(f, subst, m)
+    n = len(f.varset)
+    return jet_substitute(f, [[(m - s) * n + i for s in range(m + 1)] for i in range(n)],
+                          names)
 
 
 class InvariantFamily(InvariantSet):

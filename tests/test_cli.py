@@ -320,8 +320,8 @@ class TestInputErrors:
     def test_a_broken_expansion_is_one_line_exit_two(self, monkeypatch, capsys):
         # an expansion that repeats F^0 as F^1 is refused when the family is
         # built, naming a term of the wrong weight; no report is written
-        def broken(p, subst, order):
-            out = jet_substitute(p, subst, order)
+        def broken(*args):
+            out = jet_substitute(*args)
             out[1] = out[0]
             return out
 

@@ -199,8 +199,8 @@ class TestCharacterization:
         assert weight_defect(bad) is None
         assert oracle_identity_defect(bad) == (1, 1, "e@0")
 
-        def broken(p, subst, order):
-            out = jet_substitute(p, subst, order)
+        def broken(*args):
+            out = jet_substitute(*args)
             out[1] = out[1] + parse_poly("e@0*h@1", out[1].varset)
             return out
 

@@ -19,7 +19,7 @@ import pytest
 
 import takiffalg
 from takiffalg import catalog, nilfiber, verify
-from takiffalg.polyring import parse_poly
+from takiffalg.polyring import jet_substitute, parse_poly
 
 SRC = Path(takiffalg.__file__).resolve().parents[1]
 ROOT = SRC.parent
@@ -111,6 +111,14 @@ def test_a_level_carries_only_its_jacobi_verdict():
     names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert "RankFunction" not in names
+
+
+def test_the_expansion_enumerates_grade_shifts():
+    # the benchmark traces `polyring.jet_substitute` by name; it takes one
+    # distinct target index per grade shift, so nothing merges and no power
+    # of a general jet is cached
+    assert list(inspect.signature(jet_substitute).parameters) == ["p", "index", "target"]
+    assert "powcache" not in (SRC / "takiffalg" / "polyring.py").read_text()
 
 
 def _bench_trace_spans():

@@ -197,77 +197,52 @@ class TestErrors:
         with pytest.raises(MissingAssignmentError):
             X.evaluate({"x": Fraction(1)})
 
-    def test_jet_order(self):
-        zero = Polynomial.zero(())
-        with pytest.raises(PolyringError, match="expected 3"):
-            jet_substitute(X, {v: (zero, zero) for v in VS}, order=2)
-        with pytest.raises(PolyringError, match="expected 2"):
-            jet_substitute(X, {"x": (zero, zero), "y": (zero,), "z": (zero, zero)},
-                           order=1)
-        with pytest.raises(PolyringError, match="nonnegative"):
-            jet_substitute(X, {v: () for v in VS}, order=-1)
 
-    def test_jet_missing_variable(self):
-        zero = Polynomial.zero(())
-        with pytest.raises(MissingAssignmentError):
-            jet_substitute(X + Y, {"x": (zero, zero)}, order=1)
-
-    def test_jet_mixed_target_varsets(self):
-        u = Polynomial.variable(("u",), "u")
-        w = Polynomial.variable(("w",), "w")
-        with pytest.raises(VarsetMismatchError):
-            jet_substitute(X, {"x": (u, u), "y": (u, u), "z": (u, w)}, order=1)
-        with pytest.raises(VarsetMismatchError):
-            jet_substitute(X, {"x": (u, u), "y": (w, w), "z": (u, u)}, order=1)
+TARGET = tuple(f"t{k}" for k in range(7))
 
 
-def _numeric_jet(values):
-    return tuple(Polynomial.constant((), v) for v in values)
+class TestJetRefusals:
+    """The index table jet_substitute refuses, one malformation at a time."""
+
+    def test_a_row_count_other_than_the_variables(self):
+        with pytest.raises(PolyringError, match="2 rows for 3 variables"):
+            jet_substitute(X, [[0, 1], [2, 3]], TARGET)
+
+    def test_ragged_rows(self):
+        with pytest.raises(PolyringError, match="one length"):
+            jet_substitute(X, [[0, 1], [2], [3, 4]], TARGET)
+
+    def test_empty_rows(self):
+        with pytest.raises(PolyringError, match="nonempty"):
+            jet_substitute(X, [[], [], []], TARGET)
+
+    def test_a_repeated_target_index(self):
+        with pytest.raises(PolyringError, match="appears twice"):
+            jet_substitute(X, [[0, 1], [2, 3], [4, 0]], TARGET)
+
+    @pytest.mark.parametrize("outside", [-1, 7])
+    def test_an_index_outside_the_target(self, outside):
+        with pytest.raises(PolyringError, match="outside the 7 target variables"):
+            jet_substitute(X, [[0, 1], [2, 3], [4, outside]], TARGET)
 
 
-class TestJetsAgainstDualNumbers:
-    """jet_substitute with numeric jets must match plain dual-number arithmetic."""
-
-    def test_hand_example(self):
-        # (x + eps)^2 at order 1 drops the eps^2 term.
-        jets = {"x": _numeric_jet([Fraction(3), Fraction(1)]),
-                "y": _numeric_jet([Fraction(0), Fraction(0)]),
-                "z": _numeric_jet([Fraction(0), Fraction(0)])}
-        out = jet_substitute(X**2, jets, order=1)
-        assert [c.evaluate({}) for c in out] == [Fraction(9), Fraction(6)]
-
-    @pytest.mark.parametrize("order", [1, 2, 3])
-    def test_seeded_sweep(self, order):
-        # the second pass gives p's own coefficients mixed denominators too
-        checked = 0
-        for rational in (False, True):
-            for trial in range(70):
-                r = sampling.rng(2024, 11, order, trial)
-                terms = [(Fraction(r.randint(-6, 6), r.randint(1, 4) if rational else 1),
-                          r.randint(0, 3), r.randint(0, 3), r.randint(0, 2))
-                         for _ in range(r.randint(1, 5))]
-                p = _build(terms)
-                values = {v: [Fraction(r.randint(-5, 5), r.randint(1, 4))
-                              for _ in range(order + 1)] for v in VS}
-                jets = {v: _numeric_jet(values[v]) for v in VS}
-                got = jet_substitute(p, jets, order)
-                want = eval_poly_eps(p, {v: EpsValue(order, values[v]) for v in VS})
-                assert [c.evaluate({}) for c in got] == want.coeffs
-                checked += 1
-        assert checked == 140
-
-    def test_symbolic_jets_match_numeric_specialization(self):
-        # Substituting variable jets then evaluating equals evaluating first.
-        target = ("u", "v")
-        zero = Polynomial.zero(target)
-        jx = (Polynomial.variable(target, "u"), Polynomial.variable(target, "v"))
-        jy = (Polynomial.constant(target, 2), zero)
-        jz = (zero, zero)
-        out = jet_substitute(X**2 + Y * X, {"x": jx, "y": jy, "z": jz}, order=1)
-        pt = {"u": Fraction(3), "v": Fraction(5)}
-        oracle = eval_poly_eps(
-            X**2 + Y * X,
-            {"x": EpsValue(1, [Fraction(3), Fraction(5)]),
-             "y": EpsValue.const(1, 2),
-             "z": EpsValue.const(1, 0)})
-        assert [c.evaluate(pt) for c in out] == oracle.coeffs
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_jets_match_dual_numbers_at_a_random_point(order):
+    # F^j of p with a shuffled index table, at a random rational point of
+    # the target, is the eps^j coefficient of p at the dual-number point
+    # that the table reads off it; one spare target variable stays unused
+    target = tuple(f"t{k}" for k in range(len(VS) * (order + 1) + 1))
+    for trial in range(40):
+        r = sampling.rng(2027, order, trial)
+        p = _build([(Fraction(r.randint(-6, 6), r.randint(1, 4)),
+                     r.randint(0, 4), r.randint(0, 4), r.randint(0, 4))
+                    for _ in range(r.randint(1, 5))])
+        slots = list(range(len(target)))
+        r.shuffle(slots)
+        index = [slots[k * (order + 1):(k + 1) * (order + 1)] for k in range(len(VS))]
+        point = {t: Fraction(r.randint(-5, 5), r.randint(1, 4)) for t in target}
+        got = jet_substitute(p, index, target)
+        assert all(F.varset == target for F in got)
+        want = eval_poly_eps(p, {v: EpsValue(order, [point[target[k]] for k in row])
+                                 for v, row in zip(VS, index)})
+        assert [F.evaluate(point) for F in got] == want.coeffs

@@ -35,19 +35,23 @@ from oracles import kirillov_matrix as oracle_kirillov_matrix
 from test_verify import _structural_and_exact
 
 
-def _dual_number_mismatches(name, m) -> list:
+def _dual_number_mismatches(name, *degrees) -> list:
     """(trial, i, j) wherever F_i^j of the built family disagrees with the oracle.
 
-    The oracle evaluates f_i at the dual-number point sum_j eps^j xi_{m-j}
-    and reads off the eps^j coefficient; 8 seeded integer points per case.
+    The family is the last level of the catalog entry ``name`` truncated
+    at ``degrees`` in turn, so its base may itself be a family over the
+    previous level.  The oracle evaluates f_i at the dual-number point
+    sum_j eps^j xi_{m-j} and reads off the eps^j coefficient; 8 seeded
+    integer points per case.
     """
-    entry = catalog.load(name)
-    L = entry.algebra
-    fam = build_family(L, m, entry.invariants)
-    Lm = fam.algebra
+    fam = catalog.load(name).invariants
+    for m in degrees:
+        fam = build_family(fam.algebra, m, fam)
+    base, Lm = fam.base, fam.algebra
+    L = base.algebra
     mismatches = []
     for trial in range(8):
-        r = sampling.rng(13, 41, catalog.NAMES.index(name), m, trial)
+        r = sampling.rng(13, 41, catalog.NAMES.index(name), *degrees, trial)
         comps = sampling.random_components(L.basis, m, r, bound=9)
         flat = flatten_point(Lm, comps)
         eps_point = {
@@ -55,7 +59,7 @@ def _dual_number_mismatches(name, m) -> list:
             for b in L.basis
         }
         for i, j, F in fam.members():
-            want = eval_poly_eps(entry.invariants.polys[i - 1], eps_point)
+            want = eval_poly_eps(base.polys[i - 1], eps_point)
             if F.evaluate(flat) != want.coeffs[j]:
                 mismatches.append((trial, i, j))
     return mismatches
@@ -120,9 +124,16 @@ class TestExpansion:
     @pytest.mark.parametrize("name,m", [
         ("sl2", 1), ("sl2", 2), ("sl2", 3), ("sl3", 1),
         ("heis1", 3), ("heis2", 2), ("slnV2", 2),
+        # the benchmark's shapes
+        ("sl3", 4), ("slnV3", 2),
     ])
     def test_against_dual_number_oracle(self, name, m):
         assert _dual_number_mismatches(name, m) == []
+
+    def test_an_iterated_family_against_the_dual_number_oracle(self):
+        # sl2<1,1>: the index rows run over the variables of sl2<1>, no
+        # catalog varset
+        assert _dual_number_mismatches("sl2", 1, 1) == []
 
     @pytest.mark.parametrize("name,m,grade0", [
         ("sl2", 1, True), ("sl2", 3, True), ("sl2", 3, False), ("sl3", 1, True),
@@ -138,8 +149,8 @@ class TestExpansion:
         # oracle sees it
         n = catalog.load(name).algebra.dim
 
-        def dropping(p, subst, order):
-            out = jet_substitute(p, subst, order)
+        def dropping(*args):
+            out = jet_substitute(*args)
             top = out[-1]
             lost = next(mono for mono in top.terms if (mono[0][0] < n) == grade0)
             out[-1] = Polynomial(top.varset, {mono: c for mono, c in top.terms.items()

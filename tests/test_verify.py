@@ -783,8 +783,8 @@ class TestStructuralRanks:
         # 2 * F_1^1 is still an invariant, with the right degree and weight,
         # but its grade-1 partials are twice df/db at grade 2: the omega
         # certificates would not hold, and the family is never built
-        def doubled(p, subst, order):
-            out = jet_substitute(p, subst, order)
+        def doubled(*args):
+            out = jet_substitute(*args)
             out[1] = out[1] * 2
             return out
 
