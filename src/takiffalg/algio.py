@@ -14,12 +14,16 @@ Algebra files:
 A grading block must be the one `TakiffGrading.to_dict` writes for the
 file's basis, which must be grade-major; it is checked when the file is read.
 
-Pairs are 0-based indices into the basis; coefficients are keyed by target
-basis name.  A coefficient is a JSON integer or a string matching
-``-?[0-9]+(/[0-9]+)?`` ("p/q" with an optional sign on p); anything else (a
-float, a boolean, exponent notation such as "1e3") is rejected before any
-arithmetic.  All emitted JSON is sorted and newline-terminated so identical
-inputs give byte-identical files.
+Basis names are variable names of the polynomial grammar (`parse_poly`):
+a letter or underscore, then letters, digits and underscores, then any
+grade suffixes ``@j``; a name such as "1" or "y z" is refused, since no
+invariant string could spell it.  Pairs are 0-based indices into the
+basis; coefficients are keyed by target basis name.  A coefficient is a
+JSON integer or a string matching ``-?[0-9]+(/[0-9]+)?`` ("p/q" with an
+optional sign on p); anything else (a float, a boolean, exponent notation
+such as "1e3") is rejected before any arithmetic.  All emitted JSON is
+sorted and newline-terminated so identical inputs give byte-identical
+files.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .liealg import AlgebraFormatError, InvariantSet, LieAlgebra
-from .polyring import parse_poly
+from .polyring import _IDENT_RE, parse_poly
 from .raistauvel import InvariantFamily
 from .takiff import TakiffGrading
 
@@ -91,6 +95,10 @@ def algebra_from_dict(d: Mapping) -> tuple[LieAlgebra, InvariantSet, dict]:
     if not isinstance(label, str) or not isinstance(basis, list) or not basis or \
             not all(isinstance(b, str) for b in basis):
         raise AlgebraFormatError("'label' must be a string and 'basis' a list of names")
+    for b in basis:
+        if not _IDENT_RE.fullmatch(b):
+            raise AlgebraFormatError(f"basis name {b[:20]!r} is not a variable name that "
+                                     f"a polynomial can spell")
     if not isinstance(raw_brackets, list):
         raise AlgebraFormatError("'brackets' must be a list of bracket entries")
     name_idx = {b: i for i, b in enumerate(basis)}

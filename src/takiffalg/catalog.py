@@ -53,7 +53,7 @@ class Parametrization(NamedTuple):
         return vals, self.point_at(vals)
 
     def jacobian_rank_at(self, values: Mapping[str, Scalar]) -> int:
-        return linalg.rank([p.gradient_at(values) for p in self.coords.values()])
+        return linalg.rank(liealg.differential_matrix(tuple(self.coords.values()), values))
 
 
 class CatalogEntry(NamedTuple):

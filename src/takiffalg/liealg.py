@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from . import linalg, sampling
 from .polyring import (
@@ -46,7 +46,6 @@ __all__ = [
     "validate",
     "kirillov_matrix",
     "kirillov_rank_at",
-    "generic_kirillov_rank",
     "DEFAULT_TRIALS",
     "index",
     "magic_from_index",
@@ -276,60 +275,46 @@ def kirillov_rank_at(L: LieAlgebra, point: DualPoint) -> int:
     return linalg.skew_rank(kirillov_matrix(L, point))
 
 
-RankFunction = Callable[[LieAlgebra, DualPoint], int]
-
 # random points an index estimate ranks unless told otherwise
 DEFAULT_TRIALS = 5
 
 
-def generic_kirillov_rank(L: LieAlgebra, trials: int = DEFAULT_TRIALS, seed: int = 0,
-                          rank: RankFunction = kirillov_rank_at,
-                          bound: int | None = None) -> int:
-    """Max Kirillov rank over seeded random integer points (monotone in trials).
+def index(L: LieAlgebra, trials: int = DEFAULT_TRIALS, seed: int = 0,
+          certified: InvariantSet | None = None) -> int:
+    """ind L = dim L - max rank of the Kirillov form, estimated at random points.
 
-    ``rank(L, point)`` gives the rank at one trial point; any exact rank
-    function, such as `raistauvel.takiff_kirillov_rank` on a certified
-    family of L, gives the same estimate as the default.  ``bound`` is a proven
-    upper bound on the generic rank, or None.  The trials stop once the
-    best rank reaches the ceiling min(dim, bound), rounded down to even,
-    since the Kirillov form is skew and its exact rank is even: no later
-    trial can exceed the ceiling.  Every trial draws its own stream, so the
-    estimate is the one all ``trials`` would give.  A bound is valid only
-    when a certificate proves it, as `verify` does from certified
-    invariants that are independent at some point: a bound below the true
-    generic rank would stop the trials at a wrong estimate.  A ``trials``
-    below 1 or a negative ``bound`` raises ValueError.
+    The estimate can only err upward (a random point may be non-generic), and
+    more trials never increase the result.  ``certified`` is an invariant set
+    of L whose members the caller has certified invariant and independent at
+    one point, as `verify` does once per step; None is the empty set.  The
+    differential of an invariant at xi lies in the stabilizer of xi, so the
+    stabilizer has dimension at least l on the open set Omega where the l
+    members are independent, hence at a generic point: ind L >= l, and no
+    Kirillov rank exceeds dim L - l.  Each trial is ranked by
+    ``certified.kirillov_rank_at``, an exact rank by whatever route the set
+    knows, and the trials stop once the best rank reaches dim L - l rounded
+    down to even, since the form is skew and its exact rank is even: no
+    later trial can exceed it.  Every trial draws its own stream, so the
+    estimate is the one all ``trials`` would give.  A set over another
+    algebra raises AlgebraError and a ``trials`` below 1 ValueError.
     """
     if trials < 1:
         raise ValueError(f"the rank estimate needs at least one trial, got {trials}")
-    if bound is not None and bound < 0:
-        raise ValueError(f"a rank bound cannot be negative, got {bound}")
-    ceiling = L.dim if bound is None else min(L.dim, bound)
+    if certified is None:
+        certified = InvariantSet(algebra=L, polys=())
+    elif not certified.algebra.structure_equal(L):
+        raise AlgebraError(f"the certified invariants belong to {certified.algebra.label}, "
+                           f"not {L.label}")
+    ceiling = L.dim - len(certified)
     ceiling -= ceiling % 2
     best = 0
     streams = sampling.streams(seed, sampling.TAG_INDEX)
     for t in range(trials):
-        pt = sampling.random_coords(L.basis, streams(t))
-        best = max(best, rank(L, pt))
+        best = max(best, certified.kirillov_rank_at(sampling.random_coords(L.basis,
+                                                                            streams(t))))
         if best >= ceiling:
             break
-    return best
-
-
-def index(L: LieAlgebra, trials: int = DEFAULT_TRIALS, seed: int = 0,
-          rank: RankFunction = kirillov_rank_at, bound: int | None = None) -> int:
-    """ind L = dim L - max rank of the Kirillov form, estimated at random points.
-
-    The estimate can only err upward (a random point may be non-generic), and
-    more trials never increase the result.  ``rank`` and ``bound`` are
-    passed on to `generic_kirillov_rank`.  Invariants f_1..f_l give the
-    bound dim L - l once their differentials are independent at one point:
-    df_i(xi) lies in the stabilizer of xi for an invariant, so the
-    stabilizer has dimension at least l on the open set Omega where they
-    are independent, hence at a generic point, and ind L >= l.
-    """
-    return L.dim - generic_kirillov_rank(L, trials=trials, seed=seed, rank=rank,
-                                         bound=bound)
+    return L.dim - best
 
 
 def magic_from_index(L: LieAlgebra, idx: int) -> int:
@@ -342,7 +327,9 @@ def magic_from_index(L: LieAlgebra, idx: int) -> int:
     """
     s = L.dim + idx
     if s % 2:
-        raise IndexEstimateError("index estimate unreliable, increase trials")
+        raise IndexEstimateError(f"dim + ind = {L.dim} + {idx} = {s} is odd, so {idx} is "
+                                 f"not an index: dim - ind is the rank of a skew form, "
+                                 f"which is even")
     return s // 2
 
 
@@ -476,6 +463,10 @@ class InvariantSet:
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(f.degree() for f in self.polys)
+
+    def kirillov_rank_at(self, point: DualPoint) -> int:
+        """rank K at a point of ``algebra``, from its Kirillov matrix."""
+        return kirillov_rank_at(self.algebra, point)
 
 
 def omega_test(fs: InvariantSet, point: DualPoint) -> bool:

@@ -477,9 +477,12 @@ class Polynomial:
 # parsing
 # ---------------------------------------------------------------------------
 
+# a variable name, graded names b@j included; `algio` refuses basis names
+# outside it, which no polynomial string could spell
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:@[0-9]+)*")
 _TOKEN_RE = re.compile(
     r"(?P<num>[0-9]+(?:/[0-9]+)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*(?:@[0-9]+)*)"
+    rf"|(?P<ident>{_IDENT_RE.pattern})"
     r"|(?P<op>[+\-*^()])"
 )
 

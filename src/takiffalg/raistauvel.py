@@ -38,10 +38,10 @@ K(xi_m), so rank K(xi) >= (m+1) rank K(xi_m).  For a family that is
 invariant and independent at one point, which `verify` certifies once per
 step, no Kirillov rank on L<m> exceeds (m+1)(n-l); `block_triangle_rank`
 then gives rank K(xi) = (m+1)(n-l) wherever rank K(xi_m) = n-l, from that
-rank alone.  It is the one route for that decision: `takiff_kirillov_rank`
-applies it at a flat point, ranking the top through the base's own family
-chain down to a Kirillov matrix of the first base, and ranks the full
-matrix of L<m> where it gives None.
+rank alone.  It is the one route for that decision:
+`InvariantFamily.kirillov_rank_at` applies it at a flat point, ranking the
+top through the base's own `kirillov_rank_at` down to a Kirillov matrix of
+the first base, and ranks the full matrix of L<m> where it gives None.
 """
 
 from __future__ import annotations
@@ -49,13 +49,7 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from . import linalg
-from .liealg import (
-    AlgebraError,
-    DualPoint,
-    InvariantSet,
-    LieAlgebra,
-    kirillov_rank_at,
-)
+from .liealg import AlgebraError, DualPoint, InvariantSet, LieAlgebra
 from .polyring import Polynomial, jet_substitute
 from .takiff import _require_grading, takiff
 
@@ -64,7 +58,6 @@ __all__ = [
     "build_family",
     "family_rank_at",
     "block_triangle_rank",
-    "takiff_kirillov_rank",
 ]
 
 
@@ -152,6 +145,21 @@ class InvariantFamily(InvariantSet):
         l = self.l
         return ((k % l + 1, k // l, F) for k, F in enumerate(self.polys))
 
+    def kirillov_rank_at(self, point: DualPoint) -> int:
+        """rank K at a flat point of L<m>, read down the family chain to the first base.
+
+        The top component is ranked by the base's own `kirillov_rank_at`,
+        for `block_triangle_rank`; where that gives None, the Kirillov
+        matrix of L<m> is built and ranked.  Precondition: the family is
+        invariant and independent at one point, as `verify` certifies once
+        per step.  Then so is every family below it: F_i^j is an invariant
+        exactly when f_i is, and that point's deepest top is in Omega of the
+        first base, so every family of the chain is independent where that
+        top is deepest.
+        """
+        rank = block_triangle_rank(self, self.base.kirillov_rank_at(_top(self, point)))
+        return super().kirillov_rank_at(point) if rank is None else rank
+
 
 def _partials_at_grade(f: Polynomial, shift: int) -> list[dict]:
     """[df/db for b in the base] as term dicts in one sweep, indices moved up by shift."""
@@ -214,21 +222,3 @@ def block_triangle_rank(fam: InvariantFamily, top_rank: int) -> int | None:
     """
     regular = fam.base.algebra.dim - fam.l
     return (fam.depth + 1) * regular if top_rank == regular else None
-
-
-def takiff_kirillov_rank(fs: InvariantSet, point: DualPoint) -> int:
-    """rank K at a point of fs.algebra, read down the family chain to the first base.
-
-    A plain invariant set ranks the Kirillov matrix of its algebra.  A
-    family ranks its top component through its base, by this function, for
-    `block_triangle_rank`; where that gives None, the Kirillov matrix of
-    L<m> is built and ranked.  Precondition: ``fs`` is invariant and
-    independent at one point, as `verify` certifies once per step.  Then
-    so is every family below it: F_i^j is an invariant exactly when f_i
-    is, and that point's deepest top is in Omega of the first base, so
-    every family of the chain is independent where that top is deepest.
-    """
-    if not isinstance(fs, InvariantFamily):
-        return kirillov_rank_at(fs.algebra, point)
-    rank = block_triangle_rank(fs, takiff_kirillov_rank(fs.base, _top(fs, point)))
-    return kirillov_rank_at(fs.algebra, point) if rank is None else rank

@@ -39,29 +39,22 @@ Omega decision: `omega_test` on the first level, and on a later level
 `raistauvel.family_rank_at`, which ranks only the first base at the
 deepest top component.
 When `invariance` passes and that search finds a point, the step is
-certified: the (m+1)l members are invariants independent at one point,
-and the differential of an invariant at xi lies in the stabilizer of xi,
-so ind L >= l, ind L<m> >= (m+1)l, and no Kirillov rank exceeds n - l on L
-or (m+1)(n - l) on L<m>.  With its grade blocks reversed the Kirillov
-matrix of L<m> is block triangular with diagonal K(xi_m), so
-rank K(xi) >= (m+1) rank K(xi_m).  The certificate gates four things: the
-two ceilings, which `liealg.index` takes as its ``bound``;
-`raistauvel.block_triangle_rank`, which gives rank K(xi) = (m+1)(n - l)
-wherever rank K(xi_m) = n - l, for the L<m> index trials and for the
-regularity samples; and `_zero_top_rank_bound`'s m(n - l) at a top with
-K(xi_m) = 0.  An uncertified step keeps only the family-free zero-top
+certified: ``fs`` and its family are invariants independent at one point.
+The step hands them to `liealg.index` as its ``certified`` sets, which fix
+the ceilings n - l and (m+1)(n - l) and rank each trial down the family
+chain (`raistauvel.InvariantFamily.kirillov_rank_at`).  The family also
+gates `raistauvel.block_triangle_rank` at the regularity samples and
+`_zero_top_rank_bound`'s m(n - l) at a top with K(xi_m) = 0.  An
+uncertified step hands `index` no set, keeps only the family-free zero-top
 bound mn and ranks every other point of L<m> from its matrix.  Every route
 gives the exact rank, so every status, index and witness is the same.  The
 Omega search runs before the index trials, so its time is charged to
 `index-formula` in the human output.
 
-Each regularity sample ranks its top component once: rank K(xi_m) decides
-the right side and feeds the block triangle, which proves only "xi_m
-regular => xi regular"; the converse is still sampled.  A certified step
-ranks L through ``fs`` and L<m> through the family by
-`raistauvel.takiff_kirillov_rank`, down the family chain through every
-level's block triangle, so a matrix wider than the first base is built
-only where they do not decide.
+Each regularity sample ranks its top component once, through ``fs`` on a
+certified step: rank K(xi_m) decides the right side and feeds the block
+triangle, which proves only "xi_m regular => xi regular"; the converse is
+still sampled.
 """
 
 from __future__ import annotations
@@ -242,18 +235,9 @@ def _verify_step(L: LieAlgebra, fs: InvariantSet, m: int, trials: int,
 
     # invariants independent at one point: the step certificate
     omega = _omega_point(L, fs, m, seed) if fam is not None else None
-    certified = fam if invariance.status == PASS and omega is not None else None
-    base_rank = rank_at = liealg.kirillov_rank_at
-    base_bound = tak_bound = None
-    if certified is not None:
-        def base_rank(_, point):
-            return raistauvel.takiff_kirillov_rank(fs, point)
-
-        def rank_at(_, flat):
-            return raistauvel.takiff_kirillov_rank(certified, flat)
-        base_bound, tak_bound = L.dim - fam.l, Lm.dim - (m + 1) * fam.l
-    idx_base = liealg.index(L, trials=trials, seed=seed, rank=base_rank, bound=base_bound)
-    idx_tak = liealg.index(Lm, trials=trials, seed=seed, rank=rank_at, bound=tak_bound)
+    certified = invariance.status == PASS and omega is not None
+    idx_base = liealg.index(L, trials=trials, seed=seed, certified=fs if certified else None)
+    idx_tak = liealg.index(Lm, trials=trials, seed=seed, certified=fam if certified else None)
     rep.add(Check(name="index-formula",
                   status=PASS if idx_tak == (m + 1) * idx_base else FAIL,
                   paper_ref=_REF_INDEX,
@@ -296,8 +280,8 @@ def _verify_step(L: LieAlgebra, fs: InvariantSet, m: int, trials: int,
         rep.add(Check(name="omega-transfer", status=PASS, paper_ref=_REF_OMEGA,
                       witness={"mode": "derivative-identity"}))
 
-    rep.add(_regularity_transfer_check(L, Lm, certified, idx_base, idx_tak,
-                                       transfer_samples, seed, base_rank))
+    rep.add(_regularity_transfer_check(L, Lm, fam if certified else None, idx_base, idx_tak,
+                                       transfer_samples, seed))
     return rep, Lm, fam
 
 
@@ -375,9 +359,7 @@ def _zero_top_rank_bound(Lm: LieAlgebra,
 def _regularity_transfer_check(L: LieAlgebra, Lm: LieAlgebra,
                                fam: raistauvel.InvariantFamily | None,
                                idx_base: int, idx_tak: int,
-                               samples: int, seed: int,
-                               base_rank: liealg.RankFunction = liealg.kirillov_rank_at,
-                               ) -> Check:
+                               samples: int, seed: int) -> Check:
     """Sampled agreement of "xi regular in L<m>*" with "xi_m regular in L*".
 
     Sample t mixes random components drawn from the stream ``sampling.rng(seed,
@@ -386,21 +368,25 @@ def _regularity_transfer_check(L: LieAlgebra, Lm: LieAlgebra,
     ones a full draw gives.  ``fam`` is the step's family when it holds the
     step certificate, else None; it feeds `raistauvel.block_triangle_rank`
     and `_zero_top_rank_bound`.  rank K(xi_m) is taken once per sample, by
-    ``base_rank``, and a zero top has rank 0.  At rank 0 the left side is False without a matrix
-    when the bound is below dim L<m> - ind L<m>.  When ind L < n the right
-    side is False too, whatever the lower components, so the odd samples
-    draw no stream; every sample's stream is private, so the even samples
-    draw what they drew before.  Where ind L = n the zero top is regular in
-    L but not in L<m>, and the odd samples are drawn as usual, so a FAIL
-    names the same sample and point.  A sample reads its top component
-    first; the L<m> point is flattened only when the Kirillov matrix of
-    L<m> is ranked.  The first disagreement is the FAIL witness.
+    ``fam.base.kirillov_rank_at`` when there is a family, else from the
+    Kirillov matrix of L, and a zero top has rank 0.  At rank 0 the left
+    side is False without a matrix when the bound is below dim L<m> -
+    ind L<m>.  When ind L < n the right side is False too, whatever the
+    lower components, so the odd samples draw no stream; every sample's
+    stream is private, so the even samples draw what they drew before.
+    Where ind L = n the zero top is regular in L but not in L<m>, and the
+    odd samples are drawn as usual, so a FAIL names the same sample and
+    point.  A sample reads its top component first; the block triangle
+    reuses that one rank, and the L<m> point is flattened only when the
+    Kirillov matrix of L<m> is ranked.  The first disagreement is the FAIL
+    witness.
     """
     m = Lm.grading.depth
     regular = Lm.dim - idx_tak
     regular_base = L.dim - idx_base
     bound_decides = _zero_top_rank_bound(Lm, fam) < regular
     zero_tops_agree = bound_decides and regular_base != 0
+    base = fam.base if fam is not None else InvariantSet(algebra=L, polys=())
     streams = sampling.streams(seed, sampling.TAG_REGULARITY)
     yes = 0
     for t in range(samples):
@@ -412,7 +398,7 @@ def _regularity_transfer_check(L: LieAlgebra, Lm: LieAlgebra,
         else:
             comps = sampling.random_components(L.basis, m, r)
         top = comps[m]
-        top_rank = base_rank(L, top) if any(top.values()) else 0
+        top_rank = base.kirillov_rank_at(top) if any(top.values()) else 0
         top_regular = top_rank == regular_base
         if not top_rank and bound_decides:
             takiff_regular = False

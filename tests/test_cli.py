@@ -234,6 +234,26 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("name", ["1", "y z"])
+    @pytest.mark.parametrize("command", ["build", "verify"])
+    def test_a_basis_name_no_polynomial_can_spell_is_input_error(self, tmp_path, capsys,
+                                                                 command, name):
+        # Both commands used to run on such a file with exit 0.  Over
+        # ("x", "1") the invariant string "1" parsed as the constant, and a
+        # polynomial printed as "1^2 + 3*x", which parses back to another.
+        doc = {"label": "ab", "basis": ["x", name], "invariants": [],
+               "brackets": [{"pair": [0, 1], "coeffs": {"x": 1}}]}
+        src = tmp_path / "names.json"
+        src.write_text(json.dumps(doc))
+        with pytest.raises(AlgebraFormatError, match="basis name"):
+            algio.load_algebra_file(src)
+        out = tmp_path / "out.json"
+        assert main([command, "--m", "1", str(src)]
+                    + (["--out", str(out)] if command == "build" else [])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("invariant", ["e^99999999", "(e+h)^99999999"])
     def test_huge_degree_is_rejected_at_parse_time(self, tmp_path, capsys,
                                                    sl2, invariant):

@@ -6,15 +6,15 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, strategies as st
 
-from takiffalg import catalog, linalg, raistauvel, sampling
+from takiffalg import catalog, liealg, linalg, raistauvel, sampling
 from takiffalg.liealg import (
     AlgebraError,
     AlgebraFormatError,
     HomogeneityError,
+    IndexEstimateError,
     InvariantSet,
     LieAlgebra,
     bracket_defect_against,
-    generic_kirillov_rank,
     index,
     invariance_defect,
     is_symmetric_invariant,
@@ -171,14 +171,18 @@ class TestKirillov:
         r = sampling.rng(3, 18)
         pt = sampling.random_coords(L.basis, r)
         assert linalg.rank(kirillov_matrix(L, pt)) == naive_rank(kirillov_matrix(L, pt))
-        assert generic_kirillov_rank(L, trials=5, seed=0) == 6
+        assert L.dim - index(L, trials=5, seed=0) == 6
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_rank_estimate_needs_a_trial(self, sl2, trials):
         with pytest.raises(ValueError):
-            generic_kirillov_rank(sl2.algebra, trials=trials)
-        with pytest.raises(ValueError):
             index(sl2.algebra, trials=trials)
+
+    def test_an_odd_dim_plus_index_names_the_sum(self, sl3):
+        # no rank of the skew Kirillov form is odd, so no number of trials
+        # gives this index; the message says so instead of asking for more
+        with pytest.raises(IndexEstimateError, match=r"8 \+ 1 = 9 is odd"):
+            magic_from_index(sl3.algebra, 1)
 
 
 @st.composite
@@ -192,52 +196,58 @@ def _bracket_tables(draw) -> LieAlgebra:
 
 
 @lru_cache(maxsize=None)
-def _takiff_with_rank(name: str, m: int):
-    """(L<m>, rank function): the certified family's block ranks when L has invariants."""
+def _takiff_with_certified(name: str, m: int):
+    """(L<m>, its certified family, or None when L has no invariants)."""
     entry = catalog.load(name)
     if not len(entry.invariants):
-        return takiff(entry.algebra, m), kirillov_rank_at
+        return takiff(entry.algebra, m), None
     fam = raistauvel.build_family(entry.algebra, m, entry.invariants)
     assert oracle_identity_defect(fam) is None
-    return fam.algebra, lambda _, flat: raistauvel.takiff_kirillov_rank(fam, flat)
+    return fam.algebra, fam
 
 
 class TestParityStop:
-    """The trials stop at min(dim, bound) rounded down to even, which no rank exceeds."""
+    """The trials stop at dim - len(certified) rounded down to even, which no rank exceeds."""
 
     @staticmethod
-    def _spy(calls):
+    def _spy(monkeypatch, calls):
+        real = kirillov_rank_at
+
         def rank(L, point):
             calls.append(point)
-            return kirillov_rank_at(L, point)
-        return rank
+            return real(L, point)
 
-    def test_sl2_stops_after_its_first_generic_trial(self, sl2):
+        monkeypatch.setattr(liealg, "kirillov_rank_at", rank)
+
+    def test_sl2_stops_after_its_first_generic_trial(self, monkeypatch, sl2):
         calls = []
-        assert generic_kirillov_rank(sl2.algebra, trials=5, seed=0,
-                                     rank=self._spy(calls)) == 2
+        self._spy(monkeypatch, calls)
+        assert index(sl2.algebra, trials=5, seed=0) == 1
         assert len(calls) == 1
 
-    def test_sl3_runs_every_trial(self, sl3):
+    def test_sl3_runs_every_trial(self, monkeypatch, sl3):
         calls = []
-        assert generic_kirillov_rank(sl3.algebra, trials=5, seed=0,
-                                     rank=self._spy(calls)) == 6
+        self._spy(monkeypatch, calls)
+        assert index(sl3.algebra, trials=5, seed=0) == 2
         assert len(calls) == 5
 
-    @pytest.mark.parametrize("bound,ranked", [(6, 1), (7, 1), (8, 5), (None, 5)])
-    def test_a_bound_lowers_the_ceiling(self, sl3, bound, ranked):
-        # ind sl3 = 2 caps the rank at 6; an odd bound rounds down to even
+    @pytest.mark.parametrize("members,ranked", [(2, 1), (1, 1), (0, 5), (None, 5)])
+    def test_a_certified_set_lowers_the_ceiling(self, monkeypatch, sl3, members, ranked):
+        # ind sl3 = 2 caps the rank at 6; one Casimir gives the odd
+        # ceiling 7, which rounds down to 6
+        certified = (None if members is None
+                     else InvariantSet(algebra=sl3.algebra, polys=sl3.invariants.polys[:members]))
         calls = []
-        assert generic_kirillov_rank(sl3.algebra, trials=5, seed=0, bound=bound,
-                                     rank=self._spy(calls)) == 6
+        self._spy(monkeypatch, calls)
+        assert index(sl3.algebra, trials=5, seed=0, certified=certified) == 2
         assert len(calls) == ranked
-        assert index(sl3.algebra, trials=5, seed=0, bound=bound) == 2
 
-    @pytest.mark.parametrize("bound", [-1, -6])
-    def test_a_negative_bound_is_refused(self, sl3, bound):
-        for estimate in (generic_kirillov_rank, index):
-            with pytest.raises(ValueError, match="cannot be negative"):
-                estimate(sl3.algebra, bound=bound)
+    def test_a_set_over_another_algebra_is_refused(self, sl2, sl3):
+        with pytest.raises(AlgebraError, match="belong to sl2, not sl3"):
+            index(sl3.algebra, certified=sl2.invariants)
+        fam = raistauvel.build_family(sl2.algebra, 1, sl2.invariants)
+        with pytest.raises(AlgebraError):
+            index(sl2.algebra, certified=fam)
 
     @pytest.mark.parametrize("name", catalog.NAMES)
     @pytest.mark.parametrize("m", [0, 1, 2])
@@ -269,8 +279,8 @@ class TestIndexParity:
     @given(st.sampled_from(catalog.NAMES), st.sampled_from([1, 2]),
            st.integers(1, 5), st.integers(0, 2**16))
     def test_catalog_truncations(self, name, m, trials, seed):
-        Lm, rank = _takiff_with_rank(name, m)
-        idx = index(Lm, trials=trials, seed=seed, rank=rank)
+        Lm, certified = _takiff_with_certified(name, m)
+        idx = index(Lm, trials=trials, seed=seed, certified=certified)
         assert (Lm.dim + idx) % 2 == 0
         assert 2 * magic_from_index(Lm, idx) == Lm.dim + idx
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import takiffalg
-from takiffalg import catalog, nilfiber, verify
+from takiffalg import catalog, liealg, nilfiber, verify
 from takiffalg.polyring import jet_substitute, parse_poly
 
 SRC = Path(takiffalg.__file__).resolve().parents[1]
@@ -102,15 +102,24 @@ def test_the_block_triangle_asks_no_omega_test():
 def test_a_level_carries_only_its_jacobi_verdict():
     # invariance and the Kirillov ranks are read off the family chain at
     # each level, so a step takes no verdict or rank function from the one
-    # before, and the rank of a family takes no rank function either
+    # before (no module names a rank function at all: see the next test)
     params = list(inspect.signature(verify._verify_step).parameters)
     assert params == ["L", "fs", "m", "trials", "seed", "transfer_samples", "base_jacobi"]
-    tree = ast.parse((SRC / "takiffalg" / "raistauvel.py").read_text())
-    names = {alias.name for node in ast.walk(tree)
-             if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
-    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    assert "RankFunction" not in names
+
+
+def test_the_index_takes_one_certified_set():
+    # `index` works out its ceiling and its rank route from the certified
+    # invariant set, so no caller passes a rank function or a bound that no
+    # certificate backs, and `verify` builds no rank closure for it
+    assert list(inspect.signature(liealg.index).parameters) == [
+        "L", "trials", "seed", "certified"]
+    source = "".join(p.read_text() for p in (SRC / "takiffalg").glob("*.py"))
+    assert [name for name in ("generic_kirillov_rank", "RankFunction", "takiff_kirillov_rank")
+            if name in source] == []
+    step = next(node for node in ast.parse((SRC / "takiffalg" / "verify.py").read_text()).body
+                if isinstance(node, ast.FunctionDef) and node.name == "_verify_step")
+    assert [node.name for node in ast.walk(step)
+            if isinstance(node, ast.FunctionDef) and node is not step] == []
 
 
 def test_the_expansion_enumerates_grade_shifts():

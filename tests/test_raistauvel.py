@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from takiffalg import catalog, linalg, nilfiber, raistauvel, sampling, verify
+from takiffalg import catalog, liealg, linalg, nilfiber, raistauvel, sampling, verify
 from takiffalg.liealg import (
     AlgebraError,
     HomogeneityError,
@@ -23,7 +23,6 @@ from takiffalg.raistauvel import (
     InvariantFamily,
     build_family,
     family_rank_at,
-    takiff_kirillov_rank,
 )
 from takiffalg.takiff import flatten_point, graded_name, graded_varset, takiff
 
@@ -389,7 +388,7 @@ class TestBlockTriangularity:
         flat = flatten_point(Lm, comps + [top])
         full = family_rank_at(fam, flat) == (m + 1) * fam.l
         assert full == omega_test(fam.base, top)
-        assert takiff_kirillov_rank(fam, flat) == linalg.rank(kirillov_matrix(Lm, flat))
+        assert fam.kirillov_rank_at(flat) == linalg.rank(kirillov_matrix(Lm, flat))
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_a_top_of_rank_n_minus_l_outside_omega_falls_back(self, monkeypatch, sl3, m):
@@ -421,12 +420,12 @@ class TestBlockTriangularity:
             ranked.append(L.label)
             return linalg.rank(kirillov_matrix(L, point))
 
-        monkeypatch.setattr(raistauvel, "kirillov_rank_at", spy)
+        monkeypatch.setattr(liealg, "kirillov_rank_at", spy)
         comps = sampling.random_components(sl3.algebra.basis, 2, sampling.rng(13, 47))
-        assert takiff_kirillov_rank(fam, flatten_point(fam.algebra, comps)) == 18
+        assert fam.kirillov_rank_at(flatten_point(fam.algebra, comps)) == 18
         assert ranked == ["sl3"]
         comps[2] = {b: 0 for b in sl3.algebra.basis}
-        takiff_kirillov_rank(fam, flatten_point(fam.algebra, comps))
+        fam.kirillov_rank_at(flatten_point(fam.algebra, comps))
         assert ranked == ["sl3", "sl3", "sl3<2>"]
 
 
@@ -481,7 +480,7 @@ class TestFamilyRankFromTheBase:
     @settings(max_examples=5)
     @given(data=st.data())
     def test_the_kirillov_rank_equals_the_full_matrix(self, name, degrees, kind, data):
-        # takiff_kirillov_rank recurses to the first base at the deepest top;
+        # the family's kirillov_rank_at recurses to the first base at the deepest top;
         # a zero deepest top is singular, so the first family ranks its own
         # matrix and every level above decides from that rank or falls back
         fam = block_family(name, degrees)
@@ -492,15 +491,15 @@ class TestFamilyRankFromTheBase:
         for b, v in deepest.items():
             if b not in support:
                 flat[v] = 0
-        ranked, real = [], raistauvel.kirillov_rank_at
+        ranked, real = [], liealg.kirillov_rank_at
 
         def spy(L, point):
             ranked.append(L.dim)
             return real(L, point)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(raistauvel, "kirillov_rank_at", spy)
-            rank = takiff_kirillov_rank(fam, flat)
+            patch.setattr(liealg, "kirillov_rank_at", spy)
+            rank = fam.kirillov_rank_at(flat)
         assert rank == linalg.rank(kirillov_matrix(Lm, flat))
         first = catalog.load(name).algebra.dim
         assert ranked[0] == first

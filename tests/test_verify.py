@@ -190,19 +190,28 @@ class TestMultiCurrent:
 
 
 def _index_trials(monkeypatch) -> list:
-    """[dim, bound, points ranked] of every `liealg.index` call, in call order."""
+    """[dim, ceiling, points ranked] of every `liealg.index` call, in call order.
+
+    The ceiling is dim less the size of the certified set, before rounding
+    down to even; a point of the algebra itself counts as ranked, a top
+    component that a family ranks through its base does not.
+    """
     index = liealg.index
     seen = []
 
-    def spy(L, *, rank=liealg.kirillov_rank_at, bound=None, **kwargs):
-        call = [L.dim, bound, 0]
+    def spy(L, *, certified=None, **kwargs):
+        call = [L.dim, L.dim - (len(certified) if certified is not None else 0), 0]
         seen.append(call)
+        owner = type(certified) if certified is not None else InvariantSet
+        rank = owner.kirillov_rank_at
 
-        def counted(alg, point):
-            call[2] += 1
-            return rank(alg, point)
+        def counted(fs, point):
+            call[2] += len(point) == L.dim
+            return rank(fs, point)
 
-        return index(L, rank=counted, bound=bound, **kwargs)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(owner, "kirillov_rank_at", counted)
+            return index(L, certified=certified, **kwargs)
 
     monkeypatch.setattr(liealg, "index", spy)
     return seen
@@ -216,9 +225,9 @@ def _oracle_index(L, seed: int, trials: int = 5) -> int:
 
 
 def _unbounded(monkeypatch, run):
-    """The report ``run()`` writes when every index search runs without a bound."""
+    """The report ``run()`` writes when no index search takes a certified set."""
     index = liealg.index
-    monkeypatch.setattr(liealg, "index", lambda L, bound=None, **kwargs: index(L, **kwargs))
+    monkeypatch.setattr(liealg, "index", lambda L, certified=None, **kwargs: index(L, **kwargs))
     try:
         return run()
     finally:
@@ -230,8 +239,9 @@ class TestIndexCeiling:
 
     Invariants independent at a point give ind >= l: their differentials
     lie in the stabilizer on the open set Omega.  With invariance PASSed
-    and an Omega point drawn, the bound is n - l on the base and
-    (m+1)(n - l) on L<m>; the estimate is the maximum over every trial.
+    and an Omega point drawn, `index` takes the certified sets, whose
+    ceilings are n - l on the base and (m+1)(n - l) on L<m>; the estimate
+    is the maximum over every trial.
     """
 
     @pytest.mark.parametrize("name", catalog.NAMES)
@@ -259,8 +269,8 @@ class TestIndexCeiling:
             assert witness["base_index"] == _oracle_index(base, 0)
             assert witness["takiff_index"] == _oracle_index(Lm, 0)
             base = Lm
-        # every level is certified, so every search is bounded
-        assert all(bound is not None for _, bound, _ in seen)
+        # every level is certified, so every search has a ceiling below dim
+        assert all(ceiling < dim for dim, ceiling, _ in seen)
         monkeypatch.undo()
         assert rep.to_json() == _unbounded(
             monkeypatch, lambda: verify_multi_current(entry.algebra, entry.invariants,
@@ -281,7 +291,7 @@ class TestIndexCeiling:
         seen = _index_trials(monkeypatch)
         rep = verify_main_theorem(L, fs, 2, transfer_samples=10)
         assert _by_name(rep, "invariance").status == FAIL
-        assert seen == [[8, None, 5], [24, None, 5]]
+        assert seen == [[8, 8, 5], [24, 24, 5]]
         assert rep.to_json() == _unbounded(
             monkeypatch, lambda: verify_main_theorem(L, fs, 2, transfer_samples=10)).to_json()
 
@@ -292,7 +302,7 @@ class TestIndexCeiling:
         rep = verify_main_theorem(L, fs, 2, transfer_samples=10)
         assert _by_name(rep, "invariance").status == PASS
         assert _by_name(rep, "jacobian-rank-on-omega").status == FAIL
-        assert seen == [[8, None, 5], [24, None, 5]]
+        assert seen == [[8, 8, 5], [24, 24, 5]]
         assert rep.to_json() == _unbounded(
             monkeypatch, lambda: verify_main_theorem(L, fs, 2, transfer_samples=10)).to_json()
 
@@ -836,14 +846,15 @@ class TestZeroTopBoundFallback:
 
     def test_a_failed_omega_search_takes_the_exact_route(self, monkeypatch, sl2):
         # invariance PASSes, but with no Omega point the step holds no
-        # certificate: no index bound, no block triangle and no l-term, so
-        # every L<2> rank comes from its matrix, zero tops included
+        # certificate: no certified set for the index, no block triangle and
+        # no l-term, so every L<2> rank comes from its matrix, zero tops
+        # included
         monkeypatch.setattr(verify, "_omega_point", lambda *args: None)
         seen = _index_trials(monkeypatch)
         rep, built = _kirillov_matrices(monkeypatch, sl2.algebra, sl2.invariants, 2)
         assert _by_name(rep, "invariance").status == PASS
         assert _by_name(rep, "jacobian-rank-on-omega").status == FAIL
-        assert [bound for _, bound, _ in seen] == [None, None]
+        assert [ceiling for _, ceiling, _ in seen] == [3, 9]
         assert _zero_tops(built) == [9] * 10
         rep, calls, exact = _structural_and_exact(monkeypatch, sl2.algebra, sl2.invariants,
                                                   2, transfer_samples=20)
