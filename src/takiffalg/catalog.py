@@ -248,7 +248,14 @@ def load(name: str) -> CatalogEntry:
 
 def self_test(entry: CatalogEntry, trials: int = liealg.DEFAULT_TRIALS,
               seed: int = 0) -> Report:
-    """Re-certify an entry: Jacobi, invariance, expected values, parametrizations."""
+    """Re-certify an entry: Jacobi, invariance, expected values, parametrizations.
+
+    When every invariant passes the symbolic test and their differentials
+    are independent at the first point of the Omega stream
+    (``sampling.rng(seed, TAG_OMEGA, 0, 0)``, a stream no other check of
+    the entry draws), `liealg.index` takes them as its certified set: the
+    estimate is the same, its trials stop at dim - l.
+    """
     rep = Report(label=f"catalog:{entry.name}")
     L = entry.algebra
 
@@ -266,7 +273,11 @@ def self_test(entry: CatalogEntry, trials: int = liealg.DEFAULT_TRIALS,
                   witness={"degrees": degrees,
                            "expected": entry.expected["degrees"]}))
 
-    idx = liealg.index(L, trials=trials, seed=seed)
+    # invariants independent at one point of the Omega stream certify ind >= l
+    fs = entry.invariants
+    certified = (not bad and len(fs) > 0 and liealg.omega_test(
+        fs, sampling.random_coords(L.basis, sampling.rng(seed, sampling.TAG_OMEGA, 0, 0))))
+    idx = liealg.index(L, trials=trials, seed=seed, certified=fs if certified else None)
     rep.add(Check(name="expected-index",
                   status=PASS if idx == entry.expected["index"] else FAIL,
                   witness={"index": idx, "expected": entry.expected["index"]},

@@ -14,6 +14,15 @@ an integer copy of the structure constants over one common denominator,
 built on first use and kept on the algebra, and so does the symbolic Poisson
 bracket {f, b_t}: it walks f's terms, cleared to integers over one
 denominator, against a per-target adjacency of that integer table.
+
+The algebra also keeps, from the same table, a split of its basis into a
+set Z of pairwise commuting elements and the rest S.  K(xi)[Z][Z] = 0 at
+every point, so rank K(xi) = 2|S| exactly when the |S| x |Z| block
+B(xi) = K(xi)[S][Z] has full row rank.  For the semi-direct products
+sl_n x V^n and the Heisenberg algebras, Z has (dim + ind)/2 elements; an
+invariant set of the size dim - 2|S| then ranks a generic point from B
+alone (`InvariantSet.kirillov_rank_at`).  An uncertified rank
+(`kirillov_rank_at`, `index` with no set) always ranks the Kirillov matrix.
 """
 
 from __future__ import annotations
@@ -85,13 +94,14 @@ class LieAlgebra:
     [basis[i], basis[j]]; antisymmetry is implicit in the storage.  ``grading``
     is attached by the truncated-current constructor and is None for plain
     algebras.  Equal algebras have equal fields; the caches ``_vidx``,
-    ``_plan`` and ``_adj`` are not compared.
+    ``_plan``, ``_adj`` and ``_split`` are not compared.
     """
 
     # The package's records are slot classes and NamedTuples because the
     # standard library's record decorator, with the inspect module it loads,
     # costs about 60 % of `import takiffalg` (README, "Start-up").
-    __slots__ = ("label", "basis", "brackets", "grading", "_vidx", "_plan", "_adj")
+    __slots__ = ("label", "basis", "brackets", "grading", "_vidx", "_plan", "_adj",
+                 "_split")
 
     def __init__(self, label: str, basis: tuple[str, ...], brackets: BracketTable,
                  grading: object | None = None):
@@ -106,6 +116,7 @@ class LieAlgebra:
         init(self, "_vidx", vidx)
         init(self, "_plan", None)
         init(self, "_adj", None)
+        init(self, "_split", None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field '{name}'")
@@ -182,6 +193,31 @@ class LieAlgebra:
                 adj.setdefault(i, {})[j] = [(k, -c) for k, c in vec]
             object.__setattr__(self, "_adj", adj)
         return self._adj
+
+    def _commuting_split(self) -> tuple[tuple[int, ...], tuple[int, ...],
+                                        list[tuple[int, int, list[tuple[int, int]]]]]:
+        """(S, Z, [(a, c, [(k, D * x), ...]), ...]): pairwise commuting Z, the rest S.
+
+        Z is chosen greedily, basis elements with the fewest nonzero
+        brackets first (ties by index), each kept when it commutes with
+        every element kept so far.  The plan lists the nonzero entries of
+        the |S| x |Z| block B(xi)[a][c] = <xi, [b_S[a], b_Z[c]]>, each as
+        sum x xi_k over the plan's D.
+        """
+        if self._split is None:
+            adj = self._adjacency()
+            Z: list[int] = []
+            for i in sorted(range(self.dim), key=lambda i: (len(adj.get(i, ())), i)):
+                if not any(z in adj.get(i, ()) for z in Z):
+                    Z.append(i)
+            Z.sort()
+            kept = set(Z)
+            S = tuple(i for i in range(self.dim) if i not in kept)
+            row = {i: a for a, i in enumerate(S)}
+            plan = [(row[i], c, vec) for c, z in enumerate(Z)
+                    for i, vec in adj.get(z, {}).items()]
+            object.__setattr__(self, "_split", (S, tuple(Z), plan))
+        return self._split
 
 
 def check_point(L: LieAlgebra, point: DualPoint) -> list[Scalar]:
@@ -465,8 +501,26 @@ class InvariantSet:
         return tuple(f.degree() for f in self.polys)
 
     def kirillov_rank_at(self, point: DualPoint) -> int:
-        """rank K at a point of ``algebra``, from its Kirillov matrix."""
-        return kirillov_rank_at(self.algebra, point)
+        """rank K(xi) at a point of ``algebra``: exact, through a commuting half if it can.
+
+        With the split S, Z of `LieAlgebra._commuting_split`, K(xi)[Z][Z] = 0,
+        so rank K(xi) <= |S| + rank B(xi) <= 2|S| with B(xi) = K(xi)[S][Z],
+        and rank K(xi) = 2|S| exactly when B(xi) has full row rank |S|.
+        Where the set is non-empty and 2|S| = dim - len(set), the ceiling
+        that a certified set puts on every rank, B(xi) alone is built and
+        ranked, and a full row rank returns 2|S|.  Every other point, and
+        every algebra without such a split, ranks the Kirillov matrix.
+        """
+        L = self.algebra
+        S, Z, plan = L._commuting_split()
+        if self.polys and 2 * len(S) == L.dim - len(self.polys):
+            vals = check_point(L, point)
+            B = [[0] * len(Z) for _ in S]
+            for a, c, vec in plan:
+                B[a][c] = sum(x * vals[k] for k, x in vec)
+            if linalg.rank(B) == len(S):
+                return 2 * len(S)
+        return kirillov_rank_at(L, point)
 
 
 def omega_test(fs: InvariantSet, point: DualPoint) -> bool:

@@ -40,8 +40,10 @@ step, no Kirillov rank on L<m> exceeds (m+1)(n-l); `block_triangle_rank`
 then gives rank K(xi) = (m+1)(n-l) wherever rank K(xi_m) = n-l, from that
 rank alone.  It is the one route for that decision:
 `InvariantFamily.kirillov_rank_at` applies it at a flat point, ranking the
-top through the base's own `kirillov_rank_at` down to a Kirillov matrix of
-the first base, and ranks the full matrix of L<m> where it gives None.
+top through the base's own `kirillov_rank_at` down to the first base, and
+ranks L<m> itself where it gives None.  Each of those two ranks is
+`InvariantSet.kirillov_rank_at`'s: through a commuting half of the basis
+where the algebra has one of the right size, else from the Kirillov matrix.
 """
 
 from __future__ import annotations
@@ -149,10 +151,10 @@ class InvariantFamily(InvariantSet):
         """rank K at a flat point of L<m>, read down the family chain to the first base.
 
         The top component is ranked by the base's own `kirillov_rank_at`,
-        for `block_triangle_rank`; where that gives None, the Kirillov
-        matrix of L<m> is built and ranked.  Precondition: the family is
-        invariant and independent at one point, as `verify` certifies once
-        per step.  Then so is every family below it: F_i^j is an invariant
+        for `block_triangle_rank`; where that gives None, L<m> is ranked by
+        `InvariantSet.kirillov_rank_at`, through its commuting half or its
+        Kirillov matrix.  Precondition: the family is invariant and
+        independent at one point, as `verify` certifies once per step.  Then so is every family below it: F_i^j is an invariant
         exactly when f_i is, and that point's deepest top is in Omega of the
         first base, so every family of the chain is independent where that
         top is deepest.

@@ -44,12 +44,16 @@ The step hands them to `liealg.index` as its ``certified`` sets, which fix
 the ceilings n - l and (m+1)(n - l) and rank each trial down the family
 chain (`raistauvel.InvariantFamily.kirillov_rank_at`).  The family also
 gates `raistauvel.block_triangle_rank` at the regularity samples and
-`_zero_top_rank_bound`'s m(n - l) at a top with K(xi_m) = 0.  An
-uncertified step hands `index` no set, keeps only the family-free zero-top
-bound mn and ranks every other point of L<m> from its matrix.  Every route
-gives the exact rank, so every status, index and witness is the same.  The
-Omega search runs before the index trials, so its time is charged to
-`index-formula` in the human output.
+`_zero_top_rank_bound`'s m(n - l) at a top with K(xi_m) = 0, and ``fs``
+ranks each sample's top.  A certified set ranks through a commuting half
+Z of the basis where its algebra has one with 2(dim - |Z|) = dim - l, as
+sl_n x V^n and the Heisenberg algebras do: only the block K(xi)[S][Z] is
+built, and its full row rank gives rank K(xi) = 2|S| (see `liealg`).  An
+uncertified step hands `index` no set, ranks its tops and every other
+point of L<m> from their matrices, and keeps only the family-free
+zero-top bound mn.  Every route gives the exact rank, so every status,
+index and witness is the same.  The Omega search runs before the index
+trials, so its time is charged to `index-formula` in the human output.
 
 Each regularity sample ranks its top component once, through ``fs`` on a
 certified step: rank K(xi_m) decides the right side and feeds the block
@@ -368,12 +372,13 @@ def _regularity_transfer_check(L: LieAlgebra, Lm: LieAlgebra,
     ones a full draw gives.  ``fam`` is the step's family when it holds the
     step certificate, else None; it feeds `raistauvel.block_triangle_rank`
     and `_zero_top_rank_bound`.  rank K(xi_m) is taken once per sample, by
-    ``fam.base.kirillov_rank_at`` when there is a family, else from the
-    Kirillov matrix of L, and a zero top has rank 0.  At rank 0 the left
-    side is False without a matrix when the bound is below dim L<m> -
-    ind L<m>.  When ind L < n the right side is False too, whatever the
-    lower components, so the odd samples draw no stream; every sample's
-    stream is private, so the even samples draw what they drew before.
+    ``fam.base.kirillov_rank_at`` (through L's commuting half where it has
+    one) when there is a family, else from the Kirillov matrix of L, and a
+    zero top has rank 0.  At rank 0 the left side is False without a
+    matrix when the bound is below dim L<m> - ind L<m>.  When ind L < n
+    the right side is False too, whatever the lower components, so the odd
+    samples draw no stream; every sample's stream is private, so the even
+    samples draw what they drew before.
     Where ind L = n the zero top is regular in L but not in L<m>, and the
     odd samples are drawn as usual, so a FAIL names the same sample and
     point.  A sample reads its top component first; the block triangle
@@ -471,6 +476,8 @@ def wonderful_diagnostic(L: LieAlgebra, fs: InvariantSet,
     A failed degree-sum criterion with sum < b(q) refutes the codimension-2
     property (under codim-2 the degree sum of basic invariants is at least
     b(q)); the diagnostic never claims that any codimension property holds.
+    It checks no invariance, so ``fs`` certifies nothing and `liealg.index`
+    takes no certified set: every trial is ranked.
     """
     rep = Report(label=f"wonderful:{L.label}")
     idx = liealg.index(L, trials=trials, seed=seed)

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from takiffalg import catalog
-from takiffalg.liealg import index, is_symmetric_invariant, magic_from_index
-from takiffalg.report import PASS
+from takiffalg import catalog, liealg
+from takiffalg.liealg import InvariantSet, index, is_symmetric_invariant, magic_from_index
+from takiffalg.polyring import parse_poly
+from takiffalg.report import FAIL, PASS
 
 from oracles import bracket_elements
 
@@ -122,3 +123,64 @@ class TestParametrizations:
                 assert set(entry.parametrizations) == {"nilcone"}
             else:
                 assert entry.parametrizations == {}
+
+
+class TestCertifiedIndex:
+    """`self_test` hands `index` the entry's invariants once they are certified.
+
+    Symbolic invariance and independence at the first point of the Omega
+    stream give ind >= l, so the trials stop at dim - l; the index, and so
+    every report byte, is what all five trials give.
+    """
+
+    @staticmethod
+    def _spied(monkeypatch, entry):
+        """(report, certified set sizes handed to `index`, Kirillov matrices built)."""
+        index, matrix = liealg.index, liealg.kirillov_matrix
+        sets, built = [], []
+
+        def index_spy(L, *, certified=None, **kwargs):
+            sets.append(None if certified is None else len(certified))
+            return index(L, certified=certified, **kwargs)
+
+        def matrix_spy(L, point):
+            built.append(L.dim)
+            return matrix(L, point)
+
+        monkeypatch.setattr(liealg, "index", index_spy)
+        monkeypatch.setattr(liealg, "kirillov_matrix", matrix_spy)
+        rep = catalog.self_test(entry)
+        monkeypatch.undo()
+        return rep, sets, built
+
+    @pytest.mark.parametrize("name", catalog.NAMES)
+    def test_every_byte_is_the_uncertified_report(self, monkeypatch, name):
+        entry = catalog.load(name)
+        rep, sets, _ = self._spied(monkeypatch, entry)
+        assert sets == [len(entry.invariants) or None]
+        index = liealg.index
+        monkeypatch.setattr(liealg, "index",
+                            lambda L, certified=None, **kwargs: index(L, **kwargs))
+        assert rep.to_json() == catalog.self_test(entry).to_json()
+
+    def test_sl3_ranks_one_trial(self, monkeypatch, sl3):
+        _, sets, built = self._spied(monkeypatch, sl3)
+        assert sets == [2]
+        assert built == [8]
+
+    def test_a_non_invariant_is_not_certified(self, monkeypatch, sl3):
+        C2, C3 = sl3.invariants.polys
+        bad = C3 + parse_poly("h1^3", sl3.algebra.basis)
+        entry = sl3._replace(invariants=InvariantSet(algebra=sl3.algebra, polys=(C2, bad)))
+        rep, sets, built = self._spied(monkeypatch, entry)
+        assert sets == [None]
+        assert built == [8] * 5
+        assert rep.checks[1].status == FAIL
+
+    def test_no_independent_point_is_not_certified(self, monkeypatch, sl3):
+        # C2 and C2^2 are invariants, dependent everywhere
+        (C2, _) = sl3.invariants.polys
+        entry = sl3._replace(invariants=InvariantSet(algebra=sl3.algebra, polys=(C2, C2 * C2)))
+        _, sets, built = self._spied(monkeypatch, entry)
+        assert sets == [None]
+        assert built == [8] * 5

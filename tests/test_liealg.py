@@ -4,7 +4,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from takiffalg import catalog, liealg, linalg, raistauvel, sampling
 from takiffalg.liealg import (
@@ -25,9 +25,10 @@ from takiffalg.liealg import (
     validate,
 )
 from takiffalg.polyring import Polynomial, parse_poly
-from takiffalg.takiff import takiff
+from takiffalg.takiff import flatten_point, takiff
 
 from oracles import (
+    bareiss_rank,
     bracket,
     bracket_elements,
     bracket_values_at,
@@ -38,6 +39,7 @@ from oracles import (
     poisson_bracket,
 )
 from oracles import derivative_identity_defect as oracle_identity_defect
+from oracles import kirillov_matrix as oracle_kirillov_matrix
 
 
 def _sl2_corrupted():
@@ -378,3 +380,182 @@ class TestRegularityAndOmega:
         L = sl2.algebra
         assert is_regular(L, {"e": Fraction(1), "h": Fraction(0), "f": Fraction(0)}, 1)
         assert not is_regular(L, {b: Fraction(0) for b in L.basis}, 1)
+
+
+def _route_spy(monkeypatch) -> list:
+    """Record "block" for each rank of a B(xi) block and the width of each Kirillov matrix."""
+    seen = []
+    rank, matrix = linalg.rank, liealg.kirillov_matrix
+
+    def block_rank(rows):
+        seen.append("block")
+        return rank(rows)
+
+    def kirillov(L, point):
+        seen.append(L.dim)
+        return matrix(L, point)
+
+    monkeypatch.setattr(linalg, "rank", block_rank)
+    monkeypatch.setattr(liealg, "kirillov_matrix", kirillov)
+    return seen
+
+
+# (|S|, |Z|) of the split that each algebra with a commuting half takes
+COMMUTING_HALVES = {"heis1": (1, 2), "heis2": (2, 3), "nilrad_sl3": (1, 2),
+                    "slnV2": (3, 4), "slnV3": (8, 9)}
+
+_POINT_KINDS = ["random", "zeroed", "small", "rational"]
+
+
+def _point(data, L, kind) -> dict:
+    """A point of L*: random, random with some coordinates zeroed, in [-2, 2], or rational."""
+    if kind == "small":
+        coord = st.integers(-2, 2)
+    elif kind == "rational":
+        coord = st.fractions(min_value=-50, max_value=50, max_denominator=7)
+    else:
+        coord = st.integers(-1000, 1000)
+    vals = data.draw(st.lists(coord, min_size=L.dim, max_size=L.dim))
+    if kind == "zeroed":
+        zero = data.draw(st.sets(st.sampled_from(range(L.dim))))
+        vals = [0 if k in zero else v for k, v in enumerate(vals)]
+    return dict(zip(L.basis, vals))
+
+
+def _oracle_rank(L, point) -> int:
+    return naive_rank(oracle_kirillov_matrix(L, point))
+
+
+class TestCommutingHalf:
+    """rank K(xi) through B(xi) = K(xi)[S][Z] with Z pairwise commuting.
+
+    K(xi)[Z][Z] = 0 gives rank K(xi) <= |S| + rank B(xi) <= 2|S|, with
+    equality exactly when B(xi) has full row rank, so the rank is exact
+    whether or not the set is certified; every other point ranks the
+    Kirillov matrix.
+    """
+
+    @pytest.mark.parametrize("name", sorted(COMMUTING_HALVES))
+    def test_the_split_of_each_commuting_half(self, name):
+        entry = catalog.load(name)
+        L = entry.algebra
+        S, Z, _ = L._commuting_split()
+        assert (len(S), len(Z)) == COMMUTING_HALVES[name]
+        assert 2 * len(S) == L.dim - len(entry.invariants)
+        if name.startswith("slnV"):
+            assert [L.basis[z] for z in Z] == [b for b in L.basis if b.startswith("v")]
+
+    @given(_bracket_tables())
+    def test_z_commutes_and_the_plan_is_the_block(self, L):
+        S, Z, plan = L._commuting_split()
+        assert sorted(S + Z) == list(range(L.dim))
+        assert all(not bracket(L, z, w) for z in Z for w in Z)
+        point = {b: k + 1 for k, b in enumerate(L.basis)}
+        full = oracle_kirillov_matrix(L, point)
+        den = L._int_plan()[0]
+        block = [[0] * len(Z) for _ in S]
+        for a, c, vec in plan:
+            block[a][c] = Fraction(sum(x * point[L.basis[k]] for k, x in vec), den)
+        assert block == [[full[s][z] for z in Z] for s in S]
+
+    @given(_bracket_tables(), st.data())
+    def test_any_set_of_the_ceiling_size_ranks_exactly(self, L, data):
+        # the route needs no certificate: a set of linear forms of the size
+        # dim - 2|S| takes it, whatever the brackets
+        S, _, _ = L._commuting_split()
+        l = L.dim - 2 * len(S)
+        assume(l >= 1)
+        fs = InvariantSet(algebra=L, polys=tuple(Polynomial.variable(L.basis, b)
+                                                 for b in L.basis[:l]))
+        point = _point(data, L, data.draw(st.sampled_from(_POINT_KINDS)))
+        assert fs.kirillov_rank_at(point) == _oracle_rank(L, point)
+
+    def test_a_block_entry_that_cancels_falls_back(self):
+        # [y, x] = -y - z, so Z = {x, z}, S = {y} and B(xi) = [xi_y + xi_z, 0]
+        # up to sign: zero where xi_y = -xi_z, and then rank K = 0
+        L = LieAlgebra.create("twoterm", ("x", "y", "z"), {(0, 1): {1: 1, 2: 1}})
+        assert L._commuting_split()[:2] == ((1,), (0, 2))
+        fs = InvariantSet(algebra=L, polys=(parse_poly("x", L.basis),))
+        assert fs.kirillov_rank_at({"x": 5, "y": 3, "z": -3}) == 0
+        assert fs.kirillov_rank_at({"x": 5, "y": 3, "z": -2}) == 2
+
+    @pytest.mark.parametrize("kind", _POINT_KINDS)
+    @pytest.mark.parametrize("name", catalog.NAMES)
+    @settings(max_examples=10)
+    @given(data=st.data())
+    def test_every_catalog_entry_ranks_exactly(self, name, kind, data):
+        entry = catalog.load(name)
+        point = _point(data, entry.algebra, kind)
+        assert entry.invariants.kirillov_rank_at(point) == _oracle_rank(entry.algebra, point)
+
+    @pytest.mark.parametrize("name", ["heis1", "heis2"])
+    @settings(max_examples=10)
+    @given(data=st.data())
+    def test_a_heisenberg_point_off_the_centre_falls_back(self, name, data):
+        # xi_z = 0: every entry of B(xi) is <xi, z> or 0, so the matrix ranks
+        entry = catalog.load(name)
+        L = entry.algebra
+        point = {**_point(data, L, "random"), "z": 0}
+        with pytest.MonkeyPatch.context() as patch:
+            seen = _route_spy(patch)
+            rank = entry.invariants.kirillov_rank_at(point)
+        assert rank == _oracle_rank(L, point)
+        assert seen == ["block", L.dim]
+
+    @settings(max_examples=10)
+    @given(data=st.data())
+    def test_a_singular_coordinate_block_of_slnv3_falls_back(self, data):
+        # B(xi) sends a to a^T X, X the 3 x 3 block of xi on V: rank X < 3
+        # leaves a traceless a with a^T X = 0, and rank K(xi) < 16
+        entry = catalog.load("slnV3")
+        L = entry.algebra
+        point = _point(data, L, data.draw(st.sampled_from(["random", "small"])))
+        a, b = data.draw(st.integers(-3, 3)), data.draw(st.integers(-3, 3))
+        for col in "123":
+            point[f"v3{col}"] = a * point[f"v1{col}"] + b * point[f"v2{col}"]
+        with pytest.MonkeyPatch.context() as patch:
+            seen = _route_spy(patch)
+            rank = entry.invariants.kirillov_rank_at(point)
+        assert rank == _oracle_rank(L, point) < 16
+        assert seen == ["block", L.dim]
+
+    @pytest.mark.parametrize("top", ["singular", "zero"])
+    @settings(max_examples=5)
+    @given(data=st.data())
+    def test_an_slnv3_family_at_a_singular_top(self, top, data):
+        fam = _takiff_with_certified("slnV3", 1)[1]
+        L, Lm = fam.base.algebra, fam.algebra
+        low = _point(data, L, "small")
+        high = _point(data, L, "small")
+        for col in "123":
+            high[f"v3{col}"] = high[f"v1{col}"] if top == "singular" else 0
+        if top == "zero":
+            high = dict.fromkeys(L.basis, 0)
+        flat = flatten_point(Lm, [low, high])
+        assert fam.kirillov_rank_at(flat) == bareiss_rank(oracle_kirillov_matrix(Lm, flat))
+
+    @pytest.mark.parametrize("name", ["slnV2", "slnV3", "heis2"])
+    def test_a_generic_point_builds_no_matrix(self, monkeypatch, name):
+        entry = catalog.load(name)
+        L = entry.algebra
+        seen = _route_spy(monkeypatch)
+        for t in range(5):
+            point = sampling.random_coords(L.basis, sampling.rng(13, 61, t))
+            assert entry.invariants.kirillov_rank_at(point) == L.dim - 1
+        assert seen == ["block"] * 5
+
+    @pytest.mark.parametrize("name", ["sl2", "sl3", "affine2", "slnV3-empty"])
+    def test_the_matrix_route_where_the_half_is_short_or_the_set_empty(self, monkeypatch,
+                                                                        name):
+        # sl2 and sl3 have no commuting half of size (dim + ind)/2; affine2
+        # has no invariants, and an empty set never tries the block
+        entry = catalog.load(name.removesuffix("-empty"))
+        L = entry.algebra
+        fs = InvariantSet(algebra=L, polys=()) if name.endswith("-empty") else entry.invariants
+        if len(fs):
+            assert 2 * len(L._commuting_split()[0]) != L.dim - len(fs)
+        seen = _route_spy(monkeypatch)
+        for t in range(3):
+            point = sampling.random_coords(L.basis, sampling.rng(13, 67, t))
+            assert fs.kirillov_rank_at(point) == _oracle_rank(L, point)
+        assert seen == [L.dim] * 3

@@ -482,7 +482,10 @@ class TestFamilyRankFromTheBase:
     def test_the_kirillov_rank_equals_the_full_matrix(self, name, degrees, kind, data):
         # the family's kirillov_rank_at recurses to the first base at the deepest top;
         # a zero deepest top is singular, so the first family ranks its own
-        # matrix and every level above decides from that rank or falls back
+        # algebra and every level above decides from that rank or falls back.
+        # A rank counts by either route of `InvariantSet.kirillov_rank_at`
+        # (the block B(xi) or the Kirillov matrix); a matrix built outside
+        # it counts too
         fam = block_family(name, degrees)
         Lm, deepest = fam.algebra, deepest_top_names(name, degrees)
         flat = dict(zip(Lm.basis, data.draw(st.lists(
@@ -491,15 +494,22 @@ class TestFamilyRankFromTheBase:
         for b, v in deepest.items():
             if b not in support:
                 flat[v] = 0
-        ranked, real = [], liealg.kirillov_rank_at
+        ranked, real = [], InvariantSet.kirillov_rank_at
+        matrix, built = liealg.kirillov_matrix, []
 
-        def spy(L, point):
-            ranked.append(L.dim)
-            return real(L, point)
+        def spy(fs, point):
+            ranked.append(fs.algebra.dim)
+            return real(fs, point)
+
+        def matrix_spy(L, point):
+            built.append(L.dim)
+            return matrix(L, point)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(liealg, "kirillov_rank_at", spy)
+            patch.setattr(InvariantSet, "kirillov_rank_at", spy)
+            patch.setattr(liealg, "kirillov_matrix", matrix_spy)
             rank = fam.kirillov_rank_at(flat)
+        assert set(built) <= set(ranked)
         assert rank == linalg.rank(kirillov_matrix(Lm, flat))
         first = catalog.load(name).algebra.dim
         assert ranked[0] == first

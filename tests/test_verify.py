@@ -168,16 +168,24 @@ class TestMultiCurrent:
                                               ("slnV3", [3, 3])])
     def test_every_level_ranks_on_the_first_base(self, monkeypatch, name, degrees):
         # a level's base is the previous level's L<m>, ranked down the family
-        # chain through every block triangle to Kirillov matrices of the first base
+        # chain through every block triangle to ranks of the first base.  A
+        # rank counts by either route of `InvariantSet.kirillov_rank_at` (the
+        # block B(xi) or the Kirillov matrix), and every matrix built counts
         entry = catalog.load(name)
         widths = set()
         kirillov_matrix = liealg.kirillov_matrix
+        set_rank = InvariantSet.kirillov_rank_at
 
         def spy(L, point):
             widths.add(L.dim)
             return kirillov_matrix(L, point)
 
+        def rank_spy(fs, point):
+            widths.add(fs.algebra.dim)
+            return set_rank(fs, point)
+
         monkeypatch.setattr(liealg, "kirillov_matrix", spy)
+        monkeypatch.setattr(InvariantSet, "kirillov_rank_at", rank_spy)
         rep = verify_multi_current(entry.algebra, entry.invariants, degrees,
                                    transfer_samples=20)
         assert widths == {entry.algebra.dim}
@@ -644,7 +652,9 @@ def _no_zero_top_decision(monkeypatch):
 def _structural_and_exact(monkeypatch, L, fs, m, **kwargs):
     """(report, block-triangle decisions, report with every rank taken from its matrix).
 
-    The second run ranks every Kirillov matrix of L<m>: no block triangle,
+    ``m`` is a depth, or a degree list for `verify_multi_current`.  The
+    second run ranks every Kirillov matrix, of L and of L<m>: no block
+    triangle, no commuting-half block B(xi) in `InvariantSet.kirillov_rank_at`,
     no zero-top decision once per check, and no rank bound at a top with
     K(xi_m) = 0, neither mn nor the family's m(n - l).
     """
@@ -655,11 +665,18 @@ def _structural_and_exact(monkeypatch, L, fs, m, **kwargs):
         calls.append(top_rank)
         return structural(fam, top_rank)
 
+    def run():
+        if isinstance(m, list):
+            return verify_multi_current(L, fs, m, **kwargs)
+        return verify_main_theorem(L, fs, m, **kwargs)
+
     monkeypatch.setattr(raistauvel, "block_triangle_rank", spy)
-    rep = verify_main_theorem(L, fs, m, **kwargs)
+    rep = run()
     monkeypatch.setattr(raistauvel, "block_triangle_rank", lambda fam, top_rank: None)
+    monkeypatch.setattr(InvariantSet, "kirillov_rank_at",
+                        lambda fs, point: liealg.kirillov_rank_at(fs.algebra, point))
     _no_zero_top_decision(monkeypatch)
-    exact = verify_main_theorem(L, fs, m, **kwargs)
+    exact = run()
     monkeypatch.undo()
     return rep, len(calls), exact
 
@@ -760,6 +777,18 @@ class TestStructuralRanks:
         entry = catalog.load(name)
         rep, calls, exact = _structural_and_exact(
             monkeypatch, entry.algebra, entry.invariants, m, transfer_samples=20)
+        assert calls > 0
+        assert rep.summary == PASS
+        assert rep.to_json() == exact.to_json()
+
+    @pytest.mark.parametrize("name,m", [("slnV3", 2), ("heis2", 3), ("sl3", 4),
+                                        ("slnV2", [1, 2])])
+    def test_commuting_halves_leave_every_byte_unchanged(self, monkeypatch, name, m):
+        # slnV2, slnV3 and heis2 rank their certified tops through B(xi); sl3
+        # has no commuting half, so both runs rank its matrices
+        entry = catalog.load(name)
+        rep, calls, exact = _structural_and_exact(
+            monkeypatch, entry.algebra, entry.invariants, m, transfer_samples=25)
         assert calls > 0
         assert rep.summary == PASS
         assert rep.to_json() == exact.to_json()
