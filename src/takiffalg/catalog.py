@@ -250,10 +250,8 @@ def self_test(entry: CatalogEntry, trials: int = liealg.DEFAULT_TRIALS,
               seed: int = 0) -> Report:
     """Re-certify an entry: Jacobi, invariance, expected values, parametrizations.
 
-    When every invariant passes the symbolic test and their differentials
-    are independent at the first point of the Omega stream
-    (``sampling.rng(seed, TAG_OMEGA, 0, 0)``, a stream no other check of
-    the entry draws), `liealg.index` takes them as its certified set: the
+    When every invariant passes the symbolic test and has an Omega point,
+    `liealg.index` takes them as its certified set, as `verify` does: the
     estimate is the same, its trials stop at dim - l.
     """
     rep = Report(label=f"catalog:{entry.name}")
@@ -273,10 +271,8 @@ def self_test(entry: CatalogEntry, trials: int = liealg.DEFAULT_TRIALS,
                   witness={"degrees": degrees,
                            "expected": entry.expected["degrees"]}))
 
-    # invariants independent at one point of the Omega stream certify ind >= l
     fs = entry.invariants
-    certified = (not bad and len(fs) > 0 and liealg.omega_test(
-        fs, sampling.random_coords(L.basis, sampling.rng(seed, sampling.TAG_OMEGA, 0, 0))))
+    certified = not bad and fs.omega_point(seed) is not None
     idx = liealg.index(L, trials=trials, seed=seed, certified=fs if certified else None)
     rep.add(Check(name="expected-index",
                   status=PASS if idx == entry.expected["index"] else FAIL,

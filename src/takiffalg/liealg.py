@@ -500,6 +500,32 @@ class InvariantSet:
     def degrees(self) -> tuple[int, ...]:
         return tuple(f.degree() for f in self.polys)
 
+    def first_defect(self) -> tuple[int, str] | None:
+        """The first (i, x) with {f_i, x} != 0, over the members and then the basis."""
+        for i, f in enumerate(self.polys, start=1):
+            found = invariance_defect(self.algebra, f)
+            if found is not None:
+                return i, found[0]
+        return None
+
+    def omega_point(self, seed: int) -> dict[str, int] | None:
+        """The first of 50 draws where the members are independent, or None if none is.
+
+        The draws come from ``sampling.rng(seed, TAG_OMEGA, 0, 0)``, which no
+        other check draws.  With invariance, such a point certifies ind >= l.
+        """
+        if not self.polys:
+            return None
+        r = sampling.rng(seed, sampling.TAG_OMEGA, 0, 0)
+        for _ in range(50):
+            point = sampling.random_coords(self.algebra.basis, r)
+            if self._independent_at(point):
+                return point
+        return None
+
+    def _independent_at(self, point: DualPoint) -> bool:
+        return omega_test(self, point)
+
     def kirillov_rank_at(self, point: DualPoint) -> int:
         """rank K(xi) at a point of ``algebra``: exact, through a commuting half if it can.
 

@@ -53,7 +53,7 @@ from typing import Iterator, Sequence
 from . import linalg
 from .liealg import AlgebraError, DualPoint, InvariantSet, LieAlgebra
 from .polyring import Polynomial, jet_substitute
-from .takiff import _require_grading, takiff
+from .takiff import _require_grading, graded_name, takiff
 
 __all__ = [
     "InvariantFamily",
@@ -147,6 +147,18 @@ class InvariantFamily(InvariantSet):
         l = self.l
         return ((k % l + 1, k // l, F) for k, F in enumerate(self.polys))
 
+    def first_defect(self) -> tuple[int, str] | None:
+        """The base's first defect (i, x) as (i, x@0), down the chain to the first base.
+
+        Bracketing every member finds the same: every member of an invariant
+        f_i' is one, F^0 and x@0 come first, and {F_i^0, x@0} is {f_i, x}@m.
+        """
+        found = self.base.first_defect()
+        return None if found is None else (found[0], graded_name(found[1], 0))
+
+    def _independent_at(self, point: DualPoint) -> bool:
+        return family_rank_at(self, point) == len(self)
+
     def kirillov_rank_at(self, point: DualPoint) -> int:
         """rank K at a flat point of L<m>, read down the family chain to the first base.
 
@@ -154,10 +166,10 @@ class InvariantFamily(InvariantSet):
         for `block_triangle_rank`; where that gives None, L<m> is ranked by
         `InvariantSet.kirillov_rank_at`, through its commuting half or its
         Kirillov matrix.  Precondition: the family is invariant and
-        independent at one point, as `verify` certifies once per step.  Then so is every family below it: F_i^j is an invariant
-        exactly when f_i is, and that point's deepest top is in Omega of the
-        first base, so every family of the chain is independent where that
-        top is deepest.
+        independent at one point, as `verify` certifies once per step.  Then
+        so is every family below it: F_i^j is an invariant exactly when f_i
+        is, and that point's deepest top is in Omega of the first base, so
+        every family of the chain is independent where that top is deepest.
         """
         rank = block_triangle_rank(self, self.base.kirillov_rank_at(_top(self, point)))
         return super().kirillov_rank_at(point) if rank is None else rank

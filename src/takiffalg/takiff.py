@@ -105,6 +105,13 @@ def _require_grading(L: LieAlgebra) -> TakiffGrading:
     return L.grading
 
 
+# L<m> has n(m+1) basis names and |brackets L| (m+1)(m+2)/2 bracket entries,
+# whose sum may not exceed MAX_TAKIFF_SIZE; both are known before anything is
+# built.  On a 2-core x86 box with Python 3.11, sl3<64> (45,045 entries) builds
+# in 0.06 s and sl3<256> (696,213) in 1.7 s at 281 MB.  The cap admits sl3<306>.
+MAX_TAKIFF_SIZE = 1_000_000
+
+
 def takiff(L: LieAlgebra, m: int) -> LieAlgebra:
     """The truncated current algebra L<m> with grading metadata attached.
 
@@ -117,6 +124,10 @@ def takiff(L: LieAlgebra, m: int) -> LieAlgebra:
     if m < 1:
         raise ValueError(f"truncation order must be >= 1, got {m}")
     n = L.dim
+    names, entries = n * (m + 1), len(L.brackets) * (m + 1) * (m + 2) // 2
+    if names + entries > MAX_TAKIFF_SIZE:
+        raise AlgebraError(f"{L.label}<{m}> would have {names} basis names and {entries} "
+                           f"bracket entries, past the cap of {MAX_TAKIFF_SIZE} in all")
     basis = graded_varset(L, m)
     table: dict[tuple[int, int], dict[int, Fraction]] = {}
     for (i, j), coeffs in L.brackets.items():

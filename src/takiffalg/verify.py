@@ -20,8 +20,8 @@ invariant of L<m> exactly when f_i is an invariant of L.  Only the base
 invariants are bracketed, symbolically, against the basis of L; a base
 defect forms the one bracket on L<m> that each FAIL names.  In
 `verify_multi_current` each level's family is the next level's invariant
-set as it stands, and `_first_defect` reads its defect off the first base,
-so every level brackets only the first base.  The certificate rests on
+set as it stands, and its `first_defect` is read off the first base, so
+every level brackets only the first base.  The certificate rests on
 `raistauvel.build_family` computing the jet expansion, as the Jacobi
 certificate rests on `takiff` computing the truncated bracket;
 `raistauvel.InvariantFamily` refuses members that break the expansion's
@@ -33,11 +33,9 @@ derivative identity dF_i^j/d(b@(m-j)) = (df_i/db)(xi_m) and the triangular
 supports, so its Jacobian is block triangular with diagonal J_f(xi_m):
 "xi in Omega(L<m>*) iff xi_m in Omega(L*)" at every point.  So
 `omega-transfer` PASSes whenever there is a family, and
-`jacobian-rank-on-omega` takes its witness rank at the one point that
-`_omega_point` draws with its top in Omega.  That search is the step's one
-Omega decision: `omega_test` on the first level, and on a later level
-`raistauvel.family_rank_at`, which ranks only the first base at the
-deepest top component.
+`jacobian-rank-on-omega` takes its witness rank over the one top that
+``fs.omega_point`` draws in Omega, the step's one Omega decision (on a
+family, from the first base at the deepest top).
 When `invariance` passes and that search finds a point, the step is
 certified: ``fs`` and its family are invariants independent at one point.
 The step hands them to `liealg.index` as its ``certified`` sets, which fix
@@ -126,26 +124,6 @@ def _jacobi_check(L: LieAlgebra, Lm: LieAlgebra, base_holds: bool | None) -> Che
     return Check(name="jacobi", status=status, paper_ref=_REF_JACOBI, witness=witness)
 
 
-def _first_defect(fs: InvariantSet) -> tuple[int, str] | None:
-    """The first (i, x) with {f_i, x} != 0, over the members of ``fs`` and then its basis.
-
-    A plain set brackets each member against the basis of its algebra.  A
-    family returns its base's first defect (i, x) as (i, x@0), down the
-    chain to the first base, which is what bracketing every member finds:
-    {F_i'^j, y@k} vanishes for every member of an invariant f_i', the
-    members F^0 come first in ``polys``, {F_i^0, x@0} is {f_i, x} at grade
-    m, and every x@0 comes before every x@k in the basis.
-    """
-    if isinstance(fs, raistauvel.InvariantFamily):
-        found = _first_defect(fs.base)
-        return None if found is None else (found[0], graded_name(found[1], 0))
-    for i, f in enumerate(fs.polys, start=1):
-        found = liealg.invariance_defect(fs.algebra, f)
-        if found is not None:
-            return i, found[0]
-    return None
-
-
 def _invariance_checks(fs: InvariantSet, fam: raistauvel.InvariantFamily | None,
                        Lm: LieAlgebra) -> tuple[Check, Check]:
     """`invariance` and `ideal-invariants` on Lm = takiff(L, m), certified from the base.
@@ -161,10 +139,10 @@ def _invariance_checks(fs: InvariantSet, fam: raistauvel.InvariantFamily | None,
     grade 0 first: F_i'^0 is an invariant exactly when f_i' is.  F_i^1
     with x@1 is the first against the ideal, which starts at grade 1, after
     the top coordinates.  Only those two brackets are formed on L<m>, and
-    the base defect is `_first_defect`'s, from the first base of a chain.
+    the base defect is ``fs.first_defect()``, from the first base of a chain.
     """
     m, n = Lm.grading.depth, Lm.grading.base_dim
-    defect = _first_defect(fs)
+    defect = fs.first_defect()
     if fam is None:
         invariance = Check(name="invariance", status=SKIPPED, paper_ref=_REF_INVARIANCE,
                            witness={"note": "no invariants supplied"})
@@ -238,7 +216,7 @@ def _verify_step(L: LieAlgebra, fs: InvariantSet, m: int, trials: int,
     rep.add(ideal)
 
     # invariants independent at one point: the step certificate
-    omega = _omega_point(L, fs, m, seed) if fam is not None else None
+    omega = fs.omega_point(seed)
     certified = invariance.status == PASS and omega is not None
     idx_base = liealg.index(L, trials=trials, seed=seed, certified=fs if certified else None)
     idx_tak = liealg.index(Lm, trials=trials, seed=seed, certified=fam if certified else None)
@@ -289,47 +267,23 @@ def _verify_step(L: LieAlgebra, fs: InvariantSet, m: int, trials: int,
     return rep, Lm, fam
 
 
-def _omega_point(L: LieAlgebra, fs: InvariantSet, m: int,
-                 seed: int) -> list[dict] | None:
-    """The components of one point of L<m> whose top is in Omega, or None.
-
-    Drawn from the stream ``sampling.rng(seed, TAG_OMEGA, 0, 0)``: a top
-    component where the differentials of ``fs`` are independent, within 50
-    draws, then the lower components.  The stream is private, so when it is
-    drawn changes no value.  On a first level `omega_test` decides the top;
-    where ``fs`` is a family (a level >= 2 of `verify_multi_current`),
-    `raistauvel.family_rank_at` does, from the first base at the deepest
-    top, with no member gradient where it is independent there.
-    """
-    family = isinstance(fs, raistauvel.InvariantFamily)
-    r = sampling.rng(seed, sampling.TAG_OMEGA, 0, 0)
-    for _ in range(50):
-        top = sampling.random_coords(L.basis, r)
-        if (raistauvel.family_rank_at(fs, top) == len(fs) if family
-                else liealg.omega_test(fs, top)):
-            comps = sampling.random_components(L.basis, m, r)
-            comps[m] = top
-            return comps
-    return None
-
-
-def _jacobian_rank_check(fam: raistauvel.InvariantFamily, comps: list[dict] | None,
+def _jacobian_rank_check(fam: raistauvel.InvariantFamily, top: dict | None,
                          seed: int) -> Check:
     """Full family rank wherever xi_m is in Omega: a certificate by the derivative identity.
 
     The family Jacobian is block triangular with diagonal J_f(xi_m), so its
-    rank is (m+1)l exactly where xi_m is in Omega.  ``comps`` is the point
-    `_omega_point` drew, or None when its search failed.  The witness rank
-    is `raistauvel.family_rank_at` there; `_omega_point` has just put the
-    top in Omega, so it reads the base block at the top, full by
-    construction, and returns (m+1)l: there is no FAIL to find.  The point
-    gives the depth-(m-1) family its rank ml for `_zero_top_rank_bound`.
+    rank is (m+1)l exactly where xi_m is in Omega.  ``top`` is the base's
+    `omega_point`, or None.  `raistauvel.family_rank_at` at the point with
+    that top and zero lower components reads only the base block there,
+    full by construction, and returns (m+1)l: there is no FAIL to find.  The
+    point gives the depth-(m-1) family its rank ml for `_zero_top_rank_bound`.
     """
-    if comps is None:
+    if top is None:
         return Check(name="jacobian-rank-on-omega", status=FAIL, paper_ref=_REF_JACRANK,
                      witness={"error": "no point with independent "
                               "differentials found in 50 draws"},
                      seed=seed)
+    comps = [dict.fromkeys(top, 0)] * fam.depth + [top]
     rank = raistauvel.family_rank_at(fam, flatten_point(fam.algebra, comps))
     return Check(name="jacobian-rank-on-omega", status=PASS, paper_ref=_REF_JACRANK,
                  witness={"mode": "derivative-identity", "rank": rank},
@@ -381,10 +335,8 @@ def _regularity_transfer_check(L: LieAlgebra, Lm: LieAlgebra,
     samples draw what they drew before.
     Where ind L = n the zero top is regular in L but not in L<m>, and the
     odd samples are drawn as usual, so a FAIL names the same sample and
-    point.  A sample reads its top component first; the block triangle
-    reuses that one rank, and the L<m> point is flattened only when the
-    Kirillov matrix of L<m> is ranked.  The first disagreement is the FAIL
-    witness.
+    point.  The L<m> point is flattened only when its Kirillov matrix is
+    ranked, and the first disagreement is the FAIL witness.
     """
     m = Lm.grading.depth
     regular = Lm.dim - idx_tak
@@ -476,11 +428,14 @@ def wonderful_diagnostic(L: LieAlgebra, fs: InvariantSet,
     A failed degree-sum criterion with sum < b(q) refutes the codimension-2
     property (under codim-2 the degree sum of basic invariants is at least
     b(q)); the diagnostic never claims that any codimension property holds.
-    It checks no invariance, so ``fs`` certifies nothing and `liealg.index`
-    takes no certified set: every trial is ranked.
+    When ``fs`` has no invariance defect and an Omega point, `liealg.index`
+    takes it as its certified set, as `verify` does: the estimate is the same.
     """
+    if not fs.algebra.structure_equal(L):
+        raise liealg.AlgebraError("invariant set belongs to a different algebra")
     rep = Report(label=f"wonderful:{L.label}")
-    idx = liealg.index(L, trials=trials, seed=seed)
+    certified = fs.first_defect() is None and fs.omega_point(seed) is not None
+    idx = liealg.index(L, trials=trials, seed=seed, certified=fs if certified else None)
     rep.add(Check(name="invariant-count-vs-index",
                   status=PASS if len(fs) == idx else FAIL,
                   paper_ref="a full basic system has ind q members",

@@ -128,9 +128,9 @@ class TestParametrizations:
 class TestCertifiedIndex:
     """`self_test` hands `index` the entry's invariants once they are certified.
 
-    Symbolic invariance and independence at the first point of the Omega
-    stream give ind >= l, so the trials stop at dim - l; the index, and so
-    every report byte, is what all five trials give.
+    Symbolic invariance and the set's `omega_point` give ind >= l, so the
+    trials stop at dim - l; the index, and so every report byte, is what
+    all five trials give.
     """
 
     @staticmethod

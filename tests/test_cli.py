@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -350,6 +351,25 @@ class TestInputErrors:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: family entry (1,1) has the term")
         assert captured.err.count("\n") == 1 and captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--m", "100000000000000000000", "sl2"],
+        ["build", "--multi", "1000,1000", "sl3", "--out", "x.json"],
+    ], ids=["verify-m-1e20", "build-multi-1000,1000"])
+    def test_a_truncation_past_the_size_cap_exits_two(self, tmp_path, argv):
+        # sizes are checked before anything is built; the address-space cap
+        # and the timeout make a regression fail here instead of exhausting
+        # the machine
+        cap = 512 * 2 ** 20
+        proc = subprocess.run(
+            [sys.executable, "-m", "takiffalg.cli", *argv], cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=str(Path(takiffalg.__file__).resolve().parents[1])),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "past the cap" in proc.stderr and proc.stdout == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_mutually_exclusive_flags(self):
         with pytest.raises(SystemExit):

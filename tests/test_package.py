@@ -114,12 +114,22 @@ def test_the_index_takes_one_certified_set():
     assert list(inspect.signature(liealg.index).parameters) == [
         "L", "trials", "seed", "certified"]
     source = "".join(p.read_text() for p in (SRC / "takiffalg").glob("*.py"))
-    assert [name for name in ("generic_kirillov_rank", "RankFunction", "takiff_kirillov_rank")
-            if name in source] == []
+    gone = ("generic_kirillov_rank", "RankFunction", "takiff_kirillov_rank",
+            "_first_defect", "_omega_point")
+    assert [name for name in gone if name in source] == []
     step = next(node for node in ast.parse((SRC / "takiffalg" / "verify.py").read_text()).body
                 if isinstance(node, ast.FunctionDef) and node.name == "_verify_step")
     assert [node.name for node in ast.walk(step)
             if isinstance(node, ast.FunctionDef) and node is not step] == []
+
+
+def test_verify_asks_the_set_for_its_certificate():
+    # the invariance defect and the Omega point come from the invariant set,
+    # a family answering down its chain, so verify tells no family apart
+    tree = ast.parse((SRC / "takiffalg" / "verify.py").read_text())
+    assert [ast.unparse(node) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance" and "InvariantFamily" in ast.unparse(node)] == []
 
 
 def test_the_expansion_enumerates_grade_shifts():

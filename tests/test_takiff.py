@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -54,6 +55,22 @@ class TestConstruction:
             takiff(sl2.algebra, 0)
         with pytest.raises(ValueError):
             multi_current(sl2.algebra, [])
+
+    def test_the_size_cap_counts_names_and_bracket_entries(self, monkeypatch, sl2):
+        # sl2<3> has 3 * 4 names and 3 * 4 * 5 / 2 bracket entries; an
+        # abelian algebra has names alone
+        # the package exports the function `takiff` under the module's name
+        module = importlib.import_module("takiffalg.takiff")
+        monkeypatch.setattr(module, "MAX_TAKIFF_SIZE", 12 + 30)
+        assert len(takiff(sl2.algebra, 3).brackets) == 30
+        with pytest.raises(AlgebraError, match=r"sl2<4> would have 15 basis names and 45 "):
+            takiff(sl2.algebra, 4)
+        ab = LieAlgebra.create("ab2", ("x", "y"), {})
+        assert takiff(ab, 20).dim == 42
+        with pytest.raises(AlgebraError, match=r"ab2<21> would have 44 basis names and 0 "):
+            takiff(ab, 21)
+        with pytest.raises(AlgebraError, match="past the cap of 42 in all"):
+            multi_current(sl2.algebra, [1, 3])
 
     def test_grading_is_a_read_only_value(self, sl2):
         g = takiff(sl2.algebra, 2).grading

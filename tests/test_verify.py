@@ -334,6 +334,32 @@ class TestDiagnostics:
         assert check.witness["note"] == f"codim-2 refuted: {sum_deg} < {magic}"
         assert not check.witness["criterion_iii_holds"]
 
+    @pytest.mark.parametrize("name", catalog.NAMES)
+    def test_wonderful_is_the_uncertified_report(self, monkeypatch, name):
+        entry = catalog.load(name)
+        for seed in (0, 1, 7):
+            rep = wonderful_diagnostic(entry.algebra, entry.invariants, seed=seed)
+            assert rep.to_json() == _unbounded(monkeypatch, lambda: wonderful_diagnostic(
+                entry.algebra, entry.invariants, seed=seed)).to_json()
+
+    @pytest.mark.parametrize("invariant,built", [(True, 1), (False, 5)])
+    def test_wonderful_sl3_ranks_one_trial_once_certified(self, monkeypatch, sl3,
+                                                          invariant, built):
+        L = sl3.algebra
+        f, g = sl3.invariants.polys
+        fs = sl3.invariants if invariant else InvariantSet(
+            algebra=L, polys=(f + Polynomial.variable(L.basis, L.basis[0]) ** 2, g))
+        matrix, widths = liealg.kirillov_matrix, []
+        monkeypatch.setattr(liealg, "kirillov_matrix",
+                            lambda alg, point: widths.append(alg.dim) or matrix(alg, point))
+        rep = wonderful_diagnostic(L, fs)
+        assert widths == [8] * built
+        assert _by_name(rep, "invariant-count-vs-index").witness == {"count": 2, "index": 2}
+
+    def test_wonderful_refuses_a_set_of_another_algebra(self, sl2, sl3):
+        with pytest.raises(liealg.AlgebraError, match="different algebra"):
+            wonderful_diagnostic(sl3.algebra, sl2.invariants)
+
 
 class TestBracketOracle:
     """The symbolic bracket against grad F(xi) times the Kirillov matrix."""
@@ -579,7 +605,8 @@ class TestInvarianceCertificate:
         monkeypatch.setattr(liealg, "bracket_defect_against", spy)
         rep = verify_multi_current(L, fs, degrees, transfer_samples=2)
         monkeypatch.undo()
-        monkeypatch.setattr(verify, "_first_defect", _bracket_every_member)
+        monkeypatch.setattr(InvariantSet, "first_defect", _bracket_every_member)
+        monkeypatch.setattr(raistauvel.InvariantFamily, "first_defect", _bracket_every_member)
         bracketed = verify_multi_current(L, fs, degrees, transfer_samples=2)
         monkeypatch.undo()
         return rep, seen, bracketed
@@ -615,7 +642,7 @@ class TestInvarianceCertificate:
         chain = [fs]
         for m in degrees:
             chain.append(build_family(chain[-1].algebra, m, chain[-1]))
-        found = [verify._first_defect(level) for level in chain]
+        found = [level.first_defect() for level in chain]
         assert found == [_bracket_every_member(level) for level in chain]
         assert [i for i, _ in found] == [2] * len(chain)
         rep, _, bracketed = self._multi_brackets(monkeypatch, sl3.algebra, fs, degrees)
@@ -633,6 +660,60 @@ class TestInvarianceCertificate:
         assert seen == [(3, [0, 1, 2]), (9, [0]), (9, [3])]
         assert _by_name(rep, "invariance").status == FAIL
         assert _by_name(rep, "ideal-invariants").status == FAIL
+
+
+def _tower(name, extra, degrees) -> list:
+    """[fs, its family, ...]: a catalog entry's invariants, plus ``extra``, expanded."""
+    entry = catalog.load(name)
+    L = entry.algebra
+    polys = entry.invariants.polys + ((parse_poly(extra, L.basis),) if extra else ())
+    chain = [InvariantSet(algebra=L, polys=polys)]
+    for m in degrees:
+        chain.append(build_family(chain[-1].algebra, m, chain[-1]))
+    return chain
+
+
+class TestTheSetsCertificate:
+    """A set answers for its own step certificate, a family down its chain."""
+
+    @pytest.mark.parametrize("name,extra,degrees", [
+        ("sl2", None, [1, 1, 1]), ("sl2", "h^2 + 3*e*f", [1, 2, 1]),
+        ("heis1", "x*z", [2, 1, 1]), ("slnV2", None, [1, 1, 1]),
+        ("slnV2", "h*v11", [1, 1, 1]), ("sl3", "h1^3", [1, 1, 1])])
+    def test_a_familys_first_defect_is_what_bracketing_every_member_finds(
+            self, name, extra, degrees):
+        chain = _tower(name, extra, degrees)
+        found = [level.first_defect() for level in chain]
+        assert found == [_bracket_every_member(level) for level in chain]
+        # the base decides: an invariant base has no defect on any level
+        assert len({d is None for d in found}) == 1
+        assert (found[0] is None) == (extra is None)
+
+    @pytest.mark.parametrize("name,degrees", [("sl2", [1, 1]), ("sl3", [1]), ("heis2", [2])])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_a_familys_omega_point_is_the_flat_search(self, name, degrees, seed):
+        fam = _tower(name, None, degrees)[-1]
+        flat = InvariantSet(algebra=fam.algebra, polys=fam.polys)
+        r = sampling.rng(seed, sampling.TAG_OMEGA, 0, 0)
+        draws = (sampling.random_coords(fam.algebra.basis, r) for _ in range(50))
+        want = next(point for point in draws if liealg.omega_test(flat, point))
+        assert fam.omega_point(seed) == want == flat.omega_point(seed)
+
+    def test_an_empty_set_has_no_omega_point(self, sl2):
+        assert InvariantSet(algebra=sl2.algebra, polys=()).omega_point(0) is None
+
+    @pytest.mark.parametrize("depth", [0, 1])
+    def test_a_dependent_set_gives_up_after_50_draws(self, monkeypatch, sl2, depth):
+        # d(C^2) = 2C dC: the two are dependent everywhere, on every level
+        (C,) = sl2.invariants.polys
+        fs = InvariantSet(algebra=sl2.algebra, polys=(C, C * C))
+        if depth:
+            fs = build_family(sl2.algebra, depth, fs)
+        real, drawn = sampling.random_coords, []
+        monkeypatch.setattr(sampling, "random_coords",
+                            lambda names, r: drawn.append(names) or real(names, r))
+        assert fs.omega_point(3) is None
+        assert drawn == [fs.algebra.basis] * 50
 
 
 def _bracket_every_member(fs):
@@ -878,7 +959,7 @@ class TestZeroTopBoundFallback:
         # certificate: no certified set for the index, no block triangle and
         # no l-term, so every L<2> rank comes from its matrix, zero tops
         # included
-        monkeypatch.setattr(verify, "_omega_point", lambda *args: None)
+        monkeypatch.setattr(InvariantSet, "omega_point", lambda fs, seed: None)
         seen = _index_trials(monkeypatch)
         rep, built = _kirillov_matrices(monkeypatch, sl2.algebra, sl2.invariants, 2)
         assert _by_name(rep, "invariance").status == PASS
@@ -972,11 +1053,11 @@ class TestOmegaCertificates:
         monkeypatch.undo()
         assert rep.summary == PASS
         assert [(caller, id(fs), names) for caller, fs, names in calls] == \
-            [("_omega_point", id(sl3.invariants), set(sl3.algebra.basis))]
-        searched = {id(fam) for caller, fam in ranked if caller == "_omega_point"}
+            [("_independent_at", id(sl3.invariants), set(sl3.algebra.basis))]
+        searched = {id(fam) for caller, fam in ranked if caller == "_independent_at"}
         assert searched == {id(fam) for fam in families[:-1]}
         assert {caller for caller, _ in ranked} <= {
-            "_omega_point", "_jacobian_rank_check", "family_rank_at"}
+            "_independent_at", "_jacobian_rank_check", "family_rank_at"}
         # the same report when every family rank is the full member Jacobian
         monkeypatch.setattr(raistauvel, "family_rank_at", lambda fam, flat: linalg.rank(
             [F.gradient_at(flat) for F in fam.polys]))
