@@ -20,7 +20,7 @@ from .liealg import (
 from .polyring import ParseError, Polynomial, parse_poly
 from .raistauvel import InvariantFamily, build_family
 from .report import FAIL, PASS, SAMPLED_PASS, SKIPPED, Report
-from .takiff import TakiffGrading, multi_current, takiff
+from .takiff import TakiffGrading, multi_current
 from .verify import (
     verify_main_theorem,
     verify_multi_current,
@@ -53,7 +53,6 @@ __all__ = [
     "Report",
     "TakiffGrading",
     "multi_current",
-    "takiff",
     "verify_main_theorem",
     "verify_multi_current",
     "wonderful_diagnostic",

@@ -55,6 +55,11 @@ class Parametrization(NamedTuple):
     def jacobian_rank_at(self, values: Mapping[str, Scalar]) -> int:
         return linalg.rank(liealg.differential_matrix(tuple(self.coords.values()), values))
 
+    def audit(self, streams, count: int) -> tuple[list[tuple[dict, dict]], int]:
+        """``count`` draws ``sample(streams(t))`` and the best Jacobian rank at their parameters."""
+        drawn = [self.sample(streams(t)) for t in range(count)]
+        return drawn, max((self.jacobian_rank_at(vals) for vals, _ in drawn), default=0)
+
 
 class CatalogEntry(NamedTuple):
     name: str
@@ -246,13 +251,12 @@ def load(name: str) -> CatalogEntry:
     return builder()
 
 
-def self_test(entry: CatalogEntry, trials: int = liealg.DEFAULT_TRIALS,
-              seed: int = 0) -> Report:
+def self_test(entry: CatalogEntry, seed: int = 0) -> Report:
     """Re-certify an entry: Jacobi, invariance, expected values, parametrizations.
 
     When every invariant passes the symbolic test and has an Omega point,
     `liealg.index` takes them as its certified set, as `verify` does: the
-    estimate is the same, its trials stop at dim - l.
+    estimate is the same, its `liealg.DEFAULT_TRIALS` trials stop at dim - l.
     """
     rep = Report(label=f"catalog:{entry.name}")
     L = entry.algebra
@@ -273,7 +277,7 @@ def self_test(entry: CatalogEntry, trials: int = liealg.DEFAULT_TRIALS,
 
     fs = entry.invariants
     certified = not bad and fs.omega_point(seed) is not None
-    idx = liealg.index(L, trials=trials, seed=seed, certified=fs if certified else None)
+    idx = liealg.index(L, seed=seed, certified=fs if certified else None)
     rep.add(Check(name="expected-index",
                   status=PASS if idx == entry.expected["index"] else FAIL,
                   witness={"index": idx, "expected": entry.expected["index"]},
@@ -286,16 +290,14 @@ def self_test(entry: CatalogEntry, trials: int = liealg.DEFAULT_TRIALS,
 
     streams = sampling.streams(seed, sampling.TAG_STRATA)
     for pname, par in sorted(entry.parametrizations.items()):
-        best_rank = 0
+        drawn, best_rank = par.audit(streams, 5)
         off_cone = None
-        for t in range(5):
-            r = streams(t)
-            vals, pt = par.sample(r)
-            best_rank = max(best_rank, par.jacobian_rank_at(vals))
-            nonzero = [str(f) for f in entry.invariants.polys if f.evaluate(pt)]
-            if nonzero and off_cone is None:
+        for vals, pt in drawn:
+            nonzero = [str(f) for f in fs.polys if f.evaluate(pt)]
+            if nonzero:
                 off_cone = {"params": {k: str(v) for k, v in vals.items()},
                             "nonzero_invariants": nonzero}
+                break
         ok = best_rank == par.declared_dim and off_cone is None
         rep.add(Check(name=f"parametrization:{pname}",
                       status=PASS if ok else FAIL,

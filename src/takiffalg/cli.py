@@ -10,8 +10,11 @@
     takiff catalog export sl3 --out sl3.json
 
 Inputs are JSON files in the algebra schema; catalog names work anywhere a
-path is expected.  Exit codes: 0 all checks passed (possibly sampled),
-1 a check failed, 2 bad input or arguments.
+path is expected.  ``--m M`` is ``--multi M``: `build` goes through
+`multi_current` and `verify` through `verify_multi_current`.  `build` and
+`invariants` print the validation report of a base that breaks Jacobi.
+Exit codes: 0 all checks passed (possibly sampled), 1 a check failed,
+2 bad input or arguments.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .liealg import (DEFAULT_TRIALS, AlgebraError, AlgebraFormatError,
 from .polyring import ParseError
 from .raistauvel import build_family
 from .report import FAIL, Report
-from .takiff import multi_current, takiff
+from .takiff import multi_current
 
 __all__ = ["main"]
 
@@ -35,23 +38,26 @@ class InputError(Exception):
     pass
 
 
-def _resolve_input(source: str) -> tuple[LieAlgebra, InvariantSet, dict]:
+def _resolve_input(source: str) -> tuple[LieAlgebra, InvariantSet]:
     """Catalog name or path to an algebra JSON file."""
     if source in catalog.NAMES:
         entry = catalog.load(source)
-        return entry.algebra, entry.invariants, dict(entry.flags)
+        return entry.algebra, entry.invariants
     if Path(source).is_file():
-        return algio.load_algebra_file(source)
+        return algio.load_algebra_file(source)[:2]
     raise InputError(
         f"'{source}' is neither a catalog name ({', '.join(catalog.NAMES)}) "
         "nor an existing file")
 
 
-def _parse_multi(text: str) -> list[int]:
+def _degrees(args: argparse.Namespace) -> list[int]:
+    """The truncation degrees: [M] for --m M, else the --multi list."""
+    if args.multi is None:
+        return [args.m]
     try:
-        degrees = [int(part) for part in text.split(",")]
+        degrees = [int(part) for part in args.multi.split(",")]
     except ValueError:
-        raise InputError(f"--multi expects comma-separated integers, got '{text}'")
+        raise InputError(f"--multi expects comma-separated integers, got '{args.multi}'")
     if not degrees or any(d < 1 for d in degrees):
         raise InputError("--multi degrees must all be at least 1")
     return degrees
@@ -66,40 +72,25 @@ def _emit_report(rep: Report, path: str | None) -> int:
     return 0 if rep.summary != FAIL else 1
 
 
-def _require_valid_base(L: LieAlgebra) -> Report | None:
-    """Returns the validation report when the base bracket is broken."""
-    rep = validate(L)
-    if rep.summary == FAIL:
-        return rep
-    return None
-
-
 def _cmd_build(args: argparse.Namespace) -> int:
-    L, fs, flags = _resolve_input(args.input)
-    bad = _require_valid_base(L)
-    if bad is not None:
-        for line in bad.human_lines():
-            print(line)
-        return 1
-    if args.multi is not None:
-        Lm = multi_current(L, _parse_multi(args.multi))
-    else:
-        Lm = takiff(L, args.m)
+    L, _ = _resolve_input(args.input)
+    base = validate(L)
+    if base.summary == FAIL:
+        return _emit_report(base, None)
+    Lm = multi_current(L, _degrees(args))
     algio.write_algebra_file(args.out, Lm)
     print(f"wrote {args.out} ({Lm.label}, dim {Lm.dim})")
     return 0
 
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
-    L, fs, flags = _resolve_input(args.input)
-    bad = _require_valid_base(L)
-    if bad is not None:
-        for line in bad.human_lines():
-            print(line)
-        return 1
+    L, fs = _resolve_input(args.input)
+    base = validate(L)
+    if base.summary == FAIL:
+        return _emit_report(base, None)
     if not fs.polys:
         raise InputError(f"'{args.input}' supplies no invariants to expand")
-    fam = build_family(L, args.m, fs)
+    fam = build_family(fs, args.m)
     payload = algio.family_to_dict(fam)
     if args.out:
         algio.dump_json(args.out, payload)
@@ -111,18 +102,13 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    L, fs, flags = _resolve_input(args.input)
-    if args.multi is not None:
-        rep = verify.verify_multi_current(L, fs, _parse_multi(args.multi),
-                                          trials=args.trials, seed=args.seed)
-    else:
-        rep = verify.verify_main_theorem(L, fs, args.m,
-                                         trials=args.trials, seed=args.seed)
+    L, fs = _resolve_input(args.input)
+    rep = verify.verify_multi_current(L, fs, _degrees(args), trials=args.trials, seed=args.seed)
     return _emit_report(rep, args.report)
 
 
 def _cmd_nilfiber(args: argparse.Namespace) -> int:
-    L, fs, flags = _resolve_input(args.input)
+    L, _ = _resolve_input(args.input)
     if not L.structure_equal(catalog.load("sl2").algebra):
         raise InputError("the null-fiber chain is implemented for sl2 only")
     if not 1 <= args.levels <= 3:

@@ -173,7 +173,7 @@ class LieAlgebra:
         return idx
 
     def structure_equal(self, other: "LieAlgebra") -> bool:
-        return self.basis == other.basis and self.brackets == other.brackets
+        return self is other or (self.basis == other.basis and self.brackets == other.brackets)
 
     def _int_plan(self) -> tuple[int, list[tuple[int, int, list[tuple[int, int]]]]]:
         """(D, [(i, j, [(k, D * c_ij^k), ...]), ...]): the brackets as integers over D."""

@@ -121,9 +121,8 @@ def skew_rank(rows: Matrix) -> int:
         (p A[k][l] + A[j][k] A[i][l] - A[i][k] A[j][l]) / prev,
 
     with prev the previous pivot (1 at the start), an exact division (see
-    the module docstring).  Elimination stops when the live block is zero;
-    a block of size 1 is zero, so a pivot that leaves at most 1 live index
-    ends it, and a nonzero matrix of size at most 3 has rank 2.
+    the module docstring).  Elimination stops when the live block is zero,
+    as a block of size 1 is; a nonzero matrix of size at most 3 has rank 2.
     """
     n = len(rows)
     if n <= 3:      # the bases sl2, heis1 and nilrad_sl3 are 3-dimensional
@@ -146,10 +145,7 @@ def skew_rank(rows: Matrix) -> int:
             r += 2
         degree = [len(nb) for nb in nbrs]
     order = sorted((k for k in range(n) if degree[k]), key=degree.__getitem__)
-    if order == list(range(n)):
-        up = [list(row[k + 1:]) for k, row in enumerate(rows)]
-    else:
-        up = [[rows[k][l] for l in order[a + 1:]] for a, k in enumerate(order)]
+    up = [[rows[k][l] for l in order[a + 1:]] for a, k in enumerate(order)]
     if not {type(x) for row in up for x in row} <= {int}:
         den = 1
         for row in up:
@@ -166,8 +162,6 @@ def skew_rank(rows: Matrix) -> int:
             s += 1
         if s == n:
             return r
-        if n - s <= 3:
-            return r + 2
         up = up[s:]
         row_i = up[0]
         j = next(l for l, x in enumerate(row_i) if x) + 1

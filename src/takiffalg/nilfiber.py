@@ -126,21 +126,20 @@ def check_N1_characterization(fam: InvariantFamily, seed: int = 0,
     # relation in the grade-0 variables makes F_i^1 = <(df_i)_{xi_1}, xi_0>.
     if fam.depth != 1:
         raise NilfiberError(f"N<1> needs a level-1 family, got depth {fam.depth}")
-    L = fam.base.algebra
-    rep = Report(label=f"nilfiber:{L.label}:N1")
+    rep = Report(label=f"nilfiber:{fam.base.algebra.label}:N1")
     rep.add(Check(name="null-fiber-characterization", status=PASS, paper_ref=_REF_N1,
                   witness={"mode": "derivative-identity"}))
-    rep.add(_lemma_bounds(L, fam, seed, cone))
+    rep.add(_lemma_bounds(fam, seed, cone))
     return rep
 
 
-def _lemma_bounds(L: LieAlgebra, fam: InvariantFamily, seed: int,
-                  cone: Callable[..., tuple] | None) -> Check:
+def _lemma_bounds(fam: InvariantFamily, seed: int, cone: Callable[..., tuple] | None) -> Check:
     # With the identity the family Jacobian is [[0, A], [A, B]], A = J_f(xi_1)
     # of rank i, so 2i <= J <= l+i everywhere; one point of N<1> is ranked.
     # The kernel of A gives both xi_0 and, by rank-nullity, i.  family_rank_at
     # ranks A first: at i = l it returns J = 2l with no member gradient, and
     # below l it ranks the members.
+    L = fam.base.algebra
     r = sampling.rng(seed, sampling.TAG_NULLFIBER, 2)
     xi1 = cone(r)[1] if cone is not None else _zero_point(L)
     kernel = _fiber_kernel(fam.base, xi1)
@@ -175,9 +174,8 @@ class StratumSample(NamedTuple):
     dim_audit: dict | None = None
 
 
-def equidim_diagnostic(L: LieAlgebra, fs: InvariantSet,
-                       strata_samples: Sequence[StratumSample]) -> Report:
-    """Per-stratum dimension estimates against the target 2(dim q - l).
+def equidim_diagnostic(fs: InvariantSet, strata_samples: Sequence[StratumSample]) -> Report:
+    """Per-stratum dimension estimates against the target 2(dim q - l), q = ``fs.algebra``.
 
     Each stratum contributes declared_dim + (dim q - stratum index); an
     estimate above the target is flagged as excess (the fiber map cannot be
@@ -191,6 +189,7 @@ def equidim_diagnostic(L: LieAlgebra, fs: InvariantSet,
         if s.name in seen:
             raise NilfiberError(f"two strata are named '{s.name}'")
         seen.add(s.name)
+    L = fs.algebra
     rep = Report(label=f"equidim:{L.label}")
     target = 2 * (L.dim - len(fs))
     totals: dict[str, int] = {}
@@ -268,28 +267,22 @@ def sl2_chain(levels: int = 3, seed: int = 0) -> Report:
     rep = Report(label=f"nilfiber:sl2:chain:{levels}")
 
     # one level-1 family serves the N<1> certificate and level 2
-    fam1 = build_family(L0, 1, fs0)
+    fam1 = build_family(fs0, 1)
     rep.extend_prefixed("n1:", check_N1_characterization(fam1, seed, cone.sample).checks)
 
     # level 1: strata of the sl2 null cone itself
     origin = StratumSample(name="origin", points=(_zero_point(L0),),
                            declared_dim=0, declared_index=0,
                            dim_audit={"construction": "single point"})
-    pts = []
-    audit_rank = 0
-    streams = sampling.streams(seed, sampling.TAG_STRATA, 1)
-    for t in range(_POINTS_PER_STRATUM):
-        r = streams(t)
-        vals, pt = cone.sample(r)
-        audit_rank = max(audit_rank, cone.jacobian_rank_at(vals))
-        pts.append(pt)
+    drawn, audit_rank = cone.audit(sampling.streams(seed, sampling.TAG_STRATA, 1),
+                                   _POINTS_PER_STRATUM)
     principal = StratumSample(
-        name="principal-nilpotent", points=tuple(pts),
+        name="principal-nilpotent", points=tuple(pt for _, pt in drawn),
         declared_dim=cone.declared_dim, declared_index=1,
         dim_audit={"construction": "cone parametrization",
                    "parameter_dim": cone.declared_dim,
                    "jacobian_rank": audit_rank})
-    rep.extend_prefixed("level1:", equidim_diagnostic(L0, fs0, [origin, principal]).checks)
+    rep.extend_prefixed("level1:", equidim_diagnostic(fs0, [origin, principal]).checks)
     if levels == 1:
         return rep
 
@@ -319,11 +312,11 @@ def sl2_chain(levels: int = 3, seed: int = 0) -> Report:
         name="degenerate", points=tuple(deg_pts), declared_dim=3, declared_index=1,
         dim_audit={"construction": "linear slice xi_1 = 0",
                    "parameter_dim": 3, "kernel_dim": 0})
-    rep.extend_prefixed("level2:", equidim_diagnostic(L1, fam1, [regular, degenerate]).checks)
+    rep.extend_prefixed("level2:", equidim_diagnostic(fam1, [regular, degenerate]).checks)
     if levels == 2:
         return rep
 
-    fam2 = build_family(L1, 1, fam1)
+    fam2 = build_family(fam1, 1)
     L2 = fam2.algebra
     casimir = fs0.polys[0]
     grade1 = L1.basis[L0.dim:]
@@ -350,5 +343,5 @@ def sl2_chain(levels: int = 3, seed: int = 0) -> Report:
         declared_dim=3 + kernel_dim, declared_index=3,
         dim_audit={"construction": "linear slice + exact kernel",
                    "parameter_dim": 3, "kernel_dim": kernel_dim})
-    rep.extend_prefixed("level3:", equidim_diagnostic(L2, fam2, [bad]).checks)
+    rep.extend_prefixed("level3:", equidim_diagnostic(fam2, [bad]).checks)
     return rep

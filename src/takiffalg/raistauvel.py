@@ -186,13 +186,11 @@ def _partials_at_grade(f: Polynomial, shift: int) -> list[dict]:
     return out
 
 
-def build_family(L: LieAlgebra, m: int, fs: InvariantSet) -> InvariantFamily:
-    """The expansion of ``fs`` on L<m>; a family as ``fs`` is not checked again."""
-    if not fs.algebra.structure_equal(L):
-        raise AlgebraError("invariant set belongs to a different algebra")
+def build_family(fs: InvariantSet, m: int) -> InvariantFamily:
+    """The expansion of ``fs`` on ``fs.algebra``<m>; a family as ``fs`` is not checked again."""
     if not fs.polys:
         raise AlgebraError("cannot expand an empty invariant set")
-    Lm = takiff(L, m)
+    Lm = takiff(fs.algebra, m)
     jets = [_expand(f, m, Lm.basis) for f in fs.polys]
     return InvariantFamily(algebra=Lm, base=fs,
                            polys=tuple(F[j] for j in range(m + 1) for F in jets))

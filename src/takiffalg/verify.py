@@ -205,7 +205,7 @@ def _verify_step(L: LieAlgebra, fs: InvariantSet, m: int, trials: int,
         raise ValueError(f"the transfer checks need at least one sample, got {transfer_samples}")
     if not fs.algebra.structure_equal(L):
         raise liealg.AlgebraError("invariant set belongs to a different algebra")
-    fam = raistauvel.build_family(L, m, fs) if len(fs) else None
+    fam = raistauvel.build_family(fs, m) if len(fs) else None
     Lm = fam.algebra if fam is not None else takiff(L, m)
     rep = Report(label=f"verify:{L.label}<{m}>")
 
@@ -320,11 +320,11 @@ def _regularity_transfer_check(L: LieAlgebra, Lm: LieAlgebra,
                                samples: int, seed: int) -> Check:
     """Sampled agreement of "xi regular in L<m>*" with "xi_m regular in L*".
 
-    Sample t mixes random components drawn from the stream ``sampling.rng(seed,
-    TAG_REGULARITY, t)``, with the top one zero for odd t.  The top is drawn
-    last, so an odd sample draws components 0..m-1 only, and they are the
-    ones a full draw gives.  ``fam`` is the step's family when it holds the
-    step certificate, else None; it feeds `raistauvel.block_triangle_rank`
+    Sample t draws its m+1 components from the stream ``sampling.rng(seed,
+    TAG_REGULARITY, t)`` and zeroes the top for odd t; the top is drawn
+    last, so the lower components are the ones a draw of 0..m-1 alone
+    gives.  ``fam`` is the step's family when it holds the step
+    certificate, else None; it feeds `raistauvel.block_triangle_rank`
     and `_zero_top_rank_bound`.  rank K(xi_m) is taken once per sample, by
     ``fam.base.kirillov_rank_at`` (through L's commuting half where it has
     one) when there is a family, else from the Kirillov matrix of L, and a
@@ -349,11 +349,9 @@ def _regularity_transfer_check(L: LieAlgebra, Lm: LieAlgebra,
     for t in range(samples):
         if t % 2 and zero_tops_agree:
             continue
-        r = streams(t)
+        comps = sampling.random_components(L.basis, m, streams(t))
         if t % 2:
-            comps = sampling.random_components(L.basis, m - 1, r) + [dict.fromkeys(L.basis, 0)]
-        else:
-            comps = sampling.random_components(L.basis, m, r)
+            comps[m] = dict.fromkeys(L.basis, 0)
         top = comps[m]
         top_rank = base.kirillov_rank_at(top) if any(top.values()) else 0
         top_regular = top_rank == regular_base
@@ -421,21 +419,21 @@ def verify_multi_current(L: LieAlgebra, fs: InvariantSet, degrees,
     return rep
 
 
-def wonderful_diagnostic(L: LieAlgebra, fs: InvariantSet,
-                         trials: int = liealg.DEFAULT_TRIALS, seed: int = 0) -> Report:
+def wonderful_diagnostic(L: LieAlgebra, fs: InvariantSet, seed: int = 0) -> Report:
     """Count and degree-sum criteria for a wonderful algebra; diagnostic only.
 
     A failed degree-sum criterion with sum < b(q) refutes the codimension-2
     property (under codim-2 the degree sum of basic invariants is at least
     b(q)); the diagnostic never claims that any codimension property holds.
-    When ``fs`` has no invariance defect and an Omega point, `liealg.index`
-    takes it as its certified set, as `verify` does: the estimate is the same.
+    The index takes `liealg.DEFAULT_TRIALS` trials; when ``fs`` has no
+    invariance defect and an Omega point, `liealg.index` takes it as its
+    certified set, as `verify` does: the estimate is the same.
     """
     if not fs.algebra.structure_equal(L):
         raise liealg.AlgebraError("invariant set belongs to a different algebra")
     rep = Report(label=f"wonderful:{L.label}")
     certified = fs.first_defect() is None and fs.omega_point(seed) is not None
-    idx = liealg.index(L, trials=trials, seed=seed, certified=fs if certified else None)
+    idx = liealg.index(L, seed=seed, certified=fs if certified else None)
     rep.add(Check(name="invariant-count-vs-index",
                   status=PASS if len(fs) == idx else FAIL,
                   paper_ref="a full basic system has ind q members",

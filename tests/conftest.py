@@ -38,7 +38,7 @@ def heis2():
 @pytest.fixture(scope="session")
 def sl2_family_m1(sl2):
     from takiffalg.raistauvel import build_family
-    return build_family(sl2.algebra, 1, sl2.invariants)
+    return build_family(sl2.invariants, 1)
 
 
 # A linear subspace of the base null fiber N for each algebra that has no

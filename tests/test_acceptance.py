@@ -40,7 +40,7 @@ def families():
     out = {}
     for name, m in SYMBOLIC_FAMILIES:
         entry = catalog.load(name)
-        out[(name, m)] = build_family(entry.algebra, m, entry.invariants)
+        out[(name, m)] = build_family(entry.invariants, m)
     return out
 
 
@@ -53,7 +53,7 @@ def base_indices():
 @pytest.fixture(scope="module")
 def n1_report(sl2):
     cone = sl2.parametrizations["nilcone"]
-    return check_N1_characterization(build_family(sl2.algebra, 1, sl2.invariants),
+    return check_N1_characterization(build_family(sl2.invariants, 1),
                                      seed=0, cone=cone.sample)
 
 
@@ -81,7 +81,7 @@ def test_criterion_2_symbolic_invariance():
     ok = True
     for name, m in SYMBOLIC_FAMILIES:
         entry = catalog.load(name)
-        fam = build_family(entry.algebra, m, entry.invariants)
+        fam = build_family(entry.invariants, m)
         Lm = fam.algebra
         for _, _, F in fam.members():
             if invariance_defect(Lm, F) is not None:
@@ -128,7 +128,7 @@ def test_criterion_4_omega_transfer():
     total = 0
     for pair_id, (name, m) in enumerate(INDEX_PAIRS):
         entry = catalog.load(name)
-        fam = build_family(entry.algebra, m, entry.invariants)
+        fam = build_family(entry.invariants, m)
         want = (m + 1) * fam.l
         for comps in _transfer_points(entry.algebra, m, sampling.TAG_OMEGA, pair_id):
             total += 1
@@ -224,7 +224,7 @@ def test_criterion_9_lemma_bounds(sl2_family_m1, n1_report, n1_points, sl2):
 
 def test_criterion_10_determinism(sl2, n1_report, chain_report):
     cone = sl2.parametrizations["nilcone"]
-    rerun_n1 = check_N1_characterization(build_family(sl2.algebra, 1, sl2.invariants),
+    rerun_n1 = check_N1_characterization(build_family(sl2.invariants, 1),
                                          seed=0, cone=cone.sample)
     rerun_chain = sl2_chain(levels=3, seed=0)
     verify_a = verify_main_theorem(sl2.algebra, sl2.invariants, 2, seed=0)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -15,7 +16,7 @@ import pytest
 import takiffalg
 from takiffalg import algio, catalog, raistauvel
 from takiffalg.cli import main
-from takiffalg.liealg import AlgebraFormatError
+from takiffalg.liealg import AlgebraFormatError, validate
 from takiffalg.polyring import jet_substitute
 from takiffalg.takiff import multi_current, takiff
 
@@ -85,6 +86,35 @@ class TestInvariants:
 
     def test_entry_without_invariants_is_an_input_error(self):
         assert main(["invariants", "--m", "1", "affine2"]) == 2
+
+    def test_broken_jacobi_prints_the_validation_and_exits_one(self, tmp_path, capsys):
+        # the base is validated before anything else, and its report printed
+        src, out = tmp_path / "bad.json", tmp_path / "fam.json"
+        src.write_text(json.dumps(BAD_JACOBI))
+        assert main(["invariants", "--m", "1", str(src), "--out", str(out)]) == 1
+        want = validate(algio.load_algebra_file(src)[0]).human_lines()
+        assert _without_ms(capsys.readouterr().out) == _without_ms("\n".join(want) + "\n")
+        assert "[FAIL] jacobi" in want[1] and not out.exists()
+
+
+def _without_ms(text):
+    return re.sub(r"\(\d+\.\d ms\)", "(ms)", text)
+
+
+class TestOneDepthOnePath:
+    @pytest.mark.parametrize("name", catalog.NAMES)
+    def test_m_and_a_one_degree_multi_write_the_same_bytes(self, tmp_path, capsys, name):
+        # `--m M` is `--multi M`: the same build file, verify report and output
+        built, report = tmp_path / "built.json", tmp_path / "report.json"
+        for m in ("1", "2"):
+            runs = []
+            for flag in ("--m", "--multi"):
+                codes = (main(["build", flag, m, name, "--out", str(built)]),
+                         main(["verify", flag, m, name, "--report", str(report)]))
+                runs.append((codes, built.read_bytes(), report.read_bytes(),
+                             _without_ms(capsys.readouterr().out)))
+            assert runs[0] == runs[1]
+            assert runs[0][0] == (0, 0)
 
 
 class TestVerify:

@@ -177,7 +177,7 @@ class TestIntegerResults:
     def test_gradients_and_kirillov_matrices_are_int(self, name):
         entry = catalog.load(name)
         L, fs = entry.algebra, entry.invariants
-        fam = build_family(L, 2, fs)
+        fam = build_family(fs, 2)
         for t in range(3):
             r = sampling.rng(5, 99, t)
             pt = sampling.random_coords(L.basis, r)
@@ -200,7 +200,7 @@ def _invariant_polys(name: str, m: int) -> tuple[Polynomial, ...]:
     entry = catalog.load(name)
     if m == 0:
         return entry.invariants.polys
-    return build_family(entry.algebra, m, entry.invariants).polys
+    return build_family(entry.invariants, m).polys
 
 
 _DIFFERENTIAL_CASES = [(name, m) for name in ("sl2", "heis1", "sl3", "slnV2")

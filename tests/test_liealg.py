@@ -203,7 +203,7 @@ def _takiff_with_certified(name: str, m: int):
     entry = catalog.load(name)
     if not len(entry.invariants):
         return takiff(entry.algebra, m), None
-    fam = raistauvel.build_family(entry.algebra, m, entry.invariants)
+    fam = raistauvel.build_family(entry.invariants, m)
     assert oracle_identity_defect(fam) is None
     return fam.algebra, fam
 
@@ -247,7 +247,7 @@ class TestParityStop:
     def test_a_set_over_another_algebra_is_refused(self, sl2, sl3):
         with pytest.raises(AlgebraError, match="belong to sl2, not sl3"):
             index(sl3.algebra, certified=sl2.invariants)
-        fam = raistauvel.build_family(sl2.algebra, 1, sl2.invariants)
+        fam = raistauvel.build_family(sl2.invariants, 1)
         with pytest.raises(AlgebraError):
             index(sl2.algebra, certified=fam)
 

@@ -76,7 +76,7 @@ WITH_INVARIANTS = [name for name in catalog.NAMES if catalog.load(name).invarian
 @lru_cache(maxsize=None)
 def _family(name):
     entry = catalog.load(name)
-    return build_family(entry.algebra, 1, entry.invariants)
+    return build_family(entry.invariants, 1)
 
 
 def _bounds_at(fam, xi0, xi1):
@@ -159,13 +159,13 @@ class TestCharacterization:
         # the dual everywhere, so the fiber over xi_1 = 0 is the origin alone
         L = LieAlgebra.create("ab2", ("x", "y"), {})
         fs = InvariantSet(algebra=L, polys=(parse_poly("x", L.basis), parse_poly("y", L.basis)))
-        rep = check_N1_characterization(build_family(L, 1, fs))
+        rep = check_N1_characterization(build_family(fs, 1))
         assert rep.summary == PASS
         (bounds,) = [c for c in rep.checks if c.name == "lemma-bounds"]
         assert (bounds.witness["i"], bounds.witness["J"]) == (2, 4)
 
     def test_a_deeper_family_is_refused(self, sl2):
-        fam = build_family(sl2.algebra, 2, sl2.invariants)
+        fam = build_family(sl2.invariants, 2)
         with pytest.raises(NilfiberError, match="N<1> needs a level-1 family, got depth 2"):
             check_N1_characterization(fam)
 
@@ -282,7 +282,7 @@ class TestEquidim:
         L, fs = sl2.algebra, sl2.invariants
         wrong = StratumSample(name="claimed-regular", points=(_pt(L),),
                               declared_dim=0, declared_index=1)
-        rep = equidim_diagnostic(L, fs, [wrong])
+        rep = equidim_diagnostic(fs, [wrong])
         (check,) = [c for c in rep.checks if c.name == "stratum:claimed-regular"]
         assert check.status == FAIL
         assert check.witness["computed"] == 0
@@ -294,7 +294,7 @@ class TestEquidim:
         regular = StratumSample(name="principal",
                                 points=(_pt(L, e=1), _pt(L, f=-3), _pt(L, e=2, h=2, f=-1)),
                                 declared_dim=2, declared_index=1)
-        rep = equidim_diagnostic(L, fs, [origin, regular])
+        rep = equidim_diagnostic(fs, [origin, regular])
         (verdict,) = [c for c in rep.checks if c.name == "equidim-verdict"]
         w = verdict.witness
         assert w["target"] == 4
@@ -322,7 +322,7 @@ class TestEquidim:
         ranked = []
         monkeypatch.setattr(nilfiber, "stratum_index", lambda *a: ranked.append(a))
         with pytest.raises(NilfiberError, match="'s'"):
-            equidim_diagnostic(L, fs, [origin, regular])
+            equidim_diagnostic(fs, [origin, regular])
         assert ranked == []
 
 

@@ -132,6 +132,42 @@ def test_verify_asks_the_set_for_its_certificate():
             and node.func.id == "isinstance" and "InvariantFamily" in ast.unparse(node)] == []
 
 
+def test_the_algebra_is_read_off_the_invariant_set():
+    # a family depends on the basic invariants and the depth alone, so no
+    # caller passes the algebra beside the set; the diagnostics take their
+    # trials from `liealg.DEFAULT_TRIALS`, since no caller set another count
+    from takiffalg import raistauvel
+    params = {fn.__name__: list(inspect.signature(fn).parameters) for fn in (
+        raistauvel.build_family, nilfiber.equidim_diagnostic, nilfiber._lemma_bounds,
+        catalog.self_test, verify.wonderful_diagnostic)}
+    assert params == {"build_family": ["fs", "m"],
+                      "equidim_diagnostic": ["fs", "strata_samples"],
+                      "_lemma_bounds": ["fam", "seed", "cone"],
+                      "self_test": ["entry", "seed"],
+                      "wonderful_diagnostic": ["L", "fs", "seed"]}
+
+
+def test_takiff_names_the_module():
+    # the package does not re-export the function `takiff`, so the module
+    # and its `MAX_TAKIFF_SIZE` are reached by their dotted name
+    import takiffalg.takiff as module
+    assert module is sys.modules["takiffalg.takiff"] is takiffalg.takiff
+    assert isinstance(module, types.ModuleType) and callable(module.takiff)
+    assert "takiff" not in takiffalg.__all__
+
+
+def test_each_cli_command_has_one_path():
+    # `--m M` is `--multi M`: `build` goes through `multi_current` and
+    # `verify` through `verify_multi_current`, and a failed base through the
+    # report printer
+    tree = ast.parse((SRC / "takiffalg" / "cli.py").read_text())
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | \
+        {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)} | \
+        {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert {"multi_current", "verify_multi_current", "_emit_report"} <= names
+    assert names & {"takiff", "verify_main_theorem", "_require_valid_base"} == set()
+
+
 def test_the_expansion_enumerates_grade_shifts():
     # the benchmark traces `polyring.jet_substitute` by name; it takes one
     # distinct target index per grade shift, so nothing merges and no power

@@ -45,7 +45,7 @@ def _dual_number_mismatches(name, *degrees) -> list:
     """
     fam = catalog.load(name).invariants
     for m in degrees:
-        fam = build_family(fam.algebra, m, fam)
+        fam = build_family(fam, m)
     base, Lm = fam.base, fam.algebra
     L = base.algebra
     mismatches = []
@@ -92,29 +92,28 @@ class TestExpansion:
         assert str(fam.member(1, 1)) == "4*f@0*e@1 + 2*h@0*h@1 + 4*e@0*f@1"
 
     def test_heisenberg_centre_expands_to_coordinates(self, heis1):
-        comps = build_family(heis1.algebra, 2, heis1.invariants).polys
+        comps = build_family(heis1.invariants, 2).polys
         vs = graded_varset(heis1.algebra, 2)
         assert comps == (parse_poly("z@2", vs), parse_poly("z@1", vs),
                          parse_poly("z@0", vs))
 
-    def test_rejects_inhomogeneous_and_foreign(self, sl2, heis1):
+    def test_rejects_inhomogeneous_and_foreign(self, sl2):
         # an inhomogeneous polynomial never reaches the expansion: the
-        # invariant set refuses it
+        # invariant set refuses it; a set of another algebra cannot be
+        # written, as the family is built on the set's own algebra
         with pytest.raises(HomogeneityError):
             InvariantSet(algebra=sl2.algebra,
                          polys=(parse_poly("h^2 + e", sl2.algebra.basis),))
-        with pytest.raises(AlgebraError):
-            build_family(sl2.algebra, 1, heis1.invariants)
 
     def test_member_ordering_is_eps_power_major(self, sl3):
-        fam = build_family(sl3.algebra, 1, sl3.invariants)
+        fam = build_family(sl3.invariants, 1)
         order = [(i, j) for i, j, _ in fam.members()]
         assert order == [(1, 0), (2, 0), (1, 1), (2, 1)]
         assert fam.l == 2 and fam.depth == 1
 
     def test_triangularity_and_degrees(self, sl3):
         m = 1
-        fam = build_family(sl3.algebra, m, sl3.invariants)
+        fam = build_family(sl3.invariants, m)
         for i, j, F in fam.members():
             assert F.degree() == fam.base.polys[i - 1].degree()
             assert F.is_homogeneous()
@@ -216,13 +215,13 @@ class TestFamilyValidation:
             InvariantFamily(algebra=takiff(sl3.algebra, 1), polys=fam.polys, base=fam.base)
 
     def test_a_family_is_the_invariant_set_of_its_truncation(self, sl3):
-        fam = build_family(sl3.algebra, 2, sl3.invariants)
+        fam = build_family(sl3.invariants, 2)
         assert isinstance(fam, InvariantSet)
         assert len(fam) == 6 and fam.algebra.label == "sl3<2>"
         assert fam.polys == tuple(F for _, _, F in fam.members())
         assert [fam.member(i, j) for i, j, _ in fam.members()] == list(fam.polys)
         assert fam.polys[:2] == tuple(
-            build_family(sl3.algebra, 2, InvariantSet(algebra=sl3.algebra, polys=(f,))).polys[0]
+            build_family(InvariantSet(algebra=sl3.algebra, polys=(f,)), 2).polys[0]
             for f in sl3.invariants.polys)
 
     def test_triangularity_is_enforced(self, sl2, sl2_family_m1):
@@ -298,7 +297,7 @@ class TestDifferentials:
         assert family_rank_at(fam, flatten_point(fam.algebra, [xi0, zero])) < 2
 
     def test_sl3_depth2_full_rank_at_seeded_points(self, sl3):
-        fam = build_family(sl3.algebra, 2, sl3.invariants)
+        fam = build_family(sl3.invariants, 2)
         for trial in range(5):
             r = sampling.rng(13, 43, trial)
             comps = sampling.random_components(sl3.algebra.basis, 2, r, bound=20)
@@ -326,12 +325,10 @@ NILCONE_SUPPORT = {
 
 @lru_cache(maxsize=None)
 def block_family(name, degrees):
-    entry = catalog.load(name)
-    L, fs = entry.algebra, entry.invariants
-    for m in degrees[:-1]:
-        fs = build_family(L, m, fs)
-        L = fs.algebra
-    return build_family(L, degrees[-1], fs)
+    fs = catalog.load(name).invariants
+    for m in degrees:
+        fs = build_family(fs, m)
+    return fs
 
 
 class TestBlockTriangularity:
@@ -398,7 +395,7 @@ class TestBlockTriangularity:
         # no Omega point, certifies nothing and ranks every matrix
         C2, C3 = sl3.invariants.polys
         fs = InvariantSet(algebra=sl3.algebra, polys=(C2, C3, C2 * C2, C2 * C3))
-        fam = build_family(sl3.algebra, m, fs)
+        fam = build_family(fs, m)
         comps = sampling.random_components(sl3.algebra.basis, m, sampling.rng(13, 53))
         comps[m] = {b: int(b == "e12") for b in sl3.algebra.basis}
         assert kirillov_rank_at(sl3.algebra, comps[m]) == sl3.algebra.dim - fam.l
@@ -446,7 +443,7 @@ def fresh_chain(name, degrees):
     """The families of every level, built anew, so no member has a gradient plan."""
     fs, chain = catalog.load(name).invariants, []
     for m in degrees:
-        fs = build_family(fs.algebra, m, fs)
+        fs = build_family(fs, m)
         chain.append(fs)
     return chain
 

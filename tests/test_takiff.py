@@ -1,11 +1,11 @@
 from __future__ import annotations
 
-import importlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+import takiffalg.takiff
 from takiffalg import algio, catalog, sampling
 from takiffalg.liealg import AlgebraError, AlgebraFormatError, InvariantSet, LieAlgebra, validate
 from takiffalg.polyring import Polynomial, parse_poly
@@ -59,9 +59,7 @@ class TestConstruction:
     def test_the_size_cap_counts_names_and_bracket_entries(self, monkeypatch, sl2):
         # sl2<3> has 3 * 4 names and 3 * 4 * 5 / 2 bracket entries; an
         # abelian algebra has names alone
-        # the package exports the function `takiff` under the module's name
-        module = importlib.import_module("takiffalg.takiff")
-        monkeypatch.setattr(module, "MAX_TAKIFF_SIZE", 12 + 30)
+        monkeypatch.setattr(takiffalg.takiff, "MAX_TAKIFF_SIZE", 12 + 30)
         assert len(takiff(sl2.algebra, 3).brackets) == 30
         with pytest.raises(AlgebraError, match=r"sl2<4> would have 15 basis names and 45 "):
             takiff(sl2.algebra, 4)
@@ -256,7 +254,7 @@ class TestInvarianceTransfer:
 
 def _expansion(L, m, f):
     """[F^0, ..., F^m]: the family of the one polynomial f, invariant or not."""
-    return build_family(L, m, InvariantSet(algebra=L, polys=(f,))).polys
+    return build_family(InvariantSet(algebra=L, polys=(f,)), m).polys
 
 
 def _assert_expansion_brackets(L, f, m):

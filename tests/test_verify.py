@@ -129,7 +129,7 @@ class TestMainTheorem:
     def test_degree_sum_is_the_oracle_sum_over_the_members(self, name, m):
         entry = catalog.load(name)
         rep = verify_main_theorem(entry.algebra, entry.invariants, m, transfer_samples=1)
-        fam = build_family(entry.algebra, m, entry.invariants)
+        fam = build_family(entry.invariants, m)
         witness = _by_name(rep, "degree-sum").witness
         assert witness["family_degree_sum"] == family_degree_sum(fam)
         assert witness["base_degree_sum"] == sum(entry.invariants.degrees())
@@ -367,7 +367,7 @@ class TestBracketOracle:
     @pytest.mark.parametrize("name,m", [("sl3", 4), ("slnV3", 2)])
     def test_oracle_agrees_with_symbolic_pass(self, name, m):
         entry = catalog.load(name)
-        fam = build_family(entry.algebra, m, entry.invariants)
+        fam = build_family(entry.invariants, m)
         Lm = fam.algebra
         members = [F for _, _, F in fam.members()]
         assert all(bracket_defect_against(Lm, F, range(Lm.dim)) is None
@@ -383,7 +383,7 @@ class TestBracketOracle:
         rep = verify_main_theorem(sl2.algebra, bad, 5, transfer_samples=5)
         check = _by_name(rep, "invariance")
         assert check.status == FAIL
-        fam = build_family(sl2.algebra, 5, bad)
+        fam = build_family(bad, 5)
         Lm = fam.algebra
         F = fam.member(*check.witness["member"])
         t = Lm.index_of(check.witness["basis_element"])
@@ -511,7 +511,7 @@ class TestInvarianceCertificate:
         fs = InvariantSet(algebra=L, polys=tuple(polys))
         rep = verify_main_theorem(L, fs, m, transfer_samples=1)
         check = _by_name(rep, "invariance")
-        fam = build_family(L, m, fs)
+        fam = build_family(fs, m)
         Lm = fam.algebra
         failing = [[i, j] for i, j, F in fam.members() if invariance_defect(Lm, F)]
         assert check.status == (FAIL if failing else PASS)
@@ -537,7 +537,7 @@ class TestInvarianceCertificate:
         assume(polys[i].terms)
         fs = InvariantSet(algebra=L, polys=tuple(polys))
         check = _by_name(verify_main_theorem(L, fs, m, transfer_samples=1), "ideal-invariants")
-        fam = build_family(L, m, fs)
+        fam = build_family(fs, m)
         Lm = fam.algebra
         ideal = [Lm.index_of(b) for b in Lm.basis[L.dim:]]
         generators = [(b, Polynomial.variable(Lm.basis, b)) for b in Lm.basis[m * L.dim:]]
@@ -641,7 +641,7 @@ class TestInvarianceCertificate:
         fs = InvariantSet(algebra=sl3.algebra, polys=(C2, bad))
         chain = [fs]
         for m in degrees:
-            chain.append(build_family(chain[-1].algebra, m, chain[-1]))
+            chain.append(build_family(chain[-1], m))
         found = [level.first_defect() for level in chain]
         assert found == [_bracket_every_member(level) for level in chain]
         assert [i for i, _ in found] == [2] * len(chain)
@@ -669,7 +669,7 @@ def _tower(name, extra, degrees) -> list:
     polys = entry.invariants.polys + ((parse_poly(extra, L.basis),) if extra else ())
     chain = [InvariantSet(algebra=L, polys=polys)]
     for m in degrees:
-        chain.append(build_family(chain[-1].algebra, m, chain[-1]))
+        chain.append(build_family(chain[-1], m))
     return chain
 
 
@@ -708,7 +708,7 @@ class TestTheSetsCertificate:
         (C,) = sl2.invariants.polys
         fs = InvariantSet(algebra=sl2.algebra, polys=(C, C * C))
         if depth:
-            fs = build_family(sl2.algebra, depth, fs)
+            fs = build_family(fs, depth)
         real, drawn = sampling.random_coords, []
         monkeypatch.setattr(sampling, "random_coords",
                             lambda names, r: drawn.append(names) or real(names, r))
@@ -947,7 +947,7 @@ class TestZeroTopBoundFallback:
         fs = InvariantSet(algebra=L, polys={"none": (), "dependent": (C, C * C),
                                             "non-invariant": (D,)}[case])
         if case == "non-invariant":
-            assert oracle_identity_defect(build_family(L, 2, fs)) is None
+            assert oracle_identity_defect(build_family(fs, 2)) is None
         rep, built = _kirillov_matrices(monkeypatch, L, fs, 2)
         assert _by_name(rep, failed).status == (SKIPPED if case == "none" else FAIL)
         assert _zero_tops(built) == [9] * 10
@@ -1072,7 +1072,7 @@ class TestOmegaCertificates:
     @pytest.mark.parametrize("m", [1, 2])
     def test_full_family_rank_iff_the_top_is_in_omega(self, sl3, m, top, in_omega):
         L, fs = sl3.algebra, sl3.invariants
-        fam = build_family(L, m, fs)
+        fam = build_family(fs, m)
         Lm = fam.algebra
         comps = sampling.random_components(L.basis, m, sampling.rng(m, sampling.TAG_OMEGA),
                                            bound=60)
@@ -1111,7 +1111,7 @@ class TestZeroTopOnce:
         # more than ind L<2> no L<2> point reads regular: sample 0 agrees, and
         # the zero top of sample 1 is the first disagreement, (False, True)
         L = sl3.algebra
-        fam = build_family(L, 2, sl3.invariants)
+        fam = build_family(sl3.invariants, 2)
         Lm = fam.algebra
         args = (L, Lm, fam if certified else None, L.dim, liealg.index(Lm) + 1, 20, 0)
         check = verify._regularity_transfer_check(*args)
