@@ -84,8 +84,12 @@ def algebra_to_dict(L: LieAlgebra, invariants: InvariantSet | None = None,
     return out
 
 
-def algebra_from_dict(d: Mapping) -> tuple[LieAlgebra, InvariantSet, dict]:
-    """Parse an algebra file; raises AlgebraFormatError on malformed data."""
+def algebra_from_dict(d: Mapping) -> tuple[LieAlgebra, InvariantSet]:
+    """Parse an algebra file; raises AlgebraFormatError on malformed data.
+
+    ``flags`` is informational: a value that is not an object is refused,
+    and the flags are not returned.
+    """
     try:
         label = d["label"]
         basis = d["basis"]
@@ -133,13 +137,11 @@ def algebra_from_dict(d: Mapping) -> tuple[LieAlgebra, InvariantSet, dict]:
     if not isinstance(invariants, list) or \
             not all(isinstance(s, str) for s in invariants):
         raise AlgebraFormatError("'invariants' must be a list of polynomial strings")
-    flags = d.get("flags", {})
-    if not isinstance(flags, dict):
+    if not isinstance(d.get("flags", {}), dict):
         raise AlgebraFormatError("'flags' must be an object")
     L = LieAlgebra.create(label, basis, entries, grading=grading)
     polys = tuple(parse_poly(s, L.basis) for s in invariants)
-    fs = InvariantSet(algebra=L, polys=polys)
-    return L, fs, dict(flags)
+    return L, InvariantSet(algebra=L, polys=polys)
 
 
 def family_to_dict(fam: InvariantFamily) -> dict:
@@ -163,7 +165,7 @@ def dump_json(path: str | Path, payload: dict) -> None:
                           encoding="utf-8")
 
 
-def load_algebra_file(path: str | Path) -> tuple[LieAlgebra, InvariantSet, dict]:
+def load_algebra_file(path: str | Path) -> tuple[LieAlgebra, InvariantSet]:
     try:
         d = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as e:  # bad JSON, bad UTF-8, an integer past the digit limit

@@ -44,7 +44,7 @@ def _resolve_input(source: str) -> tuple[LieAlgebra, InvariantSet]:
         entry = catalog.load(source)
         return entry.algebra, entry.invariants
     if Path(source).is_file():
-        return algio.load_algebra_file(source)[:2]
+        return algio.load_algebra_file(source)
     raise InputError(
         f"'{source}' is neither a catalog name ({', '.join(catalog.NAMES)}) "
         "nor an existing file")

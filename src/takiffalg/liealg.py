@@ -7,11 +7,13 @@ index estimate, the magic number (dim + ind)/2 of a known index, the Poisson
 bracket of a polynomial with basis elements, the invariance test, and
 differentials of polynomial functions at points of the dual space.
 
-Points of the dual space are plain ``{basis_name: int | Fraction}`` mappings
-that assign every basis name exactly once.  All operations are pure functions
-on immutable data.  Numeric work (Kirillov matrices, the Jacobi check) runs on
-an integer copy of the structure constants over one common denominator,
-built on first use and kept on the algebra, and so does the symbolic Poisson
+A point of the dual space is a plain ``{basis_name: int | Fraction}``
+mapping that assigns every basis name exactly once, or its coordinate list:
+dim values in basis order (`check_point` accepts either and returns the
+list).  All operations are pure functions on immutable data.  Numeric work
+(Kirillov matrices, the Jacobi check) runs on an integer copy of the
+structure constants over one common denominator, built on first use and
+kept on the algebra, and so does the symbolic Poisson
 bracket {f, b_t}: it walks f's terms, cleared to integers over one
 denominator, against a per-target adjacency of that integer table.
 
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from . import linalg, sampling
 from .polyring import (
@@ -69,7 +71,8 @@ __all__ = [
 BracketTable = dict[tuple[int, int], dict[int, Fraction]]
 # t -> {i: [(k, D * c), ...]} with [b_i, b_t] = sum_k c b_k, over the plan's D
 Adjacency = dict[int, dict[int, list[tuple[int, int]]]]
-DualPoint = Mapping[str, Scalar]
+# a mapping over the basis names, or the coordinate list in basis order
+DualPoint = Mapping[str, Scalar] | Sequence[Scalar]
 
 class AlgebraError(Exception):
     """Base error for the Lie-algebra layer."""
@@ -95,28 +98,51 @@ class LieAlgebra:
     is attached by the truncated-current constructor and is None for plain
     algebras.  Equal algebras have equal fields; the caches ``_vidx``,
     ``_plan``, ``_adj`` and ``_split`` are not compared.
+
+    The table may be deferred: ``brackets`` is then a function that builds
+    it, called on the first read of ``brackets`` and kept, and ``entries``
+    is the number of entries it will hold, so `bracket_count` needs no
+    table.  `takiff.takiff` defers its table this way.
     """
 
     # The package's records are slot classes and NamedTuples because the
     # standard library's record decorator, with the inspect module it loads,
     # costs about 60 % of `import takiffalg` (README, "Start-up").
-    __slots__ = ("label", "basis", "brackets", "grading", "_vidx", "_plan", "_adj",
-                 "_split")
+    __slots__ = ("label", "basis", "grading", "_brackets", "_build", "_entries", "_vidx",
+                 "_plan", "_adj", "_split")
 
-    def __init__(self, label: str, basis: tuple[str, ...], brackets: BracketTable,
-                 grading: object | None = None):
+    def __init__(self, label: str, basis: tuple[str, ...],
+                 brackets: BracketTable | Callable[[], BracketTable],
+                 grading: object | None = None, entries: int | None = None):
         vidx = {b: i for i, b in enumerate(basis)}
         if len(vidx) != len(basis):
             raise AlgebraFormatError("basis names must be distinct")
+        deferred = callable(brackets)
+        if deferred and entries is None:
+            raise ValueError("a deferred bracket table needs its entry count")
         init = object.__setattr__
         init(self, "label", label)
         init(self, "basis", basis)
-        init(self, "brackets", brackets)
+        init(self, "_brackets", None if deferred else brackets)
+        init(self, "_build", brackets if deferred else None)
+        init(self, "_entries", entries if deferred else len(brackets))
         init(self, "grading", grading)
         init(self, "_vidx", vidx)
         init(self, "_plan", None)
         init(self, "_adj", None)
         init(self, "_split", None)
+
+    @property
+    def brackets(self) -> BracketTable:
+        if self._brackets is None:
+            object.__setattr__(self, "_brackets", self._build())
+            object.__setattr__(self, "_build", None)
+        return self._brackets
+
+    @property
+    def bracket_count(self) -> int:
+        """The number of entries of ``brackets``, read without building a deferred table."""
+        return self._entries
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field '{name}'")
@@ -221,18 +247,26 @@ class LieAlgebra:
 
 
 def check_point(L: LieAlgebra, point: DualPoint) -> list[Scalar]:
-    """Validate a dual point (exactly the basis names) and return its coordinate vector.
+    """Validate a dual point and return its coordinate vector in basis order.
 
-    Coordinates pass through `exact_scalars`: integral ones come back as `int`,
-    others as `Fraction`, and a float or any other type raises TypeError.
+    The point is a mapping that assigns every basis name exactly once, or its
+    coordinate list, dim values in basis order; anything else raises
+    MissingAssignmentError.  Coordinates pass through `exact_scalars`:
+    integral ones come back as `int`, others as `Fraction`, and a float or
+    any other type raises TypeError.  A list of `int`s comes back as it is.
     """
-    if set(point.keys()) != set(L.basis):
-        missing = set(L.basis) - set(point.keys())
-        extra = set(point.keys()) - set(L.basis)
-        raise MissingAssignmentError(
-            f"dual point must assign every basis name exactly once "
-            f"(missing {sorted(missing)}, unexpected {sorted(extra)})")
-    return exact_scalars([point[b] for b in L.basis])
+    if isinstance(point, Mapping):
+        if point.keys() != L._vidx.keys():
+            missing = set(L.basis) - set(point.keys())
+            extra = set(point.keys()) - set(L.basis)
+            raise MissingAssignmentError(
+                f"dual point must assign every basis name exactly once "
+                f"(missing {sorted(missing)}, unexpected {sorted(extra)})")
+        return exact_scalars([point[b] for b in L.basis])
+    if len(point) != L.dim:
+        raise MissingAssignmentError(f"a coordinate list on {L.label} must have {L.dim} "
+                                     f"entries, got {len(point)}")
+    return exact_scalars(point)
 
 
 def validate(L: LieAlgebra) -> Report:
@@ -538,15 +572,16 @@ class InvariantSet:
         every algebra without such a split, ranks the Kirillov matrix.
         """
         L = self.algebra
-        S, Z, plan = L._commuting_split()
-        if self.polys and 2 * len(S) == L.dim - len(self.polys):
-            vals = check_point(L, point)
-            B = [[0] * len(Z) for _ in S]
-            for a, c, vec in plan:
-                B[a][c] = sum(x * vals[k] for k, x in vec)
-            if linalg.rank(B) == len(S):
-                return 2 * len(S)
-        return kirillov_rank_at(L, point)
+        vals = check_point(L, point)
+        if self.polys:
+            S, Z, plan = L._commuting_split()
+            if 2 * len(S) == L.dim - len(self.polys):
+                B = [[0] * len(Z) for _ in S]
+                for a, c, vec in plan:
+                    B[a][c] = sum(x * vals[k] for k, x in vec)
+                if linalg.rank(B) == len(S):
+                    return 2 * len(S)
+        return kirillov_rank_at(L, vals)
 
 
 def omega_test(fs: InvariantSet, point: DualPoint) -> bool:

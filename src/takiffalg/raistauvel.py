@@ -51,7 +51,7 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from . import linalg
-from .liealg import AlgebraError, DualPoint, InvariantSet, LieAlgebra
+from .liealg import AlgebraError, DualPoint, InvariantSet, LieAlgebra, check_point
 from .polyring import Polynomial, jet_substitute
 from .takiff import _require_grading, graded_name, takiff
 
@@ -170,9 +170,13 @@ class InvariantFamily(InvariantSet):
         so is every family below it: F_i^j is an invariant exactly when f_i
         is, and that point's deepest top is in Omega of the first base, so
         every family of the chain is independent where that top is deepest.
+        The point goes through `check_point`, and the top is the last n
+        entries of its coordinate list.
         """
-        rank = block_triangle_rank(self, self.base.kirillov_rank_at(_top(self, point)))
-        return super().kirillov_rank_at(point) if rank is None else rank
+        vals = check_point(self.algebra, point)
+        top = vals[self.depth * self.base.algebra.dim:]
+        rank = block_triangle_rank(self, self.base.kirillov_rank_at(top))
+        return super().kirillov_rank_at(vals) if rank is None else rank
 
 
 def _partials_at_grade(f: Polynomial, shift: int) -> list[dict]:

@@ -13,7 +13,10 @@ exactly as CPython's ``randint(-bound, bound)`` does: k = span.bit_length()
 random bits per try, with span = 2*bound + 1, until the value is below span.
 It calls ``getrandbits`` directly instead of going through ``randint``,
 ``randrange`` and ``_randbelow``, so every stream, and every point drawn
-from it, is the one ``randint`` gave.
+from it, is the one ``randint`` gave.  A point on a truncation L<m> is
+drawn as one coordinate list of (m+1)n integers: the basis is grade-major,
+so the list holds the m+1 components of n, in order, that m+1 draws of n
+would give.
 """
 
 from __future__ import annotations
@@ -21,8 +24,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Sequence
 
-__all__ = ["derive_seed", "rng", "streams", "uniform_ints", "random_coords", "random_components",
-           "DEFAULT_BOUND"]
+__all__ = ["derive_seed", "rng", "streams", "uniform_ints", "random_coords", "DEFAULT_BOUND"]
 
 DEFAULT_BOUND = 1000
 
@@ -93,9 +95,3 @@ def random_coords(names: Sequence[str], r: random.Random,
                   bound: int = DEFAULT_BOUND) -> dict[str, int]:
     """Point with `int` coordinates uniform in [-bound, bound]."""
     return dict(zip(names, uniform_ints(r, len(names), bound)))
-
-
-def random_components(names: Sequence[str], depth: int, r: random.Random,
-                      bound: int = DEFAULT_BOUND) -> list[dict[str, int]]:
-    """A (depth+1)-component tuple of random points over the same basis."""
-    return [random_coords(names, r, bound) for _ in range(depth + 1)]

@@ -18,6 +18,9 @@ names.
 A dual point on L<m> is given by its component tuple (xi_0, ..., xi_m) of
 base dual points, xi_j holding the grade-j coordinates; `flatten_point`
 concatenates them into the flat point with one coordinate per graded name.
+Since the basis is grade-major, the coordinate list of that flat point is
+the components' coordinate lists concatenated, so a caller holding lists
+slices grade j as [j*n, (j+1)*n) and needs no flattening.
 """
 
 from __future__ import annotations
@@ -107,13 +110,36 @@ def _require_grading(L: LieAlgebra) -> TakiffGrading:
 
 # L<m> has n(m+1) basis names and |brackets L| (m+1)(m+2)/2 bracket entries,
 # whose sum may not exceed MAX_TAKIFF_SIZE; both are known before anything is
-# built.  On a 2-core x86 box with Python 3.11, sl3<64> (45,045 entries) builds
-# in 0.06 s and sl3<256> (696,213) in 1.7 s at 281 MB.  The cap admits sl3<306>.
+# built, and the entry count of a deferred L is arithmetic too.  On a 2-core
+# x86 box with Python 3.11, sl3<64> (45,045 entries) builds in 0.06 s and
+# sl3<256> (696,213) in 1.7 s at 281 MB.  The cap admits sl3<306>.
 MAX_TAKIFF_SIZE = 1_000_000
 
 
 def takiff(L: LieAlgebra, m: int) -> LieAlgebra:
     """The truncated current algebra L<m> with grading metadata attached.
+
+    The basis, grading and dim are set at once; the bracket table is built
+    by `_truncated_table` on the first read of ``brackets`` and kept, so a
+    check that reads only names, grades and the base, as a certified
+    `verify` step does, builds none.  The size cap counts the entries by
+    arithmetic from ``L.bracket_count``, so a chain of truncations reads no
+    table of a lower level, and a truncation past the cap is refused before
+    it is constructed.
+    """
+    if m < 1:
+        raise ValueError(f"truncation order must be >= 1, got {m}")
+    names, entries = L.dim * (m + 1), L.bracket_count * (m + 1) * (m + 2) // 2
+    if names + entries > MAX_TAKIFF_SIZE:
+        raise AlgebraError(f"{L.label}<{m}> would have {names} basis names and {entries} "
+                           f"bracket entries, past the cap of {MAX_TAKIFF_SIZE} in all")
+    return LieAlgebra(label=f"{L.label}<{m}>", basis=graded_varset(L, m),
+                      brackets=lambda: _truncated_table(L, m),
+                      grading=TakiffGrading(base_basis=L.basis, depth=m), entries=entries)
+
+
+def _truncated_table(L: LieAlgebra, m: int) -> dict[tuple[int, int], dict[int, Fraction]]:
+    """The bracket table of L<m>, built from the table of L.
 
     Each base vector [b_i, b_j] (i < j, already normalized) is copied by
     grade straight into the (min, max) orientation of the pair
@@ -121,14 +147,7 @@ def takiff(L: LieAlgebra, m: int) -> LieAlgebra:
     re-normalized; the table is the one `LieAlgebra.create` would build from
     the unoriented entries, in the same order.
     """
-    if m < 1:
-        raise ValueError(f"truncation order must be >= 1, got {m}")
     n = L.dim
-    names, entries = n * (m + 1), len(L.brackets) * (m + 1) * (m + 2) // 2
-    if names + entries > MAX_TAKIFF_SIZE:
-        raise AlgebraError(f"{L.label}<{m}> would have {names} basis names and {entries} "
-                           f"bracket entries, past the cap of {MAX_TAKIFF_SIZE} in all")
-    basis = graded_varset(L, m)
     table: dict[tuple[int, int], dict[int, Fraction]] = {}
     for (i, j), coeffs in L.brackets.items():
         neg = {k: -c for k, c in coeffs.items()}
@@ -139,19 +158,19 @@ def takiff(L: LieAlgebra, m: int) -> LieAlgebra:
                     table[(a, b)] = {shift + k: c for k, c in coeffs.items()}
                 else:
                     table[(b, a)] = {shift + k: c for k, c in neg.items()}
-    return LieAlgebra(label=f"{L.label}<{m}>", basis=basis, brackets=table,
-                      grading=TakiffGrading(base_basis=L.basis, depth=m))
+    return table
 
 
 def multi_current(L: LieAlgebra, degrees: Sequence[int]) -> LieAlgebra:
-    """Iterated truncation ((L<m1>)<m2>)...<mr>, labelled L<m1,...,mr>."""
+    """Iterated truncation ((L<m1>)<m2>)...<mr>, labelled L<m1,...,mr>; its table is deferred."""
     if not degrees:
         raise ValueError("degree list must not be empty")
     cur = L
     for d in degrees:
         cur = takiff(cur, d)
     label = f"{L.label}<{','.join(str(d) for d in degrees)}>"
-    return LieAlgebra(label=label, basis=cur.basis, brackets=cur.brackets, grading=cur.grading)
+    return LieAlgebra(label=label, basis=cur.basis, brackets=lambda: cur.brackets,
+                      grading=cur.grading, entries=cur.bracket_count)
 
 
 def flatten_point(L: LieAlgebra, components: TakiffDualPoint) -> dict[str, Scalar]:

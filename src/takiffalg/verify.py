@@ -53,10 +53,16 @@ zero-top bound mn.  Every route gives the exact rank, so every status,
 index and witness is the same.  The Omega search runs before the index
 trials, so its time is charged to `index-formula` in the human output.
 
-Each regularity sample ranks its top component once, through ``fs`` on a
-certified step: rank K(xi_m) decides the right side and feeds the block
-triangle, which proves only "xi_m regular => xi regular"; the converse is
-still sampled.
+Each regularity sample is one coordinate list, the flat point of L<m>
+(the basis is grade-major), and ranks its top component, the list's last
+n entries, once, through ``fs`` on a certified step: rank K(xi_m) decides
+the right side and feeds the block triangle, which proves only "xi_m
+regular => xi regular"; the converse is still sampled.  A sample ranks
+L<m> only where neither the zero-top bound, the block triangle nor a top
+of full rank decides it.  The step reads `takiff`'s deferred bracket table
+only through an L<m> Kirillov matrix (such a sample, or an uncertified
+index trial), a base that fails Jacobi or a FAIL witness bracket, so a
+certified step whose samples need no such matrix builds none.
 """
 
 from __future__ import annotations
@@ -93,10 +99,6 @@ _REF_REGULAR = "xi regular in q<m>* iff xi_m regular in q*"
 def _poly_str(p: Polynomial, limit: int = 400) -> str:
     s = str(p)
     return s if len(s) <= limit else s[:limit] + " ..."
-
-
-def _point_witness(point) -> dict:
-    return {k: str(v) for k, v in point.items()}
 
 
 def _jacobi_check(L: LieAlgebra, Lm: LieAlgebra, base_holds: bool | None) -> Check:
@@ -320,27 +322,32 @@ def _regularity_transfer_check(L: LieAlgebra, Lm: LieAlgebra,
                                samples: int, seed: int) -> Check:
     """Sampled agreement of "xi regular in L<m>*" with "xi_m regular in L*".
 
-    Sample t draws its m+1 components from the stream ``sampling.rng(seed,
-    TAG_REGULARITY, t)`` and zeroes the top for odd t; the top is drawn
-    last, so the lower components are the ones a draw of 0..m-1 alone
-    gives.  ``fam`` is the step's family when it holds the step
-    certificate, else None; it feeds `raistauvel.block_triangle_rank`
-    and `_zero_top_rank_bound`.  rank K(xi_m) is taken once per sample, by
-    ``fam.base.kirillov_rank_at`` (through L's commuting half where it has
-    one) when there is a family, else from the Kirillov matrix of L, and a
-    zero top has rank 0.  At rank 0 the left side is False without a
-    matrix when the bound is below dim L<m> - ind L<m>.  When ind L < n
-    the right side is False too, whatever the lower components, so the odd
-    samples draw no stream; every sample's stream is private, so the even
-    samples draw what they drew before.
-    Where ind L = n the zero top is regular in L but not in L<m>, and the
-    odd samples are drawn as usual, so a FAIL names the same sample and
-    point.  The L<m> point is flattened only when its Kirillov matrix is
-    ranked, and the first disagreement is the FAIL witness.
+    Sample t draws one coordinate list of (m+1)n integers from the stream
+    ``sampling.rng(seed, TAG_REGULARITY, t)``: grade-major, so it is the
+    flat point of L<m>, its last n entries are the top xi_m, and it holds
+    what m+1 component draws of n would hold, in the same order.  Odd t
+    zeroes the top; the top is drawn last, so the lower components are the
+    ones a draw of 0..m-1 alone gives.  ``fam`` is the step's family when it
+    holds the step certificate, else None; it feeds
+    `raistauvel.block_triangle_rank` and `_zero_top_rank_bound`.  rank
+    K(xi_m) is taken once per sample, by ``fam.base.kirillov_rank_at``
+    (through L's commuting half where it has one) when there is a family,
+    else from the Kirillov matrix of L, and a zero top has rank 0.  At rank
+    0 the left side is False without a matrix when the bound is below
+    dim L<m> - ind L<m>.  When ind L < n the right side is False too,
+    whatever the lower components, so the odd samples draw no stream; every
+    sample's stream is private, so the even samples draw what they drew
+    before.  Where ind L = n the zero top is regular in L but not in L<m>,
+    and the odd samples are drawn as usual, so a FAIL names the same sample
+    and point.  At a top of full rank n, possible only where ind L = 0, the
+    block triangle makes K(xi) invertible: rank dim L<m>, with no matrix.
+    Only the remaining samples rank the Kirillov matrix of L<m>, at the
+    list itself, and only the first disagreement, the FAIL witness, is
+    split into named components.
     """
-    m = Lm.grading.depth
+    m, n = Lm.grading.depth, L.dim
     regular = Lm.dim - idx_tak
-    regular_base = L.dim - idx_base
+    regular_base = n - idx_base
     bound_decides = _zero_top_rank_bound(Lm, fam) < regular
     zero_tops_agree = bound_decides and regular_base != 0
     base = fam.base if fam is not None else InvariantSet(algebra=L, polys=())
@@ -349,25 +356,29 @@ def _regularity_transfer_check(L: LieAlgebra, Lm: LieAlgebra,
     for t in range(samples):
         if t % 2 and zero_tops_agree:
             continue
-        comps = sampling.random_components(L.basis, m, streams(t))
+        vals = sampling.uniform_ints(streams(t), Lm.dim, sampling.DEFAULT_BOUND)
         if t % 2:
-            comps[m] = dict.fromkeys(L.basis, 0)
-        top = comps[m]
-        top_rank = base.kirillov_rank_at(top) if any(top.values()) else 0
+            vals[m * n:] = [0] * n
+        top = vals[m * n:]
+        top_rank = base.kirillov_rank_at(top) if any(top) else 0
         top_regular = top_rank == regular_base
         if not top_rank and bound_decides:
             takiff_regular = False
+        elif top_rank == n:
+            takiff_regular = Lm.dim == regular
         else:
             rank = (raistauvel.block_triangle_rank(fam, top_rank) if fam is not None
                     else None)
             if rank is None:
-                rank = liealg.kirillov_rank_at(Lm, flatten_point(Lm, comps))
+                rank = liealg.kirillov_rank_at(Lm, vals)
             takiff_regular = rank == regular
         if takiff_regular != top_regular:
+            point = [dict(zip(L.basis, map(str, vals[j * n:(j + 1) * n])))
+                     for j in range(m + 1)]
             return Check(name="regularity-transfer", status=FAIL, paper_ref=_REF_REGULAR,
                          witness={"sample": t, "takiff_regular": takiff_regular,
                                   "top_component_regular": top_regular,
-                                  "point": [_point_witness(c) for c in comps]},
+                                  "point": point},
                          seed=seed)
         yes += top_regular
     return Check(name="regularity-transfer", status=PASS, paper_ref=_REF_REGULAR,

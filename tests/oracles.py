@@ -1,7 +1,8 @@
 """Independent reference implementations used only to cross-check the package.
 
 Nothing here imports the modules under test beyond plain data types, and the
-algorithms are deliberately the naive ones: truncated dual-number arithmetic
+algorithms are deliberately the naive ones: seeded component draws one
+`randint` at a time, truncated dual-number arithmetic
 coefficient by coefficient, rank, reduced row echelon form and kernels by
 plain fraction Gaussian elimination, rank by textbook Bareiss elimination
 on integers, regularity of a dual point from that rank, brackets of
@@ -28,6 +29,7 @@ package's `report.jsonable`, which defines what a witness serializes to.
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
@@ -105,6 +107,16 @@ def eval_poly_eps(poly, assignment: dict[str, EpsValue]) -> EpsValue:
             term = term * (assignment[poly.varset[idx]] ** exp)
         total = total + term
     return total
+
+
+def random_components(names: Sequence[str], depth: int, r: random.Random,
+                      bound: int = 1000) -> list[dict[str, int]]:
+    """depth+1 random points over ``names``, drawn one `randint` per coordinate.
+
+    The default bound is the package's `sampling.DEFAULT_BOUND`.  Component
+    j holds draws j*n .. (j+1)*n - 1 of the stream, in the order of ``names``.
+    """
+    return [{b: r.randint(-bound, bound) for b in names} for _ in range(depth + 1)]
 
 
 def naive_rank(rows: Sequence[Sequence[Fraction]]) -> int:

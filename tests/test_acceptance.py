@@ -21,6 +21,7 @@ from takiffalg.takiff import flatten_point, takiff
 from takiffalg.verify import verify_main_theorem, wonderful_diagnostic
 
 from oracles import graded_parts, is_regular, n1_characterization, null_fiber_member
+from oracles import random_components
 
 INDEX_PAIRS = [(name, m) for name in ("sl2", "sl3", "heis1", "heis2", "slnV2")
                for m in (1, 2, 3)]
@@ -117,7 +118,7 @@ def test_criterion_3_triangularity_and_degrees(families):
 def _transfer_points(L, m, tag, pair_id):
     for t in range(100):
         r = sampling.rng(0, tag, pair_id, t)
-        comps = sampling.random_components(L.basis, m, r, bound=60)
+        comps = random_components(L.basis, m, r, bound=60)
         if t % 2:
             comps[m] = {b: Fraction(0) for b in L.basis}
         yield comps

@@ -37,15 +37,29 @@ class TestBuild:
     def test_single_step(self, tmp_path, capsys):
         out = tmp_path / "sl2m2.json"
         assert main(["build", "--m", "2", "sl2", "--out", str(out)]) == 0
-        L, fs, flags = algio.load_algebra_file(out)
+        L, fs = algio.load_algebra_file(out)
         assert L.label == "sl2<2>" and L.dim == 9
         assert L.grading is not None and L.grading.depth == 2
         assert "wrote" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv,digest", [
+        (["--m", "2", "sl3"], "4c8d706c6c76df7fac88d386511b0bf859e31baf63bdf12947474e38c347b0b2"),
+        (["--m", "2", "slnV3"], "a16f7dc644d194315223f1a3b1292255dadf4d27b6c6d4a5742452b4ec9191e9"),
+        (["--multi", "1,2", "sl2"],
+         "7f2654c0cef120c20e2908f9117e011ad22583d4cbf87ec596b294bd4bf2066e"),
+        (["--multi", "1,2", "heis1"],
+         "15fc675ee2b1a7e0360fd2b2f124bcb3c0f1178446b6c137f0c687031cc718f0"),
+    ])
+    def test_built_files_keep_their_bytes(self, tmp_path, capsys, argv, digest):
+        # pinned while `takiff` still built every bracket table at construction
+        out = tmp_path / "built.json"
+        assert main(["build", *argv, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_multi(self, tmp_path):
         out = tmp_path / "h11.json"
         assert main(["build", "--multi", "1,1", "heis1", "--out", str(out)]) == 0
-        L, _, _ = algio.load_algebra_file(out)
+        L, _ = algio.load_algebra_file(out)
         assert L.label == "heis1<1,1>" and L.dim == 12
 
     def test_broken_jacobi_fails_with_witness(self, tmp_path, capsys):
@@ -341,8 +355,15 @@ class TestInputErrors:
                                             ("1/3", Fraction(1, 3)), ("-4/6", Fraction(-2, 3))])
     def test_coefficient_grammar_accepts_integers_and_p_over_q(self, value, want):
         doc = dict(BAD_JACOBI, brackets=[{"pair": [0, 1], "coeffs": {"e": value}}])
-        L, _, _ = algio.algebra_from_dict(doc)
+        L, _ = algio.algebra_from_dict(doc)
         assert L.brackets == {(0, 1): {0: want}}
+
+    @pytest.mark.parametrize("flags", [[], "semisimple", 1, None])
+    def test_flags_that_are_not_an_object_are_refused(self, flags):
+        # flags are informational: an object loads and is not returned
+        assert len(algio.algebra_from_dict(dict(BAD_JACOBI, flags={"frobenius": True}))) == 2
+        with pytest.raises(AlgebraFormatError, match="'flags' must be an object"):
+            algio.algebra_from_dict(dict(BAD_JACOBI, flags=flags))
 
     @pytest.mark.parametrize("case", ["grading-of-another-basis", "basis-out-of-grade-order"])
     def test_grading_block_off_the_basis_is_input_error(self, tmp_path, capsys, sl2, case):
@@ -432,7 +453,7 @@ class TestAlgioRoundtrip:
     def test_grading_survives(self, heis1):
         Lm = multi_current(heis1.algebra, [1, 2])
         doc = algio.algebra_to_dict(Lm)
-        back, _, _ = algio.algebra_from_dict(doc)
+        back, _ = algio.algebra_from_dict(doc)
         assert back.structure_equal(Lm)
         assert back.grading == Lm.grading
         assert back.label == Lm.label

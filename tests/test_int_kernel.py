@@ -32,7 +32,7 @@ from takiffalg.raistauvel import build_family
 from takiffalg.takiff import flatten_point, takiff
 
 import oracles
-from oracles import EpsValue, eval_poly_eps, naive_rank
+from oracles import EpsValue, eval_poly_eps, naive_rank, random_components
 
 VS = ("w", "x", "y", "z")
 
@@ -186,7 +186,7 @@ class TestIntegerResults:
                 assert all(type(g) is int for g in f.gradient_at(pt))
                 assert type(f.evaluate(pt)) is int
             assert all(type(v) is int for row in kirillov_matrix(L, pt) for v in row)
-            flat = flatten_point(fam.algebra, sampling.random_components(L.basis, 2, r))
+            flat = flatten_point(fam.algebra, random_components(L.basis, 2, r))
             assert all(type(v) is int for v in flat.values())
             for _, _, F in fam.members():
                 assert all(type(g) is int for g in F.gradient_at(flat))
@@ -306,6 +306,32 @@ class TestExactPointBoundary:
         L1 = takiff(sl2.algebra, 1)
         with pytest.raises(TypeError):
             flatten_point(L1, [{"e": 1, "h": 2, "f": 3}, {"e": bad, "h": 0, "f": 0}])
+
+    @pytest.mark.parametrize("bad", [0.5, 2.0, "1", None])
+    def test_check_point_refuses_a_coordinate_list_holding_a_non_exact_value(self, sl2, bad):
+        with pytest.raises(TypeError):
+            check_point(sl2.algebra, [bad, 1, 2])
+        with pytest.raises(TypeError):
+            kirillov_matrix(sl2.algebra, [1, bad, 2])
+
+    @pytest.mark.parametrize("size", [0, 2, 4, 9])
+    def test_check_point_refuses_a_coordinate_list_of_the_wrong_length(self, sl2, size):
+        with pytest.raises(MissingAssignmentError, match="3 entries"):
+            check_point(sl2.algebra, list(range(1, size + 1)))
+        with pytest.raises(MissingAssignmentError):
+            kirillov_matrix(sl2.algebra, list(range(1, size + 1)))
+
+    def test_a_mapping_and_its_coordinate_list_check_alike(self, sl3):
+        L = sl3.algebra
+        for t in range(5):
+            point = sampling.random_coords(L.basis, sampling.rng(17, t))
+            vals = [point[b] for b in L.basis]
+            assert check_point(L, point) == check_point(L, vals) == vals
+            assert kirillov_matrix(L, point) == kirillov_matrix(L, vals)
+            assert sl3.invariants.kirillov_rank_at(point) == \
+                sl3.invariants.kirillov_rank_at(vals)
+        half = [Fraction(1, 2), True, Fraction(4, 2)] + [0] * 5
+        assert check_point(L, half) == [Fraction(1, 2), 1, 2] + [0] * 5
 
     def test_integral_fractions_and_bools_become_int(self, sl2):
         assert check_point(sl2.algebra, {"e": Fraction(4, 2), "h": True, "f": Fraction(1, 2)}) \

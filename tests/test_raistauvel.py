@@ -29,7 +29,7 @@ from takiffalg.takiff import flatten_point, graded_name, graded_varset, takiff
 from oracles import EpsValue, bareiss_rank, eval_poly_eps, graded_parts, naive_rank, poisson_bracket
 from oracles import gradient_at as oracle_gradient_at
 from oracles import derivative_identity_defect as oracle_identity_defect
-from oracles import family_degree_sum, weight_defect
+from oracles import family_degree_sum, random_components, weight_defect
 from oracles import kirillov_matrix as oracle_kirillov_matrix
 from test_verify import _structural_and_exact
 
@@ -51,7 +51,7 @@ def _dual_number_mismatches(name, *degrees) -> list:
     mismatches = []
     for trial in range(8):
         r = sampling.rng(13, 41, catalog.NAMES.index(name), *degrees, trial)
-        comps = sampling.random_components(L.basis, m, r, bound=9)
+        comps = random_components(L.basis, m, r, bound=9)
         flat = flatten_point(Lm, comps)
         eps_point = {
             b: EpsValue(m, [flat[f"{b}@{m - j}"] for j in range(m + 1)])
@@ -300,7 +300,7 @@ class TestDifferentials:
         fam = build_family(sl3.invariants, 2)
         for trial in range(5):
             r = sampling.rng(13, 43, trial)
-            comps = sampling.random_components(sl3.algebra.basis, 2, r, bound=20)
+            comps = random_components(sl3.algebra.basis, 2, r, bound=20)
             assert family_rank_at(fam, flatten_point(fam.algebra, comps)) == 6
 
 
@@ -396,7 +396,7 @@ class TestBlockTriangularity:
         C2, C3 = sl3.invariants.polys
         fs = InvariantSet(algebra=sl3.algebra, polys=(C2, C3, C2 * C2, C2 * C3))
         fam = build_family(fs, m)
-        comps = sampling.random_components(sl3.algebra.basis, m, sampling.rng(13, 53))
+        comps = random_components(sl3.algebra.basis, m, sampling.rng(13, 53))
         comps[m] = {b: int(b == "e12") for b in sl3.algebra.basis}
         assert kirillov_rank_at(sl3.algebra, comps[m]) == sl3.algebra.dim - fam.l
         flat = flatten_point(fam.algebra, comps)
@@ -418,7 +418,7 @@ class TestBlockTriangularity:
             return linalg.rank(kirillov_matrix(L, point))
 
         monkeypatch.setattr(liealg, "kirillov_rank_at", spy)
-        comps = sampling.random_components(sl3.algebra.basis, 2, sampling.rng(13, 47))
+        comps = random_components(sl3.algebra.basis, 2, sampling.rng(13, 47))
         assert fam.kirillov_rank_at(flatten_point(fam.algebra, comps)) == 18
         assert ranked == ["sl3"]
         comps[2] = {b: 0 for b in sl3.algebra.basis}
@@ -656,7 +656,7 @@ class TestGradeShift:
         Lm, low = takiff(L, m), takiff(L, m - 1)
         bound = m * (L.dim - len(entry.invariants))
         for s in range(3):
-            lower = sampling.random_components(L.basis, m - 1, sampling.rng(31, 7, s))
+            lower = random_components(L.basis, m - 1, sampling.rng(31, 7, s))
             flat = flatten_point(Lm, lower + [dict.fromkeys(L.basis, 0)])
             rank = bareiss_rank(oracle_kirillov_matrix(Lm, flat))
             assert rank == bareiss_rank(oracle_kirillov_matrix(low, flatten_point(low, lower)))

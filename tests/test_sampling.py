@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from takiffalg import sampling
 
+from oracles import random_components
+
 
 class TestUniformInts:
     """`uniform_ints` draws what `randint` draws and consumes the same words."""
@@ -39,9 +41,21 @@ class TestUniformInts:
         # the top component is drawn last, so a draw without it keeps the rest
         names = ("x", "y", "z", "w")
         for m in (1, 2, 3):
-            full = sampling.random_components(names, m, sampling.rng(0, 9, m))
-            lower = sampling.random_components(names, m - 1, sampling.rng(0, 9, m))
+            full = random_components(names, m, sampling.rng(0, 9, m))
+            lower = random_components(names, m - 1, sampling.rng(0, 9, m))
             assert lower == full[:m]
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_one_flat_draw_is_the_components_concatenated(self, n):
+        # a regularity sample draws its point on L<m> as one list of (m+1)n
+        # ints: the grade-major coordinate list of the m+1 components
+        names = tuple(f"b{i}" for i in range(n))
+        for m in (1, 2, 5):
+            for seed in (0, 1, 7, 2**40):
+                stream = sampling.streams(seed, sampling.TAG_REGULARITY)
+                flat = sampling.uniform_ints(stream(m), (m + 1) * n, sampling.DEFAULT_BOUND)
+                comps = random_components(names, m, stream(m), bound=sampling.DEFAULT_BOUND)
+                assert flat == [c[b] for c in comps for b in names]
 
 
 class TestStreams:

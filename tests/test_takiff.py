@@ -27,6 +27,7 @@ from oracles import (
     coadjoint_apply_generic,
     graded_parts,
     poisson_bracket,
+    random_components,
     split_element,
     split_point,
 )
@@ -69,6 +70,30 @@ class TestConstruction:
             takiff(ab, 21)
         with pytest.raises(AlgebraError, match="past the cap of 42 in all"):
             multi_current(sl2.algebra, [1, 3])
+
+    def test_the_table_is_built_on_first_read_and_kept(self, monkeypatch, sl3):
+        real, built = takiffalg.takiff._truncated_table, []
+        monkeypatch.setattr(takiffalg.takiff, "_truncated_table",
+                            lambda L, m: built.append(f"{L.label}<{m}>") or real(L, m))
+        Lm = multi_current(sl3.algebra, [2, 2, 2])
+        inner = takiff(sl3.algebra, 2)
+        # the count is arithmetic: no level's table is read to size the next
+        assert built == []
+        assert Lm.dim == 8 * 27 and Lm.grading.depth == 2
+        assert Lm.bracket_count == len(sl3.algebra.brackets) * 6 ** 3
+        assert inner.bracket_count == len(sl3.algebra.brackets) * 6
+        table = Lm.brackets
+        assert Lm.brackets is table and len(table) == Lm.bracket_count
+        # each level reads the table below it while building its own
+        assert built == ["sl3<2><2><2>", "sl3<2><2>", "sl3<2>"]
+        assert len(inner.brackets) == inner.bracket_count and inner.brackets is inner.brackets
+        assert built[3:] == ["sl3<2>"]
+
+    def test_a_deferred_table_needs_its_entry_count(self):
+        with pytest.raises(ValueError, match="entry count"):
+            LieAlgebra("x", ("a", "b"), lambda: {})
+        deferred = LieAlgebra("x", ("a", "b"), lambda: {(0, 1): {0: Fraction(1)}}, entries=1)
+        assert deferred == LieAlgebra.create("x", ("a", "b"), {(0, 1): {0: 1}})
 
     def test_grading_is_a_read_only_value(self, sl2):
         g = takiff(sl2.algebra, 2).grading
@@ -134,7 +159,7 @@ class TestConstruction:
         for t, (base, m, Lm) in enumerate(cases):
             g = Lm.grading
             assert TakiffGrading.from_dict(g.to_dict(), Lm.basis) == g
-            comps = sampling.random_components(base.basis, m, sampling.rng(5, 26, t))
+            comps = random_components(base.basis, m, sampling.rng(5, 26, t))
             want = dict(zip(graded_varset(base, m), (c[b] for c in comps for b in base.basis)))
             flat = flatten_point(Lm, comps)
             assert flat == want and list(flat) == list(want), (name, Lm.label)
@@ -275,7 +300,7 @@ class TestPointSplitting:
     def test_roundtrip(self, sl3):
         Lm = takiff(sl3.algebra, 2)
         r = sampling.rng(5, 23)
-        comps = sampling.random_components(sl3.algebra.basis, 2, r)
+        comps = random_components(sl3.algebra.basis, 2, r)
         flat = flatten_point(Lm, comps)
         assert split_point(Lm, flat) == list(comps)
 
@@ -284,7 +309,7 @@ class TestPointSplitting:
         inner = multi_current(sl2.algebra, degrees[:-1]) if len(degrees) > 1 else sl2.algebra
         m = degrees[-1]
         Lm = multi_current(sl2.algebra, degrees)
-        comps = sampling.random_components(inner.basis, m, sampling.rng(5, 24))
+        comps = random_components(inner.basis, m, sampling.rng(5, 24))
         flat = flatten_point(Lm, comps)
         assert list(flat) == list(graded_varset(inner, m)) == list(Lm.basis)
         assert flat == {graded_name(b, j): comps[j][b]
@@ -303,7 +328,7 @@ class TestPointSplitting:
         with pytest.raises(AlgebraFormatError, match="grade-major"):
             algio.load_algebra_file(tmp_path / "shuffled.json")
         del d["grading"]
-        loaded, _, _ = algio.algebra_from_dict(d)
+        loaded, _ = algio.algebra_from_dict(d)
         assert loaded.grading is None
 
     @pytest.mark.parametrize("edit", [
@@ -366,7 +391,7 @@ class TestCoadjoint:
         Lm = takiff(L, m)
         for trial in range(25):
             r = sampling.rng(5, 31, catalog.NAMES.index(name), m, trial)
-            comps = sampling.random_components(L.basis, m, r)
+            comps = random_components(L.basis, m, r)
             x = {b: Fraction(r.randint(-3, 3)) for b in Lm.basis}
             assert coadjoint_apply(Lm, x, comps) == \
                 coadjoint_apply_generic(Lm, x, comps)
@@ -391,7 +416,7 @@ class TestCoadjoint:
         # Acting by x@1 reads only the component one grade up.
         Lm = takiff(sl2.algebra, 1)
         r = sampling.rng(5, 37)
-        comps = sampling.random_components(sl2.algebra.basis, 1, r)
+        comps = random_components(sl2.algebra.basis, 1, r)
         moved = coadjoint_apply(Lm, {"e@1": Fraction(1)}, comps)
         base_moved = ad_star(sl2.algebra, {"e": Fraction(1)}, comps[1])
         assert moved[0] == base_moved

@@ -7,6 +7,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import takiffalg.takiff
 from takiffalg import algio, catalog, linalg, liealg, raistauvel, sampling, verify
 from takiffalg.liealg import (
     InvariantSet,
@@ -25,9 +26,11 @@ from takiffalg.verify import (
 )
 
 from oracles import bracket_values_at, kirillov_matrix as oracle_kirillov_matrix, naive_rank
-from oracles import bareiss_rank, family_degree_sum
+from oracles import bareiss_rank, family_degree_sum, random_components
 from oracles import derivative_identity_defect as oracle_identity_defect
 from oracles import gradient_at as oracle_gradient_at
+from oracles import is_regular
+import test_report_bytes
 from test_report_bytes import BAD_JACOBI_THIRD
 
 CHECK_ORDER = [
@@ -398,8 +401,7 @@ class TestBracketOracle:
 
 
 def _bad_jacobi_third():
-    L, fs, _ = algio.algebra_from_dict(BAD_JACOBI_THIRD)
-    return L, fs
+    return algio.algebra_from_dict(BAD_JACOBI_THIRD)
 
 
 def _jacobi_levels(rep, L, degrees):
@@ -829,9 +831,9 @@ def _kirillov_matrices(monkeypatch, L, fs, m):
     built = []
 
     def spy(alg, point):
+        # a point arrives as a mapping or as its coordinate list
         grading = alg.grading
-        top_names = alg.basis[grading.depth * grading.base_dim:] if grading else alg.basis
-        top = [point[b] for b in top_names]
+        top = liealg.check_point(alg, point)[grading.depth * grading.base_dim if grading else 0:]
         built.append((alg.dim, not any(top)))
         return kirillov_matrix(alg, point)
 
@@ -1074,8 +1076,7 @@ class TestOmegaCertificates:
         L, fs = sl3.algebra, sl3.invariants
         fam = build_family(fs, m)
         Lm = fam.algebra
-        comps = sampling.random_components(L.basis, m, sampling.rng(m, sampling.TAG_OMEGA),
-                                           bound=60)
+        comps = random_components(L.basis, m, sampling.rng(m, sampling.TAG_OMEGA), bound=60)
         comps[m] = {b: top.get(b, 0) for b in L.basis}
         flat = flatten_point(Lm, comps)
         point = {b: Fraction(v) for b, v in flat.items()}
@@ -1124,3 +1125,73 @@ class TestZeroTopOnce:
             (False, True)
         assert not any(int(v) for v in check.witness["point"][2].values())
         assert check.witness == drawn.witness
+
+
+def _table_spy(monkeypatch) -> list:
+    """The labels of the truncations whose deferred bracket table gets built."""
+    real, built = takiffalg.takiff._truncated_table, []
+
+    def spy(L, m):
+        built.append(f"{L.label}<{m}>")
+        return real(L, m)
+
+    monkeypatch.setattr(takiffalg.takiff, "_truncated_table", spy)
+    return built
+
+
+class TestDeferredTable:
+    """A `verify` step builds the L<m> bracket table only where it reads it."""
+
+    @pytest.mark.parametrize("name,degrees", [("sl3", [4]), ("slnV3", [2]),
+                                              ("sl3", [2, 2, 2])])
+    def test_a_certified_verify_builds_no_truncated_table(self, monkeypatch, name, degrees):
+        entry = catalog.load(name)
+        built = _table_spy(monkeypatch)
+        rep = verify_multi_current(entry.algebra, entry.invariants, degrees)
+        assert rep.summary == PASS
+        assert built == []
+
+    @pytest.mark.parametrize("case,want", [
+        ("verify-m4-sl3", []),
+        ("verify-m2-slnV3", []),
+        ("verify-m2-invariance-fail-sl2", ["sl2h3ef<2>"]),
+        ("verify-multi12-invariance-fail-sl2", ["sl2h3ef<1>", "sl2h3ef<1><2>"]),
+    ])
+    def test_the_golden_reports_build_only_what_they_read(self, monkeypatch, tmp_path,
+                                                          capsys, case, want):
+        # an invariance defect names a bracket on L<m> and leaves the step
+        # uncertified, so each level builds its table, once
+        built = _table_spy(monkeypatch)
+        test_report_bytes.test_report_digest(tmp_path, capsys, case)
+        assert sorted(built) == want
+
+    def test_full_rank_tops_rank_no_truncated_matrix(self, monkeypatch):
+        # ind affine2 = 0: a top of rank n makes K(xi) on L<1> invertible
+        L = catalog.load("affine2").algebra
+        Lm, streams = takiff(L, 1), sampling.streams(3, sampling.TAG_REGULARITY)
+        matrix, widths = liealg.kirillov_matrix, []
+        monkeypatch.setattr(liealg, "kirillov_matrix",
+                            lambda alg, point: widths.append(alg.dim) or matrix(alg, point))
+        built = _table_spy(monkeypatch)
+        check = verify._regularity_transfer_check(L, Lm, None, 0, 0, 100, 3)
+        monkeypatch.undo()
+        assert set(widths) == {L.dim} and built == []
+        regular = 0
+        for t in range(0, 100, 2):
+            comps = random_components(L.basis, 1, streams(t))
+            top = is_regular(L, comps[1], 0)
+            assert is_regular(Lm, flatten_point(Lm, comps), 0) == top
+            regular += top
+        assert check.status == PASS
+        assert check.witness["regular_cases"] == regular
+
+    def test_a_fail_witness_names_the_drawn_components(self, sl3):
+        # sample 1's zero top disagrees (see TestZeroTopOnce); its lower
+        # components are the ones the stream's first 2n draws give
+        L, fam = sl3.algebra, build_family(sl3.invariants, 2)
+        check = verify._regularity_transfer_check(L, fam.algebra, fam, L.dim,
+                                                  liealg.index(fam.algebra) + 1, 20, 0)
+        assert check.witness["sample"] == 1
+        comps = random_components(L.basis, 2, sampling.rng(0, sampling.TAG_REGULARITY, 1))
+        comps[2] = dict.fromkeys(L.basis, 0)
+        assert check.witness["point"] == [{b: str(v) for b, v in c.items()} for c in comps]
