@@ -17,8 +17,8 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple
 
 from . import liealg, linalg, sampling
-from .liealg import InvariantSet, LieAlgebra
-from .polyring import Polynomial, Scalar, parse_poly
+from .liealg import AlgebraFormatError, InvariantSet, LieAlgebra
+from .polyring import Point, Polynomial, Scalar, coordinates, parse_poly
 from .report import FAIL, PASS, Check, Report
 
 __all__ = ["CatalogEntry", "Parametrization", "PARAMETER_BOUND", "NAMES", "load",
@@ -34,7 +34,9 @@ class Parametrization(NamedTuple):
     """Polynomial map from a parameter space onto a stratum of the null cone.
 
     The declared dimension is audited by the Jacobian rank of the map at
-    sampled parameter values, not taken on faith.
+    sampled parameter values, not taken on faith.  ``coords`` names the
+    basis of the algebra in basis order (a catalog entry refuses any other
+    order), so an image point is a coordinate list.
     """
 
     name: str
@@ -42,20 +44,21 @@ class Parametrization(NamedTuple):
     coords: Mapping[str, Polynomial]
     declared_dim: int
 
-    def point_at(self, values: Mapping[str, Scalar]) -> dict[str, Scalar]:
-        return {b: p.evaluate(values) for b, p in self.coords.items()}
+    def point_at(self, values: Point) -> list[Scalar]:
+        """The image of a parameter point: one coordinate per basis element, in basis order."""
+        return [p.evaluate(values) for p in self.coords.values()]
 
-    def sample(self, r) -> tuple[dict[str, int], dict[str, Scalar]]:
-        """(parameter point, image point) with nonzero integer parameters."""
-        vals = {p: 0 for p in self.params}
-        while not any(vals.values()):
+    def sample(self, r) -> tuple[list[int], list[Scalar]]:
+        """(parameter point, image point), both coordinate lists, with nonzero integer parameters."""
+        vals = [0] * len(self.params)
+        while not any(vals):
             vals = sampling.random_coords(self.params, r, PARAMETER_BOUND)
         return vals, self.point_at(vals)
 
-    def jacobian_rank_at(self, values: Mapping[str, Scalar]) -> int:
+    def jacobian_rank_at(self, values: Point) -> int:
         return linalg.rank(liealg.differential_matrix(tuple(self.coords.values()), values))
 
-    def audit(self, streams, count: int) -> tuple[list[tuple[dict, dict]], int]:
+    def audit(self, streams, count: int) -> tuple[list[tuple[list, list]], int]:
         """``count`` draws ``sample(streams(t))`` and the best Jacobian rank at their parameters."""
         drawn = [self.sample(streams(t)) for t in range(count)]
         return drawn, max((self.jacobian_rank_at(vals) for vals, _ in drawn), default=0)
@@ -74,6 +77,11 @@ class CatalogEntry(NamedTuple):
 def _entry(name, summary, basis, brackets, invariant_strs, flags, expected,
            parametrizations=None) -> CatalogEntry:
     algebra = LieAlgebra.create(name, basis, brackets)
+    for par in (parametrizations or {}).values():
+        if tuple(par.coords) != algebra.basis:
+            raise AlgebraFormatError(
+                f"parametrization '{par.name}' of {name} maps to {tuple(par.coords)}, "
+                f"not to the basis {algebra.basis} in order")
     polys = tuple(parse_poly(s, basis) for s in invariant_strs)
     fs = InvariantSet(algebra=algebra, polys=polys)
     return CatalogEntry(name=name, summary=summary, algebra=algebra,
@@ -295,7 +303,8 @@ def self_test(entry: CatalogEntry, seed: int = 0) -> Report:
         for vals, pt in drawn:
             nonzero = [str(f) for f in fs.polys if f.evaluate(pt)]
             if nonzero:
-                off_cone = {"params": {k: str(v) for k, v in vals.items()},
+                off_cone = {"params": dict(zip(par.params,
+                                               map(str, coordinates(par.params, vals)))),
                             "nonzero_invariants": nonzero}
                 break
         ok = best_rank == par.declared_dim and off_cone is None

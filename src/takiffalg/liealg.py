@@ -7,14 +7,15 @@ index estimate, the magic number (dim + ind)/2 of a known index, the Poisson
 bracket of a polynomial with basis elements, the invariance test, and
 differentials of polynomial functions at points of the dual space.
 
-A point of the dual space is a plain ``{basis_name: int | Fraction}``
-mapping that assigns every basis name exactly once, or its coordinate list:
-dim values in basis order (`check_point` accepts either and returns the
-list).  All operations are pure functions on immutable data.  Numeric work
-(Kirillov matrices, the Jacobi check) runs on an integer copy of the
-structure constants over one common denominator, built on first use and
-kept on the algebra, and so does the symbolic Poisson
-bracket {f, b_t}: it walks f's terms, cleared to integers over one
+A point of the dual space is its coordinate list: dim values, `int` or
+`Fraction`, in basis order.  Every function that takes a point reads it
+through `check_point`, `polyring.coordinates` over the basis, which also
+takes a mapping that assigns every basis name exactly once; inside the
+package points are lists.  All operations are pure functions on immutable
+data.  Numeric work (Kirillov matrices, the Jacobi check) runs on an
+integer copy of the structure constants over one common denominator,
+built on first use and kept on the algebra, and so does the symbolic
+Poisson bracket {f, b_t}: it walks f's terms, cleared to integers over one
 denominator, against a per-target adjacency of that integer table.
 
 The algebra also keeps, from the same table, a split of its basis into a
@@ -35,15 +36,15 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 from . import linalg, sampling
 from .polyring import (
-    MissingAssignmentError,
     Monomial,
+    Point,
     Polynomial,
     Scalar,
     UnknownVariableError,
     _common_denominator,
     _int_gradient_rows,
     _over,
-    exact_scalars,
+    coordinates,
 )
 from .report import FAIL, PASS, Check, Report
 
@@ -71,8 +72,8 @@ __all__ = [
 BracketTable = dict[tuple[int, int], dict[int, Fraction]]
 # t -> {i: [(k, D * c), ...]} with [b_i, b_t] = sum_k c b_k, over the plan's D
 Adjacency = dict[int, dict[int, list[tuple[int, int]]]]
-# a mapping over the basis names, or the coordinate list in basis order
-DualPoint = Mapping[str, Scalar] | Sequence[Scalar]
+# a point of L*: its coordinate list in basis order, or a mapping over the basis
+DualPoint = Point
 
 class AlgebraError(Exception):
     """Base error for the Lie-algebra layer."""
@@ -247,26 +248,13 @@ class LieAlgebra:
 
 
 def check_point(L: LieAlgebra, point: DualPoint) -> list[Scalar]:
-    """Validate a dual point and return its coordinate vector in basis order.
+    """The coordinate list of a dual point, validated by `polyring.coordinates` over the basis.
 
-    The point is a mapping that assigns every basis name exactly once, or its
-    coordinate list, dim values in basis order; anything else raises
-    MissingAssignmentError.  Coordinates pass through `exact_scalars`:
-    integral ones come back as `int`, others as `Fraction`, and a float or
-    any other type raises TypeError.  A list of `int`s comes back as it is.
+    A list of dim values or a mapping that assigns every basis name exactly
+    once; anything else raises MissingAssignmentError, and a coordinate
+    that is not an `int` or a `Fraction` raises TypeError.
     """
-    if isinstance(point, Mapping):
-        if point.keys() != L._vidx.keys():
-            missing = set(L.basis) - set(point.keys())
-            extra = set(point.keys()) - set(L.basis)
-            raise MissingAssignmentError(
-                f"dual point must assign every basis name exactly once "
-                f"(missing {sorted(missing)}, unexpected {sorted(extra)})")
-        return exact_scalars([point[b] for b in L.basis])
-    if len(point) != L.dim:
-        raise MissingAssignmentError(f"a coordinate list on {L.label} must have {L.dim} "
-                                     f"entries, got {len(point)}")
-    return exact_scalars(point)
+    return coordinates(L.basis, point)
 
 
 def validate(L: LieAlgebra) -> Report:
@@ -490,8 +478,8 @@ def differential_matrix(polys: Sequence[Polynomial], point: DualPoint) -> list[l
     Row i is a positive rational multiple of the gradient of polys[i] at the
     point (see `polyring._int_gradient_rows`), so the matrix has the rank,
     row space and null space of the exact differentials, not their values;
-    `Polynomial.gradient_at` gives those.  A missing coordinate raises
-    MissingAssignmentError and an inexact one TypeError.
+    `Polynomial.gradient_at` gives those.  The point is read by
+    `polyring.coordinates`.
     """
     return _int_gradient_rows(polys, point)
 
@@ -542,11 +530,12 @@ class InvariantSet:
                 return i, found[0]
         return None
 
-    def omega_point(self, seed: int) -> dict[str, int] | None:
+    def omega_point(self, seed: int) -> list[int] | None:
         """The first of 50 draws where the members are independent, or None if none is.
 
-        The draws come from ``sampling.rng(seed, TAG_OMEGA, 0, 0)``, which no
-        other check draws.  With invariance, such a point certifies ind >= l.
+        The draws are coordinate lists from ``sampling.rng(seed, TAG_OMEGA, 0,
+        0)``, which no other check draws.  With invariance, such a point
+        certifies ind >= l.
         """
         if not self.polys:
             return None

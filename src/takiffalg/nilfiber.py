@@ -22,9 +22,11 @@ rational parametrizations (audited by Jacobian rank) plus exact kernel
 dimensions.  Those findings are therefore sampled evidence with exact
 arithmetic, not proofs of component structure.
 
-Kernel points are sampled on integers: the exact kernel basis is cleared to
-integer vectors over one common denominator, combined with random integer
-coefficients, and each coordinate is divided by the denominator once.
+Points are coordinate lists, so a point of L<1> is its components' lists
+concatenated.  Kernel points are sampled on integers: the exact kernel
+basis is cleared to integer vectors over one common denominator, combined
+with random integer coefficients, and each coordinate is divided by the
+denominator once.
 
 `sl2_chain` packages the three-level run over sl2, with one level-1 family
 serving the N<1> certificate and level 2: level 1 attains the target with
@@ -44,14 +46,13 @@ from .liealg import (
     AlgebraError,
     DualPoint,
     InvariantSet,
-    LieAlgebra,
+    check_point,
     differential_matrix,
     omega_test,
 )
 from .polyring import Scalar, _common_denominator, _over
 from .raistauvel import InvariantFamily, build_family, family_rank_at
 from .report import FAIL, PASS, Check, Report
-from .takiff import flatten_point
 
 __all__ = [
     "NilfiberError",
@@ -82,9 +83,8 @@ def _fiber_kernel(fs: InvariantSet, point: DualPoint) -> list[list[Scalar]]:
     return linalg.nullspace(differential_matrix(fs.polys, point), ncols=fs.algebra.dim)
 
 
-def _kernel_point(basis: list[list[Scalar]], names: Sequence[str], r,
-                  guard: Callable[[dict[str, Scalar]], bool] | None = None,
-                  ) -> dict[str, Scalar]:
+def _kernel_point(basis: list[list[Scalar]], r,
+                  guard: Callable[[list[Scalar]], bool] | None = None) -> list[Scalar]:
     """Random integer combination of an exact kernel basis, optionally guarded.
 
     The basis is cleared once to integer vectors over one common denominator
@@ -99,7 +99,7 @@ def _kernel_point(basis: list[list[Scalar]], names: Sequence[str], r,
         coeffs = sampling.uniform_ints(r, len(basis), sampling.DEFAULT_BOUND)
         vec = [sum(map(operator.mul, coeffs, col)) for col in columns]
         if any(vec):
-            pt = dict(zip(names, [_over(x, den) for x in vec]))
+            pt = [_over(x, den) for x in vec]
             if guard is None or guard(pt):
                 return pt
     raise NilfiberError("could not sample a guarded kernel point in 100 draws")
@@ -116,7 +116,8 @@ def check_N1_characterization(fam: InvariantFamily, seed: int = 0,
     when 2i <= J <= l+i holds at every point of q<1>*, and ranks one point
     of N<1> as witness, drawn from ``sampling.rng(seed, TAG_NULLFIBER, 2)``:
     xi_1 from ``cone(r)`` (a callable returning (parameters, point), as
-    `catalog.Parametrization.sample` does), or 0 without a cone, and xi_0 in
+    `catalog.Parametrization.sample` does, the point a dual point of the
+    base that `liealg.check_point` reads), or 0 without a cone, and xi_0 in
     the kernel of the differentials at xi_1.
     """
     # Weight 0 puts F_i^0 on grade 1 and the identity gives it the gradient
@@ -141,18 +142,19 @@ def _lemma_bounds(fam: InvariantFamily, seed: int, cone: Callable[..., tuple] | 
     # below l it ranks the members.
     L = fam.base.algebra
     r = sampling.rng(seed, sampling.TAG_NULLFIBER, 2)
-    xi1 = cone(r)[1] if cone is not None else _zero_point(L)
+    xi1 = check_point(L, cone(r)[1]) if cone is not None else [0] * L.dim
     kernel = _fiber_kernel(fam.base, xi1)
     try:
-        xi0 = _kernel_point(kernel, L.basis, r)
+        xi0 = _kernel_point(kernel, r)
     except NilfiberError:
-        xi0 = _zero_point(L)    # trivial kernel: the fiber over xi_1 is the origin
-    flat = flatten_point(fam.algebra, [xi0, xi1])
+        xi0 = [0] * L.dim    # trivial kernel: the fiber over xi_1 is the origin
+    flat = xi0 + xi1
     i = L.dim - len(kernel)
     J = family_rank_at(fam, flat)
     bounds = {"i": i, "J": J, "lower": 2 * i, "upper": fam.l + i}
     ok = 2 * i <= J <= fam.l + i
-    violations = [] if ok else [dict(bounds, point={k: str(v) for k, v in flat.items()})]
+    violations = [] if ok else [
+        dict(bounds, point=dict(zip(fam.algebra.basis, map(str, flat))))]
     return Check(name="lemma-bounds", status=PASS if ok else FAIL, paper_ref=_REF_LEMMA,
                  witness={"mode": "derivative-identity", **bounds, "violations": violations},
                  seed=seed)
@@ -202,7 +204,7 @@ def equidim_diagnostic(fs: InvariantSet, strata_samples: Sequence[StratumSample]
             idx = stratum_index(fs, pt)
             if idx != s.declared_index:
                 bad = {"declared_index": s.declared_index, "computed": idx,
-                       "point": {k: str(v) for k, v in pt.items()}}
+                       "point": dict(zip(L.basis, map(str, check_point(L, pt))))}
                 break
         if bad is not None:
             rep.add(Check(name=f"stratum:{s.name}", status=FAIL,
@@ -247,10 +249,6 @@ def equidim_diagnostic(fs: InvariantSet, strata_samples: Sequence[StratumSample]
 _POINTS_PER_STRATUM = 5
 
 
-def _zero_point(L: LieAlgebra) -> dict[str, int]:
-    return {b: 0 for b in L.basis}
-
-
 def sl2_chain(levels: int = 3, seed: int = 0) -> Report:
     """Null-fiber runs over sl2, one truncation level at a time.
 
@@ -271,7 +269,7 @@ def sl2_chain(levels: int = 3, seed: int = 0) -> Report:
     rep.extend_prefixed("n1:", check_N1_characterization(fam1, seed, cone.sample).checks)
 
     # level 1: strata of the sl2 null cone itself
-    origin = StratumSample(name="origin", points=(_zero_point(L0),),
+    origin = StratumSample(name="origin", points=([0] * L0.dim,),
                            declared_dim=0, declared_index=0,
                            dim_audit={"construction": "single point"})
     drawn, audit_rank = cone.audit(sampling.streams(seed, sampling.TAG_STRATA, 1),
@@ -286,16 +284,13 @@ def sl2_chain(levels: int = 3, seed: int = 0) -> Report:
     if levels == 1:
         return rep
 
-    L1 = fam1.algebra
-
     # level 2: N<1> strata; the fiber over a cone point is an exact kernel
     reg_pts = []
     streams = sampling.streams(seed, sampling.TAG_STRATA, 2)
     for t in range(_POINTS_PER_STRATUM):
         r = streams(t)
         _, xi1 = cone.sample(r)
-        xi0 = _kernel_point(_fiber_kernel(fs0, xi1), L0.basis, r)
-        reg_pts.append(flatten_point(L1, [xi0, xi1]))
+        reg_pts.append(_kernel_point(_fiber_kernel(fs0, xi1), r) + xi1)
     regular = StratumSample(
         name="regular", points=tuple(reg_pts), declared_dim=4, declared_index=2,
         dim_audit={"construction": "cone parametrization + exact kernel",
@@ -305,9 +300,9 @@ def sl2_chain(levels: int = 3, seed: int = 0) -> Report:
     for t in range(_POINTS_PER_STRATUM):
         r = streams(t)
         xi0 = sampling.random_coords(L0.basis, r)
-        while not any(xi0.values()):
+        while not any(xi0):
             xi0 = sampling.random_coords(L0.basis, r)
-        deg_pts.append(flatten_point(L1, [xi0, _zero_point(L0)]))
+        deg_pts.append(xi0 + [0] * L0.dim)
     degenerate = StratumSample(
         name="degenerate", points=tuple(deg_pts), declared_dim=3, declared_index=1,
         dim_audit={"construction": "linear slice xi_1 = 0",
@@ -317,9 +312,7 @@ def sl2_chain(levels: int = 3, seed: int = 0) -> Report:
         return rep
 
     fam2 = build_family(fam1, 1)
-    L2 = fam2.algebra
     casimir = fs0.polys[0]
-    grade1 = L1.basis[L0.dim:]
 
     # level 3: the component of the level-2 fiber sitting over the degenerate
     # stratum.  eta_1 = (xi_0, 0) with xi_0 off the cone keeps the sample on
@@ -333,11 +326,11 @@ def sl2_chain(levels: int = 3, seed: int = 0) -> Report:
         xi0 = sampling.random_coords(L0.basis, r)
         while casimir.evaluate(xi0) == 0:
             xi0 = sampling.random_coords(L0.basis, r)
-        eta1 = flatten_point(L1, [xi0, _zero_point(L0)])
+        eta1 = xi0 + [0] * L0.dim
         kernel = _fiber_kernel(fam1, eta1)
         kernel_dim = len(kernel)
-        eta0 = _kernel_point(kernel, L1.basis, r, guard=lambda p: any(p[b] for b in grade1))
-        bad_pts.append(flatten_point(L2, [eta0, eta1]))
+        eta0 = _kernel_point(kernel, r, guard=lambda p: any(p[L0.dim:]))
+        bad_pts.append(eta0 + eta1)
     bad = StratumSample(
         name="bad-component", points=tuple(bad_pts),
         declared_dim=3 + kernel_dim, declared_index=3,

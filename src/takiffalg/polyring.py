@@ -5,10 +5,14 @@ monomials are sorted ``((variable_index, exponent), ...)`` tuples, and the
 canonical printed form uses graded reverse lexicographic order over the
 declared variable order, so ``parse_poly(str(p), p.varset) == p``.
 
+A point is its coordinate list, one value per variable in varset order.
+`coordinates` is the one place a point is read: it also takes a mapping
+that assigns every variable exactly once, and returns the list.
+Coordinates are exact rationals, `int` or `Fraction` (see `exact_scalar`).
+
 Evaluation runs on integers: on its first `evaluate` or `gradient_at` call a
 polynomial builds an integer plan (integer numerators over one common
-denominator D) and keeps it.  Point coordinates are exact rationals, `int`
-or `Fraction` (see `exact_scalar`); integral ones stay `int`, so at an
+denominator D) and keeps it.  Integral coordinates stay `int`, so at an
 integral point the whole loop is integer arithmetic, and the result is
 divided by D once at the end.  Values come back as `int` when integral and
 as `Fraction` otherwise.
@@ -35,6 +39,7 @@ __all__ = [
     "Polynomial",
     "exact_scalar",
     "exact_scalars",
+    "coordinates",
     "parse_poly",
     "jet_substitute",
     "PolyringError",
@@ -102,6 +107,34 @@ def exact_scalars(values: list) -> list[Scalar]:
     if {*map(type, values)} <= {int}:
         return values
     return [exact_scalar(x) for x in values]
+
+
+# a point: its coordinate list in varset order, or a mapping over the names
+Point = Mapping[str, Scalar] | Sequence[Scalar]
+
+
+def coordinates(varset: Sequence[str], point: Point) -> list[Scalar]:
+    """The coordinate list of a point over ``varset``, validated: the one reader of a point.
+
+    The point is its coordinate list, one value per variable in varset
+    order, or a mapping that assigns every variable exactly once; a list
+    of another length or a mapping with a missing or an extra name raises
+    MissingAssignmentError.  Coordinates pass through `exact_scalars`, so a
+    float raises TypeError.  A list of `int`s comes back as it is; any other
+    sequence comes back as a new list.
+    """
+    if isinstance(point, Mapping):
+        names = set(varset)
+        if point.keys() != names:
+            raise MissingAssignmentError(
+                f"a point must assign every variable exactly once (missing "
+                f"{sorted(names - point.keys())}, unexpected "
+                f"{sorted(map(str, point.keys() - names))})")
+        point = [point[name] for name in varset]
+    elif len(point) != len(varset):
+        raise MissingAssignmentError(f"a coordinate list must have {len(varset)} entries, "
+                                     f"got {len(point)}")
+    return exact_scalars(point if type(point) is list else list(point))
 
 
 def _as_fraction(x) -> Fraction:
@@ -207,8 +240,7 @@ def _build_int_plan(terms: Mapping[Monomial, Fraction]) -> _IntPlan:
     return den, values, grads, max(counts) if len(counts) > 1 else 0
 
 
-def _int_gradient_rows(polys: Sequence["Polynomial"],
-                       point: Mapping[str, Scalar]) -> list[list[int]]:
+def _int_gradient_rows(polys: Sequence["Polynomial"], point: Point) -> list[list[int]]:
     """Integer rows, each a positive rational multiple of one gradient at the point.
 
     The point is read once per variable set and cleared to integers over
@@ -218,15 +250,15 @@ def _int_gradient_rows(polys: Sequence["Polynomial"],
     factors of a non-homogeneous f is padded by D^(pad-k), so every row is
     D^pad times the plan's denominator times the exact gradient.  The rows
     have the rank, row space and kernel of the exact gradients, not their
-    values.  A missing coordinate raises MissingAssignmentError, an inexact
-    one TypeError, as in `Polynomial.gradient_at`.
+    values.  The point goes through `coordinates`, as in
+    `Polynomial.gradient_at`.
     """
     rows: list[list[int]] = []
     varset: tuple[str, ...] | None = None
     for f in polys:
         if f.varset is not varset and f.varset != varset:
             varset = f.varset
-            vals = f._values_vector(point)
+            vals = coordinates(varset, point)
             D = _common_denominator(vals)
             if D != 1:
                 vals = [x.numerator * (D // x.denominator) for x in vals]
@@ -386,25 +418,17 @@ class Polynomial:
 
     # -- calculus ------------------------------------------------------------
 
-    def _values_vector(self, point: Mapping[str, Scalar]) -> list[Scalar]:
-        try:
-            vals = [point[name] for name in self.varset]
-        except KeyError as e:
-            raise MissingAssignmentError(
-                f"no value assigned to variable '{e.args[0]}'") from None
-        return exact_scalars(vals)
-
     def _int_plan(self) -> _IntPlan:
         if self._plan is None:
             self._plan = _build_int_plan(self.terms)
         return self._plan
 
-    def evaluate(self, point: Mapping[str, Scalar]) -> Scalar:
-        """Value at a point given as name -> int or Fraction; every variable needs one.
+    def evaluate(self, point: Point) -> Scalar:
+        """Value at a point, read by `coordinates`.
 
         Returns an `int` when the value is integral and a `Fraction` otherwise.
         """
-        vals = self._values_vector(point)
+        vals = coordinates(self.varset, point)
         den, values, _, _ = self._int_plan()
         total = 0
         for acc, factors in values:
@@ -415,14 +439,15 @@ class Polynomial:
             return total
         return _over(total, den)
 
-    def gradient_at(self, point: Mapping[str, Scalar]) -> list[Scalar]:
+    def gradient_at(self, point: Point) -> list[Scalar]:
         """All partial derivatives evaluated at a point, in varset order.
 
         One sweep over the plan's gradient terms; much cheaper than evaluating
         each symbolic partial separately when the polynomial is large.  Each
-        entry is an `int` when integral and a `Fraction` otherwise.
+        entry is an `int` when integral and a `Fraction` otherwise.  The point
+        is read by `coordinates`.
         """
-        vals = self._values_vector(point)
+        vals = coordinates(self.varset, point)
         den, _, grads, _ = self._int_plan()
         grad: list[Scalar] = [0] * len(vals)
         for idx, acc, rest in grads:

@@ -200,29 +200,25 @@ def build_family(fs: InvariantSet, m: int) -> InvariantFamily:
                            polys=tuple(F[j] for j in range(m + 1) for F in jets))
 
 
-def _top(fam: InvariantFamily, flat: DualPoint) -> DualPoint:
-    """The top component xi_m of a flat point of fam.algebra, over the base basis."""
-    base = fam.base.algebra.basis
-    return dict(zip(base, (flat[name] for name in fam.algebra.basis[fam.depth * len(base):])))
-
-
 def family_rank_at(fam: InvariantFamily, flat: DualPoint) -> int:
-    """Rank of the (m+1)l x (m+1)n family Jacobian at a `takiff.flatten_point` of L<m>.
+    """Rank of the (m+1)l x (m+1)n family Jacobian at a point of L<m>.
 
     The Jacobian is block triangular with diagonal J_f(xi_m), so the base
-    block at the top component is ranked first: the l base gradients there,
-    or, when the base is itself a family, its own rank at xi_m, so an
-    iterated family reaches its first base at the deepest top.  Rank l
-    gives (m+1)l with no member gradient; below it every member is ranked.
+    block at the top component, the last n coordinates, is ranked first:
+    the l base gradients there, or, when the base is itself a family, its
+    own rank at xi_m, so an iterated family reaches its first base at the
+    deepest top.  Rank l gives (m+1)l with no member gradient; below it
+    every member is ranked.
     """
-    base, top = fam.base, _top(fam, flat)
+    base, vals = fam.base, check_point(fam.algebra, flat)
+    top = vals[fam.depth * base.algebra.dim:]
     if isinstance(base, InvariantFamily):
         top_rank = family_rank_at(base, top)
     else:
         top_rank = linalg.rank([f.gradient_at(top) for f in base.polys])
     if top_rank == fam.l:
         return (fam.depth + 1) * fam.l
-    return linalg.rank([F.gradient_at(flat) for F in fam.polys])
+    return linalg.rank([F.gradient_at(vals) for F in fam.polys])
 
 
 def block_triangle_rank(fam: InvariantFamily, top_rank: int) -> int | None:

@@ -13,10 +13,10 @@ exactly as CPython's ``randint(-bound, bound)`` does: k = span.bit_length()
 random bits per try, with span = 2*bound + 1, until the value is below span.
 It calls ``getrandbits`` directly instead of going through ``randint``,
 ``randrange`` and ``_randbelow``, so every stream, and every point drawn
-from it, is the one ``randint`` gave.  A point on a truncation L<m> is
-drawn as one coordinate list of (m+1)n integers: the basis is grade-major,
-so the list holds the m+1 components of n, in order, that m+1 draws of n
-would give.
+from it, is the one ``randint`` gave.  A point is drawn as its coordinate
+list, `random_coords`.  A point on a truncation L<m> is drawn as one list
+of (m+1)n integers: the basis is grade-major, so the list holds the m+1
+components of n, in order, that m+1 draws of n would give.
 """
 
 from __future__ import annotations
@@ -92,6 +92,10 @@ def uniform_ints(r: random.Random, count: int, bound: int) -> list[int]:
 
 
 def random_coords(names: Sequence[str], r: random.Random,
-                  bound: int = DEFAULT_BOUND) -> dict[str, int]:
-    """Point with `int` coordinates uniform in [-bound, bound]."""
-    return dict(zip(names, uniform_ints(r, len(names), bound)))
+                  bound: int = DEFAULT_BOUND) -> list[int]:
+    """A point over ``names``: its coordinate list, `int`s uniform in [-bound, bound].
+
+    Only the count of ``names`` is read; this is ``uniform_ints(r,
+    len(names), bound)``.
+    """
+    return uniform_ints(r, len(names), bound)

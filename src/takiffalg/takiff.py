@@ -7,20 +7,15 @@ j the grade, 0 <= j <= m) with bracket
 
 The basis is grade-major: with n = dim L, index k holds the k % n-th base
 name in grade k // n, so grade j is the slice [j*n, (j+1)*n) in base order.
-`TakiffGrading` records that layout and nothing else; every other module
+A dual point of L<m>, its coordinate list, is therefore the lists of its
+components xi_0, ..., xi_m concatenated, and its top xi_m is the slice
+from m*n.  `TakiffGrading` records that layout and nothing else; every other module
 reads grades by this index arithmetic.
 
 Multi-current algebras iterate the construction left to right; names nest as
 `b@j1@j2`.  The grading describes the outermost construction step relative
 to its immediate base; earlier levels are visible only through the nested
 names.
-
-A dual point on L<m> is given by its component tuple (xi_0, ..., xi_m) of
-base dual points, xi_j holding the grade-j coordinates; `flatten_point`
-concatenates them into the flat point with one coordinate per graded name.
-Since the basis is grade-major, the coordinate list of that flat point is
-the components' coordinate lists concatenated, so a caller holding lists
-slices grade j as [j*n, (j+1)*n) and needs no flattening.
 """
 
 from __future__ import annotations
@@ -28,21 +23,15 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
-from .liealg import AlgebraError, AlgebraFormatError, DualPoint, LieAlgebra
-from .polyring import Scalar, exact_scalars
+from .liealg import AlgebraError, AlgebraFormatError, LieAlgebra
 
 __all__ = [
     "TakiffGrading",
-    "TakiffDualPoint",
     "takiff",
     "multi_current",
     "graded_name",
     "graded_varset",
-    "flatten_point",
 ]
-
-# components (xi_0, ..., xi_m), each a complete dual point on the base algebra
-TakiffDualPoint = Sequence[DualPoint]
 
 
 def graded_name(base: str, j: int) -> str:
@@ -171,25 +160,3 @@ def multi_current(L: LieAlgebra, degrees: Sequence[int]) -> LieAlgebra:
     label = f"{L.label}<{','.join(str(d) for d in degrees)}>"
     return LieAlgebra(label=label, basis=cur.basis, brackets=lambda: cur.brackets,
                       grading=cur.grading, entries=cur.bracket_count)
-
-
-def flatten_point(L: LieAlgebra, components: TakiffDualPoint) -> dict[str, Scalar]:
-    """Assemble a dual point on L from its base components (xi_0..xi_m).
-
-    The basis is grade-major, so the flat point is the components
-    concatenated, each in base order, keyed by the basis names (the order of
-    `graded_varset`).  Every component must assign exactly the base names.
-    Coordinates pass through `exact_scalars`, so they stay `int` when
-    integral and a float raises TypeError.
-    """
-    grading = _require_grading(L)
-    m, base = grading.depth, grading.base_basis
-    if len(components) != m + 1:
-        raise AlgebraError(f"expected {m + 1} components, got {len(components)}")
-    names = set(base)
-    values: list = []
-    for j, comp in enumerate(components):
-        if comp.keys() != names:
-            raise AlgebraError(f"component {j} must assign exactly the base names")
-        values.extend(comp[b] for b in base)
-    return dict(zip(L.basis, exact_scalars(values)))

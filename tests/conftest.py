@@ -68,12 +68,12 @@ def n1_points():
             r = sampling.rng(seed, sampling.TAG_NULLFIBER, t)
             kind = t % 5
             if kind <= 2 and cone is not None:
-                xi1 = cone.sample(r)[1]
+                xi1 = dict(zip(L.basis, cone.sample(r)[1]))
             elif kind <= 2:
                 xi1 = {b: r.randint(-9, 9) if b in _ON_NULL_FIBER[entry.name] else 0
                        for b in L.basis}
             elif kind == 3:
-                xi1 = sampling.random_coords(L.basis, r)
+                xi1 = dict(zip(L.basis, sampling.random_coords(L.basis, r)))
             else:
                 xi1 = {b: 0 for b in L.basis}
             if kind == 2:
@@ -82,7 +82,7 @@ def n1_points():
                 xi0 = {b: sum(c * v[k] for c, v in zip(coeffs, kernel))
                        for k, b in enumerate(L.basis)}
             else:
-                xi0 = sampling.random_coords(L.basis, r)
+                xi0 = dict(zip(L.basis, sampling.random_coords(L.basis, r)))
             yield xi0, xi1
 
     return draw

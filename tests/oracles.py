@@ -5,8 +5,9 @@ algorithms are deliberately the naive ones: seeded component draws one
 `randint` at a time, truncated dual-number arithmetic
 coefficient by coefficient, rank, reduced row echelon form and kernels by
 plain fraction Gaussian elimination, rank by textbook Bareiss elimination
-on integers, regularity of a dual point from that rank, brackets of
-elements, Kirillov matrices and Jacobi residuals in Fractions straight from
+on integers, regularity of a dual point from that rank, a truncation's
+dual point assembled from its named components and split back into them,
+brackets of elements, Kirillov matrices and Jacobi residuals in Fractions straight from
 the bracket table, the Poisson bracket of two polynomials term by term from
 their partials and the bracket table, Poisson brackets with basis elements
 as a gradient times the Kirillov matrix, and the coadjoint action of a truncated current algebra by two routes, one
@@ -16,8 +17,9 @@ derivative identity one variable at a time, and its degree sum, every
 member's degree read off its terms; and membership in the
 depth-one null fiber N<1>, every family member evaluated term by term,
 beside the base-level characterization it is certified to equal.  Algebras and polynomials are read only through
-their raw data: basis names, bracket tables and term dictionaries.  The
-grade and base name of a truncation's basis element are parsed from its
+their raw data: basis names, bracket tables and term dictionaries; a point
+given as a coordinate list is read against the basis names in their order
+(`named`).  The grade and base name of a truncation's basis element are parsed from its
 name `b@j`, never taken from the package's grading or basis order.  A
 partial derivative (`partial`, the derivative identity's and the Poisson
 bracket's per-variable route) is read off the term dictionary exponent by
@@ -35,6 +37,14 @@ from math import lcm
 from typing import Sequence
 
 from takiffalg.report import jsonable
+
+
+def named(names: Sequence[str], point) -> dict:
+    """A point as a name -> value dict; a coordinate list is read in the order of ``names``.
+
+    The oracles take a point in either format, as the package does.
+    """
+    return point if isinstance(point, dict) else dict(zip(names, point, strict=True))
 
 
 def graded_parts(name: str) -> tuple[str, int]:
@@ -213,6 +223,7 @@ def fraction_nullspace(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction
 
 def evaluate(poly, point: dict[str, Fraction]) -> Fraction:
     """Value of a package Polynomial, term by term from its raw terms."""
+    point = named(poly.varset, point)
     vals = [Fraction(point[b]) for b in poly.varset]
     total = Fraction(0)
     for mono, coeff in poly.terms.items():
@@ -236,15 +247,19 @@ def null_fiber_member(fam, components: Sequence[dict[str, Fraction]]) -> bool:
     return all(evaluate(F, flat) == 0 for F in fam.polys)
 
 
-def n1_characterization(polys, xi0: dict[str, Fraction], xi1: dict[str, Fraction]) -> bool:
+def n1_characterization(polys, xi0, xi1) -> bool:
     """Every f vanishes at xi1 and annihilates xi0 with its differential there."""
-    return all(evaluate(f, xi1) == 0 and
-               sum(g * Fraction(xi0[b]) for g, b in zip(gradient_at(f, xi1), f.varset)) == 0
-               for f in polys)
+    for f in polys:
+        x0 = named(f.varset, xi0)
+        if evaluate(f, xi1) or sum(g * Fraction(x0[b])
+                                   for g, b in zip(gradient_at(f, xi1), f.varset)):
+            return False
+    return True
 
 
 def gradient_at(poly, point: dict[str, Fraction]) -> list[Fraction]:
     """Gradient of a package Polynomial, term by term from its raw terms."""
+    point = named(poly.varset, point)
     vals = [Fraction(point[b]) for b in poly.varset]
     grad = [Fraction(0)] * len(vals)
     for mono, coeff in poly.terms.items():
@@ -260,6 +275,7 @@ def gradient_at(poly, point: dict[str, Fraction]) -> list[Fraction]:
 def kirillov_matrix(algebra, point: dict[str, Fraction]) -> list[list[Fraction]]:
     """B(xi)_{ij} = <xi, [b_i, b_j]> in Fractions, read off the raw bracket table."""
     n = len(algebra.basis)
+    point = named(algebra.basis, point)
     vals = [Fraction(point[b]) for b in algebra.basis]
     kirillov = [[Fraction(0)] * n for _ in range(n)]
     for (i, j), coeffs in algebra.brackets.items():
@@ -448,6 +464,7 @@ def bracket_values_at(algebra, poly, point: dict[str, Fraction]) -> list[Fractio
 def ad_star(algebra, x: dict[str, Fraction], xi: dict[str, Fraction]) -> dict[str, Fraction]:
     """Coadjoint action <ad*(x)xi, y> = -<xi, [x, y]> for sparse x, complete xi."""
     basis = algebra.basis
+    xi = named(basis, xi)
     out = {b: Fraction(0) for b in basis}
     for (i, j), coeffs in algebra.brackets.items():
         s = sum((c * Fraction(xi[basis[k]]) for k, c in coeffs.items()), Fraction(0))
@@ -459,10 +476,23 @@ def ad_star(algebra, x: dict[str, Fraction], xi: dict[str, Fraction]) -> dict[st
 def split_point(algebra, point: dict[str, Fraction]) -> list[dict[str, Fraction]]:
     """A dual point on a truncation as its base components xi_0..xi_m."""
     comps: list[dict[str, Fraction]] = [{} for _ in range(_depth(algebra) + 1)]
+    point = named(algebra.basis, point)
     for name in algebra.basis:
         b, g = graded_parts(name)
         comps[g][b] = Fraction(point[name])
     return comps
+
+
+def flatten_point(algebra, components: Sequence[dict]) -> dict:
+    """The dual point on a truncation with base components xi_0..xi_m, keyed by its basis.
+
+    The inverse of `split_point`: the coordinate of `b@j` is components[j][b].
+    """
+    out = {}
+    for name in algebra.basis:
+        b, g = graded_parts(name)
+        out[name] = components[g][b]
+    return out
 
 
 def split_element(algebra, x: dict[str, Fraction]) -> list[dict[str, Fraction]]:

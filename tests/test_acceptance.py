@@ -17,11 +17,11 @@ from takiffalg.liealg import index, invariance_defect, omega_test
 from takiffalg.nilfiber import check_N1_characterization, sl2_chain, stratum_index
 from takiffalg.raistauvel import build_family, family_rank_at
 from takiffalg.report import PASS
-from takiffalg.takiff import flatten_point, takiff
+from takiffalg.takiff import takiff
 from takiffalg.verify import verify_main_theorem, wonderful_diagnostic
 
 from oracles import graded_parts, is_regular, n1_characterization, null_fiber_member
-from oracles import random_components
+from oracles import flatten_point, random_components
 
 INDEX_PAIRS = [(name, m) for name in ("sl2", "sl3", "heis1", "heis2", "slnV2")
                for m in (1, 2, 3)]

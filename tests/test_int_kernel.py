@@ -29,10 +29,9 @@ from takiffalg.liealg import (
 )
 from takiffalg.polyring import MissingAssignmentError, Polynomial, parse_poly
 from takiffalg.raistauvel import build_family
-from takiffalg.takiff import flatten_point, takiff
 
 import oracles
-from oracles import EpsValue, eval_poly_eps, naive_rank, random_components
+from oracles import EpsValue, eval_poly_eps, flatten_point, naive_rank, random_components
 
 VS = ("w", "x", "y", "z")
 
@@ -181,7 +180,7 @@ class TestIntegerResults:
         for t in range(3):
             r = sampling.rng(5, 99, t)
             pt = sampling.random_coords(L.basis, r)
-            assert all(type(v) is int for v in pt.values())
+            assert all(type(v) is int for v in pt)
             for f in fs.polys:
                 assert all(type(g) is int for g in f.gradient_at(pt))
                 assert type(f.evaluate(pt)) is int
@@ -258,7 +257,7 @@ class TestDifferentialRows:
             original = getattr(module, name)
 
             def spy(polys, point, _original=original):
-                rational.append(any(type(v) is Fraction for v in point.values()))
+                rational.append(any(type(v) is Fraction for v in point))
                 rows = _original(polys, point)
                 made.append(rows)
                 return rows
@@ -302,12 +301,6 @@ class TestExactPointBoundary:
             kirillov_matrix(sl2.algebra, pt)
 
     @pytest.mark.parametrize("bad", [0.5, 2.0, "1", None])
-    def test_flatten_point_refuses(self, sl2, bad):
-        L1 = takiff(sl2.algebra, 1)
-        with pytest.raises(TypeError):
-            flatten_point(L1, [{"e": 1, "h": 2, "f": 3}, {"e": bad, "h": 0, "f": 0}])
-
-    @pytest.mark.parametrize("bad", [0.5, 2.0, "1", None])
     def test_check_point_refuses_a_coordinate_list_holding_a_non_exact_value(self, sl2, bad):
         with pytest.raises(TypeError):
             check_point(sl2.algebra, [bad, 1, 2])
@@ -324,8 +317,8 @@ class TestExactPointBoundary:
     def test_a_mapping_and_its_coordinate_list_check_alike(self, sl3):
         L = sl3.algebra
         for t in range(5):
-            point = sampling.random_coords(L.basis, sampling.rng(17, t))
-            vals = [point[b] for b in L.basis]
+            vals = sampling.random_coords(L.basis, sampling.rng(17, t))
+            point = dict(zip(L.basis, vals))
             assert check_point(L, point) == check_point(L, vals) == vals
             assert kirillov_matrix(L, point) == kirillov_matrix(L, vals)
             assert sl3.invariants.kirillov_rank_at(point) == \

@@ -25,7 +25,7 @@ from takiffalg.liealg import (
     validate,
 )
 from takiffalg.polyring import Polynomial, parse_poly
-from takiffalg.takiff import flatten_point, takiff
+from takiffalg.takiff import takiff
 
 from oracles import (
     bareiss_rank,
@@ -40,6 +40,7 @@ from oracles import (
 )
 from oracles import derivative_identity_defect as oracle_identity_defect
 from oracles import kirillov_matrix as oracle_kirillov_matrix
+from oracles import flatten_point
 
 
 def _sl2_corrupted():

@@ -123,6 +123,43 @@ def test_the_index_takes_one_certified_set():
             if isinstance(node, ast.FunctionDef) and node is not step] == []
 
 
+def _identifiers(tree):
+    """Every name a module defines, reads, imports or exports as a string."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def test_a_point_is_one_coordinate_list():
+    # inside the package a dual point is its coordinate list; a mapping is
+    # read once, by `polyring.coordinates`, so no other function asks
+    # whether a point is a Mapping, and no flattening, top or zero-point
+    # helper builds names for one
+    branching = set()
+    for path in (SRC / "takiffalg").glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and any(
+                    isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and "Mapping" in ast.unparse(node)
+                    for node in ast.walk(fn)):
+                branching.add((path.name, fn.name))
+        gone = {"flatten_point", "TakiffDualPoint", "_top", "_zero_point", "_values_vector"}
+        assert _identifiers(tree) & gone == set(), path.name
+    assert branching == {("polyring.py", "coordinates")}
+    assert list(inspect.signature(nilfiber._kernel_point).parameters) == ["basis", "r", "guard"]
+
+
 def test_verify_asks_the_set_for_its_certificate():
     # the invariance defect and the Omega point come from the invariant set,
     # a family answering down its chain, so verify tells no family apart

@@ -24,12 +24,12 @@ from takiffalg.raistauvel import (
     build_family,
     family_rank_at,
 )
-from takiffalg.takiff import flatten_point, graded_name, graded_varset, takiff
+from takiffalg.takiff import graded_name, graded_varset, takiff
 
 from oracles import EpsValue, bareiss_rank, eval_poly_eps, graded_parts, naive_rank, poisson_bracket
 from oracles import gradient_at as oracle_gradient_at
 from oracles import derivative_identity_defect as oracle_identity_defect
-from oracles import family_degree_sum, random_components, weight_defect
+from oracles import family_degree_sum, flatten_point, random_components, weight_defect
 from oracles import kirillov_matrix as oracle_kirillov_matrix
 from test_verify import _structural_and_exact
 
@@ -518,7 +518,7 @@ class TestFamilyRankFromTheBase:
         chain = fresh_chain(name, degrees)
         fam, base = chain[-1], chain[0].base
         Lm, deepest = fam.algebra, deepest_top_names(name, degrees)
-        flat = sampling.random_coords(Lm.basis, sampling.rng(13, 59))
+        flat = dict(zip(Lm.basis, sampling.random_coords(Lm.basis, sampling.rng(13, 59))))
         assert omega_test(base, {b: flat[v] for b, v in deepest.items()})
         real, graded = Polynomial.gradient_at, []
 

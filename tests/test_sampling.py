@@ -35,7 +35,7 @@ class TestUniformInts:
         for t in range(50):
             ours, theirs = sampling.rng(3, 4, t), sampling.rng(3, 4, t)
             assert sampling.random_coords(names, ours) == \
-                {b: theirs.randint(-bound, bound) for b in names}
+                [theirs.randint(-bound, bound) for _ in names]
 
     def test_lower_components_do_not_depend_on_the_top(self):
         # the top component is drawn last, so a draw without it keeps the rest

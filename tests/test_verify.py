@@ -18,7 +18,7 @@ from takiffalg.liealg import (
 from takiffalg.polyring import Polynomial, jet_substitute, parse_poly
 from takiffalg.raistauvel import build_family
 from takiffalg.report import FAIL, PASS, SKIPPED
-from takiffalg.takiff import flatten_point, takiff
+from takiffalg.takiff import takiff
 from takiffalg.verify import (
     verify_main_theorem,
     verify_multi_current,
@@ -26,7 +26,7 @@ from takiffalg.verify import (
 )
 
 from oracles import bracket_values_at, kirillov_matrix as oracle_kirillov_matrix, naive_rank
-from oracles import bareiss_rank, family_degree_sum, random_components
+from oracles import bareiss_rank, family_degree_sum, flatten_point, random_components
 from oracles import derivative_identity_defect as oracle_identity_defect
 from oracles import gradient_at as oracle_gradient_at
 from oracles import is_regular
@@ -1028,7 +1028,7 @@ class TestOmegaCertificates:
         calls, ranked, families = [], [], []
 
         def spy(fs, point):
-            calls.append((sys._getframe(1).f_code.co_name, fs, set(point)))
+            calls.append((sys._getframe(1).f_code.co_name, fs, len(point)))
             return real(fs, point)
 
         def rank_spy(fam, flat):
@@ -1055,7 +1055,7 @@ class TestOmegaCertificates:
         monkeypatch.undo()
         assert rep.summary == PASS
         assert [(caller, id(fs), names) for caller, fs, names in calls] == \
-            [("_independent_at", id(sl3.invariants), set(sl3.algebra.basis))]
+            [("_independent_at", id(sl3.invariants), sl3.algebra.dim)]
         searched = {id(fam) for caller, fam in ranked if caller == "_independent_at"}
         assert searched == {id(fam) for fam in families[:-1]}
         assert {caller for caller, _ in ranked} <= {
