@@ -9,6 +9,12 @@ The sl3 bracket table and both Casimir strings are frozen output of
 scripts/derive_sl3_casimirs.py, which rebuilds them from 3x3 matrix
 commutators and trace powers; `self_test` re-certifies every entry
 mechanically, so the literal data cannot drift silently.
+
+`load` builds each entry once per process.  Every load shares the
+immutable parts: the `LieAlgebra`, the `InvariantSet` and the parsed
+polynomials, with the integer plans they cache.  Each load gets its own
+copy of the dict fields a caller could change: `flags`, `expected` (and
+its `degrees` list), `parametrizations` and each one's `coords`.
 """
 
 from __future__ import annotations
@@ -252,11 +258,23 @@ _BUILDERS = {
 }
 
 
+# entries built so far in this process, by name
+_BUILT: dict[str, CatalogEntry] = {}
+
+
 def load(name: str) -> CatalogEntry:
-    builder = _BUILDERS.get(name)
-    if builder is None:
-        raise KeyError(f"unknown catalog entry '{name}' (known: {', '.join(NAMES)})")
-    return builder()
+    """The entry ``name``, built on its first load in the process (see the module docstring)."""
+    entry = _BUILT.get(name)
+    if entry is None:
+        builder = _BUILDERS.get(name)
+        if builder is None:
+            raise KeyError(f"unknown catalog entry '{name}' (known: {', '.join(NAMES)})")
+        entry = _BUILT[name] = builder()
+    return entry._replace(
+        flags=dict(entry.flags),
+        expected=dict(entry.expected, degrees=list(entry.expected["degrees"])),
+        parametrizations={k: par._replace(coords=dict(par.coords))
+                          for k, par in entry.parametrizations.items()})
 
 
 def self_test(entry: CatalogEntry, seed: int = 0) -> Report:

@@ -183,9 +183,12 @@ def equidim_diagnostic(fs: InvariantSet, strata_samples: Sequence[StratumSample]
     estimate above the target is flagged as excess (the fiber map cannot be
     equidimensional over that stratum), and two target-dimensional strata of
     which one avoids the independence locus are flagged as reducibility
-    evidence for the fiber one level up.  Stratum names must be distinct:
-    each names its check and its entry in the verdict's totals.
+    evidence for the fiber one level up.  There must be at least one
+    stratum, and stratum names must be distinct: each names its check and
+    its entry in the verdict's totals.
     """
+    if not strata_samples:
+        raise NilfiberError("no strata to diagnose")
     seen: set[str] = set()
     for s in strata_samples:
         if s.name in seen:

@@ -14,8 +14,9 @@ Evaluation runs on integers: on its first `evaluate` or `gradient_at` call a
 polynomial builds an integer plan (integer numerators over one common
 denominator D) and keeps it.  Integral coordinates stay `int`, so at an
 integral point the whole loop is integer arithmetic, and the result is
-divided by D once at the end.  Values come back as `int` when integral and
-as `Fraction` otherwise.
+divided by D once at the end, by `divmod` when it is an `int`, so an
+integral value builds no `Fraction`.  Values come back as `int` when
+integral and as `Fraction` otherwise.
 
 Differential matrices, which are only ranked and reduced, skip both
 divisions: `_int_gradient_rows` (behind `liealg.differential_matrix`)
@@ -121,9 +122,10 @@ def coordinates(varset: Sequence[str], point: Point) -> list[Scalar]:
     of another length or a mapping with a missing or an extra name raises
     MissingAssignmentError.  Coordinates pass through `exact_scalars`, so a
     float raises TypeError.  A list of `int`s comes back as it is; any other
-    sequence comes back as a new list.
+    sequence comes back as a new list.  A plain list, the common case, is
+    told by its exact type before the `Mapping` check.
     """
-    if isinstance(point, Mapping):
+    if type(point) is not list and isinstance(point, Mapping):
         names = set(varset)
         if point.keys() != names:
             raise MissingAssignmentError(
@@ -142,9 +144,14 @@ def _as_fraction(x) -> Fraction:
 
 
 def _over(x: Scalar, den: int) -> Scalar:
-    # x / den exactly, as an int when the quotient is integral.
-    if type(x) is int and den == 1:
-        return x
+    # x / den exactly, as an int when the quotient is integral; an int
+    # that den divides needs no Fraction.
+    if type(x) is int:
+        if den == 1:
+            return x
+        q, r = divmod(x, den)
+        if not r:
+            return q
     q = Fraction(x, den)
     return q.numerator if q.denominator == 1 else q
 

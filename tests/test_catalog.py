@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from takiffalg import catalog, liealg
+from takiffalg.cli import main
 from takiffalg.liealg import InvariantSet, index, is_symmetric_invariant, magic_from_index
 from takiffalg.polyring import parse_poly
 from takiffalg.report import FAIL, PASS
@@ -60,6 +62,84 @@ def test_flags_present():
     assert catalog.load("affine2").flags["frobenius"] is True
     assert catalog.load("sl2").flags["semisimple"] is True
     assert catalog.load("heis1").flags["frobenius"] is False
+
+
+# sha256 of `takiff catalog export NAME`, recorded while every load still
+# built its entry afresh
+EXPORT_SHA256 = {
+    "sl2": "93151a6cec75f7b84730fc45fa18011ccb8da2ca804c64c8b5d254212dcd918f",
+    "sl3": "7938f4896ecde6bcdd8bb67ef50b6c465782ce786e8766d2c172bb76654f3065",
+    "heis1": "d3e2e91b1a584ccf11e14cd398ebd3174b7193f65861555948272995ef75cf33",
+    "heis2": "084f0af2ddea8e0385e7082c5b5c8adcdc1a61b882e80fd1a2cdf4dc468e1af8",
+    "affine2": "ea11a233cf7efa06b38f14665dc80581b21cdf15466964075c8d37507e847e85",
+    "slnV2": "846117badfbde3c12fc1ba4ca46a7ec2fee0ef9bc95a1817caefa5b091567d5a",
+    "slnV3": "92878e82663db643750e71ec70812b9c795fcfb663e43bfacfcbd54438dfd7bc",
+    "nilrad_sl3": "80c74655d6820ae78e5d2be14a84cea010af5f9d783092d1f9bf0ae64f94cf18",
+}
+
+
+class TestOneEntryPerProcess:
+    """`load` builds an entry once; loads share only what no caller can change."""
+
+    @pytest.mark.parametrize("name", catalog.NAMES)
+    def test_loads_share_the_algebra_and_the_invariants(self, name):
+        a, b = catalog.load(name), catalog.load(name)
+        assert a.algebra is b.algebra
+        assert a.invariants is b.invariants
+        assert all(f is g for f, g in zip(a.invariants.polys, b.invariants.polys))
+        for k, par in a.parametrizations.items():
+            other = b.parametrizations[k]
+            assert all(p is q for p, q in zip(par.coords.values(), other.coords.values()))
+
+    @pytest.mark.parametrize("name", catalog.NAMES)
+    def test_a_load_owns_its_dict_fields(self, name):
+        a, b = catalog.load(name), catalog.load(name)
+        assert a.flags is not b.flags
+        assert a.expected is not b.expected
+        assert a.expected["degrees"] is not b.expected["degrees"]
+        assert a.parametrizations is not b.parametrizations
+        for k, par in a.parametrizations.items():
+            assert par.coords is not b.parametrizations[k].coords
+
+    def test_a_callers_changes_do_not_reach_the_next_load(self, sl2):
+        before = catalog.load("sl2")
+        spoiled = catalog.load("sl2")
+        spoiled.flags["semisimple"] = False
+        spoiled.flags["extra"] = True
+        spoiled.expected["degrees"].append(7)
+        spoiled.expected["index"] = 9
+        cone = spoiled.parametrizations["nilcone"]
+        cone.coords["e"] = cone.coords["f"]
+        del cone.coords["h"]
+        spoiled.parametrizations["other"] = cone
+        after = catalog.load("sl2")
+        assert after == before
+        assert after.flags == {"semisimple": True, "no_proper_semiinvariants": True,
+                               "frobenius": False}
+        assert after.expected == {"index": 1, "magic": 2, "degrees": [2]}
+        assert list(after.parametrizations) == ["nilcone"]
+        assert list(after.parametrizations["nilcone"].coords) == ["e", "h", "f"]
+        assert catalog.self_test(after).summary == PASS
+
+    def test_an_unknown_name_is_refused_on_every_load(self):
+        for _ in range(2):
+            with pytest.raises(KeyError, match="unknown catalog entry 'so5'"):
+                catalog.load("so5")
+
+    def test_the_cli_refuses_an_unknown_name_in_one_line(self, tmp_path, capsys):
+        catalog.load("sl2")
+        for _ in range(2):
+            assert main(["catalog", "export", "so5", "--out", str(tmp_path / "x.json")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name", catalog.NAMES)
+    def test_export_bytes_are_unchanged(self, name, tmp_path):
+        for k in range(2):
+            out = tmp_path / f"{name}{k}.json"
+            assert main(["catalog", "export", name, "--out", str(out)]) == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == EXPORT_SHA256[name]
 
 
 class TestModuleExtension:

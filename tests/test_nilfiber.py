@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from takiffalg import catalog, linalg, nilfiber, raistauvel, sampling
+from takiffalg import catalog, linalg, nilfiber, raistauvel, sampling, verify
 from takiffalg.liealg import AlgebraError, InvariantSet, LieAlgebra, differential_matrix
 from takiffalg.nilfiber import (
     NilfiberError,
@@ -310,6 +314,15 @@ class TestEquidim:
             with pytest.raises(AttributeError):
                 setattr(s, name, getattr(s, name))
 
+    def test_no_strata_is_refused(self, monkeypatch, sl2):
+        # a verdict over no sample would PASS as equidimensional with no evidence
+        ranked = []
+        monkeypatch.setattr(nilfiber, "stratum_index", lambda *a: ranked.append(a))
+        for empty in ([], ()):
+            with pytest.raises(NilfiberError, match="no strata"):
+                equidim_diagnostic(sl2.invariants, empty)
+        assert ranked == []
+
     def test_duplicate_stratum_names_are_refused_before_any_work(self, monkeypatch, sl2):
         # two strata named "s" would share one totals entry in the verdict
         L, fs = sl2.algebra, sl2.invariants
@@ -377,3 +390,50 @@ def test_catalog_entry_exposes_nilcone(sl2):
         r = sampling.rng(0, sampling.TAG_STRATA, 99, trial)
         _, pt = cone.sample(r)
         assert sl2.invariants.polys[0].evaluate(pt) == 0
+
+
+# A chain in a fresh process, its report JSON on stdout.
+_FRESH_CHAIN = ("import sys; from takiffalg.nilfiber import sl2_chain; "
+                "sys.stdout.write(sl2_chain(3, int(sys.argv[1])).to_json())")
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+class TestWarmState:
+    """A chain gives a fresh process's bytes whatever ran before it in the process.
+
+    The catalog entry, its polynomials' integer plans and the algebra's
+    caches are built on first use and kept, so a later chain runs on warm
+    state; its report must not show it.
+    """
+
+    SEEDS = range(10)
+
+    @pytest.fixture(scope="class")
+    def fresh(self):
+        out = {}
+        for s in self.SEEDS:
+            proc = subprocess.run([sys.executable, "-c", _FRESH_CHAIN, str(s)],
+                                  env=dict(os.environ, PYTHONPATH=str(_SRC)),
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            out[s] = proc.stdout
+        return out
+
+    def test_forward(self, fresh):
+        for s in self.SEEDS:
+            assert sl2_chain(3, s).to_json() == fresh[s], s
+
+    def test_reversed(self, fresh):
+        for s in reversed(self.SEEDS):
+            assert sl2_chain(3, s).to_json() == fresh[s], s
+
+    def test_interleaved_with_verify(self, fresh):
+        sl2 = catalog.load("sl2")
+        first = {}
+        for s in self.SEEDS:
+            rep = verify.verify_main_theorem(sl2.algebra, sl2.invariants, 2, seed=s)
+            first[s] = rep.to_json()
+            assert sl2_chain(3, s).to_json() == fresh[s], s
+        for s in self.SEEDS:
+            assert verify.verify_main_theorem(sl2.algebra, sl2.invariants, 2,
+                                              seed=s).to_json() == first[s], s

@@ -263,6 +263,21 @@ def _count_calls(monkeypatch, layers):
     return calls
 
 
+def _silent_when_warm(monkeypatch, workload, job):
+    """The spans of `workload`'s MUST_RUN entry that a second call of `job` leaves silent.
+
+    The benchmark traces its passes after an untraced warm-up pass, so the
+    calls are counted on a second call after one uncounted call: a cache
+    that lives for the process and skips a layer on later calls shows here.
+    """
+    job()
+    spans = {span.metric: span for span in _bench_trace_spans()}
+    calls = _count_calls(monkeypatch, [(spans[metric].module, spans[metric].qualname)
+                                       for metric in _must_run(workload)])
+    job()
+    return [key for key, n in calls.items() if not n]
+
+
 def test_benchmark_traced_spans_resolve():
     # perfbench/bench_trace.py names every function the benchmark wraps; a
     # deletion must not silently drop one of those layers.
@@ -281,23 +296,17 @@ def test_null_fiber_chain_runs_the_benchmarked_layers(monkeypatch):
     # enter every span of its MUST_RUN entry; a certificate or dedupe inside
     # sl2_chain must not leave one of them silent.  The workload serializes
     # each report.
-    spans = {span.metric: span for span in _bench_trace_spans()}
-    calls = _count_calls(monkeypatch, [(spans[metric].module, spans[metric].qualname)
-                                       for metric in _must_run("nullfiber-seeds")])
-    nilfiber.sl2_chain(levels=3, seed=0).to_json()
-    assert [key for key, n in calls.items() if not n] == []
+    assert _silent_when_warm(monkeypatch, "nullfiber-seeds",
+                             lambda: nilfiber.sl2_chain(levels=3, seed=0).to_json()) == []
 
 
 def test_verify_runs_the_layers_sampled_large_requires(monkeypatch):
     # perfbench/test_perfbench.py requires the sampled-large workload to enter
     # every span of its MUST_RUN entry; a shortcut inside verify must not
     # leave one of them silent.  The workload serializes each report.
-    spans = {span.metric: span for span in _bench_trace_spans()}
-    calls = _count_calls(monkeypatch, [(spans[metric].module, spans[metric].qualname)
-                                       for metric in _must_run("sampled-large")])
     sl3 = catalog.load("sl3")
-    verify.verify_main_theorem(sl3.algebra, sl3.invariants, 2, transfer_samples=4).to_json()
-    assert [key for key, n in calls.items() if not n] == []
+    assert _silent_when_warm(monkeypatch, "sampled-large", lambda: verify.verify_main_theorem(
+        sl3.algebra, sl3.invariants, 2, transfer_samples=4).to_json()) == []
 
 
 def test_symbolic_sweep_runs_the_layers_it_requires(monkeypatch):
@@ -306,14 +315,15 @@ def test_symbolic_sweep_runs_the_layers_it_requires(monkeypatch):
     # verify runs and wonderful diagnostics.  `verify` brackets only the base
     # invariants, so a certificate there must not leave the symbolic bracket
     # or another layer silent.  The workload serializes each report.
-    spans = {span.metric: span for span in _bench_trace_spans()}
-    calls = _count_calls(monkeypatch, [(spans[metric].module, spans[metric].qualname)
-                                       for metric in _must_run("symbolic-sweep")])
     sl2 = catalog.load("sl2")
-    catalog.self_test(sl2).to_json()
-    verify.verify_main_theorem(sl2.algebra, sl2.invariants, 2, transfer_samples=4).to_json()
-    verify.wonderful_diagnostic(sl2.algebra, sl2.invariants).to_json()
-    assert [key for key, n in calls.items() if not n] == []
+
+    def sweep():
+        catalog.self_test(sl2).to_json()
+        verify.verify_main_theorem(sl2.algebra, sl2.invariants, 2,
+                                   transfer_samples=4).to_json()
+        verify.wonderful_diagnostic(sl2.algebra, sl2.invariants).to_json()
+
+    assert _silent_when_warm(monkeypatch, "symbolic-sweep", sweep) == []
 
 
 def test_derive_sl3_casimirs_reproduces_the_catalog():

@@ -14,6 +14,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from takiffalg import catalog, liealg, nilfiber, sampling
 from takiffalg.catalog import Parametrization
@@ -76,6 +77,10 @@ def test_a_mapping_and_its_list_give_one_answer(name, depth):
         assert _answers(fs, mapping) == _answers(fs, vals)
 
 
+class _ListSub(list):
+    """A list subclass: read as a general sequence, not through the list fast path."""
+
+
 class TestOneBoundaryRule:
     """Each point-taking function refuses a malformed point the same way."""
 
@@ -118,6 +123,35 @@ class TestOneBoundaryRule:
             for call in (*self._calls(fam).values(), lambda pt: family_rank_at(fam, pt)):
                 with pytest.raises(MissingAssignmentError):
                     call(bad)
+
+    @given(st.lists(st.one_of(st.integers(-9, 9), st.fractions(max_denominator=5)),
+                    min_size=3, max_size=3),
+           st.sampled_from(["list", "list-subclass", "tuple", "mapping"]))
+    def test_every_container_reads_to_one_list(self, vals, kind):
+        basis = ("e", "h", "f")
+        point = {"list": list, "list-subclass": _ListSub, "tuple": tuple,
+                 "mapping": lambda v: dict(zip(reversed(basis), reversed(v)))}[kind](vals)
+        got = coordinates(basis, point)
+        assert type(got) is list
+        assert got == vals
+        assert all(type(x) is (int if x.denominator == 1 else Fraction) for x in got)
+        if kind == "list" and all(type(x) is int for x in vals):
+            assert got is point
+        else:
+            assert got is not point
+
+    @pytest.mark.parametrize("make", [list, _ListSub, tuple],
+                             ids=["list", "list-subclass", "tuple"])
+    def test_every_sequence_keeps_the_rule(self, make):
+        basis = ("e", "h", "f")
+        for bad in ([1, 2], [1, 2, 3, 4], []):
+            with pytest.raises(MissingAssignmentError):
+                coordinates(basis, make(bad))
+        with pytest.raises(TypeError):
+            coordinates(basis, make([1, 0.5, 3]))
+        with pytest.raises(TypeError):
+            coordinates(basis, make([1, "2", 3]))
+        assert coordinates(basis, make([True, 2, Fraction(4, 2)])) == [1, 2, 2]
 
     def test_the_validator_returns_the_list(self, sl2):
         basis = sl2.algebra.basis

@@ -15,6 +15,7 @@ from takiffalg.polyring import (
     Polynomial,
     UnknownVariableError,
     VarsetMismatchError,
+    _over,
     _power,
     jet_substitute,
     parse_poly,
@@ -44,6 +45,40 @@ poly_st = st.builds(
 
 frac_st = st.fractions(min_value=-10, max_value=10, max_denominator=7)
 point_st = st.fixed_dictionaries({v: frac_st for v in VS})
+
+
+_BIG = 2 ** 200
+int_st = st.one_of(st.integers(-1000, 1000), st.integers(-_BIG, _BIG))
+den_st = st.one_of(st.just(1), st.integers(1, 1000), st.integers(2, _BIG))
+
+
+class TestExactDivision:
+    """`_over(x, den)` is x / den exactly: an `int` when integral, else a `Fraction`."""
+
+    @staticmethod
+    def _check(x, den):
+        got, want = _over(x, den), Fraction(x, den)
+        assert got == want
+        assert type(got) is (int if want.denominator == 1 else Fraction)
+
+    @given(int_st, den_st, st.booleans())
+    def test_an_int_against_the_fraction_oracle(self, x, den, multiple):
+        self._check(x * den if multiple else x, den)
+
+    @given(int_st, den_st)
+    def test_a_negative_denominator(self, x, den):
+        self._check(x * den, -den)
+        self._check(x, -den)
+
+    @given(st.fractions(), den_st)
+    def test_a_fraction_against_the_fraction_oracle(self, x, den):
+        self._check(x, den)
+        self._check(x * den, den)
+
+    def test_edges(self):
+        for x, den in ((0, 1), (0, 7), (-6, 3), (-7, 3), (_BIG, 1), (_BIG * 3, 3),
+                       (_BIG + 1, 2), (Fraction(6, 2), 1), (Fraction(1, 2), 1)):
+            self._check(x, den)
 
 
 class TestBasics:
