@@ -24,14 +24,16 @@ every point, so rank K(xi) = 2|S| exactly when the |S| x |Z| block
 B(xi) = K(xi)[S][Z] has full row rank.  For the semi-direct products
 sl_n x V^n and the Heisenberg algebras, Z has (dim + ind)/2 elements; an
 invariant set of the size dim - 2|S| then ranks a generic point from B
-alone (`InvariantSet.kirillov_rank_at`).  An uncertified rank
-(`kirillov_rank_at`, `index` with no set) always ranks the Kirillov matrix.
+alone (`InvariantSet.kirillov_rank_at`), as the empty set does where
+2|S| = dim.  An uncertified `index` certifies the empty set, l = 0 in
+every bound; `kirillov_rank_at` always ranks the Kirillov matrix.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Sequence
 
 from . import linalg, sampling
@@ -69,7 +71,7 @@ __all__ = [
     "check_point",
 ]
 
-BracketTable = dict[tuple[int, int], dict[int, Fraction]]
+BracketTable = Mapping[tuple[int, int], Mapping[int, Fraction]]
 # t -> {i: [(k, D * c), ...]} with [b_i, b_t] = sum_k c b_k, over the plan's D
 Adjacency = dict[int, dict[int, list[tuple[int, int]]]]
 # a point of L*: its coordinate list in basis order, or a mapping over the basis
@@ -161,10 +163,14 @@ class LieAlgebra:
     def create(cls, label: str, basis: Sequence[str],
                entries: Mapping[tuple[int, int], Mapping[int, Fraction | int]],
                grading: object | None = None) -> "LieAlgebra":
-        """Build from raw bracket entries, normalizing orientation and dropping zeros."""
+        """Build from raw bracket entries, normalizing orientation and dropping zeros.
+
+        The table and each of its coefficient vectors are read-only views,
+        so an algebra that `catalog.load` shares cannot be changed.
+        """
         basis = tuple(basis)
         n = len(basis)
-        table: BracketTable = {}
+        table: dict[tuple[int, int], Mapping[int, Fraction]] = {}
         for (i, j), coeffs in entries.items():
             if not (0 <= i < n and 0 <= j < n):
                 raise AlgebraFormatError(f"bracket pair ({i}, {j}) out of range")
@@ -186,8 +192,8 @@ class LieAlgebra:
                 continue
             if (i, j) in table:
                 raise AlgebraFormatError(f"duplicate bracket entry for pair ({i}, {j})")
-            table[(i, j)] = vec
-        return cls(label=label, basis=basis, brackets=table, grading=grading)
+            table[(i, j)] = MappingProxyType(vec)
+        return cls(label=label, basis=basis, brackets=MappingProxyType(table), grading=grading)
 
     @property
     def dim(self) -> int:
@@ -555,21 +561,20 @@ class InvariantSet:
         With the split S, Z of `LieAlgebra._commuting_split`, K(xi)[Z][Z] = 0,
         so rank K(xi) <= |S| + rank B(xi) <= 2|S| with B(xi) = K(xi)[S][Z],
         and rank K(xi) = 2|S| exactly when B(xi) has full row rank |S|.
-        Where the set is non-empty and 2|S| = dim - len(set), the ceiling
-        that a certified set puts on every rank, B(xi) alone is built and
-        ranked, and a full row rank returns 2|S|.  Every other point, and
-        every algebra without such a split, ranks the Kirillov matrix.
+        Where 2|S| = dim - len(set), the ceiling that a certified set puts on
+        every rank, B(xi) alone is built and ranked, and a full row rank
+        returns 2|S|, for any set.  Every other point, and every algebra
+        without such a split, ranks the Kirillov matrix.
         """
         L = self.algebra
         vals = check_point(L, point)
-        if self.polys:
-            S, Z, plan = L._commuting_split()
-            if 2 * len(S) == L.dim - len(self.polys):
-                B = [[0] * len(Z) for _ in S]
-                for a, c, vec in plan:
-                    B[a][c] = sum(x * vals[k] for k, x in vec)
-                if linalg.rank(B) == len(S):
-                    return 2 * len(S)
+        S, Z, plan = L._commuting_split()
+        if 2 * len(S) == L.dim - len(self.polys):
+            B = [[0] * len(Z) for _ in S]
+            for a, c, vec in plan:
+                B[a][c] = sum(x * vals[k] for k, x in vec)
+            if linalg.rank(B) == len(S):
+                return 2 * len(S)
         return kirillov_rank_at(L, vals)
 
 

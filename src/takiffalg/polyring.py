@@ -34,6 +34,7 @@ import operator
 import re
 from fractions import Fraction
 from math import comb, gcd
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 __all__ = [
@@ -288,8 +289,8 @@ def _int_gradient_rows(polys: Sequence["Polynomial"], point: Point) -> list[list
 class Polynomial:
     """Sparse polynomial with Fraction coefficients over a fixed ordered varset.
 
-    ``terms`` must not change once the polynomial is constructed: the integer
-    evaluation plan is built from it on first use and kept.
+    ``terms`` is a read-only view: the integer evaluation plan is built from
+    it on first use and kept, and `catalog.load` shares its polynomials.
     """
 
     __slots__ = ("varset", "terms", "_plan")
@@ -299,10 +300,10 @@ class Polynomial:
         self.varset: tuple[str, ...] = tuple(varset)
         self._plan: _IntPlan | None = None
         if terms is None:
-            self.terms: dict[Monomial, Fraction] = {}
+            self.terms: Mapping[Monomial, Fraction] = MappingProxyType({})
             return
         if _canonical:
-            self.terms = dict(terms)
+            self.terms = MappingProxyType(dict(terms))
             return
         n = len(self.varset)
         if len(set(self.varset)) != n:
@@ -322,7 +323,7 @@ class Polynomial:
                     raise PolyringError("monomial indices must be strictly increasing")
                 prev = idx
             clean[tuple(mono)] = clean.get(tuple(mono), Fraction(0)) + c
-        self.terms = {m: c for m, c in clean.items() if c}
+        self.terms = MappingProxyType({m: c for m, c in clean.items() if c})
 
     # -- constructors -------------------------------------------------------
 

@@ -44,10 +44,13 @@ top through the base's own `kirillov_rank_at` down to the first base, and
 ranks L<m> itself where it gives None.  Each of those two ranks is
 `InvariantSet.kirillov_rank_at`'s: through a commuting half of the basis
 where the algebra has one of the right size, else from the Kirillov matrix.
+The empty family meets the precondition: an uncertified step certifies
+the empty set, l = 0 in every bound.
 """
 
 from __future__ import annotations
 
+from math import comb
 from typing import Iterator, Sequence
 
 from . import linalg
@@ -163,19 +166,25 @@ class InvariantFamily(InvariantSet):
         """rank K at a flat point of L<m>, read down the family chain to the first base.
 
         The top component is ranked by the base's own `kirillov_rank_at`,
-        for `block_triangle_rank`; where that gives None, L<m> is ranked by
-        `InvariantSet.kirillov_rank_at`, through its commuting half or its
-        Kirillov matrix.  Precondition: the family is invariant and
-        independent at one point, as `verify` certifies once per step.  Then
-        so is every family below it: F_i^j is an invariant exactly when f_i
-        is, and that point's deepest top is in Omega of the first base, so
-        every family of the chain is independent where that top is deepest.
-        The point goes through `check_point`, and the top is the last n
-        entries of its coordinate list.
+        and `kirillov_rank_over` does the rest.  Precondition: the family is
+        invariant and independent at one point, as `verify` certifies once
+        per step (the empty family always is).  Then so is every family
+        below it: F_i^j is an invariant exactly when f_i is, and that point's
+        deepest top is in Omega of the first base, so every family of the
+        chain is independent where that top is deepest.  The point goes
+        through `check_point`, and the top is the last n entries of its
+        coordinate list.
         """
         vals = check_point(self.algebra, point)
         top = vals[self.depth * self.base.algebra.dim:]
-        rank = block_triangle_rank(self, self.base.kirillov_rank_at(top))
+        return self.kirillov_rank_over(vals, self.base.kirillov_rank_at(top))
+
+    def kirillov_rank_over(self, vals: list, top_rank: int) -> int:
+        """rank K at the flat point ``vals`` given rank K(xi_m) = ``top_rank``.
+
+        `block_triangle_rank` first, else `InvariantSet.kirillov_rank_at` on L<m>.
+        """
+        rank = block_triangle_rank(self, top_rank)
         return super().kirillov_rank_at(vals) if rank is None else rank
 
 
@@ -190,11 +199,60 @@ def _partials_at_grade(f: Polynomial, shift: int) -> list[dict]:
     return out
 
 
+# The family of f at depth m has one term per term of f and split of each of
+# its exponents over the m+1 grade shifts, of total weight at most m: at most
+# prod C(e+m, m) per term, and nothing merges (see `jet_substitute`).  On a
+# 2-core x86 box with Python 3.11, `verify --m 128 sl3` (3,467,822 terms)
+# peaks at 663 MB; sl3<306>, which `takiff` admits, would hold 45,733,962
+# terms, about 13 GB.  The budget admits sl3<134> and refuses sl3<135>.
+MAX_FAMILY_TERMS = 4_000_000
+
+
+def _refuse_past_budget(fs: InvariantSet, m: int) -> None:
+    """Raise AlgebraError when the depth-m family of ``fs`` would pass MAX_FAMILY_TERMS.
+
+    The bound sum prod C(e+m, m) over the terms is taken first; only past the
+    budget is the exact count taken.  A split of e of weight w is a partition
+    of w into at most e parts (as many as into parts of size at most e), so
+    a term counts the products of those numbers with weights summing to at
+    most m, by convolution.
+    """
+    bound = 0
+    for f in fs.polys:
+        for mono in f.terms:
+            term = 1
+            for _, e in mono:
+                term *= comb(e + m, m)
+            bound += term
+    if bound <= MAX_FAMILY_TERMS:
+        return
+    exps = [tuple(sorted(e for _, e in mono)) for f in fs.polys for mono in f.terms]
+    rows: dict[int, list[int]] = {}
+    for e in {e for t in exps for e in t}:
+        row = rows[e] = [1] + [0] * m
+        for part in range(1, e + 1):
+            for w in range(part, m + 1):
+                row[w] += row[w - part]
+    counts: dict[tuple[int, ...], int] = {}
+    for t in set(exps):
+        acc = rows[t[0]]
+        for e in t[1:]:
+            acc = [sum(acc[v] * rows[e][w - v] for v in range(w + 1)) for w in range(m + 1)]
+        counts[t] = sum(acc)
+    total = sum(counts[t] for t in exps)
+    if total > MAX_FAMILY_TERMS:
+        raise AlgebraError(f"the family of {fs.algebra.label}<{m}> would have {total} terms, "
+                           f"past the budget of {MAX_FAMILY_TERMS}")
+
+
 def build_family(fs: InvariantSet, m: int) -> InvariantFamily:
-    """The expansion of ``fs`` on ``fs.algebra``<m>; a family as ``fs`` is not checked again."""
-    if not fs.polys:
-        raise AlgebraError("cannot expand an empty invariant set")
+    """The expansion of ``fs`` on ``fs.algebra``<m>; a family as ``fs`` is not checked again.
+
+    The empty set expands to the empty family.  A family past
+    ``MAX_FAMILY_TERMS`` is refused before anything is expanded.
+    """
     Lm = takiff(fs.algebra, m)
+    _refuse_past_budget(fs, m)
     jets = [_expand(f, m, Lm.basis) for f in fs.polys]
     return InvariantFamily(algebra=Lm, base=fs,
                            polys=tuple(F[j] for j in range(m + 1) for F in jets))

@@ -38,31 +38,28 @@ supports, so its Jacobian is block triangular with diagonal J_f(xi_m):
 family, from the first base at the deepest top).
 When `invariance` passes and that search finds a point, the step is
 certified: ``fs`` and its family are invariants independent at one point.
-The step hands them to `liealg.index` as its ``certified`` sets, which fix
-the ceilings n - l and (m+1)(n - l) and rank each trial down the family
-chain (`raistauvel.InvariantFamily.kirillov_rank_at`).  The family also
-gates `raistauvel.block_triangle_rank` at the regularity samples and
-`_zero_top_rank_bound`'s m(n - l) at a top with K(xi_m) = 0, and ``fs``
-ranks each sample's top.  A certified set ranks through a commuting half
+An uncertified step certifies the empty set, l = 0 in every bound: it is
+invariant and independent everywhere, and its family is empty on the same
+L<m>.  `liealg.index` takes the set and the family, whose ceilings are
+n - l and (m+1)(n - l), and ranks each trial down the family chain
+(`raistauvel.InvariantFamily.kirillov_rank_at`); the family ranks the
+regularity samples, its base their tops, and gives `_zero_top_rank_bound`'s
+m(n - l) at a top with K(xi_m) = 0.  A set ranks through a commuting half
 Z of the basis where its algebra has one with 2(dim - |Z|) = dim - l, as
 sl_n x V^n and the Heisenberg algebras do: only the block K(xi)[S][Z] is
-built, and its full row rank gives rank K(xi) = 2|S| (see `liealg`).  An
-uncertified step hands `index` no set, ranks its tops and every other
-point of L<m> from their matrices, and keeps only the family-free
-zero-top bound mn.  Every route gives the exact rank, so every status,
-index and witness is the same.  The Omega search runs before the index
+built, and its full row rank gives rank K(xi) = 2|S| (see `liealg`).
+Every route gives the exact rank.  The Omega search runs before the index
 trials, so its time is charged to `index-formula` in the human output.
 
 Each regularity sample is one coordinate list, the flat point of L<m>
 (the basis is grade-major), and ranks its top component, the list's last
-n entries, once, through ``fs`` on a certified step: rank K(xi_m) decides
-the right side and feeds the block triangle, which proves only "xi_m
-regular => xi regular"; the converse is still sampled.  A sample ranks
-L<m> only where neither the zero-top bound, the block triangle nor a top
-of full rank decides it.  The step reads `takiff`'s deferred bracket table
-only through an L<m> Kirillov matrix (such a sample, or an uncertified
-index trial), a base that fails Jacobi or a FAIL witness bracket, so a
-certified step whose samples need no such matrix builds none.
+n entries, once: rank K(xi_m) decides the right side and feeds the block
+triangle, which proves only "xi_m regular => xi regular"; the converse is
+still sampled.  A sample ranks L<m> only where neither the zero-top bound
+nor the block triangle decides it.  The step reads `takiff`'s deferred
+bracket table only through an L<m> rank that neither decides (such a
+sample or index trial), a base that fails Jacobi or a FAIL witness
+bracket, so a certified step whose samples need no such rank builds none.
 """
 
 from __future__ import annotations
@@ -73,7 +70,7 @@ from . import liealg, raistauvel, sampling
 from .liealg import InvariantSet, LieAlgebra
 from .polyring import Polynomial
 from .report import FAIL, PASS, SKIPPED, Check, Report
-from .takiff import graded_name, takiff
+from .takiff import graded_name
 
 __all__ = [
     "verify_main_theorem",
@@ -126,7 +123,7 @@ def _jacobi_check(L: LieAlgebra, Lm: LieAlgebra, base_holds: bool | None) -> Che
     return Check(name="jacobi", status=status, paper_ref=_REF_JACOBI, witness=witness)
 
 
-def _invariance_checks(fs: InvariantSet, fam: raistauvel.InvariantFamily | None,
+def _invariance_checks(fs: InvariantSet, fam: raistauvel.InvariantFamily,
                        Lm: LieAlgebra) -> tuple[Check, Check]:
     """`invariance` and `ideal-invariants` on Lm = takiff(L, m), certified from the base.
 
@@ -145,7 +142,7 @@ def _invariance_checks(fs: InvariantSet, fam: raistauvel.InvariantFamily | None,
     """
     m, n = Lm.grading.depth, Lm.grading.base_dim
     defect = fs.first_defect()
-    if fam is None:
+    if not len(fs):
         invariance = Check(name="invariance", status=SKIPPED, paper_ref=_REF_INVARIANCE,
                            witness={"note": "no invariants supplied"})
     elif defect is None:
@@ -157,9 +154,8 @@ def _invariance_checks(fs: InvariantSet, fam: raistauvel.InvariantFamily | None,
         invariance = _bracket_failure(Lm, "invariance", _REF_INVARIANCE, fam.member(i, 0),
                                       x0, {"member": [i, 0], "basis_element": x0})
     if defect is None:
-        l = fam.l if fam is not None else 0
         ideal = Check(name="ideal-invariants", status=PASS, paper_ref=_REF_IDEAL,
-                      witness={"mode": "symbolic", "generators": n + m * l,
+                      witness={"mode": "symbolic", "generators": n + m * fam.l,
                                "ideal_size": m * n})
     else:
         i, x = defect
@@ -192,14 +188,14 @@ def verify_main_theorem(L: LieAlgebra, fs: InvariantSet, m: int,
 
 def _verify_step(L: LieAlgebra, fs: InvariantSet, m: int, trials: int,
                  seed: int, transfer_samples: int, base_jacobi: bool | None = None,
-                 ) -> tuple[Report, LieAlgebra, raistauvel.InvariantFamily | None]:
-    """The report of one truncation step, with the algebra and the family.
+                 ) -> tuple[Report, raistauvel.InvariantFamily]:
+    """The report of one truncation step, with the family, whose algebra is L<m>.
 
     ``base_jacobi`` is the Jacobi verdict on L when it is known, else None
     (see `_jacobi_check`).  It is the only fact a level takes from the one
     before: invariance and the Kirillov ranks are read off the family chain
-    of ``fs``, but a tower with no invariants has no chain, and validating
-    L afresh would sum every Jacobi triple of each level's base again.
+    of ``fs``, but the chain says nothing of Jacobi, and validating L afresh
+    would sum every Jacobi triple of each level's base again.
     """
     if trials < 1:
         raise ValueError(f"the rank estimate needs at least one trial, got {trials}")
@@ -207,8 +203,8 @@ def _verify_step(L: LieAlgebra, fs: InvariantSet, m: int, trials: int,
         raise ValueError(f"the transfer checks need at least one sample, got {transfer_samples}")
     if not fs.algebra.structure_equal(L):
         raise liealg.AlgebraError("invariant set belongs to a different algebra")
-    fam = raistauvel.build_family(fs, m) if len(fs) else None
-    Lm = fam.algebra if fam is not None else takiff(L, m)
+    fam = raistauvel.build_family(fs, m)
+    Lm = fam.algebra
     rep = Report(label=f"verify:{L.label}<{m}>")
 
     jacobi = _jacobi_check(L, Lm, base_jacobi)
@@ -219,9 +215,10 @@ def _verify_step(L: LieAlgebra, fs: InvariantSet, m: int, trials: int,
 
     # invariants independent at one point: the step certificate
     omega = fs.omega_point(seed)
-    certified = invariance.status == PASS and omega is not None
-    idx_base = liealg.index(L, trials=trials, seed=seed, certified=fs if certified else None)
-    idx_tak = liealg.index(Lm, trials=trials, seed=seed, certified=fam if certified else None)
+    cert = fam if invariance.status == PASS and omega is not None else \
+        raistauvel.InvariantFamily(algebra=Lm, polys=(), base=InvariantSet(algebra=L, polys=()))
+    idx_base = liealg.index(L, trials=trials, seed=seed, certified=cert.base)
+    idx_tak = liealg.index(Lm, trials=trials, seed=seed, certified=cert)
     rep.add(Check(name="index-formula",
                   status=PASS if idx_tak == (m + 1) * idx_base else FAIL,
                   paper_ref=_REF_INDEX,
@@ -238,7 +235,7 @@ def _verify_step(L: LieAlgebra, fs: InvariantSet, m: int, trials: int,
                            "factor": m + 1},
                   seed=seed))
 
-    if fam is None:
+    if not len(fs):
         rep.add(Check(name="degree-sum", status=SKIPPED, paper_ref=_REF_DEGREES,
                       witness={"note": "no invariants supplied"}))
     else:
@@ -254,7 +251,7 @@ def _verify_step(L: LieAlgebra, fs: InvariantSet, m: int, trials: int,
         rep.add(Check(name="degree-sum", status=PASS, paper_ref=_REF_DEGREES,
                       witness=witness))
 
-    if fam is None:
+    if not len(fs):
         for name, ref in (("jacobian-rank-on-omega", _REF_JACRANK),
                           ("omega-transfer", _REF_OMEGA)):
             rep.add(Check(name=name, status=SKIPPED, paper_ref=ref,
@@ -264,9 +261,8 @@ def _verify_step(L: LieAlgebra, fs: InvariantSet, m: int, trials: int,
         rep.add(Check(name="omega-transfer", status=PASS, paper_ref=_REF_OMEGA,
                       witness={"mode": "derivative-identity"}))
 
-    rep.add(_regularity_transfer_check(L, Lm, fam if certified else None, idx_base, idx_tak,
-                                       transfer_samples, seed))
-    return rep, Lm, fam
+    rep.add(_regularity_transfer_check(L, Lm, cert, idx_base, idx_tak, transfer_samples, seed))
+    return rep, fam
 
 
 def _jacobian_rank_check(fam: raistauvel.InvariantFamily, top: list | None,
@@ -291,8 +287,7 @@ def _jacobian_rank_check(fam: raistauvel.InvariantFamily, top: list | None,
                  seed=seed)
 
 
-def _zero_top_rank_bound(Lm: LieAlgebra,
-                         certified: raistauvel.InvariantFamily | None) -> int:
+def _zero_top_rank_bound(Lm: LieAlgebra, certified: raistauvel.InvariantFamily) -> int:
     """A bound on rank K(xi) on L<m> = takiff(L, m) wherever K(xi_m) = 0.
 
     The entry of the Kirillov matrix of L<m> at (x@i, y@j) is
@@ -303,20 +298,19 @@ def _zero_top_rank_bound(Lm: LieAlgebra,
     `verify_multi_current`.
 
     ``certified`` (the step's family when it holds the step certificate,
-    else None) sharpens the bound to m(n - l) with nothing built.  Renaming
-    every b@g to b@(g-1) carries the members F_i^j with j <= m-1 onto the
-    depth-(m-1) family, and, for k <= m-1, the bracket {F', x@k} in L<m-1>
-    onto {F, x@k} in L<m>.  So the depth-(m-1) family is invariant and
-    satisfies the identity too, and the Omega point gives it rank ml.  Then
-    ind L<m-1> >= ml, and rank K(xi) <= m(n - l) wherever K(xi_m) = 0.
+    else the empty family, l = 0) sharpens the bound to m(n - l) with
+    nothing built.  Renaming every b@g to b@(g-1) carries the members F_i^j
+    with j <= m-1 onto the depth-(m-1) family, and, for k <= m-1, the
+    bracket {F', x@k} in L<m-1> onto {F, x@k} in L<m>.  So the depth-(m-1)
+    family is invariant and satisfies the identity too, and the Omega point
+    gives it rank ml.  Then ind L<m-1> >= ml, and rank K(xi) <= m(n - l)
+    wherever K(xi_m) = 0.
     """
-    m = Lm.grading.depth
-    l = certified.l if certified is not None else 0
-    return Lm.dim - Lm.grading.base_dim - m * l
+    return Lm.dim - Lm.grading.base_dim - Lm.grading.depth * certified.l
 
 
 def _regularity_transfer_check(L: LieAlgebra, Lm: LieAlgebra,
-                               fam: raistauvel.InvariantFamily | None,
+                               fam: raistauvel.InvariantFamily,
                                idx_base: int, idx_tak: int,
                                samples: int, seed: int) -> Check:
     """Sampled agreement of "xi regular in L<m>*" with "xi_m regular in L*".
@@ -326,30 +320,24 @@ def _regularity_transfer_check(L: LieAlgebra, Lm: LieAlgebra,
     flat point of L<m>, its last n entries are the top xi_m, and it holds
     what m+1 component draws of n would hold, in the same order.  Odd t
     zeroes the top; the top is drawn last, so the lower components are the
-    ones a draw of 0..m-1 alone gives.  ``fam`` is the step's family when it
-    holds the step certificate, else None; it feeds
-    `raistauvel.block_triangle_rank` and `_zero_top_rank_bound`.  rank
-    K(xi_m) is taken once per sample, by ``fam.base.kirillov_rank_at``
-    (through L's commuting half where it has one) when there is a family,
-    else from the Kirillov matrix of L, and a zero top has rank 0.  At rank
-    0 the left side is False without a matrix when the bound is below
-    dim L<m> - ind L<m>.  When ind L < n the right side is False too,
-    whatever the lower components, so the odd samples draw no stream; every
-    sample's stream is private, so the even samples draw what they drew
-    before.  Where ind L = n the zero top is regular in L but not in L<m>,
-    and the odd samples are drawn as usual, so a FAIL names the same sample
-    and point.  At a top of full rank n, possible only where ind L = 0, the
-    block triangle makes K(xi) invertible: rank dim L<m>, with no matrix.
-    Only the remaining samples rank the Kirillov matrix of L<m>, at the
-    list itself, and only the first disagreement, the FAIL witness, is
-    split into named components.
+    ones a draw of 0..m-1 alone gives.  ``fam`` is the step's certified
+    family, empty when the step certifies the empty set.  rank K(xi_m) is
+    taken once per sample, by ``fam.base.kirillov_rank_at``, and a zero top
+    has rank 0.  At rank 0 the left side is False without a matrix when
+    `_zero_top_rank_bound` is below dim L<m> - ind L<m>.  When ind L < n
+    the right side is False too, whatever the lower components, so the odd
+    samples draw no stream; every sample's stream is private, so the even
+    samples draw what they drew before.  Where ind L = n the zero top is
+    regular in L but not in L<m>, and the odd samples are drawn as usual,
+    so a FAIL names the same sample and point.  Every other sample ranks L<m> by ``fam.kirillov_rank_over``,
+    the block triangle first, at the list itself.  Only the first
+    disagreement, the FAIL witness, is split into named components.
     """
     m, n = Lm.grading.depth, L.dim
     regular = Lm.dim - idx_tak
     regular_base = n - idx_base
     bound_decides = _zero_top_rank_bound(Lm, fam) < regular
     zero_tops_agree = bound_decides and regular_base != 0
-    base = fam.base if fam is not None else InvariantSet(algebra=L, polys=())
     streams = sampling.streams(seed, sampling.TAG_REGULARITY)
     yes = 0
     for t in range(samples):
@@ -359,18 +347,12 @@ def _regularity_transfer_check(L: LieAlgebra, Lm: LieAlgebra,
         if t % 2:
             vals[m * n:] = [0] * n
         top = vals[m * n:]
-        top_rank = base.kirillov_rank_at(top) if any(top) else 0
+        top_rank = fam.base.kirillov_rank_at(top) if any(top) else 0
         top_regular = top_rank == regular_base
         if not top_rank and bound_decides:
             takiff_regular = False
-        elif top_rank == n:
-            takiff_regular = Lm.dim == regular
         else:
-            rank = (raistauvel.block_triangle_rank(fam, top_rank) if fam is not None
-                    else None)
-            if rank is None:
-                rank = liealg.kirillov_rank_at(Lm, vals)
-            takiff_regular = rank == regular
+            takiff_regular = fam.kirillov_rank_over(vals, top_rank) == regular
         if takiff_regular != top_regular:
             point = [dict(zip(L.basis, map(str, vals[j * n:(j + 1) * n])))
                      for j in range(m + 1)]
@@ -415,12 +397,12 @@ def verify_multi_current(L: LieAlgebra, fs: InvariantSet, degrees,
     cur_L, cur_fs, cur_jacobi = L, fs, None
     expected = len(fs)
     for level, mdeg in enumerate(degrees, start=1):
-        sub, cur_L, fam = _verify_step(cur_L, cur_fs, mdeg, trials, seed,
-                                       transfer_samples, cur_jacobi)
+        sub, cur_fs = _verify_step(cur_L, cur_fs, mdeg, trials, seed, transfer_samples,
+                                   cur_jacobi)
+        cur_L = cur_fs.algebra
         cur_jacobi = sub.checks[0].status == PASS
         rep.extend_prefixed(f"level{level}:", sub.checks)
         expected *= mdeg + 1
-        cur_fs = fam if fam is not None else InvariantSet(algebra=cur_L, polys=())
     rep.add(Check(name="family-count",
                   status=PASS if len(cur_fs) == expected else FAIL,
                   paper_ref="the iterated family has prod (m_i + 1) * l members",
@@ -437,13 +419,16 @@ def wonderful_diagnostic(L: LieAlgebra, fs: InvariantSet, seed: int = 0) -> Repo
     b(q)); the diagnostic never claims that any codimension property holds.
     The index takes `liealg.DEFAULT_TRIALS` trials; when ``fs`` has no
     invariance defect and an Omega point, `liealg.index` takes it as its
-    certified set, as `verify` does: the estimate is the same.
+    certified set, as `verify` does, else the empty set: the estimate is
+    the same.
     """
     if not fs.algebra.structure_equal(L):
         raise liealg.AlgebraError("invariant set belongs to a different algebra")
     rep = Report(label=f"wonderful:{L.label}")
-    certified = fs.first_defect() is None and fs.omega_point(seed) is not None
-    idx = liealg.index(L, seed=seed, certified=fs if certified else None)
+    certified = fs
+    if fs.first_defect() is not None or fs.omega_point(seed) is None:
+        certified = InvariantSet(algebra=L, polys=())
+    idx = liealg.index(L, seed=seed, certified=certified)
     rep.add(Check(name="invariant-count-vs-index",
                   status=PASS if len(fs) == idx else FAIL,
                   paper_ref="a full basic system has ind q members",

@@ -121,6 +121,26 @@ class TestOneEntryPerProcess:
         assert list(after.parametrizations["nilcone"].coords) == ["e", "h", "f"]
         assert catalog.self_test(after).summary == PASS
 
+    def test_the_shared_parts_are_read_only(self):
+        # a load shares its polynomials and its bracket table: each is a
+        # read-only view, so no caller can spoil them for the next load or
+        # leave their integer plans stale
+        before = catalog.load("sl2")
+        terms = dict(before.invariants.polys[0].terms)
+        table = {pair: dict(vec) for pair, vec in before.algebra.brackets.items()}
+        with pytest.raises(AttributeError):
+            catalog.load("sl2").invariants.polys[0].terms.clear()
+        with pytest.raises(TypeError):
+            catalog.load("sl2").invariants.polys[0].terms[((0, 2),)] = Fraction(1)
+        with pytest.raises(TypeError):
+            catalog.load("sl2").algebra.brackets[(0, 1)][0] = 5
+        with pytest.raises(TypeError):
+            catalog.load("sl2").algebra.brackets[(0, 2)] = {}
+        after = catalog.load("sl2")
+        assert after.invariants.polys[0].terms == terms
+        assert after.algebra.brackets == table
+        assert catalog.self_test(after).summary == PASS
+
     def test_an_unknown_name_is_refused_on_every_load(self):
         for _ in range(2):
             with pytest.raises(KeyError, match="unknown catalog entry 'so5'"):

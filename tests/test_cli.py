@@ -208,6 +208,21 @@ class TestInputErrors:
         assert main(["build", "--m", "0", "sl2", "--out", "x.json"]) == 2
         assert main(["verify", "--multi", "1,0", "sl2"]) == 2
 
+    @pytest.mark.parametrize("argv", [["invariants", "--m", "306", "sl3"],
+                                      ["verify", "--m", "300", "sl3"]], ids=" ".join)
+    def test_a_family_past_the_term_budget_is_refused_in_one_line(self, monkeypatch, capsys,
+                                                                  argv):
+        # takiff admits both depths, but either family would hold tens of
+        # millions of terms; an expansion here raises instead of running
+        def never(*args):
+            raise AssertionError("the expansion ran")
+
+        monkeypatch.setattr(raistauvel, "jet_substitute", never)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: the family of sl3<{argv[2]}> would have ")
+        assert "past the budget" in err and err.count("\n") == 1
+
     def test_malformed_json(self, tmp_path):
         src = tmp_path / "broken.json"
         src.write_text("{not json")

@@ -20,6 +20,7 @@ import pytest
 import takiffalg
 from takiffalg import catalog, liealg, nilfiber, verify
 from takiffalg.polyring import jet_substitute, parse_poly
+from takiffalg.report import FAIL, PASS
 
 SRC = Path(takiffalg.__file__).resolve().parents[1]
 ROOT = SRC.parent
@@ -121,6 +122,56 @@ def test_the_index_takes_one_certified_set():
                 if isinstance(node, ast.FunctionDef) and node.name == "_verify_step")
     assert [node.name for node in ast.walk(step)
             if isinstance(node, ast.FunctionDef) and node is not step] == []
+
+
+def test_verify_holds_a_family_at_every_step():
+    # an uncertified step certifies the empty set, l = 0 in every bound: verify
+    # tests no family or certified set against None and passes None for none,
+    # and build_family expands the empty set like any other
+    tree = ast.parse((SRC / "takiffalg" / "verify.py").read_text())
+    sets = {"fs", "fam", "cert", "certified", "cur_fs", "base"}
+    assert [ast.unparse(node) for node in ast.walk(tree)
+            if isinstance(node, ast.Compare) and isinstance(node.left, ast.Name)
+            and node.left.id in sets
+            and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)] == []
+    takes_a_set = {"_invariance_checks", "_zero_top_rank_bound", "_regularity_transfer_check"}
+    passed = [node.value for node in ast.walk(tree)
+              if isinstance(node, ast.keyword) and node.arg == "certified"]
+    passed += [arg for node in ast.walk(tree) if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Name) and node.func.id in takes_a_set
+               for arg in node.args]
+    assert [ast.unparse(value) for value in passed
+            if any(isinstance(n, ast.Constant) and n.value is None
+                   for n in ast.walk(value))] == []
+    assert "InvariantFamily | None" not in ast.unparse(tree)
+    build = next(node for node in ast.parse((SRC / "takiffalg" / "raistauvel.py").read_text())
+                 .body if isinstance(node, ast.FunctionDef) and node.name == "build_family")
+    assert [ast.unparse(node) for node in ast.walk(build)
+            if isinstance(node, (ast.If, ast.IfExp, ast.Raise))] == []
+
+
+@pytest.mark.parametrize("name,invariant,degrees", [
+    ("sl3", None, [2, 2]), ("affine2", None, [1, 1]), ("sl2", "h^2 + 3*e*f", [1, 2])])
+def test_each_level_builds_one_truncation(monkeypatch, name, invariant, degrees):
+    # the uncertified levels (affine2 has no invariants, h^2 + 3ef is none)
+    # certify the empty set over the same L<m>, so no level truncates twice
+    import takiffalg.takiff as module
+    entry = catalog.load(name)
+    L, fs = entry.algebra, entry.invariants
+    if invariant is not None:
+        fs = liealg.InvariantSet(algebra=L, polys=(parse_poly(invariant, L.basis),))
+    real, depths = module.takiff, []
+
+    def spy(base, m):
+        depths.append(m)
+        return real(base, m)
+
+    for owner in map(importlib.import_module, MODULES):
+        if getattr(owner, "takiff", None) is real:
+            monkeypatch.setattr(owner, "takiff", spy)
+    rep = verify.verify_multi_current(L, fs, degrees, transfer_samples=10)
+    assert depths == degrees
+    assert rep.summary == (PASS if invariant is None else FAIL)
 
 
 def _identifiers(tree):

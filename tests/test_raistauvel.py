@@ -97,6 +97,39 @@ class TestExpansion:
         assert comps == (parse_poly("z@2", vs), parse_poly("z@1", vs),
                          parse_poly("z@0", vs))
 
+    def test_the_empty_set_expands_to_the_empty_family(self, monkeypatch, sl2):
+        # the empty set is invariant and independent everywhere: its family
+        # is what an uncertified verify step holds, and nothing is expanded
+        calls = []
+        monkeypatch.setattr(raistauvel, "jet_substitute", lambda *args: calls.append(args))
+        empty = InvariantSet(algebra=sl2.algebra, polys=())
+        fam = build_family(empty, 2)
+        assert (fam.polys, fam.l, fam.base, fam.depth) == ((), 0, empty, 2)
+        assert fam.algebra == takiff(sl2.algebra, 2)
+        assert build_family(fam, 1).polys == () and calls == []
+
+    @pytest.mark.parametrize("name,degrees", [("sl3", (4,)), ("sl3", (16,)), ("slnV3", (3,)),
+                                              ("heis2", (5,)), ("sl2", (1, 3))])
+    def test_the_term_count_is_the_family_size(self, monkeypatch, name, degrees):
+        # the budget counts by arithmetic the terms the expansion writes
+        fs = block_family(name, degrees[:-1])
+        m = degrees[-1]
+        size = sum(len(F.terms) for F in build_family(fs, m).polys)
+        monkeypatch.setattr(raistauvel, "MAX_FAMILY_TERMS", size - 1)
+        with pytest.raises(AlgebraError, match=f"<{m}> would have {size} terms, past the "
+                                               f"budget of {size - 1}"):
+            build_family(fs, m)
+        monkeypatch.setattr(raistauvel, "MAX_FAMILY_TERMS", size)
+        assert sum(len(F.terms) for F in build_family(fs, m).polys) == size
+
+    def test_a_family_past_the_budget_is_refused_before_expanding(self, monkeypatch, sl3):
+        # takiff admits sl3<135>; its family would hold 4,055,732 terms
+        calls = []
+        monkeypatch.setattr(raistauvel, "jet_substitute", lambda *args: calls.append(args))
+        with pytest.raises(AlgebraError, match=r"sl3<135> would have 4055732 terms"):
+            build_family(sl3.invariants, 135)
+        assert calls == []
+
     def test_rejects_inhomogeneous_and_foreign(self, sl2):
         # an inhomogeneous polynomial never reaches the expansion: the
         # invariant set refuses it; a set of another algebra cannot be
@@ -392,7 +425,8 @@ class TestBlockTriangularity:
         # four sl3 invariants, two of them products: rank K(e12*) = 8 - 4, but
         # the differentials are dependent everywhere, so the full rank exceeds
         # (m+1)(n-l) and the block triangle's precondition fails; verify finds
-        # no Omega point, certifies nothing and ranks every matrix
+        # no Omega point and certifies the empty set, whose block triangle
+        # decides no top of sl3 (ind sl3 = 2), so every L<m> matrix is ranked
         C2, C3 = sl3.invariants.polys
         fs = InvariantSet(algebra=sl3.algebra, polys=(C2, C3, C2 * C2, C2 * C3))
         fam = build_family(fs, m)
@@ -406,7 +440,7 @@ class TestBlockTriangularity:
                                                   transfer_samples=20)
         (jacobian,) = [c for c in rep.checks if c.name == "jacobian-rank-on-omega"]
         assert jacobian.status == FAIL
-        assert calls == 0
+        assert calls and set(calls) == {0}
         assert rep.to_json() == exact.to_json()
 
     def test_a_regular_top_in_omega_builds_no_truncated_matrix(self, monkeypatch, sl3):

@@ -732,20 +732,28 @@ def _no_zero_top_decision(monkeypatch):
     monkeypatch.setattr(verify, "_zero_top_rank_bound", lambda Lm, certified: Lm.dim)
 
 
+def _empty_family(L, Lm):
+    """The empty family on Lm = takiff(L, m): what an uncertified step certifies."""
+    return raistauvel.InvariantFamily(algebra=Lm, polys=(),
+                                      base=InvariantSet(algebra=L, polys=()))
+
+
 def _structural_and_exact(monkeypatch, L, fs, m, **kwargs):
-    """(report, block-triangle decisions, report with every rank taken from its matrix).
+    """(report, l of each block-triangle decision, report with every rank from its matrix).
 
     ``m`` is a depth, or a degree list for `verify_multi_current`.  The
     second run ranks every Kirillov matrix, of L and of L<m>: no block
     triangle, no commuting-half block B(xi) in `InvariantSet.kirillov_rank_at`,
     no zero-top decision once per check, and no rank bound at a top with
-    K(xi_m) = 0, neither mn nor the family's m(n - l).
+    K(xi_m) = 0, neither mn nor the family's m(n - l).  A certified step
+    asks the block triangle of its family, l > 0; an uncertified one of the
+    empty family, l = 0.
     """
     structural = raistauvel.block_triangle_rank
     calls = []
 
     def spy(fam, top_rank):
-        calls.append(top_rank)
+        calls.append(fam.l)
         return structural(fam, top_rank)
 
     def run():
@@ -761,7 +769,7 @@ def _structural_and_exact(monkeypatch, L, fs, m, **kwargs):
     _no_zero_top_decision(monkeypatch)
     exact = run()
     monkeypatch.undo()
-    return rep, len(calls), exact
+    return rep, calls, exact
 
 
 def _exact_route_witnesses_agree(rep, exact):
@@ -860,7 +868,7 @@ class TestStructuralRanks:
         entry = catalog.load(name)
         rep, calls, exact = _structural_and_exact(
             monkeypatch, entry.algebra, entry.invariants, m, transfer_samples=20)
-        assert calls > 0
+        assert calls and 0 not in calls
         assert rep.summary == PASS
         assert rep.to_json() == exact.to_json()
 
@@ -872,7 +880,7 @@ class TestStructuralRanks:
         entry = catalog.load(name)
         rep, calls, exact = _structural_and_exact(
             monkeypatch, entry.algebra, entry.invariants, m, transfer_samples=25)
-        assert calls > 0
+        assert calls and 0 not in calls
         assert rep.summary == PASS
         assert rep.to_json() == exact.to_json()
 
@@ -883,7 +891,7 @@ class TestStructuralRanks:
         fs = InvariantSet(algebra=ab, polys=(parse_poly("x", ab.basis), parse_poly("y", ab.basis)))
         rep, calls, exact = _structural_and_exact(monkeypatch, ab, fs, 2,
                                                   transfer_samples=20)
-        assert calls > 0
+        assert calls and 0 not in calls
         assert rep.summary == PASS
         assert _by_name(rep, "regularity-transfer").witness == {
             "samples": 20, "agreements": 20, "regular_cases": 20, "singular_cases": 0}
@@ -915,28 +923,25 @@ class TestStructuralRanks:
             verify_main_theorem(sl2.algebra, sl2.invariants, 2, transfer_samples=20)
 
     def test_a_failed_invariance_takes_the_exact_route(self, monkeypatch, sl2):
+        # the step certifies the empty set: only the empty family's block
+        # triangle is asked, and it decides no top of sl2 (ind sl2 = 1 < n)
         bad = InvariantSet(algebra=sl2.algebra,
                            polys=(parse_poly("h^2 + 3*e*f", sl2.algebra.basis),))
         rep, calls, exact = _structural_and_exact(
             monkeypatch, sl2.algebra, bad, 2, transfer_samples=20)
         assert _by_name(rep, "invariance").status == FAIL
-        assert calls == 0
+        assert calls and set(calls) == {0}
         _exact_route_witnesses_agree(rep, exact)
+        assert rep.to_json() == exact.to_json()
 
 
 class TestZeroTopBoundFallback:
     """Without the step certificate the zero tops fall back to mn.
 
+    The step certifies the empty set, so the zero-top bound is m(n - 0).
     On sl2<2>, mn = 6 = dim L<2> - ind L<2>, so the zero-row bound leaves
     every zero top open, and each builds its 9-wide L<2> matrix.
     """
-
-    @staticmethod
-    def _without_the_l_term(monkeypatch, L, fs, m):
-        bound = verify._zero_top_rank_bound
-        monkeypatch.setattr(verify, "_zero_top_rank_bound",
-                            lambda Lm, certified: bound(Lm, None))
-        return verify_main_theorem(L, fs, m, transfer_samples=20)
 
     @pytest.mark.parametrize("case,failed", [("none", "jacobian-rank-on-omega"),
                                              ("dependent", "jacobian-rank-on-omega"),
@@ -953,14 +958,16 @@ class TestZeroTopBoundFallback:
         rep, built = _kirillov_matrices(monkeypatch, L, fs, 2)
         assert _by_name(rep, failed).status == (SKIPPED if case == "none" else FAIL)
         assert _zero_tops(built) == [9] * 10
-        assert rep.to_json() == self._without_the_l_term(monkeypatch, L, fs, 2).to_json()
-        monkeypatch.undo()
+        structural, calls, exact = _structural_and_exact(monkeypatch, L, fs, 2,
+                                                         transfer_samples=20)
+        assert set(calls) == {0}
+        assert rep.to_json() == structural.to_json() == exact.to_json()
 
     def test_a_failed_omega_search_takes_the_exact_route(self, monkeypatch, sl2):
-        # invariance PASSes, but with no Omega point the step holds no
-        # certificate: no certified set for the index, no block triangle and
-        # no l-term, so every L<2> rank comes from its matrix, zero tops
-        # included
+        # invariance PASSes, but with no Omega point the step certifies the
+        # empty set: the index ceilings are n and (m+1)n, the empty family's
+        # block triangle decides no top of sl2 and the zero-top bound is mn,
+        # so every L<2> rank comes from its matrix, zero tops included
         monkeypatch.setattr(InvariantSet, "omega_point", lambda fs, seed: None)
         seen = _index_trials(monkeypatch)
         rep, built = _kirillov_matrices(monkeypatch, sl2.algebra, sl2.invariants, 2)
@@ -970,7 +977,46 @@ class TestZeroTopBoundFallback:
         assert _zero_tops(built) == [9] * 10
         rep, calls, exact = _structural_and_exact(monkeypatch, sl2.algebra, sl2.invariants,
                                                   2, transfer_samples=20)
-        assert calls == 0
+        assert calls and set(calls) == {0}
+        assert rep.to_json() == exact.to_json()
+
+
+def _uncertified_set(name, how):
+    """(L, fs) for a catalog entry whose step cannot be certified.
+
+    ``dropped`` supplies no invariants; ``broken`` adds b^d to the first
+    invariant of degree d, b the first basis element with a nonzero
+    bracket (affine2, with none, takes b itself); ``no-omega`` keeps the
+    invariants, and the caller finds no Omega point for them.
+    """
+    entry = catalog.load(name)
+    L, fs = entry.algebra, entry.invariants
+    if how == "dropped":
+        return L, InvariantSet(algebra=L, polys=())
+    if how == "broken":
+        b = next(b for k, b in enumerate(L.basis) if any(k in pair for pair in L.brackets))
+        if not fs.polys:
+            return L, InvariantSet(algebra=L, polys=(parse_poly(b, L.basis),))
+        f = fs.polys[0]
+        return L, InvariantSet(algebra=L, polys=(f + parse_poly(f"{b}^{f.degree()}", L.basis),)
+                               + fs.polys[1:])
+    return L, fs
+
+
+class TestTheEmptyCertificate:
+    """An uncertified step certifies the empty set, l = 0 in every bound."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, [1, 1]], ids=str)
+    @pytest.mark.parametrize("how", ["dropped", "broken", "no-omega"])
+    @pytest.mark.parametrize("name", catalog.NAMES)
+    def test_every_rank_is_the_matrix_rank(self, monkeypatch, name, how, m):
+        L, fs = _uncertified_set(name, how)
+        if how == "no-omega":
+            monkeypatch.setattr(InvariantSet, "omega_point", lambda fs, seed: None)
+        rep, calls, exact = _structural_and_exact(monkeypatch, L, fs, m, transfer_samples=20)
+        if how == "broken":
+            assert "FAIL" in {c.status for c in rep.checks if c.name.endswith("invariance")}
+        assert calls and set(calls) == {0}
         assert rep.to_json() == exact.to_json()
 
 
@@ -1114,7 +1160,8 @@ class TestZeroTopOnce:
         L = sl3.algebra
         fam = build_family(sl3.invariants, 2)
         Lm = fam.algebra
-        args = (L, Lm, fam if certified else None, L.dim, liealg.index(Lm) + 1, 20, 0)
+        args = (L, Lm, fam if certified else _empty_family(L, Lm), L.dim,
+                liealg.index(Lm) + 1, 20, 0)
         check = verify._regularity_transfer_check(*args)
         _no_zero_top_decision(monkeypatch)
         drawn = verify._regularity_transfer_check(*args)
@@ -1166,16 +1213,19 @@ class TestDeferredTable:
         assert sorted(built) == want
 
     def test_full_rank_tops_rank_no_truncated_matrix(self, monkeypatch):
-        # ind affine2 = 0: a top of rank n makes K(xi) on L<1> invertible
+        # ind affine2 = 0: a top of rank n makes K(xi) on L<1> invertible,
+        # the empty family's block triangle with l = 0; its empty set ranks
+        # each top through the commuting half, 2|S| = dim, so no sample
+        # builds a Kirillov matrix at all
         L = catalog.load("affine2").algebra
         Lm, streams = takiff(L, 1), sampling.streams(3, sampling.TAG_REGULARITY)
         matrix, widths = liealg.kirillov_matrix, []
         monkeypatch.setattr(liealg, "kirillov_matrix",
                             lambda alg, point: widths.append(alg.dim) or matrix(alg, point))
         built = _table_spy(monkeypatch)
-        check = verify._regularity_transfer_check(L, Lm, None, 0, 0, 100, 3)
+        check = verify._regularity_transfer_check(L, Lm, _empty_family(L, Lm), 0, 0, 100, 3)
         monkeypatch.undo()
-        assert set(widths) == {L.dim} and built == []
+        assert widths == [] and built == []
         regular = 0
         for t in range(0, 100, 2):
             comps = random_components(L.basis, 1, streams(t))
