@@ -65,9 +65,20 @@ class Parametrization(NamedTuple):
         return linalg.rank(liealg.differential_matrix(tuple(self.coords.values()), values))
 
     def audit(self, streams, count: int) -> tuple[list[tuple[list, list]], int]:
-        """``count`` draws ``sample(streams(t))`` and the best Jacobian rank at their parameters."""
+        """``count`` draws ``sample(streams(t))`` and the best Jacobian rank at their parameters.
+
+        Every draw is made; the ranks are taken in draw order and stop at
+        the first that reaches min(len(params), len(coords)), which no
+        Jacobian rank can exceed, so the best rank is the full scan's.
+        """
         drawn = [self.sample(streams(t)) for t in range(count)]
-        return drawn, max((self.jacobian_rank_at(vals) for vals, _ in drawn), default=0)
+        ceiling = min(len(self.params), len(self.coords))
+        best = 0
+        for vals, _ in drawn:
+            best = max(best, self.jacobian_rank_at(vals))
+            if best == ceiling:
+                break
+        return drawn, best
 
 
 class CatalogEntry(NamedTuple):

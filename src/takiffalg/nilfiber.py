@@ -16,9 +16,12 @@ keeps a concrete rank as witness.
 The machinery here also classifies points by the rank of the invariant
 differentials (the stratum index), computes fiber dimensions of the
 projection to the base exactly, and aggregates per-stratum dimension
-estimates against the equidimensionality target 2(dim q - l).  Stratum
-dimensions are never computed by elimination: they come from supplied
-rational parametrizations (audited by Jacobian rank) plus exact kernel
+estimates against the equidimensionality target 2(dim q - l).  Each
+sampled point is ranked once: a stratum of full index l is checked by the
+set's own Omega test, which on a family ranks the base block first, and
+its ``meets_omega`` is read off the declared index.  Stratum dimensions
+are never computed by elimination: they come from supplied rational
+parametrizations (audited by Jacobian rank) plus exact kernel
 dimensions.  Those findings are therefore sampled evidence with exact
 arithmetic, not proofs of component structure.
 
@@ -48,7 +51,6 @@ from .liealg import (
     InvariantSet,
     check_point,
     differential_matrix,
-    omega_test,
 )
 from .polyring import Scalar, _common_denominator, _over
 from .raistauvel import InvariantFamily, build_family, family_rank_at
@@ -183,10 +185,21 @@ def equidim_diagnostic(fs: InvariantSet, strata_samples: Sequence[StratumSample]
     estimate above the target is flagged as excess (the fiber map cannot be
     equidimensional over that stratum), and two target-dimensional strata of
     which one avoids the independence locus are flagged as reducibility
-    evidence for the fiber one level up.  There must be at least one
-    stratum, and stratum names must be distinct: each names its check and
-    its entry in the verdict's totals.
+    evidence for the fiber one level up.  The set must have at least one
+    invariant, there must be at least one stratum, and stratum names must
+    be distinct: each names its check and its entry in the verdict's totals.
+
+    Each point is ranked once.  On a stratum whose declared index is l =
+    len(fs), the index is the full rank exactly where the point is in Omega,
+    so the set's own Omega test (`_independent_at`: `omega_test` on a plain
+    set, `family_rank_at` on a family) decides every point, and only a point
+    outside Omega is ranked again, by `stratum_index`, to name the computed
+    index of the FAIL.  A lower stratum ranks each point by `stratum_index`.
+    Once every point has the declared index, ``meets_omega`` is exactly
+    declared index == l.
     """
+    if not fs.polys:
+        raise NilfiberError("an equidimensionality diagnostic needs at least one invariant")
     if not strata_samples:
         raise NilfiberError("no strata to diagnose")
     seen: set[str] = set()
@@ -202,8 +215,11 @@ def equidim_diagnostic(fs: InvariantSet, strata_samples: Sequence[StratumSample]
     for s in strata_samples:
         if not s.points:
             raise NilfiberError(f"stratum '{s.name}' has no sample points")
+        meets_omega = s.declared_index == len(fs)
         bad = None
         for pt in s.points:
+            if meets_omega and fs._independent_at(pt):
+                continue
             idx = stratum_index(fs, pt)
             if idx != s.declared_index:
                 bad = {"declared_index": s.declared_index, "computed": idx,
@@ -213,8 +229,6 @@ def equidim_diagnostic(fs: InvariantSet, strata_samples: Sequence[StratumSample]
             rep.add(Check(name=f"stratum:{s.name}", status=FAIL,
                           paper_ref=_REF_EQUIDIM, witness=bad))
             continue
-        # every point has the declared index, so one point decides this
-        meets_omega = omega_test(fs, s.points[0])
         fiber = L.dim - s.declared_index
         total = s.declared_dim + fiber
         totals[s.name] = total

@@ -289,21 +289,23 @@ def _int_gradient_rows(polys: Sequence["Polynomial"], point: Point) -> list[list
 class Polynomial:
     """Sparse polynomial with Fraction coefficients over a fixed ordered varset.
 
-    ``terms`` is a read-only view: the integer evaluation plan is built from
-    it on first use and kept, and `catalog.load` shares its polynomials.
+    A polynomial is a read-only value: no field can be assigned or deleted,
+    and ``terms`` is a read-only view.  The integer evaluation plan is built
+    from it on first use and kept, and `catalog.load` shares its polynomials.
     """
 
     __slots__ = ("varset", "terms", "_plan")
 
     def __init__(self, varset: Sequence[str], terms: Mapping[Monomial, Fraction] | None = None,
                  *, _canonical: bool = False):
-        self.varset: tuple[str, ...] = tuple(varset)
-        self._plan: _IntPlan | None = None
+        init = object.__setattr__
+        init(self, "varset", tuple(varset))
+        init(self, "_plan", None)
         if terms is None:
-            self.terms: Mapping[Monomial, Fraction] = MappingProxyType({})
+            init(self, "terms", MappingProxyType({}))
             return
         if _canonical:
-            self.terms = MappingProxyType(dict(terms))
+            init(self, "terms", MappingProxyType(dict(terms)))
             return
         n = len(self.varset)
         if len(set(self.varset)) != n:
@@ -323,7 +325,13 @@ class Polynomial:
                     raise PolyringError("monomial indices must be strictly increasing")
                 prev = idx
             clean[tuple(mono)] = clean.get(tuple(mono), Fraction(0)) + c
-        self.terms = MappingProxyType({m: c for m, c in clean.items() if c})
+        init(self, "terms", MappingProxyType({m: c for m, c in clean.items() if c}))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field '{name}'")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field '{name}'")
 
     # -- constructors -------------------------------------------------------
 
@@ -428,7 +436,7 @@ class Polynomial:
 
     def _int_plan(self) -> _IntPlan:
         if self._plan is None:
-            self._plan = _build_int_plan(self.terms)
+            object.__setattr__(self, "_plan", _build_int_plan(self.terms))
         return self._plan
 
     def evaluate(self, point: Point) -> Scalar:
@@ -716,7 +724,9 @@ def jet_substitute(p: Polynomial, index: Sequence[Sequence[int]],
     index may appear twice, so every output monomial comes from one term of
     ``p`` and one split of each exponent e_i into grade-shift parts k_s:
     nothing merges or cancels, and each output coefficient is the term's
-    coefficient times the multinomials e_i!/prod k_s!.
+    coefficient times the multinomials e_i!/prod k_s!.  Each distinct
+    exponent's splits are enumerated once per call and placed on every
+    variable's row that carries it; nothing is kept between calls.
     """
     if len(index) != len(p.varset):
         raise PolyringError(f"index has {len(index)} rows for {len(p.varset)} variables")
@@ -729,16 +739,20 @@ def jet_substitute(p: Polynomial, index: Sequence[Sequence[int]],
     if not all(0 <= k < len(target) for k in used):
         raise PolyringError(f"a target index is outside the {len(target)} target variables")
     order = len(index[0]) - 1
-    splits: dict[tuple[int, int], list] = {}
+    tables: dict[int, list] = {}    # _splits(e, order) by exponent
+    splits: dict[tuple[int, int], list] = {}    # that table on variable i's row
     result: list[dict[Monomial, Fraction]] = [{} for _ in range(order + 1)]
     for mono, c in p.terms.items():
         acc = [(0, c.numerator, ())]
         for i, e in mono:
             parts = splits.get((i, e))
             if parts is None:
+                table = tables.get(e)
+                if table is None:
+                    table = tables[e] = _splits(e, order)
                 row = index[i]
                 parts = splits[(i, e)] = [(w, mult, tuple((row[s], k) for s, k in split))
-                                          for w, mult, split in _splits(e, order)]
+                                          for w, mult, split in table]
             longer = []
             for w, num, grown in acc:
                 for v, mult, more in parts:

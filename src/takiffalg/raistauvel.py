@@ -55,7 +55,7 @@ from typing import Iterator, Sequence
 
 from . import linalg
 from .liealg import AlgebraError, DualPoint, InvariantSet, LieAlgebra, check_point
-from .polyring import Polynomial, jet_substitute
+from .polyring import Polynomial, _common_denominator, _over, jet_substitute
 from .takiff import _require_grading, graded_name, takiff
 
 __all__ = [
@@ -80,9 +80,11 @@ class InvariantFamily(InvariantSet):
     Construction enforces, member by member, that every term of F_i^j has
     degree deg f_i and weight j and that dF_i^j/d(b@(m-j)) is df_i/db at
     grade m; the first defect raises AlgebraError naming (i, j) and the term
-    or variable.  That implies the `InvariantSet` check, which is not run:
-    right variables, homogeneous of degree deg f_i >= 1, and nonzero, since
-    some partial df_i/db is.
+    or variable.  Partials are compared exactly as integers, scaled by the
+    common denominator of f_i's coefficients; a member coefficient whose
+    scaled partial is no integer matches nothing.  That implies the
+    `InvariantSet` check, which is not run: right variables, homogeneous of
+    degree deg f_i >= 1, and nonzero, since some partial df_i/db is.
     """
 
     __slots__ = ("base",)
@@ -99,11 +101,12 @@ class InvariantFamily(InvariantSet):
         if len(self.polys) != (m + 1) * l:
             raise AlgebraError(f"family has {len(self.polys)} members, expected "
                                f"{(m + 1) * l} for {l} base invariants at depth {m}")
-        want = list(zip(base.degrees(), (_partials_at_grade(f, m * n) for f in base.polys)))
+        want = [(deg, *_partials_at_grade(f, m * n))
+                for f, deg in zip(base.polys, base.degrees())]
         for i, j, F in self.members():
             if F.varset != algebra.basis:
                 raise AlgebraError(f"family entry ({i},{j}) is over the wrong variables")
-            deg, want_partials = want[i - 1]
+            deg, den, want_partials = want[i - 1]
             low = (m - j) * n    # the grade-(m-j) variables are low..low+n-1
             partials: list[dict] = [{} for _ in range(n)]
             for mono, c in F.terms.items():
@@ -113,8 +116,10 @@ class InvariantFamily(InvariantSet):
                     weight += (m - v // n) * e
                     if low <= v < low + n:
                         rest = mono[pos + 1:] if e == 1 else ((v, e - 1),) + mono[pos + 1:]
-                        # the partial's monomial determines mono: nothing cancels
-                        partials[v - low][mono[:pos] + rest] = c if e == 1 else c * e
+                        # the partial's monomial determines mono: nothing cancels;
+                        # den * c * e is an int, or a Fraction no wanted int equals
+                        partials[v - low][mono[:pos] + rest] = _over(c.numerator * den * e,
+                                                                     c.denominator)
                 if degree != deg or weight != j:
                     raise AlgebraError(
                         f"family entry ({i},{j}) has the term "
@@ -188,15 +193,20 @@ class InvariantFamily(InvariantSet):
         return super().kirillov_rank_at(vals) if rank is None else rank
 
 
-def _partials_at_grade(f: Polynomial, shift: int) -> list[dict]:
-    """[df/db for b in the base] as term dicts in one sweep, indices moved up by shift."""
+def _partials_at_grade(f: Polynomial, shift: int) -> tuple[int, list[dict]]:
+    """(D, [D * df/db for b in the base]): int term dicts in one sweep, indices moved up by shift.
+
+    D is the common denominator of f's coefficients, read off its terms.
+    """
+    den = _common_denominator(f.terms.values())
     out: list[dict] = [{} for _ in f.varset]
     for mono, c in f.terms.items():
+        scaled = c.numerator * (den // c.denominator)
         moved = tuple((k + shift, e) for k, e in mono)
         for pos, (k, e) in enumerate(mono):
             rest = moved[pos + 1:] if e == 1 else ((k + shift, e - 1),) + moved[pos + 1:]
-            out[k][moved[:pos] + rest] = c if e == 1 else c * e
-    return out
+            out[k][moved[:pos] + rest] = scaled * e
+    return den, out
 
 
 # The family of f at depth m has one term per term of f and split of each of

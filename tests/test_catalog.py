@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import hashlib
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
-from takiffalg import catalog, liealg
+from takiffalg import catalog, liealg, sampling
 from takiffalg.cli import main
 from takiffalg.liealg import InvariantSet, index, is_symmetric_invariant, magic_from_index
 from takiffalg.polyring import parse_poly
@@ -141,6 +142,24 @@ class TestOneEntryPerProcess:
         assert after.algebra.brackets == table
         assert catalog.self_test(after).summary == PASS
 
+    def test_a_shared_polynomial_takes_no_assignment(self):
+        # the polynomials themselves are guarded as the algebra and the set
+        # are, so no load can replace the terms the next load shares
+        before = catalog.load("sl2")
+        f = before.invariants.polys[0]
+        terms, plan = f.terms, f._plan
+        with pytest.raises(AttributeError):
+            catalog.load("sl2").invariants.polys[0].terms = MappingProxyType({})
+        with pytest.raises(AttributeError):
+            catalog.load("sl2").invariants.polys[0]._plan = None
+        with pytest.raises(AttributeError):
+            del catalog.load("sl2").invariants.polys[0].varset
+        after = catalog.load("sl2")
+        assert after.invariants.polys[0] is f
+        assert f.terms is terms and f._plan is plan
+        assert after == before
+        assert catalog.self_test(after).summary == PASS
+
     def test_an_unknown_name_is_refused_on_every_load(self):
         for _ in range(2):
             with pytest.raises(KeyError, match="unknown catalog entry 'so5'"):
@@ -215,6 +234,47 @@ class TestParametrizations:
             parametrizations={"nilcone": copy})
         assert entry == sl2
         assert entry.parametrizations["nilcone"].declared_dim == 2
+
+    @staticmethod
+    def _ranked(monkeypatch):
+        ranked = []
+        real = catalog.Parametrization.jacobian_rank_at
+
+        def spy(self, values):
+            ranked.append(list(values))
+            return real(self, values)
+
+        monkeypatch.setattr(catalog.Parametrization, "jacobian_rank_at", spy)
+        return ranked
+
+    def test_the_audit_stops_at_the_rank_ceiling(self, monkeypatch, sl2):
+        cone = sl2.parametrizations["nilcone"]
+        ceiling = min(len(cone.params), len(cone.coords))
+        ranked = self._ranked(monkeypatch)
+        for seed in range(50):
+            streams = sampling.streams(seed, sampling.TAG_STRATA, 1)
+            want = [cone.sample(streams(t)) for t in range(5)]
+            full = [cone.jacobian_rank_at(vals) for vals, _ in want]
+            ranked.clear()
+            drawn, best = cone.audit(streams, 5)
+            assert drawn == want
+            assert best == max(full)
+            # the ranks stop at the first draw that reaches the ceiling
+            stop = full.index(ceiling) + 1 if ceiling in full else len(full)
+            assert ranked == [vals for vals, _ in drawn[:stop]]
+
+    def test_an_audit_below_the_ceiling_ranks_every_draw(self, monkeypatch, sl2):
+        # a map through a line: rank 1 everywhere, under the ceiling 2
+        s, t = "s", "t"
+        line = catalog.Parametrization(
+            name="line", params=(s, t),
+            coords={"e": parse_poly("s + t", (s, t)), "h": parse_poly("2*s + 2*t", (s, t)),
+                    "f": parse_poly("0", (s, t))},
+            declared_dim=2)
+        ranked = self._ranked(monkeypatch)
+        drawn, best = line.audit(sampling.streams(3, sampling.TAG_STRATA, 1), 5)
+        assert best == 1
+        assert ranked == [vals for vals, _ in drawn]
 
     def test_only_sl2_ships_one(self):
         for name in catalog.NAMES:

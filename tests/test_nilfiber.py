@@ -12,7 +12,14 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from takiffalg import catalog, linalg, nilfiber, raistauvel, sampling, verify
-from takiffalg.liealg import AlgebraError, InvariantSet, LieAlgebra, differential_matrix
+from takiffalg.liealg import (
+    AlgebraError,
+    InvariantSet,
+    LieAlgebra,
+    check_point,
+    differential_matrix,
+    omega_test,
+)
 from takiffalg.nilfiber import (
     NilfiberError,
     StratumSample,
@@ -323,6 +330,21 @@ class TestEquidim:
                 equidim_diagnostic(sl2.invariants, empty)
         assert ranked == []
 
+    def test_an_empty_set_is_refused_before_any_rank(self, monkeypatch, sl2):
+        # with no invariant, every stratum would be "full index" 0 and Omega
+        # would be everything: the diagnostic has nothing to test
+        L = sl2.algebra
+        ranked = []
+        monkeypatch.setattr(nilfiber, "stratum_index", lambda *a: ranked.append(a))
+        monkeypatch.setattr(linalg, "rank", lambda *a: ranked.append(a))
+        origin = StratumSample(name="origin", points=(_pt(L),), declared_dim=0,
+                               declared_index=0)
+        with pytest.raises(NilfiberError) as info:
+            equidim_diagnostic(InvariantSet(algebra=L, polys=()), [origin])
+        assert str(info.value) == ("an equidimensionality diagnostic needs at least "
+                                   "one invariant")
+        assert ranked == []
+
     def test_duplicate_stratum_names_are_refused_before_any_work(self, monkeypatch, sl2):
         # two strata named "s" would share one totals entry in the verdict
         L, fs = sl2.algebra, sl2.invariants
@@ -334,6 +356,94 @@ class TestEquidim:
         with pytest.raises(NilfiberError, match="'s'"):
             equidim_diagnostic(fs, [origin, regular])
         assert ranked == []
+
+
+def _ranked_witness(fs, s):
+    """The FAIL witness from ranking every point by its stratum index; None if all match."""
+    L = fs.algebra
+    for pt in s.points:
+        idx = stratum_index(fs, pt)
+        if idx != s.declared_index:
+            return {"declared_index": s.declared_index, "computed": idx,
+                    "point": dict(zip(L.basis, map(str, check_point(L, pt))))}
+    return None
+
+
+@pytest.fixture(scope="module")
+def diagnosed():
+    """Every (fs, strata, report) that `sl2_chain` diagnoses over seeds 0..49."""
+    calls = []
+    real = nilfiber.equidim_diagnostic
+
+    def spy(fs, strata):
+        rep = real(fs, strata)
+        calls.append((fs, strata, rep))
+        return rep
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nilfiber, "equidim_diagnostic", spy)
+        for seed in range(50):
+            sl2_chain(levels=3, seed=seed)
+    return calls
+
+
+class TestOmegaOncePerPoint:
+    """A full-index stratum is decided by the set's Omega test, one rank a point."""
+
+    def test_the_chain_diagnoses_every_level(self, diagnosed):
+        assert len(diagnosed) == 150
+        assert {type(fs).__name__ for fs, _, _ in diagnosed} == {"InvariantSet",
+                                                                  "InvariantFamily"}
+
+    def test_meets_omega_is_the_omega_test_at_the_first_point(self, diagnosed):
+        for fs, strata, rep in diagnosed:
+            checks = {c.name: c for c in rep.checks}
+            for s in strata:
+                w = checks[f"stratum:{s.name}"].witness
+                assert w["meets_omega"] == omega_test(fs, s.points[0])
+                assert w["meets_omega"] == (s.declared_index == len(fs))
+
+    def test_the_omega_hook_is_the_full_stratum_index(self, diagnosed):
+        full = 0
+        for fs, strata, _ in diagnosed:
+            for s in strata:
+                for pt in s.points:
+                    assert fs._independent_at(pt) == (stratum_index(fs, pt) == len(fs))
+                    full += s.declared_index == len(fs)
+        assert full == 50 * 10
+
+    def test_a_full_index_stratum_in_omega_takes_no_stratum_index(self, monkeypatch, sl2):
+        ranked = []
+        real = nilfiber.stratum_index
+        monkeypatch.setattr(nilfiber, "stratum_index",
+                            lambda fs, pt: ranked.append(pt) or real(fs, pt))
+        L, fs = sl2.algebra, sl2.invariants
+        regular = StratumSample(name="principal", points=(_pt(L, e=1), _pt(L, f=-3)),
+                                declared_dim=2, declared_index=1)
+        rep = equidim_diagnostic(fs, [regular])
+        assert rep.checks[0].status == PASS and rep.checks[0].witness["meets_omega"]
+        assert ranked == []
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_a_point_off_omega_fails_with_the_ranked_witness(self, sl2, sl2_family_m1,
+                                                             level):
+        L = sl2.algebra
+        if level == 1:
+            fs = sl2.invariants
+            good, off = [_pt(L, e=1), _pt(L, e=2, h=2, f=-1)], [0] * L.dim
+        else:
+            fs = sl2_family_m1
+            good = [[0, 0, 0, 0, 0, 1], [0, 0, 1, 1, 0, 0]]
+            off = [3, 1, -2] + [0] * L.dim
+        for where in range(len(good) + 1):
+            points = tuple(good[:where] + [off] + good[where:])
+            s = StratumSample(name="full", points=points, declared_dim=2,
+                              declared_index=len(fs))
+            want = _ranked_witness(fs, s)
+            assert want is not None and want["computed"] < len(fs)
+            (check, _) = equidim_diagnostic(fs, [s]).checks
+            assert check.status == FAIL
+            assert check.witness == want
 
 
 @pytest.fixture(scope="module")

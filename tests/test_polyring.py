@@ -20,7 +20,7 @@ from takiffalg.polyring import (
     jet_substitute,
     parse_poly,
 )
-from takiffalg import sampling
+from takiffalg import catalog, polyring, sampling
 
 from oracles import EpsValue, eval_poly_eps, partial
 
@@ -281,3 +281,62 @@ def test_jets_match_dual_numbers_at_a_random_point(order):
         want = eval_poly_eps(p, {v: EpsValue(order, [point[target[k]] for k in row])
                                  for v, row in zip(VS, index)})
         assert [F.evaluate(point) for F in got] == want.coeffs
+
+
+class TestSplitTables:
+    """jet_substitute enumerates each exponent's splits once per call."""
+
+    @staticmethod
+    def _spied(monkeypatch):
+        calls = []
+        real = polyring._splits
+
+        def spy(e, order):
+            calls.append((e, order))
+            return real(e, order)
+
+        monkeypatch.setattr(polyring, "_splits", spy)
+        return calls
+
+    @pytest.mark.parametrize("order", [1, 2, 4])
+    def test_one_table_per_distinct_exponent(self, monkeypatch, order):
+        calls = self._spied(monkeypatch)
+        polys = list(catalog.load("sl3").invariants.polys) + list(
+            catalog.load("slnV3").invariants.polys)
+        for trial in range(20):
+            r = sampling.rng(2031, order, trial)
+            polys.append(_build([(Fraction(r.randint(-6, 6), r.randint(1, 4)),
+                                  r.randint(0, 4), r.randint(0, 4), r.randint(0, 4))
+                                 for _ in range(r.randint(1, 5))]))
+        for p in polys:
+            calls.clear()
+            n = len(p.varset)
+            index = [[k * (order + 1) + s for s in range(order + 1)] for k in range(n)]
+            jet_substitute(p, index, tuple(f"t{k}" for k in range(n * (order + 1))))
+            exponents = {e for mono in p.terms for _, e in mono}
+            assert sorted(calls) == [(e, order) for e in sorted(exponents)]
+
+    def test_the_tables_are_not_kept_between_calls(self, monkeypatch):
+        calls = self._spied(monkeypatch)
+        f = catalog.load("sl3").invariants.polys[1]
+        index = [[2 * k, 2 * k + 1] for k in range(8)]
+        target = tuple(f"t{k}" for k in range(16))
+        first = jet_substitute(f, index, target)
+        assert jet_substitute(f, index, target) == first
+        assert sorted(calls) == [(1, 1), (1, 1), (2, 1), (2, 1), (3, 1), (3, 1)]
+
+
+class TestReadOnly:
+    """A polynomial is a value: no field can be assigned or deleted."""
+
+    def test_no_field_can_be_assigned_or_deleted(self):
+        p = parse_poly("x^2 + 1/2*y*z", VS)
+        p.evaluate([1, 2, 3])
+        for name in ("varset", "terms", "_plan", "other"):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(p, name, None)
+        for name in ("varset", "terms", "_plan"):
+            with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+                delattr(p, name)
+        assert p == parse_poly("x^2 + 1/2*y*z", VS)
+        assert p.evaluate([1, 2, 3]) == 4

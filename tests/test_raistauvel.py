@@ -291,6 +291,44 @@ class TestFamilyValidation:
             == "family entry " + message
 
 
+class TestRationalBases:
+    """Partials are compared as integers over the base coefficients' denominator."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_a_rational_base_builds_the_scaled_family(self, sl2, sl3, m):
+        cases = [(sl2, "1/2*h^2 + 2*e*f", [0], Fraction(1, 2)),
+                 (sl3, None, [1], Fraction(1, 3))]
+        for entry, text, which, scale in cases:
+            L, polys = entry.algebra, list(entry.invariants.polys)
+            for k in which:
+                polys[k] = parse_poly(text, L.basis) if text else polys[k] * scale
+            fam = build_family(InvariantSet(algebra=L, polys=polys), m)
+            plain = build_family(entry.invariants, m)
+            for (i, j, F), G in zip(fam.members(), plain.polys):
+                assert F == (G * scale if i - 1 in which else G)
+
+    def test_a_foreign_denominator_is_refused_with_the_partial_message(self, sl2):
+        base = InvariantSet(algebra=sl2.algebra,
+                            polys=(parse_poly("1/3*h^2 + 4/3*e*f", sl2.algebra.basis),))
+        fam = build_family(base, 1)
+        F = fam.member(1, 1)
+        hh = parse_poly("h@0*h@1", F.varset)
+        assert F.terms[next(iter(hh.terms))] == Fraction(2, 3)
+        foreign = F - hh * Fraction(2, 3) + hh * Fraction(2, 5)
+        assert refusal(with_member(fam, 1, 1, foreign)) == (
+            "family entry (1,1): the partial in 'h@0' is not df_1/dh at grade 1")
+
+    def test_a_foreign_denominator_that_cancels_is_still_compared(self, sl2):
+        # over h^2 (denominator 1), 1/2*(h@2)^2 has the integral partial h@2,
+        # which is still not the wanted 2*h@2
+        base = InvariantSet(algebra=sl2.algebra, polys=(parse_poly("h^2", sl2.algebra.basis),))
+        fam = build_family(base, 2)
+        F = fam.member(1, 0)
+        assert F == parse_poly("h@2^2", F.varset)
+        assert refusal(with_member(fam, 1, 0, F * Fraction(1, 2))) == (
+            "family entry (1,0): the partial in 'h@2' is not df_1/dh at grade 2")
+
+
 class TestDifferentials:
     def test_lowest_component_of_first_order_member(self, sl2, sl2_family_m1):
         fam = sl2_family_m1
